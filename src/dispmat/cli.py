@@ -1,5 +1,5 @@
-"""Command-line driver: instance generation, mul/inv/solve runs, benchmark
-tables, and a simultaneous Padé-type approximation demo.
+"""Command-line driver: instance generation, mul/inv/solve runs, and a
+simultaneous Padé-type approximation demo.
 
 Instances travel as JSON with every field element rendered as a decimal
 string (the 62-bit prime does not fit in double-precision JSON numbers).
@@ -9,7 +9,6 @@ Exit codes: 0 ok, 1 verification mismatch, 2 bad input, 3 failure tag.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -66,7 +65,6 @@ __all__ = [
     "plant_pade",
     "cmd_gen",
     "cmd_run",
-    "cmd_bench",
     "cmd_pade",
     "build_parser",
     "main",
@@ -438,83 +436,6 @@ def cmd_run(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# benchmarks
-
-
-def _binomial_operator(f: PrimeField, rng, m: int, n: int) -> DisplacementOperator:
-    """Toeplitz-like Sylvester operator from two distinct power binomials."""
-    phi1 = int(rng.integers(0, f.p))
-    phi2 = int(rng.integers(0, f.p))
-    while phi2 == phi1:
-        phi2 = int(rng.integers(0, f.p))
-    P = f.zeros(m + 1)
-    P[0], P[m] = f.neg(phi1), 1
-    Q = f.zeros(n + 1)
-    Q[0], Q[n] = f.neg(phi2), 1
-    return DisplacementOperator(SYLVESTER, family_build(f, [P]), family_build(f, [Q]))
-
-
-def _bench_row(f: PrimeField, task: str, m: int, alpha: int, beta: int, seed: int):
-    rng = np.random.Generator(np.random.Philox(seed))
-    op = _binomial_operator(f, rng, m, m)
-    gen = Generator(_rand_matrix(f, rng, m, alpha), _rand_matrix(f, rng, m, alpha), op)
-    if task == "mul":
-        B = _rand_matrix(f, rng, m, beta)
-        t0 = time.perf_counter_ns()
-        out = struct_mul(gen, B)
-        wall = time.perf_counter_ns() - t0
-        j = int(rng.integers(0, beta))
-        good = np.array_equal(out[:, j], gen_matvec(gen, B[:, j]))
-        return wall, good, beta
-    if task == "inv":
-        t0 = time.perf_counter_ns()
-        res = inv_generator(gen, rng_seed=seed)
-        wall = time.perf_counter_ns() - t0
-        good = False
-        if res.ok:
-            r = _rand_vector(f, rng, m)
-            good = np.array_equal(gen_matvec(gen, gen_matvec(res.generator, r)), r)
-        return wall, good, 0
-    x0 = _rand_vector(f, rng, m)
-    b = gen_matvec(gen, x0)
-    t0 = time.perf_counter_ns()
-    res = solve_generator(gen, b, rng_seed=seed)
-    wall = time.perf_counter_ns() - t0
-    good = res.ok and np.array_equal(gen_matvec(gen, res.x), b)
-    return wall, good, 1
-
-
-def cmd_bench(args) -> int:
-    f = get_field(_resolve_prime(args.prime))
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    alphas = [int(a) for a in args.alphas.split(",") if a]
-    if not sizes or not alphas or args.reps < 1:
-        raise InfeasibleSpec("empty benchmark ladder")
-    rows = []
-    idx = 0
-    for m in sizes:
-        for alpha in alphas:
-            if alpha > m:
-                raise InfeasibleSpec(f"generator length {alpha} exceeds size {m}")
-            for _ in range(args.reps):
-                seed = args.seed * 1_000_003 + idx
-                idx += 1
-                wall, good, beta = _bench_row(f, args.task, m, alpha, args.beta, seed)
-                rows.append((args.task, m, m, alpha, beta, seed, wall,
-                             "true" if good else "false"))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4], r[5]))
-    buf = sys.stdout if not args.out else open(args.out, "w", newline="")
-    try:
-        w = csv.writer(buf)
-        w.writerow(["task", "m", "n", "alpha", "beta", "seed", "wall_ns", "verified"])
-        w.writerows(rows)
-    finally:
-        if args.out:
-            buf.close()
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # simultaneous Padé-type approximation
 #
 # Unknowns are the stacked coefficients of (f_1, ..., f_alpha) with
@@ -758,15 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="defaults to the instance's task field")
     r.add_argument("--verify", action="store_true",
                    help="cross-check against the dense oracle (within its limits)")
-
-    b = sub.add_parser("bench", help="timing table as CSV")
-    common(b)
-    b.set_defaults(func=cmd_bench, seed=1)
-    b.add_argument("--task", choices=TASKS, default="mul")
-    b.add_argument("--sizes", default="256,512,1024", help="comma-separated m ladder")
-    b.add_argument("--alphas", default="8", help="comma-separated generator lengths")
-    b.add_argument("--beta", type=int, default=8)
-    b.add_argument("--reps", type=int, default=3)
 
     d = sub.add_parser("pade", help="simultaneous Padé-type approximation")
     common(d)

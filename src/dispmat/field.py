@@ -11,7 +11,7 @@ transforms into a handful of numpy calls.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -205,6 +205,40 @@ class PrimeField:
         for lo in range(step, k, step):
             acc = (acc + a[..., lo:lo + step] @ b[..., lo:lo + step, :]) % self.p
         return acc
+
+    def row_reduce(self, M: np.ndarray):
+        """Gauss–Jordan elimination: (R, pivots, order).
+
+        R is the reduced row echelon form of M, pivots the pivot column of
+        each nonzero row of R, and order[i] the row of M that became row i
+        of R.  A column's pivot is its first nonzero entry at or below the
+        current row, so the lowest row index wins.  Each pivot step updates
+        the whole matrix in one array operation: col·row < p² stays within
+        int64 below _INT64_SAFE_BOUND, and object arrays are exact above it.
+        """
+        R = self.arr(M)
+        rows, cols = R.shape
+        order = np.arange(rows)
+        pivots = []
+        r = 0
+        for c in range(cols):
+            if r == rows:
+                break
+            nz = np.flatnonzero(R[r:, c])
+            if not len(nz):
+                continue
+            src = r + int(nz[0])
+            if src != r:
+                R[[r, src]] = R[[src, r]]
+                order[[r, src]] = order[[src, r]]
+            # rows r.. are zero left of c, so only columns c.. change
+            R[r, c:] = R[r, c:] * self.inv(int(R[r, c])) % self.p
+            col = R[:, c].copy()
+            col[r] = 0
+            R[:, c:] = (R[:, c:] - col[:, None] * R[r, c:]) % self.p
+            pivots.append(c)
+            r += 1
+        return R, pivots, order
 
     # -- number-theoretic transform ------------------------------------------
 

@@ -16,7 +16,7 @@ the Toeplitz/Hankel-type operator by the multiplicative L/R transformation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,26 +27,16 @@ from .operators import (
     DisplacementOperator,
     SingularOperator,
     companion_apply,
-    inverse_table,
-    modmul_apply,
     op_invertible,
-    transpose_table,
-    y_apply,
     y_apply_family,
 )
 from .poly import (
     DimensionMismatch,
     PolyFamily,
-    comb_family,
     crt_family,
     family_build,
-    poly_add,
-    poly_mod,
-    poly_mul,
-    poly_rev,
     red_family,
     red_transposed,
-    trim,
 )
 
 RECONSTRUCT_LIMIT = 1 << 20
@@ -98,57 +88,6 @@ class Generator:
 def generator_zeros(op: DisplacementOperator, alpha: int) -> Generator:
     f = op.field
     return Generator(f.zeros((op.m, alpha)), f.zeros((op.n, alpha)), op)
-
-
-# ---------------------------------------------------------------------------
-# the closed-form chain for basic operators
-
-
-def _basic_data(gen: Generator):
-    """gamma_k = crt_P(G-column blocks), eta_k = crt_Q(H-column blocks), and
-    the per-block modular inverses of Q."""
-    op = gen.operator
-    fam_p, fam_q = op.fam_p, op.fam_q
-    table = inverse_table(op)
-    if table is None:
-        raise SingularOperator("operator is not invertible")
-    gammas = [crt_family(fam_p, fam_p.split_vector(gen.G[:, k])) for k in range(gen.alpha)]
-    etas = [crt_family(fam_q, fam_q.split_vector(gen.H[:, k])) for k in range(gen.alpha)]
-    return gammas, etas, table
-
-
-def _basic_matvec(gen: Generator, b: np.ndarray, data=None) -> np.ndarray:
-    """A·b for a basic operator, evaluated right-to-left:
-    Y_Q blockwise, comb_Q, the alpha modular products (reversed coefficients
-    for Stein), one reduction mod P, the subproduct-tree reduction to blocks,
-    and the blockwise modular products with the inverses of Q.
-    """
-    op = gen.operator
-    f = op.field
-    fam_p, fam_q = op.fam_p, op.fam_q
-    m, n = op.m, op.n
-    if gen.alpha == 0:
-        return f.zeros(m)
-    if data is None:
-        data = _basic_data(gen)
-    gammas, etas, table = data
-    parts = [y_apply(f, Qj, blk)
-             for Qj, blk in zip(fam_q.polys, fam_q.split_vector(b))]
-    c = comb_family(fam_q, parts)
-    stein = op.kind == STEIN
-    acc = f.zeros(0)
-    for gamma, eta in zip(gammas, etas):
-        d = poly_mod(f, poly_mul(f, eta, c), fam_q.product)
-        lhs = poly_rev(f, gamma, m - 1) if stein else gamma
-        acc = poly_add(f, acc, poly_mul(f, lhs, d))
-    if stein:
-        acc = poly_rev(f, acc, m + n - 2)
-    acc = poly_mod(f, acc, fam_p.product)
-    blocks = red_family(fam_p, acc)
-    out = f.zeros(m)
-    for i, (s, k, P) in enumerate(zip(fam_p.offsets, fam_p.degrees, fam_p.polys)):
-        out[s: s + k] = modmul_apply(f, table[i], P, blocks[i])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,34 +152,23 @@ def to_basic(gen: Generator) -> tuple[Generator, BasicTransform]:
 
 
 def gen_matvec(gen: Generator, u: np.ndarray) -> np.ndarray:
-    """A·u without materializing A."""
+    """A·u without materializing A: the product chain on one column."""
+    from .structmul import product_chain  # structmul builds on this module
+
     if len(u) != gen.n:
         raise DimensionMismatch(f"vector length {len(u)} != {gen.n}")
-    f = gen.field
-    if gen.alpha == 0:
-        return f.zeros(gen.m)
-    basic, tf = to_basic(gen)
-    return tf.post_apply(_basic_matvec(basic, tf.pre_apply(f.arr(u))))
+    return product_chain(gen, gen.field.arr(u).reshape(-1, 1))[:, 0]
 
 
 def reconstruct_dense(gen: Generator) -> np.ndarray:
-    """The unique dense A with L(A) = G·Hᵗ, as a fold of the matrix-vector
-    chain over unit vectors.  Testing/CLI scale only."""
+    """The unique dense A with L(A) = G·Hᵗ, as the product chain on the
+    identity.  Testing/CLI scale only."""
+    from .structmul import product_chain
+
     m, n = gen.m, gen.n
     if m * n > RECONSTRUCT_LIMIT:
         raise ValueError(f"reconstruct_dense is intended for m*n <= {RECONSTRUCT_LIMIT}")
-    f = gen.field
-    out = f.zeros((m, n))
-    if gen.alpha == 0:
-        return out
-    basic, tf = to_basic(gen)
-    data = _basic_data(basic)
-    e = f.zeros(n)
-    for j in range(n):
-        e[j] = 1
-        out[:, j] = tf.post_apply(_basic_matvec(basic, tf.pre_apply(e), data))
-        e[j] = 0
-    return out
+    return product_chain(gen, gen.field.arr(np.eye(n, dtype=np.int64)))
 
 
 def gen_transpose(gen: Generator) -> Generator:
@@ -259,28 +187,9 @@ def gen_transpose(gen: Generator) -> Generator:
 
 def _column_decompose(f: PrimeField, M: np.ndarray):
     """Write M = B·C with B made of M's pivot columns (full column rank) and
-    C the elimination coefficients; first-nonzero pivots, lowest index wins."""
-    rows, cols = M.shape
-    R = np.asarray(M, dtype=object).copy()
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        src = next((i for i in range(r, rows) if int(R[i, c]) % f.p != 0), None)
-        if src is None:
-            continue
-        if src != r:
-            R[[r, src]] = R[[src, r]]
-        R[r] = (R[r] * f.inv(int(R[r, c]))) % f.p
-        for i in range(rows):
-            if i != r and int(R[i, c]) % f.p != 0:
-                R[i] = (R[i] - R[i, c] * R[r]) % f.p
-        pivots.append(c)
-        r += 1
-    B = M[:, pivots] if pivots else M[:, :0]
-    C = f.arr(R[: len(pivots), :]) if pivots else f.zeros((0, cols))
-    return f.arr(B), C
+    C the nonzero rows of M's reduced row echelon form."""
+    R, pivots, _ = f.row_reduce(M)
+    return f.arr(M[:, pivots]), R[: len(pivots)]
 
 
 def gen_compress(gen: Generator) -> Generator:
@@ -334,7 +243,6 @@ class HankelContext:
     u: np.ndarray
     r: np.ndarray
     s: np.ndarray
-    _cache: dict = dc_field(default_factory=dict, repr=False)
 
     @property
     def fam_p(self) -> PolyFamily:
@@ -445,10 +353,9 @@ def to_hankel(gen: Generator) -> tuple[Generator, HankelContext]:
 
     ctx = HankelContext(gen=gen, kind=op.kind, t=t, u=u, r=r, s=s)
 
-    data = _basic_data(gen) if gen.alpha else None
     lg = [ctx.l_apply(gen.G[:, k]) for k in range(gen.alpha)]
     rth = [ctx.r_t(gen.H[:, k]) for k in range(gen.alpha)]
-    l_a_r = ctx.l_apply(_basic_matvec(gen, r, data) if gen.alpha else f.zeros(m))
+    l_a_r = ctx.l_apply(gen_matvec(gen, r))
     tgen = gen_transpose(gen)
     at_u = gen_matvec(tgen, u)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import PrimeField, get_field
+from .field import PrimeField
 from .poly import (
     DimensionMismatch,
     PolyFamily,
@@ -273,7 +273,8 @@ def _converse_case(f: PrimeField, fam_p: PolyFamily, fam_q: PolyFamily):
     one_minus_rp = poly_sub(f, as_poly(f, [1]),
                             poly_mul(f, r, fam_p.product))
     s, rem = poly_divrem(f, one_minus_rp, fam_q.product)
-    assert is_zero(rem)
+    if not is_zero(rem):
+        raise ArithmeticError("1 − R·P is not a multiple of Q: the cofactor is inexact")
     return [poly_mod(f, s, fam_p.product)]
 
 
@@ -314,25 +315,6 @@ def op_invertible(op: DisplacementOperator) -> bool:
     never matter (M_Pᵗ is similar to M_P through the symmetrizer).
     """
     return inverse_table(op) is not None
-
-
-def transpose_table(op: DisplacementOperator):
-    """The mirror table P⁻¹ mod Q_j (resp. rev(P)⁻¹ mod Q_j) used when the
-    roles of the two families are exchanged."""
-    def build():
-        swapped = DisplacementOperator(op.kind, op.fam_q, op.fam_p)
-        if op.kind == SYLVESTER:
-            return inverse_table(swapped)
-        # Stein transposition swaps (M, N) to (Nᵗ, Mᵗ); invertibility of the
-        # swapped operator is gcd(Q, rev(P)) = 1, equivalent to the original.
-        f = op.field
-        rhs = poly_rev(f, op.fam_p.product, op.fam_p.total_degree)
-        if op.fam_q.flavor == "single_power" and op.fam_p.flavor == "single_power":
-            return _binomial_case(f, op.fam_q, op.fam_p, True)
-        return _inverse_mod_leaves(op.fam_q, rhs)
-
-    table = op.cached("transpose_table", lambda: build() or "singular")
-    return None if isinstance(table, str) else table
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import PrimeField
-from .operators import DisplacementOperator, SYLVESTER, STEIN, SingularOperator, op_invertible
+from .operators import DisplacementOperator, SYLVESTER, SingularOperator, op_invertible
 from .poly import DimensionMismatch, degree
 
 GENERIC_SOLVE_LIMIT = 1 << 16

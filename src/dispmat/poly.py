@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .field import PrimeField, ZeroInverse
+from .field import PrimeField
 
 __all__ = [
     "DegreeOverflow",
@@ -276,7 +276,8 @@ def poly_divrem(f: PrimeField, a: np.ndarray, b: np.ndarray):
     rq_full[: len(rq)] = rq
     q = trim(f, rq_full[::-1])
     r = poly_sub(f, a, poly_mul(f, b, q))
-    assert degree(r) < db
+    if degree(r) >= db:
+        raise ArithmeticError(f"Newton division left a remainder of degree {degree(r)} >= {db}")
     return q, r
 
 
@@ -318,8 +319,8 @@ def symmetrize_apply(f: PrimeField, P: np.ndarray, v: np.ndarray) -> np.ndarray:
     m = degree(P)
     if len(v) != m:
         raise DimensionMismatch(f"vector length {len(v)} != modulus degree {m}")
-    if m == 0:
-        return f.zeros(0)
+    if not np.count_nonzero(v):  # unit and sparse block columns skip the transform
+        return f.zeros(m)
     a = f.zeros(m + 1)
     a[1:] = P[1:]
     c = f.conv(a, f.arr(np.asarray(v)[::-1]))
@@ -333,8 +334,8 @@ def symmetrize_solve(f: PrimeField, P: np.ndarray, v: np.ndarray) -> np.ndarray:
     m = degree(P)
     if len(v) != m:
         raise DimensionMismatch(f"vector length {len(v)} != modulus degree {m}")
-    if m == 0:
-        return f.zeros(0)
+    if not np.count_nonzero(v):
+        return f.zeros(m)
     s = _series_inv_cached(f, poly_rev(f, P, m), m)
     c = f.conv(s, f.arr(np.asarray(v)[::-1]))
     return f.arr(_padded(f, c, m)[:m])
@@ -473,7 +474,13 @@ def family_build(f: PrimeField, polys: Sequence[Sequence[int]]) -> PolyFamily:
         total_degree=sum(degs), product=tree.poly, tree=tree,
         flavor=flavor, flavor_params=params,
     )
-    fam.crt_units()  # doubles as the pairwise-coprimality check
+    if flavor == "geometric":
+        # distinct points are coprime moduli; units wait for a caller
+        k = _geom_collision(f, params[1], len(ps))
+        if k:
+            raise NotCoprime(0, k)
+    else:
+        fam.crt_units()  # doubles as the pairwise-coprimality check
     return fam
 
 
@@ -671,16 +678,25 @@ def _modmul(f: PrimeField, F: np.ndarray, P: np.ndarray, v: np.ndarray) -> np.nd
 # geometric evaluation / interpolation (chirp transforms)
 
 
+def _geom_collision(f: PrimeField, q: int, count: int) -> int:
+    """The first k in [1, count) with q^k = 1, so that the points u and
+    u·q^k coincide, or 0 when all count points are distinct."""
+    acc = 1
+    for k in range(1, count):
+        acc = acc * q % f.p
+        if acc == 1:
+            return k
+    return 0
+
+
 def _geom_check(f: PrimeField, u: int, q: int, count: int):
     if count <= 0:
         return
     if u % f.p == 0 or q % f.p == 0:
         raise DegeneratePoints("u and q must be nonzero")
-    acc = 1
-    for k in range(1, count):
-        acc = acc * q % f.p
-        if acc == 1:
-            raise DegeneratePoints(f"q has multiplicative order {k} < {count}")
+    k = _geom_collision(f, q, count)
+    if k:
+        raise DegeneratePoints(f"q has multiplicative order {k} < {count}")
 
 
 def _tri_powers(f: PrimeField, q: int, n: int) -> np.ndarray:

@@ -9,8 +9,9 @@ by splitting the truncation degree in half while doubling the inner
 dimension, so the work stays in square polynomial-matrix products whose
 batched transforms are shared across all index pairs.  mulQ lifts the x^n
 truncation to an arbitrary monic modulus with the reversed-quotient trick,
-and struct_mul wires that into the reconstruction chain to multiply an
-(m x n) structured matrix by beta vectors at once.
+and product_chain wires that into the reconstruction chain: the one route
+by which the library multiplies an (m x n) structured matrix by beta
+vectors, whether through struct_mul, gen_matvec or reconstruct_dense.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from .field import PrimeField
-from .generators import Generator, _basic_data, to_basic
-from .operators import STEIN, SingularOperator, modmul_apply, y_apply
+from .generators import Generator, to_basic
+from .operators import STEIN, SingularOperator, inverse_table, modmul_apply, y_apply
 from .poly import (
     comb_family,
+    crt_family,
     poly_add,
     poly_mod,
     poly_mul,
@@ -118,11 +120,14 @@ def mul_rec(f: PrimeField, U: np.ndarray, V: np.ndarray, W: np.ndarray,
     if cutoff is None:
         cutoff = MUL_CUTOFF
     abar = U.shape[0]
-    assert nu >= 1 and nu & (nu - 1) == 0, "nu must be a power of two"
-    assert gamma >= 1 and gamma & (gamma - 1) == 0, "gamma must be a power of two"
-    assert abar >= 1 and abar & (abar - 1) == 0, "abar must be a power of two"
-    assert gamma <= abar, "gamma must not exceed abar"
-    assert V.shape == (abar, gamma, nu) and W.shape == (abar, gamma, nu)
+    for name, val in (("nu", nu), ("gamma", gamma), ("abar", abar)):
+        if val < 1 or val & (val - 1):
+            raise PreconditionViolated(f"{name} = {val} is not a power of two")
+    if gamma > abar:
+        raise PreconditionViolated(f"gamma = {gamma} exceeds abar = {abar}")
+    if V.shape != (abar, gamma, nu) or W.shape != (abar, gamma, nu):
+        raise PreconditionViolated(
+            f"V and W must have shape {(abar, gamma, nu)}, got {V.shape} and {W.shape}")
 
     width = max(1, -(-m // abar))
 
@@ -293,30 +298,55 @@ def mulQ(f: PrimeField, U, V, W, Q, cutoff: int | None = None) -> list[np.ndarra
     return out
 
 
-def struct_mul(gen: Generator, B: np.ndarray,
-               cutoff: int | None = None) -> np.ndarray:
-    """A·B for a structured A given by its generator and a dense n x beta
-    block B, sharing the polynomial transforms across all beta columns."""
+def _basic_data(gen: Generator):
+    """gamma_k = crt_P(G-column blocks), eta_k = crt_Q(H-column blocks), and
+    the per-block modular inverses of Q."""
     op = gen.operator
-    f = op.field
-    B = f.arr(B)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    if B.shape[0] != gen.n:
-        raise PreconditionViolated(f"B has {B.shape[0]} rows, expected {gen.n}")
+    fam_p, fam_q = op.fam_p, op.fam_q
+    table = inverse_table(op)
+    if table is None:
+        raise SingularOperator("operator is not invertible")
+    gammas = [crt_family(fam_p, fam_p.split_vector(gen.G[:, k])) for k in range(gen.alpha)]
+    etas = [crt_family(fam_q, fam_q.split_vector(gen.H[:, k])) for k in range(gen.alpha)]
+    return gammas, etas, table
+
+
+def _mul_direct(f: PrimeField, U, V, W, Q) -> list[np.ndarray]:
+    """R_i = sum_k U_k·(V_k·W_i mod Q), one product and one reduction per
+    term: cheaper than mulQ's transforms for a single column, and free of
+    its alpha <= deg Q limit."""
+    out = []
+    for w in W:
+        acc = f.zeros(0)
+        for u, v in zip(U, V):
+            acc = poly_add(f, acc, poly_mul(f, u, poly_mod(f, poly_mul(f, v, w), Q)))
+        out.append(acc)
+    return out
+
+
+def product_chain(gen: Generator, B: np.ndarray,
+                  cutoff: int | None = None) -> np.ndarray:
+    """A·B for any generator length; every product in the library runs here.
+
+    After conjugating to the basic operator, right to left: Y_Q blockwise
+    and comb_Q on each column of B, the alpha-term middle product taken
+    modulo Q (reversed coefficients for Stein), one reduction mod P, the
+    subproduct-tree reduction to blocks, and the blockwise modular products
+    with the inverses of Q.  The middle product goes through mulQ, except
+    for a single column or alpha > n, where the direct sum is used.
+    """
+    f = gen.field
     beta = B.shape[1]
-    if gen.alpha > gen.n:
-        raise PreconditionViolated(
-            f"generator length {gen.alpha} exceeds column format {gen.n}")
     if gen.alpha == 0 or beta == 0:
         return f.zeros((gen.m, beta))
 
     basic, tf = to_basic(gen)
     if not tf.is_identity:
         Bt = np.stack([tf.pre_apply(B[:, i]) for i in range(beta)], axis=1)
-        out = struct_mul(basic, Bt, cutoff)
+        out = product_chain(basic, Bt, cutoff)
         return np.stack([tf.post_apply(out[:, i]) for i in range(beta)], axis=1)
 
+    op = gen.operator
     fam_p, fam_q = op.fam_p, op.fam_q
     m, n = op.m, op.n
     gammas, etas, table = _basic_data(basic)
@@ -329,7 +359,10 @@ def struct_mul(gen: Generator, B: np.ndarray,
         cols.append(comb_family(fam_q, parts))
 
     lhs = [poly_rev(f, g, m - 1) for g in gammas] if stein else gammas
-    R = mulQ(f, lhs, etas, cols, fam_q.product, cutoff)
+    if beta == 1 or gen.alpha > n:
+        R = _mul_direct(f, lhs, etas, cols, fam_q.product)
+    else:
+        R = mulQ(f, lhs, etas, cols, fam_q.product, cutoff)
 
     out = f.zeros((m, beta))
     for i in range(beta):
@@ -339,3 +372,18 @@ def struct_mul(gen: Generator, B: np.ndarray,
         for j, (s, k, P) in enumerate(zip(fam_p.offsets, fam_p.degrees, fam_p.polys)):
             out[s: s + k, i] = modmul_apply(f, table[j], P, blocks[j])
     return out
+
+
+def struct_mul(gen: Generator, B: np.ndarray,
+               cutoff: int | None = None) -> np.ndarray:
+    """A·B for a structured A given by its generator and a dense n x beta
+    block B, sharing the polynomial transforms across all beta columns."""
+    B = gen.field.arr(B)
+    if B.ndim == 1:
+        B = B.reshape(-1, 1)
+    if B.shape[0] != gen.n:
+        raise PreconditionViolated(f"B has {B.shape[0]} rows, expected {gen.n}")
+    if gen.alpha > gen.n:
+        raise PreconditionViolated(
+            f"generator length {gen.alpha} exceeds column format {gen.n}")
+    return product_chain(gen, B, cutoff)

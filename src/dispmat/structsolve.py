@@ -126,56 +126,21 @@ class TriangularToeplitzPreconditioner:
 
 def _dense_inv(f: PrimeField, A: np.ndarray) -> np.ndarray:
     m = A.shape[0]
-    W = np.asarray(A, dtype=object).copy() % f.p
-    R = np.zeros((m, m), dtype=object)
-    for i in range(m):
-        R[i, i] = 1
-    for c in range(m):
-        piv = next((i for i in range(c, m) if int(W[i, c]) % f.p != 0), None)
-        if piv is None:
-            raise SingularOperator("matrix is singular")
-        if piv != c:
-            W[[c, piv]] = W[[piv, c]]
-            R[[c, piv]] = R[[piv, c]]
-        inv = f.inv(int(W[c, c]))
-        W[c] = (W[c] * inv) % f.p
-        R[c] = (R[c] * inv) % f.p
-        for i in range(m):
-            if i != c and int(W[i, c]) % f.p != 0:
-                t = W[i, c]
-                W[i] = (W[i] - t * W[c]) % f.p
-                R[i] = (R[i] - t * R[c]) % f.p
-    return f.arr(R)
+    eye = f.arr(np.eye(m, dtype=np.int64))
+    R, pivots, _ = f.row_reduce(np.concatenate([A, eye], axis=1))
+    if pivots[:m] != list(range(m)):
+        raise SingularOperator("matrix is singular")
+    return R[:, m:]
 
 
 def _dense_solve(f: PrimeField, A: np.ndarray, b: np.ndarray):
     """One solution of A·x = b, or None."""
-    m, n = A.shape
-    W = np.zeros((m, n + 1), dtype=object)
-    W[:, :n] = np.asarray(A, dtype=object) % f.p
-    W[:, n] = np.asarray(b, dtype=object) % f.p
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if int(W[i, c]) % f.p != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            W[[r, piv]] = W[[piv, r]]
-        W[r] = (W[r] * f.inv(int(W[r, c]))) % f.p
-        for i in range(m):
-            if i != r and int(W[i, c]) % f.p != 0:
-                W[i] = (W[i] - W[i, c] * W[r]) % f.p
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if int(W[i, n]) % f.p != 0:
-            return None
+    n = A.shape[1]
+    R, pivots, _ = f.row_reduce(np.column_stack([A, b]))
+    if n in pivots:
+        return None
     x = f.zeros(n)
-    for row, c in enumerate(pivots):
-        x[c] = W[row, n]
+    x[pivots] = R[: len(pivots), n]
     return x
 
 
@@ -326,18 +291,11 @@ def _base_case(f: PrimeField, G, H, u):
     m, n = G.shape[0], H.shape[0]
     q = min(m, n)
     A = densify_from_last_row(f, G, H, u)
-    W = np.asarray(A[:q, :q], dtype=object).copy()
-    ell = q
-    for k in range(q):
-        if int(W[k, k]) % f.p != 0:
-            inv = f.inv(int(W[k, k]))
-            for i in range(k + 1, q):
-                fac = (W[i, k] * inv) % f.p
-                if fac:
-                    W[i, k:] = (W[i, k:] - fac * W[k, k:]) % f.p
-        else:
-            ell = k
-            break
+    # the leading blocks stay nonsingular exactly as long as elimination
+    # pivots on the diagonal without a row swap
+    _, pivots, order = f.row_reduce(A[:q, :q])
+    ell = next((k for k, c in enumerate(pivots) if c != k or order[k] != k),
+               len(pivots))
     alpha = G.shape[1]
     if ell == 0:
         return 0, f.zeros((0, alpha)), f.zeros((0, alpha)), f.zeros(0)

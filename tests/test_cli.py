@@ -1,8 +1,7 @@
 """End-to-end driver tests: instance files, runs with oracle verification,
-benchmark tables, and the approximation subcommand.  Everything goes through
+and the approximation subcommand.  Everything goes through
 `main(argv)` exactly as a shell invocation would."""
 
-import csv
 import json
 
 import numpy as np
@@ -290,55 +289,6 @@ def test_run_human_readable_line(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "run", "--instance", inst, "--verify")
     assert code == EXIT_OK
     assert out.strip() == "mul: tag=ok verified=ok"
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-
-def test_bench_csv_is_sorted_and_lossless(tmp_path, capsys):
-    out = str(tmp_path / "bench.csv")
-    code = main(["bench", "--task", "mul", "--sizes", "16,8", "--alphas", "2",
-                 "--beta", "2", "--reps", "2", "--seed", "1", "--out", out])
-    assert code == EXIT_OK
-    with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 4
-    assert list(rows[0]) == ["task", "m", "n", "alpha", "beta", "seed",
-                             "wall_ns", "verified"]
-    key = [(r["task"], int(r["m"]), int(r["n"]), int(r["alpha"]),
-            int(r["beta"]), int(r["seed"])) for r in rows]
-    assert key == sorted(key)
-    assert [int(r["m"]) for r in rows] == [8, 8, 16, 16]
-    for r in rows:
-        assert r["verified"] == "true"
-        assert int(r["wall_ns"]) > 0
-    # lossless roundtrip: re-serializing the parsed rows gives the same file
-    import io
-
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=list(rows[0]))
-    w.writeheader()
-    w.writerows(rows)
-    assert buf.getvalue().replace("\r\n", "\n") == \
-        open(out).read().replace("\r\n", "\n")
-
-
-@pytest.mark.parametrize("task", ["inv", "solve"])
-def test_bench_other_tasks_verify(tmp_path, capsys, task):
-    out = str(tmp_path / "bench.csv")
-    code = main(["bench", "--task", task, "--sizes", "12", "--alphas", "2",
-                 "--reps", "1", "--seed", "2", "--out", out])
-    assert code == EXIT_OK
-    with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 1 and rows[0]["verified"] == "true"
-
-
-def test_bench_rejects_empty_ladder(capsys):
-    assert run_cli(capsys, "bench", "--sizes", "")[0] == EXIT_BAD_INPUT
-    assert run_cli(capsys, "bench", "--sizes", "8", "--alphas", "9")[0] == \
-        EXIT_BAD_INPUT
 
 
 # ---------------------------------------------------------------------------

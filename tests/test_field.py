@@ -153,3 +153,34 @@ def test_field_identity_and_hash():
     assert get_field(7) == get_field(7)
     assert hash(PrimeField(7)) == hash(PrimeField(7))
     assert PrimeField(7) != PrimeField(13)
+
+
+# 3037000493 is the largest prime below _INT64_SAFE_BOUND: the int64 edge
+# of row_reduce's vectorised update
+@pytest.mark.parametrize("p", [7, DEFAULT_PRIME, BENCH_PRIME, 3037000493])
+def test_row_reduce_matches_oracle(p):
+    from dispmat.oracle import _row_reduce, dense_rank
+
+    f = get_field(p)
+    rng = np.random.default_rng(13)
+    for _ in range(12):
+        rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        k = int(rng.integers(0, min(rows, cols)))  # rank-deficient
+        M = f.mat_mul(f.arr(rng.integers(0, p, (rows, k))),
+                      f.arr(rng.integers(0, p, (k, cols))))
+        M[:, int(rng.integers(cols))] = 0  # a column without a pivot
+        R, pivots, order = f.row_reduce(M)
+        want_R, want_pivots = _row_reduce(f, M)
+        assert R.dtype == f.dtype
+        assert R.tolist() == want_R.tolist()
+        assert pivots == want_pivots and len(pivots) <= k
+        assert sorted(order.tolist()) == list(range(rows))
+        r = len(pivots)
+        assert dense_rank(f, M[order[:r]]) == r
+
+
+def test_row_reduce_takes_the_first_nonzero_pivot():
+    f = get_field(7)
+    R, pivots, order = f.row_reduce(f.arr([[0, 1, 2], [0, 0, 3], [2, 4, 0]]))
+    assert pivots == [0, 1, 2] and order.tolist() == [2, 0, 1]
+    assert R.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

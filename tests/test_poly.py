@@ -293,3 +293,25 @@ def test_geom_degenerate_points():
         geom_eval(F7, as_poly(F7, [1, 1]), 1, 1, 2)  # ord(1) = 1 < 2
     with pytest.raises(DegeneratePoints):
         geom_interp(F7, 2, 6, F7.arr([1, 2, 3]))  # ord(6) = 2 < 3
+
+
+def test_geometric_units_are_built_lazily():
+    # roots 3·5^i: 64 distinct points over F
+    fam = family_build(F, [[F.p - 3 * pow(5, i, F.p) % F.p, 1] for i in range(64)])
+    assert fam.flavor == "geometric" and "units" not in fam._cache
+    es, fs = fam.crt_units()
+    roots = [3 * pow(5, i, F.p) % F.p for i in range(64)]
+    for i, (e, fi) in enumerate(zip(es, fs)):
+        # E_i = prod_{j != i} (r_i − r_j), the eager xgcd's F_i = E_i⁻¹
+        want = 1
+        for j, r in enumerate(roots):
+            if j != i:
+                want = want * (roots[i] - r) % F.p
+        assert e.tolist() == [want] and fi.tolist() == [F.inv(want)]
+
+
+def test_geometric_collision_names_the_pair():
+    # roots 2·2^i over F_7: 2 has order 3, so points 0 and 3 coincide
+    with pytest.raises(NotCoprime) as exc:
+        family_build(F7, [[5, 1], [3, 1], [6, 1], [5, 1]])
+    assert exc.value.pair == (0, 3)

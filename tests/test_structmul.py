@@ -236,3 +236,13 @@ def test_struct_mul_preconditions(f):
 
 def test_default_cutoff_is_sane():
     assert MUL_CUTOFF >= 1
+
+
+def test_mul_rec_shape_contract(f):
+    U = f.zeros((2, 4))
+    V = f.zeros((2, 1, 3))
+    with pytest.raises(PreconditionViolated):
+        mul_rec(f, U, V, V.copy(), 4, 3, 1)  # nu = 3 is not a power of two
+    V = f.zeros((2, 1, 4))
+    with pytest.raises(PreconditionViolated):
+        mul_rec(f, U, V, f.zeros((2, 1, 2)), 4, 4, 1)  # W has the wrong shape

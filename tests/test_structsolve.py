@@ -27,6 +27,7 @@ from dispmat.structsolve import (
     InvResult,
     SolveResult,
     TriangularToeplitzPreconditioner,
+    _base_case,
     _col_of,
     _gen_block_12,
     _gen_block_21,
@@ -149,6 +150,25 @@ def test_largest_rec_frozen_small_cases(f):
     ell, *_ = largest_rec(f, G, H, u)
     assert ell == 0
     assert lp_inv(f, G, H, u).status == FAILURE
+
+
+@pytest.mark.parametrize("rows, ell", [
+    ([[0, 1], [1, 0]], 0),                    # the first pivot needs a swap
+    ([[0, 0], [0, 1]], 0),                    # the first column has no pivot
+    ([[1, 0, 0], [0, 0, 1], [0, 1, 0]], 1),   # a swap at the second step
+    ([[1, 2], [2, 4]], 1),                    # the second column has no pivot
+    ([[2, 1], [1, 3]], 2),
+])
+def test_base_case_stops_at_the_first_swap(any_field, rows, ell):
+    f = any_field
+    A = f.arr(rows)
+    G, H, u = _triple_from_dense(f, A)
+    got, Y, Z, v = _base_case(f, G, H, u)
+    assert got == ell == _unpivoted_ell(f, A)
+    if ell:
+        Ai = dense_inv(f, A[:ell, :ell])
+        assert np.array_equal(Y, (f.p - dense_mul(f, Ai, G[:ell])) % f.p)
+        assert np.array_equal(v, Ai[0])
 
 
 def test_largest_rec_matches_dense_elimination(any_field):
