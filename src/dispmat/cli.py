@@ -39,6 +39,7 @@ from .poly import (
     degree,
     family_build,
     is_zero,
+    padded,
     poly_add,
     poly_gcd,
     poly_mod,
@@ -445,12 +446,6 @@ def cmd_run(args) -> int:
 # alpha block boundaries cancel: the generator has length exactly alpha.
 
 
-def _fixed_len(f: PrimeField, a: np.ndarray, k: int) -> np.ndarray:
-    out = f.zeros(k)
-    out[: len(a)] = a
-    return out
-
-
 def _poly_modinv(f: PrimeField, a: np.ndarray, P: np.ndarray) -> np.ndarray:
     g, s, _ = xgcd(f, a, P)
     if degree(g) != 0:
@@ -481,7 +476,7 @@ def pade_generator(fam: PolyFamily, residues, bounds: list[int], phi: int) -> Ge
             carry = poly_shift(f, red[i][prev], bounds[prev])
             if j == 0:
                 carry = poly_scale(f, phi, carry)
-            G[s: s + k, j] = _fixed_len(f, poly_mod(f, poly_sub(f, red[i][j], carry), P), k)
+            G[s: s + k, j] = padded(f, poly_mod(f, poly_sub(f, red[i][j], carry), P), k)
     return Generator(G, H, op)
 
 

@@ -6,6 +6,11 @@ Python-object arrays otherwise, e.g. for the 62-bit benchmark prime).
 The number-theoretic transform (NTT) operates along the last axis of an
 array of any shape, which lets polynomial-matrix code batch thousands of
 transforms into a handful of numpy calls.
+
+Convolution has one exact kernel for every prime: residues are cut into
+16-bit limbs, each limb product is an int64 ``np.convolve``, and the limb
+weights are recombined mod p.  Long products go to the NTT instead when
+p - 1 has the 2-adic room for their transform length.
 """
 
 from __future__ import annotations
@@ -107,6 +112,9 @@ class PrimeField:
         self._generator: int | None = {DEFAULT_PRIME: 3, BENCH_PRIME: 3}.get(p)
         self._root_cache: dict[tuple[int, bool], np.ndarray] = {}
         self._rev_cache: dict[int, np.ndarray] = {}
+        # bit offsets of the 16-bit limbs of a residue, one row per limb
+        limbs = -(-p.bit_length() // 16)
+        self._limb_shifts = np.arange(0, 16 * limbs, 16).reshape(-1, 1)
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
@@ -160,9 +168,8 @@ class PrimeField:
     def arr(self, values: Iterable[int] | np.ndarray) -> np.ndarray:
         """Canonical residue array (always a fresh copy)."""
         if self.dtype is object:
-            a = np.array([int(v) % self.p for v in np.asarray(values, dtype=object).ravel()],
-                         dtype=object)
-            return a.reshape(np.asarray(values, dtype=object).shape)
+            a = np.asarray(values, dtype=object)
+            return np.array([int(v) % self.p for v in a.ravel()], dtype=object).reshape(a.shape)
         a = np.asarray(values)
         if a.dtype == object:
             a = np.array([int(v) for v in a.ravel()], dtype=np.int64).reshape(a.shape)
@@ -298,84 +305,62 @@ class PrimeField:
             out = out * n_inv % self.p
         return out
 
-    def _conv_split16(self, a: np.ndarray, b: np.ndarray, need: int) -> np.ndarray:
-        """Exact small convolution via a 16-bit limb split.
+    def _limbs(self, v: np.ndarray) -> np.ndarray:
+        """The 16-bit limbs of v's residues as int64, one row per limb, low first."""
+        r = np.asarray(v, dtype=self.dtype) % self.p
+        return ((r >> self._limb_shifts) & 0xFFFF).astype(np.int64, copy=False)
 
-        Residues are < p <= sqrt(2**63), so every partial product fits an
-        int64 and the three np.convolve calls beat the transform's per-call
-        overhead on short inputs (and the Python-int fallback on any field
-        whose p-1 lacks 2-adic room).
+    def _conv_limbs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Exact linear convolution from int64 np.convolve on 16-bit limbs.
+
+        Residues are cut into k = ceil(bits(p) / 16) limbs: 1 below 2^16, 2
+        up to 2^31.5, 4 for 62-bit primes.  Limb sequences multiply
+        Karatsuba-style across the limb index: with D_i = a_i*b_i, the cross
+        terms a_i*b_j + a_j*b_i of weight i + j come from one more
+        convolution, (a_i + a_j)*(b_i + b_j) - D_i - D_j, so k limbs take
+        k(k+1)/2 calls.  A term of that convolution is below 2^34 and a
+        weight gathers at most k limb products per term, so for k <= 4 and
+        a shorter input of fewer than 2^29 terms every partial sum fits an
+        int64.  Horner's rule recombines the 2k - 1 weights mod p in the
+        field's dtype: for object-dtype primes that is the only Python-int
+        work, O(len × k).
         """
         p = self.p
-        a = np.asarray(a, dtype=np.int64) % p
-        b = np.asarray(b, dtype=np.int64) % p
-        ah, al = a >> 16, a & 0xFFFF
-        bh, bl = b >> 16, b & 0xFFFF
-        hh = np.convolve(ah, bh)
-        ll = np.convolve(al, bl)
-        mid = np.convolve(ah + al, bh + bl) - hh - ll
-        s16 = (1 << 16) % p
-        s32 = (1 << 32) % p
-        res = ((hh % p) * s32 % p + (mid % p) * s16 % p + ll) % p
-        return res[:need]
+        A, B = self._limbs(a), self._limbs(b)
+        k = len(A)
+        diag = [np.convolve(A[i], B[i]) for i in range(k)]
+        c = [None] * (2 * k - 1)
+        c[::2] = diag
+        for i in range(k):
+            for j in range(i + 1, k):
+                x = np.convolve(A[i] + A[j], B[i] + B[j]) - diag[i] - diag[j]
+                c[i + j] = x if c[i + j] is None else c[i + j] + x
+        res = c[-1].astype(self.dtype, copy=False) % p
+        for cw in reversed(c[:-1]):
+            res = ((res << 16) + cw) % p
+        return res
 
     def conv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Linear convolution of two 1-D coefficient arrays, exactly mod p."""
+        """Linear convolution of two 1-D coefficient arrays, exactly mod p.
+
+        Short products, and products too long for the prime's transforms,
+        run the limb kernel; the rest run the NTT.
+        """
         la, lb = len(a), len(b)
         if la == 0 or lb == 0:
             return self.zeros(0)
         need = la + lb - 1
-        if self.dtype is not object and need <= _SPLIT_CONV_CUTOFF:
-            return self._conv_split16(a, b, need)
         size = 1 << (need - 1).bit_length()
-        if size <= self.ntt_capacity():
-            fa = self.zeros(size)
-            fb = self.zeros(size)
-            fa[:la] = np.asarray(a, dtype=self.dtype) % self.p
-            fb[:lb] = np.asarray(b, dtype=self.dtype) % self.p
-            fa = self.ntt(fa)
-            fb = self.ntt(fb)
-            prod = fa * fb % self.p
-            return self.ntt(prod, invert=True)[:need]
-        return self._conv_exact(a, b)[:need]
-
-    def _conv_exact(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Karatsuba/schoolbook fallback on Python ints (any size, any prime)."""
-        xs = [int(v) for v in a]
-        ys = [int(v) for v in b]
-        res = _karatsuba(xs, ys)
-        return np.array([v % self.p for v in res], dtype=self.dtype)
-
-
-def _karatsuba(a: list[int], b: list[int]) -> list[int]:
-    n, m = len(a), len(b)
-    if n == 0 or m == 0:
-        return []
-    if min(n, m) <= 32:
-        out = [0] * (n + m - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return out
-    h = min(n, m) // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _karatsuba(a0, b0)
-    z2 = _karatsuba(a1, b1)
-    s1 = [x + y for x, y in zip(a0, a1)] + list(a1[len(a0):] or a0[len(a1):])
-    s2 = [x + y for x, y in zip(b0, b1)] + list(b1[len(b0):] or b0[len(b1):])
-    z1 = _karatsuba(s1, s2)
-    out = [0] * (n + m - 1)
-    for i, v in enumerate(z0):
-        out[i] += v
-        out[i + h] -= v
-    for i, v in enumerate(z1):
-        out[i + h] += v
-    for i, v in enumerate(z2):
-        out[i + h] -= v
-        out[i + 2 * h] += v
-    return out
+        if need <= _SPLIT_CONV_CUTOFF or size > self.ntt_capacity():
+            return self._conv_limbs(a, b)
+        fa = self.zeros(size)
+        fb = self.zeros(size)
+        fa[:la] = np.asarray(a, dtype=self.dtype) % self.p
+        fb[:lb] = np.asarray(b, dtype=self.dtype) % self.p
+        fa = self.ntt(fa)
+        fb = self.ntt(fb)
+        prod = fa * fb % self.p
+        return self.ntt(prod, invert=True)[:need]
 
 
 @functools.lru_cache(maxsize=32)

@@ -35,6 +35,7 @@ from .poly import (
     PolyFamily,
     crt_family,
     family_build,
+    padded,
     red_family,
     red_transposed,
 )
@@ -142,9 +143,7 @@ def to_basic(gen: Generator) -> tuple[Generator, BasicTransform]:
     if e2:
         H = np.stack([y_apply_family(op.fam_q, H[:, k]) for k in range(gen.alpha)],
                      axis=1) if gen.alpha else H
-    basic_op = op.cached(
-        "basic_op", lambda: DisplacementOperator(op.kind, op.fam_p, op.fam_q))
-    return Generator(G, H, basic_op), tf
+    return Generator(G, H, op.basic()), tf
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +302,6 @@ class HankelContext:
                               red_transposed(self.fam_q, v[::-1].copy(), inverse=True))
 
 
-def _pad_vec(f: PrimeField, poly: np.ndarray, size: int) -> np.ndarray:
-    out = f.zeros(size)
-    out[: len(poly)] = poly
-    return out
-
-
 def _unit(f: PrimeField, size: int, idx: int) -> np.ndarray:
     e = f.zeros(size)
     e[idx] = 1
@@ -343,10 +336,10 @@ def to_hankel(gen: Generator) -> tuple[Generator, HankelContext]:
     t = _unit(f, m, 0)
     s = _unit(f, n, 0)
     # u = Y_P⁻¹ W_P m⃗ with m⃗ the low coefficients of P (P − x^m)
-    mvec = _pad_vec(f, f.arr(fam_p.product[:m]), m)
+    mvec = padded(f, fam_p.product, m)
     u = y_apply_family(fam_p, fam_p.join_parts(red_family(fam_p, mvec)), inverse=True)
     # r = −Y_Q⁻¹ W_Q (n⃗ + s)
-    nvec = _pad_vec(f, f.arr(fam_q.product[:n]), n)
+    nvec = padded(f, fam_q.product, n)
     nvec[0] = (nvec[0] + 1) % f.p
     r = y_apply_family(fam_q, fam_q.join_parts(red_family(fam_q, nvec)), inverse=True)
     r = (f.p - r) % f.p

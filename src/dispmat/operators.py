@@ -24,6 +24,7 @@ from .poly import (
     degree,
     family_build,
     is_zero,
+    padded,
     poly_divrem,
     poly_mod,
     poly_mul,
@@ -78,6 +79,16 @@ class DisplacementOperator:
     @property
     def is_basic(self) -> bool:
         return not self.transpose_p and self.transpose_q
+
+    def basic(self) -> DisplacementOperator:
+        """The basic operator of the same kind on the same families.
+
+        Transpose flags enter neither invertibility nor the inverse table,
+        so every variant shares the table cached on this representative.
+        """
+        if self.is_basic:
+            return self
+        return self.cached("basic", lambda: DisplacementOperator(self.kind, self.fam_p, self.fam_q))
 
     def cached(self, key, fn):
         v = self._cache.get(key)
@@ -134,10 +145,7 @@ def modmul_apply(f: PrimeField, F: np.ndarray, P: np.ndarray, v: np.ndarray) -> 
     """
     k = degree(P)
     r = poly_mod(f, trim(f, v), P)
-    w = poly_mod(f, poly_mul(f, trim(f, F), r), P)
-    out = f.zeros(k)
-    out[: len(w)] = w
-    return out
+    return padded(f, poly_mod(f, poly_mul(f, trim(f, F), r), P), k)
 
 
 def modmul_apply_transposed(f: PrimeField, F: np.ndarray, P: np.ndarray,
@@ -282,8 +290,10 @@ def inverse_table(op: DisplacementOperator):
     """Per-block inverses Q⁻¹ mod P_i (Sylvester) / rev(Q)⁻¹ mod P_i (Stein).
 
     Returns a list of coefficient vectors, one per block of P, or None when
-    the operator is singular.  Cached on the operator.
+    the operator is singular.  Cached on the operator's basic representative.
     """
+    op = op.basic()
+
     def build():
         f = op.field
         fam_p, fam_q = op.fam_p, op.fam_q

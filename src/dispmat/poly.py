@@ -24,7 +24,6 @@ import numpy as np
 from .field import PrimeField
 
 __all__ = [
-    "DegreeOverflow",
     "DivisionByZero",
     "BoundTooSmall",
     "NonUnitConstantTerm",
@@ -36,6 +35,7 @@ __all__ = [
     "as_poly",
     "is_zero",
     "degree",
+    "padded",
     "poly_add",
     "poly_sub",
     "poly_neg",
@@ -65,10 +65,6 @@ __all__ = [
 # Switch from schoolbook long division to reverse/Newton division above
 # this divisor degree.
 DIVREM_NEWTON_THRESHOLD = 32
-
-
-class DegreeOverflow(ValueError):
-    """Product degree exceeds the prime's NTT capacity in strict mode."""
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -161,15 +157,9 @@ def poly_shift(f: PrimeField, a: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def poly_mul(f: PrimeField, a: np.ndarray, b: np.ndarray, strict: bool = False) -> np.ndarray:
+def poly_mul(f: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if is_zero(a) or is_zero(b):
         return f.zeros(0)
-    need = len(a) + len(b) - 1
-    size = 1 << (need - 1).bit_length()
-    if strict and size > f.ntt_capacity():
-        raise DegreeOverflow(
-            f"product degree {need - 1} needs transform size {size} > {f.ntt_capacity()}"
-        )
     return trim(f, f.conv(a, b))
 
 
@@ -338,10 +328,11 @@ def symmetrize_solve(f: PrimeField, P: np.ndarray, v: np.ndarray) -> np.ndarray:
         return f.zeros(m)
     s = _series_inv_cached(f, poly_rev(f, P, m), m)
     c = f.conv(s, f.arr(np.asarray(v)[::-1]))
-    return f.arr(_padded(f, c, m)[:m])
+    return padded(f, c, m)
 
 
-def _padded(f: PrimeField, a: np.ndarray, n: int) -> np.ndarray:
+def padded(f: PrimeField, a: np.ndarray, n: int) -> np.ndarray:
+    """A fresh length-n copy of a: cut, or zero-padded at the top."""
     out = f.zeros(n)
     k = min(n, len(a))
     out[:k] = a[:k]
@@ -624,7 +615,7 @@ def red_transposed(fam: PolyFamily, u: np.ndarray, inverse: bool = False) -> np.
     m = fam.total_degree
     num = numerator(fam.tree, f.arr(u))
     inv = fam.rev_product_inverse(m)
-    return _padded(f, f.conv(num, inv), m)
+    return padded(f, f.conv(num, inv), m)
 
 
 def _subtree_degree(node: _TreeNode) -> int:
@@ -636,7 +627,7 @@ def _transposed_multiply(f: PrimeField, c: np.ndarray, u: np.ndarray, out_len: i
     correlation, (result)_k = sum_i c_i u_{k+i} for k < out_len."""
     dc = degree(c)
     corr = f.conv(poly_rev(f, c, dc), u)
-    return f.arr(_padded(f, corr[dc:], out_len))
+    return padded(f, corr[dc:], out_len)
 
 
 def _crt_transposed(fam: PolyFamily, u: np.ndarray) -> np.ndarray:
@@ -656,7 +647,7 @@ def _crt_transposed(fam: PolyFamily, u: np.ndarray) -> np.ndarray:
                 _modmul(f, fs[i], fam.polys[i],
                         symmetrize_apply(f, fam.polys[i], vec)),
             )
-            out[fam.offsets[i]: fam.offsets[i] + fam.degrees[i]] = _padded(
+            out[fam.offsets[i]: fam.offsets[i] + fam.degrees[i]] = padded(
                 f, block, fam.degrees[i])
             return
         dl = _subtree_degree(node.left)
@@ -671,7 +662,7 @@ def _crt_transposed(fam: PolyFamily, u: np.ndarray) -> np.ndarray:
 def _modmul(f: PrimeField, F: np.ndarray, P: np.ndarray, v: np.ndarray) -> np.ndarray:
     """F * pol(v) mod P as a full-length coefficient vector."""
     r = poly_mod(f, poly_mul(f, F, trim(f, v)), P)
-    return _padded(f, r, degree(P))
+    return padded(f, r, degree(P))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .operators import STEIN, SingularOperator, inverse_table, modmul_apply, y_a
 from .poly import (
     comb_family,
     crt_family,
+    padded,
     poly_add,
     poly_mod,
     poly_mul,
@@ -39,15 +40,6 @@ MUL_CUTOFF = 16
 
 class PreconditionViolated(ValueError):
     """An input shape constraint (alpha <= n and friends) was broken."""
-
-
-def _fixlen(f: PrimeField, a, size: int) -> np.ndarray:
-    a = f.arr(a)
-    if len(a) >= size:
-        return a[:size]
-    out = f.zeros(size)
-    out[: len(a)] = a
-    return out
 
 
 def _stack(f: PrimeField, polys, bound: int) -> np.ndarray:
@@ -246,13 +238,13 @@ def mulQ(f: PrimeField, U, V, W, Q, cutoff: int | None = None) -> list[np.ndarra
         T = f.zeros(0)
         for u, v in zip(U, V):
             T = poly_add(f, T, poly_mul(f, u, v))
-        return [_fixlen(f, poly_mul(f, T, w), out_len) for w in W]
+        return [padded(f, poly_mul(f, T, w), out_len) for w in W]
 
     qrev_inv = series_inv(f, poly_rev(f, Q, n), n - 1)
     Ut = [poly_rev(f, u, m - 1) for u in U]
-    Vt = [_fixlen(f, poly_mul(f, poly_rev(f, v, n - 1), qrev_inv), n - 1)
+    Vt = [padded(f, poly_mul(f, poly_rev(f, v, n - 1), qrev_inv), n - 1)
           for v in V]
-    Wt = [_fixlen(f, poly_rev(f, w, n - 1), n - 1) for w in W]
+    Wt = [padded(f, poly_rev(f, w, n - 1), n - 1) for w in W]
     S = _mul_any(f, Ut, Vt, Wt, m, n - 1, cutoff)
 
     # Both terms of T·W_i − Q·rev(S̃_i) overshoot out_len and the tails
@@ -293,8 +285,8 @@ def mulQ(f: PrimeField, U, V, W, Q, cutoff: int | None = None) -> list[np.ndarra
         full = max(len(tw), len(corr))
         r = f.zeros(full)
         r[: len(tw)] = tw
-        r[: len(corr)] = (r[: len(corr)] - f.arr(corr)) % f.p
-        out.append(_fixlen(f, r, out_len))
+        r[: len(corr)] = (r[: len(corr)] - corr) % f.p
+        out.append(padded(f, r, out_len))
     return out
 
 

@@ -30,6 +30,7 @@ from .generators import (
     gen_transpose,
     hankel_inverse_operator,
     hankel_operator,
+    _unit,
 )
 from .operators import SYLVESTER, DisplacementOperator, SingularOperator
 from .poly import DimensionMismatch, family_build, series_inv
@@ -229,12 +230,6 @@ def _block_op(f: PrimeField, rows: int, cols: int, row_cyclic: bool,
     return DisplacementOperator(SYLVESTER,
                                 _shift_family(f, rows, row_cyclic),
                                 _shift_family(f, cols, col_cyclic))
-
-
-def _unit(f: PrimeField, size: int, idx: int) -> np.ndarray:
-    e = f.zeros(size)
-    e[idx] = 1
-    return e
 
 
 def _hstack(f: PrimeField, mats) -> np.ndarray:

@@ -140,6 +140,34 @@ def test_conv_matches_naive(p):
         assert f.conv(a, b).tolist() == _naive_conv(p, a, b)
 
 
+def _python_int_conv(p, a, b):
+    """Reference product on Python ints by Kronecker substitution: pack each
+    sequence into one integer with slots wide enough for every coefficient
+    of the product, multiply once, and read the slots back."""
+    slot = 2 * p.bit_length() + min(len(a), len(b)).bit_length()
+    pa = sum(int(c) << (slot * i) for i, c in enumerate(a))
+    pb = sum(int(c) << (slot * i) for i, c in enumerate(b))
+    prod, mask = pa * pb, (1 << slot) - 1
+    return [((prod >> (slot * i)) & mask) % p for i in range(len(a) + len(b) - 1)]
+
+
+# 2^31-1 and 2^62-57 have two-adicity 1, so every product runs the limb
+# kernel; 3037000493 is the int64 edge; 2^64-59 has residues beyond int64.
+# Output lengths straddle the 1024 cutoff and reach past 2048.
+@pytest.mark.parametrize("p", [7, 2**31 - 1, DEFAULT_PRIME, 3037000493, BENCH_PRIME,
+                               2**62 - 57, 2**64 - 59])
+def test_conv_matches_python_int_reference(p):
+    f = get_field(p)
+    rng = np.random.default_rng(17)
+    for la, lb in [(1, 1), (1, 1024), (512, 513), (513, 513), (700, 1500)]:
+        a = f.arr([int(v) % p for v in rng.integers(0, 2**63, la, dtype=np.uint64)])
+        b = f.arr([int(v) % p for v in rng.integers(0, 2**63, lb, dtype=np.uint64)])
+        assert f.conv(a, b).tolist() == _python_int_conv(p, a, b)
+    # all entries p-1: the largest limbs, so the largest int64 partial sums
+    top = f.arr([p - 1] * 1100)
+    assert f.conv(top, top).tolist() == _python_int_conv(p, top, top)
+
+
 @settings(max_examples=30)
 @given(data=st.data())
 def test_conv_commutes(data):

@@ -224,6 +224,32 @@ def test_stein_invertibility_uses_reversal():
     assert op_invertible(stein_op(sq, family_build(f, [[0, 0, 1]])))
 
 
+def test_inverse_table_is_built_once_for_every_variant(f, monkeypatch):
+    """The table lives on the basic representative, so a non-basic operator
+    builds it once across op_invertible, struct_mul and gen_matvec."""
+    from dispmat import operators
+    from dispmat.generators import gen_matvec
+    from dispmat.structmul import struct_mul
+
+    from conftest import rand_family, rand_generator
+
+    calls = []
+    build = operators._inverse_mod_leaves
+    monkeypatch.setattr(operators, "_inverse_mod_leaves",
+                        lambda *args: calls.append(1) or build(*args))
+    rng = np.random.default_rng(47)
+    while True:
+        op = DisplacementOperator(SYLVESTER, rand_family(f, rng, 8), rand_family(f, rng, 8),
+                                  transpose_p=True, transpose_q=False)
+        if op.fam_p.flavor == "general" and op_invertible(op):
+            break
+        calls.clear()
+    gen = rand_generator(f, rng, op, 2)
+    struct_mul(gen, f.arr(rng.integers(0, f.p, (8, 3))))
+    gen_matvec(gen, f.arr(rng.integers(0, f.p, 8)))
+    assert len(calls) == 1
+
+
 def test_inverse_table_entries_are_modular_inverses(f):
     rng = np.random.default_rng(43)
     from dispmat.poly import poly_mod, poly_rev

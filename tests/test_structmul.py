@@ -19,7 +19,7 @@ from dispmat.structmul import (
     struct_mul,
 )
 from dispmat.generators import gen_matvec, reconstruct_dense
-from dispmat.oracle import dense_mul
+from dispmat.oracle import dense_mul, dense_solve_displacement
 
 from conftest import rand_generator, rand_operator
 
@@ -195,6 +195,21 @@ def test_struct_mul_matches_dense_product(any_field):
         got = struct_mul(gen, B, cutoff=4)
         want = dense_mul(f, reconstruct_dense(gen), B)
         assert np.array_equal(got, want)
+
+
+# two-adicity 1: every product takes the limb kernel and the fallbacks
+# that need no transform (pm_mul entrywise, mulQ without capacity)
+@pytest.mark.parametrize("p", [2**31 - 1, 2**62 - 57])
+def test_struct_mul_matches_oracle_across_primes(p):
+    f = get_field(p)
+    rng = np.random.default_rng(29)
+    for _ in range(8):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        op = rand_operator(f, rng, m, n)
+        gen = rand_generator(f, rng, op, int(rng.integers(1, min(m, n) + 1)))
+        A = dense_solve_displacement(op, f.mat_mul(gen.G, gen.H.T))
+        B = f.arr(rng.integers(0, 2**62, (n, int(rng.integers(1, 5)))))
+        assert np.array_equal(struct_mul(gen, B, cutoff=4), dense_mul(f, A, B))
 
 
 def test_struct_mul_columns_agree_with_matvec(f):

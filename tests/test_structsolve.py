@@ -17,7 +17,14 @@ from dispmat.generators import (
     hankel_operator,
     reconstruct_dense,
 )
-from dispmat.oracle import Singular, dense_inv, dense_mul, dense_rank, dense_solve
+from dispmat.oracle import (
+    Singular,
+    dense_inv,
+    dense_mul,
+    dense_rank,
+    dense_solve,
+    dense_solve_displacement,
+)
 from dispmat.structmul import PreconditionViolated
 from dispmat.structsolve import (
     FAILURE,
@@ -532,6 +539,27 @@ def test_solve_generator_any_operator(f):
         solved += 1
     assert solved >= 8
     assert failures <= 8
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**62 - 57])
+def test_solve_generator_matches_oracle_across_primes(p):
+    f = get_field(p)
+    rng = np.random.default_rng(181)
+    solved = 0
+    for trial in range(10):
+        m = int(rng.integers(2, 7))
+        op = rand_operator(f, rng, m, m)
+        gen = rand_generator(f, rng, op, int(rng.integers(1, 3)))
+        A = dense_solve_displacement(op, f.mat_mul(gen.G, gen.H.T))
+        if dense_rank(f, A) < m:
+            continue
+        x0 = f.arr(rng.integers(0, 2**62, m))
+        res = solve_generator(gen, f.mat_mul(A, x0.reshape(-1, 1)).ravel(), rng_seed=trial)
+        if res.status == FAILURE:
+            continue
+        assert res.ok and np.array_equal(res.x, x0)
+        solved += 1
+    assert solved >= 5
 
 
 def test_result_dataclass_flags(f):
