@@ -449,8 +449,8 @@ def cmd_run(args) -> int:
 def _poly_modinv(f: PrimeField, a: np.ndarray, P: np.ndarray) -> np.ndarray:
     g, s, _ = xgcd(f, a, P)
     if degree(g) != 0:
-        raise NotCoprime(f"polynomial is not invertible modulo a degree-"
-                         f"{degree(P)} modulus")
+        raise InfeasibleSpec(f"polynomial is not invertible modulo a degree-"
+                             f"{degree(P)} modulus")
     return poly_mod(f, s, P)
 
 

@@ -16,6 +16,7 @@ the Toeplitz/Hankel-type operator by the multiplicative L/R transformation
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,9 +178,9 @@ def gen_transpose(gen: Generator) -> Generator:
     """
     op = gen.operator
     f = op.field
-    swapped = DisplacementOperator(
+    swapped = op.cached("transposed", lambda: DisplacementOperator(
         op.kind, op.fam_q, op.fam_p,
-        transpose_p=not op.transpose_q, transpose_q=not op.transpose_p)
+        transpose_p=not op.transpose_q, transpose_q=not op.transpose_p))
     H = gen.H if op.kind == STEIN else (f.p - gen.H) % f.p if gen.H.size else gen.H
     return Generator(f.arr(H), gen.G, swapped)
 
@@ -211,20 +212,29 @@ def gen_compress(gen: Generator) -> Generator:
 # reduction to the Toeplitz/Hankel-type operator
 
 
+@functools.lru_cache(maxsize=256)
+def shift_operator(f: PrimeField, m: int, phi: int, n: int, psi: int,
+                   transpose_p: bool = False, transpose_q: bool = True) -> DisplacementOperator:
+    """The Sylvester operator of the binomials x^m − φ and x^n − ψ.
+
+    One shared instance per argument tuple, so its families, basic
+    representative, transpose and inverse table are built once.  Callers
+    must not mutate it.
+    """
+    fam_p = family_build(f, [[-phi % f.p] + [0] * (m - 1) + [1]])
+    fam_q = family_build(f, [[-psi % f.p] + [0] * (n - 1) + [1]])
+    return DisplacementOperator(SYLVESTER, fam_p, fam_q, transpose_p, transpose_q)
+
+
 def hankel_operator(f: PrimeField, m: int, n: int) -> DisplacementOperator:
     """∇_{Z_{m,0}, Z_{n,1}ᵗ}: the basic Sylvester operator for ([x^m], [x^n−1])."""
-    fam_p = family_build(f, [[0] * m + [1]])
-    fam_q = family_build(f, [[(-1) % f.p] + [0] * (n - 1) + [1]])
-    return DisplacementOperator(SYLVESTER, fam_p, fam_q)
+    return shift_operator(f, m, 0, n, 1)
 
 
 def hankel_inverse_operator(f: PrimeField, m: int, n: int) -> DisplacementOperator:
     """∇_{Z_{n,1}ᵗ, Z_{m,0}}: where the inverse (or the solver's output
     transformation) of a ∇_{Z_{m,0},Z_{n,1}ᵗ}-structured matrix lives."""
-    fam_p = family_build(f, [[(-1) % f.p] + [0] * (n - 1) + [1]])
-    fam_q = family_build(f, [[0] * m + [1]])
-    return DisplacementOperator(SYLVESTER, fam_p, fam_q,
-                                transpose_p=True, transpose_q=False)
+    return shift_operator(f, n, 1, m, 0, True, False)
 
 
 @dataclass

@@ -16,6 +16,7 @@ with fast paths for the special flavors.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
@@ -198,7 +199,7 @@ def series_inv(f: PrimeField, a: np.ndarray, k: int) -> np.ndarray:
     return trim(f, x[:k])
 
 
-_SERIES_INV_CACHE: dict = {}
+_SERIES_INV_CACHE: OrderedDict = OrderedDict()
 _SERIES_INV_CACHE_MAX = 512
 
 
@@ -208,7 +209,8 @@ def _series_inv_cached(f: PrimeField, a: np.ndarray, k: int) -> np.ndarray:
     Inverting the same series comes up thousands of times in the evaluation
     paths (fast division by a family product, by subproduct-tree nodes, by a
     block's minimal polynomial, symmetrizer solves), so the Newton result is
-    cached per content and regrown when a longer prefix is requested.
+    cached per content and regrown when a longer prefix is requested. The
+    memo holds the most recently used entries and evicts the oldest one.
     """
     a = trim(f, a)
     if a.dtype == object:
@@ -217,11 +219,12 @@ def _series_inv_cached(f: PrimeField, a: np.ndarray, k: int) -> np.ndarray:
         key = (f.p, a.tobytes())
     hit = _SERIES_INV_CACHE.get(key)
     if hit is None or hit[0] < k:
-        if len(_SERIES_INV_CACHE) >= _SERIES_INV_CACHE_MAX:
-            _SERIES_INV_CACHE.clear()
         have = max(k, 2 * hit[0]) if hit else k
         hit = (have, series_inv(f, a, have))
         _SERIES_INV_CACHE[key] = hit
+        if len(_SERIES_INV_CACHE) > _SERIES_INV_CACHE_MAX:
+            _SERIES_INV_CACHE.popitem(last=False)
+    _SERIES_INV_CACHE.move_to_end(key)
     return hit[1][:k]
 
 
@@ -480,6 +483,13 @@ def _compute_units(fam: PolyFamily):
     if len(fam) == 1:
         one = as_poly(f, [1])
         return [one], [one]
+    if fam.flavor == "geometric":
+        # E_i = P'(u·q^i) in closed form: one chirp evaluation of P'
+        u, q = fam.flavor_params
+        P = fam.product
+        deriv = trim(f, f.arr(np.arange(1, len(P))) * P[1:] % f.p)
+        es = geom_eval(f, deriv, u, q, len(fam))
+        return list(es.reshape(-1, 1)), list(f.inv_array(es).reshape(-1, 1))
     # P* = sum_i P/P_i reduces to E_i = (P/P_i) mod P_i at each leaf
     ones = [as_poly(f, [1])] * len(fam)
     p_star = comb_family(fam, ones)
@@ -559,11 +569,10 @@ def crt_family(fam: PolyFamily, parts: list[np.ndarray]) -> np.ndarray:
         raise DimensionMismatch(f"expected {len(fam)} parts, got {len(parts)}")
     f = fam.field
     if fam.flavor == "geometric":
-        u, q = fam.flavor_params
         if any(len(p) > 1 for p in parts):
             raise DimensionMismatch("part degree exceeds its modulus")
         vals = f.arr([int(p[0]) if len(p) else 0 for p in parts])
-        return geom_interp(f, u, q, vals)
+        return geom_interp(fam, vals)
     if len(fam) == 1:
         return poly_mod(f, parts[0], fam.polys[0])
     _, fs = fam.crt_units()
@@ -722,31 +731,21 @@ def geom_eval(f: PrimeField, a: np.ndarray, u: int, q: int, count: int) -> np.nd
     return vals
 
 
-def geom_interp(f: PrimeField, u: int, q: int, values: np.ndarray) -> np.ndarray:
-    """Interpolate the polynomial of degree < n through (u*q^i, values[i]).
+def geom_interp(fam: PolyFamily, values: np.ndarray) -> np.ndarray:
+    """Interpolate the polynomial of degree < n through (u*q^i, values[i])
+    for the n points of a geometric family.
 
-    Weights come from the derivative of the master polynomial at the nodes;
-    the interpolant is recovered as M(x) * S(x) mod x^n where S is the
-    power-series expansion of the weighted partial-fraction sum.
+    The master polynomial is the family's product P and the weights are its
+    CRT units F_i = 1/P'(u*q^i); the interpolant is recovered as
+    P(x) * S(x) mod x^n where S is the power-series expansion of the
+    weighted partial-fraction sum.
     """
-    n = len(values)
-    _geom_check(f, u, q, n)
-    if n == 0:
-        return f.zeros(0)
-
-    # master polynomial M = prod (x - u q^i) by a product tree
-    nodes = [as_poly(f, [f.neg(f.mul(u, f.pow(q, i))), 1]) for i in range(n)]
-    while len(nodes) > 1:
-        nxt = [poly_mul(f, nodes[i], nodes[i + 1]) if i + 1 < len(nodes) else nodes[i]
-               for i in range(0, len(nodes), 2)]
-        nodes = nxt
-    master = nodes[0]
-
-    deriv = trim(f, (np.arange(1, n + 1, dtype=np.int64) if f.dtype is np.int64
-                     else np.array([k for k in range(1, n + 1)], dtype=object))
-                 * np.asarray(master[1:]) % f.p)
-    denom = geom_eval(f, deriv, u, q, n)
-    weights = f.arr(np.asarray(values) * f.inv_array(denom) % f.p)
+    f = fam.field
+    u, q = fam.flavor_params
+    n = len(fam)
+    if len(values) != n:
+        raise DimensionMismatch(f"expected {n} values, got {len(values)}")
+    weights = f.arr(np.asarray(values) * np.concatenate(fam.crt_units()[1]) % f.p)
 
     # power sums sigma_s = sum_i w_i z_i^s for s = 1..n with z_i = (u q^i)^-1
     zu = f.inv(u)
@@ -765,4 +764,4 @@ def geom_interp(f: PrimeField, u: int, q: int, values: np.ndarray) -> np.ndarray
         sigma = int(c[s + n - 1]) * int(tri_inv[s]) % f.p * zupow % f.p
         series[t] = (f.p - sigma) % f.p
         zupow = zupow * zu % f.p
-    return trim(f, f.conv(master, series)[:n])
+    return trim(f, f.conv(fam.product, series)[:n])

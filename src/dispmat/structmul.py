@@ -101,16 +101,14 @@ def _chunked_product(f: PrimeField, U: np.ndarray, M: PolyMatrix,
 
 
 def mul_rec(f: PrimeField, U: np.ndarray, V: np.ndarray, W: np.ndarray,
-            m: int, nu: int, gamma: int, cutoff: int | None = None) -> np.ndarray:
+            m: int, nu: int, gamma: int) -> np.ndarray:
     """R_j = sum_k U_k · (sum_c V_{k,c}·W_{j,c}  mod  x^nu).
 
     U: (abar, m); V, W: (abar, gamma, nu).  nu, gamma, and abar must be
     powers of two with gamma <= abar.  Splitting nu in half doubles gamma;
-    at gamma = abar (or below the cutoff) the product is taken directly.
+    at gamma = abar (or nu <= MUL_CUTOFF) the product is taken directly.
     Returns (abar, m + nu − 1).
     """
-    if cutoff is None:
-        cutoff = MUL_CUTOFF
     abar = U.shape[0]
     for name, val in (("nu", nu), ("gamma", gamma), ("abar", abar)):
         if val < 1 or val & (val - 1):
@@ -123,7 +121,7 @@ def mul_rec(f: PrimeField, U: np.ndarray, V: np.ndarray, W: np.ndarray,
 
     width = max(1, -(-m // abar))
 
-    if gamma == abar or nu <= cutoff:
+    if gamma == abar or nu <= MUL_CUTOFF:
         Wt = PolyMatrix(f, np.ascontiguousarray(W.transpose(1, 0, 2)))
         M = pm_mul(PolyMatrix(f, V), Wt, out_bound=nu)
         return _chunked_product(f, U, M, m, width)[:, : m + nu - 1]
@@ -138,13 +136,12 @@ def mul_rec(f: PrimeField, U: np.ndarray, V: np.ndarray, W: np.ndarray,
     out[:, : full.shape[1]] = full
     Vn = np.ascontiguousarray(np.concatenate([V0, V1], axis=1))
     Wn = np.ascontiguousarray(np.concatenate([W1, W0], axis=1))
-    rec = mul_rec(f, U, Vn, Wn, m, nu2, 2 * gamma, cutoff)
+    rec = mul_rec(f, U, Vn, Wn, m, nu2, 2 * gamma)
     out[:, nu2: nu2 + rec.shape[1]] = (out[:, nu2: nu2 + rec.shape[1]] + rec) % f.p
     return out
 
 
-def mul(f: PrimeField, U, V, W, m: int, n: int,
-        cutoff: int | None = None) -> list[np.ndarray]:
+def mul(f: PrimeField, U, V, W, m: int, n: int) -> list[np.ndarray]:
     """Balanced case: len(U) = len(V) = len(W) = alpha <= n.
     Returns alpha polynomials R_j = sum_k U_k·(V_k·W_j mod x^n), each of
     length m + n − 1."""
@@ -162,12 +159,11 @@ def mul(f: PrimeField, U, V, W, m: int, n: int,
     Vb = _stack(f, list(V) + [[]] * (abar - alpha), nbar).reshape(abar, 1, nbar)
     Wsh = [np.concatenate([f.zeros(delta), f.arr(w)]) for w in W]
     Wb = _stack(f, Wsh + [[]] * (abar - alpha), nbar).reshape(abar, 1, nbar)
-    R = mul_rec(f, Ub, Vb, Wb, m, nbar, 1, cutoff)
+    R = mul_rec(f, Ub, Vb, Wb, m, nbar, 1)
     return [R[j, delta: delta + m + n - 1].copy() for j in range(alpha)]
 
 
-def _mul_any(f: PrimeField, U, V, W, m: int, n: int,
-             cutoff: int | None) -> list[np.ndarray]:
+def _mul_any(f: PrimeField, U, V, W, m: int, n: int) -> list[np.ndarray]:
     """General dispatcher: no constraint tying len(U) to len(W) or n."""
     alpha, beta = len(U), len(W)
     if beta == 0:
@@ -177,39 +173,38 @@ def _mul_any(f: PrimeField, U, V, W, m: int, n: int,
     if alpha > n:
         out = [f.zeros(m + n - 1) for _ in range(beta)]
         for lo in range(0, alpha, n):
-            part = _mul_any(f, U[lo: lo + n], V[lo: lo + n], W, m, n, cutoff)
+            part = _mul_any(f, U[lo: lo + n], V[lo: lo + n], W, m, n)
             for i in range(beta):
                 out[i] = (out[i] + part[i]) % f.p
         return out
     if beta > alpha:
         out = []
         for lo in range(0, beta, alpha):
-            out.extend(_mul_any(f, U, V, W[lo: lo + alpha], m, n, cutoff))
+            out.extend(_mul_any(f, U, V, W[lo: lo + alpha], m, n))
         return out
     if beta < alpha:
         out = [f.zeros(m + n - 1) for _ in range(beta)]
         for lo in range(0, alpha, beta):
             Uc = list(U[lo: lo + beta]) + [[]] * max(0, lo + beta - alpha)
             Vc = list(V[lo: lo + beta]) + [[]] * max(0, lo + beta - alpha)
-            part = mul(f, Uc, Vc, W, m, n, cutoff)
+            part = mul(f, Uc, Vc, W, m, n)
             for i in range(beta):
                 out[i] = (out[i] + part[i]) % f.p
         return out
-    return mul(f, U, V, W, m, n, cutoff)
+    return mul(f, U, V, W, m, n)
 
 
-def mul_unbalanced(f: PrimeField, U, V, W, m: int, n: int,
-                   cutoff: int | None = None) -> list[np.ndarray]:
+def mul_unbalanced(f: PrimeField, U, V, W, m: int, n: int) -> list[np.ndarray]:
     """R_i = sum_k U_k·(V_k·W_i mod x^n) for len(W) = beta independent of
     alpha = len(U): the wide side is cut into balanced slabs."""
     if len(U) != len(V):
         raise PreconditionViolated("U and V must have equal length")
     if len(U) > n:
         raise PreconditionViolated(f"alpha = {len(U)} exceeds n = {n}")
-    return _mul_any(f, U, V, W, m, n, cutoff)
+    return _mul_any(f, U, V, W, m, n)
 
 
-def mulQ(f: PrimeField, U, V, W, Q, cutoff: int | None = None) -> list[np.ndarray]:
+def mulQ(f: PrimeField, U, V, W, Q) -> list[np.ndarray]:
     """R_i = sum_k U_k·(V_k·W_i mod Q) for a monic modulus Q of degree n,
     left unreduced (length m + n − 1).
 
@@ -245,7 +240,7 @@ def mulQ(f: PrimeField, U, V, W, Q, cutoff: int | None = None) -> list[np.ndarra
     Vt = [padded(f, poly_mul(f, poly_rev(f, v, n - 1), qrev_inv), n - 1)
           for v in V]
     Wt = [padded(f, poly_rev(f, w, n - 1), n - 1) for w in W]
-    S = _mul_any(f, Ut, Vt, Wt, m, n - 1, cutoff)
+    S = _mul_any(f, Ut, Vt, Wt, m, n - 1)
 
     # Both terms of T·W_i − Q·rev(S̃_i) overshoot out_len and the tails
     # cancel exactly, so a wraparound product of size >= out_len is exact.
@@ -316,16 +311,15 @@ def _mul_direct(f: PrimeField, U, V, W, Q) -> list[np.ndarray]:
     return out
 
 
-def product_chain(gen: Generator, B: np.ndarray,
-                  cutoff: int | None = None) -> np.ndarray:
+def product_chain(gen: Generator, B: np.ndarray) -> np.ndarray:
     """A·B for any generator length; every product in the library runs here.
 
     After conjugating to the basic operator, right to left: Y_Q blockwise
     and comb_Q on each column of B, the alpha-term middle product taken
-    modulo Q (reversed coefficients for Stein), one reduction mod P, the
-    subproduct-tree reduction to blocks, and the blockwise modular products
-    with the inverses of Q.  The middle product goes through mulQ, except
-    for a single column or alpha > n, where the direct sum is used.
+    modulo Q (reversed coefficients for Stein), the reduction to the blocks
+    of P, and the blockwise modular products with the inverses of Q.  The
+    middle product goes through mulQ, except for a single column or
+    alpha > n, where the direct sum is used.
     """
     f = gen.field
     beta = B.shape[1]
@@ -335,7 +329,7 @@ def product_chain(gen: Generator, B: np.ndarray,
     basic, tf = to_basic(gen)
     if not tf.is_identity:
         Bt = np.stack([tf.pre_apply(B[:, i]) for i in range(beta)], axis=1)
-        out = product_chain(basic, Bt, cutoff)
+        out = product_chain(basic, Bt)
         return np.stack([tf.post_apply(out[:, i]) for i in range(beta)], axis=1)
 
     op = gen.operator
@@ -354,20 +348,18 @@ def product_chain(gen: Generator, B: np.ndarray,
     if beta == 1 or gen.alpha > n:
         R = _mul_direct(f, lhs, etas, cols, fam_q.product)
     else:
-        R = mulQ(f, lhs, etas, cols, fam_q.product, cutoff)
+        R = mulQ(f, lhs, etas, cols, fam_q.product)
 
     out = f.zeros((m, beta))
     for i in range(beta):
         r = poly_rev(f, R[i], m + n - 2) if stein else R[i]
-        r = poly_mod(f, r, fam_p.product)
         blocks = red_family(fam_p, r)
         for j, (s, k, P) in enumerate(zip(fam_p.offsets, fam_p.degrees, fam_p.polys)):
             out[s: s + k, i] = modmul_apply(f, table[j], P, blocks[j])
     return out
 
 
-def struct_mul(gen: Generator, B: np.ndarray,
-               cutoff: int | None = None) -> np.ndarray:
+def struct_mul(gen: Generator, B: np.ndarray) -> np.ndarray:
     """A·B for a structured A given by its generator and a dense n x beta
     block B, sharing the polynomial transforms across all beta columns."""
     B = gen.field.arr(B)
@@ -378,4 +370,4 @@ def struct_mul(gen: Generator, B: np.ndarray,
     if gen.alpha > gen.n:
         raise PreconditionViolated(
             f"generator length {gen.alpha} exceeds column format {gen.n}")
-    return product_chain(gen, B, cutoff)
+    return product_chain(gen, B)

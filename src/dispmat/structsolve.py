@@ -30,10 +30,11 @@ from .generators import (
     gen_transpose,
     hankel_inverse_operator,
     hankel_operator,
+    shift_operator,
     _unit,
 )
-from .operators import SYLVESTER, DisplacementOperator, SingularOperator
-from .poly import DimensionMismatch, family_build, series_inv
+from .operators import DisplacementOperator, SingularOperator
+from .poly import DimensionMismatch, series_inv
 from .structmul import PreconditionViolated, struct_mul
 
 OK = "ok"
@@ -217,21 +218,6 @@ def _col_of(f: PrimeField, G: np.ndarray, H: np.ndarray, u: np.ndarray,
 # bordered generators of the partition blocks
 
 
-def _shift_family(f: PrimeField, size: int, cyclic: bool):
-    coeffs = f.zeros(size + 1)
-    coeffs[size] = 1
-    if cyclic:
-        coeffs[0] = (f.p - 1) % f.p
-    return family_build(f, [coeffs])
-
-
-def _block_op(f: PrimeField, rows: int, cols: int, row_cyclic: bool,
-              col_cyclic: bool) -> DisplacementOperator:
-    return DisplacementOperator(SYLVESTER,
-                                _shift_family(f, rows, row_cyclic),
-                                _shift_family(f, cols, col_cyclic))
-
-
 def _hstack(f: PrimeField, mats) -> np.ndarray:
     cols = [m.reshape(len(m), 1) if m.ndim == 1 else m for m in mats]
     return f.arr(np.concatenate(cols, axis=1))
@@ -245,7 +231,7 @@ def _gen_block_21(f: PrimeField, G, H, u, split: int, rows: int,
                      (f.p - _unit(f, rows, 0)) % f.p,
                      (f.p - col_l[split: split + rows]) % f.p])
     Hb = _hstack(f, [H[:split], row_l[:split], _unit(f, split, 0)])
-    return Generator(Gb, Hb, _block_op(f, rows, split, False, True))
+    return Generator(Gb, Hb, shift_operator(f, rows, 0, split, 1))
 
 
 def _gen_block_12(f: PrimeField, G, H, u, split: int, cols: int,
@@ -254,7 +240,7 @@ def _gen_block_12(f: PrimeField, G, H, u, split: int, cols: int,
     Gb = _hstack(f, [G[:split], col_l[:split], _unit(f, split, 0)])
     Hb = _hstack(f, [H[split: split + cols], _unit(f, cols, 0),
                      row_l[split: split + cols]])
-    return Generator(Gb, Hb, _block_op(f, split, cols, True, False))
+    return Generator(Gb, Hb, shift_operator(f, split, 1, cols, 0))
 
 
 def _gen_block_inv(f: PrimeField, Y: np.ndarray, Z: np.ndarray,

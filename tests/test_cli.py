@@ -415,3 +415,9 @@ def test_pade_rejects_bad_profiles(tmp_path, capsys, moduli, residues, bounds):
 
 def test_pade_requires_instance_or_plant(capsys):
     assert run_cli(capsys, "pade")[0] == EXIT_BAD_INPUT
+
+
+def test_poly_modinv_reports_a_shared_factor():
+    f7 = get_field(7)
+    with pytest.raises(cli.InfeasibleSpec):
+        cli._poly_modinv(f7, as_poly(f7, [0, 1]), as_poly(f7, [0, 0, 1]))

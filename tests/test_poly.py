@@ -1,9 +1,12 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispmat.field import get_field
+from dispmat import poly
+from dispmat.field import PrimeField, get_field
 from dispmat.poly import (
     BoundTooSmall,
     DegeneratePoints,
@@ -274,14 +277,20 @@ def test_geom_eval_matches_pointwise():
             pt = F.mul(pt, q)
 
 
+def _geometric_family(f, u, q, n):
+    return family_build(f, [[f.neg(f.mul(u, f.pow(q, i))), 1] for i in range(n)])
+
+
 def test_geom_interp_roundtrip():
     rng = np.random.default_rng(19)
     for _ in range(10):
-        n = int(rng.integers(1, 9))
+        n = int(rng.integers(2, 9))
         u = int(rng.integers(1, F.p))
         q = int(rng.integers(2, F.p))
+        fam = _geometric_family(F, u, q, n)
+        assert fam.flavor == "geometric"
         vals = F.arr(rng.integers(0, F.p, size=n))
-        a = geom_interp(F, u, q, vals)
+        a = geom_interp(fam, vals)
         assert degree(a) < n
         assert np.array_equal(geom_eval(F, trim(F, a), u, q, n), vals)
 
@@ -291,8 +300,8 @@ def test_geom_degenerate_points():
         geom_eval(F7, as_poly(F7, [1, 1]), 0, 3, 2)
     with pytest.raises(DegeneratePoints):
         geom_eval(F7, as_poly(F7, [1, 1]), 1, 1, 2)  # ord(1) = 1 < 2
-    with pytest.raises(DegeneratePoints):
-        geom_interp(F7, 2, 6, F7.arr([1, 2, 3]))  # ord(6) = 2 < 3
+    with pytest.raises(NotCoprime):
+        family_build(F7, [[5, 1], [2, 1], [5, 1]])  # roots 2·6^i, ord(6) = 2 < 3
 
 
 def test_geometric_units_are_built_lazily():
@@ -308,6 +317,37 @@ def test_geometric_units_are_built_lazily():
             if j != i:
                 want = want * (roots[i] - r) % F.p
         assert e.tolist() == [want] and fi.tolist() == [F.inv(want)]
+
+
+def test_second_geometric_crt_reuses_the_family(monkeypatch):
+    # the product and the units F_i = 1/P'(u·q^i) come from the family, so
+    # a later interpolation builds no product tree
+    fam = _geometric_family(F, 3, 5, 64)
+    rng = np.random.default_rng(23)
+    crt_family(fam, [F.arr([v]) for v in rng.integers(0, F.p, 64)])
+    calls = []
+    conv = PrimeField.conv
+    monkeypatch.setattr(PrimeField, "conv", lambda self, a, b: calls.append(1) or conv(self, a, b))
+    vals = F.arr(rng.integers(0, F.p, 64))
+    a = crt_family(fam, [vals[i: i + 1] for i in range(64)])
+    assert len(calls) <= 3
+    monkeypatch.undo()
+    assert np.array_equal(geom_eval(F, a, 3, 5, 64), vals)
+
+
+def test_series_inverse_memo_keeps_a_hot_entry(monkeypatch):
+    # eviction drops the least recently used entry, not the whole memo
+    monkeypatch.setattr(poly, "_SERIES_INV_CACHE", OrderedDict())
+    inverted = []
+    real = poly.series_inv
+    monkeypatch.setattr(poly, "series_inv",
+                        lambda f, a, k: inverted.append(a.tobytes()) or real(f, a, k))
+    hot = as_poly(F, [1, 2, 3])
+    for i in range(600):
+        poly._series_inv_cached(F, hot, 4)
+        poly._series_inv_cached(F, as_poly(F, [1, i + 5]), 4)
+    assert inverted.count(hot.tobytes()) == 1
+    assert len(poly._SERIES_INV_CACHE) <= poly._SERIES_INV_CACHE_MAX
 
 
 def test_geometric_collision_names_the_pair():

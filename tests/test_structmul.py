@@ -7,6 +7,7 @@ polynomial arithmetic."""
 import numpy as np
 import pytest
 
+from dispmat import structmul
 from dispmat.field import get_field
 from dispmat.poly import as_poly, poly_add, poly_mod, poly_mul, trim
 from dispmat.structmul import (
@@ -57,8 +58,10 @@ def _rand_polys(f, rng, count, length):
 
 
 @pytest.mark.parametrize("cutoff", [None, 2])
-def test_mul_matches_triple_loop(any_field, cutoff):
+def test_mul_matches_triple_loop(any_field, cutoff, monkeypatch):
     f = any_field
+    if cutoff is not None:
+        monkeypatch.setattr(structmul, "MUL_CUTOFF", cutoff)
     rng = np.random.default_rng(3)
     for _ in range(12):
         n = int(rng.integers(1, 20))
@@ -67,7 +70,7 @@ def test_mul_matches_triple_loop(any_field, cutoff):
         U = _rand_polys(f, rng, alpha, m)
         V = _rand_polys(f, rng, alpha, n)
         W = _rand_polys(f, rng, alpha, n)
-        got = mul(f, U, V, W, m, n, cutoff)
+        got = mul(f, U, V, W, m, n)
         want = _naive_truncated(f, U, V, W, m, n)
         assert len(got) == alpha
         for g, w in zip(got, want):
@@ -75,14 +78,15 @@ def test_mul_matches_triple_loop(any_field, cutoff):
             assert np.array_equal(g, w)
 
 
-def test_mul_rec_inner_dimension(f):
+def test_mul_rec_inner_dimension(f, monkeypatch):
     # gamma > 1 sums over an inner axis before the truncated product
+    monkeypatch.setattr(structmul, "MUL_CUTOFF", 2)
     rng = np.random.default_rng(5)
     for abar, gamma, nu, m in [(4, 2, 8, 5), (2, 2, 16, 3), (8, 1, 4, 9), (1, 1, 1, 4)]:
         U = f.arr(rng.integers(0, f.p, (abar, m)))
         V = f.arr(rng.integers(0, f.p, (abar, gamma, nu)))
         W = f.arr(rng.integers(0, f.p, (abar, gamma, nu)))
-        got = mul_rec(f, U, V, W, m, nu, gamma, cutoff=2)
+        got = mul_rec(f, U, V, W, m, nu, gamma)
         for j in range(abar):
             acc = f.zeros(0)
             for k in range(abar):
@@ -108,7 +112,8 @@ def test_mul_preconditions(f):
 # unbalanced column counts
 
 
-def test_mul_unbalanced_all_regimes(f):
+def test_mul_unbalanced_all_regimes(f, monkeypatch):
+    monkeypatch.setattr(structmul, "MUL_CUTOFF", 4)
     rng = np.random.default_rng(11)
     for alpha, beta in [(1, 7), (3, 1), (4, 4), (5, 2), (2, 9), (3, 8)]:
         n = max(alpha, 5)
@@ -116,7 +121,7 @@ def test_mul_unbalanced_all_regimes(f):
         U = _rand_polys(f, rng, alpha, m)
         V = _rand_polys(f, rng, alpha, n)
         W = _rand_polys(f, rng, beta, n)
-        got = mul_unbalanced(f, U, V, W, m, n, cutoff=4)
+        got = mul_unbalanced(f, U, V, W, m, n)
         want = _naive_truncated(f, U, V, W, m, n)
         assert len(got) == beta
         for g, w in zip(got, want):
@@ -138,8 +143,9 @@ def test_mul_unbalanced_degenerate_counts(f):
 # arbitrary monic modulus
 
 
-def test_mulQ_matches_modular_triple_loop(any_field):
+def test_mulQ_matches_modular_triple_loop(any_field, monkeypatch):
     f = any_field
+    monkeypatch.setattr(structmul, "MUL_CUTOFF", 4)
     rng = np.random.default_rng(17)
     moduli = [
         as_poly(f, [0, 0, 0, 0, 1]),          # x^4
@@ -157,7 +163,7 @@ def test_mulQ_matches_modular_triple_loop(any_field):
         U = _rand_polys(f, rng, alpha, m)
         V = _rand_polys(f, rng, alpha, n)
         W = _rand_polys(f, rng, beta, n)
-        got = mulQ(f, U, V, W, Q, cutoff=4)
+        got = mulQ(f, U, V, W, Q)
         want = _naive_modular(f, U, V, W, Q)
         assert len(got) == beta
         for g, w in zip(got, want):
@@ -181,8 +187,9 @@ def test_mulQ_preconditions(f):
 # structured matrix times dense block
 
 
-def test_struct_mul_matches_dense_product(any_field):
+def test_struct_mul_matches_dense_product(any_field, monkeypatch):
     f = any_field
+    monkeypatch.setattr(structmul, "MUL_CUTOFF", 4)
     rng = np.random.default_rng(23)
     for _ in range(12):
         m = int(rng.integers(1, 9))
@@ -192,7 +199,7 @@ def test_struct_mul_matches_dense_product(any_field):
         gen = rand_generator(f, rng, op, alpha)
         beta = int(rng.integers(1, 6))
         B = f.arr(rng.integers(0, f.p, (n, beta)))
-        got = struct_mul(gen, B, cutoff=4)
+        got = struct_mul(gen, B)
         want = dense_mul(f, reconstruct_dense(gen), B)
         assert np.array_equal(got, want)
 
@@ -200,8 +207,9 @@ def test_struct_mul_matches_dense_product(any_field):
 # two-adicity 1: every product takes the limb kernel and the fallbacks
 # that need no transform (pm_mul entrywise, mulQ without capacity)
 @pytest.mark.parametrize("p", [2**31 - 1, 2**62 - 57])
-def test_struct_mul_matches_oracle_across_primes(p):
+def test_struct_mul_matches_oracle_across_primes(p, monkeypatch):
     f = get_field(p)
+    monkeypatch.setattr(structmul, "MUL_CUTOFF", 4)
     rng = np.random.default_rng(29)
     for _ in range(8):
         m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
@@ -209,7 +217,7 @@ def test_struct_mul_matches_oracle_across_primes(p):
         gen = rand_generator(f, rng, op, int(rng.integers(1, min(m, n) + 1)))
         A = dense_solve_displacement(op, f.mat_mul(gen.G, gen.H.T))
         B = f.arr(rng.integers(0, 2**62, (n, int(rng.integers(1, 5)))))
-        assert np.array_equal(struct_mul(gen, B, cutoff=4), dense_mul(f, A, B))
+        assert np.array_equal(struct_mul(gen, B), dense_mul(f, A, B))
 
 
 def test_struct_mul_columns_agree_with_matvec(f):

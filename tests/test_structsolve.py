@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dispmat import operators
 from dispmat.field import DEFAULT_PRIME, PrimeField, get_field
 from dispmat.poly import DimensionMismatch
 from dispmat.generators import (
@@ -539,6 +540,25 @@ def test_solve_generator_any_operator(f):
         solved += 1
     assert solved >= 8
     assert failures <= 8
+
+
+def test_repeated_solve_builds_no_binomial_table(f, monkeypatch):
+    # the shift operators of the recursion are shared values: a second
+    # solve over the same Toeplitz-like generator reuses every inverse table
+    rng = np.random.default_rng(183)
+    m = 64
+    gen = Generator(f.arr(rng.integers(0, f.p, (m, 2))), f.arr(rng.integers(0, f.p, (m, 2))),
+                    hankel_operator(f, m, m))
+    b = f.arr(rng.integers(0, f.p, m))
+    first = solve_generator(gen, b, rng_seed=1)
+    calls = []
+    real = operators._binomial_case
+    monkeypatch.setattr(operators, "_binomial_case",
+                        lambda *args: calls.append(args) or real(*args))
+    second = solve_generator(gen, b, rng_seed=1)
+    assert calls == []
+    assert first.ok and second.ok and np.array_equal(second.x, first.x)
+    assert np.array_equal(gen_matvec(gen, second.x), b)
 
 
 @pytest.mark.parametrize("p", [2**31 - 1, 2**62 - 57])
