@@ -97,7 +97,8 @@ class DimensionMismatch(ValueError):
 
 
 class DegeneratePoints(ValueError):
-    """Geometric evaluation points collide (u=0, q=0, or ord(q) too small)."""
+    """Points are not distinct geometric ones (u=0, q=0, ord(q) too small,
+    or a family of another flavor handed to geom_interp)."""
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +742,8 @@ def geom_interp(fam: PolyFamily, values: np.ndarray) -> np.ndarray:
     weighted partial-fraction sum.
     """
     f = fam.field
+    if fam.flavor != "geometric":
+        raise DegeneratePoints(f"geom_interp needs a geometric family, got a {fam.flavor} one")
     u, q = fam.flavor_params
     n = len(fam)
     if len(values) != n:

@@ -302,6 +302,13 @@ def test_geom_degenerate_points():
         geom_eval(F7, as_poly(F7, [1, 1]), 1, 1, 2)  # ord(1) = 1 < 2
     with pytest.raises(NotCoprime):
         family_build(F7, [[5, 1], [2, 1], [5, 1]])  # roots 2·6^i, ord(6) = 2 < 3
+    # only a geometric family carries the (u, q) that geom_interp needs
+    for moduli in ([[6, 1], [5, 1], [1, 1]],   # roots 1, 2, 6: general
+                   [[5, 0, 1]]):               # x² − 2: single_power
+        fam = family_build(F7, moduli)
+        assert fam.flavor != "geometric"
+        with pytest.raises(DegeneratePoints, match="geometric family"):
+            geom_interp(fam, F7.zeros(len(fam)))
 
 
 def test_geometric_units_are_built_lazily():

@@ -189,7 +189,6 @@ def test_mulQ_preconditions(f):
 
 def test_struct_mul_matches_dense_product(any_field, monkeypatch):
     f = any_field
-    monkeypatch.setattr(structmul, "MUL_CUTOFF", 4)
     rng = np.random.default_rng(23)
     for _ in range(12):
         m = int(rng.integers(1, 9))
@@ -199,7 +198,11 @@ def test_struct_mul_matches_dense_product(any_field, monkeypatch):
         gen = rand_generator(f, rng, op, alpha)
         beta = int(rng.integers(1, 6))
         B = f.arr(rng.integers(0, f.p, (n, beta)))
-        got = struct_mul(gen, B)
+        # the cutoff-4 recursion only on the side under test: the reference
+        # keeps the default cutoff, so it takes the direct pm_mul path
+        with monkeypatch.context() as mp:
+            mp.setattr(structmul, "MUL_CUTOFF", 4)
+            got = struct_mul(gen, B)
         want = dense_mul(f, reconstruct_dense(gen), B)
         assert np.array_equal(got, want)
 
