@@ -3,14 +3,19 @@
 Scalars are canonical Python ints in [0, p); bulk data lives in numpy
 arrays (int64 when products of two residues fit in a signed 64-bit word,
 Python-object arrays otherwise, e.g. for the 62-bit benchmark prime).
+An int64 sum holds slack = ⌊2^63/p²⌋ such products (9 at 998244353, 1
+above 2^31; object arrays take 1): every kernel sizes its unreduced sums by it.
 The number-theoretic transform (NTT) operates along the last axis of an
 array of any shape, which lets polynomial-matrix code batch thousands of
-transforms into a handful of numpy calls.
+transforms into a handful of numpy calls.  Its radix-2 stages run in place
+with lazy reduction (Harvey, JSC 2014): each stage reduces only its twiddle
+products, and the whole array is reduced once every slack stages.
 
 Convolution has one exact kernel for every prime: residues are cut into
-16-bit limbs, each limb product is an int64 ``np.convolve``, and the limb
-weights are recombined mod p.  Long products go to the NTT instead when
-p - 1 has the 2-adic room for their transform length.
+16-bit int64 limbs, or kept whole when the shorter factor has at most slack
+terms; each limb product is one ``np.convolve``, and the limb weights are
+recombined mod p.  Long products go to the NTT instead when p - 1 has the
+2-adic room for their transform length.
 """
 
 from __future__ import annotations
@@ -112,6 +117,9 @@ class PrimeField:
         self._generator: int | None = {DEFAULT_PRIME: 3, BENCH_PRIME: 3}.get(p)
         self._root_cache: dict[tuple[int, bool], np.ndarray] = {}
         self._rev_cache: dict[int, np.ndarray] = {}
+        # products of two residues an int64 sum holds; object arrays take 1,
+        # so their Python ints stay below p²
+        self._slack = max(1, (1 << 63) // (p * p))
         # bit offsets of the 16-bit limbs of a residue, one row per limb
         limbs = -(-p.bit_length() // 16)
         self._limb_shifts = np.arange(0, 16 * limbs, 16).reshape(-1, 1)
@@ -204,8 +212,8 @@ class PrimeField:
         if self.dtype is object:
             return np.mod(np.asarray(a, dtype=object) @ np.asarray(b, dtype=object), self.p)
         k = a.shape[-1]
-        # 8 summands of (p-1)^2 < 2^60 each stay below 2^63
-        step = max(1, (1 << 63) // (self.p * self.p) - 1)
+        # an accumulator below p plus slack - 1 products stays below slack·p²
+        step = max(1, self._slack - 1)
         if k <= step:
             return (a @ b) % self.p
         acc = (a[..., :step] @ b[..., :step, :]) % self.p
@@ -256,10 +264,10 @@ class PrimeField:
     def _rev_idx(self, n: int) -> np.ndarray:
         idx = self._rev_cache.get(n)
         if idx is None:
-            bits = n.bit_length() - 1
-            idx = np.zeros(n, dtype=np.int64)
-            for i in range(n):
-                idx[i] = int(format(i, f"0{bits}b")[::-1], 2) if bits else 0
+            # over k+1 bits, i and i + 2^k reverse to 2·rev_k(i) and 2·rev_k(i)+1
+            idx = np.zeros(1, dtype=np.intp)
+            while len(idx) < n:
+                idx = np.concatenate((2 * idx, 2 * idx + 1))
             self._rev_cache[n] = idx
         return idx
 
@@ -279,54 +287,66 @@ class PrimeField:
         return tw
 
     def ntt(self, a: np.ndarray, invert: bool = False) -> np.ndarray:
-        """In-order radix-2 NTT along the last axis (length must be a power
-        of two within capacity). Works on arrays of any leading shape."""
+        """In-order radix-2 NTT along the last axis of residues in [0, p),
+        for any leading shape and a power-of-two length within capacity.
+        Returns a fresh C-contiguous array of canonical residues.
+
+        Butterflies run in place and keep |x| < bound·p: hi·tw is reduced,
+        lo ± t is not, and the array is reduced when bound passes the slack,
+        so that hi·tw and the final n⁻¹ scaling stay below 2^63."""
         n = a.shape[-1]
         if n & (n - 1) or n > self.ntt_capacity():
             raise ValueError(f"transform length {n} unsupported for p={self.p}")
-        out = np.array(a, dtype=self.dtype, copy=True)
-        if n == 1:
-            return out
-        out = out[..., self._rev_idx(n)]
+        p = self.p
+        out = np.take(np.asarray(a, dtype=self.dtype), self._rev_idx(n), axis=-1)
+        scratch = np.empty(out.size // 2, dtype=self.dtype)
+        bound = 1
         length = 2
         while length <= n:
-            half = length // 2
-            tw = self._twiddles(length, invert)
-            view = out.reshape(out.shape[:-1] + (n // length, length))
-            lo = view[..., :half]
-            hi = view[..., half:] * tw % self.p
-            new_lo = (lo + hi) % self.p
-            new_hi = (lo - hi) % self.p
-            view[..., :half] = new_lo
-            view[..., half:] = new_hi
+            if bound > self._slack:
+                np.remainder(out, p, out=out)
+                bound = 1
+            view = out.reshape(out.shape[:-1] + (n // length, 2, length // 2))
+            lo, hi = view[..., 0, :], view[..., 1, :]
+            t = scratch.reshape(hi.shape)
+            np.multiply(hi, self._twiddles(length, invert), out=t)
+            np.remainder(t, p, out=t)
+            np.subtract(lo, t, out=hi)
+            np.add(lo, t, out=lo)
+            bound += 1
             length *= 2
         if invert:
-            n_inv = self.inv(n)
-            out = out * n_inv % self.p
-        return out
+            if bound > self._slack:
+                np.remainder(out, p, out=out)
+            np.multiply(out, self.inv(n), out=out)
+        return np.remainder(out, p, out=out)
 
-    def _limbs(self, v: np.ndarray) -> np.ndarray:
-        """The 16-bit limbs of v's residues as int64, one row per limb, low first."""
+    def _limbs(self, v: np.ndarray, split: bool) -> np.ndarray:
+        """v's residues as rows, low first: 16-bit int64 limbs if split, else whole."""
         r = np.asarray(v, dtype=self.dtype) % self.p
-        return ((r >> self._limb_shifts) & 0xFFFF).astype(np.int64, copy=False)
+        return ((r >> self._limb_shifts) & 0xFFFF).astype(np.int64, copy=False) if split else r[None]
 
     def _conv_limbs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact linear convolution from int64 np.convolve on 16-bit limbs.
+        """Exact linear convolution from np.convolve on limbs.
 
-        Residues are cut into k = ceil(bits(p) / 16) limbs: 1 below 2^16, 2
-        up to 2^31.5, 4 for 62-bit primes.  Limb sequences multiply
-        Karatsuba-style across the limb index: with D_i = a_i*b_i, the cross
-        terms a_i*b_j + a_j*b_i of weight i + j come from one more
-        convolution, (a_i + a_j)*(b_i + b_j) - D_i - D_j, so k limbs take
-        k(k+1)/2 calls.  A term of that convolution is below 2^34 and a
-        weight gathers at most k limb products per term, so for k <= 4 and
-        a shorter input of fewer than 2^29 terms every partial sum fits an
-        int64.  Horner's rule recombines the 2k - 1 weights mod p in the
-        field's dtype: for object-dtype primes that is the only Python-int
+        A term of the product sums min(len a, len b) products below p², so
+        while that is at most slack = ⌊2^63/p²⌋ one np.convolve of the whole
+        residues is exact (in int64, or on Python ints that stay below p²).
+        Otherwise residues are cut into k = ceil(bits(p) / 16) limbs of 16
+        bits: 1 below 2^16, 2 up to 2^31.5, 4 for 62-bit primes.  Limb
+        sequences multiply Karatsuba-style across the limb index: with
+        D_i = a_i*b_i, the cross terms a_i*b_j + a_j*b_i of weight i + j come
+        from one more convolution, (a_i + a_j)*(b_i + b_j) - D_i - D_j, so
+        k limbs take k(k+1)/2 calls.  A term of that convolution is below
+        2^34 and a weight gathers at most k limb products per term, so for
+        k <= 4 and a shorter input of fewer than 2^29 terms every partial sum
+        fits an int64.  Horner's rule recombines the 2k - 1 weights mod p in
+        the field's dtype: for object-dtype primes that is the only Python-int
         work, O(len × k).
         """
         p = self.p
-        A, B = self._limbs(a), self._limbs(b)
+        split = min(len(a), len(b)) > self._slack
+        A, B = self._limbs(a, split), self._limbs(b, split)
         k = len(A)
         diag = [np.convolve(A[i], B[i]) for i in range(k)]
         c = [None] * (2 * k - 1)

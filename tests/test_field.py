@@ -121,6 +121,41 @@ def test_ntt_roundtrip():
         assert np.array_equal(back, a)
 
 
+def _naive_dft(p, rows, w):
+    """sum_i a_i w^(ij) mod p for each row, on Python ints."""
+    n = len(rows[0])
+    pw = [pow(w, k, p) for k in range(n)]
+    return [[sum(int(a[i]) * pw[i * j % n] for i in range(n)) % p for j in range(n)]
+            for a in rows]
+
+
+# slack floor(2^63/p^2) is 9, 2 and 1 for the three int64 primes, so the
+# transform reduces after 8 stages, after 1 stage and before every twiddle
+# product; p62 runs on object arrays
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 2013265921, 2281701377, BENCH_PRIME])
+def test_ntt_matches_naive_dft(p):
+    f = get_field(p)
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 8, 64, 256):
+        w = f.pow(f.generator, (p - 1) // n)
+        for lead in ((), (3,)):
+            size = int(np.prod(lead, dtype=int)) * n
+            for low in (0, p - 1000):
+                vals = [low + int(v) % (p - low) for v in rng.integers(0, 2**62, size)]
+                a = f.arr(vals).reshape(lead + (n,))
+                before = a.copy()
+                rows = a.reshape(-1, n).tolist()
+                for invert, want in ((False, _naive_dft(p, rows, w)),
+                                     (True, [[v * f.inv(n) % p for v in r]
+                                             for r in _naive_dft(p, rows, f.inv(w))])):
+                    got = f.ntt(a, invert=invert)
+                    assert got.dtype == f.dtype and got.shape == a.shape
+                    assert got.flags.c_contiguous
+                    assert got.reshape(-1, n).tolist() == want
+                    assert all(0 <= int(v) < p for v in got.ravel())
+                    assert np.array_equal(a, before)
+
+
 def _naive_conv(p, a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -154,8 +189,13 @@ def _python_int_conv(p, a, b):
 # 2^31-1 and 2^62-57 have two-adicity 1, so every product runs the limb
 # kernel; 3037000493 is the int64 edge; 2^64-59 has residues beyond int64.
 # Output lengths straddle the 1024 cutoff and reach past 2048.
-@pytest.mark.parametrize("p", [7, 2**31 - 1, DEFAULT_PRIME, 3037000493, BENCH_PRIME,
-                               2**62 - 57, 2**64 - 59])
+# A shorter factor of at most floor(2^63/p^2) terms takes one unsplit
+# np.convolve; the lengths in _UNSPLIT_EDGE sit on either side of that bound.
+_UNSPLIT_EDGE = {DEFAULT_PRIME: (9, 10), 2013265921: (2, 3), 2281701377: (1, 2)}
+
+
+@pytest.mark.parametrize("p", [7, 2**31 - 1, DEFAULT_PRIME, 2013265921, 2281701377,
+                               3037000493, BENCH_PRIME, 2**62 - 57, 2**64 - 59])
 def test_conv_matches_python_int_reference(p):
     f = get_field(p)
     rng = np.random.default_rng(17)
@@ -166,6 +206,9 @@ def test_conv_matches_python_int_reference(p):
     # all entries p-1: the largest limbs, so the largest int64 partial sums
     top = f.arr([p - 1] * 1100)
     assert f.conv(top, top).tolist() == _python_int_conv(p, top, top)
+    for short in _UNSPLIT_EDGE.get(p, ()):
+        for a, b in [(top[:short], top[:700]), (top[:600], top[:short])]:
+            assert f.conv(a, b).tolist() == _python_int_conv(p, a, b)
 
 
 @settings(max_examples=30)

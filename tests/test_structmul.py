@@ -207,9 +207,11 @@ def test_struct_mul_matches_dense_product(any_field, monkeypatch):
         assert np.array_equal(got, want)
 
 
-# two-adicity 1: every product takes the limb kernel and the fallbacks
-# that need no transform (pm_mul entrywise, mulQ without capacity)
-@pytest.mark.parametrize("p", [2**31 - 1, 2**62 - 57])
+# 2^31-1 and 2^62-57 have two-adicity 1: every product takes the limb
+# kernel and the fallbacks that need no transform (pm_mul entrywise, mulQ
+# without capacity).  2013265921 and 2281701377 send pm_mul and mulQ through
+# the transform at slack floor(2^63/p^2) = 2 and 1.
+@pytest.mark.parametrize("p", [2**31 - 1, 2**62 - 57, 2013265921, 2281701377])
 def test_struct_mul_matches_oracle_across_primes(p, monkeypatch):
     f = get_field(p)
     monkeypatch.setattr(structmul, "MUL_CUTOFF", 4)

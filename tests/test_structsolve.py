@@ -561,7 +561,7 @@ def test_repeated_solve_builds_no_binomial_table(f, monkeypatch):
     assert np.array_equal(gen_matvec(gen, second.x), b)
 
 
-@pytest.mark.parametrize("p", [2**31 - 1, 2**62 - 57])
+@pytest.mark.parametrize("p", [2**31 - 1, 2**62 - 57, 2013265921, 2281701377])
 def test_solve_generator_matches_oracle_across_primes(p):
     f = get_field(p)
     rng = np.random.default_rng(181)
