@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .field import NAMED_PRIMES, PrimeField, get_field
+from .field import PrimeField, get_field
 from .generators import (
     Generator,
     gen_from_dict,
@@ -128,11 +128,6 @@ def _emit(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _resolve_prime(spec: str) -> int:
-    p = NAMED_PRIMES.get(spec)
-    return int(spec) if p is None else p
 
 
 @dataclass
@@ -288,7 +283,7 @@ def draw_operator(f: PrimeField, rng, m: int, n: int, kind: str, flavor: str,
 
 
 def cmd_gen(args) -> int:
-    f = get_field(_resolve_prime(args.prime))
+    f = get_field(args.prime)
     m = args.m
     n = args.n if args.n is not None else m
     alpha = args.alpha
@@ -586,7 +581,7 @@ def plant_pade(f: PrimeField, bounds, block_degrees=None, moduli=None,
 
 def cmd_pade(args) -> int:
     if args.plant:
-        f = get_field(_resolve_prime(args.prime))
+        f = get_field(args.prime)
         if args.bounds:
             bounds = [int(s) for s in args.bounds.split(",") if s]
         else:

@@ -231,7 +231,7 @@ class PrimeField:
         the whole matrix in one array operation: col·row < p² stays within
         int64 below _INT64_SAFE_BOUND, and object arrays are exact above it.
         """
-        R = self.arr(M)
+        R = np.array(M, dtype=self.dtype)
         rows, cols = R.shape
         order = np.arange(rows)
         pivots = []
@@ -268,6 +268,7 @@ class PrimeField:
             idx = np.zeros(1, dtype=np.intp)
             while len(idx) < n:
                 idx = np.concatenate((2 * idx, 2 * idx + 1))
+            idx.setflags(write=False)
             self._rev_cache[n] = idx
         return idx
 
@@ -283,6 +284,7 @@ class PrimeField:
             for i in range(1, half):
                 pw[i] = pw[i - 1] * w % self.p
             tw = np.array(pw, dtype=self.dtype)
+            tw.setflags(write=False)
             self._root_cache[key] = tw
         return tw
 
@@ -323,7 +325,7 @@ class PrimeField:
 
     def _limbs(self, v: np.ndarray, split: bool) -> np.ndarray:
         """v's residues as rows, low first: 16-bit int64 limbs if split, else whole."""
-        r = np.asarray(v, dtype=self.dtype) % self.p
+        r = np.asarray(v, dtype=self.dtype)
         return ((r >> self._limb_shifts) & 0xFFFF).astype(np.int64, copy=False) if split else r[None]
 
     def _conv_limbs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -361,7 +363,8 @@ class PrimeField:
         return res
 
     def conv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Linear convolution of two 1-D coefficient arrays, exactly mod p.
+        """Linear convolution of two 1-D arrays of residues in [0, p), the
+        input contract of ntt, exactly mod p.
 
         Short products, and products too long for the prime's transforms,
         run the limb kernel; the rest run the NTT.
@@ -375,20 +378,29 @@ class PrimeField:
             return self._conv_limbs(a, b)
         fa = self.zeros(size)
         fb = self.zeros(size)
-        fa[:la] = np.asarray(a, dtype=self.dtype) % self.p
-        fb[:lb] = np.asarray(b, dtype=self.dtype) % self.p
+        fa[:la] = a
+        fb[:lb] = b
         fa = self.ntt(fa)
         fb = self.ntt(fb)
         prod = fa * fb % self.p
         return self.ntt(prod, invert=True)[:need]
 
 
-@functools.lru_cache(maxsize=32)
 def get_field(p: int | str) -> PrimeField:
-    """Shared field instance for a modulus or a named prime ('default', 'p62')."""
+    """The shared field instance for a modulus, given as an int, a named prime
+    ('default', 'p62') or a decimal string; one instance per prime."""
     if isinstance(p, str):
-        try:
-            p = NAMED_PRIMES[p]
-        except KeyError:
-            raise ValueError(f"unknown prime name {p!r}; use one of {sorted(NAMED_PRIMES)}")
-    return PrimeField(int(p))
+        named = NAMED_PRIMES.get(p)
+        if named is None:
+            try:
+                named = int(p)
+            except ValueError:
+                raise ValueError(f"unknown prime {p!r}; use one of {sorted(NAMED_PRIMES)} "
+                                 "or a prime as a decimal literal") from None
+        p = named
+    return _field(int(p))
+
+
+@functools.lru_cache(maxsize=32)
+def _field(p: int) -> PrimeField:
+    return PrimeField(p)

@@ -34,9 +34,7 @@ from .operators import (
 from .poly import (
     DimensionMismatch,
     PolyFamily,
-    crt_family,
     family_build,
-    padded,
     red_family,
     red_transposed,
 )
@@ -181,15 +179,15 @@ def gen_transpose(gen: Generator) -> Generator:
     swapped = op.cached("transposed", lambda: DisplacementOperator(
         op.kind, op.fam_q, op.fam_p,
         transpose_p=not op.transpose_q, transpose_q=not op.transpose_p))
-    H = gen.H if op.kind == STEIN else (f.p - gen.H) % f.p if gen.H.size else gen.H
-    return Generator(f.arr(H), gen.G, swapped)
+    H = gen.H if op.kind == STEIN else (f.p - gen.H) % f.p
+    return Generator(H, gen.G, swapped)
 
 
 def _column_decompose(f: PrimeField, M: np.ndarray):
     """Write M = B·C with B made of M's pivot columns (full column rank) and
     C the nonzero rows of M's reduced row echelon form."""
     R, pivots, _ = f.row_reduce(M)
-    return f.arr(M[:, pivots]), R[: len(pivots)]
+    return M[:, pivots], R[: len(pivots)]
 
 
 def gen_compress(gen: Generator) -> Generator:
@@ -237,13 +235,25 @@ def hankel_inverse_operator(f: PrimeField, m: int, n: int) -> DisplacementOperat
     return shift_operator(f, n, 1, m, 0, True, False)
 
 
+def side_map(fam: PolyFamily, v: np.ndarray) -> np.ndarray:
+    """J·W_Pᵗ·Y_P⁻¹·v for the family P: L·v on the row family, Rᵗ·v on the
+    column family."""
+    return red_transposed(fam, y_apply_family(fam, v, inverse=True))[::-1]
+
+
+def side_map_t(fam: PolyFamily, v: np.ndarray) -> np.ndarray:
+    """Y_P⁻¹·W_P·J·v, the transpose of side_map (Y_P is symmetric): Lᵗ·v on
+    the row family, R·v on the column family."""
+    return y_apply_family(fam, fam.join_parts(red_family(fam, v[::-1])), inverse=True)
+
+
 @dataclass
 class HankelContext:
-    """Closures and vectors for A′ = L·A·R (and B = A′·J for Stein).
+    """Vectors for A′ = L·A·R (and B = A′·J for Stein).
 
-    L = J_m·W_Pᵗ·Y_P⁻¹ and R = Y_Q⁻¹·W_Q·J_n are invertible and cheap to
-    apply in any of the four orientations; t, u, r, s are the rank-one
-    correction vectors of their displacement identities.
+    L = J_m·W_Pᵗ·Y_P⁻¹ is side_map on P, R = Y_Q⁻¹·W_Q·J_n is side_map_t on
+    Q; both are invertible.  t, u, r, s are the rank-one correction vectors
+    of their displacement identities.
     """
 
     gen: Generator
@@ -254,62 +264,8 @@ class HankelContext:
     s: np.ndarray
 
     @property
-    def fam_p(self) -> PolyFamily:
-        return self.gen.operator.fam_p
-
-    @property
-    def fam_q(self) -> PolyFamily:
-        return self.gen.operator.fam_q
-
-    @property
     def field(self) -> PrimeField:
         return self.gen.field
-
-    # L = J_m W_Pᵗ Y_P⁻¹ ----------------------------------------------------
-    def l_apply(self, v: np.ndarray) -> np.ndarray:
-        f = self.field
-        return red_transposed(self.fam_p, y_apply_family(self.fam_p, v, inverse=True))[::-1].copy()
-
-    def l_inv(self, v: np.ndarray) -> np.ndarray:
-        return y_apply_family(self.fam_p,
-                              red_transposed(self.fam_p, v[::-1].copy(), inverse=True))
-
-    def l_t(self, v: np.ndarray) -> np.ndarray:
-        """Lᵗ = Y_P⁻¹·W_P·J_m."""
-        f = self.field
-        parts = red_family(self.fam_p, f.arr(v[::-1]))
-        return y_apply_family(self.fam_p, self.fam_p.join_parts(parts), inverse=True)
-
-    def l_inv_t(self, v: np.ndarray) -> np.ndarray:
-        """L⁻ᵗ = J_m·W_P⁻¹·Y_P."""
-        w = y_apply_family(self.fam_p, v)
-        poly = crt_family(self.fam_p, self.fam_p.split_vector(w))
-        f = self.field
-        out = f.zeros(self.gen.m)
-        out[: len(poly)] = poly
-        return out[::-1].copy()
-
-    # R = Y_Q⁻¹ W_Q J_n ------------------------------------------------------
-    def r_apply(self, v: np.ndarray) -> np.ndarray:
-        f = self.field
-        parts = red_family(self.fam_q, f.arr(v[::-1]))
-        return y_apply_family(self.fam_q, self.fam_q.join_parts(parts), inverse=True)
-
-    def r_inv(self, v: np.ndarray) -> np.ndarray:
-        w = y_apply_family(self.fam_q, v)
-        poly = crt_family(self.fam_q, self.fam_q.split_vector(w))
-        f = self.field
-        out = f.zeros(self.gen.n)
-        out[: len(poly)] = poly
-        return out[::-1].copy()
-
-    def r_t(self, v: np.ndarray) -> np.ndarray:
-        """Rᵗ = J_n·W_Qᵗ·Y_Q⁻¹."""
-        return red_transposed(self.fam_q, y_apply_family(self.fam_q, v, inverse=True))[::-1].copy()
-
-    def r_inv_t(self, v: np.ndarray) -> np.ndarray:
-        return y_apply_family(self.fam_q,
-                              red_transposed(self.fam_q, v[::-1].copy(), inverse=True))
 
 
 def _unit(f: PrimeField, size: int, idx: int) -> np.ndarray:
@@ -318,11 +274,11 @@ def _unit(f: PrimeField, size: int, idx: int) -> np.ndarray:
     return e
 
 
-def _cols(f: PrimeField, vectors) -> np.ndarray:
+def _cols(vectors) -> np.ndarray:
     vectors = list(vectors)
     if not vectors:
         raise ValueError("no columns")
-    return f.arr(np.stack(vectors, axis=1))
+    return np.stack(vectors, axis=1)
 
 
 def to_hankel(gen: Generator) -> tuple[Generator, HankelContext]:
@@ -346,36 +302,36 @@ def to_hankel(gen: Generator) -> tuple[Generator, HankelContext]:
     t = _unit(f, m, 0)
     s = _unit(f, n, 0)
     # u = Y_P⁻¹ W_P m⃗ with m⃗ the low coefficients of P (P − x^m)
-    mvec = padded(f, fam_p.product, m)
+    mvec = fam_p.product[:m]
     u = y_apply_family(fam_p, fam_p.join_parts(red_family(fam_p, mvec)), inverse=True)
     # r = −Y_Q⁻¹ W_Q (n⃗ + s)
-    nvec = padded(f, fam_q.product, n)
+    nvec = fam_q.product[:n].copy()
     nvec[0] = (nvec[0] + 1) % f.p
     r = y_apply_family(fam_q, fam_q.join_parts(red_family(fam_q, nvec)), inverse=True)
     r = (f.p - r) % f.p
 
     ctx = HankelContext(gen=gen, kind=op.kind, t=t, u=u, r=r, s=s)
 
-    lg = [ctx.l_apply(gen.G[:, k]) for k in range(gen.alpha)]
-    rth = [ctx.r_t(gen.H[:, k]) for k in range(gen.alpha)]
-    l_a_r = ctx.l_apply(gen_matvec(gen, r))
+    lg = [side_map(fam_p, gen.G[:, k]) for k in range(gen.alpha)]
+    rth = [side_map(fam_q, gen.H[:, k]) for k in range(gen.alpha)]
+    l_a_r = side_map(fam_p, gen_matvec(gen, r))
     tgen = gen_transpose(gen)
     at_u = gen_matvec(tgen, u)
 
     hop = hankel_operator(f, m, n)
     if op.kind == SYLVESTER:
         g_cols = [t] + lg + [l_a_r]
-        h_cols = [ctx.r_t(at_u)] + rth + [s]
-        return Generator(_cols(f, g_cols), _cols(f, h_cols), hop), ctx
+        h_cols = [side_map(fam_q, at_u)] + rth + [s]
+        return Generator(_cols(g_cols), _cols(h_cols), hop), ctx
 
     # Stein: shift the last G column, pre-multiply Aᵗu by M_Q, and conjugate
     # the H side through −Z_{n,1}·J_n
     z0_lar = np.concatenate([f.zeros(1), l_a_r[:-1]])
     mq_at_u = companion_apply(fam_q, at_u)
-    h_cols = [(f.p - ctx.r_t(mq_at_u)) % f.p] + rth + [s]
+    h_cols = [(f.p - side_map(fam_q, mq_at_u)) % f.p] + rth + [s]
     g_cols = [t] + lg + [z0_lar]
     hb = [(f.p - np.roll(col[::-1], 1)) % f.p for col in h_cols]
-    return Generator(_cols(f, g_cols), _cols(f, hb), hop), ctx
+    return Generator(_cols(g_cols), _cols(hb), hop), ctx
 
 
 def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
@@ -392,38 +348,39 @@ def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
     if m != n:
         raise DimensionMismatch("inverse unwinding requires a square matrix")
     op = gen.operator
+    fam_p, fam_q = op.fam_p, op.fam_q
     alpha_inv = inv_gen.alpha
     Y, Z = inv_gen.G, inv_gen.H
     inv_t = gen_transpose(inv_gen)
 
     core_inv_of_t = gen_matvec(inv_gen, ctx.t)
     swapped = DisplacementOperator(
-        op.kind, op.fam_q, op.fam_p, transpose_p=True, transpose_q=False)
+        op.kind, fam_q, fam_p, transpose_p=True, transpose_q=False)
 
     if ctx.kind == SYLVESTER:
         # ∇_{M_Qᵗ,M_P}(A⁻¹) = [r | RY | R·A′⁻¹t]·[Lᵗ·A′⁻ᵗs | LᵗZ | u]ᵗ
         a_inv_t = core_inv_of_t
         a_invt_s = gen_matvec(inv_t, ctx.s)
-        g_cols = [ctx.r] + [ctx.r_apply(Y[:, k]) for k in range(alpha_inv)] + \
-                 [ctx.r_apply(a_inv_t)]
-        h_cols = [ctx.l_t(a_invt_s)] + [ctx.l_t(Z[:, k]) for k in range(alpha_inv)] + \
-                 [ctx.u]
-        out = Generator(_cols(f, g_cols), _cols(f, h_cols), swapped)
+        g_cols = [ctx.r] + [side_map_t(fam_q, Y[:, k]) for k in range(alpha_inv)] + \
+                 [side_map_t(fam_q, a_inv_t)]
+        h_cols = [side_map_t(fam_p, a_invt_s)] + \
+                 [side_map_t(fam_p, Z[:, k]) for k in range(alpha_inv)] + [ctx.u]
+        out = Generator(_cols(g_cols), _cols(h_cols), swapped)
         return gen_compress(out)
 
     # Stein: core is B = A′·J, A′⁻¹ = J·B⁻¹ and A′⁻ᵗ = B⁻ᵗ·J.
     # Δ_{M_Qᵗ,M_P}(A⁻¹) =
     #   [R·J·Z_{m,1}·Y_B | M_Qᵗ·R·J·B⁻¹t | r]·[Lᵗ·Z_B | u | −Lᵗ·Z_{m,0}ᵗ·B⁻ᵗJs]ᵗ
     b_inv_t = core_inv_of_t
-    b_invt_js = gen_matvec(inv_t, ctx.s[::-1].copy())
-    g_cols = [ctx.r_apply(np.roll(Y[:, k], 1)[::-1].copy()) for k in range(alpha_inv)]
-    g_cols += [companion_apply(op.fam_q, ctx.r_apply(b_inv_t[::-1].copy()), transposed=True)]
+    b_invt_js = gen_matvec(inv_t, ctx.s[::-1])
+    g_cols = [side_map_t(fam_q, np.roll(Y[:, k], 1)[::-1]) for k in range(alpha_inv)]
+    g_cols += [companion_apply(fam_q, side_map_t(fam_q, b_inv_t[::-1]), transposed=True)]
     g_cols += [ctx.r]
     z0t_bts = np.concatenate([b_invt_js[1:], f.zeros(1)])
-    h_cols = [ctx.l_t(Z[:, k]) for k in range(alpha_inv)]
+    h_cols = [side_map_t(fam_p, Z[:, k]) for k in range(alpha_inv)]
     h_cols += [ctx.u]
-    h_cols += [(f.p - ctx.l_t(z0t_bts)) % f.p]
-    out = Generator(_cols(f, g_cols), _cols(f, h_cols), swapped)
+    h_cols += [(f.p - side_map_t(fam_p, z0t_bts)) % f.p]
+    out = Generator(_cols(g_cols), _cols(h_cols), swapped)
     return gen_compress(out)
 
 
@@ -448,10 +405,8 @@ def gen_from_dict(f: PrimeField, d: dict) -> Generator:
     from .operators import op_from_dict
 
     op = op_from_dict(f, d["operator"])
-    G = f.arr(np.asarray([[int(x) for x in row] for row in d["G"]],
-                         dtype=object).reshape(op.m, -1))
-    H = f.arr(np.asarray([[int(x) for x in row] for row in d["H"]],
-                         dtype=object).reshape(op.n, -1))
+    G = np.asarray([[int(x) for x in row] for row in d["G"]], dtype=object).reshape(op.m, -1)
+    H = np.asarray([[int(x) for x in row] for row in d["H"]], dtype=object).reshape(op.n, -1)
     last = d.get("last_row")
     return Generator(G, H, op,
                      None if last is None else f.arr([int(x) for x in last]))

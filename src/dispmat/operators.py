@@ -23,8 +23,10 @@ from .poly import (
     as_poly,
     degree,
     family_build,
+    frozen,
     is_zero,
-    padded,
+    modmul_apply,  # noqa: F401  (re-exported: the modular products live in poly)
+    modmul_apply_transposed,  # noqa: F401
     poly_divrem,
     poly_mod,
     poly_mul,
@@ -33,7 +35,6 @@ from .poly import (
     poly_sub,
     symmetrize_apply,
     symmetrize_solve,
-    trim,
     xgcd,
 )
 
@@ -126,10 +127,10 @@ def companion_apply(fam: PolyFamily, v: np.ndarray, transposed: bool = False) ->
     out = f.zeros(fam.total_degree)
     for s, k, P in zip(fam.offsets, fam.degrees, fam.polys):
         blk = v[s: s + k]
-        low = f.arr(P[:k])
+        low = P[:k]
         if transposed:
             out[s: s + k - 1] = blk[1:]
-            out[s + k - 1] = (-int(np.dot(low, blk) % f.p)) % f.p
+            out[s + k - 1] = -int(f.mat_mul(low[None, :], blk[:, None])[0, 0]) % f.p
         else:
             top = int(blk[k - 1])
             out[s] = (-int(low[0]) * top) % f.p
@@ -137,44 +138,16 @@ def companion_apply(fam: PolyFamily, v: np.ndarray, transposed: bool = False) ->
     return out
 
 
-def modmul_apply(f: PrimeField, F: np.ndarray, P: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Coefficients of F·pol(v) mod P, padded to deg P.
-
-    v may have any length; the rectangular map M_{F,P,ℓ} = M_{F,P}·W_{P,ℓ}
-    is realized by reducing pol(v) mod P first.
-    """
-    k = degree(P)
-    r = poly_mod(f, trim(f, v), P)
-    return padded(f, poly_mod(f, poly_mul(f, trim(f, F), r), P), k)
-
-
-def modmul_apply_transposed(f: PrimeField, F: np.ndarray, P: np.ndarray,
-                            v: np.ndarray) -> np.ndarray:
-    """M_{F,P}ᵗ·v via the symmetrizer conjugation Y_P⁻¹·M_{F,P}·Y_P."""
-    k = degree(P)
-    if len(v) != k:
-        raise DimensionMismatch(f"vector length {len(v)} != deg P = {k}")
-    return symmetrize_solve(f, P, modmul_apply(f, F, P, symmetrize_apply(f, P, v)))
-
-
-def y_apply(f: PrimeField, P: np.ndarray, v: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Product with the triangular Hankel symmetrizer of P, or its inverse."""
-    if len(v) != degree(P):
-        raise DimensionMismatch(f"vector length {len(v)} != deg P = {degree(P)}")
-    if inverse:
-        return symmetrize_solve(f, P, v)
-    return symmetrize_apply(f, P, v)
-
-
 def y_apply_family(fam: PolyFamily, v: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Blockwise symmetrizer product Y_P·v for a whole family."""
+    """Blockwise symmetrizer product Y_P·v, or Y_P⁻¹·v, for a whole family."""
     f = fam.field
     if len(v) != fam.total_degree:
         raise DimensionMismatch(
             f"vector length {len(v)} != family total degree {fam.total_degree}")
+    apply = symmetrize_solve if inverse else symmetrize_apply
     out = f.zeros(fam.total_degree)
     for s, k, P in zip(fam.offsets, fam.degrees, fam.polys):
-        out[s: s + k] = y_apply(f, P, v[s: s + k], inverse)
+        out[s: s + k] = apply(f, P, v[s: s + k])
     return out
 
 
@@ -289,8 +262,9 @@ def _converse_case(f: PrimeField, fam_p: PolyFamily, fam_q: PolyFamily):
 def inverse_table(op: DisplacementOperator):
     """Per-block inverses Q⁻¹ mod P_i (Sylvester) / rev(Q)⁻¹ mod P_i (Stein).
 
-    Returns a list of coefficient vectors, one per block of P, or None when
-    the operator is singular.  Cached on the operator's basic representative.
+    Returns a list of frozen coefficient vectors, one per block of P, or
+    None when the operator is singular.  Cached on the operator's basic
+    representative.
     """
     op = op.basic()
 
@@ -314,7 +288,11 @@ def inverse_table(op: DisplacementOperator):
             return _converse_case(f, fam_p, fam_q)
         return _inverse_mod_leaves(fam_p, rhs)
 
-    table = op.cached("inverse_table", lambda: build() or "singular")
+    def frozen_build():
+        table = build()
+        return "singular" if table is None else [frozen(t) for t in table]
+
+    table = op.cached("inverse_table", frozen_build)
     return None if isinstance(table, str) else table
 
 

@@ -221,5 +221,6 @@ def dense_solve_displacement(op: DisplacementOperator, rhs: np.ndarray) -> np.nd
         K = (np.kron(eye_n, eye_m) - np.kron(N.T, M)) % f.p
     vec = _obj(rhs).T.reshape(-1)  # column-major vectorization
     sol = dense_solve(f, K, vec)
-    assert sol is not None and not sol[1], "invertible operator must give a unique solution"
+    if sol is None or sol[1]:
+        raise ArithmeticError("an invertible operator must give a unique solution")
     return f.arr(sol[0].reshape(n, m).T)

@@ -3,8 +3,26 @@ for families of pairwise-coprime monic moduli.
 
 Representation: a polynomial is a numpy coefficient array in ascending
 order, trimmed (no trailing zeros); the zero polynomial is the empty
-array. All functions take the field context as first argument and return
-trimmed canonical arrays.
+array. All functions take the field context as first argument.
+
+Array contract, followed by poly, polymat, structmul, operators, generators
+and structsolve:
+
+1. Inside the library an array has the field's dtype ``f.dtype`` and holds
+   residues in [0, p), and a polynomial has no trailing zero.
+2. A function writes only into arrays it allocated itself: ``f.zeros``,
+   ``.copy()``, or fresh ``conv``/``ntt``/ufunc output. Results may be
+   views of inputs or of shared tables, and callers never write into them.
+3. Anything kept for later is stored as an array of its own, never as a
+   view into a larger temporary, and is marked read-only (``frozen``), so
+   that a stray write raises instead of corrupting shared state. That
+   covers the series-inverse memo, a family's moduli, subproduct tree,
+   ``rev_inv`` and CRT units, and an operator's inverse table.
+
+``PrimeField.arr`` establishes rule 1, and runs only where outside data
+enters: ``as_poly``/``family_build``, ``Generator``, ``struct_mul``,
+``gen_matvec``, ``reconstruct_dense``, the solver entry points, the
+preconditioner, deserialization, the CLI and the oracle.
 
 A ``PolyFamily`` bundles monic pairwise-coprime moduli P_1..P_d with their
 subproduct tree, CRT units and a detected structure flavor ("general",
@@ -33,6 +51,7 @@ __all__ = [
     "DimensionMismatch",
     "DegeneratePoints",
     "trim",
+    "frozen",
     "as_poly",
     "is_zero",
     "degree",
@@ -52,6 +71,8 @@ __all__ = [
     "poly_gcd",
     "symmetrize_apply",
     "symmetrize_solve",
+    "modmul_apply",
+    "modmul_apply_transposed",
     "PolyFamily",
     "family_build",
     "red_family",
@@ -106,11 +127,18 @@ class DegeneratePoints(ValueError):
 
 
 def trim(f: PrimeField, a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    n = len(a)
-    while n > 0 and int(a[n - 1]) % f.p == 0:
-        n -= 1
-    return f.arr(a[:n])
+    """a without its trailing zeros, as a view (a itself when it has none)."""
+    if not len(a) or a[-1]:
+        return a
+    nz = np.flatnonzero(a)
+    return a[: nz[-1] + 1] if len(nz) else a[:0]
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of a: the form of every array kept for later."""
+    a = a.copy()
+    a.setflags(write=False)
+    return a
 
 
 def as_poly(f: PrimeField, coeffs: Sequence[int]) -> np.ndarray:
@@ -129,14 +157,15 @@ def degree(a: np.ndarray) -> int:
 def poly_add(f: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if len(a) < len(b):
         a, b = b, a
-    out = f.arr(a)
-    if len(b):
-        out[: len(b)] = (out[: len(b)] + b) % f.p
+    if not len(b):
+        return trim(f, a)
+    out = a.copy()
+    out[: len(b)] = (out[: len(b)] + b) % f.p
     return trim(f, out)
 
 
 def poly_neg(f: PrimeField, a: np.ndarray) -> np.ndarray:
-    return f.arr((f.p - np.asarray(a)) % f.p) if len(a) else f.zeros(0)
+    return (f.p - a) % f.p
 
 
 def poly_sub(f: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -147,7 +176,7 @@ def poly_scale(f: PrimeField, c: int, a: np.ndarray) -> np.ndarray:
     c %= f.p
     if c == 0 or is_zero(a):
         return f.zeros(0)
-    return trim(f, np.asarray(a) * c % f.p)
+    return trim(f, a * c % f.p)
 
 
 def poly_shift(f: PrimeField, a: np.ndarray, k: int) -> np.ndarray:
@@ -171,7 +200,7 @@ def poly_rev(f: PrimeField, a: np.ndarray, d: int) -> np.ndarray:
         raise BoundTooSmall(f"rev bound {d} < degree {degree(a)}")
     out = f.zeros(d + 1)
     if len(a):
-        out[d - len(a) + 1:] = np.asarray(a)[::-1]
+        out[d - len(a) + 1:] = a[::-1]
     return trim(f, out)
 
 
@@ -188,7 +217,7 @@ def series_inv(f: PrimeField, a: np.ndarray, k: int) -> np.ndarray:
         return f.zeros(0)
     if is_zero(a) or int(a[0]) == 0:
         raise NonUnitConstantTerm("series has no inverse: constant term is 0")
-    x = f.arr([f.inv(int(a[0]))])
+    x = np.array([f.inv(int(a[0]))], dtype=f.dtype)
     prec = 1
     while prec < k:
         prec = min(2 * prec, k)
@@ -211,7 +240,8 @@ def _series_inv_cached(f: PrimeField, a: np.ndarray, k: int) -> np.ndarray:
     paths (fast division by a family product, by subproduct-tree nodes, by a
     block's minimal polynomial, symmetrizer solves), so the Newton result is
     cached per content and regrown when a longer prefix is requested. The
-    memo holds the most recently used entries and evicts the oldest one.
+    memo holds the most recently used entries and evicts the oldest one;
+    its series are frozen, and callers get read-only views of them.
     """
     a = trim(f, a)
     if a.dtype == object:
@@ -221,7 +251,7 @@ def _series_inv_cached(f: PrimeField, a: np.ndarray, k: int) -> np.ndarray:
     hit = _SERIES_INV_CACHE.get(key)
     if hit is None or hit[0] < k:
         have = max(k, 2 * hit[0]) if hit else k
-        hit = (have, series_inv(f, a, have))
+        hit = (have, frozen(series_inv(f, a, have)))
         _SERIES_INV_CACHE[key] = hit
         if len(_SERIES_INV_CACHE) > _SERIES_INV_CACHE_MAX:
             _SERIES_INV_CACHE.popitem(last=False)
@@ -230,14 +260,14 @@ def _series_inv_cached(f: PrimeField, a: np.ndarray, k: int) -> np.ndarray:
 
 
 def _divrem_school(f: PrimeField, a: np.ndarray, b: np.ndarray):
-    r = f.arr(a)
+    r = a.copy()
     db = len(b) - 1
     q = f.zeros(len(a) - db)
     for i in range(len(a) - db - 1, -1, -1):
         c = int(r[i + db])
         if c:
             q[i] = c
-            r[i: i + db] = (r[i: i + db] - c * np.asarray(b[:db])) % f.p
+            r[i: i + db] = (r[i: i + db] - c * b[:db]) % f.p
             r[i + db] = 0
     return q, trim(f, r[:db])
 
@@ -252,7 +282,7 @@ def poly_divrem(f: PrimeField, a: np.ndarray, b: np.ndarray):
     lc = int(b[-1])
     if lc != 1:
         ilc = f.inv(lc)
-        bm = trim(f, np.asarray(b) * ilc % f.p)
+        bm = trim(f, b * ilc % f.p)
         q, r = poly_divrem(f, a, bm)
         return poly_scale(f, ilc, q), r
     db = degree(b)
@@ -283,8 +313,8 @@ def xgcd(f: PrimeField, a: np.ndarray, b: np.ndarray):
     """Extended Euclid: returns (g, s, t) with s*a + t*b = g and g monic
     (classical quadratic remainder sequence)."""
     r0, r1 = trim(f, a), trim(f, b)
-    s0, s1 = as_poly(f, [1]), f.zeros(0)
-    t0, t1 = f.zeros(0), as_poly(f, [1])
+    s0, s1 = np.ones(1, dtype=f.dtype), f.zeros(0)
+    t0, t1 = f.zeros(0), np.ones(1, dtype=f.dtype)
     while not is_zero(r1):
         q, r = poly_divrem(f, r0, r1)
         r0, r1 = r1, r
@@ -317,8 +347,7 @@ def symmetrize_apply(f: PrimeField, P: np.ndarray, v: np.ndarray) -> np.ndarray:
         return f.zeros(m)
     a = f.zeros(m + 1)
     a[1:] = P[1:]
-    c = f.conv(a, f.arr(np.asarray(v)[::-1]))
-    return f.arr(c[m: 2 * m])
+    return f.conv(a, v[::-1])[m: 2 * m]
 
 
 def symmetrize_solve(f: PrimeField, P: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -331,8 +360,27 @@ def symmetrize_solve(f: PrimeField, P: np.ndarray, v: np.ndarray) -> np.ndarray:
     if not np.count_nonzero(v):
         return f.zeros(m)
     s = _series_inv_cached(f, poly_rev(f, P, m), m)
-    c = f.conv(s, f.arr(np.asarray(v)[::-1]))
-    return padded(f, c, m)
+    return padded(f, f.conv(s, v[::-1]), m)
+
+
+def modmul_apply(f: PrimeField, F: np.ndarray, P: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Coefficients of F·pol(v) mod P, padded to deg P.
+
+    v may have any length; the rectangular map M_{F,P,ℓ} = M_{F,P}·W_{P,ℓ}
+    is realized by reducing pol(v) mod P first.
+    """
+    k = degree(P)
+    r = poly_mod(f, trim(f, v), P)
+    return padded(f, poly_mod(f, poly_mul(f, trim(f, F), r), P), k)
+
+
+def modmul_apply_transposed(f: PrimeField, F: np.ndarray, P: np.ndarray,
+                            v: np.ndarray) -> np.ndarray:
+    """M_{F,P}ᵗ·v via the symmetrizer conjugation Y_P⁻¹·M_{F,P}·Y_P."""
+    k = degree(P)
+    if len(v) != k:
+        raise DimensionMismatch(f"vector length {len(v)} != deg P = {k}")
+    return symmetrize_solve(f, P, modmul_apply(f, F, P, symmetrize_apply(f, P, v)))
 
 
 def padded(f: PrimeField, a: np.ndarray, n: int) -> np.ndarray:
@@ -368,7 +416,7 @@ def _build_tree(f: PrimeField, polys: list[np.ndarray], lo: int, hi: int) -> _Tr
             break
     left = _build_tree(f, polys, lo, cut)
     right = _build_tree(f, polys, cut, hi)
-    return _TreeNode(poly_mul(f, left.poly, right.poly), 0, left, right)
+    return _TreeNode(frozen(poly_mul(f, left.poly, right.poly)), 0, left, right)
 
 
 @dataclass
@@ -405,7 +453,7 @@ class PolyFamily:
         if len(v) != self.total_degree:
             raise DimensionMismatch(
                 f"vector length {len(v)} != family total degree {self.total_degree}")
-        return [self.field.arr(v[s: s + d]) for s, d in zip(self.offsets, self.degrees)]
+        return [v[s: s + d] for s, d in zip(self.offsets, self.degrees)]
 
     def join_parts(self, parts: list[np.ndarray]) -> np.ndarray:
         if len(parts) != len(self.polys):
@@ -426,8 +474,9 @@ class PolyFamily:
         """series_inv(rev(P, m), k), cached at the largest precision seen."""
         have = self._cache.get("rev_inv")
         if have is None or len(have) < k:
-            have = series_inv(self.field, poly_rev(self.field, self.product, self.total_degree),
-                              max(k, self.total_degree))
+            have = frozen(series_inv(self.field,
+                                     poly_rev(self.field, self.product, self.total_degree),
+                                     max(k, self.total_degree)))
             self._cache["rev_inv"] = have
         return have[:k]
 
@@ -452,7 +501,7 @@ def _detect_flavor(f: PrimeField, polys: list[np.ndarray]):
 
 def family_build(f: PrimeField, polys: Sequence[Sequence[int]]) -> PolyFamily:
     """Validate moduli (monic, pairwise coprime) and assemble the family."""
-    ps = [as_poly(f, p) for p in polys]
+    ps = [frozen(as_poly(f, p)) for p in polys]
     if not ps:
         raise DimensionMismatch("empty family")
     for i, p in enumerate(ps):
@@ -480,27 +529,27 @@ def family_build(f: PrimeField, polys: Sequence[Sequence[int]]) -> PolyFamily:
 
 
 def _compute_units(fam: PolyFamily):
+    """The units (E_i), (F_i) as frozen arrays."""
     f = fam.field
     if len(fam) == 1:
-        one = as_poly(f, [1])
+        one = frozen(np.ones(1, dtype=f.dtype))
         return [one], [one]
     if fam.flavor == "geometric":
         # E_i = P'(u·q^i) in closed form: one chirp evaluation of P'
         u, q = fam.flavor_params
         P = fam.product
-        deriv = trim(f, f.arr(np.arange(1, len(P))) * P[1:] % f.p)
-        es = geom_eval(f, deriv, u, q, len(fam))
-        return list(es.reshape(-1, 1)), list(f.inv_array(es).reshape(-1, 1))
+        deriv = trim(f, np.arange(1, len(P)).astype(f.dtype) * P[1:] % f.p)
+        es = frozen(geom_eval(f, deriv, u, q, len(fam)))
+        return list(es.reshape(-1, 1)), list(frozen(f.inv_array(es)).reshape(-1, 1))
     # P* = sum_i P/P_i reduces to E_i = (P/P_i) mod P_i at each leaf
-    ones = [as_poly(f, [1])] * len(fam)
-    p_star = comb_family(fam, ones)
-    es = _reduce_down(fam, p_star)
+    p_star = comb_family(fam, [np.ones(1, dtype=f.dtype)] * len(fam))
+    es = [frozen(e) for e in _reduce_down(fam, p_star)]
     fs = []
     for i, (e, p) in enumerate(zip(es, fam.polys)):
         g, s, _ = xgcd(f, e, p)
         if degree(g) != 0:
             raise NotCoprime(*_find_noncoprime_pair(fam, i))
-        fs.append(poly_mod(f, s, p))
+        fs.append(frozen(poly_mod(f, s, p)))
     return es, fs
 
 
@@ -572,7 +621,7 @@ def crt_family(fam: PolyFamily, parts: list[np.ndarray]) -> np.ndarray:
     if fam.flavor == "geometric":
         if any(len(p) > 1 for p in parts):
             raise DimensionMismatch("part degree exceeds its modulus")
-        vals = f.arr([int(p[0]) if len(p) else 0 for p in parts])
+        vals = np.array([p[0] if len(p) else 0 for p in parts], dtype=f.dtype)
         return geom_interp(fam, vals)
     if len(fam) == 1:
         return poly_mod(f, parts[0], fam.polys[0])
@@ -623,7 +672,7 @@ def red_transposed(fam: PolyFamily, u: np.ndarray, inverse: bool = False) -> np.
         )
 
     m = fam.total_degree
-    num = numerator(fam.tree, f.arr(u))
+    num = numerator(fam.tree, u)
     inv = fam.rev_product_inverse(m)
     return padded(f, f.conv(num, inv), m)
 
@@ -651,28 +700,16 @@ def _crt_transposed(fam: PolyFamily, u: np.ndarray) -> np.ndarray:
     def walk(node: _TreeNode, vec: np.ndarray):
         if node.leaf >= 0:
             i = node.leaf
-            # transposed (multiply by F_i mod P_i) via the symmetrizer identity
-            block = symmetrize_solve(
-                f, fam.polys[i],
-                _modmul(f, fs[i], fam.polys[i],
-                        symmetrize_apply(f, fam.polys[i], vec)),
-            )
-            out[fam.offsets[i]: fam.offsets[i] + fam.degrees[i]] = padded(
-                f, block, fam.degrees[i])
+            out[fam.offsets[i]: fam.offsets[i] + fam.degrees[i]] = \
+                modmul_apply_transposed(f, fs[i], fam.polys[i], vec)
             return
         dl = _subtree_degree(node.left)
         dr = _subtree_degree(node.right)
         walk(node.left, _transposed_multiply(f, node.right.poly, vec, dl))
         walk(node.right, _transposed_multiply(f, node.left.poly, vec, dr))
 
-    walk(fam.tree, f.arr(u))
+    walk(fam.tree, u)
     return out
-
-
-def _modmul(f: PrimeField, F: np.ndarray, P: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """F * pol(v) mod P as a full-length coefficient vector."""
-    r = poly_mod(f, poly_mul(f, F, trim(f, v)), P)
-    return padded(f, r, degree(P))
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +762,7 @@ def geom_eval(f: PrimeField, a: np.ndarray, u: int, q: int, count: int) -> np.nd
     for j in range(n):
         b[j] = int(a[j]) * upow % f.p * int(tri_inv[j]) % f.p
         upow = upow * u % f.p
-    c = f.conv(f.arr(np.asarray(b)[::-1]), tri)
+    c = f.conv(b[::-1], tri)
     vals = f.zeros(count)
     for i in range(count):
         vals[i] = int(c[i + n - 1]) * int(tri_inv[i]) % f.p
@@ -748,7 +785,7 @@ def geom_interp(fam: PolyFamily, values: np.ndarray) -> np.ndarray:
     n = len(fam)
     if len(values) != n:
         raise DimensionMismatch(f"expected {n} values, got {len(values)}")
-    weights = f.arr(np.asarray(values) * np.concatenate(fam.crt_units()[1]) % f.p)
+    weights = values * np.concatenate(fam.crt_units()[1]) % f.p
 
     # power sums sigma_s = sum_i w_i z_i^s for s = 1..n with z_i = (u q^i)^-1
     zu = f.inv(u)
@@ -759,7 +796,7 @@ def geom_interp(fam: PolyFamily, values: np.ndarray) -> np.ndarray:
     b = f.zeros(n)
     for i in range(n):
         b[i] = int(weights[i]) * int(tri_inv[i]) % f.p
-    c = f.conv(f.arr(np.asarray(b)[::-1]), tri)
+    c = f.conv(b[::-1], tri)
     series = f.zeros(n)
     zupow = zu
     for t in range(n):  # s = t + 1

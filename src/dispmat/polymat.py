@@ -1,114 +1,59 @@
 """Matrices of polynomials with a shared degree bound.
 
-Data layout is a single array of shape (rows, cols, bound): entry (i, j)
-is the ascending coefficient vector data[i, j, :]. Products evaluate both
-operands at a geometric progression of points (roots of unity via the
+A polynomial matrix is a single array of shape (rows, cols, bound): entry
+(i, j) is the ascending coefficient vector data[i, j, :]. Products evaluate
+both operands at a geometric progression of points (roots of unity via the
 field's batch NTT) and multiply pointwise when the required transform
 length is supported, falling back to entrywise convolutions otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .field import PrimeField
 
-__all__ = ["PolyMatrix", "pm_zero", "pm_from_entries", "pm_mul", "pm_add", "pm_truncate"]
+__all__ = ["pm_mul"]
 
 
-@dataclass
-class PolyMatrix:
-    field: PrimeField
-    data: np.ndarray  # (rows, cols, bound)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def degree_bound(self) -> int:
-        return self.data.shape[2]
-
-    def entry(self, i: int, j: int) -> np.ndarray:
-        return self.data[i, j]
-
-
-def pm_zero(f: PrimeField, rows: int, cols: int, bound: int) -> PolyMatrix:
-    return PolyMatrix(f, f.zeros((rows, cols, max(bound, 1))))
-
-
-def pm_from_entries(f: PrimeField, entries, bound: int) -> PolyMatrix:
-    """entries[i][j] is a coefficient sequence of length <= bound."""
-    rows = len(entries)
-    cols = len(entries[0]) if rows else 0
-    out = pm_zero(f, rows, cols, bound)
-    for i in range(rows):
-        for j in range(cols):
-            e = f.arr(list(entries[i][j]))
-            out.data[i, j, : len(e)] = e
-    return out
-
-
-def pm_add(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    f = a.field
-    bound = max(a.degree_bound, b.degree_bound)
-    out = pm_zero(f, a.rows, a.cols, bound)
-    out.data[:, :, : a.degree_bound] = a.data
-    out.data[:, :, : b.degree_bound] = (out.data[:, :, : b.degree_bound] + b.data) % f.p
-    return out
-
-
-def pm_truncate(a: PolyMatrix, bound: int) -> PolyMatrix:
-    out = pm_zero(a.field, a.rows, a.cols, bound)
-    k = min(bound, a.degree_bound)
-    out.data[:, :, :k] = a.data[:, :, :k]
-    return out
-
-
-def pm_mul(a: PolyMatrix, b: PolyMatrix, out_bound: int | None = None) -> PolyMatrix:
-    """Product with entries of degree < bound_a + bound_b - 1, optionally
-    truncated to out_bound coefficients."""
-    f = a.field
-    if a.cols != b.rows:
-        raise ValueError(f"inner dimensions differ: {a.cols} vs {b.rows}")
-    need = a.degree_bound + b.degree_bound - 1
+def pm_mul(f: PrimeField, a: np.ndarray, b: np.ndarray,
+           out_bound: int | None = None) -> np.ndarray:
+    """Product of a (rows, k, bound_a) and b (k, cols, bound_b), with entries
+    of degree < bound_a + bound_b - 1, optionally cut to out_bound
+    coefficients."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"inner dimensions differ: {a.shape[1]} vs {b.shape[0]}")
+    need = a.shape[2] + b.shape[2] - 1
     size = 1 << max(0, (need - 1).bit_length())
     if size <= f.ntt_capacity():
         out = _pm_mul_points(f, a, b, size, need)
     else:
         out = _pm_mul_entrywise(f, a, b, need)
-    if out_bound is not None:
-        out = pm_truncate(out, out_bound)
-    return out
+    return out if out_bound is None else out[:, :, :out_bound]
 
 
-def _pm_mul_points(f: PrimeField, a: PolyMatrix, b: PolyMatrix, size: int, need: int) -> PolyMatrix:
-    pa = f.zeros((a.rows, a.cols, size))
-    pa[:, :, : a.degree_bound] = a.data
-    pb = f.zeros((b.rows, b.cols, size))
-    pb[:, :, : b.degree_bound] = b.data
+def _pm_mul_points(f: PrimeField, a: np.ndarray, b: np.ndarray, size: int,
+                   need: int) -> np.ndarray:
+    pa = f.zeros(a.shape[:2] + (size,))
+    pa[:, :, : a.shape[2]] = a
+    pb = f.zeros(b.shape[:2] + (size,))
+    pb[:, :, : b.shape[2]] = b
     va = f.ntt(pa)
     vb = f.ntt(pb)
     # one matrix product per evaluation point
     prod = f.mat_mul(va.transpose(2, 0, 1), vb.transpose(2, 0, 1))
     vals = prod.transpose(1, 2, 0)
     coeffs = f.ntt(np.ascontiguousarray(vals), invert=True)
-    return PolyMatrix(f, np.ascontiguousarray(coeffs[:, :, :need]))
+    return coeffs[:, :, :need]
 
 
-def _pm_mul_entrywise(f: PrimeField, a: PolyMatrix, b: PolyMatrix, need: int) -> PolyMatrix:
-    out = pm_zero(f, a.rows, b.cols, need)
-    for i in range(a.rows):
-        for j in range(b.cols):
+def _pm_mul_entrywise(f: PrimeField, a: np.ndarray, b: np.ndarray, need: int) -> np.ndarray:
+    out = f.zeros((a.shape[0], b.shape[1], need))
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
             acc = f.zeros(need)
-            for k in range(a.cols):
-                c = f.conv(a.data[i, k], b.data[k, j])
+            for k in range(a.shape[1]):
+                c = f.conv(a[i, k], b[k, j])
                 acc[: len(c)] = (acc[: len(c)] + c) % f.p
-            out.data[i, j] = acc
+            out[i, j] = acc
     return out

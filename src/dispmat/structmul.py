@@ -20,7 +20,7 @@ import numpy as np
 
 from .field import PrimeField
 from .generators import Generator, to_basic
-from .operators import STEIN, SingularOperator, inverse_table, modmul_apply, y_apply
+from .operators import STEIN, SingularOperator, inverse_table, modmul_apply
 from .poly import (
     comb_family,
     crt_family,
@@ -31,9 +31,10 @@ from .poly import (
     poly_rev,
     red_family,
     series_inv,
+    symmetrize_apply,
     trim,
 )
-from .polymat import PolyMatrix, pm_mul
+from .polymat import pm_mul
 
 MUL_CUTOFF = 16
 
@@ -42,12 +43,13 @@ class PreconditionViolated(ValueError):
     """An input shape constraint (alpha <= n and friends) was broken."""
 
 
-def _stack(f: PrimeField, polys, bound: int) -> np.ndarray:
-    """rows x bound coefficient array from a list of polynomials."""
-    out = f.zeros((len(polys), bound))
+def _stack(f: PrimeField, polys, rows: int, bound: int, shift: int = 0) -> np.ndarray:
+    """rows x bound array whose row i holds polys[i] moved up by shift and
+    cut at bound; rows past the last polynomial stay zero."""
+    out = f.zeros((rows, bound))
     for i, p in enumerate(polys):
-        p = f.arr(p)
-        out[i, : min(len(p), bound)] = p[:bound]
+        k = min(len(p), bound - shift)
+        out[i, shift: shift + k] = p[:k]
     return out
 
 
@@ -63,18 +65,17 @@ def _chunk_rows(f: PrimeField, U: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _chunked_product(f: PrimeField, U: np.ndarray, M: PolyMatrix,
+def _chunked_product(f: PrimeField, U: np.ndarray, M: np.ndarray,
                      m: int, width: int) -> np.ndarray:
-    """Uᵗ·M for U of shape (abar, m); M is abar x abar (or gamma x abar)
-    with polynomial entries.  Returns (abar, m + M.bound − 1).
+    """Uᵗ·M for U of shape (abar, m); M is an abar x abar (or gamma x abar)
+    polynomial matrix (rows, cols, bound).  Returns (abar, m + bound − 1).
 
     Splitting the rows of U into width-slices keeps the transform length at
     width + bound when the entries of M are much shorter than the rows; once
     the bounds are comparable the slices only multiply the number of
     transforms, so the full-row product is taken in one round instead."""
     rows = U.shape[0]
-    cols = M.data.shape[1]
-    bound = M.data.shape[2]
+    _, cols, bound = M.shape
     nchunks = -(-m // width)
     size_direct = 1 << max(1, (m + bound - 2).bit_length())
     size_chunked = 1 << max(1, (width + bound - 2).bit_length())
@@ -84,19 +85,19 @@ def _chunked_product(f: PrimeField, U: np.ndarray, M: PolyMatrix,
         pu = f.zeros((rows, size_direct))
         pu[:, :m] = U[:, :m]
         pm = f.zeros((rows, cols, size_direct))
-        pm[:, :, :bound] = M.data
+        pm[:, :, :bound] = M
         vals = np.sum(f.ntt(pu)[:, None, :] * f.ntt(pm) % f.p, axis=0) % f.p
         return f.ntt(vals, invert=True)[:, : m + bound - 1]
     uhat = _chunk_rows(f, U, width)
     out = f.zeros((cols, m + bound - 1))
-    P = pm_mul(PolyMatrix(f, uhat), M)
-    seg = P.data.shape[2]
+    P = pm_mul(f, uhat, M)
+    seg = P.shape[2]
     for t in range(nchunks):
         lo = t * width
         hi = min(lo + seg, m + bound - 1)
         if lo >= m + bound - 1:
             break
-        out[:, lo:hi] = (out[:, lo:hi] + P.data[t, :, : hi - lo]) % f.p
+        out[:, lo:hi] = (out[:, lo:hi] + P[t, :, : hi - lo]) % f.p
     return out
 
 
@@ -122,20 +123,18 @@ def mul_rec(f: PrimeField, U: np.ndarray, V: np.ndarray, W: np.ndarray,
     width = max(1, -(-m // abar))
 
     if gamma == abar or nu <= MUL_CUTOFF:
-        Wt = PolyMatrix(f, np.ascontiguousarray(W.transpose(1, 0, 2)))
-        M = pm_mul(PolyMatrix(f, V), Wt, out_bound=nu)
+        M = pm_mul(f, V, W.transpose(1, 0, 2), out_bound=nu)
         return _chunked_product(f, U, M, m, width)[:, : m + nu - 1]
 
     nu2 = nu // 2
     V0, V1 = V[:, :, :nu2], V[:, :, nu2:]
     W0, W1 = W[:, :, :nu2], W[:, :, nu2:]
-    W0t = PolyMatrix(f, np.ascontiguousarray(W0.transpose(1, 0, 2)))
-    M0 = pm_mul(PolyMatrix(f, np.ascontiguousarray(V0)), W0t)
+    M0 = pm_mul(f, V0, W0.transpose(1, 0, 2))
     out = f.zeros((abar, m + nu - 1))
     full = _chunked_product(f, U, M0, m, width)
     out[:, : full.shape[1]] = full
-    Vn = np.ascontiguousarray(np.concatenate([V0, V1], axis=1))
-    Wn = np.ascontiguousarray(np.concatenate([W1, W0], axis=1))
+    Vn = np.concatenate([V0, V1], axis=1)
+    Wn = np.concatenate([W1, W0], axis=1)
     rec = mul_rec(f, U, Vn, Wn, m, nu2, 2 * gamma)
     out[:, nu2: nu2 + rec.shape[1]] = (out[:, nu2: nu2 + rec.shape[1]] + rec) % f.p
     return out
@@ -155,12 +154,11 @@ def mul(f: PrimeField, U, V, W, m: int, n: int) -> list[np.ndarray]:
     nbar = 1 << (n - 1).bit_length()
     delta = nbar - n
     abar = 1 << (alpha - 1).bit_length()
-    Ub = _stack(f, list(U) + [[]] * (abar - alpha), m)
-    Vb = _stack(f, list(V) + [[]] * (abar - alpha), nbar).reshape(abar, 1, nbar)
-    Wsh = [np.concatenate([f.zeros(delta), f.arr(w)]) for w in W]
-    Wb = _stack(f, Wsh + [[]] * (abar - alpha), nbar).reshape(abar, 1, nbar)
+    Ub = _stack(f, U, abar, m)
+    Vb = _stack(f, V, abar, nbar).reshape(abar, 1, nbar)
+    Wb = _stack(f, W, abar, nbar, shift=delta).reshape(abar, 1, nbar)
     R = mul_rec(f, Ub, Vb, Wb, m, nbar, 1)
-    return [R[j, delta: delta + m + n - 1].copy() for j in range(alpha)]
+    return list(R[:alpha, delta: delta + m + n - 1])
 
 
 def _mul_any(f: PrimeField, U, V, W, m: int, n: int) -> list[np.ndarray]:
@@ -212,7 +210,7 @@ def mulQ(f: PrimeField, U, V, W, Q) -> list[np.ndarray]:
     reversed-quotient product S̃ over x^{n−1},
         R_i = T·W_i − Q·rev(S̃_i).
     """
-    Q = trim(f, f.arr(Q))
+    Q = trim(f, Q)
     n = len(Q) - 1
     if n < 1 or int(Q[-1]) != 1:
         raise PreconditionViolated("Q must be monic of degree >= 1")
@@ -221,9 +219,9 @@ def mulQ(f: PrimeField, U, V, W, Q) -> list[np.ndarray]:
         raise PreconditionViolated("U and V must have equal length")
     if alpha > n:
         raise PreconditionViolated(f"alpha = {alpha} exceeds deg Q = {n}")
-    U = [trim(f, f.arr(u)) for u in U]
-    V = [poly_mod(f, f.arr(v), Q) for v in V]
-    W = [poly_mod(f, f.arr(w), Q) for w in W]
+    U = [trim(f, u) for u in U]
+    V = [poly_mod(f, v, Q) for v in V]
+    W = [poly_mod(f, w, Q) for w in W]
     m = max([1] + [len(u) for u in U])
     out_len = m + n - 1
     if alpha == 0 or beta == 0:
@@ -268,7 +266,7 @@ def mulQ(f: PrimeField, U, V, W, Q) -> list[np.ndarray]:
             Sm[i, : len(sr)] = sr
         vals = (vT * f.ntt(Wm) - vQ * f.ntt(Sm)) % f.p
         res = f.ntt(vals, invert=True)[:, :out_len]
-        return [res[i].copy() for i in range(beta)]
+        return list(res)
 
     T = f.zeros(0)
     for u, v in zip(U, V):
@@ -340,7 +338,7 @@ def product_chain(gen: Generator, B: np.ndarray) -> np.ndarray:
 
     cols = []
     for i in range(beta):
-        parts = [y_apply(f, Qj, blk)
+        parts = [symmetrize_apply(f, Qj, blk)
                  for Qj, blk in zip(fam_q.polys, fam_q.split_vector(B[:, i]))]
         cols.append(comb_family(fam_q, parts))
 

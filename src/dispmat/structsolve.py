@@ -34,7 +34,7 @@ from .generators import (
     _unit,
 )
 from .operators import DisplacementOperator, SingularOperator
-from .poly import DimensionMismatch, series_inv
+from .poly import DimensionMismatch, frozen, padded, series_inv
 from .structmul import PreconditionViolated, struct_mul
 
 OK = "ok"
@@ -102,24 +102,20 @@ class TriangularToeplitzPreconditioner:
 
     def _inv_vector(self) -> np.ndarray:
         if self._winv is None:
-            w = series_inv(self.f, self.v, self.m)
-            if len(w) < self.m:
-                w = np.concatenate([w, self.f.zeros(self.m - len(w))])
-            self._winv = self.f.arr(w)
+            self._winv = frozen(padded(self.f, series_inv(self.f, self.v, self.m), self.m))
         return self._winv
 
-    def apply(self, x) -> np.ndarray:
-        return self.f.conv(self.v, self.f.arr(x))[: self.m]
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.f.conv(self.v, x)[: self.m]
 
-    def apply_transpose(self, x) -> np.ndarray:
-        return self.f.conv(self.v[::-1].copy(), self.f.arr(x))[self.m - 1:]
+    def apply_transpose(self, x: np.ndarray) -> np.ndarray:
+        return self.f.conv(self.v[::-1], x)[self.m - 1:]
 
-    def inverse_apply(self, x) -> np.ndarray:
-        return self.f.conv(self._inv_vector(), self.f.arr(x))[: self.m]
+    def inverse_apply(self, x: np.ndarray) -> np.ndarray:
+        return self.f.conv(self._inv_vector(), x)[: self.m]
 
-    def inverse_transpose_apply(self, x) -> np.ndarray:
-        w = self._inv_vector()
-        return self.f.conv(w[::-1].copy(), self.f.arr(x))[self.m - 1:]
+    def inverse_transpose_apply(self, x: np.ndarray) -> np.ndarray:
+        return self.f.conv(self._inv_vector()[::-1], x)[self.m - 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +124,7 @@ class TriangularToeplitzPreconditioner:
 
 def _dense_inv(f: PrimeField, A: np.ndarray) -> np.ndarray:
     m = A.shape[0]
-    eye = f.arr(np.eye(m, dtype=np.int64))
+    eye = np.eye(m, dtype=f.dtype)
     R, pivots, _ = f.row_reduce(np.concatenate([A, eye], axis=1))
     if pivots[:m] != list(range(m)):
         raise SingularOperator("matrix is singular")
@@ -183,7 +179,7 @@ def _row_of(f: PrimeField, G: np.ndarray, H: np.ndarray, u: np.ndarray,
             i: int) -> np.ndarray:
     m, n = G.shape[0], H.shape[0]
     if i == m - 1:
-        return u.copy()
+        return u
     acc = f.zeros(n)
     for k in range(G.shape[1]):
         c = f.conv(G[i + 1:, k], H[:, k])
@@ -218,28 +214,28 @@ def _col_of(f: PrimeField, G: np.ndarray, H: np.ndarray, u: np.ndarray,
 # bordered generators of the partition blocks
 
 
-def _hstack(f: PrimeField, mats) -> np.ndarray:
+def _hstack(mats) -> np.ndarray:
     cols = [m.reshape(len(m), 1) if m.ndim == 1 else m for m in mats]
-    return f.arr(np.concatenate(cols, axis=1))
+    return np.concatenate(cols, axis=1)
 
 
 def _gen_block_21(f: PrimeField, G, H, u, split: int, rows: int,
                   row_l, col_l) -> Generator:
     """A[split:split+rows, :split] under ∇_{Z_{rows,0}, Z_{split,1}ᵗ}:
     G·Hᵗ picks up −e₁·(row above)ᵗ and −(last col)·e₁ᵗ corrections."""
-    Gb = _hstack(f, [G[split: split + rows],
-                     (f.p - _unit(f, rows, 0)) % f.p,
-                     (f.p - col_l[split: split + rows]) % f.p])
-    Hb = _hstack(f, [H[:split], row_l[:split], _unit(f, split, 0)])
+    Gb = _hstack([G[split: split + rows],
+                  (f.p - _unit(f, rows, 0)) % f.p,
+                  (f.p - col_l[split: split + rows]) % f.p])
+    Hb = _hstack([H[:split], row_l[:split], _unit(f, split, 0)])
     return Generator(Gb, Hb, shift_operator(f, rows, 0, split, 1))
 
 
 def _gen_block_12(f: PrimeField, G, H, u, split: int, cols: int,
                   row_l, col_l) -> Generator:
     """A[:split, split:split+cols] under ∇_{Z_{split,1}, Z_{cols,0}ᵗ}."""
-    Gb = _hstack(f, [G[:split], col_l[:split], _unit(f, split, 0)])
-    Hb = _hstack(f, [H[split: split + cols], _unit(f, cols, 0),
-                     row_l[split: split + cols]])
+    Gb = _hstack([G[:split], col_l[:split], _unit(f, split, 0)])
+    Hb = _hstack([H[split: split + cols], _unit(f, cols, 0),
+                  row_l[split: split + cols]])
     return Generator(Gb, Hb, shift_operator(f, split, 1, cols, 0))
 
 
@@ -248,8 +244,8 @@ def _gen_block_inv(f: PrimeField, Y: np.ndarray, Z: np.ndarray,
     """A_r⁻¹ under ∇_{Z_{r,1}ᵗ, Z_{r,0}} from the search output:
     the generator is ([Y | e_r], [Z | v])."""
     r = Y.shape[0]
-    Gb = _hstack(f, [Y, _unit(f, r, r - 1)])
-    Hb = _hstack(f, [Z, v])
+    Gb = _hstack([Y, _unit(f, r, r - 1)])
+    Hb = _hstack([Z, v])
     return Generator(Gb, Hb, hankel_inverse_operator(f, r, r))
 
 
@@ -294,7 +290,6 @@ def largest_rec(f: PrimeField, G, H, u):
     Intended for generator length ≤ min(m, n); narrower inputs fall through
     to the dense base case regardless.
     """
-    G, H, u = f.arr(G), f.arr(H), f.arr(u)
     m, n = G.shape[0], H.shape[0]
     alpha = G.shape[1]
     q = min(m, n)
@@ -348,16 +343,15 @@ def largest_rec(f: PrimeField, G, H, u):
     w = (f.p - gen_matvec(invS_t, gen_matvec(b12_t, v11))) % f.p
     vtop = (v11 - gen_matvec(inv11_t, gen_matvec(b21_t, w))) % f.p
 
-    Y = f.arr(np.concatenate([Ytop, YS], axis=0))
-    Z = f.arr(np.concatenate([Ztop, ZS], axis=0))
-    v = f.arr(np.concatenate([vtop, w]))
+    Y = np.concatenate([Ytop, YS], axis=0)
+    Z = np.concatenate([Ztop, ZS], axis=0)
+    v = np.concatenate([vtop, w])
     return ell + ell_s, Y, Z, v
 
 
 def largest(f: PrimeField, G, H, u):
     """Pad A to the next power-of-two square before the recursive search;
     padding adds at most two generator columns, removed again on return."""
-    G, H, u = f.arr(G), f.arr(H), f.arr(u)
     m, n = G.shape[0], H.shape[0]
     alpha = G.shape[1]
     p2 = 1 << (max(m, n) - 1).bit_length()
@@ -369,11 +363,11 @@ def largest(f: PrimeField, G, H, u):
         Gb = f.zeros((p2, alpha + 1))
         Gb[:m, :alpha] = G
         Gb[m, alpha] = 1
-        Hb = _hstack(f, [H, u])
+        Hb = _hstack([H, u])
         ub = f.zeros(p2)
     elif p2 == m > n:
         uprime = _col_of(f, G, H, u, n - 1)
-        Gb = _hstack(f, [G, (f.p - uprime) % f.p])
+        Gb = _hstack([G, (f.p - uprime) % f.p])
         Hb = f.zeros((p2, alpha + 1))
         Hb[:n, :alpha] = H
         Hb[n, alpha] = 1
@@ -414,7 +408,6 @@ def lp_inv(f: PrimeField, G, H, u, _enforce_width: bool = True) -> LpInvResult:
     """Rank and leading-principal inverse data when A has generic rank
     profile; Failure when the largest nonsingular leading block is smaller
     than the rank (the Schur complement test catches it)."""
-    G, H, u = f.arr(G), f.arr(H), f.arr(u)
     m, n = G.shape[0], H.shape[0]
     alpha = G.shape[1]
     if _enforce_width and alpha > min(m, n):
@@ -437,8 +430,8 @@ def lp_inv(f: PrimeField, G, H, u, _enforce_width: bool = True) -> LpInvResult:
         HS = (H[ell:] - _apply(t12, Z)) % f.p
         uS = (u[ell:] - gen_matvec(t12, gen_matvec(inv11_t, u[:ell]))) % f.p
 
-    Gb = _hstack(f, [GS, _unit(f, m - ell, 0)])
-    Hb = _hstack(f, [HS, uS])
+    Gb = _hstack([GS, _unit(f, m - ell, 0)])
+    Hb = _hstack([HS, uS])
     if _pair_rank(f, Gb, Hb) == 0:
         return LpInvResult(OK, ell, Y, Z, v)
     return LpInvResult(FAILURE)
@@ -455,7 +448,6 @@ def precond(f: PrimeField, G, H, v1, v2):
     The commutator of the shift with a unit-triangular Toeplitz factor is
     rank two on each side, so the width grows by exactly four, and the first
     α columns stay U(v₁)ᵗG and U(v₂)ᵗH."""
-    G, H = f.arr(G), f.arr(H)
     m, n = G.shape[0], H.shape[0]
     alpha = G.shape[1]
     u1 = TriangularToeplitzPreconditioner(f, v1)
@@ -466,36 +458,36 @@ def precond(f: PrimeField, G, H, v1, v2):
     tgen = gen_transpose(gen)
 
     v1a, v2a = u1.v, u2.v
-    g1 = _hstack(f, [np.concatenate([f.zeros(1), v1a[::-1][:-1]]),
-                     (f.p - _unit(f, m, 0)) % f.p])
-    h1 = _hstack(f, [_unit(f, m, m - 1),
-                     np.concatenate([v1a[1:], f.zeros(1)])])
-    g2 = _hstack(f, [np.roll(v2a, -1), (f.p - _unit(f, n, n - 1)) % f.p])
-    h2 = _hstack(f, [_unit(f, n, 0),
-                     np.concatenate([f.zeros(1), v2a[::-1][:-1]])])
+    g1 = _hstack([np.concatenate([f.zeros(1), v1a[::-1][:-1]]),
+                  (f.p - _unit(f, m, 0)) % f.p])
+    h1 = _hstack([_unit(f, m, m - 1),
+                  np.concatenate([v1a[1:], f.zeros(1)])])
+    g2 = _hstack([np.roll(v2a, -1), (f.p - _unit(f, n, n - 1)) % f.p])
+    h2 = _hstack([_unit(f, n, 0),
+                  np.concatenate([f.zeros(1), v2a[::-1][:-1]])])
 
     ag2 = np.stack([gen_matvec(gen, g2[:, k]) for k in range(2)], axis=1)
     ath1 = np.stack([gen_matvec(tgen, h1[:, k]) for k in range(2)], axis=1)
 
-    Gt = _hstack(f, [np.stack([u1.apply_transpose(G[:, k])
-                               for k in range(alpha)], axis=1) if alpha else G,
-                     g1,
-                     np.stack([u1.apply_transpose(ag2[:, k])
-                               for k in range(2)], axis=1)])
-    Ht = _hstack(f, [np.stack([u2.apply_transpose(H[:, k])
-                               for k in range(alpha)], axis=1) if alpha else H,
-                     np.stack([u2.apply_transpose(ath1[:, k])
-                               for k in range(2)], axis=1),
-                     h2])
+    Gt = _hstack([np.stack([u1.apply_transpose(G[:, k])
+                            for k in range(alpha)], axis=1) if alpha else G,
+                  g1,
+                  np.stack([u1.apply_transpose(ag2[:, k])
+                            for k in range(2)], axis=1)])
+    Ht = _hstack([np.stack([u2.apply_transpose(H[:, k])
+                            for k in range(alpha)], axis=1) if alpha else H,
+                  np.stack([u2.apply_transpose(ath1[:, k])
+                            for k in range(2)], axis=1),
+                  h2])
     ut = u2.apply_transpose(gen_matvec(tgen, _unit(f, m, m - 1)))
-    return f.arr(Gt), f.arr(Ht), ut
+    return Gt, Ht, ut
 
 
 def _sample_vector(f: PrimeField, rng, size: int, bound: int) -> np.ndarray:
     out = f.zeros(size)
     out[0] = 1
     if size > 1:
-        out[1:] = f.arr(rng.integers(0, bound, size - 1))
+        out[1:] = rng.integers(0, bound, size - 1).astype(f.dtype)
     return out
 
 
@@ -529,8 +521,8 @@ def inv(f: PrimeField, G, H, sample_set_size: int | None = None,
     _check_sample_bound(f, bound)
     if v1 is None or v2 is None:
         rng = np.random.Generator(np.random.Philox(key=rng_seed))
-        v1 = _sample_vector(f, rng, m, bound) if v1 is None else f.arr(v1)
-        v2 = _sample_vector(f, rng, m, bound) if v2 is None else f.arr(v2)
+        v1 = _sample_vector(f, rng, m, bound) if v1 is None else v1
+        v2 = _sample_vector(f, rng, m, bound) if v2 is None else v2
     u1 = TriangularToeplitzPreconditioner(f, v1)
     u2 = TriangularToeplitzPreconditioner(f, v2)
 
@@ -544,7 +536,7 @@ def inv(f: PrimeField, G, H, sample_set_size: int | None = None,
                  axis=1) if alpha else f.zeros((m, 0))
     Z = np.stack([u1.apply(res.Z[:, k]) for k in range(alpha)],
                  axis=1) if alpha else f.zeros((m, 0))
-    out = Generator(f.arr(Y), f.arr(Z), hankel_inverse_operator(f, m, m))
+    out = Generator(Y, Z, hankel_inverse_operator(f, m, m))
     return InvResult(OK, out)
 
 
@@ -570,8 +562,8 @@ def solve(f: PrimeField, G, H, b, sample_set_size: int | None = None,
     _check_sample_bound(f, bound)
     if v1 is None or v2 is None:
         rng = np.random.Generator(np.random.Philox(key=rng_seed))
-        v1 = _sample_vector(f, rng, m, bound) if v1 is None else f.arr(v1)
-        v2 = _sample_vector(f, rng, n, bound) if v2 is None else f.arr(v2)
+        v1 = _sample_vector(f, rng, m, bound) if v1 is None else v1
+        v2 = _sample_vector(f, rng, n, bound) if v2 is None else v2
     u1 = TriangularToeplitzPreconditioner(f, v1)
     u2 = TriangularToeplitzPreconditioner(f, v2)
 
@@ -605,7 +597,7 @@ def solve(f: PrimeField, G, H, b, sample_set_size: int | None = None,
         tail = f.zeros(n - r)
         tail[0] = (f.p - 1) % f.p
         head = (x1 + gen_matvec(inv_r, colr[:r])) % f.p if r else f.zeros(0)
-        xt = f.arr(np.concatenate([head, tail]))
+        xt = np.concatenate([head, tail])
     x = u2.apply(xt)
     return SolveResult(OK, x)
 
@@ -633,7 +625,7 @@ def _undo_basic_inverse(out: Generator, tf) -> Generator:
     new_op = DisplacementOperator(op.kind, op.fam_p, op.fam_q,
                                   transpose_p=not tf.e2,
                                   transpose_q=tf.e1)
-    return Generator(f.arr(G), f.arr(H), new_op)
+    return Generator(G, H, new_op)
 
 
 def inv_generator(gen: Generator, sample_set_size: int | None = None,
@@ -663,7 +655,7 @@ def inv_generator(gen: Generator, sample_set_size: int | None = None,
 def solve_generator(gen: Generator, b, sample_set_size: int | None = None,
                     rng_seed: int = 0, v1=None, v2=None) -> SolveResult:
     """Solve A·x = b for A under any invertible displacement operator."""
-    from .generators import to_basic, to_hankel
+    from .generators import side_map, side_map_t, to_basic, to_hankel
     from .operators import STEIN, op_invertible, y_apply_family
 
     op = gen.operator
@@ -677,14 +669,14 @@ def solve_generator(gen: Generator, b, sample_set_size: int | None = None,
     rhs = y_apply_family(op.fam_p, b) if tf.e1 else b
     hgen, ctx = to_hankel(basic)
     hgen = gen_compress(hgen)
-    c = ctx.l_apply(rhs)
+    c = side_map(op.fam_p, rhs)
     res = solve(f, hgen.G, hgen.H, c, sample_set_size=sample_set_size,
                 rng_seed=rng_seed, v1=v1, v2=v2)
     if not res.ok:
         return res
     y = res.x
     if op.kind == STEIN:
-        y = y[::-1].copy()
-    xt = ctx.r_apply(y)
+        y = y[::-1]
+    xt = side_map_t(op.fam_q, y)
     x = y_apply_family(op.fam_q, xt) if tf.e2 else xt
     return SolveResult(OK, x)

@@ -22,6 +22,13 @@ def test_named_primes():
         get_field("p61")
 
 
+def test_get_field_keeps_one_instance_per_prime():
+    assert get_field("p62") is get_field(BENCH_PRIME)
+    assert get_field("default") is get_field(DEFAULT_PRIME) is get_field(str(DEFAULT_PRIME))
+    with pytest.raises(ValueError):
+        get_field("12")
+
+
 @pytest.mark.parametrize("bad", [0, 1, 4, 15, 2**31 - 2])
 def test_rejects_composite_modulus(bad):
     with pytest.raises(ValueError):
