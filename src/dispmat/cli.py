@@ -130,6 +130,19 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _report(args, doc: dict, line: str) -> None:
+    """A run's result: the JSON document to --out if given, and on stdout
+    the document with --json or else the one-line summary."""
+    text = _dump(doc)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    if args.json:
+        sys.stdout.write(text)
+    else:
+        print(line)
+
+
 @dataclass
 class InstanceFile:
     """One self-contained problem instance.
@@ -225,6 +238,20 @@ def _split_degrees(rng, total: int, max_blocks: int = 3) -> list[int]:
     return parts
 
 
+def _draw_monic(f: PrimeField, rng, degrees) -> PolyFamily | None:
+    """Random monic polynomials of the given degrees as a family, or None
+    when they are not pairwise coprime."""
+    polys = []
+    for k in degrees:
+        c = _rand_vector(f, rng, k + 1)
+        c[k] = 1
+        polys.append(c)
+    try:
+        return family_build(f, polys)
+    except NotCoprime:
+        return None
+
+
 def draw_family(f: PrimeField, rng, total: int, flavor: str) -> PolyFamily:
     """Random monic family of the given total degree, per flavor."""
     if total < 1:
@@ -256,16 +283,9 @@ def draw_family(f: PrimeField, rng, total: int, flavor: str) -> PolyFamily:
     if flavor != "general":
         raise InfeasibleSpec(f"unknown family flavor {flavor!r}")
     for _ in range(_DRAW_TRIES):
-        degs = _split_degrees(rng, total)
-        polys = []
-        for k in degs:
-            c = _rand_vector(f, rng, k + 1)
-            c[k] = 1
-            polys.append(c)
-        try:
-            return family_build(f, polys)
-        except NotCoprime:
-            continue
+        fam = _draw_monic(f, rng, _split_degrees(rng, total))
+        if fam is not None:
+            return fam
     raise InfeasibleSpec("could not draw a pairwise-coprime family")
 
 
@@ -413,17 +433,10 @@ def cmd_run(args) -> int:
         "verified": verified,
     }
     doc.update(payload)
-    text = _dump(doc)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    if args.json:
-        sys.stdout.write(text)
-    else:
-        line = f"{task}: tag={tag}"
-        if verified is not None:
-            line += f" verified={verified}"
-        print(line)
+    line = f"{task}: tag={tag}"
+    if verified is not None:
+        line += f" verified={verified}"
+    _report(args, doc, line)
     if verified == "mismatch":
         return EXIT_VERIFY
     if tag == FAILURE:
@@ -488,15 +501,18 @@ def _check_profile(fam: PolyFamily, residues, bounds) -> None:
             "the system is tall")
 
 
+def _combine(f: PrimeField, parts, row, P: np.ndarray) -> np.ndarray:
+    """sum_j parts[j]·row[j] mod P."""
+    acc = f.zeros(0)
+    for fj, R in zip(parts, row):
+        acc = poly_mod(f, poly_add(f, acc, poly_mul(f, fj, R)), P)
+    return acc
+
+
 def _residues_vanish(fam: PolyFamily, residues, parts: list[np.ndarray]) -> bool:
     f = fam.field
-    for i, P in enumerate(fam.polys):
-        acc = f.zeros(0)
-        for fj, R in zip(parts, residues[i]):
-            acc = poly_mod(f, poly_add(f, acc, poly_mul(f, fj, R)), P)
-        if not is_zero(trim(f, acc)):
-            return False
-    return True
+    return all(is_zero(trim(f, _combine(f, parts, row, P)))
+               for row, P in zip(residues, fam.polys))
 
 
 def pade_solve(f: PrimeField, moduli, residues, bounds, seed: int = 0,
@@ -545,16 +561,9 @@ def plant_pade(f: PrimeField, bounds, block_degrees=None, moduli=None,
         if not block_degrees or any(k < 1 for k in block_degrees):
             raise BadDegreeProfile("moduli degrees must be positive")
         for _ in range(_DRAW_TRIES):
-            polys = []
-            for k in block_degrees:
-                c = _rand_vector(f, rng, k + 1)
-                c[k] = 1
-                polys.append(c)
-            try:
-                fam = family_build(f, polys)
+            fam = _draw_monic(f, rng, block_degrees)
+            if fam is not None:
                 break
-            except NotCoprime:
-                continue
         else:
             raise InfeasibleSpec("could not draw pairwise-coprime moduli")
     if sum(bounds) < fam.total_degree:
@@ -571,9 +580,7 @@ def plant_pade(f: PrimeField, bounds, block_degrees=None, moduli=None,
     residues = []
     for k, P in zip(fam.degrees, fam.polys):
         tail = [trim(f, _rand_vector(f, rng, k)) for _ in bounds[1:]]
-        acc = f.zeros(0)
-        for fj, R in zip(parts[1:], tail):
-            acc = poly_mod(f, poly_add(f, acc, poly_mul(f, fj, R)), P)
+        acc = _combine(f, parts[1:], tail, P)
         head = poly_mod(f, poly_mul(f, poly_neg(f, acc), _poly_modinv(f, f1, P)), P)
         residues.append([head] + tail)
     return PadeInstance(f.p, seed, [np.asarray(P) for P in fam.polys], residues, bounds)
@@ -610,14 +617,7 @@ def cmd_pade(args) -> int:
         doc["f"] = [_vec_json(fj) for fj in out["f"]]
         doc["phi"] = str(out["phi"])
         doc["generator_length"] = out["generator_length"]
-    text = _dump(doc)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    if args.json:
-        sys.stdout.write(text)
-    else:
-        print(f"pade: tag={out['tag']}")
+    _report(args, doc, f"pade: tag={out['tag']}")
     return EXIT_FAILURE if out["tag"] == FAILURE else EXIT_OK
 
 

@@ -28,6 +28,7 @@ from .operators import (
     DisplacementOperator,
     SingularOperator,
     companion_apply,
+    inverse_operator,
     op_invertible,
     y_apply_family,
 )
@@ -44,13 +45,11 @@ RECONSTRUCT_LIMIT = 1 << 20
 
 @dataclass
 class Generator:
-    """L-generator (G, H) of length alpha, optionally with the matrix's last
-    row attached (used by the solver for partly-regular operators)."""
+    """L-generator (G, H) of length alpha."""
 
     G: np.ndarray
     H: np.ndarray
     operator: DisplacementOperator
-    last_row: np.ndarray | None = None
 
     def __post_init__(self):
         f = self.field
@@ -111,17 +110,24 @@ class BasicTransform:
     def is_identity(self) -> bool:
         return not (self.e1 or self.e2)
 
-    def pre_apply(self, v: np.ndarray) -> np.ndarray:
-        """Y_Q^{−e2}·v — feed A's input through the basic representative."""
-        if self.e2:
-            return y_apply_family(self.fam_q, v, inverse=True)
-        return v
+    def p_side(self, X: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """Y_P^{±e1}·X for a vector or a block of columns."""
+        return _y_side(self.fam_p, self.e1, X, inverse)
 
-    def post_apply(self, w: np.ndarray) -> np.ndarray:
-        """Y_P^{−e1}·w — map the basic representative's output back."""
-        if self.e1:
-            return y_apply_family(self.fam_p, w, inverse=True)
-        return w
+    def q_side(self, X: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """Y_Q^{±e2}·X for a vector or a block of columns."""
+        return _y_side(self.fam_q, self.e2, X, inverse)
+
+
+def _y_side(fam: PolyFamily, e: bool, X: np.ndarray, inverse: bool) -> np.ndarray:
+    if not e:
+        return X
+    if X.ndim == 1:
+        return y_apply_family(fam, X, inverse)
+    if X.shape[1] == 0:
+        return X
+    return np.stack([y_apply_family(fam, X[:, k], inverse)
+                     for k in range(X.shape[1])], axis=1)
 
 
 def to_basic(gen: Generator) -> tuple[Generator, BasicTransform]:
@@ -129,20 +135,10 @@ def to_basic(gen: Generator) -> tuple[Generator, BasicTransform]:
     same kind: Ã = Y_P^{e1}·A·Y_Q^{e2} with G̃ = Y_P^{e1}G and H̃ = Y_Q^{e2}H.
     """
     op = gen.operator
-    e1 = op.transpose_p
-    e2 = not op.transpose_q
-    tf = BasicTransform(e1, e2, op.fam_p, op.fam_q)
+    tf = BasicTransform(op.transpose_p, not op.transpose_q, op.fam_p, op.fam_q)
     if tf.is_identity:
         return gen, tf
-    f = op.field
-    G, H = gen.G, gen.H
-    if e1:
-        G = np.stack([y_apply_family(op.fam_p, G[:, k]) for k in range(gen.alpha)],
-                     axis=1) if gen.alpha else G
-    if e2:
-        H = np.stack([y_apply_family(op.fam_q, H[:, k]) for k in range(gen.alpha)],
-                     axis=1) if gen.alpha else H
-    return Generator(G, H, op.basic()), tf
+    return Generator(tf.p_side(gen.G), tf.q_side(gen.H), op.basic()), tf
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +186,25 @@ def _column_decompose(f: PrimeField, M: np.ndarray):
     return M[:, pivots], R[: len(pivots)]
 
 
-def gen_compress(gen: Generator) -> Generator:
-    """Equivalent generator of length exactly rank(G·Hᵗ).
+def compress_pair(f: PrimeField, G: np.ndarray, H: np.ndarray):
+    """(G₂, H₂) with G₂·H₂ᵗ = G·Hᵗ and width exactly rank(G·Hᵗ).
 
     Two elimination passes: factor G = B·C and fold C into H, then the same
     on the new H; after the second pass both matrices have full column rank.
     """
-    f = gen.field
+    if G.shape[1] == 0:
+        return G, H
+    B, C = _column_decompose(f, G)
+    B2, C2 = _column_decompose(f, f.mat_mul(H, C.T))
+    return f.mat_mul(B, C2.T), B2
+
+
+def gen_compress(gen: Generator) -> Generator:
+    """Equivalent generator of length exactly rank(G·Hᵗ)."""
     if gen.alpha == 0:
         return gen
-    B, C = _column_decompose(f, gen.G)
-    H1 = f.mat_mul(gen.H, C.T)
-    B2, C2 = _column_decompose(f, H1)
-    G2 = f.mat_mul(B, C2.T)
-    return Generator(G2, B2, gen.operator, gen.last_row)
+    G2, H2 = compress_pair(gen.field, gen.G, gen.H)
+    return Generator(G2, H2, gen.operator)
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +212,16 @@ def gen_compress(gen: Generator) -> Generator:
 
 
 @functools.lru_cache(maxsize=256)
-def shift_operator(f: PrimeField, m: int, phi: int, n: int, psi: int,
-                   transpose_p: bool = False, transpose_q: bool = True) -> DisplacementOperator:
-    """The Sylvester operator of the binomials x^m − φ and x^n − ψ.
+def shift_operator(f: PrimeField, m: int, phi: int, n: int, psi: int) -> DisplacementOperator:
+    """The basic Sylvester operator of the binomials x^m − φ and x^n − ψ.
 
-    One shared instance per argument tuple, so its families, basic
-    representative, transpose and inverse table are built once.  Callers
-    must not mutate it.
+    One shared instance per argument tuple, so its families, transpose,
+    inverse operator and inverse table are built once.  Callers must not
+    mutate it.
     """
     fam_p = family_build(f, [[-phi % f.p] + [0] * (m - 1) + [1]])
     fam_q = family_build(f, [[-psi % f.p] + [0] * (n - 1) + [1]])
-    return DisplacementOperator(SYLVESTER, fam_p, fam_q, transpose_p, transpose_q)
+    return DisplacementOperator(SYLVESTER, fam_p, fam_q)
 
 
 def hankel_operator(f: PrimeField, m: int, n: int) -> DisplacementOperator:
@@ -232,7 +232,7 @@ def hankel_operator(f: PrimeField, m: int, n: int) -> DisplacementOperator:
 def hankel_inverse_operator(f: PrimeField, m: int, n: int) -> DisplacementOperator:
     """∇_{Z_{n,1}ᵗ, Z_{m,0}}: where the inverse (or the solver's output
     transformation) of a ∇_{Z_{m,0},Z_{n,1}ᵗ}-structured matrix lives."""
-    return shift_operator(f, n, 1, m, 0, True, False)
+    return inverse_operator(hankel_operator(f, m, n))
 
 
 def side_map(fam: PolyFamily, v: np.ndarray) -> np.ndarray:
@@ -338,9 +338,9 @@ def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
     """Generator of A⁻¹ from a generator of the inverted core.
 
     inv_gen carries (Y, Z) = (−core⁻¹·G_core, core⁻ᵗ·H_core) under
-    ∇_{Z_{m,1}ᵗ, Z_{m,0}}; the result lives under the swapped operator for
-    (Q, P) — Sylvester ∇_{M_Qᵗ,M_P} or its Stein analog — and is compressed
-    to length ≤ the original alpha.
+    ∇_{Z_{m,1}ᵗ, Z_{m,0}}; the result lives under inverse_operator of A's
+    operator — Sylvester ∇_{M_Qᵗ,M_P} or its Stein analog — and is
+    compressed to length ≤ the original alpha.
     """
     f = ctx.field
     gen = ctx.gen
@@ -354,8 +354,7 @@ def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
     inv_t = gen_transpose(inv_gen)
 
     core_inv_of_t = gen_matvec(inv_gen, ctx.t)
-    swapped = DisplacementOperator(
-        op.kind, fam_q, fam_p, transpose_p=True, transpose_q=False)
+    swapped = inverse_operator(op)
 
     if ctx.kind == SYLVESTER:
         # ∇_{M_Qᵗ,M_P}(A⁻¹) = [r | RY | R·A′⁻¹t]·[Lᵗ·A′⁻ᵗs | LᵗZ | u]ᵗ
@@ -391,14 +390,11 @@ def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
 def gen_to_dict(gen: Generator) -> dict:
     from .operators import op_to_dict
 
-    d = {
+    return {
         "G": [[str(int(x)) for x in row] for row in gen.G],
         "H": [[str(int(x)) for x in row] for row in gen.H],
         "operator": op_to_dict(gen.operator),
     }
-    if gen.last_row is not None:
-        d["last_row"] = [str(int(x)) for x in gen.last_row]
-    return d
 
 
 def gen_from_dict(f: PrimeField, d: dict) -> Generator:
@@ -407,6 +403,4 @@ def gen_from_dict(f: PrimeField, d: dict) -> Generator:
     op = op_from_dict(f, d["operator"])
     G = np.asarray([[int(x) for x in row] for row in d["G"]], dtype=object).reshape(op.m, -1)
     H = np.asarray([[int(x) for x in row] for row in d["H"]], dtype=object).reshape(op.n, -1)
-    last = d.get("last_row")
-    return Generator(G, H, op,
-                     None if last is None else f.arr([int(x) for x in last]))
+    return Generator(G, H, op)

@@ -99,6 +99,16 @@ class DisplacementOperator:
         return v
 
 
+def inverse_operator(op: DisplacementOperator) -> DisplacementOperator:
+    """The operator under which A⁻¹ carries its generator: the same kind on
+    the swapped families (Q, P) with the swapped transpose flags, for every
+    variant.  One shared instance per operator, so products with inverses
+    reuse its inverse table."""
+    return op.cached("inverse", lambda: DisplacementOperator(
+        op.kind, op.fam_q, op.fam_p,
+        transpose_p=op.transpose_q, transpose_q=op.transpose_p))
+
+
 def sylvester_op(fam_p: PolyFamily, fam_q: PolyFamily,
                  transpose_p: bool = False, transpose_q: bool = True) -> DisplacementOperator:
     return DisplacementOperator(SYLVESTER, fam_p, fam_q, transpose_p, transpose_q)

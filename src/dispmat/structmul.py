@@ -326,9 +326,7 @@ def product_chain(gen: Generator, B: np.ndarray) -> np.ndarray:
 
     basic, tf = to_basic(gen)
     if not tf.is_identity:
-        Bt = np.stack([tf.pre_apply(B[:, i]) for i in range(beta)], axis=1)
-        out = product_chain(basic, Bt)
-        return np.stack([tf.post_apply(out[:, i]) for i in range(beta)], axis=1)
+        return tf.p_side(product_chain(basic, tf.q_side(B, inverse=True)), inverse=True)
 
     op = gen.operator
     fam_p, fam_q = op.fam_p, op.fam_q

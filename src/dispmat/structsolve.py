@@ -25,16 +25,22 @@ import numpy as np
 from .field import PrimeField
 from .generators import (
     Generator,
+    compress_pair,
+    from_hankel_inverse,
     gen_compress,
     gen_matvec,
     gen_transpose,
     hankel_inverse_operator,
     hankel_operator,
     shift_operator,
+    side_map,
+    side_map_t,
+    to_basic,
+    to_hankel,
     _unit,
 )
-from .operators import DisplacementOperator, SingularOperator
-from .poly import DimensionMismatch, frozen, padded, series_inv
+from .operators import STEIN, SingularOperator, inverse_operator
+from .poly import DimensionMismatch
 from .structmul import PreconditionViolated, struct_mul
 
 OK = "ok"
@@ -90,7 +96,8 @@ class SolveResult:
 
 class TriangularToeplitzPreconditioner:
     """Unit lower-triangular Toeplitz matrix U(v): column j is v shifted down
-    by j.  Applies and inverts in one convolution each."""
+    by j.  Applies in one convolution; A⁻¹ = U(v₂)·Ã⁻¹·U(v₁)ᵗ never needs
+    U(v)⁻¹."""
 
     def __init__(self, f: PrimeField, v):
         self.f = f
@@ -98,12 +105,6 @@ class TriangularToeplitzPreconditioner:
         if self.v.ndim != 1 or len(self.v) == 0 or int(self.v[0]) != 1:
             raise PreconditionViolated("preconditioner vector must start with 1")
         self.m = len(self.v)
-        self._winv = None
-
-    def _inv_vector(self) -> np.ndarray:
-        if self._winv is None:
-            self._winv = frozen(padded(self.f, series_inv(self.f, self.v, self.m), self.m))
-        return self._winv
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.f.conv(self.v, x)[: self.m]
@@ -111,11 +112,11 @@ class TriangularToeplitzPreconditioner:
     def apply_transpose(self, x: np.ndarray) -> np.ndarray:
         return self.f.conv(self.v[::-1], x)[self.m - 1:]
 
-    def inverse_apply(self, x: np.ndarray) -> np.ndarray:
-        return self.f.conv(self._inv_vector(), x)[: self.m]
-
-    def inverse_transpose_apply(self, x: np.ndarray) -> np.ndarray:
-        return self.f.conv(self._inv_vector()[::-1], x)[self.m - 1:]
+    def apply_columns(self, X: np.ndarray) -> np.ndarray:
+        """U(v)·X column by column."""
+        if X.shape[1] == 0:
+            return self.f.zeros((self.m, 0))
+        return np.stack([self.apply(X[:, k]) for k in range(X.shape[1])], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -129,31 +130,6 @@ def _dense_inv(f: PrimeField, A: np.ndarray) -> np.ndarray:
     if pivots[:m] != list(range(m)):
         raise SingularOperator("matrix is singular")
     return R[:, m:]
-
-
-def _dense_solve(f: PrimeField, A: np.ndarray, b: np.ndarray):
-    """One solution of A·x = b, or None."""
-    n = A.shape[1]
-    R, pivots, _ = f.row_reduce(np.column_stack([A, b]))
-    if n in pivots:
-        return None
-    x = f.zeros(n)
-    x[pivots] = R[: len(pivots), n]
-    return x
-
-
-def _pair_rank(f: PrimeField, G: np.ndarray, H: np.ndarray) -> int:
-    """rank(G·Hᵗ) without forming the product."""
-    from .generators import _column_decompose
-
-    if G.shape[1] == 0:
-        return 0
-    B1, C1 = _column_decompose(f, G)
-    if B1.shape[1] == 0:
-        return 0
-    H1 = f.mat_mul(H, C1.T)
-    B2, _ = _column_decompose(f, H1)
-    return B2.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +195,7 @@ def _hstack(mats) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-def _gen_block_21(f: PrimeField, G, H, u, split: int, rows: int,
+def _gen_block_21(f: PrimeField, G, H, split: int, rows: int,
                   row_l, col_l) -> Generator:
     """A[split:split+rows, :split] under ∇_{Z_{rows,0}, Z_{split,1}ᵗ}:
     G·Hᵗ picks up −e₁·(row above)ᵗ and −(last col)·e₁ᵗ corrections."""
@@ -230,7 +206,7 @@ def _gen_block_21(f: PrimeField, G, H, u, split: int, rows: int,
     return Generator(Gb, Hb, shift_operator(f, rows, 0, split, 1))
 
 
-def _gen_block_12(f: PrimeField, G, H, u, split: int, cols: int,
+def _gen_block_12(f: PrimeField, G, H, split: int, cols: int,
                   row_l, col_l) -> Generator:
     """A[:split, split:split+cols] under ∇_{Z_{split,1}, Z_{cols,0}ᵗ}."""
     Gb = _hstack([G[:split], col_l[:split], _unit(f, split, 0)])
@@ -261,6 +237,34 @@ def _apply(gen: Generator, X: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the Schur step
+
+
+def _border(f: PrimeField, G, H, u, ell: int, row_l=None):
+    """Row and column ℓ−1 of A, which border every block of the partition
+    at ℓ.  A caller already holding row ℓ−1 passes it as row_l, which saves
+    α convolutions."""
+    if row_l is None:
+        row_l = _row_of(f, G, H, u, ell - 1)
+    return row_l, _col_of(f, G, H, u, ell - 1)
+
+
+def _schur(f: PrimeField, G, H, u, ell: int, Y, Z, v, row_l, col_l):
+    """(G, H, last row) of the Schur complement S = A₂₂ − A₂₁·A₁₁⁻¹·A₁₂ of
+    the leading ℓ×ℓ block, from the search output (Y, Z, v) for A₁₁:
+    G_S = G₂ − A₂₁·A₁₁⁻¹·G₁, H_S = H₂ − A₁₂ᵗ·A₁₁⁻ᵗ·H₁, and the last row
+    u₂ − A₁₂ᵗ·A₁₁⁻ᵗ·u₁."""
+    m, n = G.shape[0], H.shape[0]
+    g21 = _gen_block_21(f, G, H, ell, m - ell, row_l, col_l)
+    t12 = gen_transpose(_gen_block_12(f, G, H, ell, n - ell, row_l, col_l))
+    inv11_t = gen_transpose(_gen_block_inv(f, Y, Z, v))
+    GS = (G[ell:] + _apply(g21, Y)) % f.p
+    HS = (H[ell:] - _apply(t12, Z)) % f.p
+    uS = (u[ell:] - gen_matvec(t12, gen_matvec(inv11_t, u[:ell]))) % f.p
+    return GS, HS, uS
+
+
+# ---------------------------------------------------------------------------
 # the recursive search for the largest nonsingular leading block
 
 
@@ -287,8 +291,8 @@ def largest_rec(f: PrimeField, G, H, u):
     """Largest ℓ with all leading k×k blocks nonsingular for k ≤ ℓ, plus
     Y = −A_ℓ⁻¹G[:ℓ], Z = A_ℓ⁻ᵗH[:ℓ], and the first row v of A_ℓ⁻¹.
 
-    Intended for generator length ≤ min(m, n); narrower inputs fall through
-    to the dense base case regardless.
+    Any generator length works: once min(m, n) < 2α the dense base case
+    takes over.
     """
     m, n = G.shape[0], H.shape[0]
     alpha = G.shape[1]
@@ -304,18 +308,8 @@ def largest_rec(f: PrimeField, G, H, u):
         return sub
 
     ell = ell1
-    row_l = row_m1 if ell - 1 == m1 - 1 else _row_of(f, G, H, u, ell - 1)
-    col_l = _col_of(f, G, H, u, ell - 1)
-
-    g21 = _gen_block_21(f, G, H, u, ell, m - ell, row_l, col_l)
-    g12 = _gen_block_12(f, G, H, u, ell, n - ell, row_l, col_l)
-    t12 = gen_transpose(g12)
-    inv11 = _gen_block_inv(f, Y11, Z11, v11)
-    inv11_t = gen_transpose(inv11)
-
-    GS = (G[ell:] + _apply(g21, Y11)) % f.p
-    HS = (H[ell:] - _apply(t12, Z11)) % f.p
-    uS = (u[ell:] - gen_matvec(t12, gen_matvec(inv11_t, u[:ell]))) % f.p
+    row_l, col_l = _border(f, G, H, u, ell, row_m1 if ell == m1 else None)
+    GS, HS, uS = _schur(f, G, H, u, ell, Y11, Z11, v11, row_l, col_l)
 
     m2, n2 = m - ell, n - ell
     if m2 == 1:
@@ -331,10 +325,11 @@ def largest_rec(f: PrimeField, G, H, u):
     if ell_s == 0:
         return sub
 
-    b12 = _gen_block_12(f, G, H, u, ell, ell_s, row_l, col_l)
-    b21 = _gen_block_21(f, G, H, u, ell, ell_s, row_l, col_l)
+    b12 = _gen_block_12(f, G, H, ell, ell_s, row_l, col_l)
+    b21_t = gen_transpose(_gen_block_21(f, G, H, ell, ell_s, row_l, col_l))
     b12_t = gen_transpose(b12)
-    b21_t = gen_transpose(b21)
+    inv11 = _gen_block_inv(f, Y11, Z11, v11)
+    inv11_t = gen_transpose(inv11)
     invS = _gen_block_inv(f, YS, ZS, vS)
     invS_t = gen_transpose(invS)
 
@@ -375,21 +370,6 @@ def largest(f: PrimeField, G, H, u):
         ub[:n] = u
     else:
         uprime = _col_of(f, G, H, u, n - 1)
-        if m == n == alpha and p2 == alpha + 1:
-            # one padding column can be folded into G when its extra column
-            # is a combination of G's columns
-            usec = _dense_solve(f, G, uprime)
-            if usec is not None:
-                Gb = f.zeros((p2, alpha + 1))
-                Gb[:m, :alpha] = G
-                Gb[m, alpha] = 1
-                Hb = f.zeros((p2, alpha + 1))
-                Hb[:n, :alpha] = H
-                Hb[:n, alpha] = u
-                Hb[m, :alpha] = (f.p - usec) % f.p
-                res = largest_rec(f, Gb, Hb, f.zeros(p2))
-                ell, Yb, Zb, vb = res
-                return ell, Yb[:, :alpha], Zb[:, :alpha], vb
         Gb = f.zeros((p2, alpha + 2))
         Gb[:m, :alpha] = G
         Gb[m:, alpha] = _unit(f, p2 - m, 0)
@@ -404,16 +384,11 @@ def largest(f: PrimeField, G, H, u):
     return ell, Yb[:, :alpha], Zb[:, :alpha], vb
 
 
-def lp_inv(f: PrimeField, G, H, u, _enforce_width: bool = True) -> LpInvResult:
+def lp_inv(f: PrimeField, G, H, u) -> LpInvResult:
     """Rank and leading-principal inverse data when A has generic rank
     profile; Failure when the largest nonsingular leading block is smaller
     than the rank (the Schur complement test catches it)."""
     m, n = G.shape[0], H.shape[0]
-    alpha = G.shape[1]
-    if _enforce_width and alpha > min(m, n):
-        raise PreconditionViolated(
-            f"generator length {alpha} exceeds min dimension {min(m, n)}")
-
     ell, Y, Z, v = largest(f, G, H, u)
     if ell == min(m, n):
         return LpInvResult(OK, ell, Y, Z, v)
@@ -421,18 +396,13 @@ def lp_inv(f: PrimeField, G, H, u, _enforce_width: bool = True) -> LpInvResult:
     if ell == 0:
         GS, HS, uS = G, H, u
     else:
-        row_l = _row_of(f, G, H, u, ell - 1)
-        col_l = _col_of(f, G, H, u, ell - 1)
-        g21 = _gen_block_21(f, G, H, u, ell, m - ell, row_l, col_l)
-        t12 = gen_transpose(_gen_block_12(f, G, H, u, ell, n - ell, row_l, col_l))
-        inv11_t = gen_transpose(_gen_block_inv(f, Y, Z, v))
-        GS = (G[ell:] + _apply(g21, Y)) % f.p
-        HS = (H[ell:] - _apply(t12, Z)) % f.p
-        uS = (u[ell:] - gen_matvec(t12, gen_matvec(inv11_t, u[:ell]))) % f.p
+        GS, HS, uS = _schur(f, G, H, u, ell, Y, Z, v, *_border(f, G, H, u, ell))
 
+    # the rank is ℓ exactly when the Schur complement vanishes, i.e. when its
+    # (G, H, last row) triple describes the zero matrix
     Gb = _hstack([GS, _unit(f, m - ell, 0)])
     Hb = _hstack([HS, uS])
-    if _pair_rank(f, Gb, Hb) == 0:
+    if compress_pair(f, Gb, Hb)[1].shape[1] == 0:
         return LpInvResult(OK, ell, Y, Z, v)
     return LpInvResult(FAILURE)
 
@@ -491,10 +461,29 @@ def _sample_vector(f: PrimeField, rng, size: int, bound: int) -> np.ndarray:
     return out
 
 
-def _check_sample_bound(f: PrimeField, bound: int):
+def _search(f: PrimeField, G, H, sample_set_size, rng_seed, v1, v2):
+    """The randomized search shared by inv and solve: draw v₁, v₂ (unless
+    given) from a set of 2q(q+1) values, q = min(m, n), and run lp_inv on
+    Ã = U(v₁)ᵗ·A·U(v₂).  Returns U(v₁), U(v₂), Ã's (G, H, last row) and the
+    search result."""
+    m, n = G.shape[0], H.shape[0]
+    alpha = G.shape[1]
+    q = min(m, n)
+    if alpha > q:
+        raise PreconditionViolated(f"generator length {alpha} exceeds {q}")
+    bound = 2 * q * (q + 1) if sample_set_size is None else sample_set_size
+    bound = min(bound, f.p)
     if not 1 <= bound <= f.p:
         raise PreconditionViolated(
             f"sample set size {bound} not in [1, {f.p}]")
+    if v1 is None or v2 is None:
+        rng = np.random.Generator(np.random.Philox(key=rng_seed))
+        v1 = _sample_vector(f, rng, m, bound) if v1 is None else v1
+        v2 = _sample_vector(f, rng, n, bound) if v2 is None else v2
+    u1 = TriangularToeplitzPreconditioner(f, v1)
+    u2 = TriangularToeplitzPreconditioner(f, v2)
+    triple = precond(f, G, H, v1, v2)
+    return u1, u2, triple, lp_inv(f, *triple)
 
 
 # ---------------------------------------------------------------------------
@@ -513,30 +502,17 @@ def inv(f: PrimeField, G, H, sample_set_size: int | None = None,
     m, n = G.shape[0], H.shape[0]
     if m != n:
         raise DimensionMismatch("inv requires a square format")
-    alpha = G.shape[1]
-    if alpha > m:
-        raise PreconditionViolated(f"generator length {alpha} exceeds {m}")
-    bound = 2 * m * (m + 1) if sample_set_size is None else sample_set_size
-    bound = min(bound, f.p)
-    _check_sample_bound(f, bound)
-    if v1 is None or v2 is None:
-        rng = np.random.Generator(np.random.Philox(key=rng_seed))
-        v1 = _sample_vector(f, rng, m, bound) if v1 is None else v1
-        v2 = _sample_vector(f, rng, m, bound) if v2 is None else v2
-    u1 = TriangularToeplitzPreconditioner(f, v1)
-    u2 = TriangularToeplitzPreconditioner(f, v2)
-
-    Gt, Ht, ut = precond(f, G, H, v1, v2)
-    res = lp_inv(f, Gt, Ht, ut, _enforce_width=False)
+    u1, u2, _, res = _search(f, G, H, sample_set_size, rng_seed, v1, v2)
     if not res.ok:
         return InvResult(FAILURE)
     if res.r < m:
         return InvResult(SINGULAR)
-    Y = np.stack([u2.apply(res.Y[:, k]) for k in range(alpha)],
-                 axis=1) if alpha else f.zeros((m, 0))
-    Z = np.stack([u1.apply(res.Z[:, k]) for k in range(alpha)],
-                 axis=1) if alpha else f.zeros((m, 0))
-    out = Generator(Y, Z, hankel_inverse_operator(f, m, m))
+    # A⁻¹ = U(v₂)·Ã⁻¹·U(v₁)ᵗ, and the first α columns of Ã's generator
+    # are U(v₁)ᵗG and U(v₂)ᵗH
+    alpha = G.shape[1]
+    out = Generator(u2.apply_columns(res.Y[:, :alpha]),
+                    u1.apply_columns(res.Z[:, :alpha]),
+                    hankel_inverse_operator(f, m, m))
     return InvResult(OK, out)
 
 
@@ -553,22 +529,7 @@ def solve(f: PrimeField, G, H, b, sample_set_size: int | None = None,
     m, n = G.shape[0], H.shape[0]
     if len(b) != m:
         raise DimensionMismatch(f"right-hand side length {len(b)} != {m}")
-    alpha = G.shape[1]
-    q = min(m, n)
-    if alpha > q:
-        raise PreconditionViolated(f"generator length {alpha} exceeds {q}")
-    bound = 2 * q * (q + 1) if sample_set_size is None else sample_set_size
-    bound = min(bound, f.p)
-    _check_sample_bound(f, bound)
-    if v1 is None or v2 is None:
-        rng = np.random.Generator(np.random.Philox(key=rng_seed))
-        v1 = _sample_vector(f, rng, m, bound) if v1 is None else v1
-        v2 = _sample_vector(f, rng, n, bound) if v2 is None else v2
-    u1 = TriangularToeplitzPreconditioner(f, v1)
-    u2 = TriangularToeplitzPreconditioner(f, v2)
-
-    Gt, Ht, ut = precond(f, G, H, v1, v2)
-    res = lp_inv(f, Gt, Ht, ut, _enforce_width=False)
+    u1, u2, (Gt, Ht, ut), res = _search(f, G, H, sample_set_size, rng_seed, v1, v2)
     if not res.ok:
         return SolveResult(FAILURE)
     r = res.r
@@ -581,9 +542,7 @@ def solve(f: PrimeField, G, H, b, sample_set_size: int | None = None,
         if r == 0:
             resid = bt % f.p
         else:
-            row_l = _row_of(f, Gt, Ht, ut, r - 1)
-            col_l = _col_of(f, Gt, Ht, ut, r - 1)
-            a21 = _gen_block_21(f, Gt, Ht, ut, r, m - r, row_l, col_l)
+            a21 = _gen_block_21(f, Gt, Ht, r, m - r, *_border(f, Gt, Ht, ut, r))
             resid = (gen_matvec(a21, x1) - bt[r:]) % f.p
         if np.any(resid != 0):
             return SolveResult(NO_SOLUTION)
@@ -606,77 +565,46 @@ def solve(f: PrimeField, G, H, b, sample_set_size: int | None = None,
 # arbitrary invertible operators, routed through the shift format
 
 
-def _undo_basic_inverse(out: Generator, tf) -> Generator:
-    """The inverse of the basic representative is conjugated back:
-    A⁻¹ = Y_Q^{e2}·Ã⁻¹·Y_P^{e1}, flipping the matching transpose flags."""
-    if tf.is_identity:
-        return out
-    from .operators import y_apply_family
-
-    op = out.operator
-    f = op.field
-    G, H = out.G, out.H
-    if tf.e2:
-        G = np.stack([y_apply_family(tf.fam_q, G[:, k])
-                      for k in range(G.shape[1])], axis=1) if G.shape[1] else G
-    if tf.e1:
-        H = np.stack([y_apply_family(tf.fam_p, H[:, k])
-                      for k in range(H.shape[1])], axis=1) if H.shape[1] else H
-    new_op = DisplacementOperator(op.kind, op.fam_p, op.fam_q,
-                                  transpose_p=not tf.e2,
-                                  transpose_q=tf.e1)
-    return Generator(G, H, new_op)
+def _shift_core(gen: Generator):
+    """Ã = Y_P^{e1}·A·Y_Q^{e2} on the basic operator, then its
+    Toeplitz/Hankel-type core, compressed.  to_hankel raises
+    SingularOperator for an operator that is not invertible."""
+    basic, tf = to_basic(gen)
+    hgen, ctx = to_hankel(basic)
+    return tf, gen_compress(hgen), ctx
 
 
 def inv_generator(gen: Generator, sample_set_size: int | None = None,
                   rng_seed: int = 0, v1=None, v2=None) -> InvResult:
     """Inverse generator for any invertible displacement operator, via the
     multiplicative reduction to the shift format and back."""
-    from .generators import from_hankel_inverse, to_basic, to_hankel
-    from .operators import op_invertible
-
     op = gen.operator
     if op.m != op.n:
         raise DimensionMismatch("inv_generator requires a square format")
-    if not op_invertible(op):
-        raise SingularOperator("operator is not invertible")
-    f = op.field
-    basic, tf = to_basic(gen)
-    hgen, ctx = to_hankel(basic)
-    hgen = gen_compress(hgen)
-    res = inv(f, hgen.G, hgen.H, sample_set_size=sample_set_size,
+    tf, hgen, ctx = _shift_core(gen)
+    res = inv(op.field, hgen.G, hgen.H, sample_set_size=sample_set_size,
               rng_seed=rng_seed, v1=v1, v2=v2)
     if not res.ok:
         return res
     out = from_hankel_inverse(ctx, res.generator)
-    return InvResult(OK, _undo_basic_inverse(out, tf))
+    # A⁻¹ = Y_Q^{e2}·Ã⁻¹·Y_P^{e1}
+    return InvResult(OK, Generator(tf.q_side(out.G), tf.p_side(out.H),
+                                   inverse_operator(op)))
 
 
 def solve_generator(gen: Generator, b, sample_set_size: int | None = None,
                     rng_seed: int = 0, v1=None, v2=None) -> SolveResult:
     """Solve A·x = b for A under any invertible displacement operator."""
-    from .generators import side_map, side_map_t, to_basic, to_hankel
-    from .operators import STEIN, op_invertible, y_apply_family
-
     op = gen.operator
-    if not op_invertible(op):
-        raise SingularOperator("operator is not invertible")
     f = op.field
     b = f.arr(b)
     if len(b) != op.m:
         raise DimensionMismatch(f"right-hand side length {len(b)} != {op.m}")
-    basic, tf = to_basic(gen)
-    rhs = y_apply_family(op.fam_p, b) if tf.e1 else b
-    hgen, ctx = to_hankel(basic)
-    hgen = gen_compress(hgen)
-    c = side_map(op.fam_p, rhs)
+    tf, hgen, _ = _shift_core(gen)
+    c = side_map(op.fam_p, tf.p_side(b))
     res = solve(f, hgen.G, hgen.H, c, sample_set_size=sample_set_size,
                 rng_seed=rng_seed, v1=v1, v2=v2)
     if not res.ok:
         return res
-    y = res.x
-    if op.kind == STEIN:
-        y = y[::-1]
-    xt = side_map_t(op.fam_q, y)
-    x = y_apply_family(op.fam_q, xt) if tf.e2 else xt
-    return SolveResult(OK, x)
+    y = res.x[::-1] if op.kind == STEIN else res.x
+    return SolveResult(OK, tf.q_side(side_map_t(op.fam_q, y)))

@@ -17,6 +17,7 @@ from dispmat.operators import (
     SYLVESTER,
     DisplacementOperator,
     companion_apply,
+    inverse_operator,
     inverse_table,
     modmul_apply,
     modmul_apply_transposed,
@@ -95,6 +96,24 @@ def test_operator_cache_memoizes(f):
     assert op.cached("k", build) == "value"
     assert op.cached("k", build) == "value"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", [SYLVESTER, STEIN])
+@pytest.mark.parametrize("tp", [False, True])
+@pytest.mark.parametrize("tq", [False, True])
+def test_inverse_operator_swaps_families_and_flags(f, kind, tp, tq):
+    fam_p = family_build(f, [[f.p - 2, 0, 1]])
+    fam_q = family_build(f, [[f.p - 3, 0, 0, 1]])
+    op = DisplacementOperator(kind, fam_p, fam_q, tp, tq)
+    inv = inverse_operator(op)
+    assert inverse_operator(op) is inv
+    assert (inv.kind, inv.shape) == (kind, (3, 2))
+    assert inv.fam_p is fam_q and inv.fam_q is fam_p
+    assert (inv.transpose_p, inv.transpose_q) == (tq, tp)
+    back = inverse_operator(inv)
+    assert back.kind == kind
+    assert back.fam_p is fam_p and back.fam_q is fam_q
+    assert (back.transpose_p, back.transpose_q) == (tp, tq)
 
 
 # ---------------------------------------------------------------------------
