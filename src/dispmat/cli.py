@@ -84,6 +84,8 @@ EXIT_FAILURE = 3
 VERIFY_LIMIT = oracle.GENERIC_SOLVE_LIMIT
 
 _DRAW_TRIES = 64
+_MAX_BLOCKS = 3  # moduli in a random "general" family, at most
+_PADE_ATTEMPTS = 6  # draws of φ and solver seed in pade_solve, at most
 
 TASKS = ("mul", "inv", "solve")
 RHS_MODES = ("planted", "random", "zero", "inconsistent")
@@ -225,10 +227,10 @@ def _rand_vector(f: PrimeField, rng, size: int) -> np.ndarray:
     return f.arr(rng.integers(0, f.p, size=size))
 
 
-def _split_degrees(rng, total: int, max_blocks: int = 3) -> list[int]:
+def _split_degrees(rng, total: int) -> list[int]:
     parts = []
     left = total
-    for _ in range(int(rng.integers(1, max_blocks + 1)) - 1):
+    for _ in range(int(rng.integers(1, _MAX_BLOCKS + 1)) - 1):
         if left <= 1:
             break
         take = int(rng.integers(1, left))
@@ -515,15 +517,14 @@ def _residues_vanish(fam: PolyFamily, residues, parts: list[np.ndarray]) -> bool
                for row, P in zip(residues, fam.polys))
 
 
-def pade_solve(f: PrimeField, moduli, residues, bounds, seed: int = 0,
-               retries: int = 6) -> dict:
+def pade_solve(f: PrimeField, moduli, residues, bounds, seed: int = 0) -> dict:
     """Nonzero (f_1, ..., f_alpha) with sum_j f_j R_{i,j} = 0 mod P_i and
     deg f_j < n_j, or a no_solution / failure tag."""
     fam = family_build(f, moduli)
     _check_profile(fam, residues, bounds)
     m, N = fam.total_degree, sum(bounds)
     rng = np.random.Generator(np.random.Philox(seed))
-    for attempt in range(1, retries + 1):
+    for attempt in range(1, _PADE_ATTEMPTS + 1):
         phi = int(rng.integers(0, f.p))
         gen = pade_generator(fam, residues, bounds, phi)
         if not op_invertible(gen.operator):
@@ -543,7 +544,7 @@ def pade_solve(f: PrimeField, moduli, residues, bounds, seed: int = 0,
             continue
         return {"tag": OK, "f": parts, "phi": phi,
                 "generator_length": gen.alpha, "attempts": attempt}
-    return {"tag": FAILURE, "attempts": retries}
+    return {"tag": FAILURE, "attempts": _PADE_ATTEMPTS}
 
 
 def plant_pade(f: PrimeField, bounds, block_degrees=None, moduli=None,

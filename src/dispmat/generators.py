@@ -252,20 +252,13 @@ class HankelContext:
     """Vectors for A′ = L·A·R (and B = A′·J for Stein).
 
     L = J_m·W_Pᵗ·Y_P⁻¹ is side_map on P, R = Y_Q⁻¹·W_Q·J_n is side_map_t on
-    Q; both are invertible.  t, u, r, s are the rank-one correction vectors
-    of their displacement identities.
+    Q; both are invertible.  u and r are the rank-one correction vectors of
+    their displacement identities; the other two, t and s, are always e₀.
     """
 
     gen: Generator
-    kind: str
-    t: np.ndarray
     u: np.ndarray
     r: np.ndarray
-    s: np.ndarray
-
-    @property
-    def field(self) -> PrimeField:
-        return self.gen.field
 
 
 def _unit(f: PrimeField, size: int, idx: int) -> np.ndarray:
@@ -310,7 +303,7 @@ def to_hankel(gen: Generator) -> tuple[Generator, HankelContext]:
     r = y_apply_family(fam_q, fam_q.join_parts(red_family(fam_q, nvec)), inverse=True)
     r = (f.p - r) % f.p
 
-    ctx = HankelContext(gen=gen, kind=op.kind, t=t, u=u, r=r, s=s)
+    ctx = HankelContext(gen=gen, u=u, r=r)
 
     lg = [side_map(fam_p, gen.G[:, k]) for k in range(gen.alpha)]
     rth = [side_map(fam_q, gen.H[:, k]) for k in range(gen.alpha)]
@@ -342,8 +335,8 @@ def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
     operator — Sylvester ∇_{M_Qᵗ,M_P} or its Stein analog — and is
     compressed to length ≤ the original alpha.
     """
-    f = ctx.field
     gen = ctx.gen
+    f = gen.field
     m, n = gen.m, gen.n
     if m != n:
         raise DimensionMismatch("inverse unwinding requires a square matrix")
@@ -353,13 +346,14 @@ def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
     Y, Z = inv_gen.G, inv_gen.H
     inv_t = gen_transpose(inv_gen)
 
-    core_inv_of_t = gen_matvec(inv_gen, ctx.t)
+    e0 = _unit(f, m, 0)  # both t and s
+    core_inv_of_t = gen_matvec(inv_gen, e0)
     swapped = inverse_operator(op)
 
-    if ctx.kind == SYLVESTER:
+    if op.kind == SYLVESTER:
         # ∇_{M_Qᵗ,M_P}(A⁻¹) = [r | RY | R·A′⁻¹t]·[Lᵗ·A′⁻ᵗs | LᵗZ | u]ᵗ
         a_inv_t = core_inv_of_t
-        a_invt_s = gen_matvec(inv_t, ctx.s)
+        a_invt_s = gen_matvec(inv_t, e0)
         g_cols = [ctx.r] + [side_map_t(fam_q, Y[:, k]) for k in range(alpha_inv)] + \
                  [side_map_t(fam_q, a_inv_t)]
         h_cols = [side_map_t(fam_p, a_invt_s)] + \
@@ -371,7 +365,7 @@ def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
     # Δ_{M_Qᵗ,M_P}(A⁻¹) =
     #   [R·J·Z_{m,1}·Y_B | M_Qᵗ·R·J·B⁻¹t | r]·[Lᵗ·Z_B | u | −Lᵗ·Z_{m,0}ᵗ·B⁻ᵗJs]ᵗ
     b_inv_t = core_inv_of_t
-    b_invt_js = gen_matvec(inv_t, ctx.s[::-1])
+    b_invt_js = gen_matvec(inv_t, e0[::-1])
     g_cols = [side_map_t(fam_q, np.roll(Y[:, k], 1)[::-1]) for k in range(alpha_inv)]
     g_cols += [companion_apply(fam_q, side_map_t(fam_q, b_inv_t[::-1]), transposed=True)]
     g_cols += [ctx.r]

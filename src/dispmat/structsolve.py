@@ -7,7 +7,13 @@ a[i-1, j] = (G·Hᵗ)[i, j] + a[i, j-1] makes any row or column extractable in
 a few convolutions, every leading principal block inherits the generator by
 plain truncation, and Schur complements inherit it by a rank-preserving
 update — which is what drives the divide-and-conquer search for the largest
-nonsingular leading block and, from it, inversion and solving.
+nonsingular leading block and, from it, inversion and solving.  The search
+runs on any m×n as given, halving at ⌈m/2⌉, ⌈n/2⌉; nothing is padded.
+
+The triple contract: G·Hᵗ = ∇_{Z_{m,0},Z_{n,0}ᵗ}(A) in every row, row 0
+included.  densify_from_last_row never reads row 0, but the bordered block
+generators do, so a triple that densifies right can still give a wrong ℓ.
+The library makes every triple (precond, _schur, truncation) and keeps it.
 
 Randomness enters only through two triangular Toeplitz preconditioners with
 unit diagonal whose coefficients are drawn from a bounded sample set; they
@@ -99,9 +105,9 @@ class TriangularToeplitzPreconditioner:
     by j.  Applies in one convolution; A⁻¹ = U(v₂)·Ã⁻¹·U(v₁)ᵗ never needs
     U(v)⁻¹."""
 
-    def __init__(self, f: PrimeField, v):
+    def __init__(self, f: PrimeField, v: np.ndarray):
         self.f = f
-        self.v = f.arr(v)
+        self.v = v
         if self.v.ndim != 1 or len(self.v) == 0 or int(self.v[0]) != 1:
             raise PreconditionViolated("preconditioner vector must start with 1")
         self.m = len(self.v)
@@ -249,15 +255,15 @@ def _border(f: PrimeField, G, H, u, ell: int, row_l=None):
     return row_l, _col_of(f, G, H, u, ell - 1)
 
 
-def _schur(f: PrimeField, G, H, u, ell: int, Y, Z, v, row_l, col_l):
+def _schur(f: PrimeField, G, H, u, ell: int, Y, Z, inv11_t, row_l, col_l):
     """(G, H, last row) of the Schur complement S = A₂₂ − A₂₁·A₁₁⁻¹·A₁₂ of
-    the leading ℓ×ℓ block, from the search output (Y, Z, v) for A₁₁:
+    the leading ℓ×ℓ block, from the search output (Y, Z) for A₁₁ and the
+    transposed generator of A₁₁⁻¹, which the caller builds once:
     G_S = G₂ − A₂₁·A₁₁⁻¹·G₁, H_S = H₂ − A₁₂ᵗ·A₁₁⁻ᵗ·H₁, and the last row
     u₂ − A₁₂ᵗ·A₁₁⁻ᵗ·u₁."""
     m, n = G.shape[0], H.shape[0]
     g21 = _gen_block_21(f, G, H, ell, m - ell, row_l, col_l)
     t12 = gen_transpose(_gen_block_12(f, G, H, ell, n - ell, row_l, col_l))
-    inv11_t = gen_transpose(_gen_block_inv(f, Y, Z, v))
     GS = (G[ell:] + _apply(g21, Y)) % f.p
     HS = (H[ell:] - _apply(t12, Z)) % f.p
     uS = (u[ell:] - gen_matvec(t12, gen_matvec(inv11_t, u[:ell]))) % f.p
@@ -291,8 +297,9 @@ def largest_rec(f: PrimeField, G, H, u):
     """Largest ℓ with all leading k×k blocks nonsingular for k ≤ ℓ, plus
     Y = −A_ℓ⁻¹G[:ℓ], Z = A_ℓ⁻ᵗH[:ℓ], and the first row v of A_ℓ⁻¹.
 
-    Any generator length works: once min(m, n) < 2α the dense base case
-    takes over.
+    Any shape and generator length work: the split is at ⌈m/2⌉, ⌈n/2⌉, and
+    once min(m, n) < 2α the dense base case takes over.  (G, H, u) must keep
+    the triple contract of the module docstring in row 0 too.
     """
     m, n = G.shape[0], H.shape[0]
     alpha = G.shape[1]
@@ -309,7 +316,9 @@ def largest_rec(f: PrimeField, G, H, u):
 
     ell = ell1
     row_l, col_l = _border(f, G, H, u, ell, row_m1 if ell == m1 else None)
-    GS, HS, uS = _schur(f, G, H, u, ell, Y11, Z11, v11, row_l, col_l)
+    inv11 = _gen_block_inv(f, Y11, Z11, v11)
+    inv11_t = gen_transpose(inv11)
+    GS, HS, uS = _schur(f, G, H, u, ell, Y11, Z11, inv11_t, row_l, col_l)
 
     m2, n2 = m - ell, n - ell
     if m2 == 1:
@@ -328,8 +337,6 @@ def largest_rec(f: PrimeField, G, H, u):
     b12 = _gen_block_12(f, G, H, ell, ell_s, row_l, col_l)
     b21_t = gen_transpose(_gen_block_21(f, G, H, ell, ell_s, row_l, col_l))
     b12_t = gen_transpose(b12)
-    inv11 = _gen_block_inv(f, Y11, Z11, v11)
-    inv11_t = gen_transpose(inv11)
     invS = _gen_block_inv(f, YS, ZS, vS)
     invS_t = gen_transpose(invS)
 
@@ -344,59 +351,20 @@ def largest_rec(f: PrimeField, G, H, u):
     return ell + ell_s, Y, Z, v
 
 
-def largest(f: PrimeField, G, H, u):
-    """Pad A to the next power-of-two square before the recursive search;
-    padding adds at most two generator columns, removed again on return."""
-    m, n = G.shape[0], H.shape[0]
-    alpha = G.shape[1]
-    p2 = 1 << (max(m, n) - 1).bit_length()
-
-    if p2 == m == n:
-        return largest_rec(f, G, H, u)
-
-    if p2 == n > m:
-        Gb = f.zeros((p2, alpha + 1))
-        Gb[:m, :alpha] = G
-        Gb[m, alpha] = 1
-        Hb = _hstack([H, u])
-        ub = f.zeros(p2)
-    elif p2 == m > n:
-        uprime = _col_of(f, G, H, u, n - 1)
-        Gb = _hstack([G, (f.p - uprime) % f.p])
-        Hb = f.zeros((p2, alpha + 1))
-        Hb[:n, :alpha] = H
-        Hb[n, alpha] = 1
-        ub = f.zeros(p2)
-        ub[:n] = u
-    else:
-        uprime = _col_of(f, G, H, u, n - 1)
-        Gb = f.zeros((p2, alpha + 2))
-        Gb[:m, :alpha] = G
-        Gb[m:, alpha] = _unit(f, p2 - m, 0)
-        Gb[:m, alpha + 1] = (f.p - uprime) % f.p
-        Hb = f.zeros((p2, alpha + 2))
-        Hb[:n, :alpha] = H
-        Hb[:n, alpha] = u
-        Hb[n:, alpha + 1] = _unit(f, p2 - n, 0)
-        ub = f.zeros(p2)
-
-    ell, Yb, Zb, vb = largest_rec(f, Gb, Hb, ub)
-    return ell, Yb[:, :alpha], Zb[:, :alpha], vb
-
-
 def lp_inv(f: PrimeField, G, H, u) -> LpInvResult:
     """Rank and leading-principal inverse data when A has generic rank
     profile; Failure when the largest nonsingular leading block is smaller
     than the rank (the Schur complement test catches it)."""
     m, n = G.shape[0], H.shape[0]
-    ell, Y, Z, v = largest(f, G, H, u)
+    ell, Y, Z, v = largest_rec(f, G, H, u)
     if ell == min(m, n):
         return LpInvResult(OK, ell, Y, Z, v)
 
     if ell == 0:
         GS, HS, uS = G, H, u
     else:
-        GS, HS, uS = _schur(f, G, H, u, ell, Y, Z, v, *_border(f, G, H, u, ell))
+        inv_t = gen_transpose(_gen_block_inv(f, Y, Z, v))
+        GS, HS, uS = _schur(f, G, H, u, ell, Y, Z, inv_t, *_border(f, G, H, u, ell))
 
     # the rank is ℓ exactly when the Schur complement vanishes, i.e. when its
     # (G, H, last row) triple describes the zero matrix
@@ -411,19 +379,17 @@ def lp_inv(f: PrimeField, G, H, u) -> LpInvResult:
 # preconditioning
 
 
-def precond(f: PrimeField, G, H, v1, v2):
+def precond(f: PrimeField, G, H, u1: TriangularToeplitzPreconditioner,
+            u2: TriangularToeplitzPreconditioner):
     """Generator and last row of Ã = U(v₁)ᵗ·A·U(v₂) under
-    ∇_{Z_{m,0}, Z_{n,0}ᵗ}, from a ∇_{Z_{m,0}, Z_{n,1}ᵗ}-generator of A.
+    ∇_{Z_{m,0}, Z_{n,0}ᵗ}, from a ∇_{Z_{m,0}, Z_{n,1}ᵗ}-generator of A and
+    the preconditioners u1 = U(v₁), u2 = U(v₂) of lengths m and n.
 
     The commutator of the shift with a unit-triangular Toeplitz factor is
     rank two on each side, so the width grows by exactly four, and the first
     α columns stay U(v₁)ᵗG and U(v₂)ᵗH."""
     m, n = G.shape[0], H.shape[0]
     alpha = G.shape[1]
-    u1 = TriangularToeplitzPreconditioner(f, v1)
-    u2 = TriangularToeplitzPreconditioner(f, v2)
-    if u1.m != m or u2.m != n:
-        raise DimensionMismatch("preconditioner lengths must match the format")
     gen = Generator(G, H, hankel_operator(f, m, n))
     tgen = gen_transpose(gen)
 
@@ -461,28 +427,22 @@ def _sample_vector(f: PrimeField, rng, size: int, bound: int) -> np.ndarray:
     return out
 
 
-def _search(f: PrimeField, G, H, sample_set_size, rng_seed, v1, v2):
-    """The randomized search shared by inv and solve: draw v₁, v₂ (unless
-    given) from a set of 2q(q+1) values, q = min(m, n), and run lp_inv on
+def _search(f: PrimeField, G, H, rng_seed: int):
+    """The randomized search shared by inv and solve: draw v₁, v₂ from a set
+    of min(2q(q+1), p) values, q = min(m, n), and run lp_inv on
     Ã = U(v₁)ᵗ·A·U(v₂).  Returns U(v₁), U(v₂), Ã's (G, H, last row) and the
     search result."""
     m, n = G.shape[0], H.shape[0]
     alpha = G.shape[1]
     q = min(m, n)
-    if alpha > q:
-        raise PreconditionViolated(f"generator length {alpha} exceeds {q}")
-    bound = 2 * q * (q + 1) if sample_set_size is None else sample_set_size
-    bound = min(bound, f.p)
-    if not 1 <= bound <= f.p:
+    if q == 0 or alpha > q:
         raise PreconditionViolated(
-            f"sample set size {bound} not in [1, {f.p}]")
-    if v1 is None or v2 is None:
-        rng = np.random.Generator(np.random.Philox(key=rng_seed))
-        v1 = _sample_vector(f, rng, m, bound) if v1 is None else v1
-        v2 = _sample_vector(f, rng, n, bound) if v2 is None else v2
-    u1 = TriangularToeplitzPreconditioner(f, v1)
-    u2 = TriangularToeplitzPreconditioner(f, v2)
-    triple = precond(f, G, H, v1, v2)
+            f"a {m}x{n} format cannot carry a generator of length {alpha}")
+    bound = min(2 * q * (q + 1), f.p)
+    rng = np.random.Generator(np.random.Philox(key=rng_seed))
+    u1 = TriangularToeplitzPreconditioner(f, _sample_vector(f, rng, m, bound))
+    u2 = TriangularToeplitzPreconditioner(f, _sample_vector(f, rng, n, bound))
+    triple = precond(f, G, H, u1, u2)
     return u1, u2, triple, lp_inv(f, *triple)
 
 
@@ -490,19 +450,18 @@ def _search(f: PrimeField, G, H, sample_set_size, rng_seed, v1, v2):
 # public inversion / solving on the shift-operator format
 
 
-def inv(f: PrimeField, G, H, sample_set_size: int | None = None,
-        rng_seed: int = 0, v1=None, v2=None) -> InvResult:
+def inv(f: PrimeField, G, H, rng_seed: int = 0) -> InvResult:
     """Inverse generator of a square A given under ∇_{Z_{m,0}, Z_{m,1}ᵗ}.
 
     Returns ok with (−A⁻¹G, A⁻ᵗH) under ∇_{Z_{m,1}ᵗ, Z_{m,0}}, singular when
     A is detected as rank-deficient, or failure when the random
-    preconditioning missed (probability < 1/2 at the default sample size).
+    preconditioning missed (probability < 1/2).
     """
     G, H = f.arr(G), f.arr(H)
     m, n = G.shape[0], H.shape[0]
     if m != n:
         raise DimensionMismatch("inv requires a square format")
-    u1, u2, _, res = _search(f, G, H, sample_set_size, rng_seed, v1, v2)
+    u1, u2, _, res = _search(f, G, H, rng_seed)
     if not res.ok:
         return InvResult(FAILURE)
     if res.r < m:
@@ -516,8 +475,7 @@ def inv(f: PrimeField, G, H, sample_set_size: int | None = None,
     return InvResult(OK, out)
 
 
-def solve(f: PrimeField, G, H, b, sample_set_size: int | None = None,
-          rng_seed: int = 0, v1=None, v2=None) -> SolveResult:
+def solve(f: PrimeField, G, H, b, rng_seed: int = 0) -> SolveResult:
     """One solution of A·x = b for A given under ∇_{Z_{m,0}, Z_{n,1}ᵗ}.
 
     Rank-deficient consistent systems return a solution (a nonzero one when
@@ -529,7 +487,7 @@ def solve(f: PrimeField, G, H, b, sample_set_size: int | None = None,
     m, n = G.shape[0], H.shape[0]
     if len(b) != m:
         raise DimensionMismatch(f"right-hand side length {len(b)} != {m}")
-    u1, u2, (Gt, Ht, ut), res = _search(f, G, H, sample_set_size, rng_seed, v1, v2)
+    u1, u2, (Gt, Ht, ut), res = _search(f, G, H, rng_seed)
     if not res.ok:
         return SolveResult(FAILURE)
     r = res.r
@@ -574,16 +532,14 @@ def _shift_core(gen: Generator):
     return tf, gen_compress(hgen), ctx
 
 
-def inv_generator(gen: Generator, sample_set_size: int | None = None,
-                  rng_seed: int = 0, v1=None, v2=None) -> InvResult:
+def inv_generator(gen: Generator, rng_seed: int = 0) -> InvResult:
     """Inverse generator for any invertible displacement operator, via the
     multiplicative reduction to the shift format and back."""
     op = gen.operator
     if op.m != op.n:
         raise DimensionMismatch("inv_generator requires a square format")
     tf, hgen, ctx = _shift_core(gen)
-    res = inv(op.field, hgen.G, hgen.H, sample_set_size=sample_set_size,
-              rng_seed=rng_seed, v1=v1, v2=v2)
+    res = inv(op.field, hgen.G, hgen.H, rng_seed=rng_seed)
     if not res.ok:
         return res
     out = from_hankel_inverse(ctx, res.generator)
@@ -592,8 +548,7 @@ def inv_generator(gen: Generator, sample_set_size: int | None = None,
                                    inverse_operator(op)))
 
 
-def solve_generator(gen: Generator, b, sample_set_size: int | None = None,
-                    rng_seed: int = 0, v1=None, v2=None) -> SolveResult:
+def solve_generator(gen: Generator, b, rng_seed: int = 0) -> SolveResult:
     """Solve A·x = b for A under any invertible displacement operator."""
     op = gen.operator
     f = op.field
@@ -602,8 +557,7 @@ def solve_generator(gen: Generator, b, sample_set_size: int | None = None,
         raise DimensionMismatch(f"right-hand side length {len(b)} != {op.m}")
     tf, hgen, _ = _shift_core(gen)
     c = side_map(op.fam_p, tf.p_side(b))
-    res = solve(f, hgen.G, hgen.H, c, sample_set_size=sample_set_size,
-                rng_seed=rng_seed, v1=v1, v2=v2)
+    res = solve(f, hgen.G, hgen.H, c, rng_seed=rng_seed)
     if not res.ok:
         return res
     y = res.x[::-1] if op.kind == STEIN else res.x

@@ -42,7 +42,6 @@ from dispmat.structsolve import (
     densify_from_last_row,
     inv,
     inv_generator,
-    largest,
     largest_rec,
     lp_inv,
     precond,
@@ -195,26 +194,74 @@ def test_largest_rec_matches_dense_elimination(any_field):
             assert np.array_equal(v, Ai[0])
 
 
-def test_largest_pads_non_power_sizes(f):
+def _toeplitz_like(f, rng, m, n, alpha):
+    G = f.arr(rng.integers(0, f.p, (m, alpha)))
+    H = f.arr(rng.integers(0, f.p, (n, alpha)))
+    return reconstruct_dense(Generator(G, H, hankel_operator(f, m, n)))
+
+
+def _toeplitz(f, rng, m, n):
+    t = f.arr(rng.integers(0, f.p, m + n - 1))
+    return t[np.subtract.outer(np.arange(m), np.arange(n)) + n - 1]
+
+
+def _zero_pivot(f, A, k):
+    """A with A[k, k] moved so that the k-th pivot of elimination without
+    row exchanges is zero: the pivot is A[k, k] − A[k, :k]·A_k⁻¹·A[:k, k]."""
+    A = A.copy()
+    lead = dense_mul(f, dense_mul(f, A[k:k + 1, :k], dense_inv(f, A[:k, :k])),
+                     A[:k, k:k + 1])
+    A[k, k] = int(lead[0, 0]) % f.p
+    return A
+
+
+def test_largest_rec_recurses_at_any_shape(f):
+    # low displacement rank, so min(m, n) >= 2α and the Schur-complement
+    # recursion runs (a dense random A only ever reaches the base case), at
+    # square, tall and wide shapes that are not powers of two
     rng = np.random.default_rng(109)
-    for _ in range(25):
-        m = int(rng.integers(1, 18))
-        n = int(rng.integers(1, 18))
-        A = f.arr(rng.integers(0, f.p, (m, n)))
+    sizes = [s for s in range(17, 41) if s & (s - 1)]
+    short = certified_deficient = 0
+    for trial in range(12):
+        q, k = sorted(int(x) for x in rng.choice(sizes, 2, replace=False))
+        m, n = [(k, k), (k, q), (q, k)][trial % 3]
+        if trial % 4 == 1:  # rank r < min(m, n) through an inner dimension r;
+            # Zᵗ·T − T·Zᵗ has rank <= 2 for a Toeplitz T, so the product
+            # keeps a low shift-displacement rank
+            r = min(m, n) - int(rng.integers(1, 6))
+            A = dense_mul(f, _toeplitz_like(f, rng, m, r, 2), _toeplitz(f, rng, r, n))
+        elif trial % 4 == 3:  # a zero pivot inside: ℓ < rank
+            A = _zero_pivot(f, _toeplitz_like(f, rng, m, n, 2),
+                            int(rng.integers(1, min(m, n))))
+        else:
+            A = _toeplitz_like(f, rng, m, n, int(rng.integers(1, 4)))
         G, H, u = _triple_from_dense(f, A)
-        ell, Y, Z, v = largest(f, G, H, u)
+        assert 2 * G.shape[1] <= min(m, n)
+        ell, Y, Z, v = largest_rec(f, G, H, u)
         assert ell == _unpivoted_ell(f, A)
         if ell:
             Ai = dense_inv(f, A[:ell, :ell])
             assert np.array_equal(Y, (f.p - dense_mul(f, Ai, G[:ell])) % f.p)
             assert np.array_equal(Z, dense_mul(f, Ai.T.copy(), H[:ell]))
             assert np.array_equal(v, Ai[0])
+        res = lp_inv(f, G, H, u)
+        true_rank = dense_rank(f, A)
+        if res.ok:
+            assert res.r == ell == true_rank
+            assert np.array_equal(res.Y, Y) and np.array_equal(res.v, v)
+            certified_deficient += true_rank < min(m, n)
+        else:
+            assert res.status == FAILURE
+            assert ell < true_rank
+        short += ell < min(m, n)
+    assert short >= 5 and certified_deficient >= 2
 
 
 def test_largest_full_width_corner(f):
-    # m = n = alpha leaves no room for the usual padding column: the padded
-    # generator is wider than the padded matrix, with last columns of G that
-    # do and do not lie in the span of the others
+    # m = n = alpha = 3, not a power of two: the generator is as wide as the
+    # matrix, with last columns of G that do and do not lie in the span of
+    # the others.  These random triples need not keep the triple contract in
+    # row 0; only the dense base case, which never reads row 0, runs here.
     rng = np.random.default_rng(113)
     for trial in range(40):
         m = 3
@@ -224,7 +271,7 @@ def test_largest_full_width_corner(f):
         H = f.arr(rng.integers(0, f.p, (m, m)))
         u = f.arr(rng.integers(0, f.p, m))
         A = densify_from_last_row(f, G, H, u)
-        ell, Y, Z, v = largest(f, G, H, u)
+        ell, Y, Z, v = largest_rec(f, G, H, u)
         assert ell == _unpivoted_ell(f, A)
         if ell:
             Ai = dense_inv(f, A[:ell, :ell])
@@ -332,7 +379,8 @@ def test_precond_conjugates_and_widens(any_field):
         for j in range(n):
             U2[j:, j] = v2[: n - j]
         At = dense_mul(f, dense_mul(f, f.arr(U1.T.copy()), A), U2)
-        Gt, Ht, ut = precond(f, G, H, v1, v2)
+        Gt, Ht, ut = precond(f, G, H, TriangularToeplitzPreconditioner(f, v1),
+                             TriangularToeplitzPreconditioner(f, v2))
         assert Gt.shape[1] == alpha + 4 and Ht.shape[1] == alpha + 4
         assert np.array_equal(
             dense_mul(f, Gt, f.arr(Ht.T.copy())), _shift_displacement(f, At)
@@ -348,7 +396,8 @@ def test_precond_with_unit_vectors_is_identity(f):
     A = reconstruct_dense(Generator(G, H, hankel_operator(f, m, n)))
     e1m, e1n = f.zeros(m), f.zeros(n)
     e1m[0] = e1n[0] = 1
-    Gt, Ht, ut = precond(f, G, H, e1m, e1n)
+    Gt, Ht, ut = precond(f, G, H, TriangularToeplitzPreconditioner(f, e1m),
+                         TriangularToeplitzPreconditioner(f, e1n))
     assert np.array_equal(Gt[:, :alpha], G)
     assert np.array_equal(ut, A[-1])
     assert np.array_equal(
@@ -418,7 +467,7 @@ def test_inv_rejects_bad_shapes(f):
     with pytest.raises(PreconditionViolated):
         inv(f, f.zeros((2, 3)), f.zeros((2, 3)))
     with pytest.raises(PreconditionViolated):
-        inv(f, f.zeros((2, 1)), f.zeros((2, 1)), sample_set_size=0)
+        inv(f, f.zeros((0, 0)), f.zeros((0, 0)))
 
 
 # ---------------------------------------------------------------------------
