@@ -471,13 +471,14 @@ class PolyFamily:
         return self.cached("units", lambda: _compute_units(self))
 
     def rev_product_inverse(self, k: int) -> np.ndarray:
-        """series_inv(rev(P, m), k), cached at the largest precision seen."""
-        have = self._cache.get("rev_inv")
-        if have is None or len(have) < k:
+        """series_inv(rev(P, m), k), cached at the largest precision seen.
+        The precision is kept beside the series, which may trim shorter."""
+        prec, have = self._cache.get("rev_inv", (0, None))
+        if prec < k:
+            prec = max(k, self.total_degree)
             have = frozen(series_inv(self.field,
-                                     poly_rev(self.field, self.product, self.total_degree),
-                                     max(k, self.total_degree)))
-            self._cache["rev_inv"] = have
+                                     poly_rev(self.field, self.product, self.total_degree), prec))
+            self._cache["rev_inv"] = (prec, have)
         return have[:k]
 
 

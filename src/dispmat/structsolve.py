@@ -8,7 +8,9 @@ a few convolutions, every leading principal block inherits the generator by
 plain truncation, and Schur complements inherit it by a rank-preserving
 update — which is what drives the divide-and-conquer search for the largest
 nonsingular leading block and, from it, inversion and solving.  The search
-runs on any m×n as given, halving at ⌈m/2⌉, ⌈n/2⌉; nothing is padded.
+runs on any m×n as given, halving at ⌈m/2⌉, ⌈n/2⌉; nothing is padded.  It
+recurses only above a measured crossover proportional to the width α:
+below it, one elimination of [A_q | I_q] gives ℓ and A_ℓ⁻¹ densely.
 
 The triple contract: G·Hᵗ = ∇_{Z_{m,0},Z_{n,0}ᵗ}(A) in every row, row 0
 included.  densify_from_last_row never reads row 0, but the bordered block
@@ -45,7 +47,7 @@ from .generators import (
     to_hankel,
     _unit,
 )
-from .operators import STEIN, SingularOperator, inverse_operator
+from .operators import STEIN, inverse_operator
 from .poly import DimensionMismatch
 from .structmul import PreconditionViolated, struct_mul
 
@@ -53,6 +55,12 @@ OK = "ok"
 SINGULAR = "singular"
 FAILURE = "failure"
 NO_SOLUTION = "no_solution"
+
+# Below min(m, n) < DENSE_PER_WIDTH·α dense elimination beats the recursion;
+# object-dtype fields cross over sooner (BENCH_9.json has the sweep).  Both
+# stay at least 2: below min(m, n) = 2α a half is narrower than α.
+DENSE_PER_WIDTH = 28
+DENSE_PER_WIDTH_OBJECT = 16
 
 
 @dataclass
@@ -123,19 +131,6 @@ class TriangularToeplitzPreconditioner:
         if X.shape[1] == 0:
             return self.f.zeros((self.m, 0))
         return np.stack([self.apply(X[:, k]) for k in range(X.shape[1])], axis=1)
-
-
-# ---------------------------------------------------------------------------
-# small dense helpers (base cases and rank bookkeeping only)
-
-
-def _dense_inv(f: PrimeField, A: np.ndarray) -> np.ndarray:
-    m = A.shape[0]
-    eye = np.eye(m, dtype=f.dtype)
-    R, pivots, _ = f.row_reduce(np.concatenate([A, eye], axis=1))
-    if pivots[:m] != list(range(m)):
-        raise SingularOperator("matrix is singular")
-    return R[:, m:]
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +227,13 @@ def _gen_block_inv(f: PrimeField, Y: np.ndarray, Z: np.ndarray,
 
 
 def _apply(gen: Generator, X: np.ndarray) -> np.ndarray:
-    """gen · X, compressing first whenever the bordered width exceeds the
-    column format."""
+    """gen · X on the compressed generator (Pan 2001, ch. 4): the bordered
+    blocks carry two extra columns that are often dependent."""
     if X.ndim == 1:
         return gen_matvec(gen, X)
     if X.shape[1] == 0:
         return gen.field.zeros((gen.m, 0))
-    g = gen_compress(gen) if gen.alpha > gen.n else gen
-    return struct_mul(g, X)
+    return struct_mul(gen_compress(gen), X)
 
 
 # ---------------------------------------------------------------------------
@@ -275,18 +269,22 @@ def _schur(f: PrimeField, G, H, u, ell: int, Y, Z, inv11_t, row_l, col_l):
 
 
 def _base_case(f: PrimeField, G, H, u):
-    m, n = G.shape[0], H.shape[0]
-    q = min(m, n)
+    """largest_rec's result by dense elimination of [A_ℓ | I_ℓ], ℓ = min(m, n)
+    first: when every pivot lands on the diagonal the right half is A_ℓ⁻¹,
+    and only a smaller ℓ takes a second elimination."""
     A = densify_from_last_row(f, G, H, u)
-    # the leading blocks stay nonsingular exactly as long as elimination
-    # pivots on the diagonal without a row swap
-    _, pivots, order = f.row_reduce(A[:q, :q])
-    ell = next((k for k, c in enumerate(pivots) if c != k or order[k] != k),
-               len(pivots))
+    ell, k = None, min(A.shape)
+    while k != ell:
+        ell = k
+        eye = np.eye(ell, dtype=f.dtype)
+        R, pivots, order = f.row_reduce(np.concatenate([A[:ell, :ell], eye], axis=1))
+        # the leading blocks stay nonsingular exactly as long as elimination
+        # pivots on the diagonal without a row swap
+        k = next((k for k, c in enumerate(pivots) if c != k or order[k] != k), ell)
     alpha = G.shape[1]
     if ell == 0:
         return 0, f.zeros((0, alpha)), f.zeros((0, alpha)), f.zeros(0)
-    Ai = _dense_inv(f, A[:ell, :ell])
+    Ai = R[:, ell:]
     Y = (f.p - f.mat_mul(Ai, G[:ell])) % f.p
     Z = f.mat_mul(Ai.T, H[:ell])
     v = Ai[0].copy()
@@ -298,13 +296,14 @@ def largest_rec(f: PrimeField, G, H, u):
     Y = −A_ℓ⁻¹G[:ℓ], Z = A_ℓ⁻ᵗH[:ℓ], and the first row v of A_ℓ⁻¹.
 
     Any shape and generator length work: the split is at ⌈m/2⌉, ⌈n/2⌉, and
-    once min(m, n) < 2α the dense base case takes over.  (G, H, u) must keep
+    once min(m, n) < DENSE_PER_WIDTH·α (DENSE_PER_WIDTH_OBJECT·α over an
+    object-dtype field) the dense base case takes over.  (G, H, u) must keep
     the triple contract of the module docstring in row 0 too.
     """
     m, n = G.shape[0], H.shape[0]
     alpha = G.shape[1]
     q = min(m, n)
-    if alpha == 0 or q < 2 * alpha:
+    if alpha == 0 or q < alpha * (DENSE_PER_WIDTH_OBJECT if f.dtype is object else DENSE_PER_WIDTH):
         return _base_case(f, G, H, u)
 
     m1, n1 = (m + 1) // 2, (n + 1) // 2

@@ -362,3 +362,20 @@ def test_geometric_collision_names_the_pair():
     with pytest.raises(NotCoprime) as exc:
         family_build(F7, [[5, 1], [3, 1], [6, 1], [5, 1]])
     assert exc.value.pair == (0, 3)
+
+
+def test_rev_product_inverse_memo_hits_for_binomials(monkeypatch):
+    # 1/rev(x^m − φ) starts 1, 0, …, 0 and trims to one coefficient, so the
+    # memo must keep its precision beside the series to recognise a hit
+    m = 64
+    fam = family_build(F, [[F.p - 3] + [0] * (m - 1) + [1]])
+    first = fam.rev_product_inverse(m)
+    inverted = []
+    real = poly.series_inv
+    monkeypatch.setattr(poly, "series_inv",
+                        lambda f, a, k: inverted.append(k) or real(f, a, k))
+    assert np.array_equal(fam.rev_product_inverse(m), first)
+    assert np.array_equal(fam.rev_product_inverse(m // 2), first[: m // 2])
+    assert inverted == []
+    fam.rev_product_inverse(2 * m)
+    assert inverted == [2 * m]

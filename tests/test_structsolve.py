@@ -7,8 +7,8 @@ recovered generators, and `dense_solve` for solution/kernel claims."""
 import numpy as np
 import pytest
 
-from dispmat import operators
-from dispmat.field import DEFAULT_PRIME, PrimeField, get_field
+from dispmat import operators, structsolve
+from dispmat.field import BENCH_PRIME, DEFAULT_PRIME, PrimeField, get_field
 from dispmat.poly import DimensionMismatch
 from dispmat.generators import (
     Generator,
@@ -131,11 +131,25 @@ def test_bordered_block_generators(any_field):
 # regular leading blocks
 
 
-def test_largest_rec_on_identity(f):
+def _schur_down_to_2alpha(mp):
+    """Recurse down to min(m, n) < 2α, below the dense crossover, and count
+    the calls largest_rec makes to itself (lp_inv's call counts too)."""
+    mp.setattr(structsolve, "DENSE_PER_WIDTH", 2)
+    mp.setattr(structsolve, "DENSE_PER_WIDTH_OBJECT", 2)
+    calls = []
+    real = structsolve.largest_rec
+    mp.setattr(structsolve, "largest_rec", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_largest_rec_on_identity(f, monkeypatch):
+    calls = _schur_down_to_2alpha(monkeypatch)
     for m in (1, 2, 3, 5, 8):
         A = f.arr(np.eye(m, dtype=int))
         G, H, u = _triple_from_dense(f, A)
+        calls.clear()
         ell, Y, Z, v = largest_rec(f, G, H, u)
+        assert bool(calls) == (m >= 2 * G.shape[1] > 0)
         assert ell == m
         assert np.array_equal(Y, (f.p - G) % f.p)
         assert np.array_equal(Z, H)
@@ -215,11 +229,12 @@ def _zero_pivot(f, A, k):
     return A
 
 
-def test_largest_rec_recurses_at_any_shape(f):
+def test_largest_rec_recurses_at_any_shape(f, monkeypatch):
     # low displacement rank, so min(m, n) >= 2α and the Schur-complement
     # recursion runs (a dense random A only ever reaches the base case), at
     # square, tall and wide shapes that are not powers of two
     rng = np.random.default_rng(109)
+    calls = _schur_down_to_2alpha(monkeypatch)
     sizes = [s for s in range(17, 41) if s & (s - 1)]
     short = certified_deficient = 0
     for trial in range(12):
@@ -237,7 +252,9 @@ def test_largest_rec_recurses_at_any_shape(f):
             A = _toeplitz_like(f, rng, m, n, int(rng.integers(1, 4)))
         G, H, u = _triple_from_dense(f, A)
         assert 2 * G.shape[1] <= min(m, n)
+        calls.clear()
         ell, Y, Z, v = largest_rec(f, G, H, u)
+        assert calls
         assert ell == _unpivoted_ell(f, A)
         if ell:
             Ai = dense_inv(f, A[:ell, :ell])
@@ -665,6 +682,54 @@ def test_solve_generator_matches_oracle_across_primes(p):
         assert res.ok and np.array_equal(res.x, x0)
         solved += 1
     assert solved >= 5
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, BENCH_PRIME], ids=["default", "p62"])
+def test_dense_crossover_changes_no_result(p, monkeypatch):
+    # each variant solved and inverted once through the Schur recursion and
+    # once densely at the default crossover: the same arrays, and the oracle's
+    f = get_field(p)
+    rng = np.random.default_rng(191)
+    m = 24
+    for kind in (operators.SYLVESTER, operators.STEIN):
+        for tp in (False, True):
+            for tq in (False, True):
+                while True:
+                    op = rand_operator(f, rng, m, m, kind=kind)
+                    op = operators.DisplacementOperator(kind, op.fam_p, op.fam_q, tp, tq)
+                    gen = rand_generator(f, rng, op, 2)
+                    A = reconstruct_dense(gen)
+                    if dense_rank(f, A) == m:
+                        break
+                x0 = f.arr(rng.integers(0, f.p, m))
+                b = f.mat_mul(A, x0.reshape(-1, 1)).ravel()
+                seed = next(s for s in range(20) if inv_generator(gen, rng_seed=s).ok)
+                with monkeypatch.context() as mp:
+                    calls = _schur_down_to_2alpha(mp)
+                    xs, gs = solve_generator(gen, b, rng_seed=seed), inv_generator(gen, rng_seed=seed)
+                    assert calls
+                xd, gd = solve_generator(gen, b, rng_seed=seed), inv_generator(gen, rng_seed=seed)
+                assert xs.ok and xd.ok and gs.ok and gd.ok
+                assert np.array_equal(xs.x, xd.x) and np.array_equal(xd.x, x0)
+                assert np.array_equal(gs.Y, gd.Y) and np.array_equal(gs.Z, gd.Z)
+                assert np.array_equal(reconstruct_dense(gd.generator), dense_inv(f, A))
+
+
+def test_small_solve_runs_one_dense_elimination(f, monkeypatch):
+    # a 64×64 Toeplitz-like solve lies below the crossover: one largest_rec
+    # call, which goes straight to the dense base case, and no struct_mul
+    rng = np.random.default_rng(193)
+    m = 64
+    gen = Generator(f.arr(rng.integers(0, f.p, (m, 6))), f.arr(rng.integers(0, f.p, (m, 6))),
+                    hankel_operator(f, m, m))
+    x0 = f.arr(rng.integers(0, f.p, m))
+    calls, products = [], []
+    real_rec, real_mul = structsolve.largest_rec, structsolve.struct_mul
+    monkeypatch.setattr(structsolve, "largest_rec", lambda *a: calls.append(1) or real_rec(*a))
+    monkeypatch.setattr(structsolve, "struct_mul", lambda *a: products.append(1) or real_mul(*a))
+    res = solve_generator(gen, gen_matvec(gen, x0), rng_seed=1)
+    assert res.ok and np.array_equal(res.x, x0)
+    assert len(calls) == 1 and products == []
 
 
 def test_result_dataclass_flags(f):
