@@ -42,6 +42,7 @@ from .poly import (
     padded,
     poly_add,
     poly_gcd,
+    poly_invmod,
     poly_mod,
     poly_mul,
     poly_neg,
@@ -49,7 +50,6 @@ from .poly import (
     poly_shift,
     poly_sub,
     trim,
-    xgcd,
 )
 from .structmul import struct_mul
 from .structsolve import FAILURE, NO_SOLUTION, OK, inv_generator, solve_generator
@@ -456,14 +456,6 @@ def cmd_run(args) -> int:
 # alpha block boundaries cancel: the generator has length exactly alpha.
 
 
-def _poly_modinv(f: PrimeField, a: np.ndarray, P: np.ndarray) -> np.ndarray:
-    g, s, _ = xgcd(f, a, P)
-    if degree(g) != 0:
-        raise InfeasibleSpec(f"polynomial is not invertible modulo a degree-"
-                             f"{degree(P)} modulus")
-    return poly_mod(f, s, P)
-
-
 def pade_generator(fam: PolyFamily, residues, bounds: list[int], phi: int) -> Generator:
     """Length-alpha generator of the approximation matrix under the Stein
     operator paired with the single binomial x^N - phi."""
@@ -582,7 +574,7 @@ def plant_pade(f: PrimeField, bounds, block_degrees=None, moduli=None,
     for k, P in zip(fam.degrees, fam.polys):
         tail = [trim(f, _rand_vector(f, rng, k)) for _ in bounds[1:]]
         acc = _combine(f, parts[1:], tail, P)
-        head = poly_mod(f, poly_mul(f, poly_neg(f, acc), _poly_modinv(f, f1, P)), P)
+        head = poly_mod(f, poly_mul(f, poly_neg(f, acc), poly_invmod(f, f1, P)), P)
         residues.append([head] + tail)
     return PadeInstance(f.p, seed, [np.asarray(P) for P in fam.polys], residues, bounds)
 

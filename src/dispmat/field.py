@@ -179,8 +179,10 @@ class PrimeField:
             a = np.asarray(values, dtype=object)
             return np.array([int(v) % self.p for v in a.ravel()], dtype=object).reshape(a.shape)
         a = np.asarray(values)
-        if a.dtype == object:
-            a = np.array([int(v) for v in a.ravel()], dtype=np.int64).reshape(a.shape)
+        if a.dtype == object:  # Python ints of any size
+            return np.array([int(v) % self.p for v in a.ravel()], dtype=np.int64).reshape(a.shape)
+        if a.dtype == np.uint64:  # entries >= 2^63 would wrap in the int64 cast
+            a = a % np.uint64(self.p)
         return np.mod(a.astype(np.int64, copy=True), self.p)
 
     def zeros(self, shape) -> np.ndarray:

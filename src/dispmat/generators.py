@@ -267,11 +267,10 @@ def _unit(f: PrimeField, size: int, idx: int) -> np.ndarray:
     return e
 
 
-def _cols(vectors) -> np.ndarray:
-    vectors = list(vectors)
-    if not vectors:
-        raise ValueError("no columns")
-    return np.stack(vectors, axis=1)
+def _hstack(mats) -> np.ndarray:
+    """Vectors and matrices side by side, a vector as one column."""
+    cols = [m.reshape(len(m), 1) if m.ndim == 1 else m for m in mats]
+    return np.concatenate(cols, axis=1)
 
 
 def to_hankel(gen: Generator) -> tuple[Generator, HankelContext]:
@@ -315,7 +314,7 @@ def to_hankel(gen: Generator) -> tuple[Generator, HankelContext]:
     if op.kind == SYLVESTER:
         g_cols = [t] + lg + [l_a_r]
         h_cols = [side_map(fam_q, at_u)] + rth + [s]
-        return Generator(_cols(g_cols), _cols(h_cols), hop), ctx
+        return Generator(_hstack(g_cols), _hstack(h_cols), hop), ctx
 
     # Stein: shift the last G column, pre-multiply Aᵗu by M_Q, and conjugate
     # the H side through −Z_{n,1}·J_n
@@ -324,7 +323,7 @@ def to_hankel(gen: Generator) -> tuple[Generator, HankelContext]:
     h_cols = [(f.p - side_map(fam_q, mq_at_u)) % f.p] + rth + [s]
     g_cols = [t] + lg + [z0_lar]
     hb = [(f.p - np.roll(col[::-1], 1)) % f.p for col in h_cols]
-    return Generator(_cols(g_cols), _cols(hb), hop), ctx
+    return Generator(_hstack(g_cols), _hstack(hb), hop), ctx
 
 
 def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
@@ -358,7 +357,7 @@ def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
                  [side_map_t(fam_q, a_inv_t)]
         h_cols = [side_map_t(fam_p, a_invt_s)] + \
                  [side_map_t(fam_p, Z[:, k]) for k in range(alpha_inv)] + [ctx.u]
-        out = Generator(_cols(g_cols), _cols(h_cols), swapped)
+        out = Generator(_hstack(g_cols), _hstack(h_cols), swapped)
         return gen_compress(out)
 
     # Stein: core is B = A′·J, A′⁻¹ = J·B⁻¹ and A′⁻ᵗ = B⁻ᵗ·J.
@@ -373,7 +372,7 @@ def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
     h_cols = [side_map_t(fam_p, Z[:, k]) for k in range(alpha_inv)]
     h_cols += [ctx.u]
     h_cols += [(f.p - side_map_t(fam_p, z0t_bts)) % f.p]
-    out = Generator(_cols(g_cols), _cols(h_cols), swapped)
+    out = Generator(_hstack(g_cols), _hstack(h_cols), swapped)
     return gen_compress(out)
 
 

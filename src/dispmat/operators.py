@@ -21,21 +21,22 @@ from .poly import (
     DimensionMismatch,
     PolyFamily,
     as_poly,
-    degree,
+    crt_family,
     family_build,
     frozen,
     is_zero,
     modmul_apply,  # noqa: F401  (re-exported: the modular products live in poly)
     modmul_apply_transposed,  # noqa: F401
     poly_divrem,
+    poly_invmod,
     poly_mod,
     poly_mul,
     poly_rev,
     poly_scale,
     poly_sub,
+    red_family,
     symmetrize_apply,
     symmetrize_solve,
-    xgcd,
 )
 
 SYLVESTER = "sylvester"
@@ -169,10 +170,11 @@ def y_apply_family(fam: PolyFamily, v: np.ndarray, inverse: bool = False) -> np.
 # when the operator is invertible.  Three routes, dispatched on the verified
 # family flavors:
 #   1. both sides a single binomial x^k − c: closed form, no gcd at all;
-#   2. P not a binomial: reduce Q down the P-tree, one small xgcd per leaf;
-#   3. P = x^m − φ a binomial but Q not: invert P modulo every Q_j, CRT the
-#      residues into R = P⁻¹ mod Q, and read off Q⁻¹ mod P from the exact
-#      cofactor (1 − R·P)/Q.
+#   2. Sylvester with P = x^m − φ a binomial but Q not: invert P modulo every
+#      Q_j, CRT the residues into R = P⁻¹ mod Q, and read off Q⁻¹ mod P from
+#      the exact cofactor (1 − R·P)/Q;
+#   3. every other case, Stein with a binomial P included: reduce Q (rev(Q)
+#      for Stein) down the P-tree, one small modular inverse per leaf.
 
 
 def binomial_inverse(f: PrimeField, m: int, phi: int, n: int, psi: int):
@@ -216,16 +218,12 @@ def _x_pow_mod(f: PrimeField, e: int, P: np.ndarray) -> np.ndarray:
 
 def _inverse_mod_leaves(fam_p: PolyFamily, rhs: np.ndarray):
     """rhs⁻¹ mod P_i for every block, or None if some gcd is nontrivial."""
-    f = fam_p.field
-    from .poly import red_family
-
-    residues = red_family(fam_p, rhs)
     table = []
-    for res, P in zip(residues, fam_p.polys):
-        g, s, _ = xgcd(f, res, P)
-        if degree(g) != 0:
+    for res, P in zip(red_family(fam_p, rhs), fam_p.polys):
+        inv = poly_invmod(fam_p.field, res, P)
+        if inv is None:
             return None
-        table.append(poly_mod(f, s, P))
+        table.append(inv)
     return table
 
 
@@ -249,17 +247,14 @@ def _binomial_case(f: PrimeField, fam_p: PolyFamily, fam_q: PolyFamily, stein: b
 def _converse_case(f: PrimeField, fam_p: PolyFamily, fam_q: PolyFamily):
     """P = x^m − φ, Q arbitrary: compute R = P⁻¹ mod Q blockwise, then the
     cofactor S with R·P + S·Q = 1 gives Q⁻¹ mod P = S."""
-    from .poly import crt_family
-
     (phi,) = fam_p.flavor_params
     m = fam_p.total_degree
     parts = []
     for Qj in fam_q.polys:
-        pj = poly_sub(f, _x_pow_mod(f, m, Qj), as_poly(f, [phi]))
-        g, s, _ = xgcd(f, pj, Qj)
-        if degree(g) != 0:
+        rj = poly_invmod(f, poly_sub(f, _x_pow_mod(f, m, Qj), as_poly(f, [phi])), Qj)
+        if rj is None:
             return None
-        parts.append(poly_mod(f, s, Qj))
+        parts.append(rj)
     r = crt_family(fam_q, parts)
     one_minus_rp = poly_sub(f, as_poly(f, [1]),
                             poly_mul(f, r, fam_p.product))
@@ -284,18 +279,11 @@ def inverse_table(op: DisplacementOperator):
         stein = op.kind == STEIN
         if fam_p.flavor == "single_power" and fam_q.flavor == "single_power":
             return _binomial_case(f, fam_p, fam_q, stein)
+        if fam_p.flavor == "single_power" and not stein:
+            return _converse_case(f, fam_p, fam_q)
         rhs = fam_q.product
         if stein:
             rhs = poly_rev(f, rhs, fam_q.total_degree)
-        if fam_p.flavor == "single_power":
-            if stein:
-                # reversed factors are neither monic nor tree-structured;
-                # a single xgcd against the binomial is simplest here
-                g, s, _ = xgcd(f, rhs, fam_p.product)
-                if degree(g) != 0:
-                    return None
-                return [poly_mod(f, s, fam_p.product)]
-            return _converse_case(f, fam_p, fam_q)
         return _inverse_mod_leaves(fam_p, rhs)
 
     def frozen_build():

@@ -69,6 +69,7 @@ __all__ = [
     "series_inv",
     "xgcd",
     "poly_gcd",
+    "poly_invmod",
     "symmetrize_apply",
     "symmetrize_solve",
     "modmul_apply",
@@ -330,6 +331,14 @@ def poly_gcd(f: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return xgcd(f, a, b)[0]
 
 
+def poly_invmod(f: PrimeField, a: np.ndarray, P: np.ndarray) -> np.ndarray | None:
+    """a⁻¹ mod P, or None when gcd(a, P) ≠ 1."""
+    g, s, _ = xgcd(f, a, P)
+    if degree(g) != 0:
+        return None
+    return poly_mod(f, s, P)
+
+
 # ---------------------------------------------------------------------------
 # triangular Hankel symmetrizer of a monic modulus
 #
@@ -398,7 +407,6 @@ def padded(f: PrimeField, a: np.ndarray, n: int) -> np.ndarray:
 @dataclass
 class _TreeNode:
     poly: np.ndarray
-    deg: int
     left: "_TreeNode | None" = None
     right: "_TreeNode | None" = None
     leaf: int = -1  # index of the family member at a leaf
@@ -406,7 +414,7 @@ class _TreeNode:
 
 def _build_tree(f: PrimeField, polys: list[np.ndarray], lo: int, hi: int) -> _TreeNode:
     if hi - lo == 1:
-        return _TreeNode(polys[lo], degree(polys[lo]), leaf=lo)
+        return _TreeNode(polys[lo], leaf=lo)
     total = sum(degree(p) for p in polys[lo:hi])
     acc, cut = 0, lo + 1
     for i in range(lo, hi - 1):
@@ -416,7 +424,7 @@ def _build_tree(f: PrimeField, polys: list[np.ndarray], lo: int, hi: int) -> _Tr
             break
     left = _build_tree(f, polys, lo, cut)
     right = _build_tree(f, polys, cut, hi)
-    return _TreeNode(frozen(poly_mul(f, left.poly, right.poly)), 0, left, right)
+    return _TreeNode(frozen(poly_mul(f, left.poly, right.poly)), left, right)
 
 
 @dataclass
@@ -547,10 +555,10 @@ def _compute_units(fam: PolyFamily):
     es = [frozen(e) for e in _reduce_down(fam, p_star)]
     fs = []
     for i, (e, p) in enumerate(zip(es, fam.polys)):
-        g, s, _ = xgcd(f, e, p)
-        if degree(g) != 0:
+        fi = poly_invmod(f, e, p)
+        if fi is None:
             raise NotCoprime(*_find_noncoprime_pair(fam, i))
-        fs.append(frozen(poly_mod(f, s, p)))
+        fs.append(frozen(fi))
     return es, fs
 
 
@@ -662,10 +670,10 @@ def red_transposed(fam: PolyFamily, u: np.ndarray, inverse: bool = False) -> np.
             ui = blocks[:mi]
             ni = f.conv(ui, poly_rev(f, node.poly, mi))[:mi] if mi else f.zeros(0)
             return trim(f, ni)
-        dl = _subtree_degree(node.left)
+        dl = degree(node.left.poly)
         nl = numerator(node.left, blocks[:dl])
         nr = numerator(node.right, blocks[dl:])
-        dr = _subtree_degree(node.right)
+        dr = degree(node.right.poly)
         return poly_add(
             f,
             poly_mul(f, nl, poly_rev(f, node.right.poly, dr)),
@@ -676,10 +684,6 @@ def red_transposed(fam: PolyFamily, u: np.ndarray, inverse: bool = False) -> np.
     num = numerator(fam.tree, u)
     inv = fam.rev_product_inverse(m)
     return padded(f, f.conv(num, inv), m)
-
-
-def _subtree_degree(node: _TreeNode) -> int:
-    return degree(node.poly)
 
 
 def _transposed_multiply(f: PrimeField, c: np.ndarray, u: np.ndarray, out_len: int) -> np.ndarray:
@@ -704,8 +708,8 @@ def _crt_transposed(fam: PolyFamily, u: np.ndarray) -> np.ndarray:
             out[fam.offsets[i]: fam.offsets[i] + fam.degrees[i]] = \
                 modmul_apply_transposed(f, fs[i], fam.polys[i], vec)
             return
-        dl = _subtree_degree(node.left)
-        dr = _subtree_degree(node.right)
+        dl = degree(node.left.poly)
+        dr = degree(node.right.poly)
         walk(node.left, _transposed_multiply(f, node.right.poly, vec, dl))
         walk(node.right, _transposed_multiply(f, node.left.poly, vec, dr))
 
@@ -748,6 +752,14 @@ def _tri_powers(f: PrimeField, q: int, n: int) -> np.ndarray:
     return np.array(out, dtype=f.dtype)
 
 
+def _powers(f: PrimeField, x: int, n: int) -> np.ndarray:
+    """x^0, ..., x^(n-1), the table doubled by one array product per step."""
+    out = np.ones(1, dtype=f.dtype)
+    while len(out) < n:
+        out = np.concatenate((out, out * f.pow(x, len(out)) % f.p))
+    return out[:n]
+
+
 def geom_eval(f: PrimeField, a: np.ndarray, u: int, q: int, count: int) -> np.ndarray:
     """Evaluate a at the points u*q^i, i = 0..count-1, via one convolution."""
     _geom_check(f, u, q, count)
@@ -758,16 +770,9 @@ def geom_eval(f: PrimeField, a: np.ndarray, u: int, q: int, count: int) -> np.nd
     n = len(a)
     tri = _tri_powers(f, q, n + count)
     tri_inv = f.inv_array(tri[: max(n, count)])
-    upow = 1
-    b = f.zeros(n)
-    for j in range(n):
-        b[j] = int(a[j]) * upow % f.p * int(tri_inv[j]) % f.p
-        upow = upow * u % f.p
+    b = a * _powers(f, u, n) % f.p * tri_inv[:n] % f.p
     c = f.conv(b[::-1], tri)
-    vals = f.zeros(count)
-    for i in range(count):
-        vals[i] = int(c[i + n - 1]) * int(tri_inv[i]) % f.p
-    return vals
+    return c[n - 1: n - 1 + count] * tri_inv[:count] % f.p
 
 
 def geom_interp(fam: PolyFamily, values: np.ndarray) -> np.ndarray:
@@ -786,23 +791,9 @@ def geom_interp(fam: PolyFamily, values: np.ndarray) -> np.ndarray:
     n = len(fam)
     if len(values) != n:
         raise DimensionMismatch(f"expected {n} values, got {len(values)}")
-    weights = values * np.concatenate(fam.crt_units()[1]) % f.p
-
-    # power sums sigma_s = sum_i w_i z_i^s for s = 1..n with z_i = (u q^i)^-1
-    zu = f.inv(u)
-    zq = f.inv(q)
-    # sum_i w_i zq^{i s}: chirp with ratio zq, then scale by zu^s
-    tri = _tri_powers(f, zq, 2 * n + 1)
-    tri_inv = f.inv_array(tri)
-    b = f.zeros(n)
-    for i in range(n):
-        b[i] = int(weights[i]) * int(tri_inv[i]) % f.p
-    c = f.conv(b[::-1], tri)
-    series = f.zeros(n)
-    zupow = zu
-    for t in range(n):  # s = t + 1
-        s = t + 1
-        sigma = int(c[s + n - 1]) * int(tri_inv[s]) % f.p * zupow % f.p
-        series[t] = (f.p - sigma) % f.p
-        zupow = zupow * zu % f.p
-    return trim(f, f.conv(fam.product, series)[:n])
+    weights = trim(f, values * np.concatenate(fam.crt_units()[1]) % f.p)
+    # power sums sigma_s = sum_i w_i (u q^i)^-s = u^-s W(q^-s) for s = 1..n,
+    # with W = sum_i w_i x^i evaluated at the geometric points q^-1 * q^-t
+    zu, zq = f.inv(u), f.inv(q)
+    sigma = geom_eval(f, weights, zq, zq, n) * _powers(f, zu, n + 1)[1:] % f.p
+    return trim(f, f.conv(fam.product, (f.p - sigma) % f.p)[:n])

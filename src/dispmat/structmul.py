@@ -209,6 +209,8 @@ def mulQ(f: PrimeField, U, V, W, Q) -> list[np.ndarray]:
     The remainders are never formed: with T = sum_k U_k·V_k and the
     reversed-quotient product S̃ over x^{n−1},
         R_i = T·W_i − Q·rev(S̃_i).
+    At deg Q = 1, or when the prime has no transform of length m + n − 1,
+    the sum goes to _mul_direct instead.
     """
     Q = trim(f, Q)
     n = len(Q) - 1
@@ -227,11 +229,9 @@ def mulQ(f: PrimeField, U, V, W, Q) -> list[np.ndarray]:
     if alpha == 0 or beta == 0:
         return [f.zeros(out_len) for _ in range(beta)]
 
-    if n == 1:
-        T = f.zeros(0)
-        for u, v in zip(U, V):
-            T = poly_add(f, T, poly_mul(f, u, v))
-        return [padded(f, poly_mul(f, T, w), out_len) for w in W]
+    size = 1 << max(1, (out_len - 1).bit_length())
+    if n == 1 or size > f.ntt_capacity():
+        return [padded(f, r, out_len) for r in _mul_direct(f, U, V, W, Q)]
 
     qrev_inv = series_inv(f, poly_rev(f, Q, n), n - 1)
     Ut = [poly_rev(f, u, m - 1) for u in U]
@@ -244,43 +244,26 @@ def mulQ(f: PrimeField, U, V, W, Q) -> list[np.ndarray]:
     # cancel exactly, so a wraparound product of size >= out_len is exact.
     # That lets one batched transform round serve every column at half the
     # linear-product length.
-    size = 1 << max(1, (out_len - 1).bit_length())
-    if size <= f.ntt_capacity():
-        Um = f.zeros((alpha, size))
-        Vm = f.zeros((alpha, size))
-        for k in range(alpha):
-            Um[k, : len(U[k])] = U[k]
-            Vm[k, : len(V[k])] = V[k]
-        vT = np.sum(f.ntt(Um) * f.ntt(Vm) % f.p, axis=0) % f.p
-        Qm = f.zeros(size)
-        Qm[: min(len(Q), size)] = Q[:size]
-        if len(Q) > size:  # fold the modulus, it can overhang by one slot
-            tail = Q[size:]
-            Qm[: len(tail)] = (Qm[: len(tail)] + tail) % f.p
-        vQ = f.ntt(Qm)
-        Wm = f.zeros((beta, size))
-        Sm = f.zeros((beta, size))
-        for i, w in enumerate(W):
-            Wm[i, : len(w)] = w
-            sr = poly_rev(f, S[i], m + n - 3)
-            Sm[i, : len(sr)] = sr
-        vals = (vT * f.ntt(Wm) - vQ * f.ntt(Sm)) % f.p
-        res = f.ntt(vals, invert=True)[:, :out_len]
-        return list(res)
-
-    T = f.zeros(0)
-    for u, v in zip(U, V):
-        T = poly_add(f, T, poly_mul(f, u, v))
-    out = []
+    Um = f.zeros((alpha, size))
+    Vm = f.zeros((alpha, size))
+    for k in range(alpha):
+        Um[k, : len(U[k])] = U[k]
+        Vm[k, : len(V[k])] = V[k]
+    vT = np.sum(f.ntt(Um) * f.ntt(Vm) % f.p, axis=0) % f.p
+    Qm = f.zeros(size)
+    Qm[: min(len(Q), size)] = Q[:size]
+    if len(Q) > size:  # fold the modulus, it can overhang by one slot
+        tail = Q[size:]
+        Qm[: len(tail)] = (Qm[: len(tail)] + tail) % f.p
+    vQ = f.ntt(Qm)
+    Wm = f.zeros((beta, size))
+    Sm = f.zeros((beta, size))
     for i, w in enumerate(W):
-        tw = poly_mul(f, T, w)
-        corr = poly_mul(f, Q, poly_rev(f, S[i], m + n - 3))
-        full = max(len(tw), len(corr))
-        r = f.zeros(full)
-        r[: len(tw)] = tw
-        r[: len(corr)] = (r[: len(corr)] - corr) % f.p
-        out.append(padded(f, r, out_len))
-    return out
+        Wm[i, : len(w)] = w
+        sr = poly_rev(f, S[i], m + n - 3)
+        Sm[i, : len(sr)] = sr
+    vals = (vT * f.ntt(Wm) - vQ * f.ntt(Sm)) % f.p
+    return list(f.ntt(vals, invert=True)[:, :out_len])
 
 
 def _basic_data(gen: Generator):
@@ -298,8 +281,9 @@ def _basic_data(gen: Generator):
 
 def _mul_direct(f: PrimeField, U, V, W, Q) -> list[np.ndarray]:
     """R_i = sum_k U_k·(V_k·W_i mod Q), one product and one reduction per
-    term: cheaper than mulQ's transforms for a single column, and free of
-    its alpha <= deg Q limit."""
+    term: cheaper than mulQ's transforms for a single column, free of its
+    alpha <= deg Q limit, and the route of mulQ itself where it has no
+    transform."""
     out = []
     for w in W:
         acc = f.zeros(0)

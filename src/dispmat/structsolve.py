@@ -45,6 +45,7 @@ from .generators import (
     side_map_t,
     to_basic,
     to_hankel,
+    _hstack,
     _unit,
 )
 from .operators import STEIN, inverse_operator
@@ -189,11 +190,6 @@ def _col_of(f: PrimeField, G: np.ndarray, H: np.ndarray, u: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # bordered generators of the partition blocks
-
-
-def _hstack(mats) -> np.ndarray:
-    cols = [m.reshape(len(m), 1) if m.ndim == 1 else m for m in mats]
-    return np.concatenate(cols, axis=1)
 
 
 def _gen_block_21(f: PrimeField, G, H, split: int, rows: int,

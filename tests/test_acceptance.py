@@ -348,7 +348,6 @@ def test_criterion_7_scaling_probe():
     failures = []
     alpha = beta = 8
     sizes = [1 << 10, 1 << 11, 1 << 12, 1 << 13]
-    medians = {}
     gens = {}
     blocks = {}
     for m in sizes:
@@ -356,26 +355,28 @@ def test_criterion_7_scaling_probe():
         B = F.arr(rng.integers(0, F.p, (m, beta)))
         gens[m], blocks[m] = gen, B
         struct_mul(gen, B)  # warm the transform caches before timing
-        runs = []
-        for _ in range(5):
-            t0 = time.perf_counter()
-            struct_mul(gen, B)
-            runs.append(time.perf_counter() - t0)
-        medians[m] = sorted(runs)[2]
-    ratios = [medians[2 * m] / medians[m] for m in sizes[:-1]]
-    for m, ratio in zip(sizes[:-1], ratios):
-        if ratio > 3.0:
-            failures.append(f"t({2 * m})/t({m}) = {ratio:.2f} > 3.0")
-
     m = 1 << 12
     gen, B = gens[m], blocks[m]
     gen_matvec(gen, B[:, 0])  # warm
+    # each repetition times every size and the naive loop back to back, so a
+    # change in machine speed between repetitions hits all of them alike
+    runs = {size: [] for size in sizes}
     naive_runs = []
     for _ in range(5):
+        for size in sizes:
+            t0 = time.perf_counter()
+            struct_mul(gens[size], blocks[size])
+            runs[size].append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         for i in range(beta):
             gen_matvec(gen, B[:, i])
         naive_runs.append(time.perf_counter() - t0)
+    medians = {size: sorted(r)[2] for size, r in runs.items()}
+    ratios = [medians[2 * size] / medians[size] for size in sizes[:-1]]
+    for size, ratio in zip(sizes[:-1], ratios):
+        if ratio > 3.0:
+            failures.append(f"t({2 * size})/t({size}) = {ratio:.2f} > 3.0")
+
     speedup = sorted(naive_runs)[2] / medians[m]
     if speedup < 1.5:
         failures.append(f"speedup over repeated products only {speedup:.2f}x")

@@ -17,7 +17,7 @@ from dispmat.cli import (
 )
 from dispmat.field import DEFAULT_PRIME, get_field
 from dispmat.generators import Generator, _column_decompose, hankel_operator
-from dispmat.poly import as_poly, is_zero, poly_add, poly_mod, poly_mul, trim
+from dispmat.poly import is_zero, poly_add, poly_mod, poly_mul, trim
 from dispmat.structsolve import FAILURE, InvResult, SolveResult
 
 
@@ -125,6 +125,22 @@ def test_run_solve_all_rhs_modes(tmp_path, capsys):
         assert doc["verified"] == "ok"
         if want_tag:
             assert doc["tag"] == want_tag
+
+
+def test_run_reduces_entries_beyond_int64(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--task", "mul", "--m", "6", "--alpha", "2",
+                 "--seed", "4", "--out", str(inst)]) == EXIT_OK
+    docs = {}
+    for name, entry in (("big", 2**70), ("residue", 2**70 % DEFAULT_PRIME)):
+        doc = json.loads(inst.read_text())
+        doc["G"][0][0] = str(entry)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, docs[name] = run_json(capsys, "run", "--instance", str(path), "--verify")
+        assert code == EXIT_OK
+        assert docs[name]["verified"] == "ok"
+    assert docs["big"]["product"] == docs["residue"]["product"]
 
 
 def test_run_inconsistent_reports_no_solution(tmp_path, capsys):
@@ -415,9 +431,3 @@ def test_pade_rejects_bad_profiles(tmp_path, capsys, moduli, residues, bounds):
 
 def test_pade_requires_instance_or_plant(capsys):
     assert run_cli(capsys, "pade")[0] == EXIT_BAD_INPUT
-
-
-def test_poly_modinv_reports_a_shared_factor():
-    f7 = get_field(7)
-    with pytest.raises(cli.InfeasibleSpec):
-        cli._poly_modinv(f7, as_poly(f7, [0, 1]), as_poly(f7, [0, 0, 1]))

@@ -83,6 +83,23 @@ def test_arr_normalizes():
     assert int(b[0]) == BENCH_PRIME - 1
 
 
+def test_arr_reduces_python_ints_beyond_int64():
+    f = get_field(DEFAULT_PRIME)
+    a = f.arr([2**70, -(2**70), 2**63, 5])
+    assert a.dtype == np.int64
+    assert a.tolist() == [2**70 % f.p, -(2**70) % f.p, 2**63 % f.p, 5]
+    M = f.arr(np.array([[2**70, 1], [2, -(2**64)]], dtype=object))
+    assert M.tolist() == [[2**70 % f.p, 1], [2, -(2**64) % f.p]]
+
+
+def test_arr_reduces_uint64_beyond_int63():
+    f = get_field(DEFAULT_PRIME)
+    a = f.arr(np.array([2**64 - 1, 2**63, 3], dtype=np.uint64))
+    assert a.dtype == np.int64
+    assert a.tolist() == [932051909, 2**63 % f.p, 3]
+    assert f.arr([2**64 - 1]).tolist() == [932051909]  # numpy reads it as uint64
+
+
 def test_zeros_shapes():
     f = get_field(7)
     assert f.zeros(3).shape == (3,)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispmat import poly
-from dispmat.field import PrimeField, get_field
+from dispmat.field import BENCH_PRIME, PrimeField, get_field
 from dispmat.poly import (
     BoundTooSmall,
     DegeneratePoints,
@@ -28,6 +28,7 @@ from dispmat.poly import (
     poly_divrem,
     poly_eval,
     poly_gcd,
+    poly_invmod,
     poly_mod,
     poly_mul,
     poly_rev,
@@ -101,6 +102,26 @@ def test_gcd_frozen():
     a = as_poly(F7, [6, 0, 1])
     b = as_poly(F7, [2, 4, 1])
     assert poly_gcd(F7, a, b).tolist() == [6, 1]
+
+
+def test_poly_invmod_inverts_or_reports_a_shared_factor():
+    assert poly_invmod(F7, as_poly(F7, [0, 1]), as_poly(F7, [0, 0, 1])) is None  # x | x^2
+    rng = np.random.default_rng(53)
+    for f in (F, get_field(BENCH_PRIME)):
+        def monic(k):
+            return np.append(f.arr(rng.integers(0, f.p, k)), f.arr([1]))
+
+        for _ in range(6):
+            k = int(rng.integers(1, 40))
+            P = monic(k)
+            a = trim(f, f.arr(rng.integers(0, f.p, int(rng.integers(1, 2 * k + 2)))))
+            assert degree(poly_gcd(f, a, P)) == 0  # a random pair is coprime
+            inv = poly_invmod(f, a, P)
+            assert degree(inv) < k
+            assert poly_mod(f, poly_mul(f, a, inv), P).tolist() == [1]
+            D = monic(int(rng.integers(1, 4)))
+            shared = poly_mul(f, D, trim(f, f.arr(rng.integers(1, f.p, k))))
+            assert poly_invmod(f, shared, poly_mul(f, D, P)) is None
 
 
 def test_series_inv():
@@ -293,6 +314,21 @@ def test_geom_interp_roundtrip():
         a = geom_interp(fam, vals)
         assert degree(a) < n
         assert np.array_equal(geom_eval(F, trim(F, a), u, q, n), vals)
+
+
+@pytest.mark.parametrize("p", [998244353, BENCH_PRIME], ids=["default", "p62"])
+def test_geom_interp_matches_horner(p):
+    f = get_field(p)
+    rng = np.random.default_rng(59)
+    for n in (2, 5, 17, 40):
+        u = int(rng.integers(1, f.p))
+        q = int(rng.integers(2, f.p))
+        fam = _geometric_family(f, u, q, n)
+        vals = f.arr(rng.integers(0, f.p, size=n))
+        a = geom_interp(fam, vals)
+        assert degree(a) < n
+        for i in range(n):
+            assert poly_eval(f, a, u * pow(q, i, f.p) % f.p) == int(vals[i])
 
 
 def test_geom_degenerate_points():

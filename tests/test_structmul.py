@@ -170,6 +170,26 @@ def test_mulQ_matches_modular_triple_loop(any_field, monkeypatch):
             assert np.array_equal(trim(f, g), trim(f, w))
 
 
+def test_mulQ_without_transform_room_matches_triple_loop():
+    """2^31-1 has no transform for these lengths, so mulQ hands each sum to
+    the direct route; above degree 32 its reductions divide by Newton."""
+    f = get_field(2**31 - 1)
+    rng = np.random.default_rng(61)
+    for n in (1, 40, 57):
+        Q = np.append(f.arr(rng.integers(0, f.p, n)), f.arr([1]))
+        alpha = int(rng.integers(1, min(n, 5) + 1))
+        m = int(rng.integers(1, 80))
+        U = _rand_polys(f, rng, alpha, m)
+        V = _rand_polys(f, rng, alpha, 2 * n)
+        W = _rand_polys(f, rng, int(rng.integers(1, 5)), 2 * n)
+        got = mulQ(f, U, V, W, Q)
+        want = _naive_modular(f, U, V, W, Q)
+        assert len(got) == len(W)
+        for g, w in zip(got, want):
+            assert len(g) == max(len(trim(f, u)) for u in U) + n - 1
+            assert np.array_equal(trim(f, g), trim(f, w))
+
+
 def test_mulQ_preconditions(f):
     U = _rand_polys(f, np.random.default_rng(19), 2, 3)
     Q = as_poly(f, [1, 2, 1])
@@ -208,9 +228,9 @@ def test_struct_mul_matches_dense_product(any_field, monkeypatch):
 
 
 # 2^31-1 and 2^62-57 have two-adicity 1: every product takes the limb
-# kernel and the fallbacks that need no transform (pm_mul entrywise, mulQ
-# without capacity).  2013265921 and 2281701377 send pm_mul and mulQ through
-# the transform at slack floor(2^63/p^2) = 2 and 1.
+# kernel and the routes that need no transform (pm_mul entrywise, and mulQ's
+# hand-off to the direct sum).  2013265921 and 2281701377 send pm_mul and
+# mulQ through the transform at slack floor(2^63/p^2) = 2 and 1.
 @pytest.mark.parametrize("p", [2**31 - 1, 2**62 - 57, 2013265921, 2281701377])
 def test_struct_mul_matches_oracle_across_primes(p, monkeypatch):
     f = get_field(p)
