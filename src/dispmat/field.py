@@ -5,11 +5,16 @@ arrays (int64 when products of two residues fit in a signed 64-bit word,
 Python-object arrays otherwise, e.g. for the 62-bit benchmark prime).
 An int64 sum holds slack = ⌊2^63/p²⌋ such products (9 at 998244353, 1
 above 2^31; object arrays take 1): every kernel sizes its unreduced sums by it.
+
 The number-theoretic transform (NTT) operates along the last axis of an
 array of any shape, which lets polynomial-matrix code batch thousands of
-transforms into a handful of numpy calls.  Its radix-2 stages run in place
-with lazy reduction (Harvey, JSC 2014): each stage reduces only its twiddle
-products, and the whole array is reduced once every slack stages.
+transforms into a handful of numpy calls.  On int64 fields it is a
+mixed-radix four-step transform (Bailey 1990): each pass is an exact
+float64 product with a DFT matrix of size at most 128, split into two
+15-bit limbs so that every partial sum is an integer below 2^52, and so
+runs through BLAS dgemm (Dumas, Giorgi and Pernet 2008); twiddles and
+reductions between passes are float64 array operations, over slabs of rows
+small enough to stay in cache.  Object-dtype fields run a radix-2 loop.
 
 Convolution has one exact kernel for every prime: residues are cut into
 16-bit int64 limbs, or kept whole when the shorter factor has at most slack
@@ -46,10 +51,38 @@ NAMED_PRIMES = {"default": DEFAULT_PRIME, "p62": BENCH_PRIME}
 # bound switch to exact Python-int (object dtype) arithmetic.
 _INT64_SAFE_BOUND = 3_037_000_499
 
-# below this output length, limb-split np.convolve wins over the transform
+# up to these output lengths the limb kernel wins over the transform, on int64
+# and on object-dtype fields (the sweep is in BENCH_11.json)
 _SPLIT_CONV_CUTOFF = 1024
+_SPLIT_CONV_CUTOFF_OBJECT = 3072
+
+# elements of a slab of rows that ntt transforms at once, so that its float64
+# work arrays (4 × 8 bytes × slab) stay in a core's L2 cache
+_NTT_SLAB = 1 << 14
+
+# log2 of the largest DFT matrix a transform pass multiplies by
+_NTT_RADIX_BITS = 7
+
+# products per BLAS call of a transform pass.  OpenBLAS runs calls this small
+# on the calling thread; larger ones it may spread over threads, and on a
+# busy 2-core machine such a call stalled for 4-12 ms.  Calls this small also
+# ran faster than one call per pass (BENCH_11.json).
+_GEMM_MACS = 1 << 18
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+_LOSSY_FLOAT = "float entries must be integers below 2^53 in absolute value"
+
+
+def _as_int(v) -> int:
+    """int(v) for an entry of an object array, refusing a float that does not
+    stand for one integer exactly: non-integral, non-finite or ≥ 2^53."""
+    if type(v) is int:
+        return v
+    if isinstance(v, (float, np.floating)) and not (abs(v) < 2.0**53 and v == int(v)):
+        raise ValueError(_LOSSY_FLOAT)
+    return int(v)
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -115,8 +148,8 @@ class PrimeField:
             t += 1
         self.two_adicity = t
         self._generator: int | None = {DEFAULT_PRIME: 3, BENCH_PRIME: 3}.get(p)
-        self._root_cache: dict[tuple[int, bool], np.ndarray] = {}
-        self._rev_cache: dict[int, np.ndarray] = {}
+        # ntt plans (int64 fields) or root powers (object fields) per (n, invert)
+        self._root_cache: dict[tuple[int, bool], tuple | np.ndarray] = {}
         # products of two residues an int64 sum holds; object arrays take 1,
         # so their Python ints stay below p²
         self._slack = max(1, (1 << 63) // (p * p))
@@ -163,7 +196,7 @@ class PrimeField:
         """A generator of the multiplicative group F_p^*."""
         if self._generator is None:
             factors = _factorize(self.p - 1)
-            g = 2
+            g = 1  # the generator of F_2^*; every larger p moves on to 2
             while True:
                 if all(pow(g, (self.p - 1) // q, self.p) != 1 for q in factors):
                     self._generator = g
@@ -174,13 +207,18 @@ class PrimeField:
     # -- array helpers ------------------------------------------------------
 
     def arr(self, values: Iterable[int] | np.ndarray) -> np.ndarray:
-        """Canonical residue array (always a fresh copy)."""
+        """Canonical residue array (always a fresh copy).
+
+        Raises ValueError for a float entry that is not an integer below
+        2^53 in absolute value (non-integral, non-finite or rounded)."""
         if self.dtype is object:
             a = np.asarray(values, dtype=object)
-            return np.array([int(v) % self.p for v in a.ravel()], dtype=object).reshape(a.shape)
+            return np.array([_as_int(v) % self.p for v in a.ravel()], dtype=object).reshape(a.shape)
         a = np.asarray(values)
         if a.dtype == object:  # Python ints of any size
-            return np.array([int(v) % self.p for v in a.ravel()], dtype=np.int64).reshape(a.shape)
+            return np.array([_as_int(v) % self.p for v in a.ravel()], dtype=np.int64).reshape(a.shape)
+        if a.dtype.kind == "f" and not np.all((np.abs(a) < 2.0**53) & (a == np.rint(a))):
+            raise ValueError(_LOSSY_FLOAT)
         if a.dtype == np.uint64:  # entries >= 2^63 would wrap in the int64 cast
             a = a % np.uint64(self.p)
         return np.mod(a.astype(np.int64, copy=True), self.p)
@@ -263,67 +301,193 @@ class PrimeField:
         """Largest power-of-two transform length supported by this prime."""
         return 1 << self.two_adicity
 
-    def _rev_idx(self, n: int) -> np.ndarray:
-        idx = self._rev_cache.get(n)
-        if idx is None:
-            # over k+1 bits, i and i + 2^k reverse to 2·rev_k(i) and 2·rev_k(i)+1
-            idx = np.zeros(1, dtype=np.intp)
-            while len(idx) < n:
-                idx = np.concatenate((2 * idx, 2 * idx + 1))
-            idx.setflags(write=False)
-            self._rev_cache[n] = idx
-        return idx
+    def powers(self, x: int, n: int) -> np.ndarray:
+        """x^0, ..., x^(n-1), the table doubled by one array product per step."""
+        out = np.ones(1, dtype=self.dtype)
+        while len(out) < n:
+            out = np.concatenate((out, out * self.pow(x, len(out)) % self.p))
+        return out[:n]
 
-    def _twiddles(self, length: int, invert: bool) -> np.ndarray:
-        key = (length, invert)
-        tw = self._root_cache.get(key)
+    def _root(self, n: int, invert: bool) -> int:
+        """The primitive n-th root of unity g^((p-1)/n), or its inverse."""
+        w = self.pow(self.generator, (self.p - 1) // n)
+        return self.inv(w) if invert else w
+
+    def _limb_pair(self, v: np.ndarray) -> np.ndarray:
+        """Residues v as float64 limbs (lo, hi) stacked on a new first axis,
+        with v ≡ lo + 2^15·hi, |lo| ≤ 2^14 and |hi| ≤ ⌊(p-1)/2^16⌋ + 1."""
+        c = np.where(v > self.p // 2, v - self.p, v)
+        hi = (c + (1 << 14)) >> 15
+        out = np.stack((c - (hi << 15), hi)).astype(np.float64)
+        out.setflags(write=False)
+        return out
+
+    def _ntt_plan(self, n: int, invert: bool) -> tuple:
+        """The passes of a length-n transform on an int64 field, cached per
+        (n, invert): one (matrix, twiddles) pair per pass.
+
+        The radices L_i are powers of two, balanced, largest first, each at
+        most the largest L with L·p·B ≤ 2^52 (B the limb bound of
+        _limb_pair) and at most 2^_NTT_RADIX_BITS.  A pass of radix L over
+        rows of length r = L·m holds the two limbs of the L-point DFT
+        matrix: shape (2, 1, L, L), applied along the leading axis of each
+        row seen as (L, m), with the two limbs of the twiddles w_r^(k·j),
+        shape (2, L, m); the last pass (m = 1) has shape (2, L, L), applied
+        along the last axis, and no twiddles.  n⁻¹ of an inverse transform
+        is folded into the first pass's twiddles, or into the matrix of a
+        one-pass plan.
+        """
+        key = (n, invert)
+        plan = self._root_cache.get(key)
+        if plan is None:
+            p = self.p
+            limb = max(1 << 14, ((p - 1) >> 16) + 1)
+            room = ((1 << 52) // (p * limb)).bit_length() - 1
+            bits = n.bit_length() - 1
+            count = max(1, -(-bits // min(_NTT_RADIX_BITS, room)))
+            scale = self.inv(n) if invert else 1
+            plan, rest = [], n
+            for i in range(count):
+                L = 1 << (bits // count + (i < bits % count))
+                m = rest // L
+                k = np.arange(L)
+                dft = self.powers(self._root(L, invert), L)[np.outer(k, k) % L]
+                if m == 1:
+                    plan.append((self._limb_pair(dft * scale % p), None))
+                else:
+                    tw = self.powers(self._root(rest, invert), rest)[np.outer(k, np.arange(m))]
+                    plan.append((self._limb_pair(dft)[:, None], self._limb_pair(tw * scale % p)))
+                scale, rest = 1, m
+            plan = tuple(plan)
+            self._root_cache[key] = plan
+        return plan
+
+    def _reduce(self, v: np.ndarray, t: np.ndarray, rounding=np.rint,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """v - rounding(v·(1/p))·p into out (default v), for integer-valued
+        float64 v with |v| < 2^52 + 2^47; t is scratch of at least v.size.
+
+        The quotient is the true one to within 2^53·2^-52/p = 2/p, so the
+        product with p and the difference are exact integers below 2^53.
+        rint leaves |v| ≤ p/2 + 2; from |v| < p, floor leaves [0, p)."""
+        s = t[:v.size].reshape(v.shape)
+        np.multiply(v, 1.0 / self.p, out=s)
+        rounding(s, out=s)
+        np.multiply(s, float(self.p), out=s)
+        return np.subtract(v, s, out=v if out is None else out)
+
+    def _fold(self, lo: np.ndarray, hi: np.ndarray, t: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """lo + 2^15·hi reduced into (-p, p), into out (default lo), for
+        integer-valued |lo|, |hi| ≤ 2^52; hi is overwritten."""
+        self._reduce(hi, t)
+        np.multiply(hi, 32768.0, out=hi)
+        np.add(lo, hi, out=lo)
+        return self._reduce(lo, t, out=out)
+
+    def _dft(self, x: np.ndarray, plan: tuple, out: np.ndarray,
+             work: np.ndarray, t: np.ndarray) -> None:
+        """Write the transform of each row of x into out, in canonical residues.
+
+        x is a float64 (rows, n) array with integer entries |x| < p, which
+        this overwrites; out has shape lead + (n,) with rows = prod(lead),
+        and any strides; work (2·x.size) and t (x.size) are flat scratch.
+        A pass of radix L splits j = m·j1 + j2 and k = k1 + L·k2: the
+        L-point DFTs run over j1, the twiddles multiply by w_n^(k1·j2), and
+        the m-point transform of row k1 is written straight into out's
+        entries k1 + L·k2, so the digit reversal costs no pass of its own.
+        """
+        dft, tw = plan[0]
+        rows, n = x.shape
+        L = dft.shape[-1]
+        step = max(1, _GEMM_MACS // (L * L))
         if tw is None:
-            w = self.pow(self.generator, (self.p - 1) // length)
-            if invert:
-                w = self.inv(w)
-            half = length // 2
-            pw = [1] * half
-            for i in range(1, half):
-                pw[i] = pw[i - 1] * w % self.p
-            tw = np.array(pw, dtype=self.dtype)
-            tw.setflags(write=False)
-            self._root_cache[key] = tw
-        return tw
+            prod = work[:2 * x.size].reshape(2, rows, L)
+            for r in range(0, rows, step):
+                np.matmul(x[r:r + step], dft, out=prod[:, r:r + step])
+            res = self._fold(prod[0], prod[1], t)
+            self._reduce(res, t, np.floor)
+            np.copyto(out, res.reshape(out.shape), casting="unsafe")
+            return
+        m = n // L
+        prod = work[:2 * x.size].reshape(2, rows, L, m)
+        y = x.reshape(rows, L, m)
+        for c in range(0, m, step):
+            np.matmul(dft, y[..., c:c + step], out=prod[..., c:c + step])
+        lo, hi = prod
+        self._fold(lo, hi, t)
+        np.multiply(lo, tw[1], out=hi)
+        np.multiply(lo, tw[0], out=lo)
+        self._fold(lo, hi, t, out=y)
+        inner = out.reshape(out.shape[:-1] + (m, L)).swapaxes(-1, -2)
+        self._dft(y.reshape(rows * L, m), plan[1:], inner, work, t)
 
     def ntt(self, a: np.ndarray, invert: bool = False) -> np.ndarray:
-        """In-order radix-2 NTT along the last axis of residues in [0, p),
-        for any leading shape and a power-of-two length within capacity.
-        Returns a fresh C-contiguous array of canonical residues.
+        """In-order NTT along the last axis of residues in [0, p), for any
+        leading shape and a power-of-two length within capacity, scaled by
+        n⁻¹ when invert.  Returns a fresh C-contiguous array of canonical
+        residues.
 
-        Butterflies run in place and keep |x| < bound·p: hi·tw is reduced,
-        lo ± t is not, and the array is reduced when bound passes the slack,
-        so that hi·tw and the final n⁻¹ scaling stay below 2^63."""
+        On int64 fields (p < 2^31.5) this is a mixed-radix four-step
+        transform (Bailey 1990) whose passes are exact float64 matrix
+        products (Dumas, Giorgi and Pernet 2008): rows run in slabs of
+        _NTT_SLAB elements, and each pass multiplies the slab by the two
+        15-bit limbs of an L×L DFT matrix (see _ntt_plan and _dft).  The
+        data stays whole with |x| < p, so a partial sum of a pass is an
+        integer below L·p·B ≤ 2^52 (B ≤ 2^15.5, the limb bound): every one
+        is exact in float64, and the result does not depend on the BLAS
+        summation order or on FMA.  Between passes the limb sums and the
+        twiddle products (limbs times data, below 2^47) are folded as
+        lo + 2^15·hi and reduced by v - rint(v·(1/p))·p, exact for
+        |v| < 2^53 (_reduce); the last pass lands in [0, p) with floor.
+
+        Object-dtype fields run a radix-2 loop on Python ints.
+        """
         n = a.shape[-1]
-        if n & (n - 1) or n > self.ntt_capacity():
+        if n < 1 or n & (n - 1) or n > self.ntt_capacity():
             raise ValueError(f"transform length {n} unsupported for p={self.p}")
+        if self.dtype is object:
+            return self._ntt_object(a, invert)
+        plan = self._ntt_plan(n, invert)
+        src = np.asarray(a).reshape(-1, n)
+        out = np.empty(src.shape, dtype=np.int64)
+        rows = max(1, _NTT_SLAB // n)
+        x = np.empty((min(rows, len(src)), n))
+        work = np.empty(2 * x.size)
+        t = np.empty(x.size)
+        for lo in range(0, len(src), rows):
+            block = out[lo:lo + rows]
+            xs = x[:len(block)]
+            np.copyto(xs, src[lo:lo + rows], casting="unsafe")
+            self._dft(xs, plan, block, work, t)
+        return out.reshape(a.shape)
+
+    def _ntt_object(self, a: np.ndarray, invert: bool) -> np.ndarray:
+        """ntt on Python ints: a bit-reversed gather, then one radix-2
+        butterfly stage per doubling, each reduced mod p.  The powers of
+        the n-th root are cached per (n, invert); a stage of length l reads
+        every (n/l)-th of them."""
+        n = a.shape[-1]
         p = self.p
-        out = np.take(np.asarray(a, dtype=self.dtype), self._rev_idx(n), axis=-1)
-        scratch = np.empty(out.size // 2, dtype=self.dtype)
-        bound = 1
+        tw = self._root_cache.get((n, invert))
+        if tw is None:
+            tw = self.powers(self._root(n, invert), n // 2)
+            tw.setflags(write=False)
+            self._root_cache[(n, invert)] = tw
+        # over k+1 bits, i and i + 2^k reverse to 2·rev_k(i) and 2·rev_k(i)+1
+        rev = np.zeros(1, dtype=np.intp)
+        while len(rev) < n:
+            rev = np.concatenate((2 * rev, 2 * rev + 1))
+        out = np.take(np.asarray(a, dtype=object), rev, axis=-1)
         length = 2
         while length <= n:
-            if bound > self._slack:
-                np.remainder(out, p, out=out)
-                bound = 1
             view = out.reshape(out.shape[:-1] + (n // length, 2, length // 2))
             lo, hi = view[..., 0, :], view[..., 1, :]
-            t = scratch.reshape(hi.shape)
-            np.multiply(hi, self._twiddles(length, invert), out=t)
-            np.remainder(t, p, out=t)
-            np.subtract(lo, t, out=hi)
-            np.add(lo, t, out=lo)
-            bound += 1
+            t = hi * tw[::n // length] % p
+            hi[...] = (lo - t) % p
+            lo[...] = (lo + t) % p
             length *= 2
-        if invert:
-            if bound > self._slack:
-                np.remainder(out, p, out=out)
-            np.multiply(out, self.inv(n), out=out)
-        return np.remainder(out, p, out=out)
+        return out * self.inv(n) % p if invert else out
 
     def _limbs(self, v: np.ndarray, split: bool) -> np.ndarray:
         """v's residues as rows, low first: 16-bit int64 limbs if split, else whole."""
@@ -376,7 +540,8 @@ class PrimeField:
             return self.zeros(0)
         need = la + lb - 1
         size = 1 << (need - 1).bit_length()
-        if need <= _SPLIT_CONV_CUTOFF or size > self.ntt_capacity():
+        cutoff = _SPLIT_CONV_CUTOFF_OBJECT if self.dtype is object else _SPLIT_CONV_CUTOFF
+        if need <= cutoff or size > self.ntt_capacity():
             return self._conv_limbs(a, b)
         fa = self.zeros(size)
         fb = self.zeros(size)

@@ -752,14 +752,6 @@ def _tri_powers(f: PrimeField, q: int, n: int) -> np.ndarray:
     return np.array(out, dtype=f.dtype)
 
 
-def _powers(f: PrimeField, x: int, n: int) -> np.ndarray:
-    """x^0, ..., x^(n-1), the table doubled by one array product per step."""
-    out = np.ones(1, dtype=f.dtype)
-    while len(out) < n:
-        out = np.concatenate((out, out * f.pow(x, len(out)) % f.p))
-    return out[:n]
-
-
 def geom_eval(f: PrimeField, a: np.ndarray, u: int, q: int, count: int) -> np.ndarray:
     """Evaluate a at the points u*q^i, i = 0..count-1, via one convolution."""
     _geom_check(f, u, q, count)
@@ -770,7 +762,7 @@ def geom_eval(f: PrimeField, a: np.ndarray, u: int, q: int, count: int) -> np.nd
     n = len(a)
     tri = _tri_powers(f, q, n + count)
     tri_inv = f.inv_array(tri[: max(n, count)])
-    b = a * _powers(f, u, n) % f.p * tri_inv[:n] % f.p
+    b = a * f.powers(u, n) % f.p * tri_inv[:n] % f.p
     c = f.conv(b[::-1], tri)
     return c[n - 1: n - 1 + count] * tri_inv[:count] % f.p
 
@@ -795,5 +787,5 @@ def geom_interp(fam: PolyFamily, values: np.ndarray) -> np.ndarray:
     # power sums sigma_s = sum_i w_i (u q^i)^-s = u^-s W(q^-s) for s = 1..n,
     # with W = sum_i w_i x^i evaluated at the geometric points q^-1 * q^-t
     zu, zq = f.inv(u), f.inv(q)
-    sigma = geom_eval(f, weights, zq, zq, n) * _powers(f, zu, n + 1)[1:] % f.p
+    sigma = geom_eval(f, weights, zq, zq, n) * f.powers(zu, n + 1)[1:] % f.p
     return trim(f, f.conv(fam.product, (f.p - sigma) % f.p)[:n])

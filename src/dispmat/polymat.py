@@ -13,7 +13,7 @@ import numpy as np
 
 from .field import PrimeField
 
-__all__ = ["pm_mul"]
+__all__ = ["pm_mul", "points_product"]
 
 
 def pm_mul(f: PrimeField, a: np.ndarray, b: np.ndarray,
@@ -38,13 +38,22 @@ def _pm_mul_points(f: PrimeField, a: np.ndarray, b: np.ndarray, size: int,
     pa[:, :, : a.shape[2]] = a
     pb = f.zeros(b.shape[:2] + (size,))
     pb[:, :, : b.shape[2]] = b
-    va = f.ntt(pa)
-    vb = f.ntt(pb)
-    # one matrix product per evaluation point
-    prod = f.mat_mul(va.transpose(2, 0, 1), vb.transpose(2, 0, 1))
-    vals = prod.transpose(1, 2, 0)
-    coeffs = f.ntt(np.ascontiguousarray(vals), invert=True)
-    return coeffs[:, :, :need]
+    vals = points_product(f, f.ntt(pa), f.ntt(pb))
+    return f.ntt(vals, invert=True)[:, :, :need]
+
+
+def points_product(f: PrimeField, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """One matrix product per evaluation point: sum_k va[i, k, s]·vb[k, j, s]
+    mod p, for (rows, k, points) and (k, cols, points) arrays of residues.
+
+    The point axis stays last and contiguous, and each unreduced sum holds at
+    most slack - 1 products next to an accumulator below p, as in mat_mul."""
+    step = max(1, f._slack - 1)
+    acc = None
+    for lo in range(0, va.shape[1], step):
+        part = np.einsum("iks,kjs->ijs", va[:, lo:lo + step], vb[lo:lo + step])
+        acc = part % f.p if acc is None else (acc + part) % f.p
+    return acc
 
 
 def _pm_mul_entrywise(f: PrimeField, a: np.ndarray, b: np.ndarray, need: int) -> np.ndarray:

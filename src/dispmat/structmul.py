@@ -34,7 +34,7 @@ from .poly import (
     symmetrize_apply,
     trim,
 )
-from .polymat import pm_mul
+from .polymat import pm_mul, points_product
 
 MUL_CUTOFF = 16
 
@@ -86,7 +86,7 @@ def _chunked_product(f: PrimeField, U: np.ndarray, M: np.ndarray,
         pu[:, :m] = U[:, :m]
         pm = f.zeros((rows, cols, size_direct))
         pm[:, :, :bound] = M
-        vals = np.sum(f.ntt(pu)[:, None, :] * f.ntt(pm) % f.p, axis=0) % f.p
+        vals = points_product(f, f.ntt(pu)[None], f.ntt(pm))[0]
         return f.ntt(vals, invert=True)[:, : m + bound - 1]
     uhat = _chunk_rows(f, U, width)
     out = f.zeros((cols, m + bound - 1))

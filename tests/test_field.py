@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispmat.field import (
+    _NTT_SLAB,
+    _SPLIT_CONV_CUTOFF,
     BENCH_PRIME,
     DEFAULT_PRIME,
     NAMED_PRIMES,
@@ -63,7 +65,7 @@ def test_inverse_property(a):
 
 
 def test_generator_has_full_order():
-    for p in (DEFAULT_PRIME, BENCH_PRIME, 7, 13):
+    for p in (DEFAULT_PRIME, BENCH_PRIME, 2, 7, 13):
         f = get_field(p)
         g = f.generator
         assert f.pow(g, p - 1) == 1
@@ -98,6 +100,18 @@ def test_arr_reduces_uint64_beyond_int63():
     assert a.dtype == np.int64
     assert a.tolist() == [932051909, 2**63 % f.p, 3]
     assert f.arr([2**64 - 1]).tolist() == [932051909]  # numpy reads it as uint64
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, BENCH_PRIME])
+def test_arr_refuses_lossy_floats(p):
+    f = get_field(p)
+    for bad in ([2.5, 1e30], [2.5], [1e30], [float("nan")], [float("inf")],
+                [2.0**53 + 1], np.array([[1.0, 2.5]]), np.array([7, 2.5], dtype=object)):
+        with pytest.raises(ValueError):
+            f.arr(bad)
+    # floats that are integers below 2^53 name one residue exactly
+    assert f.arr([2.0, -3.0, 2.0**53 - 1]).tolist() == [2, p - 3, (2**53 - 1) % p]
+    assert f.arr(np.array([5.0], dtype=np.float32)).tolist() == [5]
 
 
 def test_zeros_shapes():
@@ -145,39 +159,103 @@ def test_ntt_roundtrip():
         assert np.array_equal(back, a)
 
 
-def _naive_dft(p, rows, w):
-    """sum_i a_i w^(ij) mod p for each row, on Python ints."""
-    n = len(rows[0])
-    pw = [pow(w, k, p) for k in range(n)]
-    return [[sum(int(a[i]) * pw[i * j % n] for i in range(n)) % p for j in range(n)]
-            for a in rows]
+def _naive_dft(f, rows, w):
+    """sum_i a_i w^(ij) mod p for each row of the (rows, n) array: the DFT
+    matrix as one exact mat_mul."""
+    n = rows.shape[-1]
+    k = np.arange(n)
+    return f.mat_mul(rows, f.powers(w, n)[np.outer(k, k) % n])
 
 
-# slack floor(2^63/p^2) is 9, 2 and 1 for the three int64 primes, so the
-# transform reduces after 8 stages, after 1 stage and before every twiddle
-# product; p62 runs on object arrays
+# The int64 transform runs in passes of radix at most 128, less near 2^31.5:
+# 128 at 998244353, 64 at 2013265921 and 32 at 2281701377, the int64 NTT
+# prime whose 2^52 bound on a pass's partial sums is the tightest; p62 runs
+# the radix-2 loop on object arrays.  Lengths 512 and 2048 take two or three
+# passes, and one row more than a slab holds leaves a partial last slab.
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 2013265921, 2281701377, BENCH_PRIME])
 def test_ntt_matches_naive_dft(p):
     f = get_field(p)
     rng = np.random.default_rng(23)
-    for n in (1, 2, 8, 64, 256):
+    cases = [(n, lead) for n in (1, 2, 8, 64, 256) for lead in ((), (3,))]
+    if f.dtype is not object:
+        cases += [(n, (_NTT_SLAB // n + 1,)) for n in (512, 2048)]
+    for n, lead in cases:
         w = f.pow(f.generator, (p - 1) // n)
-        for lead in ((), (3,)):
-            size = int(np.prod(lead, dtype=int)) * n
-            for low in (0, p - 1000):
-                vals = [low + int(v) % (p - low) for v in rng.integers(0, 2**62, size)]
-                a = f.arr(vals).reshape(lead + (n,))
-                before = a.copy()
-                rows = a.reshape(-1, n).tolist()
-                for invert, want in ((False, _naive_dft(p, rows, w)),
-                                     (True, [[v * f.inv(n) % p for v in r]
-                                             for r in _naive_dft(p, rows, f.inv(w))])):
-                    got = f.ntt(a, invert=invert)
-                    assert got.dtype == f.dtype and got.shape == a.shape
-                    assert got.flags.c_contiguous
-                    assert got.reshape(-1, n).tolist() == want
-                    assert all(0 <= int(v) < p for v in got.ravel())
-                    assert np.array_equal(a, before)
+        size = int(np.prod(lead, dtype=int)) * n
+        for low in (0, p - 1000):
+            vals = [low + int(v) % (p - low) for v in rng.integers(0, 2**62, size)]
+            a = f.arr(vals).reshape(lead + (n,))
+            before = a.copy()
+            rows = a.reshape(-1, n)
+            for invert, want in ((False, _naive_dft(f, rows, w)),
+                                 (True, _naive_dft(f, rows, f.inv(w)) * f.inv(n) % p)):
+                got = f.ntt(a, invert=invert)
+                assert got.dtype == f.dtype and got.shape == a.shape
+                assert got.flags.c_contiguous
+                assert got.reshape(-1, n).tolist() == want.tolist()
+                assert all(0 <= int(v) < p for v in got.ravel())
+                assert np.array_equal(a, before)
+
+
+def _largest_radix(f):
+    """The longest transform that takes a single pass."""
+    n = 1
+    while len(f._ntt_plan(2 * n, False)) == 1:
+        n *= 2
+    return n
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 2013265921, 2281701377])
+def test_ntt_of_top_residues_at_the_largest_radix(p):
+    """Entries p - 1 are the largest data a pass multiplies.  A constant c
+    transforms to n·c at 0 and zeros, and back to c at 0 and zeros, in one
+    pass of the largest radix R and in two (R·R)."""
+    f = get_field(p)
+    R = _largest_radix(f)
+    assert R == {DEFAULT_PRIME: 128, 2013265921: 64, 2281701377: 32}[p]
+    for n in (R, R * R):
+        top = f.arr(np.full((3, n), p - 1))
+        want = f.zeros((3, n))
+        want[:, 0] = n * (p - 1) % p
+        assert np.array_equal(f.ntt(top), want)
+        want[:, 0] = p - 1
+        assert np.array_equal(f.ntt(top, invert=True), want)
+    # p - 1 where a row's hi limb is positive, 0 elsewhere: that row's
+    # largest hi-limb sum, the tightest case of the 2^52 bound
+    w = f.pow(f.generator, (p - 1) // R)
+    k = np.arange(R)
+    dft = f.powers(w, R)[np.outer(k, k) % R]
+    hi = (np.where(dft > p // 2, dft - p, dft) + (1 << 14)) >> 15
+    a = np.where(hi > 0, p - 1, 0)
+    assert np.array_equal(f.ntt(a), _naive_dft(f, a, w))
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 2013265921, 2281701377])
+def test_ntt_conv_matches_limb_kernel(p):
+    f = get_field(p)
+    rng = np.random.default_rng(29)
+    for la, lb in [(600, 1500), (1025, 1024), (2048, 2049), (5000, 3000), (8192, 8193)]:
+        assert la + lb - 1 > _SPLIT_CONV_CUTOFF  # the transform path
+        a = f.arr(rng.integers(0, p, la))
+        b = f.arr(rng.integers(0, p, lb))
+        assert np.array_equal(f.conv(a, b), f._conv_limbs(a, b))
+
+
+def test_one_ntt_call_is_one_method_call(monkeypatch):
+    """The passes recurse through a private helper, so a tracer wrapping
+    PrimeField.ntt sees one call per transform."""
+    f = get_field(DEFAULT_PRIME)
+    shapes = []
+    ntt = PrimeField.ntt
+
+    def counted(self, a, invert=False):
+        shapes.append(a.shape)
+        return ntt(self, a, invert)
+
+    monkeypatch.setattr(PrimeField, "ntt", counted)
+    a = f.arr(np.arange(3 << 16).reshape(3, 1 << 16))  # three passes: 64·32·32
+    assert np.array_equal(f.ntt(f.ntt(a), invert=True), a)
+    assert shapes == [a.shape, a.shape]
 
 
 def _naive_conv(p, a, b):
@@ -212,7 +290,7 @@ def _python_int_conv(p, a, b):
 
 # 2^31-1 and 2^62-57 have two-adicity 1, so every product runs the limb
 # kernel; 3037000493 is the int64 edge; 2^64-59 has residues beyond int64.
-# Output lengths straddle the 1024 cutoff and reach past 2048.
+# Output lengths straddle the 1024 int64 cutoff and the 3072 object-dtype one.
 # A shorter factor of at most floor(2^63/p^2) terms takes one unsplit
 # np.convolve; the lengths in _UNSPLIT_EDGE sit on either side of that bound.
 _UNSPLIT_EDGE = {DEFAULT_PRIME: (9, 10), 2013265921: (2, 3), 2281701377: (1, 2)}
@@ -223,7 +301,7 @@ _UNSPLIT_EDGE = {DEFAULT_PRIME: (9, 10), 2013265921: (2, 3), 2281701377: (1, 2)}
 def test_conv_matches_python_int_reference(p):
     f = get_field(p)
     rng = np.random.default_rng(17)
-    for la, lb in [(1, 1), (1, 1024), (512, 513), (513, 513), (700, 1500)]:
+    for la, lb in [(1, 1), (1, 1024), (512, 513), (513, 513), (700, 1500), (1600, 1600)]:
         a = f.arr([int(v) % p for v in rng.integers(0, 2**63, la, dtype=np.uint64)])
         b = f.arr([int(v) % p for v in rng.integers(0, 2**63, lb, dtype=np.uint64)])
         assert f.conv(a, b).tolist() == _python_int_conv(p, a, b)
