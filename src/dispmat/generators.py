@@ -122,12 +122,7 @@ class BasicTransform:
 def _y_side(fam: PolyFamily, e: bool, X: np.ndarray, inverse: bool) -> np.ndarray:
     if not e:
         return X
-    if X.ndim == 1:
-        return y_apply_family(fam, X, inverse)
-    if X.shape[1] == 0:
-        return X
-    return np.stack([y_apply_family(fam, X[:, k], inverse)
-                     for k in range(X.shape[1])], axis=1)
+    return _columns(lambda v: y_apply_family(fam, v, inverse), X)
 
 
 def to_basic(gen: Generator) -> tuple[Generator, BasicTransform]:
@@ -273,6 +268,16 @@ def _hstack(mats) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
+def _columns(fn, X: np.ndarray) -> np.ndarray:
+    """fn on a vector, or fn on each column of a block, stacked back into a
+    block; a block without columns is returned unchanged."""
+    if X.ndim == 1:
+        return fn(X)
+    if X.shape[1] == 0:
+        return X
+    return np.stack([fn(X[:, k]) for k in range(X.shape[1])], axis=1)
+
+
 def to_hankel(gen: Generator) -> tuple[Generator, HankelContext]:
     """Generator of the Toeplitz/Hankel-type core of A.
 
@@ -293,37 +298,32 @@ def to_hankel(gen: Generator) -> tuple[Generator, HankelContext]:
 
     t = _unit(f, m, 0)
     s = _unit(f, n, 0)
-    # u = Y_P⁻¹ W_P m⃗ with m⃗ the low coefficients of P (P − x^m)
-    mvec = fam_p.product[:m]
-    u = y_apply_family(fam_p, fam_p.join_parts(red_family(fam_p, mvec)), inverse=True)
-    # r = −Y_Q⁻¹ W_Q (n⃗ + s)
+    # u = Y_P⁻¹ W_P m⃗ = Lᵗ·J·m⃗ with m⃗ the low coefficients of P (P − x^m)
+    u = side_map_t(fam_p, fam_p.product[:m][::-1])
+    # r = −Y_Q⁻¹ W_Q (n⃗ + s) = −R·J·(n⃗ + s)
     nvec = fam_q.product[:n].copy()
     nvec[0] = (nvec[0] + 1) % f.p
-    r = y_apply_family(fam_q, fam_q.join_parts(red_family(fam_q, nvec)), inverse=True)
-    r = (f.p - r) % f.p
+    r = (f.p - side_map_t(fam_q, nvec[::-1])) % f.p
 
     ctx = HankelContext(gen=gen, u=u, r=r)
 
-    lg = [side_map(fam_p, gen.G[:, k]) for k in range(gen.alpha)]
-    rth = [side_map(fam_q, gen.H[:, k]) for k in range(gen.alpha)]
+    lg = _columns(functools.partial(side_map, fam_p), gen.G)
+    rth = _columns(functools.partial(side_map, fam_q), gen.H)
     l_a_r = side_map(fam_p, gen_matvec(gen, r))
-    tgen = gen_transpose(gen)
-    at_u = gen_matvec(tgen, u)
+    at_u = gen_matvec(gen_transpose(gen), u)
 
     hop = hankel_operator(f, m, n)
     if op.kind == SYLVESTER:
-        g_cols = [t] + lg + [l_a_r]
-        h_cols = [side_map(fam_q, at_u)] + rth + [s]
-        return Generator(_hstack(g_cols), _hstack(h_cols), hop), ctx
+        H = _hstack([side_map(fam_q, at_u), rth, s])
+        return Generator(_hstack([t, lg, l_a_r]), H, hop), ctx
 
     # Stein: shift the last G column, pre-multiply Aᵗu by M_Q, and conjugate
     # the H side through −Z_{n,1}·J_n
     z0_lar = np.concatenate([f.zeros(1), l_a_r[:-1]])
     mq_at_u = companion_apply(fam_q, at_u)
-    h_cols = [(f.p - side_map(fam_q, mq_at_u)) % f.p] + rth + [s]
-    g_cols = [t] + lg + [z0_lar]
-    hb = [(f.p - np.roll(col[::-1], 1)) % f.p for col in h_cols]
-    return Generator(_hstack(g_cols), _hstack(hb), hop), ctx
+    H = _hstack([(f.p - side_map(fam_q, mq_at_u)) % f.p, rth, s])
+    hb = (f.p - np.roll(H[::-1], 1, axis=0)) % f.p
+    return Generator(_hstack([t, lg, z0_lar]), hb, hop), ctx
 
 
 def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
@@ -341,7 +341,6 @@ def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
         raise DimensionMismatch("inverse unwinding requires a square matrix")
     op = gen.operator
     fam_p, fam_q = op.fam_p, op.fam_q
-    alpha_inv = inv_gen.alpha
     Y, Z = inv_gen.G, inv_gen.H
     inv_t = gen_transpose(inv_gen)
 
@@ -349,31 +348,28 @@ def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
     core_inv_of_t = gen_matvec(inv_gen, e0)
     swapped = inverse_operator(op)
 
+    lt = functools.partial(side_map_t, fam_p)  # Lᵗ
+    rq = functools.partial(side_map_t, fam_q)  # R
+
     if op.kind == SYLVESTER:
         # ∇_{M_Qᵗ,M_P}(A⁻¹) = [r | RY | R·A′⁻¹t]·[Lᵗ·A′⁻ᵗs | LᵗZ | u]ᵗ
         a_inv_t = core_inv_of_t
         a_invt_s = gen_matvec(inv_t, e0)
-        g_cols = [ctx.r] + [side_map_t(fam_q, Y[:, k]) for k in range(alpha_inv)] + \
-                 [side_map_t(fam_q, a_inv_t)]
-        h_cols = [side_map_t(fam_p, a_invt_s)] + \
-                 [side_map_t(fam_p, Z[:, k]) for k in range(alpha_inv)] + [ctx.u]
-        out = Generator(_hstack(g_cols), _hstack(h_cols), swapped)
-        return gen_compress(out)
+        G = _hstack([ctx.r, _columns(rq, Y), rq(a_inv_t)])
+        H = _hstack([lt(a_invt_s), _columns(lt, Z), ctx.u])
+        return gen_compress(Generator(G, H, swapped))
 
     # Stein: core is B = A′·J, A′⁻¹ = J·B⁻¹ and A′⁻ᵗ = B⁻ᵗ·J.
     # Δ_{M_Qᵗ,M_P}(A⁻¹) =
     #   [R·J·Z_{m,1}·Y_B | M_Qᵗ·R·J·B⁻¹t | r]·[Lᵗ·Z_B | u | −Lᵗ·Z_{m,0}ᵗ·B⁻ᵗJs]ᵗ
     b_inv_t = core_inv_of_t
     b_invt_js = gen_matvec(inv_t, e0[::-1])
-    g_cols = [side_map_t(fam_q, np.roll(Y[:, k], 1)[::-1]) for k in range(alpha_inv)]
-    g_cols += [companion_apply(fam_q, side_map_t(fam_q, b_inv_t[::-1]), transposed=True)]
-    g_cols += [ctx.r]
+    G = _hstack([_columns(rq, np.roll(Y, 1, axis=0)[::-1]),
+                 companion_apply(fam_q, rq(b_inv_t[::-1]), transposed=True),
+                 ctx.r])
     z0t_bts = np.concatenate([b_invt_js[1:], f.zeros(1)])
-    h_cols = [side_map_t(fam_p, Z[:, k]) for k in range(alpha_inv)]
-    h_cols += [ctx.u]
-    h_cols += [(f.p - side_map_t(fam_p, z0t_bts)) % f.p]
-    out = Generator(_hstack(g_cols), _hstack(h_cols), swapped)
-    return gen_compress(out)
+    H = _hstack([_columns(lt, Z), ctx.u, (f.p - lt(z0t_bts)) % f.p])
+    return gen_compress(Generator(G, H, swapped))
 
 
 # ---------------------------------------------------------------------------

@@ -21,19 +21,13 @@ from .poly import (
     DimensionMismatch,
     PolyFamily,
     as_poly,
-    crt_family,
     family_build,
     frozen,
-    is_zero,
     modmul_apply,  # noqa: F401  (re-exported: the modular products live in poly)
     modmul_apply_transposed,  # noqa: F401
-    poly_divrem,
     poly_invmod,
-    poly_mod,
-    poly_mul,
     poly_rev,
     poly_scale,
-    poly_sub,
     red_family,
     symmetrize_apply,
     symmetrize_solve,
@@ -167,14 +161,11 @@ def y_apply_family(fam: PolyFamily, v: np.ndarray, inverse: bool = False) -> np.
 #
 # The table holding Q⁻¹ mod P_i (Sylvester) or rev(Q)⁻¹ mod P_i (Stein) is
 # what makes reconstruction and fast products possible; it exists exactly
-# when the operator is invertible.  Three routes, dispatched on the verified
+# when the operator is invertible.  Two routes, dispatched on the verified
 # family flavors:
 #   1. both sides a single binomial x^k − c: closed form, no gcd at all;
-#   2. Sylvester with P = x^m − φ a binomial but Q not: invert P modulo every
-#      Q_j, CRT the residues into R = P⁻¹ mod Q, and read off Q⁻¹ mod P from
-#      the exact cofactor (1 − R·P)/Q;
-#   3. every other case, Stein with a binomial P included: reduce Q (rev(Q)
-#      for Stein) down the P-tree, one small modular inverse per leaf.
+#   2. every other pair: reduce Q (rev(Q) for Stein) down the P-tree, one
+#      small modular inverse per leaf.
 
 
 def binomial_inverse(f: PrimeField, m: int, phi: int, n: int, psi: int):
@@ -202,18 +193,6 @@ def binomial_inverse(f: PrimeField, m: int, phi: int, n: int, psi: int):
         out[e % m] = (out[e % m] + coeff * f.pow(phi, e // m)) % f.p
         coeff = (coeff * psi) % f.p
     return out
-
-
-def _x_pow_mod(f: PrimeField, e: int, P: np.ndarray) -> np.ndarray:
-    """x^e mod P by square and multiply."""
-    r = as_poly(f, [1])
-    x = poly_mod(f, as_poly(f, [0, 1]), P)
-    while e:
-        if e & 1:
-            r = poly_mod(f, poly_mul(f, r, x), P)
-        e >>= 1
-        x = poly_mod(f, poly_mul(f, x, x), P)
-    return r
 
 
 def _inverse_mod_leaves(fam_p: PolyFamily, rhs: np.ndarray):
@@ -244,26 +223,6 @@ def _binomial_case(f: PrimeField, fam_p: PolyFamily, fam_q: PolyFamily, stein: b
     return [poly_scale(f, (-psi_inv) % f.p, w)]
 
 
-def _converse_case(f: PrimeField, fam_p: PolyFamily, fam_q: PolyFamily):
-    """P = x^m − φ, Q arbitrary: compute R = P⁻¹ mod Q blockwise, then the
-    cofactor S with R·P + S·Q = 1 gives Q⁻¹ mod P = S."""
-    (phi,) = fam_p.flavor_params
-    m = fam_p.total_degree
-    parts = []
-    for Qj in fam_q.polys:
-        rj = poly_invmod(f, poly_sub(f, _x_pow_mod(f, m, Qj), as_poly(f, [phi])), Qj)
-        if rj is None:
-            return None
-        parts.append(rj)
-    r = crt_family(fam_q, parts)
-    one_minus_rp = poly_sub(f, as_poly(f, [1]),
-                            poly_mul(f, r, fam_p.product))
-    s, rem = poly_divrem(f, one_minus_rp, fam_q.product)
-    if not is_zero(rem):
-        raise ArithmeticError("1 − R·P is not a multiple of Q: the cofactor is inexact")
-    return [poly_mod(f, s, fam_p.product)]
-
-
 def inverse_table(op: DisplacementOperator):
     """Per-block inverses Q⁻¹ mod P_i (Sylvester) / rev(Q)⁻¹ mod P_i (Stein).
 
@@ -279,8 +238,6 @@ def inverse_table(op: DisplacementOperator):
         stein = op.kind == STEIN
         if fam_p.flavor == "single_power" and fam_q.flavor == "single_power":
             return _binomial_case(f, fam_p, fam_q, stein)
-        if fam_p.flavor == "single_power" and not stein:
-            return _converse_case(f, fam_p, fam_q)
         rhs = fam_q.product
         if stein:
             rhs = poly_rev(f, rhs, fam_q.total_degree)

@@ -34,7 +34,7 @@ from .poly import (
     symmetrize_apply,
     trim,
 )
-from .polymat import pm_mul, points_product
+from .polymat import pm_mul
 
 MUL_CUTOFF = 16
 
@@ -50,18 +50,6 @@ def _stack(f: PrimeField, polys, rows: int, bound: int, shift: int = 0) -> np.nd
     for i, p in enumerate(polys):
         k = min(len(p), bound - shift)
         out[i, shift: shift + k] = p[:k]
-    return out
-
-
-def _chunk_rows(f: PrimeField, U: np.ndarray, width: int) -> np.ndarray:
-    """Split each row of U (rows x m) into degree-width slices:
-    returns (nchunks, rows, width) with U_k = sum_t x^{t*width} * out[t, k]."""
-    rows, m = U.shape
-    nchunks = -(-m // width)
-    out = f.zeros((nchunks, rows, width))
-    for t in range(nchunks):
-        piece = U[:, t * width: (t + 1) * width]
-        out[t, :, : piece.shape[1]] = piece
     return out
 
 
@@ -82,13 +70,9 @@ def _chunked_product(f: PrimeField, U: np.ndarray, M: np.ndarray,
     work_direct = (rows + rows * cols + cols) * size_direct * size_direct.bit_length()
     work_chunked = (2 * nchunks * cols + nchunks * cols) * size_chunked * size_chunked.bit_length()
     if size_direct <= f.ntt_capacity() and work_direct < work_chunked:
-        pu = f.zeros((rows, size_direct))
-        pu[:, :m] = U[:, :m]
-        pm = f.zeros((rows, cols, size_direct))
-        pm[:, :, :bound] = M
-        vals = points_product(f, f.ntt(pu)[None], f.ntt(pm))[0]
-        return f.ntt(vals, invert=True)[:, : m + bound - 1]
-    uhat = _chunk_rows(f, U, width)
+        return pm_mul(f, U[None], M)[0]
+    # the rows cut into width-slices: U_k = sum_t x^{t*width} * uhat[t, k]
+    uhat = _stack(f, U, rows, nchunks * width).reshape(rows, nchunks, width).transpose(1, 0, 2)
     out = f.zeros((cols, m + bound - 1))
     P = pm_mul(f, uhat, M)
     seg = P.shape[2]
@@ -244,11 +228,7 @@ def mulQ(f: PrimeField, U, V, W, Q) -> list[np.ndarray]:
     # cancel exactly, so a wraparound product of size >= out_len is exact.
     # That lets one batched transform round serve every column at half the
     # linear-product length.
-    Um = f.zeros((alpha, size))
-    Vm = f.zeros((alpha, size))
-    for k in range(alpha):
-        Um[k, : len(U[k])] = U[k]
-        Vm[k, : len(V[k])] = V[k]
+    Um, Vm = _stack(f, U, alpha, size), _stack(f, V, alpha, size)
     vT = np.sum(f.ntt(Um) * f.ntt(Vm) % f.p, axis=0) % f.p
     Qm = f.zeros(size)
     Qm[: min(len(Q), size)] = Q[:size]
@@ -256,12 +236,8 @@ def mulQ(f: PrimeField, U, V, W, Q) -> list[np.ndarray]:
         tail = Q[size:]
         Qm[: len(tail)] = (Qm[: len(tail)] + tail) % f.p
     vQ = f.ntt(Qm)
-    Wm = f.zeros((beta, size))
-    Sm = f.zeros((beta, size))
-    for i, w in enumerate(W):
-        Wm[i, : len(w)] = w
-        sr = poly_rev(f, S[i], m + n - 3)
-        Sm[i, : len(sr)] = sr
+    Wm = _stack(f, W, beta, size)
+    Sm = _stack(f, [poly_rev(f, s, m + n - 3) for s in S], beta, size)
     vals = (vT * f.ntt(Wm) - vQ * f.ntt(Sm)) % f.p
     return list(f.ntt(vals, invert=True)[:, :out_len])
 
@@ -296,12 +272,14 @@ def _mul_direct(f: PrimeField, U, V, W, Q) -> list[np.ndarray]:
 def product_chain(gen: Generator, B: np.ndarray) -> np.ndarray:
     """A·B for any generator length; every product in the library runs here.
 
-    After conjugating to the basic operator, right to left: Y_Q blockwise
-    and comb_Q on each column of B, the alpha-term middle product taken
-    modulo Q (reversed coefficients for Stein), the reduction to the blocks
-    of P, and the blockwise modular products with the inverses of Q.  The
-    middle product goes through mulQ, except for a single column or
-    alpha > n, where the direct sum is used.
+    With Ã = Y_P^{e1}·A·Y_Q^{e2} on the basic operator, A·B =
+    Y_P^{−e1}·Ã·Y_Q^{−e2}·B, and Ã's chain starts with Y_Q blockwise, so
+    each side's symmetrizer is applied at most once: Y_Q only when e2 is
+    unset, Y_P⁻¹ only when e1 is set.  Right to left: comb_Q on each column,
+    the alpha-term middle product taken modulo Q (reversed coefficients for
+    Stein), the reduction to the blocks of P, and the blockwise modular
+    products with the inverses of Q.  The middle product goes through mulQ,
+    except for a single column or alpha > n, where the direct sum is used.
     """
     f = gen.field
     beta = B.shape[1]
@@ -309,10 +287,7 @@ def product_chain(gen: Generator, B: np.ndarray) -> np.ndarray:
         return f.zeros((gen.m, beta))
 
     basic, tf = to_basic(gen)
-    if not tf.is_identity:
-        return tf.p_side(product_chain(basic, tf.q_side(B, inverse=True)), inverse=True)
-
-    op = gen.operator
+    op = basic.operator
     fam_p, fam_q = op.fam_p, op.fam_q
     m, n = op.m, op.n
     gammas, etas, table = _basic_data(basic)
@@ -320,8 +295,9 @@ def product_chain(gen: Generator, B: np.ndarray) -> np.ndarray:
 
     cols = []
     for i in range(beta):
-        parts = [symmetrize_apply(f, Qj, blk)
-                 for Qj, blk in zip(fam_q.polys, fam_q.split_vector(B[:, i]))]
+        parts = fam_q.split_vector(B[:, i])
+        if not tf.e2:
+            parts = [symmetrize_apply(f, Qj, blk) for Qj, blk in zip(fam_q.polys, parts)]
         cols.append(comb_family(fam_q, parts))
 
     lhs = [poly_rev(f, g, m - 1) for g in gammas] if stein else gammas
@@ -336,7 +312,7 @@ def product_chain(gen: Generator, B: np.ndarray) -> np.ndarray:
         blocks = red_family(fam_p, r)
         for j, (s, k, P) in enumerate(zip(fam_p.offsets, fam_p.degrees, fam_p.polys)):
             out[s: s + k, i] = modmul_apply(f, table[j], P, blocks[j])
-    return out
+    return tf.p_side(out, inverse=True)
 
 
 def struct_mul(gen: Generator, B: np.ndarray) -> np.ndarray:

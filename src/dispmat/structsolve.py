@@ -26,6 +26,7 @@ explicit status, never a wrong answer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,7 @@ from .generators import (
     side_map_t,
     to_basic,
     to_hankel,
+    _columns,
     _hstack,
     _unit,
 )
@@ -121,17 +123,13 @@ class TriangularToeplitzPreconditioner:
             raise PreconditionViolated("preconditioner vector must start with 1")
         self.m = len(self.v)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.f.conv(self.v, x)[: self.m]
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """U(v)·X for a vector or a block of columns."""
+        return _columns(lambda x: self.f.conv(self.v, x)[: self.m], X)
 
-    def apply_transpose(self, x: np.ndarray) -> np.ndarray:
-        return self.f.conv(self.v[::-1], x)[self.m - 1:]
-
-    def apply_columns(self, X: np.ndarray) -> np.ndarray:
-        """U(v)·X column by column."""
-        if X.shape[1] == 0:
-            return self.f.zeros((self.m, 0))
-        return np.stack([self.apply(X[:, k]) for k in range(X.shape[1])], axis=1)
+    def apply_transpose(self, X: np.ndarray) -> np.ndarray:
+        """U(v)ᵗ·X for a vector or a block of columns."""
+        return _columns(lambda x: self.f.conv(self.v[::-1], x)[self.m - 1:], X)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +382,6 @@ def precond(f: PrimeField, G, H, u1: TriangularToeplitzPreconditioner,
     rank two on each side, so the width grows by exactly four, and the first
     α columns stay U(v₁)ᵗG and U(v₂)ᵗH."""
     m, n = G.shape[0], H.shape[0]
-    alpha = G.shape[1]
     gen = Generator(G, H, hankel_operator(f, m, n))
     tgen = gen_transpose(gen)
 
@@ -397,19 +394,11 @@ def precond(f: PrimeField, G, H, u1: TriangularToeplitzPreconditioner,
     h2 = _hstack([_unit(f, n, 0),
                   np.concatenate([f.zeros(1), v2a[::-1][:-1]])])
 
-    ag2 = np.stack([gen_matvec(gen, g2[:, k]) for k in range(2)], axis=1)
-    ath1 = np.stack([gen_matvec(tgen, h1[:, k]) for k in range(2)], axis=1)
+    ag2 = _columns(functools.partial(gen_matvec, gen), g2)
+    ath1 = _columns(functools.partial(gen_matvec, tgen), h1)
 
-    Gt = _hstack([np.stack([u1.apply_transpose(G[:, k])
-                            for k in range(alpha)], axis=1) if alpha else G,
-                  g1,
-                  np.stack([u1.apply_transpose(ag2[:, k])
-                            for k in range(2)], axis=1)])
-    Ht = _hstack([np.stack([u2.apply_transpose(H[:, k])
-                            for k in range(alpha)], axis=1) if alpha else H,
-                  np.stack([u2.apply_transpose(ath1[:, k])
-                            for k in range(2)], axis=1),
-                  h2])
+    Gt = _hstack([u1.apply_transpose(G), g1, u1.apply_transpose(ag2)])
+    Ht = _hstack([u2.apply_transpose(H), u2.apply_transpose(ath1), h2])
     ut = u2.apply_transpose(gen_matvec(tgen, _unit(f, m, m - 1)))
     return Gt, Ht, ut
 
@@ -464,8 +453,8 @@ def inv(f: PrimeField, G, H, rng_seed: int = 0) -> InvResult:
     # A⁻¹ = U(v₂)·Ã⁻¹·U(v₁)ᵗ, and the first α columns of Ã's generator
     # are U(v₁)ᵗG and U(v₂)ᵗH
     alpha = G.shape[1]
-    out = Generator(u2.apply_columns(res.Y[:, :alpha]),
-                    u1.apply_columns(res.Z[:, :alpha]),
+    out = Generator(u2.apply(res.Y[:, :alpha]),
+                    u1.apply(res.Z[:, :alpha]),
                     hankel_inverse_operator(f, m, m))
     return InvResult(OK, out)
 

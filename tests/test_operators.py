@@ -278,12 +278,28 @@ def test_inverse_table_is_built_once_for_every_variant(f, monkeypatch):
     assert len(calls) == 1
 
 
+def _binomial_p_operators(f, rng):
+    """A binomial P against a general and against a geometric Q, for both
+    kinds, up to degree 64: rand_family yields a binomial only at degree 1."""
+    from dispmat.cli import draw_family
+
+    for kind in (SYLVESTER, STEIN):
+        for flavor in ("general", "geometric"):
+            for m, n in ((1, 3), (7, 5), (64, 40)):
+                op = DisplacementOperator(kind, draw_family(f, rng, m, "single_power"),
+                                          draw_family(f, rng, n, flavor))
+                assert (op.fam_p.flavor, op.fam_q.flavor) == ("single_power", flavor)
+                yield op
+
+
 def test_inverse_table_entries_are_modular_inverses(f):
     rng = np.random.default_rng(43)
     from dispmat.poly import poly_mod, poly_rev
 
-    for _ in range(10):
-        op = rand_operator(f, rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+    ops = [rand_operator(f, rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+           for _ in range(10)]
+    ops += list(_binomial_p_operators(f, rng))
+    for op in ops:
         table = inverse_table(op)
         assert table is not None
         rhs = op.fam_q.product
@@ -292,6 +308,22 @@ def test_inverse_table_entries_are_modular_inverses(f):
         for w, P in zip(table, op.fam_p.polys):
             prod = poly_mod(f, poly_mul(f, w, rhs), P)
             assert prod.tolist() == [1]
+
+
+def test_struct_mul_with_binomial_p_matches_oracle(f):
+    from dispmat.generators import Generator
+    from dispmat.oracle import dense_mul, dense_solve_displacement
+    from dispmat.structmul import struct_mul
+
+    rng = np.random.default_rng(59)
+    for op in _binomial_p_operators(f, rng):
+        if op.m * op.n > 64:
+            continue
+        gen = Generator(f.arr(rng.integers(0, f.p, (op.m, 2))),
+                        f.arr(rng.integers(0, f.p, (op.n, 2))), op)
+        A = dense_solve_displacement(op, f.mat_mul(gen.G, gen.H.T))
+        B = f.arr(rng.integers(0, f.p, (op.n, 3)))
+        assert np.array_equal(struct_mul(gen, B), dense_mul(f, A, B))
 
 
 def _dense_operator_matrix(op):

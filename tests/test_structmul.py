@@ -22,7 +22,7 @@ from dispmat.structmul import (
 from dispmat.generators import gen_matvec, reconstruct_dense
 from dispmat.oracle import dense_mul, dense_solve_displacement
 
-from conftest import rand_generator, rand_operator
+from conftest import rand_family, rand_generator, rand_operator
 
 
 def _naive_truncated(f, U, V, W, m, n):
@@ -243,6 +243,35 @@ def test_struct_mul_matches_oracle_across_primes(p, monkeypatch):
         A = dense_solve_displacement(op, f.mat_mul(gen.G, gen.H.T))
         B = f.arr(rng.integers(0, 2**62, (n, int(rng.integers(1, 5)))))
         assert np.array_equal(struct_mul(gen, B), dense_mul(f, A, B))
+
+
+@pytest.mark.parametrize("transpose_p", [False, True])
+def test_struct_mul_never_inverts_the_q_symmetrizer(f, transpose_p, monkeypatch):
+    """With an untransposed Q side, A·B = Y_P^{−e1}·Ã·Y_Q⁻¹·B and Ã's chain
+    starts with Y_Q, so the product must not apply Y_Q⁻¹ at all."""
+    from dispmat import operators
+    from dispmat.operators import sylvester_op
+
+    rng = np.random.default_rng(53)
+    fam_p, fam_q = rand_family(f, rng, 9), rand_family(f, rng, 8)
+    op = sylvester_op(fam_p, fam_q, transpose_p=transpose_p, transpose_q=False)
+    gen = rand_generator(f, rng, op, 3)
+    B = f.arr(rng.integers(0, f.p, (8, 4)))
+    A = dense_solve_displacement(op, f.mat_mul(gen.G, gen.H.T))
+
+    moduli = []
+    solve = operators.symmetrize_solve
+
+    def recording(field, P, v):
+        moduli.append(P.tolist())
+        return solve(field, P, v)
+
+    monkeypatch.setattr(operators, "symmetrize_solve", recording)
+    got = struct_mul(gen, B)
+    assert np.array_equal(got, dense_mul(f, A, B))
+    q_blocks = [Q.tolist() for Q in fam_q.polys]
+    assert not any(P in q_blocks for P in moduli)
+    assert bool(moduli) == transpose_p  # Y_P⁻¹ on the output side only
 
 
 def test_struct_mul_columns_agree_with_matvec(f):

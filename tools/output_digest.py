@@ -1,0 +1,107 @@
+"""Print one SHA-256 over the outputs of the library's products, solves and
+inverses, to check that a refactor leaves every result bit-for-bit the same.
+
+    python3 tools/output_digest.py SRC_DIR
+
+SRC_DIR is the `src` directory of a checkout; `dispmat` is imported from
+there, so two checkouts can be compared side by side.  The digest covers
+`struct_mul`, `gen_matvec`, `reconstruct_dense`, `solve_generator` and
+`inv_generator` for four primes (998244353, 2281701377, 2^31 − 1 and the
+62-bit prime), the eight operator variants in each of the three family
+flavours (drawn by `cli.draw_operator`), one square and one rectangular
+format, and the inverse tables of mixed-flavour operators (a binomial
+family on one side, a general or geometric one on the other).
+
+Products, reconstructions and inverse tables are unique exact values.  Solve
+and inverse outputs are not: they depend on the random seeds and on the
+code path (which solution, which generator of A⁻¹).  So equal digests show
+that two versions compute the same outputs; the digest is not an oracle for
+whether either is right.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import sys
+
+import numpy as np
+
+PRIMES = (998244353, 2281701377, 2**31 - 1, 4611685941117976577)
+FORMATS = ((24, 24), (40, 32))
+FLAVORS = ("general", "geometric", "single_power")
+ALPHA, BETA = 3, 4
+# (P flavour, Q flavour, m, n) for the mixed-flavour inverse tables
+MIXED = [(fp, fq, m, n)
+         for fp, fq in (("single_power", "general"), ("single_power", "geometric"),
+                        ("general", "single_power"), ("geometric", "single_power"))
+         for m, n in ((5, 7), (24, 24), (64, 40))]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    sys.path.insert(0, argv[1])
+    from dispmat.cli import draw_family, draw_operator
+    from dispmat.field import get_field
+    from dispmat.generators import Generator, gen_matvec, reconstruct_dense
+    from dispmat.operators import STEIN, SYLVESTER, DisplacementOperator, inverse_table
+    from dispmat.structmul import struct_mul
+    from dispmat.structsolve import inv_generator, solve_generator
+
+    digest = hashlib.sha256()
+    count = 0
+
+    def feed(label, value):
+        nonlocal count
+        if value is None:
+            text = "None"
+        elif isinstance(value, str):
+            text = value
+        else:
+            arr = np.asarray(value)
+            text = f"{arr.shape}:" + ",".join(str(int(x)) for x in arr.ravel())
+        digest.update(f"{label}={text};".encode())
+        count += 1
+
+    def rand(f, rng, *shape):
+        return f.arr(rng.integers(0, f.p, size=shape))
+
+    for pi, p in enumerate(PRIMES):
+        f = get_field(p)
+        cases = itertools.product((SYLVESTER, STEIN), (False, True), (False, True),
+                                  FLAVORS, FORMATS)
+        for ci, (kind, tp, tq, flavor, (m, n)) in enumerate(cases):
+            label = f"{p}/{kind}/{int(tp)}{int(tq)}/{flavor}/{m}x{n}"
+            rng = np.random.default_rng([pi, ci])
+            op = draw_operator(f, rng, m, n, kind, flavor, tp, tq)
+            gen = Generator(rand(f, rng, m, ALPHA), rand(f, rng, n, ALPHA), op)
+            feed(label + "/mul", struct_mul(gen, rand(f, rng, n, BETA)))
+            feed(label + "/matvec", gen_matvec(gen, rand(f, rng, n)))
+            feed(label + "/dense", reconstruct_dense(gen))
+            sol = solve_generator(gen, gen_matvec(gen, rand(f, rng, n)), rng_seed=ci)
+            feed(label + "/solve", sol.status)
+            feed(label + "/solve.x", sol.x)
+            if m == n:
+                res = inv_generator(gen, rng_seed=ci)
+                feed(label + "/inv", res.status)
+                feed(label + "/inv.G", res.Y)
+                feed(label + "/inv.H", res.Z)
+        for ci, ((fp, fq, m, n), kind) in enumerate(
+                itertools.product(MIXED, (SYLVESTER, STEIN))):
+            rng = np.random.default_rng([pi, 1000 + ci])
+            op = DisplacementOperator(kind, draw_family(f, rng, m, fp),
+                                      draw_family(f, rng, n, fq))
+            table = inverse_table(op)
+            label = f"{p}/{kind}/table/{fp}-{fq}/{m}x{n}"
+            feed(label, "singular" if table is None else str(len(table)))
+            for j, w in enumerate(table or []):
+                feed(f"{label}/{j}", w)
+
+    print(f"{digest.hexdigest()}  ({count} outputs)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
