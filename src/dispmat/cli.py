@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import secrets
 import sys
 import time
 from dataclasses import dataclass
@@ -590,7 +591,9 @@ def cmd_pade(args) -> int:
             degs = [int(s) for s in args.block_degrees.split(",") if s]
         else:
             degs = _near_split(args.total_degree, args.d)
-        inst = plant_pade(f, bounds, block_degrees=degs, seed=args.seed)
+        # an unseeded plant draws its seed here, so the file records the one used
+        seed = args.seed if args.seed is not None else secrets.randbits(63)
+        inst = plant_pade(f, bounds, block_degrees=degs, seed=seed)
         _emit(args, inst.to_json())
         return EXIT_OK
     if not args.instance:

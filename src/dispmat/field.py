@@ -18,14 +18,17 @@ small enough to stay in cache.  Object-dtype fields run a radix-2 loop.
 
 Convolution has one exact kernel for every prime: residues are cut into
 16-bit int64 limbs, or kept whole when the shorter factor has at most slack
-terms; each limb product is one ``np.convolve``, and the limb weights are
-recombined mod p.  Long products go to the NTT instead when p - 1 has the
-2-adic room for their transform length.
+terms; each limb product is one ``np.convolve`` (for a block of rows, one
+matrix product of sliding windows), and the limb weights are recombined
+mod p.  Long products go to the NTT instead when p - 1 has the 2-adic room
+for their transform length.  Like the NTT, ``conv`` works along the last
+axis and broadcasts over the leading ones.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterable
 
 import numpy as np
@@ -490,38 +493,60 @@ class PrimeField:
         return out * self.inv(n) % p if invert else out
 
     def _limbs(self, v: np.ndarray, split: bool) -> np.ndarray:
-        """v's residues as rows, low first: 16-bit int64 limbs if split, else whole."""
+        """v's residues on a new first axis, low first: 16-bit int64 limbs if
+        split, else whole."""
         r = np.asarray(v, dtype=self.dtype)
-        return ((r >> self._limb_shifts) & 0xFFFF).astype(np.int64, copy=False) if split else r[None]
+        if not split:
+            return r[None]
+        shifts = self._limb_shifts if r.ndim == 1 else self._limb_shifts.reshape((-1,) + (1,) * r.ndim)
+        return ((r >> shifts) & 0xFFFF).astype(np.int64, copy=False)
+
+    @staticmethod
+    def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Exact integer convolution of x and y row by row, broadcast over the
+        leading axes; a 1-D pair is one np.convolve.  A block takes one matrix
+        product of the longer factor's sliding windows with the reversed
+        shorter one, so no row runs a Python loop of its own."""
+        if x.ndim == 1 and y.ndim == 1:
+            return np.convolve(x, y)
+        if x.shape[-1] < y.shape[-1]:
+            x, y = y, x
+        la, lb = x.shape[-1], y.shape[-1]
+        if lb == 1:
+            return x * y
+        pad = np.zeros(x.shape[:-1] + (la + 2 * (lb - 1),), dtype=x.dtype)
+        pad[..., lb - 1: lb - 1 + la] = x
+        windows = np.lib.stride_tricks.sliding_window_view(pad, lb, axis=-1)
+        return np.matmul(windows, y[..., ::-1, None])[..., 0]
 
     def _conv_limbs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact linear convolution from np.convolve on limbs.
+        """Exact linear convolution of rows of limbs (_convolve).
 
         A term of the product sums min(len a, len b) products below p², so
-        while that is at most slack = ⌊2^63/p²⌋ one np.convolve of the whole
+        while that is at most slack = ⌊2^63/p²⌋ one convolution of the whole
         residues is exact (in int64, or on Python ints that stay below p²).
         Otherwise residues are cut into k = ceil(bits(p) / 16) limbs of 16
         bits: 1 below 2^16, 2 up to 2^31.5, 4 for 62-bit primes.  Limb
         sequences multiply Karatsuba-style across the limb index: with
         D_i = a_i*b_i, the cross terms a_i*b_j + a_j*b_i of weight i + j come
         from one more convolution, (a_i + a_j)*(b_i + b_j) - D_i - D_j, so
-        k limbs take k(k+1)/2 calls.  A term of that convolution is below
-        2^34 and a weight gathers at most k limb products per term, so for
-        k <= 4 and a shorter input of fewer than 2^29 terms every partial sum
-        fits an int64.  Horner's rule recombines the 2k - 1 weights mod p in
-        the field's dtype: for object-dtype primes that is the only Python-int
-        work, O(len × k).
+        k limbs take k(k+1)/2 convolutions.  A term of that convolution is
+        below 2^34 and a weight gathers at most k limb products per term, so
+        for k <= 4 and a shorter input of fewer than 2^29 terms every partial
+        sum fits an int64.  Horner's rule recombines the 2k - 1 weights mod p
+        in the field's dtype: for object-dtype primes that is the only
+        Python-int work, O(len × k).
         """
         p = self.p
-        split = min(len(a), len(b)) > self._slack
+        split = min(a.shape[-1], b.shape[-1]) > self._slack
         A, B = self._limbs(a, split), self._limbs(b, split)
         k = len(A)
-        diag = [np.convolve(A[i], B[i]) for i in range(k)]
+        diag = [self._convolve(A[i], B[i]) for i in range(k)]
         c = [None] * (2 * k - 1)
         c[::2] = diag
         for i in range(k):
             for j in range(i + 1, k):
-                x = np.convolve(A[i] + A[j], B[i] + B[j]) - diag[i] - diag[j]
+                x = self._convolve(A[i] + A[j], B[i] + B[j]) - diag[i] - diag[j]
                 c[i + j] = x if c[i + j] is None else c[i + j] + x
         res = c[-1].astype(self.dtype, copy=False) % p
         for cw in reversed(c[:-1]):
@@ -529,28 +554,44 @@ class PrimeField:
         return res
 
     def conv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Linear convolution of two 1-D arrays of residues in [0, p), the
-        input contract of ntt, exactly mod p.
+        """Linear convolution of residues in [0, p), the input contract of
+        ntt, exactly mod p, along the last axis: row by row, broadcast over
+        the leading axes, so a 1-D pair is the one-row case.
 
-        Short products, and products too long for the prime's transforms,
-        run the limb kernel; the rest run the NTT.
+        A factor of at most slack terms takes the limb kernel on whole
+        residues, and so do short products: those with at most 1024 output
+        terms (3072 on object-dtype fields) on one row, or on a block of rows
+        of an object-dtype field.  A longer product, or a block of rows with
+        both factors longer than slack over an int64 field, runs the NTT,
+        which for a block costs less than its split limb products; products
+        too long for the prime's transforms always take the limb kernel.
         """
-        la, lb = len(a), len(b)
+        a, b = np.asarray(a), np.asarray(b)
+        la, lb = a.shape[-1], b.shape[-1]
+        lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) if a.ndim > 1 or b.ndim > 1 else ()
         if la == 0 or lb == 0:
-            return self.zeros(0)
+            return self.zeros(lead + (0,))
+        rows = math.prod(lead)
+        if lead and rows == 1:  # one row: the 1-D case, shaped back at the end
+            return self._conv_rows(a.reshape(la), b.reshape(lb), False).reshape(lead + (-1,))
+        return self._conv_rows(a, b, rows != 1)
+
+    def _conv_rows(self, a: np.ndarray, b: np.ndarray, block: bool) -> np.ndarray:
+        """conv of nonempty factors; block is set for any row count but one."""
+        la, lb = a.shape[-1], b.shape[-1]
         need = la + lb - 1
         size = 1 << (need - 1).bit_length()
         cutoff = _SPLIT_CONV_CUTOFF_OBJECT if self.dtype is object else _SPLIT_CONV_CUTOFF
-        if need <= cutoff or size > self.ntt_capacity():
+        short = need <= cutoff and (not block or self.dtype is object)
+        if short or min(la, lb) <= self._slack or size > self.ntt_capacity():
             return self._conv_limbs(a, b)
-        fa = self.zeros(size)
-        fb = self.zeros(size)
-        fa[:la] = a
-        fb[:lb] = b
-        fa = self.ntt(fa)
-        fb = self.ntt(fb)
-        prod = fa * fb % self.p
-        return self.ntt(prod, invert=True)[:need]
+        fa = self.zeros(a.shape[:-1] + (size,))
+        fb = self.zeros(b.shape[:-1] + (size,))
+        fa[..., :la] = a
+        fb[..., :lb] = b
+        prod = self.ntt(fa) * self.ntt(fb)
+        prod %= self.p
+        return self.ntt(prod, invert=True)[..., :need]
 
 
 def get_field(p: int | str) -> PrimeField:

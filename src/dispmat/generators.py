@@ -122,7 +122,7 @@ class BasicTransform:
 def _y_side(fam: PolyFamily, e: bool, X: np.ndarray, inverse: bool) -> np.ndarray:
     if not e:
         return X
-    return _columns(lambda v: y_apply_family(fam, v, inverse), X)
+    return y_apply_family(fam, X.T, inverse).T
 
 
 def to_basic(gen: Generator) -> tuple[Generator, BasicTransform]:
@@ -231,15 +231,16 @@ def hankel_inverse_operator(f: PrimeField, m: int, n: int) -> DisplacementOperat
 
 
 def side_map(fam: PolyFamily, v: np.ndarray) -> np.ndarray:
-    """J·W_Pᵗ·Y_P⁻¹·v for the family P: L·v on the row family, Rᵗ·v on the
-    column family."""
-    return red_transposed(fam, y_apply_family(fam, v, inverse=True))[::-1]
+    """J·W_Pᵗ·Y_P⁻¹·v for the family P, on a vector or a block of rows:
+    L·v on the row family, Rᵗ·v on the column family."""
+    return red_transposed(fam, y_apply_family(fam, v, inverse=True))[..., ::-1]
 
 
 def side_map_t(fam: PolyFamily, v: np.ndarray) -> np.ndarray:
-    """Y_P⁻¹·W_P·J·v, the transpose of side_map (Y_P is symmetric): Lᵗ·v on
-    the row family, R·v on the column family."""
-    return y_apply_family(fam, fam.join_parts(red_family(fam, v[::-1])), inverse=True)
+    """Y_P⁻¹·W_P·J·v, the transpose of side_map (Y_P is symmetric), on a
+    vector or a block of rows: Lᵗ·v on the row family, R·v on the column
+    family."""
+    return y_apply_family(fam, red_family(fam, v[..., ::-1]), inverse=True)
 
 
 @dataclass
@@ -307,8 +308,8 @@ def to_hankel(gen: Generator) -> tuple[Generator, HankelContext]:
 
     ctx = HankelContext(gen=gen, u=u, r=r)
 
-    lg = _columns(functools.partial(side_map, fam_p), gen.G)
-    rth = _columns(functools.partial(side_map, fam_q), gen.H)
+    lg = side_map(fam_p, gen.G.T).T
+    rth = side_map(fam_q, gen.H.T).T
     l_a_r = side_map(fam_p, gen_matvec(gen, r))
     at_u = gen_matvec(gen_transpose(gen), u)
 
@@ -355,8 +356,8 @@ def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
         # ∇_{M_Qᵗ,M_P}(A⁻¹) = [r | RY | R·A′⁻¹t]·[Lᵗ·A′⁻ᵗs | LᵗZ | u]ᵗ
         a_inv_t = core_inv_of_t
         a_invt_s = gen_matvec(inv_t, e0)
-        G = _hstack([ctx.r, _columns(rq, Y), rq(a_inv_t)])
-        H = _hstack([lt(a_invt_s), _columns(lt, Z), ctx.u])
+        G = _hstack([ctx.r, rq(Y.T).T, rq(a_inv_t)])
+        H = _hstack([lt(a_invt_s), lt(Z.T).T, ctx.u])
         return gen_compress(Generator(G, H, swapped))
 
     # Stein: core is B = A′·J, A′⁻¹ = J·B⁻¹ and A′⁻ᵗ = B⁻ᵗ·J.
@@ -364,11 +365,11 @@ def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
     #   [R·J·Z_{m,1}·Y_B | M_Qᵗ·R·J·B⁻¹t | r]·[Lᵗ·Z_B | u | −Lᵗ·Z_{m,0}ᵗ·B⁻ᵗJs]ᵗ
     b_inv_t = core_inv_of_t
     b_invt_js = gen_matvec(inv_t, e0[::-1])
-    G = _hstack([_columns(rq, np.roll(Y, 1, axis=0)[::-1]),
+    G = _hstack([rq(np.roll(Y, 1, axis=0)[::-1].T).T,
                  companion_apply(fam_q, rq(b_inv_t[::-1]), transposed=True),
                  ctx.r])
     z0t_bts = np.concatenate([b_invt_js[1:], f.zeros(1)])
-    H = _hstack([_columns(lt, Z), ctx.u, (f.p - lt(z0t_bts)) % f.p])
+    H = _hstack([lt(Z.T).T, ctx.u, (f.p - lt(z0t_bts)) % f.p])
     return gen_compress(Generator(G, H, swapped))
 
 

@@ -25,12 +25,12 @@ from .poly import (
     frozen,
     modmul_apply,  # noqa: F401  (re-exported: the modular products live in poly)
     modmul_apply_transposed,  # noqa: F401
-    poly_invmod,
     poly_rev,
     poly_scale,
     red_family,
     symmetrize_apply,
     symmetrize_solve,
+    trim,
 )
 
 SYLVESTER = "sylvester"
@@ -144,16 +144,10 @@ def companion_apply(fam: PolyFamily, v: np.ndarray, transposed: bool = False) ->
 
 
 def y_apply_family(fam: PolyFamily, v: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Blockwise symmetrizer product Y_P·v, or Y_P⁻¹·v, for a whole family."""
-    f = fam.field
-    if len(v) != fam.total_degree:
-        raise DimensionMismatch(
-            f"vector length {len(v)} != family total degree {fam.total_degree}")
+    """Blockwise symmetrizer product Y_P·v, or Y_P⁻¹·v, for a whole family,
+    on a vector or a block of rows (…, m)."""
     apply = symmetrize_solve if inverse else symmetrize_apply
-    out = f.zeros(fam.total_degree)
-    for s, k, P in zip(fam.offsets, fam.degrees, fam.polys):
-        out[s: s + k] = apply(f, P, v[s: s + k])
-    return out
+    return apply(fam.field, fam, v)
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +190,10 @@ def binomial_inverse(f: PrimeField, m: int, phi: int, n: int, psi: int):
 
 
 def _inverse_mod_leaves(fam_p: PolyFamily, rhs: np.ndarray):
-    """rhs⁻¹ mod P_i for every block, or None if some gcd is nontrivial."""
-    table = []
-    for res, P in zip(red_family(fam_p, rhs), fam_p.polys):
-        inv = poly_invmod(fam_p.field, res, P)
-        if inv is None:
-            return None
-        table.append(inv)
-    return table
+    """rhs⁻¹ mod P_i for every block, as rows, or None if some gcd is
+    nontrivial."""
+    table, ok = fam_p.levels[0].inverse(fam_p.to_leaves(red_family(fam_p, rhs)))
+    return table if ok.all() else None
 
 
 def _binomial_case(f: PrimeField, fam_p: PolyFamily, fam_q: PolyFamily, stein: bool):
@@ -212,23 +202,23 @@ def _binomial_case(f: PrimeField, fam_p: PolyFamily, fam_q: PolyFamily, stein: b
     m, n = fam_p.total_degree, fam_q.total_degree
     if not stein:
         w = binomial_inverse(f, m, phi, n, psi)
-        return None if w is None else [w]
+        return None if w is None else trim(f, w)[None]
     # rev(x^n − ψ) = 1 − ψx^n; for ψ ≠ 0 this is −ψ·(x^n − ψ⁻¹)
     if psi == 0:
-        return [as_poly(f, [1])]
+        return as_poly(f, [1])[None]
     psi_inv = f.inv(psi)
     w = binomial_inverse(f, m, phi, n, psi_inv)
     if w is None:
         return None
-    return [poly_scale(f, (-psi_inv) % f.p, w)]
+    return poly_scale(f, (-psi_inv) % f.p, w)[None]
 
 
 def inverse_table(op: DisplacementOperator):
     """Per-block inverses Q⁻¹ mod P_i (Sylvester) / rev(Q)⁻¹ mod P_i (Stein).
 
-    Returns a list of frozen coefficient vectors, one per block of P, or
-    None when the operator is singular.  Cached on the operator's basic
-    representative.
+    Returns the inverses as one frozen block of rows, row i for block i of
+    P, or None when the operator is singular.  Cached on the operator's
+    basic representative.
     """
     op = op.basic()
 
@@ -245,7 +235,7 @@ def inverse_table(op: DisplacementOperator):
 
     def frozen_build():
         table = build()
-        return "singular" if table is None else [frozen(t) for t in table]
+        return "singular" if table is None else frozen(table)
 
     table = op.cached("inverse_table", frozen_build)
     return None if isinstance(table, str) else table

@@ -9,15 +9,18 @@ Array contract, followed by poly, polymat, structmul, operators, generators
 and structsolve:
 
 1. Inside the library an array has the field's dtype ``f.dtype`` and holds
-   residues in [0, p), and a polynomial has no trailing zero.
+   residues in [0, p), and a polynomial has no trailing zero.  A block of
+   polynomials or vectors is a 2-D array, one per row along the last axis,
+   each row padded with zeros to the block's width; a block of columns of a
+   matrix enters as its transpose, so rows are the columns.
 2. A function writes only into arrays it allocated itself: ``f.zeros``,
    ``.copy()``, or fresh ``conv``/``ntt``/ufunc output. Results may be
    views of inputs or of shared tables, and callers never write into them.
 3. Anything kept for later is stored as an array of its own, never as a
    view into a larger temporary, and is marked read-only (``frozen``), so
    that a stray write raises instead of corrupting shared state. That
-   covers the series-inverse memo, a family's moduli, subproduct tree,
-   ``rev_inv`` and CRT units, and an operator's inverse table.
+   covers a family's moduli, product, tree levels and their series, chirp
+   tables and CRT units, and an operator's inverse table.
 
 ``PrimeField.arr`` establishes rule 1, and runs only where outside data
 enters: ``as_poly``/``family_build``, ``Generator``, ``struct_mul``,
@@ -27,14 +30,20 @@ preconditioner, deserialization, the CLI and the oracle.
 A ``PolyFamily`` bundles monic pairwise-coprime moduli P_1..P_d with their
 subproduct tree, CRT units and a detected structure flavor ("general",
 "single_power" for a lone binomial x^m - phi, "geometric" when the moduli
-are x - u*q^i). Reductions, Chinese remaindering, the linear-combination
-map and their transposes all run through the tree in quasi-linear time,
-with fast paths for the special flavors.
+are x - u*q^i).  The tree is stored as levels, leaves first, built on
+first use: each level is one ``Moduli`` stack, a padded 2-D array of its
+node polynomials, and the nodes 2i and 2i+1 of a level multiply to node i
+of the next (the last node of an odd level moves up alone).  Residues modulo a family are a vector of
+length m = deg P in the joined layout of ``split_vector``: block i holds
+the d_i coefficients of the residue mod P_i.  Reductions, Chinese
+remaindering, the linear-combination map and their transposes take such a
+vector or a block of them (…, m) and run one array step per tree level for
+the whole block, with fast paths for the special flavors.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
@@ -56,6 +65,7 @@ __all__ = [
     "is_zero",
     "degree",
     "padded",
+    "stacked",
     "poly_add",
     "poly_sub",
     "poly_neg",
@@ -70,6 +80,7 @@ __all__ = [
     "xgcd",
     "poly_gcd",
     "poly_invmod",
+    "Moduli",
     "symmetrize_apply",
     "symmetrize_solve",
     "modmul_apply",
@@ -212,52 +223,52 @@ def poly_eval(f: PrimeField, a: np.ndarray, x: int) -> int:
     return acc
 
 
+def padded(f: PrimeField, a: np.ndarray, n: int) -> np.ndarray:
+    """A fresh copy of a with n entries along the last axis: cut, or
+    zero-padded at the top."""
+    out = f.zeros(a.shape[:-1] + (n,))
+    k = min(n, a.shape[-1])
+    out[..., :k] = a[..., :k]
+    return out
+
+
+def _degrees(A: np.ndarray) -> np.ndarray:
+    """The degree of every row of A, -1 for a zero row."""
+    nz = A != 0
+    return np.where(nz.any(axis=-1), A.shape[-1] - 1 - np.argmax(nz[..., ::-1], axis=-1), -1)
+
+
+def stacked(f: PrimeField, polys, rows: int, width: int, shift: int = 0) -> np.ndarray:
+    """rows x width block whose row i holds polys[i] moved up by shift and
+    cut at width; rows past the last polynomial stay zero."""
+    out = f.zeros((rows, width))
+    for i, p in enumerate(polys):
+        k = min(len(p), width - shift)
+        out[i, shift: shift + k] = p[:k]
+    return out
+
+
 def series_inv(f: PrimeField, a: np.ndarray, k: int) -> np.ndarray:
-    """First k coefficients of 1/a, by Newton iteration."""
+    """First k coefficients of 1/a, by Newton iteration.  For a block of
+    series (…, len) every row is inverted at once and the result has k
+    columns; a single series comes back trimmed."""
     if k <= 0:
-        return f.zeros(0)
-    if is_zero(a) or int(a[0]) == 0:
+        return f.zeros(a.shape[:-1] + (0,))
+    if not a.shape[-1] or not np.all(a[..., 0]):
         raise NonUnitConstantTerm("series has no inverse: constant term is 0")
-    x = np.array([f.inv(int(a[0]))], dtype=f.dtype)
+    if a.ndim == 1:
+        x = np.array([f.inv(int(a[0]))], dtype=f.dtype)
+    else:
+        x = f.inv_array(a[..., :1])
     prec = 1
     while prec < k:
         prec = min(2 * prec, k)
-        ax = f.conv(a[:prec], x)[:prec]
-        two_minus = f.zeros(prec)
-        two_minus[: len(ax)] = (f.p - ax) % f.p
-        two_minus[0] = (two_minus[0] + 2) % f.p
-        x = f.conv(x, two_minus)[:prec]
-    return trim(f, x[:k])
-
-
-_SERIES_INV_CACHE: OrderedDict = OrderedDict()
-_SERIES_INV_CACHE_MAX = 512
-
-
-def _series_inv_cached(f: PrimeField, a: np.ndarray, k: int) -> np.ndarray:
-    """series_inv with a content-keyed memo, extended on demand.
-
-    Inverting the same series comes up thousands of times in the evaluation
-    paths (fast division by a family product, by subproduct-tree nodes, by a
-    block's minimal polynomial, symmetrizer solves), so the Newton result is
-    cached per content and regrown when a longer prefix is requested. The
-    memo holds the most recently used entries and evicts the oldest one;
-    its series are frozen, and callers get read-only views of them.
-    """
-    a = trim(f, a)
-    if a.dtype == object:
-        key = (f.p, tuple(int(v) for v in a))
-    else:
-        key = (f.p, a.tobytes())
-    hit = _SERIES_INV_CACHE.get(key)
-    if hit is None or hit[0] < k:
-        have = max(k, 2 * hit[0]) if hit else k
-        hit = (have, frozen(series_inv(f, a, have)))
-        _SERIES_INV_CACHE[key] = hit
-        if len(_SERIES_INV_CACHE) > _SERIES_INV_CACHE_MAX:
-            _SERIES_INV_CACHE.popitem(last=False)
-    _SERIES_INV_CACHE.move_to_end(key)
-    return hit[1][:k]
+        ax = f.conv(a[..., :prec], x)[..., :prec]
+        two_minus = f.zeros(ax.shape[:-1] + (prec,))
+        two_minus[..., : ax.shape[-1]] = (f.p - ax) % f.p
+        two_minus[..., 0] = (two_minus[..., 0] + 2) % f.p
+        x = f.conv(x, two_minus)[..., :prec]
+    return trim(f, x[:k]) if a.ndim == 1 else x[..., :k]
 
 
 def _divrem_school(f: PrimeField, a: np.ndarray, b: np.ndarray):
@@ -295,7 +306,7 @@ def poly_divrem(f: PrimeField, a: np.ndarray, b: np.ndarray):
     if db < DIVREM_NEWTON_THRESHOLD:
         return _divrem_school(f, a, b)
     ra = poly_rev(f, a, degree(a))
-    rq = f.conv(ra[: n + 1], _series_inv_cached(f, poly_rev(f, b, db), n + 1))[: n + 1]
+    rq = f.conv(ra[: n + 1], series_inv(f, poly_rev(f, b, db), n + 1))[: n + 1]
     # rev-quotient may have trailing zeros as a series; rev back at fixed bound n
     rq_full = f.zeros(n + 1)
     rq_full[: len(rq)] = rq
@@ -340,91 +351,228 @@ def poly_invmod(f: PrimeField, a: np.ndarray, P: np.ndarray) -> np.ndarray | Non
 
 
 # ---------------------------------------------------------------------------
-# triangular Hankel symmetrizer of a monic modulus
+# stacks of monic moduli: one level of a subproduct tree, or a lone modulus
+
+
+class Moduli:
+    """n monic moduli P_i as one read-only (n, w + 1) array, row i holding P_i
+    padded with zeros (w the largest degree), with their degrees d_i and
+    their reversals rev(P_i, d_i) in the same layout.
+
+    Its operations take blocks (…, n, width) whose row i belongs to P_i and
+    broadcast over the leading axes; residues mod P_i are padded to w.
+    ``co`` and ``co_rev`` hold, for each node, the other node of its pair in
+    the tree (or the polynomial 1 for the last node of an odd level), as
+    polynomials and reversed.  The series 1/rev(P_i) grow on demand and are
+    kept, so a family reduces with the same series every time.
+    """
+
+    def __init__(self, f: PrimeField, polys: np.ndarray, degs: Sequence[int]):
+        self.field = f
+        self.polys = frozen(polys)
+        self.degs = frozen(np.asarray(degs, dtype=np.intp))
+        self.width = w = polys.shape[1] - 1
+        self.dmin = int(self.degs.min())
+        # a lone binomial x^w - c reduces by a fold
+        self.binomial = (f.neg(int(polys[0, 0])) if len(self.degs) == 1 and not np.any(polys[0, 1:w])
+                         else None)
+        self._series = f.zeros((len(self.degs), 0))
+
+    @functools.cached_property
+    def rev(self) -> np.ndarray:
+        back = self.degs[:, None] - np.arange(self.width + 1)
+        picked = np.take_along_axis(self.polys, np.maximum(back, 0), 1)
+        return frozen(np.where(back >= 0, picked, 0).astype(self.field.dtype))
+
+    @functools.cached_property
+    def _own(self) -> tuple:
+        """Index and mask reversing row i within its own degree: entry t
+        reads entry d_i - 1 - t."""
+        own = self.degs[:, None] - 1 - np.arange(self.width)
+        return (np.arange(len(self))[:, None], np.maximum(own, 0)), frozen(
+            (own >= 0).astype(self.field.dtype))
+
+    @property
+    def mask(self) -> np.ndarray:
+        """1 at entry t of row i for t < d_i, else 0."""
+        return self._own[1]
+
+    def _siblings(self, rows: np.ndarray) -> np.ndarray:
+        one = self.field.zeros((1, self.width + 1))
+        one[0, 0] = 1
+        sib = np.arange(len(self)) ^ 1
+        if len(self) % 2:
+            sib[-1] = len(self)
+        return frozen(np.concatenate([rows, one])[sib])
+
+    @functools.cached_property
+    def co(self) -> np.ndarray:
+        return self._siblings(self.polys)
+
+    @functools.cached_property
+    def co_rev(self) -> np.ndarray:
+        return self._siblings(self.rev)
+
+    @classmethod
+    def of(cls, f: PrimeField, P: np.ndarray) -> Moduli:
+        """The stack of one monic modulus."""
+        P = trim(f, P)
+        return cls(f, P[None], [degree(P)])
+
+    def __len__(self) -> int:
+        return len(self.degs)
+
+    def series(self, k: int) -> np.ndarray:
+        """(n, k): the first k terms of 1/rev(P_i), grown to at least the
+        largest degree and kept at the largest precision asked for."""
+        if self._series.shape[1] < k:
+            self._series = frozen(series_inv(self.field, self.rev, max(k, self.width)))
+        return self._series[:, :k]
+
+    def rem(self, A: np.ndarray) -> np.ndarray:
+        """Row i of A (…, n, N) modulo P_i, padded to w.
+
+        A binomial x^w − c folds, Σ_j c^j·A[jw:(j+1)w].  Otherwise the
+        division is Newton's on the reversed rows, at the common length N:
+        with R = rev(A, N − 1) and C = rev(P_i, d_i), the reversed quotient
+        is R·C⁻¹ mod x^(N − d_i) (rows whose degree exceeds the smallest one
+        are cut to their own N − d_i terms), and R − (R·C⁻¹)·C keeps the
+        reversed remainder in its top d_i terms."""
+        f = self.field
+        w, N = self.width, A.shape[-1]
+        if N <= self.dmin:
+            return padded(f, A, w)
+        if self.binomial is not None:
+            out = padded(f, A, w)
+            for j in range(1, -(-N // w)):
+                part = A[..., j * w: (j + 1) * w]
+                c = f.pow(self.binomial, j)
+                out[..., : part.shape[-1]] += part if c == 1 else part * c % f.p
+            out %= f.p
+            return out
+        if N < w:
+            A, N = padded(f, A, w), w
+        prec = N - self.dmin
+        R = A[..., ::-1]
+        Q = f.conv(R[..., :prec], self.series(prec))[..., :prec]
+        if self.dmin < w:
+            Q = np.where(np.arange(prec) < (N - self.degs)[:, None], Q, 0)
+        T = f.conv(Q, self.rev)
+        return ((R[..., N - w:] - T[..., N - w: N]) % f.p)[..., ::-1]
+
+    def modmul(self, F: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """F_i·X_i mod P_i for rows F (n, ·) and residue rows X (…, n, ·)."""
+        return self.rem(self.field.conv(X, F))
+
+    def inverse(self, A: np.ndarray):
+        """(X, ok): X_i = A_i⁻¹ mod P_i for residue rows A (n, ≤ w), padded to
+        w, where ok_i says gcd(A_i, P_i) = 1 (X_i is zero otherwise).
+
+        Extended Euclid on all rows in lockstep: one step divides every
+        active remainder pair at once, by long division whose t-th round
+        subtracts c_t·x^t·r1 from every row with a quotient of degree ≥ t,
+        and carries only the cofactor of A."""
+        f = self.field
+        n, w = len(self), self.width
+        r0, r1 = self.polys.copy(), padded(f, A, w + 1)
+        s0, s1 = f.zeros((n, 1)), np.ones((n, 1), dtype=f.dtype)
+        d0, d1 = self.degs.copy(), _degrees(r1)
+        rows = np.arange(n)
+        while np.any(d1 >= 0):
+            live = d1 >= 0
+            k = np.where(live, d0 - d1, -1)
+            lead = f.inv_array(np.where(live, r1[rows, np.maximum(d1, 0)], 1))
+            q = f.zeros((n, int(k.max()) + 1))
+            for t in range(q.shape[1] - 1, -1, -1):
+                c = np.where(t <= k, r0[rows, np.clip(d1 + t, 0, w)] * lead % f.p, 0)
+                q[:, t] = c
+                r0[:, t:] = (r0[:, t:] - c[:, None] * r1[:, : w + 1 - t]) % f.p
+            qs = f.conv(q, s1)
+            width = max(qs.shape[1], s0.shape[1])
+            s2 = (padded(f, s0, width) - padded(f, qs, width)) % f.p
+            keep = ~live[:, None]
+            r0, r1 = np.where(keep, r0, r1), np.where(keep, r1, r0)
+            s0, s1 = (np.where(keep, padded(f, s0, width), padded(f, s1, width)),
+                      np.where(keep, padded(f, s1, width), s2))
+            d0, d1 = np.where(live, d1, d0), np.where(live, _degrees(r1), d1)
+        ok = d0 == 0
+        scale = f.inv_array(np.where(ok, r0[:, 0], 1))
+        return padded(f, s0, w) * np.where(ok, scale, 0)[:, None] % f.p, ok
+
+    def symmetrize(self, X: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """Y_{P_i}·X_i, or Y_{P_i}⁻¹·X_i, for residue rows X (…, n, w).
+
+        Y_P has (i, j) entry p_{i+j+1} (0-indexed), so Y_P·v is a window of
+        (P − P(0))·rev(v); reversing every row at the common width w shifts
+        all of them by the same amount.  Y_P⁻¹·v is the first d terms of
+        rev(v, d − 1)/rev(P, d).  For a lone binomial both are the reversal
+        of v."""
+        f = self.field
+        w = self.width
+        if self.binomial is not None:  # Y = Y⁻¹ is the reversal for x^w − c
+            return X[..., ::-1]
+        if inverse:
+            own = X[(...,) + self._own[0]] * self.mask
+            return f.conv(own, self.series(w))[..., :w] * self.mask
+        return f.conv(self.polys[:, 1:], X[..., ::-1])[..., w - 1: 2 * w - 1]
+
+
+# ---------------------------------------------------------------------------
+# blockwise maps of one modulus or of a family's blocks
 #
-# For monic P of degree m the symmetrizer has (i,j) entry p_{i+j-1}
-# (1-indexed, p_m = 1, p_t = 0 above m). It links multiplication matrices
-# mod P to their transposes. Both the product and its inverse reduce to one
-# convolution against a reversed vector.
+# P is a monic modulus, and v a vector or a block of rows of length deg P;
+# or P is a family, and v a joined residue vector or a block of them (…, m),
+# taken block by block.
 
 
-def symmetrize_apply(f: PrimeField, P: np.ndarray, v: np.ndarray) -> np.ndarray:
-    m = degree(P)
-    if len(v) != m:
-        raise DimensionMismatch(f"vector length {len(v)} != modulus degree {m}")
-    if not np.count_nonzero(v):  # unit and sparse block columns skip the transform
-        return f.zeros(m)
-    a = f.zeros(m + 1)
-    a[1:] = P[1:]
-    return f.conv(a, v[::-1])[m: 2 * m]
+def _blocks(f: PrimeField, P, v: np.ndarray):
+    """(moduli, v laid out as their rows, the map back to v's layout)."""
+    if isinstance(P, PolyFamily):
+        _check_length(P, v)
+        return P.levels[0], P.to_leaves(v), P.from_leaves
+    M = Moduli.of(f, P)
+    if v.shape[-1] != M.width:
+        raise DimensionMismatch(f"vector length {v.shape[-1]} != modulus degree {M.width}")
+    return M, v[..., None, :], lambda X: X[..., 0, :]
 
 
-def symmetrize_solve(f: PrimeField, P: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply the inverse symmetrizer: flip the vector, then multiply by the
-    inverse of the unit lower-triangular Toeplitz matrix whose symbol is
-    rev(P) truncated to m terms."""
-    m = degree(P)
-    if len(v) != m:
-        raise DimensionMismatch(f"vector length {len(v)} != modulus degree {m}")
-    if not np.count_nonzero(v):
-        return f.zeros(m)
-    s = _series_inv_cached(f, poly_rev(f, P, m), m)
-    return padded(f, f.conv(s, v[::-1]), m)
+def symmetrize_apply(f: PrimeField, P, v: np.ndarray) -> np.ndarray:
+    """The triangular Hankel symmetrizer Y_P·v: entry (i, j) of Y_P is
+    p_{i+j-1} (1-indexed, p_m = 1, p_t = 0 above m).  It links the
+    multiplication matrices mod P to their transposes."""
+    M, X, back = _blocks(f, P, v)
+    return back(M.symmetrize(X))
 
 
-def modmul_apply(f: PrimeField, F: np.ndarray, P: np.ndarray, v: np.ndarray) -> np.ndarray:
+def symmetrize_solve(f: PrimeField, P, v: np.ndarray) -> np.ndarray:
+    """Y_P⁻¹·v: flip the vector, then multiply by the inverse of the unit
+    lower-triangular Toeplitz matrix whose symbol is rev(P) truncated to m
+    terms."""
+    M, X, back = _blocks(f, P, v)
+    return back(M.symmetrize(X, inverse=True))
+
+
+def modmul_apply(f: PrimeField, F, P, v: np.ndarray) -> np.ndarray:
     """Coefficients of F·pol(v) mod P, padded to deg P.
 
-    v may have any length; the rectangular map M_{F,P,ℓ} = M_{F,P}·W_{P,ℓ}
-    is realized by reducing pol(v) mod P first.
+    For one modulus, v may have any length: the rectangular map
+    M_{F,P,ℓ} = M_{F,P}·W_{P,ℓ} is realized by reducing pol(v) mod P first.
+    For a family, F holds one multiplier per block, as rows (d, ·).
     """
-    k = degree(P)
-    r = poly_mod(f, trim(f, v), P)
-    return padded(f, poly_mod(f, poly_mul(f, trim(f, F), r), P), k)
+    if isinstance(P, PolyFamily):
+        M, X, back = _blocks(f, P, v)
+        return back(M.modmul(F, X))
+    M = Moduli.of(f, P)
+    return M.modmul(trim(f, F)[None], M.rem(v[..., None, :]))[..., 0, :]
 
 
-def modmul_apply_transposed(f: PrimeField, F: np.ndarray, P: np.ndarray,
-                            v: np.ndarray) -> np.ndarray:
+def modmul_apply_transposed(f: PrimeField, F, P, v: np.ndarray) -> np.ndarray:
     """M_{F,P}ᵗ·v via the symmetrizer conjugation Y_P⁻¹·M_{F,P}·Y_P."""
-    k = degree(P)
-    if len(v) != k:
-        raise DimensionMismatch(f"vector length {len(v)} != deg P = {k}")
     return symmetrize_solve(f, P, modmul_apply(f, F, P, symmetrize_apply(f, P, v)))
-
-
-def padded(f: PrimeField, a: np.ndarray, n: int) -> np.ndarray:
-    """A fresh length-n copy of a: cut, or zero-padded at the top."""
-    out = f.zeros(n)
-    k = min(n, len(a))
-    out[:k] = a[:k]
-    return out
 
 
 # ---------------------------------------------------------------------------
 # subproduct tree and families
-
-
-@dataclass
-class _TreeNode:
-    poly: np.ndarray
-    left: "_TreeNode | None" = None
-    right: "_TreeNode | None" = None
-    leaf: int = -1  # index of the family member at a leaf
-
-
-def _build_tree(f: PrimeField, polys: list[np.ndarray], lo: int, hi: int) -> _TreeNode:
-    if hi - lo == 1:
-        return _TreeNode(polys[lo], leaf=lo)
-    total = sum(degree(p) for p in polys[lo:hi])
-    acc, cut = 0, lo + 1
-    for i in range(lo, hi - 1):
-        acc += degree(polys[i])
-        cut = i + 1
-        if 2 * acc >= total:
-            break
-    left = _build_tree(f, polys, lo, cut)
-    right = _build_tree(f, polys, cut, hi)
-    return _TreeNode(frozen(poly_mul(f, left.poly, right.poly)), left, right)
 
 
 @dataclass
@@ -441,14 +589,22 @@ class PolyFamily:
     degrees: list[int]
     offsets: list[int]
     total_degree: int
-    product: np.ndarray
-    tree: _TreeNode
     flavor: str = "general"
     flavor_params: tuple = ()
     _cache: dict = dc_field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.polys)
+
+    @functools.cached_property
+    def levels(self) -> list[Moduli]:
+        """The subproduct tree, leaves first and the product last, built on
+        first use."""
+        return _build_levels(self.field, self.polys, self.degrees)
+
+    @functools.cached_property
+    def product(self) -> np.ndarray:
+        return self.polys[0] if len(self.polys) == 1 else frozen(self.levels[-1].polys[0])
 
     def cached(self, key, fn: Callable):
         v = self._cache.get(key)
@@ -474,20 +630,34 @@ class PolyFamily:
                 out[s: s + len(part)] = part
         return out
 
-    # units: E_i = (P / P_i) mod P_i and F_i = E_i^{-1} mod P_i
+    def to_leaves(self, v: np.ndarray) -> np.ndarray:
+        """Joined vectors (…, m) as leaf rows (…, d, w), block i in row i."""
+        d, w = len(self), self.levels[0].width
+        if d * w == self.total_degree:  # equal degrees: the layouts agree
+            return v.reshape(v.shape[:-1] + (d, w))
+        out = self.field.zeros(v.shape[:-1] + (d * w,))
+        out[..., self._slots] = v
+        return out.reshape(v.shape[:-1] + (d, w))
+
+    def from_leaves(self, X: np.ndarray) -> np.ndarray:
+        """Leaf rows (…, d, w) back to joined vectors (…, m)."""
+        flat = X.reshape(X.shape[:-2] + (X.shape[-2] * X.shape[-1],))
+        return flat if flat.shape[-1] == self.total_degree else flat[..., self._slots]
+
+    @functools.cached_property
+    def _slots(self) -> np.ndarray:
+        """Position of each joined entry in the flattened leaf rows."""
+        width = self.levels[0].width
+        return frozen(np.concatenate([i * width + np.arange(d) for i, d in enumerate(self.degrees)]))
+
+    # units: E_i = (P / P_i) mod P_i and F_i = E_i^{-1} mod P_i, as rows
     def crt_units(self):
         return self.cached("units", lambda: _compute_units(self))
 
     def rev_product_inverse(self, k: int) -> np.ndarray:
-        """series_inv(rev(P, m), k), cached at the largest precision seen.
-        The precision is kept beside the series, which may trim shorter."""
-        prec, have = self._cache.get("rev_inv", (0, None))
-        if prec < k:
-            prec = max(k, self.total_degree)
-            have = frozen(series_inv(self.field,
-                                     poly_rev(self.field, self.product, self.total_degree), prec))
-            self._cache["rev_inv"] = (prec, have)
-        return have[:k]
+        """series_inv(rev(P, m), k), kept on the root of the tree at the
+        largest precision seen."""
+        return self.levels[-1].series(k)[0]
 
 
 def _detect_flavor(f: PrimeField, polys: list[np.ndarray]):
@@ -508,6 +678,22 @@ def _detect_flavor(f: PrimeField, polys: list[np.ndarray]):
     return "general", ()
 
 
+def _build_levels(f: PrimeField, ps: list[np.ndarray], degs: list[int]) -> list[Moduli]:
+    """The subproduct tree, one batched product per level."""
+    level = Moduli(f, stacked(f, ps, len(ps), max(degs) + 1), degs)
+    levels = [level]
+    while len(level) > 1:
+        n, half = len(level), len(level) // 2
+        up = level.degs[: 2 * half: 2] + level.degs[1: 2 * half: 2]
+        rows = f.conv(level.polys[: 2 * half: 2], level.polys[1: 2 * half: 2])
+        if n % 2:
+            up = np.append(up, level.degs[-1])
+            rows = np.concatenate([rows, padded(f, level.polys[-1:], rows.shape[1])])
+        level = Moduli(f, padded(f, rows, int(up.max()) + 1), up)
+        levels.append(level)
+    return levels
+
+
 def family_build(f: PrimeField, polys: Sequence[Sequence[int]]) -> PolyFamily:
     """Validate moduli (monic, pairwise coprime) and assemble the family."""
     ps = [frozen(as_poly(f, p)) for p in polys]
@@ -520,11 +706,9 @@ def family_build(f: PrimeField, polys: Sequence[Sequence[int]]) -> PolyFamily:
     offs = [0] * len(ps)
     for i in range(1, len(ps)):
         offs[i] = offs[i - 1] + degs[i - 1]
-    tree = _build_tree(f, ps, 0, len(ps))
     flavor, params = _detect_flavor(f, ps)
     fam = PolyFamily(
-        field=f, polys=ps, degrees=degs, offsets=offs,
-        total_degree=sum(degs), product=tree.poly, tree=tree,
+        field=f, polys=ps, degrees=degs, offsets=offs, total_degree=sum(degs),
         flavor=flavor, flavor_params=params,
     )
     if flavor == "geometric":
@@ -538,28 +722,25 @@ def family_build(f: PrimeField, polys: Sequence[Sequence[int]]) -> PolyFamily:
 
 
 def _compute_units(fam: PolyFamily):
-    """The units (E_i), (F_i) as frozen arrays."""
+    """The units (E_i), (F_i) as frozen rows, one per block."""
     f = fam.field
     if len(fam) == 1:
-        one = frozen(np.ones(1, dtype=f.dtype))
-        return [one], [one]
+        one = frozen(np.ones((1, 1), dtype=f.dtype))
+        return one, one
     if fam.flavor == "geometric":
         # E_i = P'(u·q^i) in closed form: one chirp evaluation of P'
-        u, q = fam.flavor_params
         P = fam.product
-        deriv = trim(f, np.arange(1, len(P)).astype(f.dtype) * P[1:] % f.p)
-        es = frozen(geom_eval(f, deriv, u, q, len(fam)))
-        return list(es.reshape(-1, 1)), list(frozen(f.inv_array(es)).reshape(-1, 1))
+        deriv = np.arange(1, len(P)).astype(f.dtype) * P[1:] % f.p
+        es = _chirp(fam).eval(deriv, len(fam))
+        return frozen(es.reshape(-1, 1)), frozen(f.inv_array(es).reshape(-1, 1))
     # P* = sum_i P/P_i reduces to E_i = (P/P_i) mod P_i at each leaf
-    p_star = comb_family(fam, [np.ones(1, dtype=f.dtype)] * len(fam))
-    es = [frozen(e) for e in _reduce_down(fam, p_star)]
-    fs = []
-    for i, (e, p) in enumerate(zip(es, fam.polys)):
-        fi = poly_invmod(f, e, p)
-        if fi is None:
-            raise NotCoprime(*_find_noncoprime_pair(fam, i))
-        fs.append(frozen(fi))
-    return es, fs
+    ones = f.zeros(fam.total_degree)
+    ones[fam.offsets] = 1
+    es = fam.to_leaves(red_family(fam, comb_family(fam, ones)))
+    fs, ok = fam.levels[0].inverse(es)
+    if not ok.all():
+        raise NotCoprime(*_find_noncoprime_pair(fam, int(np.argmin(ok))))
+    return frozen(es), frozen(fs)
 
 
 def _find_noncoprime_pair(fam: PolyFamily, i: int):
@@ -570,74 +751,67 @@ def _find_noncoprime_pair(fam: PolyFamily, i: int):
     return (i, i)  # shared factor spread across several members
 
 
-def _reduce_down(fam: PolyFamily, a: np.ndarray) -> list[np.ndarray]:
-    out: list[np.ndarray] = [None] * len(fam)  # type: ignore[list-item]
-
-    def walk(node: _TreeNode, r: np.ndarray):
-        r = poly_mod(fam.field, r, node.poly)
-        if node.leaf >= 0:
-            out[node.leaf] = r
-            return
-        walk(node.left, r)
-        walk(node.right, r)
-
-    walk(fam.tree, a)
-    return out
+def _check_length(fam: PolyFamily, v: np.ndarray):
+    if v.shape[-1] != fam.total_degree:
+        raise DimensionMismatch(
+            f"vector length {v.shape[-1]} != family total degree {fam.total_degree}")
 
 
-def red_family(fam: PolyFamily, a: np.ndarray) -> list[np.ndarray]:
-    """Residues a mod P_i for all i (input of any degree)."""
-    if fam.flavor == "geometric":
-        u, q = fam.flavor_params
-        vals = geom_eval(fam.field, a, u, q, len(fam))
-        return [trim(fam.field, vals[i: i + 1]) for i in range(len(fam))]
-    return _reduce_down(fam, a)
+def _down(fam: PolyFamily, A: np.ndarray) -> np.ndarray:
+    """Rows A (…, N) reduced down the tree: leaf rows (…, d, w)."""
+    R = A[..., None, :]
+    for level in reversed(fam.levels):
+        R = level.rem(R[..., np.arange(len(level)) // 2, :])
+    return R
 
 
-def comb_family(fam: PolyFamily, parts: list[np.ndarray]) -> np.ndarray:
-    """The linear-combination map: sum_i parts_i * (P / P_i)."""
-    if len(parts) != len(fam):
-        raise DimensionMismatch(f"expected {len(fam)} parts, got {len(parts)}")
+def _up(fam: PolyFamily, X: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Leaf rows X (…, d, w) combined up the tree: at each level, the pair
+    (a, b) under nodes (A, B) becomes a·B + b·A (a·rev(B) + b·rev(A) when
+    reverse).  Returns the root's row (…, m)."""
     f = fam.field
-
-    def walk(node: _TreeNode):
-        if node.leaf >= 0:
-            part = parts[node.leaf]
-            if degree(part) >= degree(node.poly) and not is_zero(part):
-                raise DimensionMismatch("part degree exceeds its modulus")
-            return part
-        lv = walk(node.left)
-        rv = walk(node.right)
-        return poly_add(f, poly_mul(f, lv, node.right.poly),
-                        poly_mul(f, rv, node.left.poly))
-
-    return walk(fam.tree)
+    for level, parent in zip(fam.levels, fam.levels[1:]):
+        half = len(level) // 2
+        prod = f.conv(X, level.co_rev if reverse else level.co)
+        pairs = prod[..., : 2 * half, :]
+        X = pairs.reshape(pairs.shape[:-2] + (half, 2, pairs.shape[-1])).sum(axis=-2) % f.p
+        if len(level) % 2:
+            X = np.concatenate([X, prod[..., 2 * half:, :]], axis=-2)
+        X = padded(f, X, parent.width)
+    return X[..., 0, :]
 
 
-def comb_family_inv(fam: PolyFamily, a: np.ndarray) -> list[np.ndarray]:
+def red_family(fam: PolyFamily, a: np.ndarray) -> np.ndarray:
+    """Residues a mod P_i, joined (…, m), for a polynomial or a block of rows
+    (…, N) of any length."""
+    if fam.flavor == "geometric":
+        return _chirp(fam).eval(a, len(fam))
+    return fam.from_leaves(_down(fam, a))
+
+
+def comb_family(fam: PolyFamily, parts: np.ndarray) -> np.ndarray:
+    """The linear-combination map: sum_i parts_i * (P / P_i), for joined
+    parts (…, m); the coefficients come padded to m."""
+    _check_length(fam, parts)
+    return _up(fam, fam.to_leaves(parts))
+
+
+def comb_family_inv(fam: PolyFamily, a: np.ndarray) -> np.ndarray:
     """Inverse of comb_family on F[x]_m: scale residues by the units F_i."""
     f = fam.field
-    _, fs = fam.crt_units()
-    return [poly_mod(f, poly_mul(f, r, fi), p)
-            for r, fi, p in zip(_reduce_down(fam, a), fs, fam.polys)]
+    return modmul_apply(f, fam.crt_units()[1], fam, red_family(fam, a))
 
 
-def crt_family(fam: PolyFamily, parts: list[np.ndarray]) -> np.ndarray:
-    """Unique a in F[x]_m with a = parts_i mod P_i."""
-    if len(parts) != len(fam):
-        raise DimensionMismatch(f"expected {len(fam)} parts, got {len(parts)}")
-    f = fam.field
+def crt_family(fam: PolyFamily, parts: np.ndarray) -> np.ndarray:
+    """Unique a in F[x]_m with a = parts_i mod P_i, for joined parts (…, m);
+    the coefficients come padded to m."""
+    _check_length(fam, parts)
     if fam.flavor == "geometric":
-        if any(len(p) > 1 for p in parts):
-            raise DimensionMismatch("part degree exceeds its modulus")
-        vals = np.array([p[0] if len(p) else 0 for p in parts], dtype=f.dtype)
-        return geom_interp(fam, vals)
+        return geom_interp(fam, parts)
     if len(fam) == 1:
-        return poly_mod(f, parts[0], fam.polys[0])
-    _, fs = fam.crt_units()
-    scaled = [poly_mod(f, poly_mul(f, part, fi), p)
-              for part, fi, p in zip(parts, fs, fam.polys)]
-    return comb_family(fam, scaled)
+        return parts
+    leaves = fam.levels[0]
+    return _up(fam, leaves.modmul(fam.crt_units()[1], fam.to_leaves(parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -657,64 +831,30 @@ def crt_family(fam: PolyFamily, parts: list[np.ndarray]) -> np.ndarray:
 
 
 def red_transposed(fam: PolyFamily, u: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Wᵗ·u (W⁻ᵗ·u when inverse) for a vector or a block of rows (…, m)."""
     f = fam.field
+    _check_length(fam, u)
     if inverse:
         return _crt_transposed(fam, u)
-    if len(u) != fam.total_degree:
-        raise DimensionMismatch(
-            f"vector length {len(u)} != family total degree {fam.total_degree}")
-
-    def numerator(node: _TreeNode, blocks: np.ndarray) -> np.ndarray:
-        if node.leaf >= 0:
-            mi = fam.degrees[node.leaf]
-            ui = blocks[:mi]
-            ni = f.conv(ui, poly_rev(f, node.poly, mi))[:mi] if mi else f.zeros(0)
-            return trim(f, ni)
-        dl = degree(node.left.poly)
-        nl = numerator(node.left, blocks[:dl])
-        nr = numerator(node.right, blocks[dl:])
-        dr = degree(node.right.poly)
-        return poly_add(
-            f,
-            poly_mul(f, nl, poly_rev(f, node.right.poly, dr)),
-            poly_mul(f, nr, poly_rev(f, node.left.poly, dl)),
-        )
-
+    leaves = fam.levels[0]
+    num = f.conv(fam.to_leaves(u), leaves.rev)[..., : leaves.width] * leaves.mask
     m = fam.total_degree
-    num = numerator(fam.tree, u)
-    inv = fam.rev_product_inverse(m)
-    return padded(f, f.conv(num, inv), m)
-
-
-def _transposed_multiply(f: PrimeField, c: np.ndarray, u: np.ndarray, out_len: int) -> np.ndarray:
-    """Transpose of 'multiply by the fixed polynomial c': a windowed
-    correlation, (result)_k = sum_i c_i u_{k+i} for k < out_len."""
-    dc = degree(c)
-    corr = f.conv(poly_rev(f, c, dc), u)
-    return padded(f, corr[dc:], out_len)
+    return f.conv(_up(fam, num, reverse=True), fam.rev_product_inverse(m))[..., :m]
 
 
 def _crt_transposed(fam: PolyFamily, u: np.ndarray) -> np.ndarray:
     f = fam.field
-    if len(u) != fam.total_degree:
-        raise DimensionMismatch(
-            f"vector length {len(u)} != family total degree {fam.total_degree}")
-    _, fs = fam.crt_units()
-    out = f.zeros(fam.total_degree)
-
-    def walk(node: _TreeNode, vec: np.ndarray):
-        if node.leaf >= 0:
-            i = node.leaf
-            out[fam.offsets[i]: fam.offsets[i] + fam.degrees[i]] = \
-                modmul_apply_transposed(f, fs[i], fam.polys[i], vec)
-            return
-        dl = degree(node.left.poly)
-        dr = degree(node.right.poly)
-        walk(node.left, _transposed_multiply(f, node.right.poly, vec, dl))
-        walk(node.right, _transposed_multiply(f, node.left.poly, vec, dr))
-
-    walk(fam.tree, u)
-    return out
+    R = u[..., None, :]
+    for level in reversed(fam.levels[:-1]):
+        # (result)_t = sum_i c_i v_{t+i} for t < d: a window of the product
+        # with the co-child reversed at the common width
+        w = level.width
+        V = R[..., np.arange(len(level)) // 2, :]
+        R = f.conv(level.co[:, ::-1], V)[..., w: 2 * w] * level.mask
+    leaves = fam.levels[0]
+    units = fam.crt_units()[1]
+    return fam.from_leaves(
+        leaves.symmetrize(leaves.modmul(units, leaves.symmetrize(R)), inverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -752,24 +892,46 @@ def _tri_powers(f: PrimeField, q: int, n: int) -> np.ndarray:
     return np.array(out, dtype=f.dtype)
 
 
+class _Chirp:
+    """Evaluation at the points u·q^i by one convolution, with its tables
+    T_k = q^(k(k-1)/2), their inverses and the powers u^k, grown on demand."""
+
+    def __init__(self, f: PrimeField, u: int, q: int):
+        self.field, self.u, self.q = f, u, q
+        self.tri = self.tri_inv = self.upow = np.ones(0, dtype=f.dtype)
+
+    def eval(self, a: np.ndarray, count: int) -> np.ndarray:
+        """a at the first count points, for a polynomial or a block of rows."""
+        f = self.field
+        n = a.shape[-1]
+        if count == 0 or n == 0:
+            return f.zeros(a.shape[:-1] + (count,))
+        if len(self.tri) < n + count:
+            size = max(n + count, 2 * len(self.tri))
+            self.tri = frozen(_tri_powers(f, self.q, size))
+            self.tri_inv = frozen(f.inv_array(self.tri))
+            self.upow = frozen(f.powers(self.u, size))
+        b = a * self.upow[:n] % f.p * self.tri_inv[:n] % f.p
+        c = f.conv(b[..., ::-1], self.tri[: n + count])
+        return c[..., n - 1: n - 1 + count] * self.tri_inv[:count] % f.p
+
+
+def _chirp(fam: PolyFamily) -> _Chirp:
+    """The chirp of a geometric family's points u·q^i."""
+    return fam.cached("chirp", lambda: _Chirp(fam.field, *fam.flavor_params))
+
+
 def geom_eval(f: PrimeField, a: np.ndarray, u: int, q: int, count: int) -> np.ndarray:
-    """Evaluate a at the points u*q^i, i = 0..count-1, via one convolution."""
+    """Evaluate a at the points u*q^i, i = 0..count-1, via one convolution;
+    a may be a block of rows (…, n)."""
     _geom_check(f, u, q, count)
-    if count == 0:
-        return f.zeros(0)
-    if is_zero(a):
-        return f.zeros(count)
-    n = len(a)
-    tri = _tri_powers(f, q, n + count)
-    tri_inv = f.inv_array(tri[: max(n, count)])
-    b = a * f.powers(u, n) % f.p * tri_inv[:n] % f.p
-    c = f.conv(b[::-1], tri)
-    return c[n - 1: n - 1 + count] * tri_inv[:count] % f.p
+    return _Chirp(f, u, q).eval(a, count)
 
 
 def geom_interp(fam: PolyFamily, values: np.ndarray) -> np.ndarray:
     """Interpolate the polynomial of degree < n through (u*q^i, values[i])
-    for the n points of a geometric family.
+    for the n points of a geometric family, for a vector or a block of rows
+    of values (…, n); the coefficients come padded to n.
 
     The master polynomial is the family's product P and the weights are its
     CRT units F_i = 1/P'(u*q^i); the interpolant is recovered as
@@ -779,13 +941,20 @@ def geom_interp(fam: PolyFamily, values: np.ndarray) -> np.ndarray:
     f = fam.field
     if fam.flavor != "geometric":
         raise DegeneratePoints(f"geom_interp needs a geometric family, got a {fam.flavor} one")
-    u, q = fam.flavor_params
     n = len(fam)
-    if len(values) != n:
-        raise DimensionMismatch(f"expected {n} values, got {len(values)}")
-    weights = trim(f, values * np.concatenate(fam.crt_units()[1]) % f.p)
+    if values.shape[-1] != n:
+        raise DimensionMismatch(f"expected {n} values, got {values.shape[-1]}")
     # power sums sigma_s = sum_i w_i (u q^i)^-s = u^-s W(q^-s) for s = 1..n,
     # with W = sum_i w_i x^i evaluated at the geometric points q^-1 * q^-t
+    chirp, upow = fam.cached("interp", lambda: _interp_tables(fam))
+    weights = values * fam.crt_units()[1][:, 0] % f.p
+    sigma = chirp.eval(weights, n) * upow % f.p
+    return f.conv(fam.product, (f.p - sigma) % f.p)[..., :n]
+
+
+def _interp_tables(fam: PolyFamily):
+    """The chirp at the points q^-1·q^-t and the powers u^-s, s = 1..n."""
+    f = fam.field
+    u, q = fam.flavor_params
     zu, zq = f.inv(u), f.inv(q)
-    sigma = geom_eval(f, weights, zq, zq, n) * f.powers(zu, n + 1)[1:] % f.p
-    return trim(f, f.conv(fam.product, (f.p - sigma) % f.p)[:n])
+    return _Chirp(f, zq, zq), frozen(f.powers(zu, len(fam) + 1)[1:])

@@ -20,37 +20,27 @@ import numpy as np
 
 from .field import PrimeField
 from .generators import Generator, to_basic
-from .operators import STEIN, SingularOperator, inverse_table, modmul_apply
+from .operators import STEIN, SingularOperator, inverse_table, modmul_apply, y_apply_family
 from .poly import (
+    Moduli,
     comb_family,
     crt_family,
     padded,
-    poly_add,
     poly_mod,
     poly_mul,
     poly_rev,
     red_family,
     series_inv,
-    symmetrize_apply,
+    stacked,
     trim,
 )
-from .polymat import pm_mul
+from .polymat import pm_mul, points_product
 
 MUL_CUTOFF = 16
 
 
 class PreconditionViolated(ValueError):
     """An input shape constraint (alpha <= n and friends) was broken."""
-
-
-def _stack(f: PrimeField, polys, rows: int, bound: int, shift: int = 0) -> np.ndarray:
-    """rows x bound array whose row i holds polys[i] moved up by shift and
-    cut at bound; rows past the last polynomial stay zero."""
-    out = f.zeros((rows, bound))
-    for i, p in enumerate(polys):
-        k = min(len(p), bound - shift)
-        out[i, shift: shift + k] = p[:k]
-    return out
 
 
 def _chunked_product(f: PrimeField, U: np.ndarray, M: np.ndarray,
@@ -72,7 +62,7 @@ def _chunked_product(f: PrimeField, U: np.ndarray, M: np.ndarray,
     if size_direct <= f.ntt_capacity() and work_direct < work_chunked:
         return pm_mul(f, U[None], M)[0]
     # the rows cut into width-slices: U_k = sum_t x^{t*width} * uhat[t, k]
-    uhat = _stack(f, U, rows, nchunks * width).reshape(rows, nchunks, width).transpose(1, 0, 2)
+    uhat = stacked(f, U, rows, nchunks * width).reshape(rows, nchunks, width).transpose(1, 0, 2)
     out = f.zeros((cols, m + bound - 1))
     P = pm_mul(f, uhat, M)
     seg = P.shape[2]
@@ -138,9 +128,9 @@ def mul(f: PrimeField, U, V, W, m: int, n: int) -> list[np.ndarray]:
     nbar = 1 << (n - 1).bit_length()
     delta = nbar - n
     abar = 1 << (alpha - 1).bit_length()
-    Ub = _stack(f, U, abar, m)
-    Vb = _stack(f, V, abar, nbar).reshape(abar, 1, nbar)
-    Wb = _stack(f, W, abar, nbar, shift=delta).reshape(abar, 1, nbar)
+    Ub = stacked(f, U, abar, m)
+    Vb = stacked(f, V, abar, nbar).reshape(abar, 1, nbar)
+    Wb = stacked(f, W, abar, nbar, shift=delta).reshape(abar, 1, nbar)
     R = mul_rec(f, Ub, Vb, Wb, m, nbar, 1)
     return list(R[:alpha, delta: delta + m + n - 1])
 
@@ -186,9 +176,9 @@ def mul_unbalanced(f: PrimeField, U, V, W, m: int, n: int) -> list[np.ndarray]:
     return _mul_any(f, U, V, W, m, n)
 
 
-def mulQ(f: PrimeField, U, V, W, Q) -> list[np.ndarray]:
+def mulQ(f: PrimeField, U, V, W, Q) -> np.ndarray:
     """R_i = sum_k U_k·(V_k·W_i mod Q) for a monic modulus Q of degree n,
-    left unreduced (length m + n − 1).
+    left unreduced: a block of rows of length m + n − 1.
 
     The remainders are never formed: with T = sum_k U_k·V_k and the
     reversed-quotient product S̃ over x^{n−1},
@@ -211,11 +201,12 @@ def mulQ(f: PrimeField, U, V, W, Q) -> list[np.ndarray]:
     m = max([1] + [len(u) for u in U])
     out_len = m + n - 1
     if alpha == 0 or beta == 0:
-        return [f.zeros(out_len) for _ in range(beta)]
+        return f.zeros((beta, out_len))
 
     size = 1 << max(1, (out_len - 1).bit_length())
     if n == 1 or size > f.ntt_capacity():
-        return [padded(f, r, out_len) for r in _mul_direct(f, U, V, W, Q)]
+        return padded(f, _mul_direct(f, stacked(f, U, alpha, m), stacked(f, V, alpha, n),
+                                     stacked(f, W, beta, n), Moduli.of(f, Q)), out_len)
 
     qrev_inv = series_inv(f, poly_rev(f, Q, n), n - 1)
     Ut = [poly_rev(f, u, m - 1) for u in U]
@@ -228,7 +219,7 @@ def mulQ(f: PrimeField, U, V, W, Q) -> list[np.ndarray]:
     # cancel exactly, so a wraparound product of size >= out_len is exact.
     # That lets one batched transform round serve every column at half the
     # linear-product length.
-    Um, Vm = _stack(f, U, alpha, size), _stack(f, V, alpha, size)
+    Um, Vm = stacked(f, U, alpha, size), stacked(f, V, alpha, size)
     vT = np.sum(f.ntt(Um) * f.ntt(Vm) % f.p, axis=0) % f.p
     Qm = f.zeros(size)
     Qm[: min(len(Q), size)] = Q[:size]
@@ -236,37 +227,70 @@ def mulQ(f: PrimeField, U, V, W, Q) -> list[np.ndarray]:
         tail = Q[size:]
         Qm[: len(tail)] = (Qm[: len(tail)] + tail) % f.p
     vQ = f.ntt(Qm)
-    Wm = _stack(f, W, beta, size)
-    Sm = _stack(f, [poly_rev(f, s, m + n - 3) for s in S], beta, size)
+    Wm = stacked(f, W, beta, size)
+    Sm = stacked(f, [poly_rev(f, s, m + n - 3) for s in S], beta, size)
     vals = (vT * f.ntt(Wm) - vQ * f.ntt(Sm)) % f.p
-    return list(f.ntt(vals, invert=True)[:, :out_len])
+    return f.ntt(vals, invert=True)[:, :out_len]
 
 
 def _basic_data(gen: Generator):
-    """gamma_k = crt_P(G-column blocks), eta_k = crt_Q(H-column blocks), and
+    """gamma = crt_P(G), eta = crt_Q(H), one row per generator column, and
     the per-block modular inverses of Q."""
     op = gen.operator
-    fam_p, fam_q = op.fam_p, op.fam_q
     table = inverse_table(op)
     if table is None:
         raise SingularOperator("operator is not invertible")
-    gammas = [crt_family(fam_p, fam_p.split_vector(gen.G[:, k])) for k in range(gen.alpha)]
-    etas = [crt_family(fam_q, fam_q.split_vector(gen.H[:, k])) for k in range(gen.alpha)]
-    return gammas, etas, table
+    return crt_family(op.fam_p, gen.G.T), crt_family(op.fam_q, gen.H.T), table
 
 
-def _mul_direct(f: PrimeField, U, V, W, Q) -> list[np.ndarray]:
-    """R_i = sum_k U_k·(V_k·W_i mod Q), one product and one reduction per
-    term: cheaper than mulQ's transforms for a single column, free of its
-    alpha <= deg Q limit, and the route of mulQ itself where it has no
-    transform."""
-    out = []
-    for w in W:
-        acc = f.zeros(0)
-        for u, v in zip(U, V):
-            acc = poly_add(f, acc, poly_mul(f, u, poly_mod(f, poly_mul(f, v, w), Q)))
-        out.append(acc)
-    return out
+def _mul_direct(f: PrimeField, U: np.ndarray, V: np.ndarray, W: np.ndarray,
+                modulus: Moduli) -> np.ndarray:
+    """R_i = sum_k U_k·(V_k·W_i mod Q) for the one modulus Q of modulus and
+    blocks U (alpha, ·), V (alpha, ·), W (beta, ·), as a block (beta,
+    len U + deg Q − 1): every product V_k·W_i and its reduction in one array
+    step each, then one polynomial-matrix product with U.  Cheaper than
+    mulQ's transforms for a single column, free of its alpha <= deg Q
+    limit, and the route of mulQ itself where it has no transform."""
+    T = modulus.rem(f.conv(V, W[:, None, :])[..., None, :])[..., 0, :]
+    return pm_mul(f, T, U[:, None, :])[:, 0, :]
+
+
+def _mul_halves(f: PrimeField, U: np.ndarray, V: np.ndarray, W: np.ndarray,
+                n: int, c: int) -> np.ndarray:
+    """R_i = sum_k U_k·(V_k·W_i mod x^n − c) for blocks U (alpha, m) and V
+    (alpha, n), W (beta, n), as a block (beta, m + n − 1), with every
+    product per pair k, i taken at half length.
+
+    Cut at L = ⌈n/2⌉, V_k = v0 + x^L·v1 and W_i = w0 + x^L·w1; only the
+    middle term x^L·M of V_k·W_i, M = v0·w1 + v1·w0, reaches past x^n, so
+        V_k·W_i mod (x^n − c) = v0·w0 + c·x^(2L−n)·v1·w1 + x^L·M − (x^n − c)·(M div x^(n−L)),
+    and with Z_j = sum_k U_k·v_j
+        R_i = Z0·W_i + Z1·(x^L·w0 + c·x^(2L−n)·w1) − (x^n − c)·sum_k U_k·(M div x^(n−L)).
+    The first two terms take no product per pair.  All three are summed
+    modulo x^S − 1 with S ≥ m + n − 1, where R_i fits; M and the products
+    of its top with the halves of U take transforms of about n terms.
+    """
+    m = U.shape[1]
+    half, half_u = (n + 1) // 2, (m + 1) // 2
+    size = 1 << (m + n - 2).bit_length()
+    Vh = padded(f, V, 2 * half).reshape(-1, 2, half)
+    Wh = padded(f, W, 2 * half).reshape(-1, 2, half)
+    top = pm_mul(f, Wh[:, ::-1], Vh.transpose(1, 0, 2))[..., n - half:]
+    tail = f.zeros((len(W), size))
+    if top.shape[-1]:
+        parts = pm_mul(f, top, padded(f, U, 2 * half_u).reshape(-1, 2, half_u))
+        tail[:, : parts.shape[-1]] = parts[:, 0]
+        tail[:, half_u: half_u + parts.shape[-1]] += parts[:, 1]
+        tail %= f.p
+    tail = (np.roll(tail, n, axis=-1) - c * tail) % f.p
+    shifted = f.zeros((len(W), 2 * half))
+    shifted[:, half:] = Wh[:, 0]
+    shifted[:, 2 * half - n: 3 * half - n] += c * Wh[:, 1] % f.p
+    shifted %= f.p
+    Z = points_product(f, f.ntt(padded(f, U, size))[None], f.ntt(padded(f, Vh, size)))
+    Wb = f.ntt(padded(f, np.stack([padded(f, W, 2 * half), shifted], axis=1), size))
+    R = f.ntt(points_product(f, Wb, Z.transpose(1, 0, 2)), invert=True)[:, 0]
+    return (R - tail)[:, : m + n - 1] % f.p
 
 
 def product_chain(gen: Generator, B: np.ndarray) -> np.ndarray:
@@ -275,11 +299,14 @@ def product_chain(gen: Generator, B: np.ndarray) -> np.ndarray:
     With Ã = Y_P^{e1}·A·Y_Q^{e2} on the basic operator, A·B =
     Y_P^{−e1}·Ã·Y_Q^{−e2}·B, and Ã's chain starts with Y_Q blockwise, so
     each side's symmetrizer is applied at most once: Y_Q only when e2 is
-    unset, Y_P⁻¹ only when e1 is set.  Right to left: comb_Q on each column,
+    unset, Y_P⁻¹ only when e1 is set.  Right to left: comb_Q on the columns,
     the alpha-term middle product taken modulo Q (reversed coefficients for
     Stein), the reduction to the blocks of P, and the blockwise modular
-    products with the inverses of Q.  The middle product goes through mulQ,
-    except for a single column or alpha > n, where the direct sum is used.
+    products with the inverses of Q.  Every stage takes all beta columns of
+    B (and all alpha columns of G and H) as one block.  The middle product
+    goes through mulQ, except for a single column, alpha > n or a binomial
+    Q, where the direct sum is used: for several columns and a binomial Q
+    the one at half length, when the prime has its transforms.
     """
     f = gen.field
     beta = B.shape[1]
@@ -293,26 +320,19 @@ def product_chain(gen: Generator, B: np.ndarray) -> np.ndarray:
     gammas, etas, table = _basic_data(basic)
     stein = op.kind == STEIN
 
-    cols = []
-    for i in range(beta):
-        parts = fam_q.split_vector(B[:, i])
-        if not tf.e2:
-            parts = [symmetrize_apply(f, Qj, blk) for Qj, blk in zip(fam_q.polys, parts)]
-        cols.append(comb_family(fam_q, parts))
-
-    lhs = [poly_rev(f, g, m - 1) for g in gammas] if stein else gammas
-    if beta == 1 or gen.alpha > n:
-        R = _mul_direct(f, lhs, etas, cols, fam_q.product)
+    cols = comb_family(fam_q, B.T if tf.e2 else y_apply_family(fam_q, B.T))
+    lhs = gammas[:, ::-1] if stein else gammas
+    binomial = fam_q.flavor == "single_power"
+    if binomial and beta > 1 and 1 << (m + n - 2).bit_length() <= f.ntt_capacity():
+        R = _mul_halves(f, lhs, etas, cols, n, fam_q.flavor_params[0])
+    elif beta == 1 or gen.alpha > n or binomial:
+        R = _mul_direct(f, lhs, etas, cols, fam_q.levels[-1])
     else:
-        R = mulQ(f, lhs, etas, cols, fam_q.product)
-
-    out = f.zeros((m, beta))
-    for i in range(beta):
-        r = poly_rev(f, R[i], m + n - 2) if stein else R[i]
-        blocks = red_family(fam_p, r)
-        for j, (s, k, P) in enumerate(zip(fam_p.offsets, fam_p.degrees, fam_p.polys)):
-            out[s: s + k, i] = modmul_apply(f, table[j], P, blocks[j])
-    return tf.p_side(out, inverse=True)
+        R = padded(f, mulQ(f, lhs, etas, cols, fam_q.product), m + n - 1)
+    if stein:
+        R = R[:, ::-1]
+    out = modmul_apply(f, table, fam_p, red_family(fam_p, R))
+    return tf.p_side(out.T, inverse=True)
 
 
 def struct_mul(gen: Generator, B: np.ndarray) -> np.ndarray:

@@ -422,11 +422,10 @@ def test_criterion_8_crt_layer_roundtrips():
         padded[: len(back)] = back
         if not np.array_equal(padded, a):
             failures.append(f"trial {trial}: red/crt roundtrip")
-        parts = [F.arr(rng.integers(0, F.p, k)) for k in fam.degrees]
+        parts = F.arr(rng.integers(0, F.p, total))
         combd = comb_family(fam, parts)
         back_parts = comb_family_inv(fam, combd)
-        if not all(np.array_equal(trim(F, x), trim(F, y))
-                   for x, y in zip(parts, back_parts)):
+        if not np.array_equal(parts, back_parts):
             failures.append(f"trial {trial}: comb roundtrip")
         if trial >= 70:
             # dense transposed reduction for small formats
@@ -434,7 +433,7 @@ def test_criterion_8_crt_layer_roundtrips():
             e = F.zeros(total)
             for j in range(total):
                 e[j] = 1
-                W[:, j] = fam.join_parts(red_family(fam, e.copy()))
+                W[:, j] = red_family(fam, e.copy())
                 e[j] = 0
             u = F.arr(rng.integers(0, F.p, total))
             if not np.array_equal(red_transposed(fam, u),

@@ -401,6 +401,20 @@ def test_pade_plant_is_deterministic(tmp_path, capsys):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def test_pade_plant_without_seed_records_the_seed_it_used(tmp_path, capsys):
+    first = str(tmp_path / "first.json")
+    again = str(tmp_path / "again.json")
+    argv = ["pade", "--plant", "--d", "2", "--alpha", "2", "--total-degree", "6"]
+    assert main(argv + ["--out", first]) == EXIT_OK
+    seed = json.loads(open(first).read())["seed"]
+    assert int(seed) >= 0
+    assert main(argv + ["--seed", seed, "--out", again]) == EXIT_OK
+    assert open(first, "rb").read() == open(again, "rb").read()
+    code, out = run_json(capsys, "pade", "--instance", first)
+    assert code == EXIT_OK
+    assert out["tag"] == "ok"
+
+
 def test_pade_no_nonzero_solution(tmp_path, capsys):
     # f*1 = 0 mod x^2 with deg f < 2 forces f = 0: the honest answer is
     # "no solution", reported with a success exit code

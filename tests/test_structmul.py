@@ -259,18 +259,18 @@ def test_struct_mul_never_inverts_the_q_symmetrizer(f, transpose_p, monkeypatch)
     B = f.arr(rng.integers(0, f.p, (8, 4)))
     A = dense_solve_displacement(op, f.mat_mul(gen.G, gen.H.T))
 
+    # the symmetrizer of a family runs on all its blocks in one call
     moduli = []
     solve = operators.symmetrize_solve
 
     def recording(field, P, v):
-        moduli.append(P.tolist())
+        moduli.append(P)
         return solve(field, P, v)
 
     monkeypatch.setattr(operators, "symmetrize_solve", recording)
     got = struct_mul(gen, B)
     assert np.array_equal(got, dense_mul(f, A, B))
-    q_blocks = [Q.tolist() for Q in fam_q.polys]
-    assert not any(P in q_blocks for P in moduli)
+    assert not any(P is fam_q for P in moduli)
     assert bool(moduli) == transpose_p  # Y_P⁻¹ on the output side only
 
 
@@ -323,3 +323,27 @@ def test_mul_rec_shape_contract(f):
     V = f.zeros((2, 1, 4))
     with pytest.raises(PreconditionViolated):
         mul_rec(f, U, V, f.zeros((2, 1, 2)), 4, 4, 1)  # W has the wrong shape
+
+
+@pytest.mark.parametrize("p", [998244353, 2013265921, 2281701377, 4611685941117976577])
+def test_half_length_sum_matches_direct_sum(p):
+    """The middle product modulo a binomial x^n − c, taken with half-length
+    products per pair, equals the direct sum, at odd and even n, for c in
+    {0, 1, −1} and a random c, with an all-zero column."""
+    from dispmat.poly import Moduli
+    from dispmat.structmul import _mul_direct, _mul_halves
+
+    f = get_field(p)
+    rng = np.random.default_rng(71)
+    for trial in range(24):
+        n, m = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        alpha, beta = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+        c = [0, 1, f.p - 1, int(rng.integers(0, f.p))][trial % 4]
+        Q = f.zeros(n + 1)
+        Q[0], Q[n] = (-c) % f.p, 1
+        U = f.arr(rng.integers(0, f.p, (alpha, m)))
+        V = f.arr(rng.integers(0, f.p, (alpha, n)))
+        W = f.arr(rng.integers(0, f.p, (beta, n)))
+        W[-1] = 0
+        assert np.array_equal(_mul_halves(f, U, V, W, n, c),
+                              _mul_direct(f, U, V, W, Moduli.of(f, Q)))

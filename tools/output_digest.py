@@ -8,9 +8,12 @@ there, so two checkouts can be compared side by side.  The digest covers
 `struct_mul`, `gen_matvec`, `reconstruct_dense`, `solve_generator` and
 `inv_generator` for four primes (998244353, 2281701377, 2^31 − 1 and the
 62-bit prime), the eight operator variants in each of the three family
-flavours (drawn by `cli.draw_operator`), one square and one rectangular
-format, and the inverse tables of mixed-flavour operators (a binomial
-family on one side, a general or geometric one on the other).
+flavours (drawn by `cli.draw_operator`) and in a skewed general flavour
+whose blocks have degrees m − 4, 1, 1, 1, 1, one square and one rectangular
+format, products with 1, 4 and 9 columns, and the inverse tables of
+mixed-flavour operators (a binomial family on one side, a general or
+geometric one on the other).  Inverse-table entries are hashed without
+trailing zeros, so versions that pad them differently agree.
 
 Products, reconstructions and inverse tables are unique exact values.  Solve
 and inverse outputs are not: they depend on the random seeds and on the
@@ -29,8 +32,8 @@ import numpy as np
 
 PRIMES = (998244353, 2281701377, 2**31 - 1, 4611685941117976577)
 FORMATS = ((24, 24), (40, 32))
-FLAVORS = ("general", "geometric", "single_power")
-ALPHA, BETA = 3, 4
+FLAVORS = ("general", "geometric", "single_power", "skewed")
+ALPHA, BETAS = 3, (1, 4, 9)
 # (P flavour, Q flavour, m, n) for the mixed-flavour inverse tables
 MIXED = [(fp, fq, m, n)
          for fp, fq in (("single_power", "general"), ("single_power", "geometric"),
@@ -46,7 +49,9 @@ def main(argv: list[str]) -> int:
     from dispmat.cli import draw_family, draw_operator
     from dispmat.field import get_field
     from dispmat.generators import Generator, gen_matvec, reconstruct_dense
-    from dispmat.operators import STEIN, SYLVESTER, DisplacementOperator, inverse_table
+    from dispmat.operators import (
+        STEIN, SYLVESTER, DisplacementOperator, inverse_table, op_invertible)
+    from dispmat.poly import NotCoprime, family_build, trim
     from dispmat.structmul import struct_mul
     from dispmat.structsolve import inv_generator, solve_generator
 
@@ -68,6 +73,23 @@ def main(argv: list[str]) -> int:
     def rand(f, rng, *shape):
         return f.arr(rng.integers(0, f.p, size=shape))
 
+    def skewed_family(f, rng, m):
+        while True:
+            try:
+                return family_build(f, [[int(c) for c in rng.integers(0, f.p, d)] + [1]
+                                        for d in (m - 4, 1, 1, 1, 1)])
+            except NotCoprime:
+                continue
+
+    def operator(f, rng, m, n, kind, flavor, tp, tq):
+        if flavor != "skewed":
+            return draw_operator(f, rng, m, n, kind, flavor, tp, tq)
+        while True:
+            op = DisplacementOperator(kind, skewed_family(f, rng, m),
+                                      skewed_family(f, rng, n), tp, tq)
+            if op_invertible(op):
+                return op
+
     for pi, p in enumerate(PRIMES):
         f = get_field(p)
         cases = itertools.product((SYLVESTER, STEIN), (False, True), (False, True),
@@ -75,9 +97,10 @@ def main(argv: list[str]) -> int:
         for ci, (kind, tp, tq, flavor, (m, n)) in enumerate(cases):
             label = f"{p}/{kind}/{int(tp)}{int(tq)}/{flavor}/{m}x{n}"
             rng = np.random.default_rng([pi, ci])
-            op = draw_operator(f, rng, m, n, kind, flavor, tp, tq)
+            op = operator(f, rng, m, n, kind, flavor, tp, tq)
             gen = Generator(rand(f, rng, m, ALPHA), rand(f, rng, n, ALPHA), op)
-            feed(label + "/mul", struct_mul(gen, rand(f, rng, n, BETA)))
+            for beta in BETAS:
+                feed(f"{label}/mul{beta}", struct_mul(gen, rand(f, rng, n, beta)))
             feed(label + "/matvec", gen_matvec(gen, rand(f, rng, n)))
             feed(label + "/dense", reconstruct_dense(gen))
             sol = solve_generator(gen, gen_matvec(gen, rand(f, rng, n)), rng_seed=ci)
@@ -96,8 +119,8 @@ def main(argv: list[str]) -> int:
             table = inverse_table(op)
             label = f"{p}/{kind}/table/{fp}-{fq}/{m}x{n}"
             feed(label, "singular" if table is None else str(len(table)))
-            for j, w in enumerate(table or []):
-                feed(f"{label}/{j}", w)
+            for j, w in enumerate([] if table is None else table):
+                feed(f"{label}/{j}", trim(f, w))
 
     print(f"{digest.hexdigest()}  ({count} outputs)")
     return 0
