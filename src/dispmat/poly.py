@@ -619,17 +619,6 @@ class PolyFamily:
                 f"vector length {len(v)} != family total degree {self.total_degree}")
         return [v[s: s + d] for s, d in zip(self.offsets, self.degrees)]
 
-    def join_parts(self, parts: list[np.ndarray]) -> np.ndarray:
-        if len(parts) != len(self.polys):
-            raise DimensionMismatch(f"expected {len(self.polys)} parts, got {len(parts)}")
-        out = self.field.zeros(self.total_degree)
-        for s, d, part in zip(self.offsets, self.degrees, parts):
-            if len(part) > d:
-                raise DimensionMismatch("part exceeds its block degree")
-            if len(part):
-                out[s: s + len(part)] = part
-        return out
-
     def to_leaves(self, v: np.ndarray) -> np.ndarray:
         """Joined vectors (…, m) as leaf rows (…, d, w), block i in row i."""
         d, w = len(self), self.levels[0].width

@@ -26,11 +26,7 @@ from .poly import (
     comb_family,
     crt_family,
     padded,
-    poly_mod,
-    poly_mul,
-    poly_rev,
     red_family,
-    series_inv,
     stacked,
     trim,
 )
@@ -177,8 +173,10 @@ def mul_unbalanced(f: PrimeField, U, V, W, m: int, n: int) -> list[np.ndarray]:
 
 
 def mulQ(f: PrimeField, U, V, W, Q) -> np.ndarray:
-    """R_i = sum_k U_k·(V_k·W_i mod Q) for a monic modulus Q of degree n,
-    left unreduced: a block of rows of length m + n − 1.
+    """R_i = sum_k U_k·(V_k·W_i mod Q) for a monic modulus Q of degree n and
+    blocks U (alpha, m), V (alpha, ·), W (beta, ·), left unreduced: a block
+    (beta, m + n − 1).  V and W are reduced modulo Q first, one array step
+    each.
 
     The remainders are never formed: with T = sum_k U_k·V_k and the
     reversed-quotient product S̃ over x^{n−1},
@@ -190,46 +188,36 @@ def mulQ(f: PrimeField, U, V, W, Q) -> np.ndarray:
     n = len(Q) - 1
     if n < 1 or int(Q[-1]) != 1:
         raise PreconditionViolated("Q must be monic of degree >= 1")
+    U, V, W = f.arr(U), f.arr(V), f.arr(W)
     alpha, beta = len(U), len(W)
     if len(V) != alpha:
         raise PreconditionViolated("U and V must have equal length")
     if alpha > n:
         raise PreconditionViolated(f"alpha = {alpha} exceeds deg Q = {n}")
-    U = [trim(f, u) for u in U]
-    V = [poly_mod(f, v, Q) for v in V]
-    W = [poly_mod(f, w, Q) for w in W]
-    m = max([1] + [len(u) for u in U])
+    m = max(1, U.shape[-1])
     out_len = m + n - 1
-    if alpha == 0 or beta == 0:
+    if alpha == 0 or beta == 0 or not U.shape[-1]:
         return f.zeros((beta, out_len))
+    modulus = Moduli.of(f, Q)
+    V, W = modulus.rem(V[:, None, :])[:, 0], modulus.rem(W[:, None, :])[:, 0]
 
     size = 1 << max(1, (out_len - 1).bit_length())
     if n == 1 or size > f.ntt_capacity():
-        return padded(f, _mul_direct(f, stacked(f, U, alpha, m), stacked(f, V, alpha, n),
-                                     stacked(f, W, beta, n), Moduli.of(f, Q)), out_len)
+        return _mul_direct(f, U, V, W, modulus)
 
-    qrev_inv = series_inv(f, poly_rev(f, Q, n), n - 1)
-    Ut = [poly_rev(f, u, m - 1) for u in U]
-    Vt = [padded(f, poly_mul(f, poly_rev(f, v, n - 1), qrev_inv), n - 1)
-          for v in V]
-    Wt = [padded(f, poly_rev(f, w, n - 1), n - 1) for w in W]
-    S = _mul_any(f, Ut, Vt, Wt, m, n - 1)
+    Vt = f.conv(V[:, ::-1], modulus.series(n - 1)[0])[:, : n - 1]
+    S = np.stack(_mul_any(f, U[:, ::-1], Vt, W[:, :0:-1], m, n - 1))
 
     # Both terms of T·W_i − Q·rev(S̃_i) overshoot out_len and the tails
     # cancel exactly, so a wraparound product of size >= out_len is exact.
     # That lets one batched transform round serve every column at half the
     # linear-product length.
-    Um, Vm = stacked(f, U, alpha, size), stacked(f, V, alpha, size)
-    vT = np.sum(f.ntt(Um) * f.ntt(Vm) % f.p, axis=0) % f.p
-    Qm = f.zeros(size)
-    Qm[: min(len(Q), size)] = Q[:size]
+    vT = np.sum(f.ntt(padded(f, U, size)) * f.ntt(padded(f, V, size)) % f.p, axis=0) % f.p
+    Qm = padded(f, Q, size)
     if len(Q) > size:  # fold the modulus, it can overhang by one slot
-        tail = Q[size:]
-        Qm[: len(tail)] = (Qm[: len(tail)] + tail) % f.p
-    vQ = f.ntt(Qm)
-    Wm = stacked(f, W, beta, size)
-    Sm = stacked(f, [poly_rev(f, s, m + n - 3) for s in S], beta, size)
-    vals = (vT * f.ntt(Wm) - vQ * f.ntt(Sm)) % f.p
+        Qm[0] = (Qm[0] + Q[size]) % f.p
+    vals = (vT * f.ntt(padded(f, W, size))
+            - f.ntt(Qm) * f.ntt(padded(f, S[:, ::-1], size))) % f.p
     return f.ntt(vals, invert=True)[:, :out_len]
 
 
@@ -322,13 +310,13 @@ def product_chain(gen: Generator, B: np.ndarray) -> np.ndarray:
 
     cols = comb_family(fam_q, B.T if tf.e2 else y_apply_family(fam_q, B.T))
     lhs = gammas[:, ::-1] if stein else gammas
-    binomial = fam_q.flavor == "single_power"
-    if binomial and beta > 1 and 1 << (m + n - 2).bit_length() <= f.ntt_capacity():
-        R = _mul_halves(f, lhs, etas, cols, n, fam_q.flavor_params[0])
-    elif beta == 1 or gen.alpha > n or binomial:
+    c = fam_q.levels[-1].binomial
+    if c is not None and beta > 1 and 1 << (m + n - 2).bit_length() <= f.ntt_capacity():
+        R = _mul_halves(f, lhs, etas, cols, n, c)
+    elif beta == 1 or gen.alpha > n or c is not None:
         R = _mul_direct(f, lhs, etas, cols, fam_q.levels[-1])
     else:
-        R = padded(f, mulQ(f, lhs, etas, cols, fam_q.product), m + n - 1)
+        R = mulQ(f, lhs, etas, cols, fam_q.product)
     if stein:
         R = R[:, ::-1]
     out = modmul_apply(f, table, fam_p, red_family(fam_p, R))
