@@ -319,7 +319,8 @@ def cmd_gen(args) -> int:
     rng = np.random.Generator(np.random.Philox(args.seed))
     op = draw_operator(f, rng, m, n, args.kind, args.flavor,
                        args.transpose_p, args.transpose_q)
-    gen = Generator(_rand_matrix(f, rng, m, alpha), _rand_matrix(f, rng, n, alpha), op)
+    gen = Generator._built(_rand_matrix(f, rng, m, alpha),
+                           _rand_matrix(f, rng, n, alpha), op)
     B = b = None
     if args.task == "mul":
         if args.beta < 1:
@@ -480,7 +481,7 @@ def pade_generator(fam: PolyFamily, residues, bounds: list[int], phi: int) -> Ge
             if j == 0:
                 carry = poly_scale(f, phi, carry)
             G[s: s + k, j] = padded(f, poly_mod(f, poly_sub(f, red[i][j], carry), P), k)
-    return Generator(G, H, op)
+    return Generator._built(G, H, op)
 
 
 def _check_profile(fam: PolyFamily, residues, bounds) -> None:

@@ -4,7 +4,7 @@ Scalars are canonical Python ints in [0, p); bulk data lives in numpy
 arrays (int64 when products of two residues fit in a signed 64-bit word,
 Python-object arrays otherwise, e.g. for the 62-bit benchmark prime).
 An int64 sum holds slack = ⌊2^63/p²⌋ such products (9 at 998244353, 1
-above 2^31; object arrays take 1): every kernel sizes its unreduced sums by it.
+above 2^31): every int64 kernel sizes its unreduced sums by it.
 
 The number-theoretic transform (NTT) operates along the last axis of an
 array of any shape, which lets polynomial-matrix code batch thousands of
@@ -18,11 +18,13 @@ small enough to stay in cache.  Object-dtype fields run a radix-2 loop.
 
 Convolution has one exact kernel for every prime: residues are cut into
 16-bit int64 limbs, or kept whole when the shorter factor has at most slack
-terms; each limb product is one ``np.convolve`` (for a block of rows, one
-matrix product of sliding windows), and the limb weights are recombined
-mod p.  Long products go to the NTT instead when p - 1 has the 2-adic room
-for their transform length.  Like the NTT, ``conv`` works along the last
-axis and broadcasts over the leading ones.
+terms, and on object-dtype fields also when the whole product has at most
+_WHOLE_CONV_TERMS_OBJECT term products; each limb product is one
+``np.convolve`` (for a block of rows, one matrix product of sliding
+windows), and the limb weights are recombined mod p.  Long products go to
+the NTT instead when p - 1 has the 2-adic room for their transform length.
+Like the NTT, ``conv`` works along the last axis and broadcasts over the
+leading ones.
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ _INT64_SAFE_BOUND = 3_037_000_499
 # and on object-dtype fields (the sweep is in BENCH_11.json)
 _SPLIT_CONV_CUTOFF = 1024
 _SPLIT_CONV_CUTOFF_OBJECT = 3072
+
+# up to this many term products (rows × la × lb) an object-dtype product
+# convolves whole residues; above it the 4-limb split wins (BENCH_14.json)
+_WHOLE_CONV_TERMS_OBJECT = 3024
 
 # elements of a slab of rows that ntt transforms at once, so that its float64
 # work arrays (4 × 8 bytes × slab) stay in a core's L2 cache
@@ -153,8 +159,7 @@ class PrimeField:
         self._generator: int | None = {DEFAULT_PRIME: 3, BENCH_PRIME: 3}.get(p)
         # ntt plans (int64 fields) or root powers (object fields) per (n, invert)
         self._root_cache: dict[tuple[int, bool], tuple | np.ndarray] = {}
-        # products of two residues an int64 sum holds; object arrays take 1,
-        # so their Python ints stay below p²
+        # products of two residues an int64 sum holds; 1 on object arrays
         self._slack = max(1, (1 << 63) // (p * p))
         # bit offsets of the 16-bit limbs of a residue, one row per limb
         limbs = -(-p.bit_length() // 16)
@@ -524,7 +529,11 @@ class PrimeField:
 
         A term of the product sums min(len a, len b) products below p², so
         while that is at most slack = ⌊2^63/p²⌋ one convolution of the whole
-        residues is exact (in int64, or on Python ints that stay below p²).
+        residues is exact in int64.  On an object-dtype field the whole
+        residues are Python ints and exact at any length; there they stay
+        whole while the product has at most _WHOLE_CONV_TERMS_OBJECT term
+        products (rows × len a × len b), where one object convolution and one
+        reduction mod p cost less than the limbs' fixed overhead.
         Otherwise residues are cut into k = ceil(bits(p) / 16) limbs of 16
         bits: 1 below 2^16, 2 up to 2^31.5, 4 for 62-bit primes.  Limb
         sequences multiply Karatsuba-style across the limb index: with
@@ -534,11 +543,15 @@ class PrimeField:
         below 2^34 and a weight gathers at most k limb products per term, so
         for k <= 4 and a shorter input of fewer than 2^29 terms every partial
         sum fits an int64.  Horner's rule recombines the 2k - 1 weights mod p
-        in the field's dtype: for object-dtype primes that is the only
-        Python-int work, O(len × k).
+        in the field's dtype: for a split object-dtype product that is the
+        only Python-int work, O(len × k).
         """
         p = self.p
-        split = min(a.shape[-1], b.shape[-1]) > self._slack
+        la, lb = a.shape[-1], b.shape[-1]
+        split = min(la, lb) > self._slack
+        if split and self.dtype is object:
+            rows = math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+            split = rows * la * lb > _WHOLE_CONV_TERMS_OBJECT
         A, B = self._limbs(a, split), self._limbs(b, split)
         k = len(A)
         diag = [self._convolve(A[i], B[i]) for i in range(k)]
@@ -558,13 +571,16 @@ class PrimeField:
         ntt, exactly mod p, along the last axis: row by row, broadcast over
         the leading axes, so a 1-D pair is the one-row case.
 
-        A factor of at most slack terms takes the limb kernel on whole
-        residues, and so do short products: those with at most 1024 output
-        terms (3072 on object-dtype fields) on one row, or on a block of rows
-        of an object-dtype field.  A longer product, or a block of rows with
-        both factors longer than slack over an int64 field, runs the NTT,
-        which for a block costs less than its split limb products; products
-        too long for the prime's transforms always take the limb kernel.
+        Short products take the limb kernel: a factor of at most slack
+        terms, and those with at most 1024 output terms (3072 on object-dtype
+        fields) on one row, or on a block of rows of an object-dtype field.
+        The kernel keeps the residues whole for a factor of at most slack
+        terms, and on object-dtype fields for a product of at most
+        _WHOLE_CONV_TERMS_OBJECT term products in all.  A longer product, or
+        a block of rows with both factors longer than slack over an int64
+        field, runs the NTT, which for a block costs less than its split limb
+        products; products too long for the prime's transforms always take
+        the limb kernel.
         """
         a, b = np.asarray(a), np.asarray(b)
         la, lb = a.shape[-1], b.shape[-1]

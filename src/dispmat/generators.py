@@ -59,6 +59,20 @@ class Generator:
             self.G = self.G.reshape(-1, 1)
         if self.H.ndim == 1:
             self.H = self.H.reshape(-1, 1)
+        self._check_shapes()
+
+    @classmethod
+    def _built(cls, G: np.ndarray, H: np.ndarray,
+               operator: DisplacementOperator) -> Generator:
+        """A generator on blocks the library built itself, which already
+        follow the array contract (2-D, f.dtype, residues in [0, p)): taken
+        as they are, without the copy and reduction of the constructor."""
+        gen = object.__new__(cls)
+        gen.G, gen.H, gen.operator = G, H, operator
+        gen._check_shapes()
+        return gen
+
+    def _check_shapes(self) -> None:
         if self.G.shape[1] != self.H.shape[1]:
             raise DimensionMismatch(
                 f"G has {self.G.shape[1]} columns, H has {self.H.shape[1]}")
@@ -86,7 +100,7 @@ class Generator:
 
 def generator_zeros(op: DisplacementOperator, alpha: int) -> Generator:
     f = op.field
-    return Generator(f.zeros((op.m, alpha)), f.zeros((op.n, alpha)), op)
+    return Generator._built(f.zeros((op.m, alpha)), f.zeros((op.n, alpha)), op)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +147,7 @@ def to_basic(gen: Generator) -> tuple[Generator, BasicTransform]:
     tf = BasicTransform(op.transpose_p, not op.transpose_q, op.fam_p, op.fam_q)
     if tf.is_identity:
         return gen, tf
-    return Generator(tf.p_side(gen.G), tf.q_side(gen.H), op.basic()), tf
+    return Generator._built(tf.p_side(gen.G), tf.q_side(gen.H), op.basic()), tf
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +185,7 @@ def gen_transpose(gen: Generator) -> Generator:
         op.kind, op.fam_q, op.fam_p,
         transpose_p=not op.transpose_q, transpose_q=not op.transpose_p))
     H = gen.H if op.kind == STEIN else (f.p - gen.H) % f.p
-    return Generator(H, gen.G, swapped)
+    return Generator._built(H, gen.G, swapped)
 
 
 def _column_decompose(f: PrimeField, M: np.ndarray):
@@ -199,7 +213,7 @@ def gen_compress(gen: Generator) -> Generator:
     if gen.alpha == 0:
         return gen
     G2, H2 = compress_pair(gen.field, gen.G, gen.H)
-    return Generator(G2, H2, gen.operator)
+    return Generator._built(G2, H2, gen.operator)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +330,7 @@ def to_hankel(gen: Generator) -> tuple[Generator, HankelContext]:
     hop = hankel_operator(f, m, n)
     if op.kind == SYLVESTER:
         H = _hstack([side_map(fam_q, at_u), rth, s])
-        return Generator(_hstack([t, lg, l_a_r]), H, hop), ctx
+        return Generator._built(_hstack([t, lg, l_a_r]), H, hop), ctx
 
     # Stein: shift the last G column, pre-multiply Aᵗu by M_Q, and conjugate
     # the H side through −Z_{n,1}·J_n
@@ -324,7 +338,7 @@ def to_hankel(gen: Generator) -> tuple[Generator, HankelContext]:
     mq_at_u = companion_apply(fam_q, at_u)
     H = _hstack([(f.p - side_map(fam_q, mq_at_u)) % f.p, rth, s])
     hb = (f.p - np.roll(H[::-1], 1, axis=0)) % f.p
-    return Generator(_hstack([t, lg, z0_lar]), hb, hop), ctx
+    return Generator._built(_hstack([t, lg, z0_lar]), hb, hop), ctx
 
 
 def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
@@ -358,7 +372,7 @@ def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
         a_invt_s = gen_matvec(inv_t, e0)
         G = _hstack([ctx.r, rq(Y.T).T, rq(a_inv_t)])
         H = _hstack([lt(a_invt_s), lt(Z.T).T, ctx.u])
-        return gen_compress(Generator(G, H, swapped))
+        return gen_compress(Generator._built(G, H, swapped))
 
     # Stein: core is B = A′·J, A′⁻¹ = J·B⁻¹ and A′⁻ᵗ = B⁻ᵗ·J.
     # Δ_{M_Qᵗ,M_P}(A⁻¹) =
@@ -370,7 +384,7 @@ def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
                  ctx.r])
     z0t_bts = np.concatenate([b_invt_js[1:], f.zeros(1)])
     H = _hstack([lt(Z.T).T, ctx.u, (f.p - lt(z0t_bts)) % f.p])
-    return gen_compress(Generator(G, H, swapped))
+    return gen_compress(Generator._built(G, H, swapped))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,10 @@ and structsolve:
 
 ``PrimeField.arr`` establishes rule 1, and runs only where outside data
 enters: ``as_poly``/``family_build``, ``Generator``, ``struct_mul``,
-``gen_matvec``, ``reconstruct_dense``, the solver entry points, the
-preconditioner, deserialization, the CLI and the oracle.
+``gen_matvec``, ``reconstruct_dense``, the solver entry points,
+deserialization, the CLI and the oracle.  A generator the library builds
+from its own blocks goes through ``Generator._built``, which takes them as
+they are.
 
 A ``PolyFamily`` bundles monic pairwise-coprime moduli P_1..P_d with their
 subproduct tree, CRT units and a detected structure flavor ("general",

@@ -198,7 +198,7 @@ def _gen_block_21(f: PrimeField, G, H, split: int, rows: int,
                   (f.p - _unit(f, rows, 0)) % f.p,
                   (f.p - col_l[split: split + rows]) % f.p])
     Hb = _hstack([H[:split], row_l[:split], _unit(f, split, 0)])
-    return Generator(Gb, Hb, shift_operator(f, rows, 0, split, 1))
+    return Generator._built(Gb, Hb, shift_operator(f, rows, 0, split, 1))
 
 
 def _gen_block_12(f: PrimeField, G, H, split: int, cols: int,
@@ -207,7 +207,7 @@ def _gen_block_12(f: PrimeField, G, H, split: int, cols: int,
     Gb = _hstack([G[:split], col_l[:split], _unit(f, split, 0)])
     Hb = _hstack([H[split: split + cols], _unit(f, cols, 0),
                   row_l[split: split + cols]])
-    return Generator(Gb, Hb, shift_operator(f, split, 1, cols, 0))
+    return Generator._built(Gb, Hb, shift_operator(f, split, 1, cols, 0))
 
 
 def _gen_block_inv(f: PrimeField, Y: np.ndarray, Z: np.ndarray,
@@ -217,7 +217,7 @@ def _gen_block_inv(f: PrimeField, Y: np.ndarray, Z: np.ndarray,
     r = Y.shape[0]
     Gb = _hstack([Y, _unit(f, r, r - 1)])
     Hb = _hstack([Z, v])
-    return Generator(Gb, Hb, hankel_inverse_operator(f, r, r))
+    return Generator._built(Gb, Hb, hankel_inverse_operator(f, r, r))
 
 
 def _apply(gen: Generator, X: np.ndarray) -> np.ndarray:
@@ -380,9 +380,10 @@ def precond(f: PrimeField, G, H, u1: TriangularToeplitzPreconditioner,
 
     The commutator of the shift with a unit-triangular Toeplitz factor is
     rank two on each side, so the width grows by exactly four, and the first
-    α columns stay U(v₁)ᵗG and U(v₂)ᵗH."""
+    α columns stay U(v₁)ᵗG and U(v₂)ᵗH.  G and H must follow the array
+    contract (see poly); they are used as they are."""
     m, n = G.shape[0], H.shape[0]
-    gen = Generator(G, H, hankel_operator(f, m, n))
+    gen = Generator._built(G, H, hankel_operator(f, m, n))
     tgen = gen_transpose(gen)
 
     v1a, v2a = u1.v, u2.v
@@ -453,7 +454,7 @@ def inv(f: PrimeField, G, H, rng_seed: int = 0) -> InvResult:
     # A⁻¹ = U(v₂)·Ã⁻¹·U(v₁)ᵗ, and the first α columns of Ã's generator
     # are U(v₁)ᵗG and U(v₂)ᵗH
     alpha = G.shape[1]
-    out = Generator(u2.apply(res.Y[:, :alpha]),
+    out = Generator._built(u2.apply(res.Y[:, :alpha]),
                     u1.apply(res.Z[:, :alpha]),
                     hankel_inverse_operator(f, m, m))
     return InvResult(OK, out)
@@ -528,8 +529,8 @@ def inv_generator(gen: Generator, rng_seed: int = 0) -> InvResult:
         return res
     out = from_hankel_inverse(ctx, res.generator)
     # A⁻¹ = Y_Q^{e2}·Ã⁻¹·Y_P^{e1}
-    return InvResult(OK, Generator(tf.q_side(out.G), tf.p_side(out.H),
-                                   inverse_operator(op)))
+    return InvResult(OK, Generator._built(tf.q_side(out.G), tf.p_side(out.H),
+                                          inverse_operator(op)))
 
 
 def solve_generator(gen: Generator, b, rng_seed: int = 0) -> SolveResult:

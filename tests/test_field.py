@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dispmat.field import (
     _NTT_SLAB,
     _SPLIT_CONV_CUTOFF,
+    _WHOLE_CONV_TERMS_OBJECT,
     BENCH_PRIME,
     DEFAULT_PRIME,
     NAMED_PRIMES,
@@ -320,6 +321,69 @@ def test_conv_commutes(data):
     a = f.arr(data.draw(st.lists(st.integers(0, f.p - 1), min_size=1, max_size=12)))
     b = f.arr(data.draw(st.lists(st.integers(0, f.p - 1), min_size=1, max_size=12)))
     assert np.array_equal(f.conv(a, b), f.conv(b, a))
+
+
+_OBJECT_PRIMES = [BENCH_PRIME, 2**64 - 59]
+# lead shapes of a and b: 1-D, blocks of rows, one side broadcast, an outer
+# product of leading axes
+_LEADS = [lambda r, c: ((), ()), lambda r, c: ((r,), (r,)), lambda r, c: ((r,), ()),
+          lambda r, c: ((), (r,)), lambda r, c: ((r, 1), (1, c))]
+
+
+def _object_residues(f, rng, shape):
+    """Residues of f drawn over the whole range, with 0 and p - 1 (the
+    largest limbs) more likely."""
+    draw = [int(v) % f.p for v in rng.integers(0, 2**64, int(np.prod(shape)), dtype=np.uint64)]
+    edge = rng.integers(0, 8, len(draw))
+    vals = [0 if e == 0 else f.p - 1 if e == 1 else v for v, e in zip(draw, edge)]
+    return f.arr(vals).reshape(shape)
+
+
+def _conv_reference(p, a, b):
+    """_python_int_conv row by row over the broadcast leading axes."""
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    A = np.broadcast_to(a, lead + a.shape[-1:])
+    B = np.broadcast_to(b, lead + b.shape[-1:])
+    rows = [_python_int_conv(p, A[i], B[i]) for i in np.ndindex(lead)]
+    return np.array(rows, dtype=object).reshape(lead + (-1,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(_OBJECT_PRIMES), lead=st.sampled_from(_LEADS),
+       rows=st.integers(1, 9), cols=st.integers(1, 4), la=st.integers(1, 90),
+       lb=st.integers(1, 90), zero_row=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_conv_on_object_primes_matches_python_ints(p, lead, rows, cols, la, lb, zero_row, seed):
+    """Both sides of the whole-residue bound rows·la·lb <= C: 1-D pairs,
+    blocks, broadcast leading axes, 1-term factors and all-zero rows."""
+    f = get_field(p)
+    rng = np.random.default_rng(seed)
+    lead_a, lead_b = lead(rows, cols)
+    a = _object_residues(f, rng, lead_a + (la,))
+    b = _object_residues(f, rng, lead_b + (lb,))
+    if zero_row and a.ndim > 1:
+        a[0] = 0
+    got = f.conv(a, b)
+    assert got.dtype == object
+    assert got.tolist() == _conv_reference(p, a, b).tolist()
+
+
+@pytest.mark.parametrize("p", _OBJECT_PRIMES)
+def test_conv_whole_residue_bound_on_object_primes(p, monkeypatch):
+    """rows·la·lb = C convolves whole residues, C + 1 splits them into limbs."""
+    assert _WHOLE_CONV_TERMS_OBJECT == 3024  # 56·54, and C + 1 = 55·55
+    f = get_field(p)
+    rng = np.random.default_rng(37)
+    limbs = PrimeField._limbs
+    splits = []
+    monkeypatch.setattr(PrimeField, "_limbs",
+                        lambda self, v, split: splits.append(split) or limbs(self, v, split))
+    for lead, la, lb, split in [((), 56, 54, False), ((4,), 27, 28, False),
+                                ((), 55, 55, True), ((25,), 11, 11, True)]:
+        a = _object_residues(f, rng, lead + (la,))
+        b = _object_residues(f, rng, lead + (lb,))
+        splits.clear()
+        assert f.conv(a, b).tolist() == _conv_reference(p, a, b).tolist()
+        assert splits == [split, split], (lead, la, lb)
 
 
 def test_field_identity_and_hash():

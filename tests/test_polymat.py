@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dispmat.field import BENCH_PRIME, get_field
-from dispmat.polymat import pm_mul
+from dispmat.polymat import _pm_mul_conv, _pm_mul_points, pm_mul
 
 F = get_field(998244353)
 
@@ -56,3 +56,27 @@ def test_mul_point_and_entrywise_paths_agree():
     got = pm_mul(F, a, b)
     want = _naive_pm_mul(F, a, b, got.shape[2])
     assert np.array_equal(got, want)
+
+
+# p62 has transform room for these shapes, so both routes run; 2^64 - 59
+# (capacity 4) and 2^31 - 1 (capacity 2) have it only for the shortest
+# products, and beyond that pm_mul can take only the conv route
+@pytest.mark.parametrize("p", [BENCH_PRIME, 2**64 - 59, 2**31 - 1])
+def test_mul_conv_and_transform_routes_agree(p):
+    f = get_field(p)
+    rng = np.random.default_rng(41)
+
+    def rand(*shape):
+        return f.arr(rng.integers(0, 2**64, size=shape, dtype=np.uint64))
+
+    for r, k, c in [(1, 1, 1), (1, 9, 1), (1, 3, 2), (2, 3, 1), (3, 2, 4)]:
+        for da, db in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (13, 6), (24, 25)]:
+            a, b = rand(r, k, da), rand(k, c, db)
+            got = pm_mul(f, a, b)
+            assert got.dtype == f.dtype
+            assert np.array_equal(got, _naive_pm_mul(f, a, b, got.shape[2])), (r, k, c, da, db)
+            assert np.array_equal(_pm_mul_conv(f, a, b), got)
+            need = da + db - 1
+            size = 1 << (need - 1).bit_length()
+            if size <= f.ntt_capacity():
+                assert np.array_equal(_pm_mul_points(f, a, b, size, need), got)

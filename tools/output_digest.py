@@ -1,5 +1,6 @@
-"""Print one SHA-256 over the outputs of the library's products, solves and
-inverses, to check that a refactor leaves every result bit-for-bit the same.
+"""Print SHA-256 digests over the outputs of the library's products, solves
+and inverses, to check that a refactor leaves every result bit-for-bit the
+same.
 
     python3 tools/output_digest.py SRC_DIR
 
@@ -14,6 +15,13 @@ format, products with 1, 4 and 9 columns, and the inverse tables of
 mixed-flavour operators (a binomial family on one side, a general or
 geometric one on the other).  Inverse-table entries are hashed without
 trailing zeros, so versions that pad them differently agree.
+
+The first line is that digest.  The second extends it with `cli.pade_solve`
+on planted instances over the 62-bit prime (`cli.plant_pade`, with loose
+and with tight degree bounds), and with `conv` and `pm_mul` over 2^64 − 59:
+1-D products and blocks of rows on both sides of the object-dtype
+whole-residue bound, broadcast leading axes, polynomial dot products and
+small matrix products.
 
 Products, reconstructions and inverse tables are unique exact values.  Solve
 and inverse outputs are not: they depend on the random seeds and on the
@@ -34,6 +42,16 @@ PRIMES = (998244353, 2281701377, 2**31 - 1, 4611685941117976577)
 FORMATS = ((24, 24), (40, 32))
 FLAVORS = ("general", "geometric", "single_power", "skewed")
 ALPHA, BETAS = 3, (1, 4, 9)
+# (degree bounds, moduli degrees) of the planted Pade instances over p62
+PADE = (([9, 8, 8], [3] * 8), ([8, 8, 8], [3] * 8), ([13, 12], [5] * 5),
+        ([4, 4, 4, 4], [2] * 7 + [1]), ([7, 6, 6, 6], [25]))
+# (lead of a, lead of b, len a, len b) for conv over 2^64 - 59; 56·54 is the
+# object-dtype whole-residue bound, 55·55 one past it
+CONV = (((), (), 1, 1), ((), (), 24, 25), ((), (), 56, 54), ((), (), 55, 55),
+        ((), (), 64, 64), ((), (), 2000, 1800), ((9,), (9,), 24, 24),
+        ((4,), (4,), 25, 24), ((3, 1), (1, 4), 20, 13), ((6,), (), 40, 1))
+# (rows, k, cols, bound a, bound b) for pm_mul over 2^64 - 59
+PM_MUL = ((1, 9, 1, 24, 24), (1, 3, 1, 2, 2), (2, 3, 4, 2, 2), (3, 2, 2, 16, 9))
 # (P flavour, Q flavour, m, n) for the mixed-flavour inverse tables
 MIXED = [(fp, fq, m, n)
          for fp, fq in (("single_power", "general"), ("single_power", "geometric"),
@@ -46,12 +64,13 @@ def main(argv: list[str]) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     sys.path.insert(0, argv[1])
-    from dispmat.cli import draw_family, draw_operator
+    from dispmat.cli import draw_family, draw_operator, pade_solve, plant_pade
     from dispmat.field import get_field
     from dispmat.generators import Generator, gen_matvec, reconstruct_dense
     from dispmat.operators import (
         STEIN, SYLVESTER, DisplacementOperator, inverse_table, op_invertible)
     from dispmat.poly import NotCoprime, family_build, trim
+    from dispmat.polymat import pm_mul
     from dispmat.structmul import struct_mul
     from dispmat.structsolve import inv_generator, solve_generator
 
@@ -72,6 +91,9 @@ def main(argv: list[str]) -> int:
 
     def rand(f, rng, *shape):
         return f.arr(rng.integers(0, f.p, size=shape))
+
+    def wide(f, rng, *shape):  # residues of a prime beyond 2^63
+        return f.arr(rng.integers(0, 2**64, size=shape, dtype=np.uint64))
 
     def skewed_family(f, rng, m):
         while True:
@@ -123,6 +145,28 @@ def main(argv: list[str]) -> int:
                 feed(f"{label}/{j}", trim(f, w))
 
     print(f"{digest.hexdigest()}  ({count} outputs)")
+
+    f = get_field(4611685941117976577)
+    for ci, (bounds, degrees) in enumerate(PADE):
+        inst = plant_pade(f, bounds, block_degrees=degrees, seed=ci)
+        label = f"pade/{bounds}/{degrees}"
+        for i, (P, row) in enumerate(zip(inst.moduli, inst.residues)):
+            feed(f"{label}/P{i}", P)
+            for j, R in enumerate(row):
+                feed(f"{label}/R{i},{j}", R)
+        out = pade_solve(f, inst.moduli, inst.residues, inst.bounds, seed=ci)
+        feed(label + "/tag", f"{out['tag']}:{out['attempts']}:{out.get('phi')}")
+        for j, part in enumerate(out.get("f", [])):
+            feed(f"{label}/f{j}", part)
+    f = get_field(2**64 - 59)
+    rng = np.random.default_rng(64)
+    for lead_a, lead_b, la, lb in CONV:
+        a, b = wide(f, rng, *lead_a, la), wide(f, rng, *lead_b, lb)
+        feed(f"conv/{lead_a}x{la}/{lead_b}x{lb}", f.conv(a, b))
+    for rows, k, cols, ba, bb in PM_MUL:
+        a, b = wide(f, rng, rows, k, ba), wide(f, rng, k, cols, bb)
+        feed(f"pm_mul/{rows},{k},{cols}/{ba},{bb}", pm_mul(f, a, b))
+    print(f"{digest.hexdigest()}  ({count} outputs, extended)")
     return 0
 
 
