@@ -33,25 +33,7 @@ from .operators import (
     SingularOperator,
     op_invertible,
 )
-from .poly import (
-    NotCoprime,
-    PolyFamily,
-    as_poly,
-    degree,
-    family_build,
-    is_zero,
-    padded,
-    poly_add,
-    poly_gcd,
-    poly_invmod,
-    poly_mod,
-    poly_mul,
-    poly_neg,
-    poly_scale,
-    poly_shift,
-    poly_sub,
-    trim,
-)
+from .poly import NotCoprime, PolyFamily, family_build, padded, stacked, trim
 from .structmul import struct_mul
 from .structsolve import FAILURE, NO_SOLUTION, OK, inv_generator, solve_generator
 
@@ -467,21 +449,28 @@ def pade_generator(fam: PolyFamily, residues, bounds: list[int], phi: int) -> Ge
     Q = f.zeros(N + 1)
     Q[0], Q[N] = f.neg(phi), 1
     op = DisplacementOperator(STEIN, fam, family_build(f, [Q]))
-    red = [[poly_mod(f, as_poly(f, R), fam.polys[i]) for R in residues[i]]
-           for i in range(len(fam))]
-    G = f.zeros((fam.total_degree, alpha))
-    H = f.zeros((N, alpha))
-    pos = 0
+    leaves = fam.levels[0]
+    w = leaves.width
+    red = leaves.rem(_residue_block(f, residues))
+    # column j is red_j − c_j·x^(n_{j−1})·red_{j−1} mod P_i, with j − 1 taken
+    # cyclically, c_0 = φ and c_j = 1 otherwise
+    carry = f.zeros((alpha, len(fam), w + max(bounds)))
     for j in range(alpha):
-        H[pos, j] = 1
-        pos += bounds[j]
-        prev = j - 1 if j else alpha - 1
-        for i, (s, k, P) in enumerate(zip(fam.offsets, fam.degrees, fam.polys)):
-            carry = poly_shift(f, red[i][prev], bounds[prev])
-            if j == 0:
-                carry = poly_scale(f, phi, carry)
-            G[s: s + k, j] = padded(f, poly_mod(f, poly_sub(f, red[i][j], carry), P), k)
-    return Generator._built(G, H, op)
+        carry[j, :, bounds[j - 1]: bounds[j - 1] + w] = red[j - 1] if j else phi * red[-1] % f.p
+    G = leaves.rem((padded(f, red, carry.shape[-1]) - carry) % f.p)
+    H = f.zeros((N, alpha))
+    H[np.cumsum([0] + bounds[:-1]), np.arange(alpha)] = 1
+    return Generator._built(fam.from_leaves(G).T, H, op)
+
+
+def _residue_block(f: PrimeField, residues) -> np.ndarray:
+    """The table R_{i,j} (row i per modulus, column j per component) as one
+    block (alpha, d, L): block j holds column j, one row per modulus, padded
+    to the longest residue."""
+    d, alpha = len(residues), len(residues[0])
+    polys = [f.arr(row[j]) for j in range(alpha) for row in residues]
+    L = max(len(R) for R in polys)
+    return stacked(f, polys, alpha * d, L).reshape(alpha, d, L)
 
 
 def _check_profile(fam: PolyFamily, residues, bounds) -> None:
@@ -497,18 +486,15 @@ def _check_profile(fam: PolyFamily, residues, bounds) -> None:
             "the system is tall")
 
 
-def _combine(f: PrimeField, parts, row, P: np.ndarray) -> np.ndarray:
-    """sum_j parts[j]·row[j] mod P."""
-    acc = f.zeros(0)
-    for fj, R in zip(parts, row):
-        acc = poly_mod(f, poly_add(f, acc, poly_mul(f, fj, R)), P)
-    return acc
-
-
-def _residues_vanish(fam: PolyFamily, residues, parts: list[np.ndarray]) -> bool:
+def _relation(fam: PolyFamily, residues, parts) -> np.ndarray:
+    """sum_j parts_j·R_{i,j} mod P_i for every modulus, as leaf rows (d, w):
+    one broadcast product of all pairs, summed over j, and one reduction."""
     f = fam.field
-    return all(is_zero(trim(f, _combine(f, parts, row, P)))
-               for row, P in zip(residues, fam.polys))
+    if not parts:
+        return f.zeros((len(fam), fam.levels[0].width))
+    F = stacked(f, parts, len(parts), max(1, max(len(fj) for fj in parts)))
+    terms = f.conv(_residue_block(f, residues), F[:, None, :])
+    return fam.levels[0].rem(np.sum(terms, axis=0) % f.p)
 
 
 def pade_solve(f: PrimeField, moduli, residues, bounds, seed: int = 0) -> dict:
@@ -534,7 +520,7 @@ def pade_solve(f: PrimeField, moduli, residues, bounds, seed: int = 0) -> dict:
         for n in bounds:
             parts.append(trim(f, x[pos: pos + n]))
             pos += n
-        if not _residues_vanish(fam, residues, parts):
+        if np.any(_relation(fam, residues, parts)):
             continue
         return {"tag": OK, "f": parts, "phi": phi,
                 "generator_length": gen.alpha, "attempts": attempt}
@@ -564,20 +550,20 @@ def plant_pade(f: PrimeField, bounds, block_degrees=None, moduli=None,
     if sum(bounds) < fam.total_degree:
         raise BadDegreeProfile(
             f"total bound {sum(bounds)} below the moduli degree {fam.total_degree}")
+    leaves = fam.levels[0]
     for _ in range(_DRAW_TRIES):
         f1 = trim(f, _rand_vector(f, rng, bounds[0]))
-        if not is_zero(f1) and degree(poly_gcd(f, f1, fam.product)) == 0:
+        f1_inv, ok = leaves.inverse(leaves.rem(np.broadcast_to(f1, (len(fam), len(f1)))))
+        if ok.all():
             break
     else:
         raise InfeasibleSpec("could not plant a leading component invertible "
                              "modulo the product of moduli")
-    parts = [f1] + [trim(f, _rand_vector(f, rng, n)) for n in bounds[1:]]
-    residues = []
-    for k, P in zip(fam.degrees, fam.polys):
-        tail = [trim(f, _rand_vector(f, rng, k)) for _ in bounds[1:]]
-        acc = _combine(f, parts[1:], tail, P)
-        head = poly_mod(f, poly_mul(f, poly_neg(f, acc), poly_invmod(f, f1, P)), P)
-        residues.append([head] + tail)
+    parts = [trim(f, _rand_vector(f, rng, n)) for n in bounds[1:]]
+    tails = [[trim(f, _rand_vector(f, rng, k)) for _ in bounds[1:]] for k in fam.degrees]
+    # the first column solves f_1·R_{i,1} = −sum_{j>1} f_j·R_{i,j} mod P_i
+    heads = leaves.modmul(f1_inv, (f.p - _relation(fam, tails, parts)) % f.p)
+    residues = [[trim(f, head)] + tail for head, tail in zip(heads, tails)]
     return PadeInstance(f.p, seed, [np.asarray(P) for P in fam.polys], residues, bounds)
 
 

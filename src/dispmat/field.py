@@ -511,7 +511,9 @@ class PrimeField:
         """Exact integer convolution of x and y row by row, broadcast over the
         leading axes; a 1-D pair is one np.convolve.  A block takes one matrix
         product of the longer factor's sliding windows with the reversed
-        shorter one, so no row runs a Python loop of its own."""
+        shorter one, so no row runs a Python loop of its own.  The windows
+        are one read-only strided view of the zero-padded rows: window t of
+        a row starts at its entry t."""
         if x.ndim == 1 and y.ndim == 1:
             return np.convolve(x, y)
         if x.shape[-1] < y.shape[-1]:
@@ -521,7 +523,9 @@ class PrimeField:
             return x * y
         pad = np.zeros(x.shape[:-1] + (la + 2 * (lb - 1),), dtype=x.dtype)
         pad[..., lb - 1: lb - 1 + la] = x
-        windows = np.lib.stride_tricks.sliding_window_view(pad, lb, axis=-1)
+        windows = np.lib.stride_tricks.as_strided(
+            pad, pad.shape[:-1] + (la + lb - 1, lb), pad.strides + pad.strides[-1:],
+            writeable=False)
         return np.matmul(windows, y[..., ::-1, None])[..., 0]
 
     def _conv_limbs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -23,8 +23,8 @@ from .poly import (
     as_poly,
     family_build,
     frozen,
-    modmul_apply,  # noqa: F401  (re-exported: the modular products live in poly)
-    modmul_apply_transposed,  # noqa: F401
+    modmul_apply,  # re-exported: the modular products live in poly
+    modmul_apply_transposed,
     poly_rev,
     poly_scale,
     red_family,
@@ -119,28 +119,13 @@ def stein_op(fam_p: PolyFamily, fam_q: PolyFamily,
 
 
 def companion_apply(fam: PolyFamily, v: np.ndarray, transposed: bool = False) -> np.ndarray:
-    """M_P·v (or M_Pᵗ·v) blockwise in O(m).
-
-    Per block with modulus P = p_0 + ... + p_{k-1}x^{k-1} + x^k:
-    M_P shifts coefficients up and folds the overflow back through -p,
-    M_Pᵗ shifts down and appends -<p, v>.
-    """
+    """M_P·v (or M_Pᵗ·v) blockwise: M_P multiplies every block by x modulo
+    its modulus, and M_Pᵗ is its conjugate through the symmetrizer."""
     f = fam.field
-    if len(v) != fam.total_degree:
-        raise DimensionMismatch(
-            f"vector length {len(v)} != family total degree {fam.total_degree}")
-    out = f.zeros(fam.total_degree)
-    for s, k, P in zip(fam.offsets, fam.degrees, fam.polys):
-        blk = v[s: s + k]
-        low = P[:k]
-        if transposed:
-            out[s: s + k - 1] = blk[1:]
-            out[s + k - 1] = -int(f.mat_mul(low[None, :], blk[:, None])[0, 0]) % f.p
-        else:
-            top = int(blk[k - 1])
-            out[s] = (-int(low[0]) * top) % f.p
-            out[s + 1: s + k] = (blk[: k - 1] - top * low[1:]) % f.p
-    return out
+    x = f.zeros((len(fam), 2))
+    x[:, 1] = 1
+    apply = modmul_apply_transposed if transposed else modmul_apply
+    return apply(f, x, fam, v)
 
 
 def y_apply_family(fam: PolyFamily, v: np.ndarray, inverse: bool = False) -> np.ndarray:

@@ -24,10 +24,17 @@ and structsolve:
 
 ``PrimeField.arr`` establishes rule 1, and runs only where outside data
 enters: ``as_poly``/``family_build``, ``Generator``, ``struct_mul``,
-``gen_matvec``, ``reconstruct_dense``, the solver entry points,
-deserialization, the CLI and the oracle.  A generator the library builds
-from its own blocks goes through ``Generator._built``, which takes them as
-they are.
+``mulQ``, ``gen_matvec``, ``reconstruct_dense``, the solver entry points,
+deserialization, the CLI (instance files and the Padé residue table) and
+the oracle.  A generator the library builds from its own blocks goes
+through ``Generator._built``, which takes them as they are.
+
+The scalar helpers on single polynomials (``poly_add`` … ``poly_divrem``,
+``poly_mod``, ``xgcd``, ``poly_gcd``) are reference arithmetic; apart from
+the search for a shared factor when ``family_build`` rejects a family, no
+product, reduction or inverse of the library runs through them.  Every job
+runs on a ``Moduli`` stack, whole: ``rem``, ``modmul``, ``inverse`` and
+``symmetrize``, reached through the blockwise and family maps below.
 
 A ``PolyFamily`` bundles monic pairwise-coprime moduli P_1..P_d with their
 subproduct tree, CRT units and a detected structure flavor ("general",
@@ -72,7 +79,6 @@ __all__ = [
     "poly_sub",
     "poly_neg",
     "poly_scale",
-    "poly_shift",
     "poly_mul",
     "poly_divrem",
     "poly_mod",
@@ -81,7 +87,6 @@ __all__ = [
     "series_inv",
     "xgcd",
     "poly_gcd",
-    "poly_invmod",
     "Moduli",
     "symmetrize_apply",
     "symmetrize_solve",
@@ -97,11 +102,6 @@ __all__ = [
     "geom_eval",
     "geom_interp",
 ]
-
-# Switch from schoolbook long division to reverse/Newton division above
-# this divisor degree.
-DIVREM_NEWTON_THRESHOLD = 32
-
 
 class DivisionByZero(ZeroDivisionError):
     """Polynomial division by the zero polynomial."""
@@ -193,15 +193,6 @@ def poly_scale(f: PrimeField, c: int, a: np.ndarray) -> np.ndarray:
     return trim(f, a * c % f.p)
 
 
-def poly_shift(f: PrimeField, a: np.ndarray, k: int) -> np.ndarray:
-    """Multiply by x^k (k >= 0)."""
-    if is_zero(a):
-        return a
-    out = f.zeros(len(a) + k)
-    out[k:] = a
-    return out
-
-
 def poly_mul(f: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if is_zero(a) or is_zero(b):
         return f.zeros(0)
@@ -273,22 +264,10 @@ def series_inv(f: PrimeField, a: np.ndarray, k: int) -> np.ndarray:
     return trim(f, x[:k]) if a.ndim == 1 else x[..., :k]
 
 
-def _divrem_school(f: PrimeField, a: np.ndarray, b: np.ndarray):
-    r = a.copy()
-    db = len(b) - 1
-    q = f.zeros(len(a) - db)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = int(r[i + db])
-        if c:
-            q[i] = c
-            r[i: i + db] = (r[i: i + db] - c * b[:db]) % f.p
-            r[i + db] = 0
-    return q, trim(f, r[:db])
-
-
 def poly_divrem(f: PrimeField, a: np.ndarray, b: np.ndarray):
-    """Quotient and remainder; the divisor must have an invertible leading
-    coefficient (always true over a field unless b = 0)."""
+    """Quotient and remainder, by Newton division on the reversed
+    polynomials; the divisor must have an invertible leading coefficient
+    (always true over a field unless b = 0)."""
     if is_zero(b):
         raise DivisionByZero("polynomial division by zero")
     a = trim(f, a)
@@ -305,8 +284,6 @@ def poly_divrem(f: PrimeField, a: np.ndarray, b: np.ndarray):
     if db == 0:
         return a, f.zeros(0)
     n = degree(a) - db
-    if db < DIVREM_NEWTON_THRESHOLD:
-        return _divrem_school(f, a, b)
     ra = poly_rev(f, a, degree(a))
     rq = f.conv(ra[: n + 1], series_inv(f, poly_rev(f, b, db), n + 1))[: n + 1]
     # rev-quotient may have trailing zeros as a series; rev back at fixed bound n
@@ -342,14 +319,6 @@ def xgcd(f: PrimeField, a: np.ndarray, b: np.ndarray):
 
 def poly_gcd(f: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return xgcd(f, a, b)[0]
-
-
-def poly_invmod(f: PrimeField, a: np.ndarray, P: np.ndarray) -> np.ndarray | None:
-    """a⁻¹ mod P, or None when gcd(a, P) ≠ 1."""
-    g, s, _ = xgcd(f, a, P)
-    if degree(g) != 0:
-        return None
-    return poly_mod(f, s, P)
 
 
 # ---------------------------------------------------------------------------

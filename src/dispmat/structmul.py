@@ -1,17 +1,18 @@
 """Fast multiplication of a structured matrix by a dense block of vectors.
 
-The workhorse is a balanced trilinear product: given polynomial vectors
-U (entries of degree < m), V and W (degree < n), compute
+The workhorse is a trilinear product: given alpha polynomials U_k (degree
+< m) and V_k, and beta polynomials W_j (degree < n), compute
 
     R_j = sum_k U_k · (V_k · W_j  mod  x^n)
 
 by splitting the truncation degree in half while doubling the inner
-dimension, so the work stays in square polynomial-matrix products whose
-batched transforms are shared across all index pairs.  mulQ lifts the x^n
-truncation to an arbitrary monic modulus with the reversed-quotient trick,
-and product_chain wires that into the reconstruction chain: the one route
-by which the library multiplies an (m x n) structured matrix by beta
-vectors, whether through struct_mul, gen_matvec or reconstruct_dense.
+dimension, so the work stays in polynomial-matrix products whose batched
+transforms are shared across all index pairs, for any alpha and beta.
+mulQ lifts the x^n truncation to an arbitrary monic modulus with the
+reversed-quotient trick, and product_chain wires that into the
+reconstruction chain: the one route by which the library multiplies an
+(m x n) structured matrix by beta vectors, whether through struct_mul,
+gen_matvec or reconstruct_dense.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ class PreconditionViolated(ValueError):
 
 def _chunked_product(f: PrimeField, U: np.ndarray, M: np.ndarray,
                      m: int, width: int) -> np.ndarray:
-    """Uᵗ·M for U of shape (abar, m); M is an abar x abar (or gamma x abar)
-    polynomial matrix (rows, cols, bound).  Returns (abar, m + bound − 1).
+    """Uᵗ·M for U of shape (abar, m) and an (abar, cols, bound) polynomial
+    matrix M.  Returns (cols, m + bound − 1).
 
     Splitting the rows of U into width-slices keeps the transform length at
     width + bound when the entries of M are much shorter than the rows; once
@@ -75,24 +76,26 @@ def mul_rec(f: PrimeField, U: np.ndarray, V: np.ndarray, W: np.ndarray,
             m: int, nu: int, gamma: int) -> np.ndarray:
     """R_j = sum_k U_k · (sum_c V_{k,c}·W_{j,c}  mod  x^nu).
 
-    U: (abar, m); V, W: (abar, gamma, nu).  nu, gamma, and abar must be
-    powers of two with gamma <= abar.  Splitting nu in half doubles gamma;
-    at gamma = abar (or nu <= MUL_CUTOFF) the product is taken directly.
-    Returns (abar, m + nu − 1).
+    U: (abar, m); V: (abar, gamma, nu); W: (bbar, gamma, nu).  nu, gamma,
+    abar and bbar must be powers of two with gamma <= min(abar, bbar).
+    Splitting nu in half doubles gamma; at gamma = min(abar, bbar) (or
+    nu <= MUL_CUTOFF) the product is taken directly.  Returns
+    (bbar, m + nu − 1).
     """
-    abar = U.shape[0]
-    for name, val in (("nu", nu), ("gamma", gamma), ("abar", abar)):
+    abar, bbar = U.shape[0], W.shape[0]
+    for name, val in (("nu", nu), ("gamma", gamma), ("abar", abar), ("bbar", bbar)):
         if val < 1 or val & (val - 1):
             raise PreconditionViolated(f"{name} = {val} is not a power of two")
-    if gamma > abar:
-        raise PreconditionViolated(f"gamma = {gamma} exceeds abar = {abar}")
-    if V.shape != (abar, gamma, nu) or W.shape != (abar, gamma, nu):
+    if gamma > min(abar, bbar):
+        raise PreconditionViolated(f"gamma = {gamma} exceeds min(abar, bbar) = {min(abar, bbar)}")
+    if V.shape != (abar, gamma, nu) or W.shape != (bbar, gamma, nu):
         raise PreconditionViolated(
-            f"V and W must have shape {(abar, gamma, nu)}, got {V.shape} and {W.shape}")
+            f"V and W must have shape {(abar, gamma, nu)} and {(bbar, gamma, nu)}, "
+            f"got {V.shape} and {W.shape}")
 
     width = max(1, -(-m // abar))
 
-    if gamma == abar or nu <= MUL_CUTOFF:
+    if gamma == min(abar, bbar) or nu <= MUL_CUTOFF:
         M = pm_mul(f, V, W.transpose(1, 0, 2), out_bound=nu)
         return _chunked_product(f, U, M, m, width)[:, : m + nu - 1]
 
@@ -100,7 +103,7 @@ def mul_rec(f: PrimeField, U: np.ndarray, V: np.ndarray, W: np.ndarray,
     V0, V1 = V[:, :, :nu2], V[:, :, nu2:]
     W0, W1 = W[:, :, :nu2], W[:, :, nu2:]
     M0 = pm_mul(f, V0, W0.transpose(1, 0, 2))
-    out = f.zeros((abar, m + nu - 1))
+    out = f.zeros((bbar, m + nu - 1))
     full = _chunked_product(f, U, M0, m, width)
     out[:, : full.shape[1]] = full
     Vn = np.concatenate([V0, V1], axis=1)
@@ -110,66 +113,25 @@ def mul_rec(f: PrimeField, U: np.ndarray, V: np.ndarray, W: np.ndarray,
     return out
 
 
-def mul(f: PrimeField, U, V, W, m: int, n: int) -> list[np.ndarray]:
-    """Balanced case: len(U) = len(V) = len(W) = alpha <= n.
-    Returns alpha polynomials R_j = sum_k U_k·(V_k·W_j mod x^n), each of
-    length m + n − 1."""
-    alpha = len(U)
-    if not (len(V) == len(W) == alpha):
-        raise PreconditionViolated("U, V, W must have equal length")
-    if alpha == 0:
-        return []
-    if alpha > n:
-        raise PreconditionViolated(f"alpha = {alpha} exceeds n = {n}")
+def mul_unbalanced(f: PrimeField, U, V, W, m: int, n: int) -> np.ndarray:
+    """R_j = sum_k U_k·(V_k·W_j mod x^n) for alpha = len(U) = len(V) and any
+    beta = len(W), as a block (beta, m + n − 1); U, V and W are blocks of
+    rows or lists of polynomials.  The one entry of mul_rec: it pads alpha,
+    beta and n to powers of two, and moves W up by the padding of n, so
+    that V_k·x^δW_j mod x^(n+δ) = x^δ·(V_k·W_j mod x^n)."""
+    alpha, beta = len(U), len(W)
+    if len(V) != alpha:
+        raise PreconditionViolated("U and V must have equal length")
+    if alpha == 0 or beta == 0:
+        return f.zeros((beta, m + n - 1))
     nbar = 1 << (n - 1).bit_length()
     delta = nbar - n
-    abar = 1 << (alpha - 1).bit_length()
+    abar, bbar = 1 << (alpha - 1).bit_length(), 1 << (beta - 1).bit_length()
     Ub = stacked(f, U, abar, m)
-    Vb = stacked(f, V, abar, nbar).reshape(abar, 1, nbar)
-    Wb = stacked(f, W, abar, nbar, shift=delta).reshape(abar, 1, nbar)
+    Vb = stacked(f, V, abar, nbar)[:, None]
+    Wb = stacked(f, W, bbar, nbar, shift=delta)[:, None]
     R = mul_rec(f, Ub, Vb, Wb, m, nbar, 1)
-    return list(R[:alpha, delta: delta + m + n - 1])
-
-
-def _mul_any(f: PrimeField, U, V, W, m: int, n: int) -> list[np.ndarray]:
-    """General dispatcher: no constraint tying len(U) to len(W) or n."""
-    alpha, beta = len(U), len(W)
-    if beta == 0:
-        return []
-    if alpha == 0:
-        return [f.zeros(m + n - 1) for _ in range(beta)]
-    if alpha > n:
-        out = [f.zeros(m + n - 1) for _ in range(beta)]
-        for lo in range(0, alpha, n):
-            part = _mul_any(f, U[lo: lo + n], V[lo: lo + n], W, m, n)
-            for i in range(beta):
-                out[i] = (out[i] + part[i]) % f.p
-        return out
-    if beta > alpha:
-        out = []
-        for lo in range(0, beta, alpha):
-            out.extend(_mul_any(f, U, V, W[lo: lo + alpha], m, n))
-        return out
-    if beta < alpha:
-        out = [f.zeros(m + n - 1) for _ in range(beta)]
-        for lo in range(0, alpha, beta):
-            Uc = list(U[lo: lo + beta]) + [[]] * max(0, lo + beta - alpha)
-            Vc = list(V[lo: lo + beta]) + [[]] * max(0, lo + beta - alpha)
-            part = mul(f, Uc, Vc, W, m, n)
-            for i in range(beta):
-                out[i] = (out[i] + part[i]) % f.p
-        return out
-    return mul(f, U, V, W, m, n)
-
-
-def mul_unbalanced(f: PrimeField, U, V, W, m: int, n: int) -> list[np.ndarray]:
-    """R_i = sum_k U_k·(V_k·W_i mod x^n) for len(W) = beta independent of
-    alpha = len(U): the wide side is cut into balanced slabs."""
-    if len(U) != len(V):
-        raise PreconditionViolated("U and V must have equal length")
-    if len(U) > n:
-        raise PreconditionViolated(f"alpha = {len(U)} exceeds n = {n}")
-    return _mul_any(f, U, V, W, m, n)
+    return R[:beta, delta: delta + m + n - 1]
 
 
 def mulQ(f: PrimeField, U, V, W, Q) -> np.ndarray:
@@ -206,7 +168,7 @@ def mulQ(f: PrimeField, U, V, W, Q) -> np.ndarray:
         return _mul_direct(f, U, V, W, modulus)
 
     Vt = f.conv(V[:, ::-1], modulus.series(n - 1)[0])[:, : n - 1]
-    S = np.stack(_mul_any(f, U[:, ::-1], Vt, W[:, :0:-1], m, n - 1))
+    S = mul_unbalanced(f, U[:, ::-1], Vt, W[:, :0:-1], m, n - 1)
 
     # Both terms of T·W_i − Q·rev(S̃_i) overshoot out_len and the tails
     # cancel exactly, so a wraparound product of size >= out_len is exact.

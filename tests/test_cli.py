@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from dispmat import cli
+from dispmat import cli, oracle
 from dispmat.cli import (
     EXIT_BAD_INPUT,
     EXIT_FAILURE,
@@ -15,7 +15,7 @@ from dispmat.cli import (
     InstanceFile,
     main,
 )
-from dispmat.field import DEFAULT_PRIME, get_field
+from dispmat.field import BENCH_PRIME, DEFAULT_PRIME, get_field
 from dispmat.generators import Generator, _column_decompose, hankel_operator
 from dispmat.poly import is_zero, poly_add, poly_mod, poly_mul, trim
 from dispmat.structsolve import FAILURE, InvResult, SolveResult
@@ -389,6 +389,67 @@ def test_pade_two_point_instance(tmp_path, capsys):
             R = f.arr([int(x) for x in doc["residues"][i][j]])
             acc = poly_add(f, acc, poly_mul(f, part, R))
         assert is_zero(trim(f, poly_mod(f, acc, P)))
+
+
+def _approximation_matrix(f, fam, residues, bounds):
+    """Column (j, t) of the Padé system: x^t·R_{i,j} mod P_i, block by block,
+    by schoolbook arithmetic."""
+    cols = []
+    for j, n in enumerate(bounds):
+        for t in range(n):
+            xt = f.zeros(t + 1)
+            xt[t] = 1
+            col = f.zeros(fam.total_degree)
+            for i, (s, P) in enumerate(zip(fam.offsets, fam.polys)):
+                r = poly_mod(f, poly_mul(f, xt, trim(f, f.arr(residues[i][j]))), P)
+                col[s: s + len(r)] = r
+            cols.append(col)
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, BENCH_PRIME])
+@pytest.mark.parametrize("degrees", [[3, 1, 2], [1] * 5, [6]])
+def test_pade_generator_reconstructs_the_approximation_matrix(prime, degrees):
+    """The generator's displacement, solved densely, is the approximation
+    matrix, for φ = 0 and a random φ, with residues longer than their
+    block's degree (and empty ones) among the inputs."""
+    f = get_field(prime)
+    rng = np.random.default_rng(len(degrees))
+    fam = None
+    while fam is None:
+        fam = cli._draw_monic(f, rng, degrees)
+    bounds = [3, 2, 2]
+    # per block: a residue past its degree, an empty one in the first block,
+    # and one of random length
+    lengths = [[k + 3, 1 if i else 0, int(rng.integers(1, k + 5))] for i, k in enumerate(degrees)]
+    residues = [[f.arr(rng.integers(0, f.p, n, dtype=np.uint64)) for n in row] for row in lengths]
+    want = _approximation_matrix(f, fam, residues, bounds)
+    for phi in (0, int(rng.integers(1, f.p, dtype=np.uint64))):
+        gen = cli.pade_generator(fam, residues, bounds, phi)
+        assert gen.alpha == len(bounds)
+        A = oracle.dense_solve_displacement(gen.operator, f.mat_mul(gen.G, gen.H.T))
+        assert np.array_equal(A, want), phi
+
+
+def test_pade_solve_rejects_a_perturbed_solution(monkeypatch):
+    """The residue check catches a solver answer with one coefficient off:
+    every attempt is rejected and the solve reports failure."""
+    f = get_field(DEFAULT_PRIME)
+    inst = cli.plant_pade(f, [4, 3, 3], block_degrees=[3, 2, 4], seed=7)
+    solve = cli.solve_generator
+    assert cli.pade_solve(f, inst.moduli, inst.residues, inst.bounds, seed=1)["tag"] == "ok"
+
+    def perturbed(gen, b, rng_seed):
+        res = solve(gen, b, rng_seed=rng_seed)
+        if res.x is None:
+            return res
+        x = res.x.copy()
+        x[1] = (x[1] + 1) % f.p
+        return SolveResult(res.status, x)
+
+    monkeypatch.setattr(cli, "solve_generator", perturbed)
+    out = cli.pade_solve(f, inst.moduli, inst.residues, inst.bounds, seed=1)
+    assert out["tag"] == FAILURE
 
 
 def test_pade_plant_is_deterministic(tmp_path, capsys):

@@ -386,6 +386,25 @@ def test_conv_whole_residue_bound_on_object_primes(p, monkeypatch):
         assert splits == [split, split], (lead, la, lb)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_convolve_windows_match_np_convolve_row_by_row(dtype):
+    """_convolve's strided windows against one np.convolve per row: broadcast
+    leading axes on either side, a 1-term factor, and la < lb (the factors
+    swap)."""
+    rng = np.random.default_rng(41)
+    cases = [((24,), (24,), 40, 9), ((3, 1), (1, 4), 7, 5), ((5,), (), 6, 1),
+             ((), (2, 3), 1, 8), ((4,), (4,), 3, 11), ((2, 3), (3,), 9, 9)]
+    for lead_a, lead_b, la, lb in cases:
+        a = rng.integers(0, 1000, lead_a + (la,)).astype(dtype)
+        b = rng.integers(0, 1000, lead_b + (lb,)).astype(dtype)
+        got = PrimeField._convolve(a, b)
+        lead = np.broadcast_shapes(lead_a, lead_b)
+        A, B = np.broadcast_to(a, lead + (la,)), np.broadcast_to(b, lead + (lb,))
+        assert got.shape == lead + (la + lb - 1,)
+        for i in np.ndindex(lead):
+            assert got[i].tolist() == np.convolve(A[i], B[i]).tolist(), (lead_a, lead_b, la, lb, i)
+
+
 def test_field_identity_and_hash():
     assert get_field(7) == get_field(7)
     assert hash(PrimeField(7)) == hash(PrimeField(7))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dispmat import poly
 from dispmat.field import BENCH_PRIME, PrimeField, get_field
 from dispmat.poly import (
+    Moduli,
     BoundTooSmall,
     DegeneratePoints,
     DimensionMismatch,
@@ -27,7 +28,6 @@ from dispmat.poly import (
     poly_divrem,
     poly_eval,
     poly_gcd,
-    poly_invmod,
     poly_mod,
     poly_mul,
     poly_rev,
@@ -103,24 +103,41 @@ def test_gcd_frozen():
     assert poly_gcd(F7, a, b).tolist() == [6, 1]
 
 
-def test_poly_invmod_inverts_or_reports_a_shared_factor():
-    assert poly_invmod(F7, as_poly(F7, [0, 1]), as_poly(F7, [0, 0, 1])) is None  # x | x^2
+def test_moduli_inverse_inverts_or_reports_a_shared_factor():
+    """One lockstep Euclid over a stack of moduli of mixed degrees: a row
+    coprime to its modulus comes back inverted, a row sharing a factor with
+    it (or zero) comes back zero with ok False."""
+    x_sq = Moduli(F7, F7.arr([[0, 0, 1]]), [2])
+    X, ok = x_sq.inverse(F7.arr([[0, 1]]))  # x | x^2
+    assert not ok[0] and not np.any(X)
     rng = np.random.default_rng(53)
     for f in (F, get_field(BENCH_PRIME)):
         def monic(k):
             return np.append(f.arr(rng.integers(0, f.p, k)), f.arr([1]))
 
-        for _ in range(6):
-            k = int(rng.integers(1, 40))
-            P = monic(k)
-            a = trim(f, f.arr(rng.integers(0, f.p, int(rng.integers(1, 2 * k + 2)))))
-            assert degree(poly_gcd(f, a, P)) == 0  # a random pair is coprime
-            inv = poly_invmod(f, a, P)
-            assert degree(inv) < k
-            assert poly_mod(f, poly_mul(f, a, inv), P).tolist() == [1]
-            D = monic(int(rng.integers(1, 4)))
-            shared = poly_mul(f, D, trim(f, f.arr(rng.integers(1, f.p, k))))
-            assert poly_invmod(f, shared, poly_mul(f, D, P)) is None
+        for _ in range(3):
+            degs = [int(k) for k in rng.integers(1, 40, 5)]
+            polys, rows, coprime = [], [], []
+            for i, k in enumerate(degs):
+                if i % 2:  # a shared factor D: P = D·P0, a = D·a0 mod P
+                    D = monic(int(rng.integers(1, min(k, 3) + 1)))
+                    P = poly_mul(f, D, monic(k - degree(D)))
+                    a = poly_mod(f, poly_mul(f, D, f.arr(rng.integers(1, f.p, k))), P)
+                else:
+                    P = monic(k)
+                    a = poly_mod(f, f.arr(rng.integers(0, f.p, 2 * k + 1)), P)
+                polys.append(P)
+                rows.append(a)
+                coprime.append(degree(poly_gcd(f, a, P)) == 0)
+            stack = Moduli(f, poly.stacked(f, polys, len(polys), max(degs) + 1), degs)
+            X, ok = stack.inverse(poly.stacked(f, rows, len(rows), max(degs)))
+            assert ok.tolist() == coprime
+            assert coprime[0] and not coprime[1]  # a random pair is coprime
+            for P, a, x, good in zip(polys, rows, X, ok):
+                if good:
+                    assert poly_mod(f, poly_mul(f, a, trim(f, x)), P).tolist() == [1]
+                else:
+                    assert not np.any(x)
 
 
 def test_series_inv():

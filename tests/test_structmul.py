@@ -13,7 +13,6 @@ from dispmat.poly import as_poly, poly_add, poly_mod, poly_mul, trim
 from dispmat.structmul import (
     MUL_CUTOFF,
     PreconditionViolated,
-    mul,
     mulQ,
     mul_rec,
     mul_unbalanced,
@@ -54,40 +53,57 @@ def _rand_polys(f, rng, count, length):
 
 
 # ---------------------------------------------------------------------------
-# the balanced recursion
+# the recursion and its padding entry
 
 
 @pytest.mark.parametrize("cutoff", [None, 2])
 def test_mul_matches_triple_loop(any_field, cutoff, monkeypatch):
+    # any alpha, beta and n: alpha > n and beta != alpha included
     f = any_field
     if cutoff is not None:
         monkeypatch.setattr(structmul, "MUL_CUTOFF", cutoff)
     rng = np.random.default_rng(3)
-    for _ in range(12):
+    for trial in range(12):
         n = int(rng.integers(1, 20))
         m = int(rng.integers(1, 20))
-        alpha = int(rng.integers(1, n + 1))
+        alpha = int(rng.integers(1, n + 1)) if trial % 3 else int(rng.integers(n, n + 6))
+        beta = alpha if trial % 2 else int(rng.integers(1, 12))
         U = _rand_polys(f, rng, alpha, m)
         V = _rand_polys(f, rng, alpha, n)
-        W = _rand_polys(f, rng, alpha, n)
-        got = mul(f, U, V, W, m, n)
+        W = _rand_polys(f, rng, beta, n)
+        got = mul_unbalanced(f, U, V, W, m, n)
         want = _naive_truncated(f, U, V, W, m, n)
-        assert len(got) == alpha
+        assert got.shape == (beta, m + n - 1)
         for g, w in zip(got, want):
-            assert len(g) == m + n - 1
             assert np.array_equal(g, w)
 
 
+def test_mul_unbalanced_takes_blocks_and_lists(f):
+    rng = np.random.default_rng(4)
+    m, n = 7, 11
+    U = f.arr(rng.integers(0, f.p, (3, m)))
+    V = f.arr(rng.integers(0, f.p, (3, n + 4)))  # longer rows count mod x^n
+    W = f.arr(rng.integers(0, f.p, (5, n)))
+    got = mul_unbalanced(f, U, V, W, m, n)
+    assert np.array_equal(got, mul_unbalanced(f, list(U), list(V), list(W), m, n))
+    for g, w in zip(got, _naive_truncated(f, U, V, W, m, n)):
+        assert np.array_equal(g, w)
+
+
 def test_mul_rec_inner_dimension(f, monkeypatch):
-    # gamma > 1 sums over an inner axis before the truncated product
+    # gamma > 1 sums over an inner axis before the truncated product, and
+    # W may have its own row count bbar
     monkeypatch.setattr(structmul, "MUL_CUTOFF", 2)
     rng = np.random.default_rng(5)
-    for abar, gamma, nu, m in [(4, 2, 8, 5), (2, 2, 16, 3), (8, 1, 4, 9), (1, 1, 1, 4)]:
+    for abar, bbar, gamma, nu, m in [(4, 4, 2, 8, 5), (2, 2, 2, 16, 3), (8, 8, 1, 4, 9),
+                                     (1, 1, 1, 1, 4), (2, 8, 1, 16, 6), (8, 2, 2, 8, 3),
+                                     (1, 4, 1, 8, 5), (4, 1, 1, 4, 7)]:
         U = f.arr(rng.integers(0, f.p, (abar, m)))
         V = f.arr(rng.integers(0, f.p, (abar, gamma, nu)))
-        W = f.arr(rng.integers(0, f.p, (abar, gamma, nu)))
+        W = f.arr(rng.integers(0, f.p, (bbar, gamma, nu)))
         got = mul_rec(f, U, V, W, m, nu, gamma)
-        for j in range(abar):
+        assert got.shape == (bbar, m + nu - 1)
+        for j in range(bbar):
             acc = f.zeros(0)
             for k in range(abar):
                 inner = f.zeros(0)
@@ -100,16 +116,16 @@ def test_mul_rec_inner_dimension(f, monkeypatch):
 
 
 def test_mul_preconditions(f):
-    U = _rand_polys(f, np.random.default_rng(7), 3, 4)
+    rng = np.random.default_rng(7)
+    U = _rand_polys(f, rng, 3, 4)
     with pytest.raises(PreconditionViolated):
-        mul(f, U, U, U, 4, 2)  # alpha = 3 > n = 2
-    with pytest.raises(PreconditionViolated):
-        mul(f, U, U[:2], U, 4, 8)
-    assert mul(f, [], [], [], 4, 8) == []
-
-
-# ---------------------------------------------------------------------------
-# unbalanced column counts
+        mul_unbalanced(f, U, U[:2], U, 4, 8)
+    assert mul_unbalanced(f, [], [], [], 4, 8).shape == (0, 11)
+    # alpha = 3 > n = 2 needs no slicing: the recursion stops at nu = 1
+    W = _rand_polys(f, rng, 2, 2)
+    got = mul_unbalanced(f, U, U, W, 4, 2)
+    for g, w in zip(got, _naive_truncated(f, U, U, W, 4, 2)):
+        assert np.array_equal(g, w)
 
 
 def test_mul_unbalanced_all_regimes(f, monkeypatch):
@@ -132,11 +148,12 @@ def test_mul_unbalanced_degenerate_counts(f):
     n, m = 5, 4
     W = _rand_polys(f, np.random.default_rng(13), 3, n)
     got = mul_unbalanced(f, [], [], W, m, n)
-    assert len(got) == 3 and all(not np.any(r) for r in got)
+    assert got.shape == (3, m + n - 1) and not np.any(got)
     U = _rand_polys(f, np.random.default_rng(13), 2, m)
-    assert mul_unbalanced(f, U, U, [], m, n) == []
-    with pytest.raises(PreconditionViolated):
-        mul_unbalanced(f, U, U, W, m, 1)  # alpha = 2 > n = 1
+    assert mul_unbalanced(f, U, U, [], m, n).shape == (0, m + n - 1)
+    got = mul_unbalanced(f, U, U, W, m, 1)  # alpha = 2 > n = 1
+    for g, w in zip(got, _naive_truncated(f, U, U, W, m, 1)):
+        assert np.array_equal(g, w)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +340,15 @@ def test_mul_rec_shape_contract(f):
     V = f.zeros((2, 1, 4))
     with pytest.raises(PreconditionViolated):
         mul_rec(f, U, V, f.zeros((2, 1, 2)), 4, 4, 1)  # W has the wrong shape
+    # a W with its own row count must still match V's gamma and nu
+    with pytest.raises(PreconditionViolated):
+        mul_rec(f, U, V, f.zeros((4, 2, 4)), 4, 4, 1)  # W's gamma differs
+    with pytest.raises(PreconditionViolated):
+        mul_rec(f, U, V, f.zeros((4, 1, 8)), 4, 4, 1)  # W's nu differs
+    with pytest.raises(PreconditionViolated):
+        mul_rec(f, U, V, f.zeros((3, 1, 4)), 4, 4, 1)  # bbar = 3
+    with pytest.raises(PreconditionViolated):
+        mul_rec(f, U, f.zeros((2, 4, 1)), f.zeros((8, 4, 1)), 4, 1, 4)  # gamma > abar
 
 
 @pytest.mark.parametrize("p", [998244353, 2013265921, 2281701377, 4611685941117976577])
