@@ -442,7 +442,9 @@ def cmd_run(args) -> int:
 
 def pade_generator(fam: PolyFamily, residues, bounds: list[int], phi: int) -> Generator:
     """Length-alpha generator of the approximation matrix under the Stein
-    operator paired with the single binomial x^N - phi."""
+    operator paired with the single binomial x^N - phi.  residues is the
+    table R_{i,j}, or the _ResidueBlock that pade_solve converts it to once
+    for all its attempts."""
     f = fam.field
     alpha = len(bounds)
     N = sum(bounds)
@@ -463,14 +465,27 @@ def pade_generator(fam: PolyFamily, residues, bounds: list[int], phi: int) -> Ge
     return Generator._built(fam.from_leaves(G).T, H, op)
 
 
+@dataclass(frozen=True)
+class _ResidueBlock:
+    """The residue table R_{i,j} converted once, as rows (alpha, d, L):
+    block j holds column j, one row per modulus, padded to the longest
+    residue."""
+
+    rows: np.ndarray
+
+
 def _residue_block(f: PrimeField, residues) -> np.ndarray:
-    """The table R_{i,j} (row i per modulus, column j per component) as one
-    block (alpha, d, L): block j holds column j, one row per modulus, padded
-    to the longest residue."""
+    """The rows of a _ResidueBlock, or those of the table R_{i,j} (row i per
+    modulus, column j per component), zero-padded and converted by one
+    f.arr call."""
+    if isinstance(residues, _ResidueBlock):
+        return residues.rows
     d, alpha = len(residues), len(residues[0])
-    polys = [f.arr(row[j]) for j in range(alpha) for row in residues]
-    L = max(len(R) for R in polys)
-    return stacked(f, polys, alpha * d, L).reshape(alpha, d, L)
+    table = np.zeros((alpha, d, max(len(R) for row in residues for R in row)), dtype=object)
+    for i, row in enumerate(residues):
+        for j, R in enumerate(row):
+            table[j, i, : len(R)] = list(R)
+    return f.arr(table)
 
 
 def _check_profile(fam: PolyFamily, residues, bounds) -> None:
@@ -503,6 +518,7 @@ def pade_solve(f: PrimeField, moduli, residues, bounds, seed: int = 0) -> dict:
     fam = family_build(f, moduli)
     _check_profile(fam, residues, bounds)
     m, N = fam.total_degree, sum(bounds)
+    residues = _ResidueBlock(_residue_block(f, residues))
     rng = np.random.Generator(np.random.Philox(seed))
     for attempt in range(1, _PADE_ATTEMPTS + 1):
         phi = int(rng.integers(0, f.p))

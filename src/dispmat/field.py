@@ -141,8 +141,10 @@ def _factorize(n: int) -> list[int]:
 class PrimeField:
     """Arithmetic context for F_p.
 
-    Instances are cheap to create and hashable by modulus; NTT twiddle
-    tables are cached per (field, size).
+    Instances are cheap to create and hashable by modulus.  Transform plans
+    (twiddle tables) are cached per (size, direction) in _root_cache: the
+    sizes are powers of two up to 2^two_adicity, so it holds at most
+    2·(two_adicity + 1) plans.
     """
 
     def __init__(self, p: int):
@@ -616,7 +618,8 @@ class PrimeField:
 
 def get_field(p: int | str) -> PrimeField:
     """The shared field instance for a modulus, given as an int, a named prime
-    ('default', 'p62') or a decimal string; one instance per prime."""
+    ('default', 'p62') or a decimal string; one instance per prime, of which
+    the 32 most recently used are kept (with their transform plans)."""
     if isinstance(p, str):
         named = NAMED_PRIMES.get(p)
         if named is None:
@@ -631,4 +634,5 @@ def get_field(p: int | str) -> PrimeField:
 
 @functools.lru_cache(maxsize=32)
 def _field(p: int) -> PrimeField:
+    """The field of p; the 32 most recently used are kept."""
     return PrimeField(p)

@@ -17,7 +17,7 @@ the Toeplitz/Hankel-type operator by the multiplicative L/R transformation
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .poly import (
     DimensionMismatch,
     PolyFamily,
     family_build,
+    frozen,
     red_family,
     red_transposed,
 )
@@ -45,11 +46,17 @@ RECONSTRUCT_LIMIT = 1 << 20
 
 @dataclass
 class Generator:
-    """L-generator (G, H) of length alpha."""
+    """L-generator (G, H) of length alpha.
+
+    The work of a product that depends on the generator alone is kept in a
+    store (``cached``) and shared by every later product.  G and H become
+    read-only when the store first fills; rebinding G, H or the operator
+    drops the store."""
 
     G: np.ndarray
     H: np.ndarray
     operator: DisplacementOperator
+    _store: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = self.field
@@ -68,9 +75,30 @@ class Generator:
         follow the array contract (2-D, f.dtype, residues in [0, p)): taken
         as they are, without the copy and reduction of the constructor."""
         gen = object.__new__(cls)
-        gen.G, gen.H, gen.operator = G, H, operator
+        gen.G, gen.H, gen.operator, gen._store = G, H, operator, None
         gen._check_shapes()
         return gen
+
+    def cached(self, key, fn):
+        """fn(), computed on the first call for key and kept for later ones.
+
+        The store holds a fixed set of keys ("basic" and "halves", filled
+        by structmul.product_chain), and so is bounded; it is keyed on the
+        identity of G, H and the operator, and freed with the generator.  Its values must not refer to the generator, so that a
+        generator never sits in a reference cycle.  On first use G and H are
+        made read-only, or replaced by read-only copies where they view a
+        writable array."""
+        store = self._store
+        if store is None or store[0] is not self.G or store[1] is not self.H \
+                or store[2] is not self.operator:
+            self.G, self.H = _read_only(self.G), _read_only(self.H)
+            store = self._store = (self.G, self.H, self.operator, {})
+        kept = store[3]
+        v = kept.get(key)
+        if v is None:
+            v = fn()
+            kept[key] = v
+        return v
 
     def _check_shapes(self) -> None:
         if self.G.shape[1] != self.H.shape[1]:
@@ -96,6 +124,15 @@ class Generator:
     @property
     def n(self) -> int:
         return self.operator.n
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a marked read-only when no other array can write its data, else a
+    frozen copy of it."""
+    if a.base is None or (isinstance(a.base, np.ndarray) and not a.base.flags.writeable):
+        a.setflags(write=False)
+        return a
+    return frozen(a)
 
 
 def generator_zeros(op: DisplacementOperator, alpha: int) -> Generator:
@@ -225,8 +262,8 @@ def shift_operator(f: PrimeField, m: int, phi: int, n: int, psi: int) -> Displac
     """The basic Sylvester operator of the binomials x^m − φ and x^n − ψ.
 
     One shared instance per argument tuple, so its families, transpose,
-    inverse operator and inverse table are built once.  Callers must not
-    mutate it.
+    inverse operator and inverse table are built once; the 256 most
+    recently used are kept.  Callers must not mutate it.
     """
     fam_p = family_build(f, [[-phi % f.p] + [0] * (m - 1) + [1]])
     fam_q = family_build(f, [[-psi % f.p] + [0] * (n - 1) + [1]])

@@ -87,6 +87,10 @@ class DisplacementOperator:
         return self.cached("basic", lambda: DisplacementOperator(self.kind, self.fam_p, self.fam_q))
 
     def cached(self, key, fn):
+        """fn(), computed on the first call for key and kept for later ones.
+        The keys are a fixed set ("basic", "inverse", "transposed",
+        "inverse_table"), so the cache is bounded and freed with the
+        operator."""
         v = self._cache.get(key)
         if v is None:
             v = fn()

@@ -20,7 +20,8 @@ and structsolve:
    view into a larger temporary, and is marked read-only (``frozen``), so
    that a stray write raises instead of corrupting shared state. That
    covers a family's moduli, product, tree levels and their series, chirp
-   tables and CRT units, and an operator's inverse table.
+   tables and CRT units, an operator's inverse table, and a generator's
+   store with its G and H.
 
 ``PrimeField.arr`` establishes rule 1, and runs only where outside data
 enters: ``as_poly``/``family_build``, ``Generator``, ``struct_mul``,
@@ -395,7 +396,8 @@ class Moduli:
 
     def series(self, k: int) -> np.ndarray:
         """(n, k): the first k terms of 1/rev(P_i), grown to at least the
-        largest degree and kept at the largest precision asked for."""
+        largest degree and kept at the largest precision asked for: one
+        array, as long as the longest request."""
         if self._series.shape[1] < k:
             self._series = frozen(series_inv(self.field, self.rev, max(k, self.width)))
         return self._series[:, :k]

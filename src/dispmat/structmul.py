@@ -17,6 +17,8 @@ gen_matvec or reconstruct_dense.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .field import PrimeField
@@ -31,7 +33,7 @@ from .poly import (
     stacked,
     trim,
 )
-from .polymat import pm_mul, points_product
+from .polymat import Evaluated, evaluate, pm_mul, points_product
 
 MUL_CUTOFF = 16
 
@@ -183,14 +185,21 @@ def mulQ(f: PrimeField, U, V, W, Q) -> np.ndarray:
     return f.ntt(vals, invert=True)[:, :out_len]
 
 
-def _basic_data(gen: Generator):
-    """gamma = crt_P(G), eta = crt_Q(H), one row per generator column, and
-    the per-block modular inverses of Q."""
-    op = gen.operator
-    table = inverse_table(op)
-    if table is None:
-        raise SingularOperator("operator is not invertible")
-    return crt_family(op.fam_p, gen.G.T), crt_family(op.fam_q, gen.H.T), table
+def _basic_side(gen: Generator):
+    """(basic operator, BasicTransform, gamma = crt_P(G̃), eta = crt_Q(H̃)) of
+    a generator on an invertible operator, one row of gamma and eta per
+    generator column, kept in the generator's store.  The conjugated
+    generator G̃, H̃ of to_basic is not kept: it can be the generator
+    itself."""
+    def build():
+        basic, tf = to_basic(gen)
+        op = basic.operator
+        gammas, etas = crt_family(op.fam_p, basic.G.T), crt_family(op.fam_q, basic.H.T)
+        gammas.setflags(write=False)
+        etas.setflags(write=False)
+        return op, tf, gammas, etas
+
+    return gen.cached("basic", build)
 
 
 def _mul_direct(f: PrimeField, U: np.ndarray, V: np.ndarray, W: np.ndarray,
@@ -205,11 +214,50 @@ def _mul_direct(f: PrimeField, U: np.ndarray, V: np.ndarray, W: np.ndarray,
     return pm_mul(f, T, U[:, None, :])[:, 0, :]
 
 
-def _mul_halves(f: PrimeField, U: np.ndarray, V: np.ndarray, W: np.ndarray,
-                n: int, c: int) -> np.ndarray:
-    """R_i = sum_k U_k·(V_k·W_i mod x^n − c) for blocks U (alpha, m) and V
-    (alpha, n), W (beta, n), as a block (beta, m + n − 1), with every
-    product per pair k, i taken at half length.
+class _Halves(NamedTuple):
+    """The generator side of _mul_halves for blocks U (alpha, m), V (alpha,
+    n) and the binomial x^n − c: the halves of V evaluated for the top
+    products, the halves of U evaluated for the tail products (both None
+    when the top is empty, at n = 2), and Z_j = sum_k U_k·v_j at the S
+    points, shape (2, 1, S)."""
+
+    m: int
+    n: int
+    c: int
+    v_top: Evaluated | None
+    u_tail: Evaluated | None
+    z: np.ndarray
+
+
+def _points(need: int) -> int:
+    """The transform length of a product of need coefficients."""
+    return 1 << max(0, (need - 1).bit_length())
+
+
+def _halves_side(f: PrimeField, U: np.ndarray, V: np.ndarray, n: int, c: int) -> _Halves:
+    """What _mul_halves takes from U and V alone, computed once for all its
+    right-hand blocks."""
+    m = U.shape[1]
+    half, half_u = (n + 1) // 2, (m + 1) // 2
+    top_len = 3 * half - n - 1  # terms of M div x^(n−L)
+    size = _points(m + n - 1)
+    Vh = padded(f, V, 2 * half).reshape(-1, 2, half)
+    v_top = u_tail = None
+    if top_len:
+        v_top = evaluate(f, Vh.transpose(1, 0, 2), _points(2 * half - 1))
+        u_tail = evaluate(f, padded(f, U, 2 * half_u).reshape(-1, 2, half_u),
+                          _points(top_len + half_u - 1))
+    z = points_product(f, f.ntt(padded(f, U, size))[None], f.ntt(padded(f, Vh, size)))
+    z = z.transpose(1, 0, 2)
+    z.setflags(write=False)
+    return _Halves(m, n, c, v_top, u_tail, z)
+
+
+def _mul_halves(f: PrimeField, side: _Halves, W: np.ndarray) -> np.ndarray:
+    """R_i = sum_k U_k·(V_k·W_i mod x^n − c) for the blocks U (alpha, m) and
+    V (alpha, n) of side = _halves_side(f, U, V, n, c) and W (beta, n), as
+    a block (beta, m + n − 1), with every product per pair k, i taken at
+    half length.
 
     Cut at L = ⌈n/2⌉, V_k = v0 + x^L·v1 and W_i = w0 + x^L·w1; only the
     middle term x^L·M of V_k·W_i, M = v0·w1 + v1·w0, reaches past x^n, so
@@ -220,15 +268,14 @@ def _mul_halves(f: PrimeField, U: np.ndarray, V: np.ndarray, W: np.ndarray,
     modulo x^S − 1 with S ≥ m + n − 1, where R_i fits; M and the products
     of its top with the halves of U take transforms of about n terms.
     """
-    m = U.shape[1]
+    m, n, c = side.m, side.n, side.c
     half, half_u = (n + 1) // 2, (m + 1) // 2
-    size = 1 << (m + n - 2).bit_length()
-    Vh = padded(f, V, 2 * half).reshape(-1, 2, half)
+    size = side.z.shape[-1]
     Wh = padded(f, W, 2 * half).reshape(-1, 2, half)
-    top = pm_mul(f, Wh[:, ::-1], Vh.transpose(1, 0, 2))[..., n - half:]
     tail = f.zeros((len(W), size))
-    if top.shape[-1]:
-        parts = pm_mul(f, top, padded(f, U, 2 * half_u).reshape(-1, 2, half_u))
+    if side.v_top is not None:
+        top = pm_mul(f, Wh[:, ::-1], side.v_top)[..., n - half:]
+        parts = pm_mul(f, top, side.u_tail)
         tail[:, : parts.shape[-1]] = parts[:, 0]
         tail[:, half_u: half_u + parts.shape[-1]] += parts[:, 1]
         tail %= f.p
@@ -237,9 +284,8 @@ def _mul_halves(f: PrimeField, U: np.ndarray, V: np.ndarray, W: np.ndarray,
     shifted[:, half:] = Wh[:, 0]
     shifted[:, 2 * half - n: 3 * half - n] += c * Wh[:, 1] % f.p
     shifted %= f.p
-    Z = points_product(f, f.ntt(padded(f, U, size))[None], f.ntt(padded(f, Vh, size)))
     Wb = f.ntt(padded(f, np.stack([padded(f, W, 2 * half), shifted], axis=1), size))
-    R = f.ntt(points_product(f, Wb, Z.transpose(1, 0, 2)), invert=True)[:, 0]
+    R = f.ntt(points_product(f, Wb, side.z), invert=True)[:, 0]
     return (R - tail)[:, : m + n - 1] % f.p
 
 
@@ -257,24 +303,30 @@ def product_chain(gen: Generator, B: np.ndarray) -> np.ndarray:
     goes through mulQ, except for a single column, alpha > n or a binomial
     Q, where the direct sum is used: for several columns and a binomial Q
     the one at half length, when the prime has its transforms.
+
+    What depends on the generator alone is kept in its store
+    (Generator.cached) by the first product that needs it: the basic
+    operator, the transform, gamma and eta, and the generator side of the
+    half-length sum.  Later products on the generator start from there.
     """
     f = gen.field
     beta = B.shape[1]
     if gen.alpha == 0 or beta == 0:
         return f.zeros((gen.m, beta))
 
-    basic, tf = to_basic(gen)
-    op = basic.operator
+    table = inverse_table(gen.operator)
+    if table is None:
+        raise SingularOperator("operator is not invertible")
+    op, tf, gammas, etas = _basic_side(gen)
     fam_p, fam_q = op.fam_p, op.fam_q
     m, n = op.m, op.n
-    gammas, etas, table = _basic_data(basic)
     stein = op.kind == STEIN
 
     cols = comb_family(fam_q, B.T if tf.e2 else y_apply_family(fam_q, B.T))
     lhs = gammas[:, ::-1] if stein else gammas
     c = fam_q.levels[-1].binomial
-    if c is not None and beta > 1 and 1 << (m + n - 2).bit_length() <= f.ntt_capacity():
-        R = _mul_halves(f, lhs, etas, cols, n, c)
+    if c is not None and beta > 1 and _points(m + n - 1) <= f.ntt_capacity():
+        R = _mul_halves(f, gen.cached("halves", lambda: _halves_side(f, lhs, etas, n, c)), cols)
     elif beta == 1 or gen.alpha > n or c is not None:
         R = _mul_direct(f, lhs, etas, cols, fam_q.levels[-1])
     else:

@@ -64,6 +64,15 @@ def test_entry_points_keep_inputs_and_share_nothing(p, flavor):
         assert all(np.array_equal(x, y) for x, y in zip(first, second)), case
 
 
+def _arrays(value):
+    """The arrays in a stored value, through nested tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for part in value:
+            yield from _arrays(part)
+
+
 def test_kept_arrays_are_read_only(f):
     rng = np.random.default_rng(3)
     general = family_build(f, [rand_monic(f, rng, 2), rand_monic(f, rng, 3)])
@@ -76,6 +85,15 @@ def test_kept_arrays_are_read_only(f):
         kept += [fam.rev_product_inverse(3), es[0], fs[-1], fam.polys[0], fam.product]
         for level in fam.levels:
             kept += [level.polys, level.rev, level.series(3)]
+    # a generator's store after products on both routes of a binomial Q
+    binomial = family_build(f, [[f.p - 3, 0, 0, 0, 1]])
+    gen = Generator(f.arr(rng.integers(0, f.p, (5, 2))), f.arr(rng.integers(0, f.p, (4, 2))),
+                    DisplacementOperator(STEIN, general, binomial, transpose_p=True))
+    struct_mul(gen, f.arr(rng.integers(0, f.p, (4, 3))))
+    gen_matvec(gen, f.arr(rng.integers(0, f.p, 4)))
+    stored = list(_arrays(tuple(gen._store[-1].values())))
+    assert len(stored) == 5  # gamma, eta, the two evaluated halves and Z
+    kept += [gen.G, gen.H] + stored
     for a in kept:
         with pytest.raises(ValueError):
             a[0] = 1

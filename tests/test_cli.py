@@ -17,7 +17,7 @@ from dispmat.cli import (
 )
 from dispmat.field import BENCH_PRIME, DEFAULT_PRIME, get_field
 from dispmat.generators import Generator, _column_decompose, hankel_operator
-from dispmat.poly import is_zero, poly_add, poly_mod, poly_mul, trim
+from dispmat.poly import family_build, is_zero, poly_add, poly_mod, poly_mul, trim
 from dispmat.structsolve import FAILURE, InvResult, SolveResult
 
 
@@ -429,6 +429,27 @@ def test_pade_generator_reconstructs_the_approximation_matrix(prime, degrees):
         assert gen.alpha == len(bounds)
         A = oracle.dense_solve_displacement(gen.operator, f.mat_mul(gen.G, gen.H.T))
         assert np.array_equal(A, want), phi
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, BENCH_PRIME])
+def test_pade_residue_table_refuses_a_float_that_is_no_integer(prime):
+    """The residue table is converted in one step, which still refuses a
+    non-integral float residue and reads an integral one as its integer."""
+    f = get_field(prime)
+    inst = cli.plant_pade(f, [3, 3], block_degrees=[2, 2], seed=3)
+    fam = family_build(f, inst.moduli)
+    table = [[[int(c) for c in R] for R in row] for row in inst.residues]
+    for bad in (1.5, float("nan")):
+        table[1][1] = [3, bad]
+        with pytest.raises(ValueError):
+            cli.pade_solve(f, inst.moduli, table, inst.bounds)
+        with pytest.raises(ValueError):
+            cli.pade_generator(fam, table, inst.bounds, 0)
+    table[1][1] = [3, 2.0]
+    floats = cli.pade_generator(fam, table, inst.bounds, 5)
+    table[1][1] = [3, 2]
+    ints = cli.pade_generator(fam, table, inst.bounds, 5)
+    assert np.array_equal(floats.G, ints.G) and np.array_equal(floats.H, ints.H)
 
 
 def test_pade_solve_rejects_a_perturbed_solution(monkeypatch):

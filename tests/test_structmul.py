@@ -355,9 +355,10 @@ def test_mul_rec_shape_contract(f):
 def test_half_length_sum_matches_direct_sum(p):
     """The middle product modulo a binomial x^n − c, taken with half-length
     products per pair, equals the direct sum, at odd and even n, for c in
-    {0, 1, −1} and a random c, with an all-zero column."""
+    {0, 1, −1} and a random c, with an all-zero column: the generator side
+    of U and V first, then the per-call side of W."""
     from dispmat.poly import Moduli
-    from dispmat.structmul import _mul_direct, _mul_halves
+    from dispmat.structmul import _halves_side, _mul_direct, _mul_halves
 
     f = get_field(p)
     rng = np.random.default_rng(71)
@@ -371,5 +372,6 @@ def test_half_length_sum_matches_direct_sum(p):
         V = f.arr(rng.integers(0, f.p, (alpha, n)))
         W = f.arr(rng.integers(0, f.p, (beta, n)))
         W[-1] = 0
-        assert np.array_equal(_mul_halves(f, U, V, W, n, c),
+        side = _halves_side(f, U, V, n, c)
+        assert np.array_equal(_mul_halves(f, side, W),
                               _mul_direct(f, U, V, W, Moduli.of(f, Q)))

@@ -21,7 +21,11 @@ on planted instances over the 62-bit prime (`cli.plant_pade`, with loose
 and with tight degree bounds), and with `conv` and `pm_mul` over 2^64 − 59:
 1-D products and blocks of rows on both sides of the object-dtype
 whole-residue bound, broadcast leading axes, polynomial dot products and
-small matrix products.
+small matrix products.  The third is a digest of its own over products on
+generators that have been used before: after all the outputs above on a
+generator, one more `struct_mul` with 4 columns and one more `gen_matvec`,
+drawn from a random stream of their own, so the first two lines do not
+depend on them.
 
 Products, reconstructions and inverse tables are unique exact values.  Solve
 and inverse outputs are not: they depend on the random seeds and on the
@@ -59,6 +63,28 @@ MIXED = [(fp, fq, m, n)
          for m, n in ((5, 7), (24, 24), (64, 40))]
 
 
+class Digest:
+    """SHA-256 over labelled outputs, and their count."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.count = 0
+
+    def feed(self, label, value):
+        if value is None:
+            text = "None"
+        elif isinstance(value, str):
+            text = value
+        else:
+            arr = np.asarray(value)
+            text = f"{arr.shape}:" + ",".join(str(int(x)) for x in arr.ravel())
+        self.sha.update(f"{label}={text};".encode())
+        self.count += 1
+
+    def line(self, note: str) -> str:
+        return f"{self.sha.hexdigest()}  ({self.count} outputs{note})"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -74,20 +100,8 @@ def main(argv: list[str]) -> int:
     from dispmat.structmul import struct_mul
     from dispmat.structsolve import inv_generator, solve_generator
 
-    digest = hashlib.sha256()
-    count = 0
-
-    def feed(label, value):
-        nonlocal count
-        if value is None:
-            text = "None"
-        elif isinstance(value, str):
-            text = value
-        else:
-            arr = np.asarray(value)
-            text = f"{arr.shape}:" + ",".join(str(int(x)) for x in arr.ravel())
-        digest.update(f"{label}={text};".encode())
-        count += 1
+    digest, reuse = Digest(), Digest()
+    feed = digest.feed
 
     def rand(f, rng, *shape):
         return f.arr(rng.integers(0, f.p, size=shape))
@@ -133,6 +147,9 @@ def main(argv: list[str]) -> int:
                 feed(label + "/inv", res.status)
                 feed(label + "/inv.G", res.Y)
                 feed(label + "/inv.H", res.Z)
+            again = np.random.default_rng([pi, ci, 1])
+            reuse.feed(label + "/mul4", struct_mul(gen, rand(f, again, n, 4)))
+            reuse.feed(label + "/matvec", gen_matvec(gen, rand(f, again, n)))
         for ci, ((fp, fq, m, n), kind) in enumerate(
                 itertools.product(MIXED, (SYLVESTER, STEIN))):
             rng = np.random.default_rng([pi, 1000 + ci])
@@ -144,7 +161,7 @@ def main(argv: list[str]) -> int:
             for j, w in enumerate([] if table is None else table):
                 feed(f"{label}/{j}", trim(f, w))
 
-    print(f"{digest.hexdigest()}  ({count} outputs)")
+    print(digest.line(""))
 
     f = get_field(4611685941117976577)
     for ci, (bounds, degrees) in enumerate(PADE):
@@ -166,7 +183,8 @@ def main(argv: list[str]) -> int:
     for rows, k, cols, ba, bb in PM_MUL:
         a, b = wide(f, rng, rows, k, ba), wide(f, rng, k, cols, bb)
         feed(f"pm_mul/{rows},{k},{cols}/{ba},{bb}", pm_mul(f, a, b))
-    print(f"{digest.hexdigest()}  ({count} outputs, extended)")
+    print(digest.line(", extended"))
+    print(reuse.line(", reused generators"))
     return 0
 
 
