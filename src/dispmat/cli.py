@@ -382,7 +382,7 @@ def cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else inst.seed
     gen = inst.generator
     tag = OK
-    result = None
+    result = route = None
     payload: dict = {}
     t0 = time.perf_counter_ns()
     if task == "mul":
@@ -392,7 +392,7 @@ def cmd_run(args) -> int:
         payload["product"] = _mat_json(result)
     elif task == "inv":
         res = inv_generator(gen, rng_seed=seed)
-        tag = res.status
+        tag, route = res.status, res.route
         if res.ok:
             result = res.generator
             payload["inverse_generator"] = gen_to_dict(result)
@@ -400,7 +400,7 @@ def cmd_run(args) -> int:
         if inst.b is None:
             raise ValueError("instance carries no right-hand side for solve")
         res = solve_generator(gen, inst.b, rng_seed=seed)
-        tag = res.status
+        tag, route = res.status, res.route
         if res.ok:
             result = res.x
             payload["x"] = _vec_json(result)
@@ -417,6 +417,7 @@ def cmd_run(args) -> int:
         "seed": str(seed),
         "wall_ns": str(wall_ns),
         "verified": verified,
+        "route": route,
     }
     doc.update(payload)
     line = f"{task}: tag={tag}"

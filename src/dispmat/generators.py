@@ -29,6 +29,7 @@ from .operators import (
     SingularOperator,
     companion_apply,
     inverse_operator,
+    inverse_table,
     op_invertible,
     y_apply_family,
 )
@@ -201,14 +202,103 @@ def gen_matvec(gen: Generator, u: np.ndarray) -> np.ndarray:
 
 
 def reconstruct_dense(gen: Generator) -> np.ndarray:
-    """The unique dense A with L(A) = G·Hᵗ, as the product chain on the
-    identity.  Testing/CLI scale only."""
+    """densify(gen), refused above RECONSTRUCT_LIMIT entries.  Testing/CLI
+    scale only."""
+    if gen.m * gen.n > RECONSTRUCT_LIMIT:
+        raise ValueError(f"reconstruct_dense is intended for m*n <= {RECONSTRUCT_LIMIT}")
+    return densify(gen)
+
+
+def _companion_rows(fam: PolyFamily, transposed: bool):
+    """x ↦ M·x for M = M_P (or M_Pᵗ), on a block of rows X (c, m) holding
+    one vector x per row, reduced: a shift inside each block of P plus that
+    block's feedback through the low coefficients of its modulus."""
+    f = fam.field
+    offs = np.asarray(fam.offsets)
+    ends = offs + np.asarray(fam.degrees) - 1
+    low = np.concatenate([P[:k] for P, k in zip(fam.polys, fam.degrees)])
+    if transposed:  # x_i takes x_{i+1}; a block's last entry −Σ_i P_i·x_i
+        def apply(X):
+            Y = np.empty_like(X)
+            Y[:, :-1] = X[:, 1:]
+            Y[:, ends] = (-np.add.reduceat(low * X % f.p, offs, axis=1)) % f.p
+            return Y
+
+        return apply
+    last = np.repeat(ends, fam.degrees)  # the last entry of each entry's block
+
+    def apply(X):  # x_i takes x_{i−1}; every entry −P_i·x_last
+        Y = np.empty_like(X)
+        Y[:, 1:] = X[:, :-1]
+        Y[:, offs] = 0
+        return (Y - low * X[:, last] % f.p) % f.p
+
+    return apply
+
+
+def densify(gen: Generator) -> np.ndarray:
+    """The unique dense A with L(A) = G·Hᵗ, for every operator variant, in
+    O(m·n·alpha) array work plus one product-chain column per block of Q.
+
+    Column by column inside each companion block of N (N = M_Q, or M_Qᵗ
+    when transpose_q), the displacement is a recurrence.  With M the row
+    side, a_j the block's columns, d_j those of D = G·Hᵗ and q_j the low
+    coefficients of the block's modulus (a_{−1} = 0):
+      Sylvester, N = M_Q:   a_{j+1} = M·a_j − d_j, forward from a_0;
+      Sylvester, N = M_Qᵗ:  a_{j−1} = M·a_j + q_j·a_{k−1} − d_j, backward;
+      Stein, N = M_Q:       a_j = M·a_{j+1} + d_j, backward from a_{k−1};
+      Stein, N = M_Qᵗ:      a_j = M·a_{j−1} − q_j·M·a_{k−1} + d_j, forward
+                            from a_0, with a_{k−1} known first.
+    The column that starts each block comes from product_chain (all of them
+    in one call), and the one equation per block the recurrence leaves
+    unused holds because L is invertible.  Step t takes the t-th column of
+    every block longer than t at once; M is applied by _companion_rows,
+    never through modmul_apply.  Raises SingularOperator for an operator
+    that is not invertible."""
     from .structmul import product_chain
 
-    m, n = gen.m, gen.n
-    if m * n > RECONSTRUCT_LIMIT:
-        raise ValueError(f"reconstruct_dense is intended for m*n <= {RECONSTRUCT_LIMIT}")
-    return product_chain(gen, gen.field.arr(np.eye(n, dtype=np.int64)))
+    op = gen.operator
+    f = op.field
+    if inverse_table(op) is None:
+        raise SingularOperator("operator is not invertible")
+    fam_q = op.fam_q
+    M = _companion_rows(op.fam_p, op.transpose_p)
+    q = np.concatenate([Q[:k] for Q, k in zip(fam_q.polys, fam_q.degrees)])
+    # blocks longest first, so the blocks a step takes are a prefix
+    degs = np.asarray(fam_q.degrees)
+    order = np.argsort(-degs, kind="stable")
+    degs, offs = degs[order], np.asarray(fam_q.offsets)[order]
+    ends = offs + degs - 1
+    live = np.searchsorted(-degs, -np.arange(degs[0]), side="left")
+    stein, tq = op.kind == STEIN, op.transpose_q
+    seeds = ends if stein or tq else offs
+
+    At = f.zeros((op.n, op.m))  # Aᵗ, one column of A per row
+    Dt = f.mat_mul(gen.H, gen.G.T)
+    E = f.zeros((op.n, len(seeds)))
+    E[seeds, np.arange(len(seeds))] = 1
+    # a_{k−1} of every block (the seed, except for Sylvester with M_Q); the
+    # Stein recurrence with M_Qᵗ needs M·a_{k−1}
+    At[seeds] = prev = last = product_chain(gen, E).T
+    if stein and tq:
+        last = M(last)
+    for t in range(1, len(live)):
+        L = live[t]
+        X = prev[:L]
+        if not stein and not tq:
+            j = offs[:L] + t
+            prev = (M(X) - Dt[j - 1]) % f.p
+        elif not stein:
+            j = ends[:L] - t
+            prev = (M(X) + q[j + 1, None] * last[:L] % f.p - Dt[j + 1]) % f.p
+        elif not tq:
+            j = ends[:L] - t
+            prev = (M(X) + Dt[j]) % f.p
+        else:
+            j = offs[:L] + t - 1
+            prev = ((M(X) if t > 1 else 0) - q[j, None] * last[:L] % f.p + Dt[j]) % f.p
+        At[j] = prev
+    return np.ascontiguousarray(At.T)
 
 
 def gen_transpose(gen: Generator) -> Generator:

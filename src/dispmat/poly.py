@@ -25,7 +25,7 @@ and structsolve:
 
 ``PrimeField.arr`` establishes rule 1, and runs only where outside data
 enters: ``as_poly``/``family_build``, ``Generator``, ``struct_mul``,
-``mulQ``, ``gen_matvec``, ``reconstruct_dense``, the solver entry points,
+``mulQ``, ``gen_matvec``, the solver entry points,
 deserialization, the CLI (instance files and the Padé residue table) and
 the oracle.  A generator the library builds from its own blocks goes
 through ``Generator._built``, which takes them as they are.

@@ -12,7 +12,7 @@ mulQ lifts the x^n truncation to an arbitrary monic modulus with the
 reversed-quotient trick, and product_chain wires that into the
 reconstruction chain: the one route by which the library multiplies an
 (m x n) structured matrix by beta vectors, whether through struct_mul,
-gen_matvec or reconstruct_dense.
+gen_matvec or densify.
 """
 
 from __future__ import annotations

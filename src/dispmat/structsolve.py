@@ -1,27 +1,39 @@
-"""Randomized inversion and linear solving for structured matrices.
+"""Inversion and linear solving for structured matrices, on two routes.
 
-Everything here works on matrices A carried as (G, H, u): a generator under
-the shift operator ∇_{Z_{m,0}, Z_{n,0}ᵗ} together with A's last row u, which
-pins downs the matrix where that operator alone cannot.  The entry recurrence
-a[i-1, j] = (G·Hᵗ)[i, j] + a[i, j-1] makes any row or column extractable in
-a few convolutions, every leading principal block inherits the generator by
-plain truncation, and Schur complements inherit it by a rank-preserving
-update — which is what drives the divide-and-conquer search for the largest
-nonsingular leading block and, from it, inversion and solving.  The search
-runs on any m×n as given, halving at ⌈m/2⌉, ⌈n/2⌉; nothing is padded.  It
-recurses only above a measured crossover proportional to the width α:
-below it, one elimination of [A_q | I_q] gives ℓ and A_ℓ⁻¹ densely.
+The crossover rule (below_crossover): min(m, n) < DENSE_PER_WIDTH·α, or
+DENSE_PER_WIDTH_OBJECT·α over an object-dtype field, where α is the
+generator's length.  It is checked at the entry points, before anything
+else runs and after the shapes are checked: in inv and solve on their own
+α, in solve_generator on the generator's, and in inv_generator through inv
+on the compressed shift core's.  Below it the dense route forms A once
+(generators.densify) and eliminates once, [A | b] or [A | I]: the answer is
+deterministic, rng_seed is unused and failure cannot occur.  Above it the
+structured route below runs, and largest_rec checks the same rule again at
+every level of its recursion.  Results carry the route they took.
+
+The structured route works on matrices A carried as (G, H, u): a generator
+under the shift operator ∇_{Z_{m,0}, Z_{n,0}ᵗ} together with A's last row u,
+which pins downs the matrix where that operator alone cannot.  The entry
+recurrence a[i-1, j] = (G·Hᵗ)[i, j] + a[i, j-1] makes any row or column
+extractable in a few convolutions, every leading principal block inherits
+the generator by plain truncation, and Schur complements inherit it by a
+rank-preserving update — which is what drives the divide-and-conquer search
+for the largest nonsingular leading block and, from it, inversion and
+solving.  The search
+runs on any m×n as given, halving at ⌈m/2⌉, ⌈n/2⌉; nothing is padded.  A
+block below the crossover (on its own, preconditioned width) is not split:
+one elimination of [A_q | I_q] gives ℓ and A_ℓ⁻¹ densely.
 
 The triple contract: G·Hᵗ = ∇_{Z_{m,0},Z_{n,0}ᵗ}(A) in every row, row 0
 included.  densify_from_last_row never reads row 0, but the bordered block
 generators do, so a triple that densifies right can still give a wrong ℓ.
 The library makes every triple (precond, _schur, truncation) and keeps it.
 
-Randomness enters only through two triangular Toeplitz preconditioners with
-unit diagonal whose coefficients are drawn from a bounded sample set; they
-put a generic-rank-profile matrix in front of the recursion with high
-probability, and every returned result is exact — failure is always an
-explicit status, never a wrong answer.
+On the structured route randomness enters only through two triangular
+Toeplitz preconditioners with unit diagonal whose coefficients are drawn
+from a bounded sample set; they put a generic-rank-profile matrix in front
+of the recursion with high probability, and every returned result is exact
+— failure is always an explicit status, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ from .field import PrimeField
 from .generators import (
     Generator,
     compress_pair,
+    densify,
     from_hankel_inverse,
     gen_compress,
     gen_matvec,
@@ -59,11 +72,23 @@ SINGULAR = "singular"
 FAILURE = "failure"
 NO_SOLUTION = "no_solution"
 
+# the route a result took (see below_crossover)
+DENSE = "dense"
+STRUCTURED = "structured"
+
 # Below min(m, n) < DENSE_PER_WIDTH·α dense elimination beats the recursion;
 # object-dtype fields cross over sooner (BENCH_9.json has the sweep).  Both
-# stay at least 2: below min(m, n) = 2α a half is narrower than α.
+# stay at least 2: below min(m, n) = 2α a half is narrower than α.  The
+# tests force the structured route by setting both to 2.
 DENSE_PER_WIDTH = 28
 DENSE_PER_WIDTH_OBJECT = 16
+
+
+def below_crossover(f: PrimeField, q: int, alpha: int) -> bool:
+    """The crossover rule for q = min(m, n) and a generator of length
+    alpha; see the module docstring for where it is checked."""
+    per_width = DENSE_PER_WIDTH_OBJECT if f.dtype is object else DENSE_PER_WIDTH
+    return alpha == 0 or q < alpha * per_width
 
 
 @dataclass
@@ -85,8 +110,12 @@ class LpInvResult:
 
 @dataclass
 class InvResult:
+    """status, the inverse generator when ok, and the route taken (DENSE
+    or STRUCTURED)."""
+
     status: str
     generator: Generator | None = None
+    route: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -103,8 +132,12 @@ class InvResult:
 
 @dataclass
 class SolveResult:
+    """status, the solution when ok, and the route taken (DENSE or
+    STRUCTURED)."""
+
     status: str
     x: np.ndarray | None = None
+    route: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -290,14 +323,12 @@ def largest_rec(f: PrimeField, G, H, u):
     Y = −A_ℓ⁻¹G[:ℓ], Z = A_ℓ⁻ᵗH[:ℓ], and the first row v of A_ℓ⁻¹.
 
     Any shape and generator length work: the split is at ⌈m/2⌉, ⌈n/2⌉, and
-    once min(m, n) < DENSE_PER_WIDTH·α (DENSE_PER_WIDTH_OBJECT·α over an
-    object-dtype field) the dense base case takes over.  (G, H, u) must keep
-    the triple contract of the module docstring in row 0 too.
+    below the crossover (below_crossover on min(m, n) and α) the dense base
+    case takes over.  (G, H, u) must keep the triple contract of the module
+    docstring in row 0 too.
     """
     m, n = G.shape[0], H.shape[0]
-    alpha = G.shape[1]
-    q = min(m, n)
-    if alpha == 0 or q < alpha * (DENSE_PER_WIDTH_OBJECT if f.dtype is object else DENSE_PER_WIDTH):
+    if below_crossover(f, min(m, n), G.shape[1]):
         return _base_case(f, G, H, u)
 
     m1, n1 = (m + 1) // 2, (n + 1) // 2
@@ -418,11 +449,7 @@ def _search(f: PrimeField, G, H, rng_seed: int):
     Ã = U(v₁)ᵗ·A·U(v₂).  Returns U(v₁), U(v₂), Ã's (G, H, last row) and the
     search result."""
     m, n = G.shape[0], H.shape[0]
-    alpha = G.shape[1]
     q = min(m, n)
-    if q == 0 or alpha > q:
-        raise PreconditionViolated(
-            f"a {m}x{n} format cannot carry a generator of length {alpha}")
     bound = min(2 * q * (q + 1), f.p)
     rng = np.random.Generator(np.random.Philox(key=rng_seed))
     u1 = TriangularToeplitzPreconditioner(f, _sample_vector(f, rng, m, bound))
@@ -432,49 +459,110 @@ def _search(f: PrimeField, G, H, rng_seed: int):
 
 
 # ---------------------------------------------------------------------------
+# the dense route, below the crossover
+
+
+def _check_format(m: int, n: int, alpha: int) -> None:
+    if min(m, n) == 0 or alpha > min(m, n):
+        raise PreconditionViolated(
+            f"a {m}x{n} format cannot carry a generator of length {alpha}")
+
+
+def _shift_dense(f: PrimeField, G, H) -> np.ndarray:
+    """The dense A of a ∇_{Z_{m,0}, Z_{n,1}ᵗ}-generator."""
+    return densify(Generator._built(G, H, hankel_operator(f, G.shape[0], H.shape[0])))
+
+
+def _dense_inv(f: PrimeField, G, H) -> InvResult:
+    """(−A⁻¹G, A⁻ᵗH) for the A of a ∇_{Z_{m,0}, Z_{m,1}ᵗ}-generator, from
+    one elimination of [A | I], or singular."""
+    A = _shift_dense(f, G, H)
+    m = A.shape[0]
+    R, pivots, _ = f.row_reduce(np.concatenate([A, np.eye(m, dtype=f.dtype)], axis=1))
+    if pivots[-1] != m - 1:  # [A | I] has m pivots; one lies right of A
+        return InvResult(SINGULAR, route=DENSE)
+    Ai = R[:, m:]
+    out = Generator._built((f.p - f.mat_mul(Ai, G)) % f.p, f.mat_mul(Ai.T, H),
+                           hankel_inverse_operator(f, m, m))
+    return InvResult(OK, out, DENSE)
+
+
+def _dense_solve(f: PrimeField, A: np.ndarray, b: np.ndarray) -> SolveResult:
+    """A·x = b from one elimination of [A | b]: no_solution when b takes a
+    pivot, else the solution on the pivot columns plus, when A has a free
+    column, the kernel vector that is 1 on the first one, so that b = 0
+    with a singular or wide A gives a nonzero x."""
+    n = A.shape[1]
+    R, pivots, _ = f.row_reduce(np.concatenate([A, b.reshape(-1, 1)], axis=1))
+    r = len(pivots)
+    if r and pivots[-1] == n:
+        return SolveResult(NO_SOLUTION, route=DENSE)
+    x = f.zeros(n)
+    x[pivots] = R[:r, n]
+    free = next((c for c, pc in enumerate(pivots) if pc != c), r)
+    if free < n:
+        x[free] = 1
+        x[pivots] = (x[pivots] - R[:r, free]) % f.p
+    return SolveResult(OK, x, DENSE)
+
+
+# ---------------------------------------------------------------------------
 # public inversion / solving on the shift-operator format
 
 
 def inv(f: PrimeField, G, H, rng_seed: int = 0) -> InvResult:
     """Inverse generator of a square A given under ∇_{Z_{m,0}, Z_{m,1}ᵗ}.
 
-    Returns ok with (−A⁻¹G, A⁻ᵗH) under ∇_{Z_{m,1}ᵗ, Z_{m,0}}, singular when
-    A is detected as rank-deficient, or failure when the random
-    preconditioning missed (probability < 1/2).
+    Returns ok with (−A⁻¹G, A⁻ᵗH) under ∇_{Z_{m,1}ᵗ, Z_{m,0}}, a pair fixed
+    by A, G and H whatever the route, or singular when A is rank-deficient.
+    Below the crossover (below_crossover on m and α) A is densified and
+    [A | I] eliminated once: the answer is deterministic and rng_seed is
+    unused.  Above it, failure means the random preconditioning missed
+    (probability < 1/2).  The format is checked first, on both routes.
     """
     G, H = f.arr(G), f.arr(H)
     m, n = G.shape[0], H.shape[0]
     if m != n:
         raise DimensionMismatch("inv requires a square format")
+    _check_format(m, n, G.shape[1])
+    if below_crossover(f, m, G.shape[1]):
+        return _dense_inv(f, G, H)
     u1, u2, _, res = _search(f, G, H, rng_seed)
     if not res.ok:
-        return InvResult(FAILURE)
+        return InvResult(FAILURE, route=STRUCTURED)
     if res.r < m:
-        return InvResult(SINGULAR)
+        return InvResult(SINGULAR, route=STRUCTURED)
     # A⁻¹ = U(v₂)·Ã⁻¹·U(v₁)ᵗ, and the first α columns of Ã's generator
     # are U(v₁)ᵗG and U(v₂)ᵗH
     alpha = G.shape[1]
     out = Generator._built(u2.apply(res.Y[:, :alpha]),
                     u1.apply(res.Z[:, :alpha]),
                     hankel_inverse_operator(f, m, m))
-    return InvResult(OK, out)
+    return InvResult(OK, out, STRUCTURED)
 
 
 def solve(f: PrimeField, G, H, b, rng_seed: int = 0) -> SolveResult:
     """One solution of A·x = b for A given under ∇_{Z_{m,0}, Z_{n,1}ᵗ}.
 
     Rank-deficient consistent systems return a solution (a nonzero one when
-    b = 0 and A is singular); inconsistent ones report no_solution; failure
-    means the randomized rank-profile normalization missed.
+    b = 0 and A is singular); inconsistent ones report no_solution.  Below
+    the crossover (below_crossover on min(m, n) and α) A is densified and
+    [A | b] eliminated once: the answer is deterministic, rng_seed is
+    unused and failure cannot occur.  Above it, failure means the
+    randomized rank-profile normalization missed.  The shapes are checked
+    first, on both routes.
     """
     G, H = f.arr(G), f.arr(H)
     b = f.arr(b)
     m, n = G.shape[0], H.shape[0]
     if len(b) != m:
         raise DimensionMismatch(f"right-hand side length {len(b)} != {m}")
+    _check_format(m, n, G.shape[1])
+    if below_crossover(f, min(m, n), G.shape[1]):
+        return _dense_solve(f, _shift_dense(f, G, H), b)
     u1, u2, (Gt, Ht, ut), res = _search(f, G, H, rng_seed)
     if not res.ok:
-        return SolveResult(FAILURE)
+        return SolveResult(FAILURE, route=STRUCTURED)
     r = res.r
     bt = u1.apply_transpose(b)
 
@@ -488,7 +576,7 @@ def solve(f: PrimeField, G, H, b, rng_seed: int = 0) -> SolveResult:
             a21 = _gen_block_21(f, Gt, Ht, r, m - r, *_border(f, Gt, Ht, ut, r))
             resid = (gen_matvec(a21, x1) - bt[r:]) % f.p
         if np.any(resid != 0):
-            return SolveResult(NO_SOLUTION)
+            return SolveResult(NO_SOLUTION, route=STRUCTURED)
 
     if r == n:
         xt = x1
@@ -501,11 +589,11 @@ def solve(f: PrimeField, G, H, b, rng_seed: int = 0) -> SolveResult:
         head = (x1 + gen_matvec(inv_r, colr[:r])) % f.p if r else f.zeros(0)
         xt = np.concatenate([head, tail])
     x = u2.apply(xt)
-    return SolveResult(OK, x)
+    return SolveResult(OK, x, STRUCTURED)
 
 
 # ---------------------------------------------------------------------------
-# arbitrary invertible operators, routed through the shift format
+# arbitrary invertible operators
 
 
 def _shift_core(gen: Generator):
@@ -519,7 +607,15 @@ def _shift_core(gen: Generator):
 
 def inv_generator(gen: Generator, rng_seed: int = 0) -> InvResult:
     """Inverse generator for any invertible displacement operator, via the
-    multiplicative reduction to the shift format and back."""
+    multiplicative reduction to the shift format and back.
+
+    The shift core stays on both routes: inv decides the route on the
+    core's width, and from_hankel_inverse builds the generator of A⁻¹
+    under inverse_operator(op) from the core's inverse pair, which is the
+    same on both routes, so the output arrays do not depend on the route.
+    Below the crossover no preconditioner is drawn, rng_seed is unused and
+    failure cannot occur.
+    """
     op = gen.operator
     if op.m != op.n:
         raise DimensionMismatch("inv_generator requires a square format")
@@ -530,20 +626,30 @@ def inv_generator(gen: Generator, rng_seed: int = 0) -> InvResult:
     out = from_hankel_inverse(ctx, res.generator)
     # A⁻¹ = Y_Q^{e2}·Ã⁻¹·Y_P^{e1}
     return InvResult(OK, Generator._built(tf.q_side(out.G), tf.p_side(out.H),
-                                          inverse_operator(op)))
+                                          inverse_operator(op)), res.route)
 
 
 def solve_generator(gen: Generator, b, rng_seed: int = 0) -> SolveResult:
-    """Solve A·x = b for A under any invertible displacement operator."""
+    """Solve A·x = b for A under any invertible displacement operator.
+
+    Below the crossover (below_crossover on min(m, n) and the generator's
+    α) A is densified (generators.densify) and [A | b] eliminated once,
+    with no shift core and no preconditioner: the answer is deterministic,
+    rng_seed is unused and failure cannot occur.  Above it, the system goes
+    through the shift core to solve.  The right-hand side is checked first,
+    on both routes.
+    """
     op = gen.operator
     f = op.field
     b = f.arr(b)
     if len(b) != op.m:
         raise DimensionMismatch(f"right-hand side length {len(b)} != {op.m}")
+    if below_crossover(f, min(op.m, op.n), gen.alpha):
+        return _dense_solve(f, densify(gen), b)
     tf, hgen, _ = _shift_core(gen)
     c = side_map(op.fam_p, tf.p_side(b))
     res = solve(f, hgen.G, hgen.H, c, rng_seed=rng_seed)
     if not res.ok:
         return res
     y = res.x[::-1] if op.kind == STEIN else res.x
-    return SolveResult(OK, tf.q_side(side_map_t(op.fam_q, y)))
+    return SolveResult(OK, tf.q_side(side_map_t(op.fam_q, y)), res.route)

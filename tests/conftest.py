@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dispmat import structsolve
 from dispmat.field import BENCH_PRIME, DEFAULT_PRIME, get_field
 from dispmat.generators import Generator
 from dispmat.operators import STEIN, SYLVESTER, DisplacementOperator, op_invertible
@@ -64,3 +65,14 @@ def rand_operator(f, rng, m, n, kind=None, basic=False):
 def rand_generator(f, rng, op, alpha):
     return Generator(f.arr(rng.integers(0, f.p, size=(op.m, alpha))),
                      f.arr(rng.integers(0, f.p, size=(op.n, alpha))), op)
+
+
+def both_routes(monkeypatch):
+    """Yield False for a run at the default crossover, then True for a run
+    with the structured (Las Vegas) route forced: both crossover constants
+    patched to 2, so that only min(m, n) < 2α stays dense."""
+    yield False
+    with monkeypatch.context() as mp:
+        mp.setattr(structsolve, "DENSE_PER_WIDTH", 2)
+        mp.setattr(structsolve, "DENSE_PER_WIDTH_OBJECT", 2)
+        yield True

@@ -45,6 +45,8 @@ from dispmat.oracle import (
 )
 from dispmat.cli import draw_operator, pade_solve, plant_pade
 
+from conftest import both_routes
+
 F = get_field(DEFAULT_PRIME)
 
 
@@ -181,7 +183,13 @@ def test_criterion_3_trilinear_oracle_equivalence():
             f"200 instances, {non_pow2} with non-power-of-two n")
 
 
-def test_criterion_4_inversion():
+def test_criterion_4_inversion(monkeypatch):
+    # once at the default crossover, once with the structured route forced
+    for forced in both_routes(monkeypatch):
+        _criterion_4("structured route" if forced else "default route")
+
+
+def _criterion_4(route: str):
     rng = np.random.default_rng(1004)
     t0 = time.perf_counter()
     failures = []
@@ -245,12 +253,18 @@ def test_criterion_4_inversion():
     elapsed = time.perf_counter() - t0
     if elapsed >= 120:
         failures.append(f"runtime {elapsed:.1f}s over the 120s budget")
-    _report(4, "inversion", failures,
+    _report(4, f"inversion, {route}", failures,
             f"100 inversions ({fail_tags} failure tags), "
             f"{planted_singular}/50 planted singulars, {elapsed:.1f}s")
 
 
-def test_criterion_5_solve():
+def test_criterion_5_solve(monkeypatch):
+    # once at the default crossover, once with the structured route forced
+    for forced in both_routes(monkeypatch):
+        _criterion_5("structured route" if forced else "default route")
+
+
+def _criterion_5(route: str):
     rng = np.random.default_rng(1005)
     failures = []
 
@@ -310,7 +324,7 @@ def test_criterion_5_solve():
     if homogeneous_failures / 50 >= 0.6:
         failures.append(f"homogeneous failure rate {homogeneous_failures}/50")
 
-    _report(5, "solve", failures,
+    _report(5, f"solve, {route}", failures,
             f"100 consistent / 50 inconsistent / 50 homogeneous "
             f"(failure tags {consistent_failures}/{inconsistent_failures}/"
             f"{homogeneous_failures})")
@@ -446,7 +460,13 @@ def test_criterion_8_crt_layer_roundtrips():
             f"100 families, up to {max_blocks} blocks")
 
 
-def test_criterion_9_pade_demo():
+def test_criterion_9_pade_demo(monkeypatch):
+    # once at the default crossover, once with the structured route forced
+    for forced in both_routes(monkeypatch):
+        _criterion_9("structured route" if forced else "default route")
+
+
+def _criterion_9(route: str):
     failures = []
     solved = 0
     for seed in range(20):
@@ -483,5 +503,5 @@ def test_criterion_9_pade_demo():
                 failures.append(f"seed {seed}: residue identity broken at block {i}")
     if solved < 10:
         failures.append(f"only {solved}/20 seeds produced a solution")
-    _report(9, "simultaneous approximation demo", failures,
+    _report(9, f"simultaneous approximation demo, {route}", failures,
             f"{solved}/20 seeds solved, residue identity exact")

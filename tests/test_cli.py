@@ -110,6 +110,7 @@ def test_gen_then_run_verifies(tmp_path, capsys, task):
     assert doc["task"] == task
     assert doc["tag"] == "ok"
     assert doc["verified"] == "ok"
+    assert doc["route"] == (None if task == "mul" else "dense")
     assert code == EXIT_OK
     assert int(doc["wall_ns"]) > 0
     assert (doc["m"], doc["n"]) == (8, 8)

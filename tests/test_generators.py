@@ -5,18 +5,21 @@ operator with actual companion matrices and compare against G·Hᵗ."""
 import numpy as np
 import pytest
 
-from dispmat.field import get_field
+from dispmat.cli import draw_operator
+from dispmat.field import BENCH_PRIME, get_field
 from dispmat.poly import DimensionMismatch, family_build
 from dispmat.operators import (
     STEIN,
     SYLVESTER,
     DisplacementOperator,
     SingularOperator,
+    op_invertible,
     stein_op,
     sylvester_op,
 )
 from dispmat.generators import (
     Generator,
+    densify,
     from_hankel_inverse,
     gen_compress,
     gen_from_dict,
@@ -37,6 +40,7 @@ from dispmat.oracle import (
     dense_inv,
     dense_mul,
     dense_rank,
+    dense_solve_displacement,
 )
 
 from conftest import rand_generator, rand_operator
@@ -107,6 +111,52 @@ def test_reconstruct_satisfies_displacement_equation(any_field):
         gen = rand_generator(f, rng, op, int(rng.integers(1, min(m, n) + 1)))
         a = reconstruct_dense(gen)
         assert np.array_equal(dense_apply_operator(op, a), _outer(gen))
+
+
+def _skewed_family(f, rng, total):
+    """A family with blocks of degrees total − 3, 2 and 1."""
+    while True:
+        try:
+            return family_build(f, [list(rng.integers(0, f.p, d)) + [1]
+                                    for d in (total - 3, 2, 1)])
+        except ValueError:
+            continue
+
+
+def _drawn_operator(f, rng, m, n, kind, flavor, tp, tq):
+    if flavor != "skewed" or min(m, n) < 4:
+        return draw_operator(f, rng, m, n, kind, "general" if flavor == "skewed" else flavor,
+                             tp, tq)
+    while True:
+        op = DisplacementOperator(kind, _skewed_family(f, rng, m),
+                                  _skewed_family(f, rng, n), tp, tq)
+        if op_invertible(op):
+            return op
+
+
+@pytest.mark.parametrize("p", [998244353, 2**31 - 1, 3037000493, BENCH_PRIME],
+                         ids=["default", "2^31-1", "3037000493", "p62"])
+def test_densify_matches_oracle(p):
+    # every variant and flavour, tall and wide, families of 1-column blocks
+    # (geometric) and of skewed degrees, and a 1-column format
+    f = get_field(p)
+    rng = np.random.default_rng(211)
+    for kind in (SYLVESTER, STEIN):
+        for tp in (False, True):
+            for tq in (False, True):
+                for flavor in ("general", "single_power", "geometric", "skewed"):
+                    for m, n in ((7, 5), (5, 7), (6, 1)):
+                        op = _drawn_operator(f, rng, m, n, kind, flavor, tp, tq)
+                        gen = rand_generator(f, rng, op, int(rng.integers(1, min(m, n) + 1)))
+                        want = dense_solve_displacement(op, dense_mul(f, gen.G, gen.H.T))
+                        assert np.array_equal(densify(gen), want)
+    assert not np.any(densify(generator_zeros(op, 0)))
+
+
+def test_densify_refuses_a_singular_operator(f):
+    fam = family_build(f, [[f.p - 1, 1]])  # x − 1 on both sides
+    with pytest.raises(SingularOperator):
+        densify(Generator(f.arr([[1]]), f.arr([[1]]), sylvester_op(fam, fam)))
 
 
 def test_matvec_agrees_with_dense_product(any_field):

@@ -19,6 +19,7 @@ from dispmat.generators import (
 )
 from dispmat.oracle import (
     Singular,
+    dense_apply_operator,
     dense_inv,
     dense_mul,
     dense_rank,
@@ -27,10 +28,12 @@ from dispmat.oracle import (
 )
 from dispmat.structmul import PreconditionViolated
 from dispmat.structsolve import (
+    DENSE,
     FAILURE,
     NO_SOLUTION,
     OK,
     SINGULAR,
+    STRUCTURED,
     InvResult,
     SolveResult,
     TriangularToeplitzPreconditioner,
@@ -49,7 +52,7 @@ from dispmat.structsolve import (
     solve_generator,
 )
 
-from conftest import rand_generator, rand_operator
+from conftest import both_routes, rand_generator, rand_operator
 
 
 def _shift_displacement(f, A):
@@ -424,58 +427,65 @@ def test_precond_with_unit_vectors_is_identity(f):
 
 # ---------------------------------------------------------------------------
 # inversion on the shift format
+#
+# Every test of an entry point runs twice (conftest.both_routes): at the
+# default crossover, where these sizes are solved densely, and with the
+# structured route forced, so the Las Vegas path keeps its coverage.
 
 
-def test_inv_random_instances(f):
-    rng = np.random.default_rng(149)
-    failures = runs = 0
-    for trial in range(30):
-        m = int(rng.integers(1, 20))
-        alpha = int(rng.integers(1, min(m, 4) + 1))
-        G = f.arr(rng.integers(0, f.p, (m, alpha)))
-        H = f.arr(rng.integers(0, f.p, (m, alpha)))
-        A = reconstruct_dense(Generator(G, H, hankel_operator(f, m, m)))
-        try:
-            expected = dense_inv(f, A)
-        except Singular:
-            expected = None
-        res = inv(f, G, H, rng_seed=trial)
-        runs += 1
-        if res.status == FAILURE:
-            failures += 1
-            continue
-        if expected is None:
-            assert res.status == SINGULAR
-        else:
-            assert res.ok
-            assert np.array_equal(reconstruct_dense(res.generator), expected)
-            assert res.generator.alpha <= alpha + 2
-    assert failures <= runs * 0.4
+def test_inv_random_instances(f, monkeypatch):
+    for forced in both_routes(monkeypatch):
+        rng = np.random.default_rng(149)
+        failures = runs = 0
+        for trial in range(30):
+            m = int(rng.integers(1, 20))
+            alpha = int(rng.integers(1, min(m, 4) + 1))
+            G = f.arr(rng.integers(0, f.p, (m, alpha)))
+            H = f.arr(rng.integers(0, f.p, (m, alpha)))
+            A = reconstruct_dense(Generator(G, H, hankel_operator(f, m, m)))
+            try:
+                expected = dense_inv(f, A)
+            except Singular:
+                expected = None
+            res = inv(f, G, H, rng_seed=trial)
+            assert forced or res.route == DENSE
+            runs += 1
+            if res.status == FAILURE:
+                failures += 1
+                continue
+            if expected is None:
+                assert res.status == SINGULAR
+            else:
+                assert res.ok
+                assert np.array_equal(reconstruct_dense(res.generator), expected)
+                assert res.generator.alpha <= alpha + 2
+        assert failures <= runs * 0.4
 
 
-def test_inv_detects_planted_singular(f):
-    rng = np.random.default_rng(151)
-    singular_calls = 0
-    for trial in range(20):
-        m = int(rng.integers(2, 16))
-        if trial % 2 == 0:
-            a = f.arr(rng.integers(0, f.p, m)).reshape(-1, 1)
-            b = f.arr(rng.integers(0, f.p, m)).reshape(1, -1)
-            A = dense_mul(f, a, b)
-        else:  # strictly lower-triangular Toeplitz: nilpotent
-            A = f.zeros((m, m))
-            c = f.arr(rng.integers(0, f.p, m - 1))
-            for k in range(1, m):
-                for i in range(k, m):
-                    A[i, i - k] = c[k - 1]
-        B, C = _column_decompose(f, _cyclic_displacement(f, A))
-        gen = Generator(B, f.arr(C.T), hankel_operator(f, m, m))
-        assert np.array_equal(reconstruct_dense(gen), A)
-        res = inv(f, gen.G, gen.H, rng_seed=trial)
-        assert res.status in (SINGULAR, FAILURE)
-        if res.status == SINGULAR:
-            singular_calls += 1
-    assert singular_calls >= 14
+def test_inv_detects_planted_singular(f, monkeypatch):
+    for forced in both_routes(monkeypatch):
+        rng = np.random.default_rng(151)
+        singular_calls = 0
+        for trial in range(20):
+            m = int(rng.integers(2, 16))
+            if trial % 2 == 0:
+                a = f.arr(rng.integers(0, f.p, m)).reshape(-1, 1)
+                b = f.arr(rng.integers(0, f.p, m)).reshape(1, -1)
+                A = dense_mul(f, a, b)
+            else:  # strictly lower-triangular Toeplitz: nilpotent
+                A = f.zeros((m, m))
+                c = f.arr(rng.integers(0, f.p, m - 1))
+                for k in range(1, m):
+                    for i in range(k, m):
+                        A[i, i - k] = c[k - 1]
+            B, C = _column_decompose(f, _cyclic_displacement(f, A))
+            gen = Generator(B, f.arr(C.T), hankel_operator(f, m, m))
+            assert np.array_equal(reconstruct_dense(gen), A)
+            res = inv(f, gen.G, gen.H, rng_seed=trial)
+            assert res.status in (SINGULAR, FAILURE)
+            if res.status == SINGULAR:
+                singular_calls += 1
+        assert singular_calls >= (14 if forced else 20)
 
 
 def test_inv_rejects_bad_shapes(f):
@@ -487,161 +497,189 @@ def test_inv_rejects_bad_shapes(f):
         inv(f, f.zeros((0, 0)), f.zeros((0, 0)))
 
 
+def test_solve_rejects_bad_shapes(f, monkeypatch):
+    # the shapes are checked before the route is chosen, so both routes
+    # raise the same errors
+    rng = np.random.default_rng(153)
+    op = rand_operator(f, rng, 4, 3)
+    gen = rand_generator(f, rng, op, 2)
+    for forced in both_routes(monkeypatch):
+        with pytest.raises(DimensionMismatch):
+            solve(f, f.zeros((3, 1)), f.zeros((4, 1)), f.zeros(2))
+        with pytest.raises(PreconditionViolated):
+            solve(f, f.zeros((2, 3)), f.zeros((2, 3)), f.zeros(2))
+        with pytest.raises(PreconditionViolated):
+            solve(f, f.zeros((0, 0)), f.zeros((0, 0)), f.zeros(0))
+        with pytest.raises(DimensionMismatch):
+            solve_generator(gen, f.zeros(3))
+        with pytest.raises(DimensionMismatch):
+            inv_generator(gen)
+
+
 # ---------------------------------------------------------------------------
 # solving on the shift format
 
 
-def test_solve_consistent_systems(f):
-    rng = np.random.default_rng(157)
-    failures = 0
-    for trial in range(15):
-        m = int(rng.integers(1, 18))
-        n = int(rng.integers(1, 18))
-        alpha = int(rng.integers(1, min(m, n, 4) + 1))
-        G = f.arr(rng.integers(0, f.p, (m, alpha)))
-        H = f.arr(rng.integers(0, f.p, (n, alpha)))
-        A = reconstruct_dense(Generator(G, H, hankel_operator(f, m, n)))
-        x0 = f.arr(rng.integers(0, f.p, n))
-        b = f.mat_mul(A, x0.reshape(-1, 1)).ravel()
-        res = solve(f, G, H, b, rng_seed=trial)
-        if res.status == FAILURE:
-            failures += 1
-            continue
-        assert res.ok
-        assert np.array_equal(f.mat_mul(A, res.x.reshape(-1, 1)).ravel(), b)
-    assert failures <= 5
-
-
-def test_solve_homogeneous_finds_kernel_vectors(f):
-    rng = np.random.default_rng(163)
-    failures = 0
-    for trial in range(15):
-        m = int(rng.integers(2, 16))
-        n = int(rng.integers(2, 16))
-        alpha = int(rng.integers(1, min(m, n, 3) + 1))
-        G = f.arr(rng.integers(0, f.p, (m, alpha)))
-        H = f.arr(rng.integers(0, f.p, (n, alpha)))
-        A = reconstruct_dense(Generator(G, H, hankel_operator(f, m, n)))
-        res = solve(f, G, H, f.zeros(m), rng_seed=trial)
-        if res.status == FAILURE:
-            failures += 1
-            continue
-        assert res.ok
-        assert not np.any(f.mat_mul(A, res.x.reshape(-1, 1)))
-        if dense_rank(f, A) < n:
-            assert np.any(res.x)  # a singular A must yield a nonzero witness
-    assert failures <= 5
-
-
-def test_solve_flags_inconsistent_systems(f):
-    rng = np.random.default_rng(167)
-    failures = no_solution = 0
-    for trial in range(20):
-        m = int(rng.integers(2, 18))
-        n = int(rng.integers(1, m))  # tall systems are usually inconsistent
-        alpha = int(rng.integers(1, min(m, n, 3) + 1))
-        G = f.arr(rng.integers(0, f.p, (m, alpha)))
-        H = f.arr(rng.integers(0, f.p, (n, alpha)))
-        A = reconstruct_dense(Generator(G, H, hankel_operator(f, m, n)))
-        b = f.arr(rng.integers(0, f.p, m))
-        res = solve(f, G, H, b, rng_seed=trial)
-        if res.status == FAILURE:
-            failures += 1
-            continue
-        expected = dense_solve(f, A, b)
-        if res.ok:
-            assert expected is not None
+def test_solve_consistent_systems(f, monkeypatch):
+    for forced in both_routes(monkeypatch):
+        rng = np.random.default_rng(157)
+        failures = 0
+        for trial in range(15):
+            m = int(rng.integers(1, 18))
+            n = int(rng.integers(1, 18))
+            alpha = int(rng.integers(1, min(m, n, 4) + 1))
+            G = f.arr(rng.integers(0, f.p, (m, alpha)))
+            H = f.arr(rng.integers(0, f.p, (n, alpha)))
+            A = reconstruct_dense(Generator(G, H, hankel_operator(f, m, n)))
+            x0 = f.arr(rng.integers(0, f.p, n))
+            b = f.mat_mul(A, x0.reshape(-1, 1)).ravel()
+            res = solve(f, G, H, b, rng_seed=trial)
+            assert forced or res.route == DENSE
+            if res.status == FAILURE:
+                failures += 1
+                continue
+            assert res.ok
             assert np.array_equal(f.mat_mul(A, res.x.reshape(-1, 1)).ravel(), b)
-        else:
-            assert res.status == NO_SOLUTION
-            assert expected is None
-            no_solution += 1
-    assert failures <= 6
-    assert no_solution > 5
+        assert failures <= 5
+
+
+def test_solve_homogeneous_finds_kernel_vectors(f, monkeypatch):
+    for forced in both_routes(monkeypatch):
+        rng = np.random.default_rng(163)
+        failures = 0
+        for trial in range(15):
+            m = int(rng.integers(2, 16))
+            n = int(rng.integers(2, 16))
+            alpha = int(rng.integers(1, min(m, n, 3) + 1))
+            G = f.arr(rng.integers(0, f.p, (m, alpha)))
+            H = f.arr(rng.integers(0, f.p, (n, alpha)))
+            A = reconstruct_dense(Generator(G, H, hankel_operator(f, m, n)))
+            res = solve(f, G, H, f.zeros(m), rng_seed=trial)
+            if res.status == FAILURE:
+                failures += 1
+                continue
+            assert res.ok
+            assert not np.any(f.mat_mul(A, res.x.reshape(-1, 1)))
+            if dense_rank(f, A) < n:
+                assert np.any(res.x)  # a singular A must yield a nonzero witness
+        assert failures <= 5
+
+
+def test_solve_flags_inconsistent_systems(f, monkeypatch):
+    for forced in both_routes(monkeypatch):
+        rng = np.random.default_rng(167)
+        failures = no_solution = 0
+        for trial in range(20):
+            m = int(rng.integers(2, 18))
+            n = int(rng.integers(1, m))  # tall systems are usually inconsistent
+            alpha = int(rng.integers(1, min(m, n, 3) + 1))
+            G = f.arr(rng.integers(0, f.p, (m, alpha)))
+            H = f.arr(rng.integers(0, f.p, (n, alpha)))
+            A = reconstruct_dense(Generator(G, H, hankel_operator(f, m, n)))
+            b = f.arr(rng.integers(0, f.p, m))
+            res = solve(f, G, H, b, rng_seed=trial)
+            if res.status == FAILURE:
+                failures += 1
+                continue
+            expected = dense_solve(f, A, b)
+            if res.ok:
+                assert expected is not None
+                assert np.array_equal(f.mat_mul(A, res.x.reshape(-1, 1)).ravel(), b)
+            else:
+                assert res.status == NO_SOLUTION
+                assert expected is None
+                no_solution += 1
+        assert failures <= 6
+        assert no_solution > 5
 
 
 # ---------------------------------------------------------------------------
 # routing from arbitrary operators
 
 
-def test_inv_generator_any_operator(f):
-    rng = np.random.default_rng(173)
-    inversions = failures = 0
-    for trial in range(24):
-        m = int(rng.integers(2, 13))
-        op = rand_operator(f, rng, m, m)
-        gen = rand_generator(f, rng, op, int(rng.integers(1, 4)))
-        A = reconstruct_dense(gen)
-        try:
-            expected = dense_inv(f, A)
-        except Singular:
-            expected = None
-        res = inv_generator(gen, rng_seed=trial)
-        if res.status == FAILURE:
-            failures += 1
-            continue
-        if expected is None:
-            assert res.status == SINGULAR
-            continue
-        assert res.ok
-        assert np.array_equal(reconstruct_dense(res.generator), expected)
-        # the inverse lives under the swapped operator
-        assert res.generator.operator.fam_p is op.fam_q
-        assert res.generator.operator.fam_q is op.fam_p
-        inversions += 1
-        # and it is immediately usable for products
-        r = f.arr(rng.integers(0, f.p, m))
-        assert np.array_equal(
-            gen_matvec(res.generator, gen_matvec(gen, r)), r
-        )
-    assert inversions >= 10
-    assert failures <= 10
+def test_inv_generator_any_operator(f, monkeypatch):
+    for forced in both_routes(monkeypatch):
+        rng = np.random.default_rng(173)
+        inversions = failures = 0
+        for trial in range(24):
+            m = int(rng.integers(2, 13))
+            op = rand_operator(f, rng, m, m)
+            gen = rand_generator(f, rng, op, int(rng.integers(1, 4)))
+            A = reconstruct_dense(gen)
+            try:
+                expected = dense_inv(f, A)
+            except Singular:
+                expected = None
+            res = inv_generator(gen, rng_seed=trial)
+            assert forced or res.route == DENSE
+            if res.status == FAILURE:
+                failures += 1
+                continue
+            if expected is None:
+                assert res.status == SINGULAR
+                continue
+            assert res.ok
+            assert np.array_equal(reconstruct_dense(res.generator), expected)
+            # the inverse lives under the swapped operator
+            assert res.generator.operator.fam_p is op.fam_q
+            assert res.generator.operator.fam_q is op.fam_p
+            inversions += 1
+            # and it is immediately usable for products
+            r = f.arr(rng.integers(0, f.p, m))
+            assert np.array_equal(
+                gen_matvec(res.generator, gen_matvec(gen, r)), r
+            )
+        assert inversions >= 10
+        assert failures <= 10
 
 
-def test_inv_generator_shares_the_inverse_operator(f):
+def test_inv_generator_shares_the_inverse_operator(f, monkeypatch):
     # the inverse's operator is a value of the input operator: repeated
     # inversions hand back one object, whose inverse table is built once
-    rng = np.random.default_rng(177)
-    for kind in (operators.SYLVESTER, operators.STEIN):
-        for tp in (False, True):
-            for tq in (False, True):
-                for _ in range(20):
-                    op = rand_operator(f, rng, 5, 5, kind=kind)
-                    op = operators.DisplacementOperator(kind, op.fam_p, op.fam_q, tp, tq)
-                    gen = rand_generator(f, rng, op, 2)
-                    first = inv_generator(gen, rng_seed=1)
-                    if first.ok:
-                        break
-                assert first.ok
-                second = inv_generator(gen, rng_seed=2)
-                assert second.ok
-                assert first.generator.operator is second.generator.operator
-                assert first.generator.operator is operators.inverse_operator(op)
-                assert np.array_equal(reconstruct_dense(first.generator),
-                                      reconstruct_dense(second.generator))
+    for forced in both_routes(monkeypatch):
+        rng = np.random.default_rng(177)
+        for kind in (operators.SYLVESTER, operators.STEIN):
+            for tp in (False, True):
+                for tq in (False, True):
+                    for _ in range(20):
+                        op = rand_operator(f, rng, 5, 5, kind=kind)
+                        op = operators.DisplacementOperator(kind, op.fam_p, op.fam_q, tp, tq)
+                        gen = rand_generator(f, rng, op, 2)
+                        first = inv_generator(gen, rng_seed=1)
+                        if first.ok:
+                            break
+                    assert first.ok
+                    second = inv_generator(gen, rng_seed=2)
+                    assert second.ok
+                    assert first.generator.operator is second.generator.operator
+                    assert first.generator.operator is operators.inverse_operator(op)
+                    assert np.array_equal(reconstruct_dense(first.generator),
+                                          reconstruct_dense(second.generator))
 
 
-def test_solve_generator_any_operator(f):
-    rng = np.random.default_rng(179)
-    solved = failures = 0
-    for trial in range(20):
-        m = int(rng.integers(2, 13))
-        op = rand_operator(f, rng, m, m)
-        gen = rand_generator(f, rng, op, int(rng.integers(1, 4)))
-        A = reconstruct_dense(gen)
-        if dense_rank(f, A) < m:
-            continue
-        x0 = f.arr(rng.integers(0, f.p, m))
-        b = f.mat_mul(A, x0.reshape(-1, 1)).ravel()
-        res = solve_generator(gen, b, rng_seed=trial)
-        if res.status == FAILURE:
-            failures += 1
-            continue
-        assert res.ok
-        assert np.array_equal(res.x, x0)
-        solved += 1
-    assert solved >= 8
-    assert failures <= 8
+def test_solve_generator_any_operator(f, monkeypatch):
+    for forced in both_routes(monkeypatch):
+        rng = np.random.default_rng(179)
+        solved = failures = 0
+        for trial in range(20):
+            m = int(rng.integers(2, 13))
+            op = rand_operator(f, rng, m, m)
+            gen = rand_generator(f, rng, op, int(rng.integers(1, 4)))
+            A = reconstruct_dense(gen)
+            if dense_rank(f, A) < m:
+                continue
+            x0 = f.arr(rng.integers(0, f.p, m))
+            b = f.mat_mul(A, x0.reshape(-1, 1)).ravel()
+            res = solve_generator(gen, b, rng_seed=trial)
+            assert forced or res.route == DENSE
+            if res.status == FAILURE:
+                failures += 1
+                continue
+            assert res.ok
+            assert np.array_equal(res.x, x0)
+            solved += 1
+        assert solved >= 8
+        assert failures <= 8
 
 
 def test_repeated_solve_builds_no_binomial_table(f, monkeypatch):
@@ -664,24 +702,61 @@ def test_repeated_solve_builds_no_binomial_table(f, monkeypatch):
 
 
 @pytest.mark.parametrize("p", [2**31 - 1, 2**62 - 57, 2013265921, 2281701377])
-def test_solve_generator_matches_oracle_across_primes(p):
+def test_solve_generator_matches_oracle_across_primes(p, monkeypatch):
     f = get_field(p)
-    rng = np.random.default_rng(181)
-    solved = 0
-    for trial in range(10):
-        m = int(rng.integers(2, 7))
-        op = rand_operator(f, rng, m, m)
-        gen = rand_generator(f, rng, op, int(rng.integers(1, 3)))
-        A = dense_solve_displacement(op, f.mat_mul(gen.G, gen.H.T))
-        if dense_rank(f, A) < m:
-            continue
-        x0 = f.arr(rng.integers(0, 2**62, m))
-        res = solve_generator(gen, f.mat_mul(A, x0.reshape(-1, 1)).ravel(), rng_seed=trial)
-        if res.status == FAILURE:
-            continue
-        assert res.ok and np.array_equal(res.x, x0)
-        solved += 1
-    assert solved >= 5
+    for forced in both_routes(monkeypatch):
+        rng = np.random.default_rng(181)
+        solved = 0
+        for trial in range(10):
+            m = int(rng.integers(2, 7))
+            op = rand_operator(f, rng, m, m)
+            gen = rand_generator(f, rng, op, int(rng.integers(1, 3)))
+            A = dense_solve_displacement(op, f.mat_mul(gen.G, gen.H.T))
+            if dense_rank(f, A) < m:
+                continue
+            x0 = f.arr(rng.integers(0, 2**62, m))
+            res = solve_generator(gen, f.mat_mul(A, x0.reshape(-1, 1)).ravel(), rng_seed=trial)
+            if res.status == FAILURE:
+                continue
+            assert res.ok and np.array_equal(res.x, x0)
+            solved += 1
+        assert solved >= 5
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, BENCH_PRIME], ids=["default", "p62"])
+def test_dense_route_answers_every_status_but_failure(p):
+    # below the crossover: a singular A is reported singular, a homogeneous
+    # singular system gets a nonzero kernel vector, an inconsistent one gets
+    # no_solution, every variant, and failure never appears
+    f = get_field(p)
+    rng = np.random.default_rng(187)
+    m = 9
+    for trial in range(16):
+        kind = (operators.SYLVESTER, operators.STEIN)[trial % 2]
+        op = rand_operator(f, rng, m, m, kind=kind)
+        op = operators.DisplacementOperator(kind, op.fam_p, op.fam_q,
+                                            bool(trial & 2), bool(trial & 4))
+        r = int(rng.integers(1, m - 1))
+        A = dense_mul(f, f.arr(rng.integers(0, f.p, (m, r))), f.arr(rng.integers(0, f.p, (r, m))))
+        B, C = _column_decompose(f, dense_apply_operator(op, A))
+        gen = Generator(B, f.arr(C.T), op)
+        assert np.array_equal(reconstruct_dense(gen), A)
+
+        res = inv_generator(gen, rng_seed=trial)
+        assert (res.status, res.route) == (SINGULAR, DENSE)
+        res = solve_generator(gen, f.zeros(m), rng_seed=trial)
+        assert (res.status, res.route) == (OK, DENSE)
+        assert np.any(res.x) and not np.any(f.mat_mul(A, res.x.reshape(-1, 1)))
+        while True:
+            b = f.arr(rng.integers(0, f.p, m))
+            if dense_solve(f, A, b) is None:
+                break
+        res = solve_generator(gen, b, rng_seed=trial)
+        assert (res.status, res.route, res.x) == (NO_SOLUTION, DENSE, None)
+        b = f.mat_mul(A, f.arr(rng.integers(0, f.p, (m, 1)))).ravel()
+        res = solve_generator(gen, b, rng_seed=trial)
+        assert (res.status, res.route) == (OK, DENSE)
+        assert np.array_equal(f.mat_mul(A, res.x.reshape(-1, 1)).ravel(), b)
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, BENCH_PRIME], ids=["default", "p62"])
@@ -710,26 +785,36 @@ def test_dense_crossover_changes_no_result(p, monkeypatch):
                     assert calls
                 xd, gd = solve_generator(gen, b, rng_seed=seed), inv_generator(gen, rng_seed=seed)
                 assert xs.ok and xd.ok and gs.ok and gd.ok
+                assert (xs.route, gs.route, xd.route, gd.route) == (STRUCTURED, STRUCTURED,
+                                                                    DENSE, DENSE)
                 assert np.array_equal(xs.x, xd.x) and np.array_equal(xd.x, x0)
                 assert np.array_equal(gs.Y, gd.Y) and np.array_equal(gs.Z, gd.Z)
                 assert np.array_equal(reconstruct_dense(gd.generator), dense_inv(f, A))
 
 
 def test_small_solve_runs_one_dense_elimination(f, monkeypatch):
-    # a 64×64 Toeplitz-like solve lies below the crossover: one largest_rec
-    # call, which goes straight to the dense base case, and no struct_mul
+    # a 64×64 Toeplitz-like system with α = 6 lies below the crossover:
+    # solve_generator densifies A and eliminates once, with no shift core,
+    # preconditioner or recursion, and inv_generator keeps the shift core
+    # but draws no preconditioner
     rng = np.random.default_rng(193)
     m = 64
     gen = Generator(f.arr(rng.integers(0, f.p, (m, 6))), f.arr(rng.integers(0, f.p, (m, 6))),
                     hankel_operator(f, m, m))
     x0 = f.arr(rng.integers(0, f.p, m))
-    calls, products = [], []
-    real_rec, real_mul = structsolve.largest_rec, structsolve.struct_mul
-    monkeypatch.setattr(structsolve, "largest_rec", lambda *a: calls.append(1) or real_rec(*a))
-    monkeypatch.setattr(structsolve, "struct_mul", lambda *a: products.append(1) or real_mul(*a))
-    res = solve_generator(gen, gen_matvec(gen, x0), rng_seed=1)
-    assert res.ok and np.array_equal(res.x, x0)
-    assert len(calls) == 1 and products == []
+    b = gen_matvec(gen, x0)
+    calls = {}
+    for name in ("largest_rec", "precond", "to_hankel", "struct_mul", "lp_inv"):
+        real = getattr(structsolve, name)
+        monkeypatch.setattr(structsolve, name,
+                            lambda *a, _n=name, _r=real: calls.setdefault(_n, []).append(1) or _r(*a))
+    res = solve_generator(gen, b, rng_seed=1)
+    assert res.ok and res.route == DENSE and np.array_equal(res.x, x0)
+    assert calls == {}
+    res = inv_generator(gen, rng_seed=1)
+    assert res.ok and res.route == DENSE
+    assert np.array_equal(gen_matvec(gen, gen_matvec(res.generator, x0)), x0)
+    assert "precond" not in calls and "lp_inv" not in calls and "to_hankel" in calls
 
 
 def test_result_dataclass_flags(f):
