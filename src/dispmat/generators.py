@@ -301,6 +301,17 @@ def densify(gen: Generator) -> np.ndarray:
     return np.ascontiguousarray(At.T)
 
 
+def displacement(op: DisplacementOperator, A: np.ndarray) -> np.ndarray:
+    """L(A) for a dense A: M·A − A·N (Sylvester) or A − M·A·N (Stein), with
+    M and N applied by _companion_rows (A·N row by row, as Nᵗ)."""
+    f = op.field
+    left = _companion_rows(op.fam_p, op.transpose_p)
+    right = _companion_rows(op.fam_q, not op.transpose_q)
+    if op.kind == STEIN:
+        return (A - left(right(A).T).T) % f.p
+    return (left(A.T).T - right(A)) % f.p
+
+
 def gen_transpose(gen: Generator) -> Generator:
     """Generator of Aᵗ under the swapped operator.
 
@@ -317,26 +328,32 @@ def gen_transpose(gen: Generator) -> Generator:
 
 def _column_decompose(f: PrimeField, M: np.ndarray):
     """Write M = B·C with B made of M's pivot columns (full column rank) and
-    C the nonzero rows of M's reduced row echelon form."""
+    C the nonzero rows of M's reduced row echelon form.  (B, Cᵗ) is the
+    canonical generator of M: it depends on M alone."""
     R, pivots, _ = f.row_reduce(M)
     return M[:, pivots], R[: len(pivots)]
 
 
 def compress_pair(f: PrimeField, G: np.ndarray, H: np.ndarray):
-    """(G₂, H₂) with G₂·H₂ᵗ = G·Hᵗ and width exactly rank(G·Hᵗ).
+    """The canonical generator (G₂, H₂) of D = G·Hᵗ: G₂ is made of D's pivot
+    columns and H₂ᵗ of the nonzero rows of D's reduced row echelon form, so
+    the width is rank(D) and the arrays depend on D alone, not on (G, H).
 
-    Two elimination passes: factor G = B·C and fold C into H, then the same
-    on the new H; after the second pass both matrices have full column rank.
+    Two thin elimination passes, D is never formed: factor G = B·C with B
+    of full column rank; then D = B·K with K = C·Hᵗ, so D and K share
+    their reduced echelon form and D's pivot columns are B·K[:, pivots].
     """
     if G.shape[1] == 0:
         return G, H
     B, C = _column_decompose(f, G)
-    B2, C2 = _column_decompose(f, f.mat_mul(H, C.T))
-    return f.mat_mul(B, C2.T), B2
+    K = f.mat_mul(C, H.T)
+    R, pivots, _ = f.row_reduce(K)
+    return f.mat_mul(B, K[:, pivots]), R[: len(pivots)].T
 
 
 def gen_compress(gen: Generator) -> Generator:
-    """Equivalent generator of length exactly rank(G·Hᵗ)."""
+    """The canonical generator of the same matrix (compress_pair): length
+    exactly rank(G·Hᵗ)."""
     if gen.alpha == 0:
         return gen
     G2, H2 = compress_pair(gen.field, gen.G, gen.H)

@@ -4,12 +4,15 @@ The crossover rule (below_crossover): min(m, n) < DENSE_PER_WIDTH·α, or
 DENSE_PER_WIDTH_OBJECT·α over an object-dtype field, where α is the
 generator's length.  It is checked at the entry points, before anything
 else runs and after the shapes are checked: in inv and solve on their own
-α, in solve_generator on the generator's, and in inv_generator through inv
-on the compressed shift core's.  Below it the dense route forms A once
-(generators.densify) and eliminates once, [A | b] or [A | I]: the answer is
-deterministic, rng_seed is unused and failure cannot occur.  Above it the
+α, in solve_generator and inv_generator on the generator's.  Below it the
+dense route forms A once (generators.densify) and eliminates once, [A | b]
+or [A | I]: the answer is deterministic, rng_seed is unused and failure
+cannot occur.  inv_generator then forms D′ = L′(A⁻¹) densely under
+L′ = inverse_operator(op) and factors it once.  Above the rule the
 structured route below runs, and largest_rec checks the same rule again at
 every level of its recursion.  Results carry the route they took.
+inv_generator returns the canonical generator of D′ (see
+generators.compress_pair) on both routes, so its arrays depend on A alone.
 
 The structured route works on matrices A carried as (G, H, u): a generator
 under the shift operator ∇_{Z_{m,0}, Z_{n,0}ᵗ} together with A's last row u,
@@ -48,6 +51,7 @@ from .generators import (
     Generator,
     compress_pair,
     densify,
+    displacement,
     from_hankel_inverse,
     gen_compress,
     gen_matvec,
@@ -59,6 +63,7 @@ from .generators import (
     side_map_t,
     to_basic,
     to_hankel,
+    _column_decompose,
     _columns,
     _hstack,
     _unit,
@@ -473,18 +478,37 @@ def _shift_dense(f: PrimeField, G, H) -> np.ndarray:
     return densify(Generator._built(G, H, hankel_operator(f, G.shape[0], H.shape[0])))
 
 
-def _dense_inv(f: PrimeField, G, H) -> InvResult:
-    """(−A⁻¹G, A⁻ᵗH) for the A of a ∇_{Z_{m,0}, Z_{m,1}ᵗ}-generator, from
-    one elimination of [A | I], or singular."""
-    A = _shift_dense(f, G, H)
+def _dense_inverse(f: PrimeField, A: np.ndarray) -> np.ndarray | None:
+    """A⁻¹ from one elimination of [A | I], or None when A is singular."""
     m = A.shape[0]
     R, pivots, _ = f.row_reduce(np.concatenate([A, np.eye(m, dtype=f.dtype)], axis=1))
     if pivots[-1] != m - 1:  # [A | I] has m pivots; one lies right of A
+        return None
+    return R[:, m:]
+
+
+def _dense_inv(f: PrimeField, G, H) -> InvResult:
+    """(−A⁻¹G, A⁻ᵗH) for the A of a ∇_{Z_{m,0}, Z_{m,1}ᵗ}-generator, or
+    singular."""
+    Ai = _dense_inverse(f, _shift_dense(f, G, H))
+    if Ai is None:
         return InvResult(SINGULAR, route=DENSE)
-    Ai = R[:, m:]
     out = Generator._built((f.p - f.mat_mul(Ai, G)) % f.p, f.mat_mul(Ai.T, H),
-                           hankel_inverse_operator(f, m, m))
+                           hankel_inverse_operator(f, len(G), len(G)))
     return InvResult(OK, out, DENSE)
+
+
+def _dense_inv_generator(gen: Generator) -> InvResult:
+    """The canonical generator of A⁻¹ under L′ = inverse_operator(op), or
+    singular: A⁻¹ from [A | I], then D′ = L′(A⁻¹) formed densely and
+    factored once (_column_decompose)."""
+    f = gen.field
+    Ai = _dense_inverse(f, densify(gen))
+    if Ai is None:
+        return InvResult(SINGULAR, route=DENSE)
+    iop = inverse_operator(gen.operator)
+    G, Ht = _column_decompose(f, displacement(iop, Ai))
+    return InvResult(OK, Generator._built(G, Ht.T, iop), DENSE)
 
 
 def _dense_solve(f: PrimeField, A: np.ndarray, b: np.ndarray) -> SolveResult:
@@ -606,27 +630,35 @@ def _shift_core(gen: Generator):
 
 
 def inv_generator(gen: Generator, rng_seed: int = 0) -> InvResult:
-    """Inverse generator for any invertible displacement operator, via the
-    multiplicative reduction to the shift format and back.
+    """The generator of A⁻¹ under L′ = inverse_operator(op), for any
+    invertible displacement operator op, or singular.
 
-    The shift core stays on both routes: inv decides the route on the
-    core's width, and from_hankel_inverse builds the generator of A⁻¹
-    under inverse_operator(op) from the core's inverse pair, which is the
-    same on both routes, so the output arrays do not depend on the route.
-    Below the crossover no preconditioner is drawn, rng_seed is unused and
-    failure cannot occur.
+    The output is the canonical generator of D′ = L′(A⁻¹) (compress_pair):
+    D′'s pivot columns and the nonzero rows of its reduced echelon form,
+    of width rank(D′) = rank(L(A)).  It depends on A alone, not on the
+    route, rng_seed or the input generator.  Below the crossover
+    (below_crossover on m and the generator's α) A is densified and
+    [A | I] eliminated once, D′ is formed densely and factored once, with
+    no shift core and no preconditioner: rng_seed is unused and failure
+    cannot occur.  Above it, A goes through the shift core to inv, back
+    through from_hankel_inverse, and the result is brought to the same
+    canonical form; its route is STRUCTURED even where inv eliminates the
+    core densely.
     """
     op = gen.operator
     if op.m != op.n:
         raise DimensionMismatch("inv_generator requires a square format")
+    f = op.field
+    if below_crossover(f, op.m, gen.alpha):
+        return _dense_inv_generator(gen)
     tf, hgen, ctx = _shift_core(gen)
-    res = inv(op.field, hgen.G, hgen.H, rng_seed=rng_seed)
+    res = inv(f, hgen.G, hgen.H, rng_seed=rng_seed)
     if not res.ok:
-        return res
+        return InvResult(res.status, route=STRUCTURED)
     out = from_hankel_inverse(ctx, res.generator)
     # A⁻¹ = Y_Q^{e2}·Ã⁻¹·Y_P^{e1}
-    return InvResult(OK, Generator._built(tf.q_side(out.G), tf.p_side(out.H),
-                                          inverse_operator(op)), res.route)
+    G, H = compress_pair(f, tf.q_side(out.G), tf.p_side(out.H))
+    return InvResult(OK, Generator._built(G, H, inverse_operator(op)), STRUCTURED)
 
 
 def solve_generator(gen: Generator, b, rng_seed: int = 0) -> SolveResult:
@@ -636,8 +668,9 @@ def solve_generator(gen: Generator, b, rng_seed: int = 0) -> SolveResult:
     α) A is densified (generators.densify) and [A | b] eliminated once,
     with no shift core and no preconditioner: the answer is deterministic,
     rng_seed is unused and failure cannot occur.  Above it, the system goes
-    through the shift core to solve.  The right-hand side is checked first,
-    on both routes.
+    through the shift core to solve, and the result's route is STRUCTURED
+    even where solve eliminates the core densely.  The right-hand side is
+    checked first, on both routes.
     """
     op = gen.operator
     f = op.field
@@ -650,6 +683,6 @@ def solve_generator(gen: Generator, b, rng_seed: int = 0) -> SolveResult:
     c = side_map(op.fam_p, tf.p_side(b))
     res = solve(f, hgen.G, hgen.H, c, rng_seed=rng_seed)
     if not res.ok:
-        return res
+        return SolveResult(res.status, route=STRUCTURED)
     y = res.x[::-1] if op.kind == STEIN else res.x
-    return SolveResult(OK, tf.q_side(side_map_t(op.fam_q, y)), res.route)
+    return SolveResult(OK, tf.q_side(side_map_t(op.fam_q, y)), STRUCTURED)

@@ -19,7 +19,10 @@ from dispmat.operators import (
 )
 from dispmat.generators import (
     Generator,
+    _column_decompose,
+    compress_pair,
     densify,
+    displacement,
     from_hankel_inverse,
     gen_compress,
     gen_from_dict,
@@ -159,6 +162,23 @@ def test_densify_refuses_a_singular_operator(f):
         densify(Generator(f.arr([[1]]), f.arr([[1]]), sylvester_op(fam, fam)))
 
 
+@pytest.mark.parametrize("p", [998244353, 2**31 - 1, 3037000493, BENCH_PRIME],
+                         ids=["default", "2^31-1", "3037000493", "p62"])
+def test_displacement_matches_oracle(p):
+    # L(A) on a dense A through the companion row maps, every variant and
+    # flavour, tall, wide and 1-column formats
+    f = get_field(p)
+    rng = np.random.default_rng(213)
+    for kind in (SYLVESTER, STEIN):
+        for tp in (False, True):
+            for tq in (False, True):
+                for flavor in ("general", "single_power", "geometric", "skewed"):
+                    for m, n in ((7, 5), (5, 7), (6, 1)):
+                        op = _drawn_operator(f, rng, m, n, kind, flavor, tp, tq)
+                        A = f.arr(rng.integers(0, f.p, (m, n)))
+                        assert np.array_equal(displacement(op, A), dense_apply_operator(op, A))
+
+
 def test_matvec_agrees_with_dense_product(any_field):
     f = any_field
     rng = np.random.default_rng(11)
@@ -214,6 +234,49 @@ def test_compress_reaches_exact_rank(f):
         assert slim.alpha == dense_rank(f, _outer(fat))
         assert np.array_equal(_outer(slim), _outer(fat))
         assert np.array_equal(reconstruct_dense(slim), reconstruct_dense(base))
+
+
+@pytest.mark.parametrize("p", [998244353, 2**31 - 1, 3037000493, BENCH_PRIME],
+                         ids=["default", "2^31-1", "3037000493", "p62"])
+def test_compress_gives_the_canonical_generator(p):
+    # compress_pair's arrays depend on D = G·Hᵗ alone: D's pivot columns and
+    # the nonzero rows of its reduced echelon form, whatever pair carries D
+    f = get_field(p)
+    rng = np.random.default_rng(23)
+
+    def rand(*shape):
+        return f.arr(rng.integers(0, f.p, shape))
+
+    for _ in range(12):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        alpha = int(rng.integers(1, min(m, n) + 2))
+        G, H = rand(m, alpha), rand(n, alpha)
+        D = dense_mul(f, G, H.T)
+        B, C = _column_decompose(f, D)
+        while True:
+            T = rand(alpha, alpha)
+            if dense_rank(f, T) == alpha:
+                break
+        w, h = rand(alpha, 1), rand(n, 1)
+        v, g = rand(alpha, 1), rand(m, 1)
+        pairs = [
+            (G, H),
+            (dense_mul(f, G, T), dense_mul(f, H, dense_inv(f, T).T)),
+            # a dependent column of G, and one of H
+            (np.hstack([G, dense_mul(f, G, w)]), np.hstack([(H - dense_mul(f, h, w.T)) % f.p, h])),
+            (np.hstack([(G - dense_mul(f, g, v.T)) % f.p, g]), np.hstack([H, dense_mul(f, H, v)])),
+            # zero columns, each paired with a random one
+            (np.hstack([f.zeros((m, 1)), G, rand(m, 1)]), np.hstack([rand(n, 1), H, f.zeros((n, 1))])),
+        ]
+        for Gv, Hv in pairs:
+            G2, H2 = compress_pair(f, Gv, Hv)
+            assert G2.shape[1] == H2.shape[1] == dense_rank(f, D)
+            assert np.array_equal(G2, B) and np.array_equal(H2, C.T)
+            assert np.array_equal(dense_mul(f, G2, H2.T), D)
+        for Gv, Hv in ((G, f.zeros((n, alpha))), (f.zeros((m, alpha)), H),
+                       (f.zeros((m, 0)), f.zeros((n, 0)))):
+            G2, H2 = compress_pair(f, Gv, Hv)
+            assert G2.shape == (m, 0) and H2.shape == (n, 0)
 
 
 # ---------------------------------------------------------------------------

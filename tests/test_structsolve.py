@@ -4,6 +4,8 @@ Every stage is compared against plain dense linear algebra: unpivoted
 elimination for the regular-leading-block size, explicit inverses for the
 recovered generators, and `dense_solve` for solution/kernel claims."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -635,7 +637,8 @@ def test_inv_generator_any_operator(f, monkeypatch):
 
 def test_inv_generator_shares_the_inverse_operator(f, monkeypatch):
     # the inverse's operator is a value of the input operator: repeated
-    # inversions hand back one object, whose inverse table is built once
+    # inversions hand back one object, whose inverse table is built once;
+    # and the generator is the canonical one, the same arrays for any seed
     for forced in both_routes(monkeypatch):
         rng = np.random.default_rng(177)
         for kind in (operators.SYLVESTER, operators.STEIN):
@@ -653,8 +656,8 @@ def test_inv_generator_shares_the_inverse_operator(f, monkeypatch):
                     assert second.ok
                     assert first.generator.operator is second.generator.operator
                     assert first.generator.operator is operators.inverse_operator(op)
-                    assert np.array_equal(reconstruct_dense(first.generator),
-                                          reconstruct_dense(second.generator))
+                    assert np.array_equal(first.Y, second.Y)
+                    assert np.array_equal(first.Z, second.Z)
 
 
 def test_solve_generator_any_operator(f, monkeypatch):
@@ -759,44 +762,106 @@ def test_dense_route_answers_every_status_but_failure(p):
         assert np.array_equal(f.mat_mul(A, res.x.reshape(-1, 1)).ravel(), b)
 
 
+def test_dense_inverse_edge_cases(f, monkeypatch):
+    # inv_generator below the crossover: a generator longer than m is
+    # accepted, α = 0 (A = 0) is singular, a planted singular A is singular
+    # in every variant and never failure, the rule reads the generator's α
+    # on inv_generator and solve_generator, and a non-square format is
+    # refused before anything is densified
+    rng = np.random.default_rng(197)
+    m = 4
+    while True:
+        op = rand_operator(f, rng, m, m)
+        gen = rand_generator(f, rng, op, m + 2)
+        A = reconstruct_dense(gen)
+        if dense_rank(f, A) == m:
+            break
+    res = inv_generator(gen)
+    assert (res.status, res.route) == (OK, DENSE)
+    assert np.array_equal(reconstruct_dense(res.generator), dense_inv(f, A))
+    assert res.generator.alpha == dense_rank(f, dense_apply_operator(op, A)) <= m
+    res = inv_generator(rand_generator(f, rng, op, 0))
+    assert (res.status, res.route) == (SINGULAR, DENSE)
+
+    m = 8
+    for kind, tp, tq in itertools.product((operators.SYLVESTER, operators.STEIN),
+                                          (False, True), (False, True)):
+        op = rand_operator(f, rng, m, m, kind=kind)
+        op = operators.DisplacementOperator(kind, op.fam_p, op.fam_q, tp, tq)
+        for r in (1, m - 1):
+            A = dense_mul(f, f.arr(rng.integers(0, f.p, (m, r))),
+                          f.arr(rng.integers(0, f.p, (r, m))))
+            B, C = _column_decompose(f, dense_apply_operator(op, A))
+            res = inv_generator(Generator(B, f.arr(C.T), op), rng_seed=r)
+            assert (res.status, res.route) == (SINGULAR, DENSE)
+
+    # the rule is checked on the generator's α: with the constant at 2,
+    # m = 2α − 1 stays dense and m = 2α takes the shift core, and reports
+    # it although its core of width ≤ α + 2 is then eliminated densely
+    cores = []
+    real_core = structsolve._shift_core
+    monkeypatch.setattr(structsolve, "_shift_core", lambda g: cores.append(g.m) or real_core(g))
+    with monkeypatch.context() as mp:
+        mp.setattr(structsolve, "DENSE_PER_WIDTH", 2)
+        for m, route in ((5, DENSE), (6, STRUCTURED)):
+            gen = rand_generator(f, rng, rand_operator(f, rng, m, m), 3)
+            assert inv_generator(gen).route == route
+            assert solve_generator(gen, f.zeros(m)).route == route
+    assert cores == [6, 6]
+
+    densified = []
+    real = structsolve.densify
+    monkeypatch.setattr(structsolve, "densify", lambda *a: densified.append(1) or real(*a))
+    gen = rand_generator(f, rng, rand_operator(f, rng, 5, 4), 2)
+    for forced in both_routes(monkeypatch):
+        with pytest.raises(DimensionMismatch):
+            inv_generator(gen)
+    assert densified == []
+
+
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, BENCH_PRIME], ids=["default", "p62"])
 def test_dense_crossover_changes_no_result(p, monkeypatch):
     # each variant solved and inverted once through the Schur recursion and
-    # once densely at the default crossover: the same arrays, and the oracle's
+    # once densely at the default crossover: the same arrays, and the
+    # oracle's; twice, the second time on a generator with a dependent
+    # column, whose inverse has a canonical width below α on both routes
     f = get_field(p)
     rng = np.random.default_rng(191)
     m = 24
-    for kind in (operators.SYLVESTER, operators.STEIN):
-        for tp in (False, True):
-            for tq in (False, True):
-                while True:
-                    op = rand_operator(f, rng, m, m, kind=kind)
-                    op = operators.DisplacementOperator(kind, op.fam_p, op.fam_q, tp, tq)
-                    gen = rand_generator(f, rng, op, 2)
-                    A = reconstruct_dense(gen)
-                    if dense_rank(f, A) == m:
-                        break
-                x0 = f.arr(rng.integers(0, f.p, m))
-                b = f.mat_mul(A, x0.reshape(-1, 1)).ravel()
-                seed = next(s for s in range(20) if inv_generator(gen, rng_seed=s).ok)
-                with monkeypatch.context() as mp:
-                    calls = _schur_down_to_2alpha(mp)
-                    xs, gs = solve_generator(gen, b, rng_seed=seed), inv_generator(gen, rng_seed=seed)
-                    assert calls
-                xd, gd = solve_generator(gen, b, rng_seed=seed), inv_generator(gen, rng_seed=seed)
-                assert xs.ok and xd.ok and gs.ok and gd.ok
-                assert (xs.route, gs.route, xd.route, gd.route) == (STRUCTURED, STRUCTURED,
-                                                                    DENSE, DENSE)
-                assert np.array_equal(xs.x, xd.x) and np.array_equal(xd.x, x0)
-                assert np.array_equal(gs.Y, gd.Y) and np.array_equal(gs.Z, gd.Z)
-                assert np.array_equal(reconstruct_dense(gd.generator), dense_inv(f, A))
+    for dependent, kind, tp, tq in itertools.product(
+            (False, True), (operators.SYLVESTER, operators.STEIN), (False, True), (False, True)):
+        while True:
+            op = rand_operator(f, rng, m, m, kind=kind)
+            op = operators.DisplacementOperator(kind, op.fam_p, op.fam_q, tp, tq)
+            gen = rand_generator(f, rng, op, 2)
+            if dependent:
+                G = np.hstack([gen.G, (gen.G[:, :1] + 2 * gen.G[:, 1:]) % f.p])
+                gen = Generator(G, np.hstack([gen.H, rand_generator(f, rng, op, 1).H]), op)
+            A = reconstruct_dense(gen)
+            if dense_rank(f, A) == m:
+                break
+        x0 = f.arr(rng.integers(0, f.p, m))
+        b = f.mat_mul(A, x0.reshape(-1, 1)).ravel()
+        seed = next(s for s in range(20) if inv_generator(gen, rng_seed=s).ok)
+        with monkeypatch.context() as mp:
+            calls = _schur_down_to_2alpha(mp)
+            xs, gs = solve_generator(gen, b, rng_seed=seed), inv_generator(gen, rng_seed=seed)
+            assert calls
+        xd, gd = solve_generator(gen, b, rng_seed=seed), inv_generator(gen, rng_seed=seed)
+        assert xs.ok and xd.ok and gs.ok and gd.ok
+        assert (xs.route, gs.route, xd.route, gd.route) == (STRUCTURED, STRUCTURED,
+                                                            DENSE, DENSE)
+        assert np.array_equal(xs.x, xd.x) and np.array_equal(xd.x, x0)
+        assert np.array_equal(gs.Y, gd.Y) and np.array_equal(gs.Z, gd.Z)
+        assert np.array_equal(reconstruct_dense(gd.generator), dense_inv(f, A))
+        assert gd.generator.alpha == (2 if dependent else gen.alpha)
 
 
 def test_small_solve_runs_one_dense_elimination(f, monkeypatch):
     # a 64×64 Toeplitz-like system with α = 6 lies below the crossover:
-    # solve_generator densifies A and eliminates once, with no shift core,
-    # preconditioner or recursion, and inv_generator keeps the shift core
-    # but draws no preconditioner
+    # solve_generator densifies A and eliminates [A | b] once, inv_generator
+    # eliminates [A | I] and then D′ = L′(A⁻¹) once, and neither runs the
+    # shift core, a compression, a preconditioner or the recursion
     rng = np.random.default_rng(193)
     m = 64
     gen = Generator(f.arr(rng.integers(0, f.p, (m, 6))), f.arr(rng.integers(0, f.p, (m, 6))),
@@ -804,17 +869,23 @@ def test_small_solve_runs_one_dense_elimination(f, monkeypatch):
     x0 = f.arr(rng.integers(0, f.p, m))
     b = gen_matvec(gen, x0)
     calls = {}
-    for name in ("largest_rec", "precond", "to_hankel", "struct_mul", "lp_inv"):
+    for name in ("largest_rec", "precond", "to_hankel", "from_hankel_inverse",
+                 "gen_compress", "compress_pair", "struct_mul", "lp_inv"):
         real = getattr(structsolve, name)
         monkeypatch.setattr(structsolve, name,
                             lambda *a, _n=name, _r=real: calls.setdefault(_n, []).append(1) or _r(*a))
+    reductions = []
+    real_reduce = PrimeField.row_reduce
+    monkeypatch.setattr(PrimeField, "row_reduce",
+                        lambda self, M: reductions.append(M.shape) or real_reduce(self, M))
     res = solve_generator(gen, b, rng_seed=1)
     assert res.ok and res.route == DENSE and np.array_equal(res.x, x0)
-    assert calls == {}
+    assert calls == {} and reductions == [(m, m + 1)]
+    reductions.clear()
     res = inv_generator(gen, rng_seed=1)
     assert res.ok and res.route == DENSE
+    assert calls == {} and reductions == [(m, 2 * m), (m, m)]
     assert np.array_equal(gen_matvec(gen, gen_matvec(res.generator, x0)), x0)
-    assert "precond" not in calls and "lp_inv" not in calls and "to_hankel" in calls
 
 
 def test_result_dataclass_flags(f):

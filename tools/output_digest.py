@@ -2,10 +2,13 @@
 and inverses, to check that a refactor leaves every result bit-for-bit the
 same.
 
-    python3 tools/output_digest.py SRC_DIR
+    python3 tools/output_digest.py SRC_DIR [--labels]
 
 SRC_DIR is the `src` directory of a checkout; `dispmat` is imported from
-there, so two checkouts can be compared side by side.  The digest covers
+there, so two checkouts can be compared side by side.  With --labels, one
+`label sha256` line per output follows the three digest lines (the third
+digest's labels prefixed `reused:`), so that two checkouts can be diffed
+label by label.  The digest covers
 `struct_mul`, `gen_matvec`, `reconstruct_dense`, `solve_generator` and
 `inv_generator` for four primes (998244353, 2281701377, 2^31 − 1 and the
 62-bit prime), the eight operator variants in each of the three family
@@ -27,11 +30,12 @@ generator, one more `struct_mul` with 4 columns and one more `gen_matvec`,
 drawn from a random stream of their own, so the first two lines do not
 depend on them.
 
-Products, reconstructions and inverse tables are unique exact values.  Solve
-and inverse outputs are not: they depend on the random seeds and on the
-code path (which solution, which generator of A⁻¹).  So equal digests show
-that two versions compute the same outputs; the digest is not an oracle for
-whether either is right.
+Products, reconstructions, inverse tables and inverses are unique exact
+values: `inv_generator` returns the canonical generator of A⁻¹, which
+depends on neither the seed nor the route.  Solve outputs are not: on a
+singular or non-unique system they depend on the seed and on the code path
+(which solution).  So equal digests show that two versions compute the same
+outputs; the digest is not an oracle for whether either is right.
 """
 
 from __future__ import annotations
@@ -64,11 +68,14 @@ MIXED = [(fp, fq, m, n)
 
 
 class Digest:
-    """SHA-256 over labelled outputs, and their count."""
+    """SHA-256 over labelled outputs, their count, and one SHA-256 per
+    label, named with the given prefix."""
 
-    def __init__(self):
+    def __init__(self, prefix: str = ""):
         self.sha = hashlib.sha256()
         self.count = 0
+        self.prefix = prefix
+        self.labels = []
 
     def feed(self, label, value):
         if value is None:
@@ -80,13 +87,15 @@ class Digest:
             text = f"{arr.shape}:" + ",".join(str(int(x)) for x in arr.ravel())
         self.sha.update(f"{label}={text};".encode())
         self.count += 1
+        self.labels.append(f"{self.prefix}{label} {hashlib.sha256(text.encode()).hexdigest()}")
 
     def line(self, note: str) -> str:
         return f"{self.sha.hexdigest()}  ({self.count} outputs{note})"
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
+    labels = argv[2:] == ["--labels"]
+    if len(argv) != 2 and not labels:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     sys.path.insert(0, argv[1])
@@ -100,7 +109,7 @@ def main(argv: list[str]) -> int:
     from dispmat.structmul import struct_mul
     from dispmat.structsolve import inv_generator, solve_generator
 
-    digest, reuse = Digest(), Digest()
+    digest, reuse = Digest(), Digest("reused:")
     feed = digest.feed
 
     def rand(f, rng, *shape):
@@ -185,6 +194,8 @@ def main(argv: list[str]) -> int:
         feed(f"pm_mul/{rows},{k},{cols}/{ba},{bb}", pm_mul(f, a, b))
     print(digest.line(", extended"))
     print(reuse.line(", reused generators"))
+    if labels:
+        print("\n".join(digest.labels + reuse.labels))
     return 0
 
 
