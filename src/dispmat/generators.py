@@ -427,16 +427,6 @@ def _hstack(mats) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-def _columns(fn, X: np.ndarray) -> np.ndarray:
-    """fn on a vector, or fn on each column of a block, stacked back into a
-    block; a block without columns is returned unchanged."""
-    if X.ndim == 1:
-        return fn(X)
-    if X.shape[1] == 0:
-        return X
-    return np.stack([fn(X[:, k]) for k in range(X.shape[1])], axis=1)
-
-
 def to_hankel(gen: Generator) -> tuple[Generator, HankelContext]:
     """Generator of the Toeplitz/Hankel-type core of A.
 

@@ -15,22 +15,25 @@ inv_generator returns the canonical generator of D′ (see
 generators.compress_pair) on both routes, so its arrays depend on A alone.
 
 The structured route works on matrices A carried as (G, H, u): a generator
-under the shift operator ∇_{Z_{m,0}, Z_{n,0}ᵗ} together with A's last row u,
-which pins downs the matrix where that operator alone cannot.  The entry
-recurrence a[i-1, j] = (G·Hᵗ)[i, j] + a[i, j-1] makes any row or column
-extractable in a few convolutions, every leading principal block inherits
-the generator by plain truncation, and Schur complements inherit it by a
-rank-preserving update — which is what drives the divide-and-conquer search
-for the largest nonsingular leading block and, from it, inversion and
-solving.  The search
-runs on any m×n as given, halving at ⌈m/2⌉, ⌈n/2⌉; nothing is padded.  A
-block below the crossover (on its own, preconditioned width) is not split:
-one elimination of [A_q | I_q] gives ℓ and A_ℓ⁻¹ densely.
+under the singular shift operator ∇_{Z_{m,0}, Z_{n,0}ᵗ} together with A's
+last row u, which pins down the matrix where that operator alone cannot.
+As Z_{m,1} = Z_{m,0} + e₀·e_{m−1}ᵗ, the triple is the generator
+([G | e₀], [H | u]) of A under the invertible ∇_{Z_{m,1}, Z_{n,0}ᵗ}
+(_triple), and A is read only through it: densify rebuilds it, gen_matvec
+gives a column and, on the transposed generator, a row.  Every leading
+principal block inherits the triple by plain truncation, and Schur
+complements inherit it by a rank-preserving update — which is what drives
+the divide-and-conquer search for the largest nonsingular leading block
+and, from it, inversion and solving.  The search runs on any m×n as given,
+halving at ⌈m/2⌉, ⌈n/2⌉; nothing is padded.  A block below the crossover
+(on its own, preconditioned width) is not split: one elimination of
+[A_q | I_q] gives ℓ and A_ℓ⁻¹ densely.
 
 The triple contract: G·Hᵗ = ∇_{Z_{m,0},Z_{n,0}ᵗ}(A) in every row, row 0
-included.  densify_from_last_row never reads row 0, but the bordered block
-generators do, so a triple that densifies right can still give a wrong ℓ.
-The library makes every triple (precond, _schur, truncation) and keeps it.
+included.  Truncation to a leading block needs it: a triple that breaks it
+in row 0 stands for a matrix whose last row is not u, and its truncations
+do not stand for that matrix's leading blocks.  The library makes every
+triple (precond, _schur, truncation) and keeps it.
 
 On the structured route randomness enters only through two triangular
 Toeplitz preconditioners with unit diagonal whose coefficients are drawn
@@ -41,7 +44,6 @@ of the recursion with high probability, and every returned result is exact
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,13 +66,12 @@ from .generators import (
     to_basic,
     to_hankel,
     _column_decompose,
-    _columns,
     _hstack,
     _unit,
 )
 from .operators import STEIN, inverse_operator
 from .poly import DimensionMismatch
-from .structmul import PreconditionViolated, struct_mul
+from .structmul import PreconditionViolated, product_chain, struct_mul
 
 OK = "ok"
 SINGULAR = "singular"
@@ -163,65 +164,42 @@ class TriangularToeplitzPreconditioner:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """U(v)·X for a vector or a block of columns."""
-        return _columns(lambda x: self.f.conv(self.v, x)[: self.m], X)
+        return self.f.conv(self.v, X.T)[..., : self.m].T
 
     def apply_transpose(self, X: np.ndarray) -> np.ndarray:
         """U(v)ᵗ·X for a vector or a block of columns."""
-        return _columns(lambda x: self.f.conv(self.v[::-1], x)[self.m - 1:], X)
+        return self.f.conv(self.v[::-1], X.T)[..., self.m - 1:].T
 
 
 # ---------------------------------------------------------------------------
 # the (G, H, last row) representation
 
 
+def _triple(f: PrimeField, G: np.ndarray, H: np.ndarray, u: np.ndarray) -> Generator:
+    """The triple (G, H, u) as a generator of the same A under the
+    invertible ∇_{Z_{m,1}, Z_{n,0}ᵗ}: Z_{m,1} = Z_{m,0} + e₀·e_{m−1}ᵗ adds
+    e₀·uᵗ to the displacement, so the generator is ([G | e₀], [H | u])."""
+    m, n = G.shape[0], H.shape[0]
+    return Generator._built(_hstack([G, _unit(f, m, 0)]), _hstack([H, u]),
+                            shift_operator(f, m, 1, n, 0))
+
+
 def densify_from_last_row(f: PrimeField, G: np.ndarray, H: np.ndarray,
                           u: np.ndarray) -> np.ndarray:
-    """Rebuild A from ∇_{Z_{m,0},Z_{n,0}ᵗ}(A) = G·Hᵗ and its last row, by the
-    entry recurrence a[i−1, j] = D[i, j] + a[i, j−1]."""
-    m, n = G.shape[0], H.shape[0]
-    D = f.mat_mul(G, H.T) if G.shape[1] else f.zeros((m, n))
-    A = f.zeros((m, n))
-    A[m - 1] = u
-    for i in range(m - 1, 0, -1):
-        A[i - 1, 0] = D[i, 0]
-        if n > 1:
-            A[i - 1, 1:] = (D[i, 1:] + A[i, :-1]) % f.p
-    return A
+    """The dense A of the triple (G, H, u)."""
+    return densify(_triple(f, G, H, u))
 
 
 def _row_of(f: PrimeField, G: np.ndarray, H: np.ndarray, u: np.ndarray,
             i: int) -> np.ndarray:
-    m, n = G.shape[0], H.shape[0]
-    if i == m - 1:
-        return u
-    acc = f.zeros(n)
-    for k in range(G.shape[1]):
-        c = f.conv(G[i + 1:, k], H[:, k])
-        take = min(n, len(c))
-        acc[:take] = (acc[:take] + c[:take]) % f.p
-    shift = m - 1 - i
-    if shift < n:
-        acc[shift:] = (acc[shift:] + u[: n - shift]) % f.p
-    return acc
+    """Row i of the A of the triple (G, H, u)."""
+    return gen_matvec(gen_transpose(_triple(f, G, H, u)), _unit(f, len(G), i))
 
 
 def _col_of(f: PrimeField, G: np.ndarray, H: np.ndarray, u: np.ndarray,
             j: int) -> np.ndarray:
-    m, n = G.shape[0], H.shape[0]
-    acc = f.zeros(m)
-    for k in range(G.shape[1]):
-        full = f.conv(G[:, k], H[:, k])
-        padded = f.zeros(m + n)
-        padded[: len(full)] = full
-        acc = (acc + padded[j + 1: j + 1 + m]) % f.p
-        head = H[j + 1:, k]
-        if len(head):
-            corr = f.conv(G[:, k], head)[:m]
-            acc[: len(corr)] = (acc[: len(corr)] - corr) % f.p
-    start = max(0, m - 1 - j)
-    if start < m:
-        acc[start:] = (acc[start:] + u[j - m + 1 + start: j + 1]) % f.p
-    return acc
+    """Column j of the A of the triple (G, H, u)."""
+    return gen_matvec(_triple(f, G, H, u), _unit(f, len(H), j))
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +252,12 @@ def _apply(gen: Generator, X: np.ndarray) -> np.ndarray:
 
 def _border(f: PrimeField, G, H, u, ell: int, row_l=None):
     """Row and column ℓ−1 of A, which border every block of the partition
-    at ℓ.  A caller already holding row ℓ−1 passes it as row_l, which saves
-    α convolutions."""
+    at ℓ, both read from one _triple.  A caller already holding row ℓ−1
+    passes it as row_l, which saves a product chain."""
+    t = _triple(f, G, H, u)
     if row_l is None:
-        row_l = _row_of(f, G, H, u, ell - 1)
-    return row_l, _col_of(f, G, H, u, ell - 1)
+        row_l = gen_matvec(gen_transpose(t), _unit(f, t.m, ell - 1))
+    return row_l, gen_matvec(t, _unit(f, t.n, ell - 1))
 
 
 def _schur(f: PrimeField, G, H, u, ell: int, Y, Z, inv11_t, row_l, col_l):
@@ -395,11 +374,9 @@ def lp_inv(f: PrimeField, G, H, u) -> LpInvResult:
         inv_t = gen_transpose(_gen_block_inv(f, Y, Z, v))
         GS, HS, uS = _schur(f, G, H, u, ell, Y, Z, inv_t, *_border(f, G, H, u, ell))
 
-    # the rank is ℓ exactly when the Schur complement vanishes, i.e. when its
-    # (G, H, last row) triple describes the zero matrix
-    Gb = _hstack([GS, _unit(f, m - ell, 0)])
-    Hb = _hstack([HS, uS])
-    if compress_pair(f, Gb, Hb)[1].shape[1] == 0:
+    # the rank is ℓ exactly when the Schur complement vanishes, i.e. when
+    # the generator of its triple compresses to width 0
+    if gen_compress(_triple(f, GS, HS, uS)).alpha == 0:
         return LpInvResult(OK, ell, Y, Z, v)
     return LpInvResult(FAILURE)
 
@@ -431,13 +408,12 @@ def precond(f: PrimeField, G, H, u1: TriangularToeplitzPreconditioner,
     h2 = _hstack([_unit(f, n, 0),
                   np.concatenate([f.zeros(1), v2a[::-1][:-1]])])
 
-    ag2 = _columns(functools.partial(gen_matvec, gen), g2)
-    ath1 = _columns(functools.partial(gen_matvec, tgen), h1)
-
-    Gt = _hstack([u1.apply_transpose(G), g1, u1.apply_transpose(ag2)])
-    Ht = _hstack([u2.apply_transpose(H), u2.apply_transpose(ath1), h2])
-    ut = u2.apply_transpose(gen_matvec(tgen, _unit(f, m, m - 1)))
-    return Gt, Ht, ut
+    ath1 = u2.apply_transpose(product_chain(tgen, h1))
+    Gt = _hstack([u1.apply_transpose(G), g1, u1.apply_transpose(product_chain(gen, g2))])
+    Ht = _hstack([u2.apply_transpose(H), ath1, h2])
+    # Ã's last row is U(v₂)ᵗ·Aᵗ·U(v₁)·e_{m−1}, and U(v₁)·e_{m−1} = e_{m−1}
+    # is h1's first column
+    return Gt, Ht, ath1[:, 0]
 
 
 def _sample_vector(f: PrimeField, rng, size: int, bound: int) -> np.ndarray:

@@ -15,9 +15,12 @@ from dispmat.poly import DimensionMismatch
 from dispmat.generators import (
     Generator,
     _column_decompose,
+    densify,
+    gen_compress,
     gen_matvec,
     hankel_operator,
     reconstruct_dense,
+    shift_operator,
 )
 from dispmat.oracle import (
     Singular,
@@ -44,6 +47,7 @@ from dispmat.structsolve import (
     _gen_block_12,
     _gen_block_21,
     _row_of,
+    _triple,
     densify_from_last_row,
     inv,
     inv_generator,
@@ -112,6 +116,34 @@ def test_densify_and_entry_extraction(any_field):
             assert np.array_equal(_row_of(f, G, H, u, i), A[i])
         for j in range(n):
             assert np.array_equal(_col_of(f, G, H, u, j), A[:, j])
+
+
+def test_triple_is_a_generator_under_the_invertible_shift(any_field):
+    # _triple reads (G, H, u) as ([G | e₀], [H | u]) under
+    # ∇_{Z_{m,1}, Z_{n,0}ᵗ}; compressed, its width is that operator's
+    # displacement rank of A, which is 0 exactly when A = 0: lp_inv's rank
+    # certificate
+    f = any_field
+    rng = np.random.default_rng(107)
+    shapes = [(1, 1), (1, 6), (6, 1), (5, 5), (4, 9), (9, 4)]
+    zero_widths = 0
+    for (m, n), fill in itertools.product(shapes, ("zero", "rank1", "random")):
+        if fill == "zero":
+            A = f.zeros((m, n))
+        elif fill == "rank1":
+            A = f.mat_mul(f.arr(rng.integers(0, f.p, (m, 1))),
+                          f.arr(rng.integers(0, f.p, (1, n))))
+        else:
+            A = f.arr(rng.integers(0, f.p, (m, n)))
+        G, H, u = _triple_from_dense(f, A)
+        t = _triple(f, G, H, u)
+        assert t.operator is shift_operator(f, m, 1, n, 0)
+        assert np.array_equal(densify(t), A)
+        width = gen_compress(t).alpha
+        assert width == dense_rank(f, dense_apply_operator(t.operator, A))
+        assert (width == 0) == (not np.any(A))
+        zero_widths += width == 0
+    assert zero_widths >= len(shapes)
 
 
 def test_bordered_block_generators(any_field):
@@ -283,7 +315,10 @@ def test_largest_full_width_corner(f):
     # m = n = alpha = 3, not a power of two: the generator is as wide as the
     # matrix, with last columns of G that do and do not lie in the span of
     # the others.  These random triples need not keep the triple contract in
-    # row 0; only the dense base case, which never reads row 0, runs here.
+    # row 0.  Only the dense base case runs here, and it reads the triple as
+    # the generator ([G | e₀], [H | u]) under ∇_{Z_{m,1}, Z_{n,0}ᵗ}
+    # (_triple), so A is that generator's matrix, as densify_from_last_row
+    # gives it; its last row is u only where the contract holds.
     rng = np.random.default_rng(113)
     for trial in range(40):
         m = 3
@@ -368,18 +403,25 @@ def test_preconditioner_requires_unit_head(f):
 
 
 def test_preconditioner_matches_dense_toeplitz(f):
+    # vectors and blocks of 1, 3 and 0 columns, over an int64 and the
+    # object-dtype field; at m = 300 a block takes the transform
     rng = np.random.default_rng(131)
-    m = 7
-    v = f.arr(np.concatenate([[1], rng.integers(0, f.p, m - 1)]))
-    U = f.zeros((m, m))
-    for j in range(m):
-        U[j:, j] = v[: m - j]
-    u = TriangularToeplitzPreconditioner(f, v)
-    x = f.arr(rng.integers(0, f.p, m))
-    assert np.array_equal(u.apply(x), f.mat_mul(U, x.reshape(-1, 1)).ravel())
-    assert np.array_equal(
-        u.apply_transpose(x), f.mat_mul(U.T, x.reshape(-1, 1)).ravel()
-    )
+    for fld, m in itertools.product((f, get_field(BENCH_PRIME)), (7, 1, 300)):
+        v = fld.arr(np.concatenate([[1], rng.integers(0, fld.p, m - 1)]))
+        U = fld.zeros((m, m))
+        for j in range(m):
+            U[j:, j] = v[: m - j]
+        u = TriangularToeplitzPreconditioner(fld, v)
+        x = fld.arr(rng.integers(0, fld.p, m))
+        assert np.array_equal(u.apply(x), fld.mat_mul(U, x.reshape(-1, 1)).ravel())
+        assert np.array_equal(
+            u.apply_transpose(x), fld.mat_mul(U.T, x.reshape(-1, 1)).ravel()
+        )
+        for k in (1, 3, 0):
+            X = fld.arr(rng.integers(0, fld.p, (m, k)))
+            assert u.apply(X).shape == u.apply_transpose(X).shape == (m, k)
+            assert np.array_equal(u.apply(X), fld.mat_mul(U, X))
+            assert np.array_equal(u.apply_transpose(X), fld.mat_mul(U.T, X))
 
 
 def test_precond_conjugates_and_widens(any_field):

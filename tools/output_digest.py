@@ -6,9 +6,10 @@ same.
 
 SRC_DIR is the `src` directory of a checkout; `dispmat` is imported from
 there, so two checkouts can be compared side by side.  With --labels, one
-`label sha256` line per output follows the three digest lines (the third
+`label sha256` line per output follows the four digest lines (the third
 digest's labels prefixed `reused:`), so that two checkouts can be diffed
-label by label.  The digest covers
+label by label (the fourth digest's labels prefixed `las-vegas:`).  The
+first digest covers
 `struct_mul`, `gen_matvec`, `reconstruct_dense`, `solve_generator` and
 `inv_generator` for four primes (998244353, 2281701377, 2^31 − 1 and the
 62-bit prime), the eight operator variants in each of the three family
@@ -29,6 +30,22 @@ generators that have been used before: after all the outputs above on a
 generator, one more `struct_mul` with 4 columns and one more `gen_matvec`,
 drawn from a random stream of their own, so the first two lines do not
 depend on them.
+
+Every case above is below the solver's crossover, so the three lines never
+reach its Las Vegas route (`largest_rec`, `precond`, the Schur step).  The
+fourth line is a digest of its own over that route, with both crossover
+constants of `structsolve` set to 2 while it runs and restored after, so
+that only min(m, n) < 2α stays dense.  On the four primes and the eight
+operator variants in the general, geometric and single-power flavours, at
+24×24 with α = 3, it covers `solve_generator` (planted right-hand side,
+rng seeds 0 and 1) and `inv_generator` on a random generator, and
+`solve_generator` with b = 0 (both seeds) and `inv_generator` on a
+singular matrix of rank 23 carried by the canonical generator of its
+displacement.  The shift-format `inv` and `solve` run on generators whose
+last column depends on the others: 24×24 (inverse and planted right-hand
+side, then a singular matrix inverted and solved with b = 0), 40×32
+(planted and random right-hand side) and 32×40 (planted and b = 0).  Every result is hashed
+with its status and route.
 
 Products, reconstructions, inverse tables and inverses are unique exact
 values: `inv_generator` returns the canonical generator of A⁻¹, which
@@ -60,6 +77,10 @@ CONV = (((), (), 1, 1), ((), (), 24, 25), ((), (), 56, 54), ((), (), 55, 55),
         ((4,), (4,), 25, 24), ((3, 1), (1, 4), 20, 13), ((6,), (), 40, 1))
 # (rows, k, cols, bound a, bound b) for pm_mul over 2^64 - 59
 PM_MUL = ((1, 9, 1, 24, 24), (1, 3, 1, 2, 2), (2, 3, 4, 2, 2), (3, 2, 2, 16, 9))
+# the Las Vegas line: the variants' format, the rng seeds of each solve,
+# and the formats of the shift-format solves
+LV_FORMAT, LV_SEEDS = 24, (0, 1)
+LV_SHIFT_FORMATS = ((24, 24), (40, 32), (32, 40))
 # (P flavour, Q flavour, m, n) for the mixed-flavour inverse tables
 MIXED = [(fp, fq, m, n)
          for fp, fq in (("single_power", "general"), ("single_power", "geometric"),
@@ -101,15 +122,18 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, argv[1])
     from dispmat.cli import draw_family, draw_operator, pade_solve, plant_pade
     from dispmat.field import get_field
-    from dispmat.generators import Generator, gen_matvec, reconstruct_dense
+    from dispmat import structsolve
+    from dispmat.generators import (
+        Generator, compress_pair, displacement, gen_matvec, hankel_operator,
+        reconstruct_dense)
     from dispmat.operators import (
         STEIN, SYLVESTER, DisplacementOperator, inverse_table, op_invertible)
     from dispmat.poly import NotCoprime, family_build, trim
     from dispmat.polymat import pm_mul
     from dispmat.structmul import struct_mul
-    from dispmat.structsolve import inv_generator, solve_generator
+    from dispmat.structsolve import inv, inv_generator, solve, solve_generator
 
-    digest, reuse = Digest(), Digest("reused:")
+    digest, reuse, lv = Digest(), Digest("reused:"), Digest("las-vegas:")
     feed = digest.feed
 
     def rand(f, rng, *shape):
@@ -194,8 +218,70 @@ def main(argv: list[str]) -> int:
         feed(f"pm_mul/{rows},{k},{cols}/{ba},{bb}", pm_mul(f, a, b))
     print(digest.line(", extended"))
     print(reuse.line(", reused generators"))
+
+    def feed_result(label, res):
+        lv.feed(label, f"{res.status}:{res.route}")
+        if hasattr(res, "x"):
+            lv.feed(label + ".x", res.x)
+        else:
+            lv.feed(label + ".G", res.Y)
+            lv.feed(label + ".H", res.Z)
+
+    def singular(f, rng, gen):
+        """A generator of A·(I − x·e₀ᵗ), x[0] = 1, which has x in its kernel."""
+        x = rand(f, rng, gen.n)
+        x[0] = 1
+        A = reconstruct_dense(gen)
+        A[:, 0] = (A[:, 0] - gen_matvec(gen, x)) % f.p
+        G, H = compress_pair(f, displacement(gen.operator, A),
+                             f.arr(np.eye(gen.n, dtype=np.int64)))
+        return Generator(G, H, gen.operator)
+
+    saved = structsolve.DENSE_PER_WIDTH, structsolve.DENSE_PER_WIDTH_OBJECT
+    structsolve.DENSE_PER_WIDTH = structsolve.DENSE_PER_WIDTH_OBJECT = 2
+    try:
+        for pi, p in enumerate(PRIMES):
+            f = get_field(p)
+            m = LV_FORMAT
+            cases = itertools.product((SYLVESTER, STEIN), (False, True), (False, True),
+                                      FLAVORS[:-1])
+            for ci, (kind, tp, tq, flavor) in enumerate(cases):
+                label = f"{p}/{kind}/{int(tp)}{int(tq)}/{flavor}/{m}x{m}"
+                rng = np.random.default_rng([pi, 2000 + ci])
+                op = draw_operator(f, rng, m, m, kind, flavor, tp, tq)
+                gen = Generator(rand(f, rng, m, ALPHA), rand(f, rng, m, ALPHA), op)
+                low = singular(f, rng, gen)
+                b = gen_matvec(gen, rand(f, rng, m))
+                for seed in LV_SEEDS:
+                    feed_result(f"{label}/solve{seed}", solve_generator(gen, b, rng_seed=seed))
+                    feed_result(f"{label}/kernel{seed}",
+                                solve_generator(low, f.zeros(m), rng_seed=seed))
+                feed_result(label + "/inv", inv_generator(gen))
+                feed_result(label + "/inv.singular", inv_generator(low))
+            for ci, (m, n) in enumerate(LV_SHIFT_FORMATS):
+                label = f"{p}/shift/{m}x{n}"
+                rng = np.random.default_rng([pi, 3000 + ci])
+                G, H = rand(f, rng, m, ALPHA + 1), rand(f, rng, n, ALPHA + 1)
+                G[:, -1] = (G[:, 0] + 5 * G[:, 1]) % f.p
+                gen = Generator(G, H, hankel_operator(f, m, n))
+                b = gen_matvec(gen, rand(f, rng, n))
+                if m == n:
+                    low = singular(f, rng, gen)
+                    feed_result(label + "/inv", inv(f, G, H, rng_seed=ci))
+                    feed_result(label + "/solve", solve(f, G, H, b, rng_seed=ci))
+                    feed_result(label + "/inv.singular", inv(f, low.G, low.H, rng_seed=ci))
+                    feed_result(label + "/kernel",
+                                solve(f, low.G, low.H, f.zeros(m), rng_seed=ci))
+                    continue
+                for seed in LV_SEEDS:
+                    feed_result(f"{label}/solve{seed}", solve(f, G, H, b, rng_seed=seed))
+                other = rand(f, rng, m) if m > n else f.zeros(m)
+                feed_result(label + "/other", solve(f, G, H, other, rng_seed=ci))
+    finally:
+        structsolve.DENSE_PER_WIDTH, structsolve.DENSE_PER_WIDTH_OBJECT = saved
+    print(lv.line(", Las Vegas route"))
     if labels:
-        print("\n".join(digest.labels + reuse.labels))
+        print("\n".join(digest.labels + reuse.labels + lv.labels))
     return 0
 
 
