@@ -12,9 +12,12 @@ transforms into a handful of numpy calls.  On int64 fields it is a
 mixed-radix four-step transform (Bailey 1990): each pass is an exact
 float64 product with a DFT matrix of size at most 128, split into two
 15-bit limbs so that every partial sum is an integer below 2^52, and so
-runs through BLAS dgemm (Dumas, Giorgi and Pernet 2008); twiddles and
-reductions between passes are float64 array operations, over slabs of rows
-small enough to stay in cache.  Object-dtype fields run a radix-2 loop.
+runs through BLAS dgemm (Dumas, Giorgi and Pernet 2008).  A block of one
+slab of rows, small enough to stay in cache, whose length is at most
+_NTT_MERGED_MAX takes one matrix product per pass, the twiddles folded into
+per-column matrices; any other block runs slab by slab, with twiddles and
+reductions between passes as float64 array operations.
+Object-dtype fields run a radix-2 loop.
 
 Convolution has one exact kernel for every prime: residues are cut into
 16-bit int64 limbs, or kept whole when the shorter factor has at most slack
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -69,6 +72,12 @@ _WHOLE_CONV_TERMS_OBJECT = 3024
 # work arrays (4 × 8 bytes × slab) stay in a core's L2 cache
 _NTT_SLAB = 1 << 14
 
+# the longest transform length whose blocks of at most one slab take ntt's
+# one-slab form (at most two merged passes, no scratch or slab loop); longer
+# ones, and larger blocks, take the slab form (tools/route_sweep.py,
+# BENCH_20.json)
+_NTT_MERGED_MAX = 1024
+
 # log2 of the largest DFT matrix a transform pass multiplies by
 _NTT_RADIX_BITS = 7
 
@@ -92,6 +101,15 @@ def _as_int(v) -> int:
     if isinstance(v, (float, np.floating)) and not (abs(v) < 2.0**53 and v == int(v)):
         raise ValueError(_LOSSY_FLOAT)
     return int(v)
+
+
+class _Plan(NamedTuple):
+    """An int64 field's transform of one length and direction: the passes
+    of the slab form, and the matrices of the one-slab form (None above
+    _NTT_MERGED_MAX or beyond two passes)."""
+
+    passes: tuple
+    merged: tuple | None
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -160,7 +178,7 @@ class PrimeField:
         self.two_adicity = t
         self._generator: int | None = {DEFAULT_PRIME: 3, BENCH_PRIME: 3}.get(p)
         # ntt plans (int64 fields) or root powers (object fields) per (n, invert)
-        self._root_cache: dict[tuple[int, bool], tuple | np.ndarray] = {}
+        self._root_cache: dict[tuple[int, bool], _Plan | np.ndarray] = {}
         # products of two residues an int64 sum holds; 1 on object arrays
         self._slack = max(1, (1 << 63) // (p * p))
         # bit offsets of the 16-bit limbs of a residue, one row per limb
@@ -277,9 +295,11 @@ class PrimeField:
         R is the reduced row echelon form of M, pivots the pivot column of
         each nonzero row of R, and order[i] the row of M that became row i
         of R.  A column's pivot is its first nonzero entry at or below the
-        current row, so the lowest row index wins.  Each pivot step updates
-        the whole matrix in one array operation: col·row < p² stays within
-        int64 below _INT64_SAFE_BOUND, and object arrays are exact above it.
+        current row, so the lowest row index wins.  A column without a pivot
+        ends the elimination when the rows below the last pivot are all zero.
+        Each pivot step updates the whole matrix in one array operation:
+        col·row < p² stays within int64 below _INT64_SAFE_BOUND, and object
+        arrays are exact above it.
         """
         R = np.array(M, dtype=self.dtype)
         rows, cols = R.shape
@@ -291,6 +311,8 @@ class PrimeField:
                 break
             nz = np.flatnonzero(R[r:, c])
             if not len(nz):
+                if not R[r:, c + 1:].any():  # rows r.. are zero: no pivot is left
+                    break
                 continue
             src = r + int(nz[0])
             if src != r:
@@ -332,20 +354,42 @@ class PrimeField:
         out.setflags(write=False)
         return out
 
-    def _ntt_plan(self, n: int, invert: bool) -> tuple:
-        """The passes of a length-n transform on an int64 field, cached per
-        (n, invert): one (matrix, twiddles) pair per pass.
+    def _limb_stack(self, v: np.ndarray) -> np.ndarray:
+        """The limbs of _limb_pair with the high one times 2^15, read-only.
+        The factor is a power of two, so a product with the high limb is
+        exact wherever the unscaled one is."""
+        out = self._limb_pair(v) * np.array([1.0, 32768.0]).reshape((2,) + (1,) * v.ndim)
+        out.setflags(write=False)
+        return out
 
-        The radices L_i are powers of two, balanced, largest first, each at
-        most the largest L with L·p·B ≤ 2^52 (B the limb bound of
-        _limb_pair) and at most 2^_NTT_RADIX_BITS.  A pass of radix L over
-        rows of length r = L·m holds the two limbs of the L-point DFT
-        matrix: shape (2, 1, L, L), applied along the leading axis of each
-        row seen as (L, m), with the two limbs of the twiddles w_r^(k·j),
-        shape (2, L, m); the last pass (m = 1) has shape (2, L, L), applied
-        along the last axis, and no twiddles.  n⁻¹ of an inverse transform
-        is folded into the first pass's twiddles, or into the matrix of a
-        one-pass plan.
+    def _ntt_plan(self, n: int, invert: bool) -> _Plan:
+        """The transform plan for length n on an int64 field, cached per
+        (n, invert): the passes of the slab form and, for n ≤
+        _NTT_MERGED_MAX, the one-slab form.
+
+        Slab form (passes): the radices L_i are powers of two, balanced,
+        largest first, each at most the largest L with L·p·B ≤ 2^52 (B the
+        limb bound of _limb_pair) and at most 2^_NTT_RADIX_BITS.  A pass of
+        radix L over rows of length r = L·m holds the two limbs of the
+        L-point DFT matrix: shape (2, 1, L, L), applied along the leading
+        axis of each row seen as (L, m), with the two limbs of the twiddles
+        w_r^(k·j), shape (2, L, m); the last pass (m = 1) has shape
+        (2, L, L), applied along the last axis, and no twiddles.  n⁻¹ of an
+        inverse transform is folded into the first pass's twiddles, or into
+        the matrix of a one-pass plan.
+
+        One-slab form (merged, _ntt_merged_form), for lengths of one or two
+        passes: a one-pass length keeps its n×n matrix; a two-pass length
+        n = L·m, the smaller radix L first, keeps m first-pass matrices of
+        L×L, one per column j2 of the rows seen as (L, m), with the twiddles
+        w_n^(k1·j2) and n⁻¹ folded in, and the m×m DFT matrix of the last
+        pass.  Each matrix is stored as its limbs (lo, 2^15·hi) on a leading
+        axis (_limb_stack), so the first pass holds 2·m·L² = 2·n·L floats,
+        512 KB at n = 1024 = _NTT_MERGED_MAX.  Longer lengths build no such
+        form: it lost to the slab form on one row of 4096 (a 4 MB first
+        pass) and of 8192, and at 2048, a length toeplitz-mul transforms
+        only in blocks of several slabs, it saved 1-18% for 1 MB per
+        direction.
         """
         key = (n, invert)
         plan = self._root_cache.get(key)
@@ -356,21 +400,41 @@ class PrimeField:
             bits = n.bit_length() - 1
             count = max(1, -(-bits // min(_NTT_RADIX_BITS, room)))
             scale = self.inv(n) if invert else 1
-            plan, rest = [], n
+            passes, rest = [], n
             for i in range(count):
                 L = 1 << (bits // count + (i < bits % count))
                 m = rest // L
                 k = np.arange(L)
                 dft = self.powers(self._root(L, invert), L)[np.outer(k, k) % L]
                 if m == 1:
-                    plan.append((self._limb_pair(dft * scale % p), None))
+                    passes.append((self._limb_pair(dft * scale % p), None))
                 else:
                     tw = self.powers(self._root(rest, invert), rest)[np.outer(k, np.arange(m))]
-                    plan.append((self._limb_pair(dft)[:, None], self._limb_pair(tw * scale % p)))
+                    passes.append((self._limb_pair(dft)[:, None], self._limb_pair(tw * scale % p)))
                 scale, rest = 1, m
-            plan = tuple(plan)
+            merged = self._ntt_merged_form(n, invert, count) if n <= _NTT_MERGED_MAX else None
+            plan = _Plan(tuple(passes), merged)
             self._root_cache[key] = plan
         return plan
+
+    def _ntt_merged_form(self, n: int, invert: bool, count: int) -> tuple | None:
+        """The matrices of ntt's one-slab form for a length of count passes
+        (see _ntt_plan), or None beyond two passes."""
+        if count > 2:
+            return None
+        p = self.p
+        w = self.powers(self._root(n, invert), n)
+        scale = self.inv(n) if invert else 1
+        if count == 1:
+            k = np.arange(n)
+            return (self._limb_stack(w[np.outer(k, k) % n] * scale % p),)
+        L = 1 << ((n.bit_length() - 1) // 2)
+        m = n // L
+        # entry (j2, j1, k1) of the first pass: w_n^(j·k1) for j = m·j1 + j2
+        j = m * np.arange(L)[None, :, None] + np.arange(m)[:, None, None]
+        k = np.arange(m)
+        return (self._limb_stack(w[j * np.arange(L) % n] * scale % p),
+                self._limb_stack(w[L * np.outer(k, k) % n]))
 
     def _reduce(self, v: np.ndarray, t: np.ndarray, rounding=np.rint,
                 out: np.ndarray | None = None) -> np.ndarray:
@@ -432,6 +496,45 @@ class PrimeField:
         inner = out.reshape(out.shape[:-1] + (m, L)).swapaxes(-1, -2)
         self._dft(y.reshape(rows * L, m), plan[1:], inner, work, t)
 
+    def _settle(self, prod: np.ndarray, final: bool) -> np.ndarray:
+        """lo + 2^15·hi of a product with the limb matrices of _limb_stack,
+        prod = (lo sums, 2^15·hi sums) on its first axis: reduced into
+        (-p, p), or into [0, p) when final; prod is overwritten.
+
+        The high half is reduced modulo 2^15·p as _reduce does modulo p:
+        scaling by a power of two keeps that arithmetic exact and leaves it
+        within 2^15·(p/2 + 2).  Its sum with the low half, below 2^52 + 2^46,
+        is reduced by _reduce, and once more with floor when final."""
+        lo, hi = prod
+        c = 32768.0 * self.p
+        q = hi * (1.0 / c)
+        np.rint(q, out=q)
+        q *= c
+        hi -= q
+        hi += lo
+        self._reduce(hi, q)
+        if final:
+            self._reduce(hi, q, np.floor)
+        return hi
+
+    def _ntt_merged(self, src: np.ndarray, merged: tuple) -> np.ndarray:
+        """The transform of each row of the int64 (rows, n) residues src by
+        the one-slab form of _ntt_plan: one matrix product per pass and no
+        scratch, recursion or slab loop.  A two-pass length n = L·m takes
+        the rows as (L, m) blocks; the first pass multiplies column j2 of
+        each block by its own L×L matrix, twiddles included, in one stacked
+        product over the m columns; the last pass takes the m-point DFT of
+        every row k1 of the result, which is output k1 + L·k2."""
+        rows, n = src.shape
+        if len(merged) == 1:
+            return self._settle(src.astype(np.float64) @ merged[0], True).astype(np.int64)
+        first, last = merged
+        m, L = first.shape[1:3]
+        x = src.reshape(rows, L, m).transpose(2, 0, 1).astype(np.float64, order="C")
+        y = self._settle(x @ first, False).reshape(m, rows * L)
+        z = self._settle(last @ y, True).reshape(m, rows, L)
+        return z.transpose(1, 0, 2).astype(np.int64, order="C").reshape(rows, n)
+
     def ntt(self, a: np.ndarray, invert: bool = False) -> np.ndarray:
         """In-order NTT along the last axis of residues in [0, p), for any
         leading shape and a power-of-two length within capacity, scaled by
@@ -440,16 +543,26 @@ class PrimeField:
 
         On int64 fields (p < 2^31.5) this is a mixed-radix four-step
         transform (Bailey 1990) whose passes are exact float64 matrix
-        products (Dumas, Giorgi and Pernet 2008): rows run in slabs of
-        _NTT_SLAB elements, and each pass multiplies the slab by the two
-        15-bit limbs of an L×L DFT matrix (see _ntt_plan and _dft).  The
-        data stays whole with |x| < p, so a partial sum of a pass is an
-        integer below L·p·B ≤ 2^52 (B ≤ 2^15.5, the limb bound): every one
-        is exact in float64, and the result does not depend on the BLAS
-        summation order or on FMA.  Between passes the limb sums and the
+        products (Dumas, Giorgi and Pernet 2008), in one of two forms (see
+        _ntt_plan).  A block of at most _NTT_SLAB elements whose length is
+        at most _NTT_MERGED_MAX takes the one-slab form (_ntt_merged): at
+        most two passes, each one matrix product with the twiddles folded
+        into per-column matrices and one reduction (_settle), with no
+        scratch, recursion or slab loop.  On a 2-core Xeon VM it took
+        0.57-0.96 of the slab form's time on every such shape but one (256
+        rows of 64, 1.09), and lost on some blocks of two slabs (up to
+        1.21x) and on one row of 4096 or 8192 (1.7-1.8x)
+        (tools/route_sweep.py, BENCH_20.json).  Every other block takes the
+        slab form: rows run in slabs of _NTT_SLAB elements, and each pass
+        multiplies the slab by the two 15-bit limbs of an L×L DFT matrix
+        (see _dft).  The data stays whole with |x| < p, so a partial sum of
+        a pass is an integer below L·p·B ≤ 2^52 (B ≤ 2^15.5, the limb
+        bound): every one is exact in float64, and the result does not
+        depend on the BLAS summation order or on FMA.  Between passes the limb sums and the
         twiddle products (limbs times data, below 2^47) are folded as
         lo + 2^15·hi and reduced by v - rint(v·(1/p))·p, exact for
         |v| < 2^53 (_reduce); the last pass lands in [0, p) with floor.
+        The one-slab form has the same bound on its sums.
 
         Object-dtype fields run a radix-2 loop on Python ints.
         """
@@ -460,6 +573,15 @@ class PrimeField:
             return self._ntt_object(a, invert)
         plan = self._ntt_plan(n, invert)
         src = np.asarray(a).reshape(-1, n)
+        if plan.merged is not None and src.size <= _NTT_SLAB:
+            return self._ntt_merged(src, plan.merged).reshape(a.shape)
+        return self._ntt_slabs(src, plan.passes).reshape(a.shape)
+
+    def _ntt_slabs(self, src: np.ndarray, passes: tuple) -> np.ndarray:
+        """The transform of each row of the int64 (rows, n) residues src by
+        the slab form of _ntt_plan: slabs of _NTT_SLAB elements, one _dft
+        each, through preallocated float64 scratch."""
+        n = src.shape[1]
         out = np.empty(src.shape, dtype=np.int64)
         rows = max(1, _NTT_SLAB // n)
         x = np.empty((min(rows, len(src)), n))
@@ -469,8 +591,8 @@ class PrimeField:
             block = out[lo:lo + rows]
             xs = x[:len(block)]
             np.copyto(xs, src[lo:lo + rows], casting="unsafe")
-            self._dft(xs, plan, block, work, t)
-        return out.reshape(a.shape)
+            self._dft(xs, passes, block, work, t)
+        return out
 
     def _ntt_object(self, a: np.ndarray, invert: bool) -> np.ndarray:
         """ntt on Python ints: a bit-reversed gather, then one radix-2

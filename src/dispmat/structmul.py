@@ -12,7 +12,10 @@ mulQ lifts the x^n truncation to an arbitrary monic modulus with the
 reversed-quotient trick, and product_chain wires that into the
 reconstruction chain: the one route by which the library multiplies an
 (m x n) structured matrix by beta vectors, whether through struct_mul,
-gen_matvec or densify.
+gen_matvec or densify.  For a general modulus and several columns the chain
+takes mulQ only above _DIRECT_PAIRS = 16 pair products (alpha·beta); up to
+it the classical sum of every pair product (_mul_direct) ran faster on all
+but one shape from n = 64 to 2048 (tools/route_sweep.py, BENCH_20.json).
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ from .poly import (
 from .polymat import Evaluated, evaluate, pm_mul, points_product
 
 MUL_CUTOFF = 16
+
+# product_chain takes the direct sum for a general Q up to this many pair
+# products alpha·beta (or one column), mulQ above it (tools/route_sweep.py,
+# BENCH_20.json)
+_DIRECT_PAIRS = 16
 
 
 class PreconditionViolated(ValueError):
@@ -208,8 +216,9 @@ def _mul_direct(f: PrimeField, U: np.ndarray, V: np.ndarray, W: np.ndarray,
     blocks U (alpha, ·), V (alpha, ·), W (beta, ·), as a block (beta,
     len U + deg Q − 1): every product V_k·W_i and its reduction in one array
     step each, then one polynomial-matrix product with U.  Cheaper than
-    mulQ's transforms for a single column, free of its alpha <= deg Q
-    limit, and the route of mulQ itself where it has no transform."""
+    mulQ's transforms up to _DIRECT_PAIRS pair products, free of its
+    alpha <= deg Q limit, and the route of mulQ itself where it has no
+    transform."""
     T = modulus.rem(f.conv(V, W[:, None, :])[..., None, :])[..., 0, :]
     return pm_mul(f, T, U[:, None, :])[:, 0, :]
 
@@ -300,9 +309,14 @@ def product_chain(gen: Generator, B: np.ndarray) -> np.ndarray:
     Stein), the reduction to the blocks of P, and the blockwise modular
     products with the inverses of Q.  Every stage takes all beta columns of
     B (and all alpha columns of G and H) as one block.  The middle product
-    goes through mulQ, except for a single column, alpha > n or a binomial
-    Q, where the direct sum is used: for several columns and a binomial Q
-    the one at half length, when the prime has its transforms.
+    goes through mulQ above _DIRECT_PAIRS = 16 pair products alpha·beta,
+    and through the direct sum up to it, for a single column, for
+    alpha > n and for a binomial Q: for several columns and a binomial Q
+    the one at half length, when the prime has its transforms.  The rule is read off the sweep of
+    tools/route_sweep.py (BENCH_20.json, a 2-core Xeon VM): up to 16 pair
+    products the direct sum took 0.66-0.99 of mulQ's time on every shape
+    from n = 64 to 2048 but n = 2048, alpha = 2, beta = 8 (1.08), and from
+    32 on it lost on most shapes at n >= 1024.
 
     What depends on the generator alone is kept in its store
     (Generator.cached) by the first product that needs it: the basic
@@ -327,7 +341,7 @@ def product_chain(gen: Generator, B: np.ndarray) -> np.ndarray:
     c = fam_q.levels[-1].binomial
     if c is not None and beta > 1 and _points(m + n - 1) <= f.ntt_capacity():
         R = _mul_halves(f, gen.cached("halves", lambda: _halves_side(f, lhs, etas, n, c)), cols)
-    elif beta == 1 or gen.alpha > n or c is not None:
+    elif beta == 1 or gen.alpha * beta <= _DIRECT_PAIRS or gen.alpha > n or c is not None:
         R = _mul_direct(f, lhs, etas, cols, fam_q.levels[-1])
     else:
         R = mulQ(f, lhs, etas, cols, fam_q.product)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispmat.field import (
+    _NTT_MERGED_MAX,
     _NTT_SLAB,
     _SPLIT_CONV_CUTOFF,
     _WHOLE_CONV_TERMS_OBJECT,
@@ -172,36 +173,58 @@ def _naive_dft(f, rows, w):
 # 128 at 998244353, 64 at 2013265921 and 32 at 2281701377, the int64 NTT
 # prime whose 2^52 bound on a pass's partial sums is the tightest; p62 runs
 # the radix-2 loop on object arrays.  Lengths 512 and 2048 take two or three
-# passes, and one row more than a slab holds leaves a partial last slab.
+# passes, and one row more than a slab leaves a partial last slab.  A block
+# of at most one slab whose length is at most _NTT_MERGED_MAX (and takes at
+# most two passes) runs the one-slab form, every other block the slab form:
+# the cases cover exactly one slab and one row more at the longest such
+# length, and one row on both sides of the length cut.
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 2013265921, 2281701377, BENCH_PRIME])
-def test_ntt_matches_naive_dft(p):
+def test_ntt_matches_naive_dft(p, monkeypatch):
     f = get_field(p)
     rng = np.random.default_rng(23)
     cases = [(n, lead) for n in (1, 2, 8, 64, 256) for lead in ((), (3,))]
     if f.dtype is not object:
-        cases += [(n, (_NTT_SLAB // n + 1,)) for n in (512, 2048)]
+        cases += [(512, (_NTT_SLAB // 512 + 1,)), (2048, (_NTT_SLAB // 2048 + 1,)),
+                  (_NTT_MERGED_MAX, (_NTT_SLAB // _NTT_MERGED_MAX,)),
+                  (_NTT_MERGED_MAX, (_NTT_SLAB // _NTT_MERGED_MAX + 1,)),
+                  (2 * _NTT_MERGED_MAX, ())]
+    merged = []
+    real = PrimeField._ntt_merged
+    monkeypatch.setattr(PrimeField, "_ntt_merged",
+                        lambda self, src, form: merged.append(src.shape) or real(self, src, form))
     for n, lead in cases:
         w = f.pow(f.generator, (p - 1) // n)
         size = int(np.prod(lead, dtype=int)) * n
-        for low in (0, p - 1000):
-            vals = [low + int(v) % (p - low) for v in rng.integers(0, 2**62, size)]
-            a = f.arr(vals).reshape(lead + (n,))
-            before = a.copy()
-            rows = a.reshape(-1, n)
-            for invert, want in ((False, _naive_dft(f, rows, w)),
-                                 (True, _naive_dft(f, rows, f.inv(w)) * f.inv(n) % p)):
+        # random residues and random ones near p; all p - 1, the largest
+        # data, transforms to n·(p - 1) at 0 and zeros, and back to p - 1
+        blocks = [f.arr([low + int(v) % (p - low) for v in rng.integers(0, 2**62, size)])
+                  for low in (0, p - 1000)]
+        rows = np.stack(blocks).reshape(-1, n)
+        top = f.arr(np.full(size, p - 1))
+        for invert, root, scale in ((False, w, 1), (True, f.inv(w), f.inv(n))):
+            wants = list((_naive_dft(f, rows, root) * scale % p).reshape(len(blocks), size))
+            want_top = f.zeros((size // n, n))
+            want_top[:, 0] = (p - 1) * (1 if invert else n) % p
+            for vals, want in zip(blocks + [top], wants + [want_top.ravel()]):
+                a = vals.reshape(lead + (n,))
+                before = a.copy()
+                merged.clear()
                 got = f.ntt(a, invert=invert)
                 assert got.dtype == f.dtype and got.shape == a.shape
                 assert got.flags.c_contiguous
-                assert got.reshape(-1, n).tolist() == want.tolist()
+                assert got.ravel().tolist() == want.tolist()
                 assert all(0 <= int(v) < p for v in got.ravel())
                 assert np.array_equal(a, before)
+                if f.dtype is not object:
+                    one_slab = (size <= _NTT_SLAB and n <= _NTT_MERGED_MAX
+                                and len(f._ntt_plan(n, invert).passes) <= 2)
+                    assert merged == ([(size // n, n)] if one_slab else []), (n, lead)
 
 
 def _largest_radix(f):
     """The longest transform that takes a single pass."""
     n = 1
-    while len(f._ntt_plan(2 * n, False)) == 1:
+    while len(f._ntt_plan(2 * n, False).passes) == 1:
         n *= 2
     return n
 
@@ -210,24 +233,40 @@ def _largest_radix(f):
 def test_ntt_of_top_residues_at_the_largest_radix(p):
     """Entries p - 1 are the largest data a pass multiplies.  A constant c
     transforms to n·c at 0 and zeros, and back to c at 0 and zeros, in one
-    pass of the largest radix R and in two (R·R)."""
+    pass of the largest radix R and in two (R·R), in blocks of three rows
+    and of one row more than a slab, and at the longest length of the
+    one-slab form."""
     f = get_field(p)
     R = _largest_radix(f)
     assert R == {DEFAULT_PRIME: 128, 2013265921: 64, 2281701377: 32}[p]
-    for n in (R, R * R):
-        top = f.arr(np.full((3, n), p - 1))
-        want = f.zeros((3, n))
-        want[:, 0] = n * (p - 1) % p
-        assert np.array_equal(f.ntt(top), want)
-        want[:, 0] = p - 1
-        assert np.array_equal(f.ntt(top, invert=True), want)
+    for n in (R, R * R, _NTT_MERGED_MAX):
+        for rows in (3, _NTT_SLAB // n + 1):
+            top = f.arr(np.full((rows, n), p - 1))
+            want = f.zeros((rows, n))
+            want[:, 0] = n * (p - 1) % p
+            assert np.array_equal(f.ntt(top), want)
+            want[:, 0] = p - 1
+            assert np.array_equal(f.ntt(top, invert=True), want)
     # p - 1 where a row's hi limb is positive, 0 elsewhere: that row's
-    # largest hi-limb sum, the tightest case of the 2^52 bound
+    # largest hi-limb sum, the tightest case of the 2^52 bound, in one row
+    # and in a block of more than a slab
     w = f.pow(f.generator, (p - 1) // R)
     k = np.arange(R)
     dft = f.powers(w, R)[np.outer(k, k) % R]
     hi = (np.where(dft > p // 2, dft - p, dft) + (1 << 14)) >> 15
     a = np.where(hi > 0, p - 1, 0)
+    assert np.array_equal(f.ntt(a), _naive_dft(f, a, w))
+    block = np.tile(a, (_NTT_SLAB // (R * R) + 1, 1))
+    assert np.array_equal(f.ntt(block), _naive_dft(f, block, w))
+    # the same for the one-slab form's first pass at the longest two-pass
+    # length: p - 1 where the hi limb of output 1's entry in its column's
+    # matrix is positive
+    n = min(_NTT_MERGED_MAX, R * R)
+    first = f._ntt_plan(n, False).merged[0]
+    m, L = first.shape[1:3]
+    a = np.where(first[1, :, :, 1].T.reshape(-1) > 0, p - 1, 0)  # entry m·j1 + j2
+    w = f.pow(f.generator, (p - 1) // n)
+    assert m * L == n
     assert np.array_equal(f.ntt(a), _naive_dft(f, a, w))
 
 
@@ -433,6 +472,41 @@ def test_row_reduce_matches_oracle(p):
         assert sorted(order.tolist()) == list(range(rows))
         r = len(pivots)
         assert dense_rank(f, M[order[:r]]) == r
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, BENCH_PRIME])
+def test_row_reduce_stops_when_the_rows_left_are_zero(p, monkeypatch):
+    """Once the rows below the last pivot are zero, the next column without
+    a pivot ends the elimination: the column scans stop one past the last
+    pivot column, so the 64×64 rank-6 matrix takes 7, not 64.  R and
+    pivots match the oracle, and order puts rows of M of full rank first."""
+    from dispmat.oracle import _row_reduce, dense_rank
+
+    f = get_field(p)
+    rng = np.random.default_rng(17)
+
+    def rank_product(rows, cols, k):
+        return f.mat_mul(f.arr(rng.integers(0, p, (rows, k))), f.arr(rng.integers(0, p, (k, cols))))
+
+    last = rank_product(5, 6, 3)
+    last[:, 2:] = 0
+    last[:, 5] = rng.integers(1, p, 5)  # rank 3, last pivot in the last column
+    cases = [(f.zeros((7, 9)), 0), (rank_product(6, 8, 1), 1), (last, 3),
+             (rank_product(64, 64, 6), 6)]
+    scans = []
+    real = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: scans.append(1) or real(a))
+    for M, rank in cases:
+        scans.clear()
+        R, pivots, order = f.row_reduce(M)
+        count = len(scans)
+        want_R, want_pivots = _row_reduce(f, M)
+        assert R.tolist() == want_R.tolist() and pivots == want_pivots
+        assert len(pivots) == rank
+        assert count == min(M.shape[1], pivots[-1] + 2 if pivots else 1)
+        assert sorted(order.tolist()) == list(range(M.shape[0]))
+        assert dense_rank(f, M[order[:rank]]) == rank
+    assert pivots == list(range(6))
 
 
 def test_row_reduce_takes_the_first_nonzero_pivot():

@@ -19,6 +19,7 @@ from dispmat.structmul import (
     struct_mul,
 )
 from dispmat.generators import gen_matvec, reconstruct_dense
+from dispmat.operators import STEIN, SYLVESTER, DisplacementOperator, op_invertible
 from dispmat.oracle import dense_mul, dense_solve_displacement
 
 from conftest import rand_family, rand_generator, rand_operator
@@ -247,19 +248,56 @@ def test_struct_mul_matches_dense_product(any_field, monkeypatch):
 # 2^31-1 and 2^62-57 have two-adicity 1: every product takes the limb
 # kernel and the routes that need no transform (pm_mul entrywise, and mulQ's
 # hand-off to the direct sum).  2013265921 and 2281701377 send pm_mul and
-# mulQ through the transform at slack floor(2^63/p^2) = 2 and 1.
+# mulQ through the transform at slack floor(2^63/p^2) = 2 and 1.  Every
+# draw has more than _DIRECT_PAIRS pair products alpha·beta, so a general Q
+# takes mulQ, and the transform primes reach its recursion.
 @pytest.mark.parametrize("p", [2**31 - 1, 2**62 - 57, 2013265921, 2281701377])
 def test_struct_mul_matches_oracle_across_primes(p, monkeypatch):
     f = get_field(p)
     monkeypatch.setattr(structmul, "MUL_CUTOFF", 4)
+    recursions = []
+    real_rec = structmul.mul_rec
+    monkeypatch.setattr(structmul, "mul_rec",
+                        lambda *args: recursions.append(args) or real_rec(*args))
     rng = np.random.default_rng(29)
     for _ in range(8):
         m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         op = rand_operator(f, rng, m, n)
-        gen = rand_generator(f, rng, op, int(rng.integers(1, min(m, n) + 1)))
+        alpha = int(rng.integers(1, min(m, n) + 1))
+        gen = rand_generator(f, rng, op, alpha)
         A = dense_solve_displacement(op, f.mat_mul(gen.G, gen.H.T))
-        B = f.arr(rng.integers(0, 2**62, (n, int(rng.integers(1, 5)))))
+        beta = structmul._DIRECT_PAIRS // alpha + int(rng.integers(1, 4))
+        B = f.arr(rng.integers(0, 2**62, (n, beta)))
         assert np.array_equal(struct_mul(gen, B), dense_mul(f, A, B))
+    assert bool(recursions) == (f.two_adicity > 1)
+
+
+@pytest.mark.parametrize("kind", [SYLVESTER, STEIN])
+def test_product_chain_routes_a_general_q_by_pair_count(f, kind, monkeypatch):
+    """A general (non-binomial) Q takes the direct sum up to _DIRECT_PAIRS
+    pair products alpha·beta or for one column, and mulQ above it; both
+    match the dense product on both sides of the rule."""
+    rng = np.random.default_rng(31)
+    while True:
+        op = DisplacementOperator(kind, rand_family(f, rng, 20), rand_family(f, rng, 20))
+        if op.fam_q.levels[-1].binomial is None and op_invertible(op):
+            break
+    routes = []
+    for name in ("mulQ", "_mul_direct"):
+        real = getattr(structmul, name)
+        monkeypatch.setattr(structmul, name,
+                            lambda *args, real=real, name=name: routes.append(name) or real(*args))
+    rule = structmul._DIRECT_PAIRS
+    for alpha, beta in ((1, 2), (2, 8), (4, 4), (16, 1), (1, rule), (2, 9), (4, 5), (5, 4),
+                        (17, 1), (20, 3)):
+        gen = rand_generator(f, rng, op, alpha)
+        B = f.arr(rng.integers(0, f.p, (op.n, beta)))
+        A = dense_solve_displacement(op, f.mat_mul(gen.G, gen.H.T))
+        want = dense_mul(f, A, B)
+        routes.clear()
+        assert np.array_equal(struct_mul(gen, B), want), (alpha, beta)
+        direct = beta == 1 or alpha * beta <= rule
+        assert routes == (["_mul_direct"] if direct else ["mulQ"]), (alpha, beta)
 
 
 @pytest.mark.parametrize("transpose_p", [False, True])
