@@ -1,16 +1,19 @@
 """Inversion and linear solving for structured matrices, on two routes.
 
-The crossover rule (below_crossover): min(m, n) < DENSE_PER_WIDTH·α, or
-DENSE_PER_WIDTH_OBJECT·α over an object-dtype field, where α is the
-generator's length.  It is checked at the entry points, before anything
-else runs and after the shapes are checked: in inv and solve on their own
-α, in solve_generator and inv_generator on the generator's.  Below it the
-dense route forms A once (generators.densify) and eliminates once, [A | b]
-or [A | I]: the answer is deterministic, rng_seed is unused and failure
+The entry points are inv_generator and solve_generator, for a generator of
+length α under any invertible displacement operator.  Each decides its
+route once, after its shape checks and before anything else runs
+(_entry_is_dense): dense when below_crossover(f, min(m, n), α + 2), where
+α + 2 is the width to_hankel gives the shift core, or when α = 0 (then
+A = 0).  The dense
+route forms A once (generators.densify) and eliminates once, [A | b] or
+[A | I]: the answer is deterministic, rng_seed is unused and failure
 cannot occur.  inv_generator then forms D′ = L′(A⁻¹) densely under
-L′ = inverse_operator(op) and factors it once.  Above the rule the
-structured route below runs, and largest_rec checks the same rule again at
-every level of its recursion.  Results carry the route they took.
+L′ = inverse_operator(op) and factors it once.  Otherwise A goes through
+the shift core (_shift_core) to the private Las Vegas cores _inv and
+_solve, which always run the preconditioned search, so a result's route
+STRUCTURED means that search ran.  Inside it the same rule, on the
+preconditioned width, is the base-case rule of largest_rec's recursion.
 inv_generator returns the canonical generator of D′ (see
 generators.compress_pair) on both routes, so its arrays depend on A alone.
 
@@ -82,19 +85,29 @@ NO_SOLUTION = "no_solution"
 DENSE = "dense"
 STRUCTURED = "structured"
 
-# Below min(m, n) < DENSE_PER_WIDTH·α dense elimination beats the recursion;
-# object-dtype fields cross over sooner (BENCH_9.json has the sweep).  Both
-# stay at least 2: below min(m, n) = 2α a half is narrower than α.  The
-# tests force the structured route by setting both to 2.
+# Below min(m, n) < DENSE_PER_WIDTH·w, w the width of a shift-format
+# generator, dense elimination beats the recursion; object-dtype fields
+# cross over sooner (BENCH_9.json has the sweep).  Both stay at least 2:
+# below min(m, n) = 2w a half is narrower than w.  The tests force the
+# structured route by setting both to 2.
 DENSE_PER_WIDTH = 28
 DENSE_PER_WIDTH_OBJECT = 16
 
 
 def below_crossover(f: PrimeField, q: int, alpha: int) -> bool:
-    """The crossover rule for q = min(m, n) and a generator of length
-    alpha; see the module docstring for where it is checked."""
+    """The crossover rule for q = min(m, n) and a shift-format generator of
+    length alpha: checked by the entry points on the shift core's width
+    (_entry_is_dense) and by largest_rec on the preconditioned triple's
+    (module docstring)."""
     per_width = DENSE_PER_WIDTH_OBJECT if f.dtype is object else DENSE_PER_WIDTH
     return alpha == 0 or q < alpha * per_width
+
+
+def _entry_is_dense(f: PrimeField, q: int, alpha: int) -> bool:
+    """The entry points' route rule for q = min(m, n) and a generator of
+    length alpha: below the crossover on α + 2, the width to_hankel gives
+    the shift core, or α = 0 (then A = 0)."""
+    return alpha == 0 or below_crossover(f, q, alpha + 2)
 
 
 @dataclass
@@ -188,18 +201,6 @@ def densify_from_last_row(f: PrimeField, G: np.ndarray, H: np.ndarray,
                           u: np.ndarray) -> np.ndarray:
     """The dense A of the triple (G, H, u)."""
     return densify(_triple(f, G, H, u))
-
-
-def _row_of(f: PrimeField, G: np.ndarray, H: np.ndarray, u: np.ndarray,
-            i: int) -> np.ndarray:
-    """Row i of the A of the triple (G, H, u)."""
-    return gen_matvec(gen_transpose(_triple(f, G, H, u)), _unit(f, len(G), i))
-
-
-def _col_of(f: PrimeField, G: np.ndarray, H: np.ndarray, u: np.ndarray,
-            j: int) -> np.ndarray:
-    """Column j of the A of the triple (G, H, u)."""
-    return gen_matvec(_triple(f, G, H, u), _unit(f, len(H), j))
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +308,16 @@ def largest_rec(f: PrimeField, G, H, u):
     Y = −A_ℓ⁻¹G[:ℓ], Z = A_ℓ⁻ᵗH[:ℓ], and the first row v of A_ℓ⁻¹.
 
     Any shape and generator length work: the split is at ⌈m/2⌉, ⌈n/2⌉, and
-    below the crossover (below_crossover on min(m, n) and α) the dense base
-    case takes over.  (G, H, u) must keep the triple contract of the module
-    docstring in row 0 too.
+    below the crossover (below_crossover on min(m, n) and the triple's
+    width) the dense base case takes over.  (G, H, u) must keep the triple
+    contract of the module docstring in row 0 too.
     """
     m, n = G.shape[0], H.shape[0]
     if below_crossover(f, min(m, n), G.shape[1]):
         return _base_case(f, G, H, u)
 
     m1, n1 = (m + 1) // 2, (n + 1) // 2
-    row_m1 = _row_of(f, G, H, u, m1 - 1)
+    row_m1 = gen_matvec(gen_transpose(_triple(f, G, H, u)), _unit(f, m, m1 - 1))
     sub = largest_rec(f, G[:m1], H[:n1], row_m1[:n1])
     ell1, Y11, Z11, v11 = sub
     if ell1 < min(m1, n1):
@@ -425,7 +426,7 @@ def _sample_vector(f: PrimeField, rng, size: int, bound: int) -> np.ndarray:
 
 
 def _search(f: PrimeField, G, H, rng_seed: int):
-    """The randomized search shared by inv and solve: draw v₁, v₂ from a set
+    """The randomized search shared by _inv and _solve: draw v₁, v₂ from a set
     of min(2q(q+1), p) values, q = min(m, n), and run lp_inv on
     Ã = U(v₁)ᵗ·A·U(v₂).  Returns U(v₁), U(v₂), Ã's (G, H, last row) and the
     search result."""
@@ -443,17 +444,6 @@ def _search(f: PrimeField, G, H, rng_seed: int):
 # the dense route, below the crossover
 
 
-def _check_format(m: int, n: int, alpha: int) -> None:
-    if min(m, n) == 0 or alpha > min(m, n):
-        raise PreconditionViolated(
-            f"a {m}x{n} format cannot carry a generator of length {alpha}")
-
-
-def _shift_dense(f: PrimeField, G, H) -> np.ndarray:
-    """The dense A of a ∇_{Z_{m,0}, Z_{n,1}ᵗ}-generator."""
-    return densify(Generator._built(G, H, hankel_operator(f, G.shape[0], H.shape[0])))
-
-
 def _dense_inverse(f: PrimeField, A: np.ndarray) -> np.ndarray | None:
     """A⁻¹ from one elimination of [A | I], or None when A is singular."""
     m = A.shape[0]
@@ -461,17 +451,6 @@ def _dense_inverse(f: PrimeField, A: np.ndarray) -> np.ndarray | None:
     if pivots[-1] != m - 1:  # [A | I] has m pivots; one lies right of A
         return None
     return R[:, m:]
-
-
-def _dense_inv(f: PrimeField, G, H) -> InvResult:
-    """(−A⁻¹G, A⁻ᵗH) for the A of a ∇_{Z_{m,0}, Z_{m,1}ᵗ}-generator, or
-    singular."""
-    Ai = _dense_inverse(f, _shift_dense(f, G, H))
-    if Ai is None:
-        return InvResult(SINGULAR, route=DENSE)
-    out = Generator._built((f.p - f.mat_mul(Ai, G)) % f.p, f.mat_mul(Ai.T, H),
-                           hankel_inverse_operator(f, len(G), len(G)))
-    return InvResult(OK, out, DENSE)
 
 
 def _dense_inv_generator(gen: Generator) -> InvResult:
@@ -507,26 +486,15 @@ def _dense_solve(f: PrimeField, A: np.ndarray, b: np.ndarray) -> SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# public inversion / solving on the shift-operator format
+# the Las Vegas cores on the shift format
 
 
-def inv(f: PrimeField, G, H, rng_seed: int = 0) -> InvResult:
-    """Inverse generator of a square A given under ∇_{Z_{m,0}, Z_{m,1}ᵗ}.
-
-    Returns ok with (−A⁻¹G, A⁻ᵗH) under ∇_{Z_{m,1}ᵗ, Z_{m,0}}, a pair fixed
-    by A, G and H whatever the route, or singular when A is rank-deficient.
-    Below the crossover (below_crossover on m and α) A is densified and
-    [A | I] eliminated once: the answer is deterministic and rng_seed is
-    unused.  Above it, failure means the random preconditioning missed
-    (probability < 1/2).  The format is checked first, on both routes.
-    """
-    G, H = f.arr(G), f.arr(H)
-    m, n = G.shape[0], H.shape[0]
-    if m != n:
-        raise DimensionMismatch("inv requires a square format")
-    _check_format(m, n, G.shape[1])
-    if below_crossover(f, m, G.shape[1]):
-        return _dense_inv(f, G, H)
+def _inv(f: PrimeField, G, H, rng_seed: int) -> InvResult:
+    """(−A⁻¹G, A⁻ᵗH) under ∇_{Z_{m,1}ᵗ, Z_{m,0}} for a square A given by a
+    ∇_{Z_{m,0}, Z_{m,1}ᵗ}-generator, or singular, or failure when the random
+    preconditioning missed (probability < 1/2).  inv_generator passes a
+    compressed shift core; any generator of length ≤ m works."""
+    m, alpha = G.shape
     u1, u2, _, res = _search(f, G, H, rng_seed)
     if not res.ok:
         return InvResult(FAILURE, route=STRUCTURED)
@@ -534,32 +502,18 @@ def inv(f: PrimeField, G, H, rng_seed: int = 0) -> InvResult:
         return InvResult(SINGULAR, route=STRUCTURED)
     # A⁻¹ = U(v₂)·Ã⁻¹·U(v₁)ᵗ, and the first α columns of Ã's generator
     # are U(v₁)ᵗG and U(v₂)ᵗH
-    alpha = G.shape[1]
-    out = Generator._built(u2.apply(res.Y[:, :alpha]),
-                    u1.apply(res.Z[:, :alpha]),
-                    hankel_inverse_operator(f, m, m))
+    out = Generator._built(u2.apply(res.Y[:, :alpha]), u1.apply(res.Z[:, :alpha]),
+                           hankel_inverse_operator(f, m, m))
     return InvResult(OK, out, STRUCTURED)
 
 
-def solve(f: PrimeField, G, H, b, rng_seed: int = 0) -> SolveResult:
-    """One solution of A·x = b for A given under ∇_{Z_{m,0}, Z_{n,1}ᵗ}.
-
-    Rank-deficient consistent systems return a solution (a nonzero one when
-    b = 0 and A is singular); inconsistent ones report no_solution.  Below
-    the crossover (below_crossover on min(m, n) and α) A is densified and
-    [A | b] eliminated once: the answer is deterministic, rng_seed is
-    unused and failure cannot occur.  Above it, failure means the
-    randomized rank-profile normalization missed.  The shapes are checked
-    first, on both routes.
-    """
-    G, H = f.arr(G), f.arr(H)
-    b = f.arr(b)
+def _solve(f: PrimeField, G, H, b, rng_seed: int) -> SolveResult:
+    """One solution of A·x = b for A given by a ∇_{Z_{m,0}, Z_{n,1}ᵗ}-
+    generator: a nonzero one when b = 0 and A has a kernel, no_solution for
+    an inconsistent system, or failure when the randomized rank-profile
+    normalization missed.  solve_generator passes a compressed shift core;
+    any generator of length ≤ min(m, n) works."""
     m, n = G.shape[0], H.shape[0]
-    if len(b) != m:
-        raise DimensionMismatch(f"right-hand side length {len(b)} != {m}")
-    _check_format(m, n, G.shape[1])
-    if below_crossover(f, min(m, n), G.shape[1]):
-        return _dense_solve(f, _shift_dense(f, G, H), b)
     u1, u2, (Gt, Ht, ut), res = _search(f, G, H, rng_seed)
     if not res.ok:
         return SolveResult(FAILURE, route=STRUCTURED)
@@ -583,7 +537,7 @@ def solve(f: PrimeField, G, H, b, rng_seed: int = 0) -> SolveResult:
     else:
         # a nonzero representative even when b = 0: pivot on the first
         # free column, which the rank profile makes dependent on A_r
-        colr = _col_of(f, Gt, Ht, ut, r)
+        colr = gen_matvec(_triple(f, Gt, Ht, ut), _unit(f, n, r))
         tail = f.zeros(n - r)
         tail[0] = (f.p - 1) % f.p
         head = (x1 + gen_matvec(inv_r, colr[:r])) % f.p if r else f.zeros(0)
@@ -593,7 +547,7 @@ def solve(f: PrimeField, G, H, b, rng_seed: int = 0) -> SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# arbitrary invertible operators
+# the entry points, for any invertible operator
 
 
 def _shift_core(gen: Generator):
@@ -605,6 +559,33 @@ def _shift_core(gen: Generator):
     return tf, gen_compress(hgen), ctx
 
 
+def _structured_inv_generator(gen: Generator, rng_seed: int) -> InvResult:
+    """inv_generator's structured route: A through the shift core to _inv,
+    back through from_hankel_inverse, and to the canonical form."""
+    f = gen.field
+    tf, hgen, ctx = _shift_core(gen)
+    res = _inv(f, hgen.G, hgen.H, rng_seed)
+    if not res.ok:
+        return res
+    out = from_hankel_inverse(ctx, res.generator)
+    # A⁻¹ = Y_Q^{e2}·Ã⁻¹·Y_P^{e1}
+    G, H = compress_pair(f, tf.q_side(out.G), tf.p_side(out.H))
+    return InvResult(OK, Generator._built(G, H, inverse_operator(gen.operator)), STRUCTURED)
+
+
+def _structured_solve_generator(gen: Generator, b: np.ndarray, rng_seed: int) -> SolveResult:
+    """solve_generator's structured route: the system through the shift
+    core to _solve, and the solution back."""
+    op = gen.operator
+    tf, hgen, _ = _shift_core(gen)
+    c = side_map(op.fam_p, tf.p_side(b))
+    res = _solve(op.field, hgen.G, hgen.H, c, rng_seed)
+    if not res.ok:
+        return res
+    y = res.x[::-1] if op.kind == STEIN else res.x
+    return SolveResult(OK, tf.q_side(side_map_t(op.fam_q, y)), STRUCTURED)
+
+
 def inv_generator(gen: Generator, rng_seed: int = 0) -> InvResult:
     """The generator of A⁻¹ under L′ = inverse_operator(op), for any
     invertible displacement operator op, or singular.
@@ -612,53 +593,38 @@ def inv_generator(gen: Generator, rng_seed: int = 0) -> InvResult:
     The output is the canonical generator of D′ = L′(A⁻¹) (compress_pair):
     D′'s pivot columns and the nonzero rows of its reduced echelon form,
     of width rank(D′) = rank(L(A)).  It depends on A alone, not on the
-    route, rng_seed or the input generator.  Below the crossover
-    (below_crossover on m and the generator's α) A is densified and
-    [A | I] eliminated once, D′ is formed densely and factored once, with
-    no shift core and no preconditioner: rng_seed is unused and failure
-    cannot occur.  Above it, A goes through the shift core to inv, back
-    through from_hankel_inverse, and the result is brought to the same
-    canonical form; its route is STRUCTURED even where inv eliminates the
-    core densely.
+    route, rng_seed or the input generator.  The route is decided once,
+    on m and α + 2 (module docstring).  Dense: A is densified and [A | I]
+    eliminated once, D′ is formed densely and factored once, with no shift
+    core and no preconditioner; rng_seed is unused and failure cannot
+    occur.  Structured: failure means the random preconditioning missed.
     """
     op = gen.operator
     if op.m != op.n:
         raise DimensionMismatch("inv_generator requires a square format")
-    f = op.field
-    if below_crossover(f, op.m, gen.alpha):
+    if _entry_is_dense(op.field, op.m, gen.alpha):
         return _dense_inv_generator(gen)
-    tf, hgen, ctx = _shift_core(gen)
-    res = inv(f, hgen.G, hgen.H, rng_seed=rng_seed)
-    if not res.ok:
-        return InvResult(res.status, route=STRUCTURED)
-    out = from_hankel_inverse(ctx, res.generator)
-    # A⁻¹ = Y_Q^{e2}·Ã⁻¹·Y_P^{e1}
-    G, H = compress_pair(f, tf.q_side(out.G), tf.p_side(out.H))
-    return InvResult(OK, Generator._built(G, H, inverse_operator(op)), STRUCTURED)
+    return _structured_inv_generator(gen, rng_seed)
 
 
 def solve_generator(gen: Generator, b, rng_seed: int = 0) -> SolveResult:
-    """Solve A·x = b for A under any invertible displacement operator.
+    """One solution of A·x = b for A under any invertible displacement
+    operator.
 
-    Below the crossover (below_crossover on min(m, n) and the generator's
-    α) A is densified (generators.densify) and [A | b] eliminated once,
-    with no shift core and no preconditioner: the answer is deterministic,
-    rng_seed is unused and failure cannot occur.  Above it, the system goes
-    through the shift core to solve, and the result's route is STRUCTURED
-    even where solve eliminates the core densely.  The right-hand side is
-    checked first, on both routes.
+    Rank-deficient consistent systems return a solution (a nonzero one
+    when b = 0 and A has a kernel); inconsistent ones report no_solution.
+    The right-hand side is checked first; then the route is decided once,
+    on min(m, n) and α + 2 (module docstring).  Dense: A is densified
+    (generators.densify) and [A | b] eliminated once, with no shift core
+    and no preconditioner; the answer is deterministic, rng_seed is unused
+    and failure cannot occur.  Structured: failure means the randomized
+    rank-profile normalization missed.
     """
     op = gen.operator
     f = op.field
     b = f.arr(b)
     if len(b) != op.m:
         raise DimensionMismatch(f"right-hand side length {len(b)} != {op.m}")
-    if below_crossover(f, min(op.m, op.n), gen.alpha):
+    if _entry_is_dense(f, min(op.m, op.n), gen.alpha):
         return _dense_solve(f, densify(gen), b)
-    tf, hgen, _ = _shift_core(gen)
-    c = side_map(op.fam_p, tf.p_side(b))
-    res = solve(f, hgen.G, hgen.H, c, rng_seed=rng_seed)
-    if not res.ok:
-        return SolveResult(res.status, route=STRUCTURED)
-    y = res.x[::-1] if op.kind == STEIN else res.x
-    return SolveResult(OK, tf.q_side(side_map_t(op.fam_q, y)), STRUCTURED)
+    return _structured_solve_generator(gen, b, rng_seed)

@@ -70,9 +70,22 @@ def rand_generator(f, rng, op, alpha):
 def both_routes(monkeypatch):
     """Yield False for a run at the default crossover, then True for a run
     with the structured (Las Vegas) route forced: both crossover constants
-    patched to 2, so that only min(m, n) < 2α stays dense."""
+    patched to 2, so that an entry point stays dense only for
+    min(m, n) < 2(α + 2), α the generator's length (α + 2 is the width of
+    the shift core), and largest_rec recurses down to min(m, n) < 2w on
+    its own triple's width w."""
     yield False
     with monkeypatch.context() as mp:
         mp.setattr(structsolve, "DENSE_PER_WIDTH", 2)
         mp.setattr(structsolve, "DENSE_PER_WIDTH_OBJECT", 2)
         yield True
+
+
+def expected_route(forced, q, alpha):
+    """The route an entry point must report in a both_routes run, on
+    min(m, n) = q and a generator of length alpha at the tests' sizes:
+    dense at the default crossover, and structured when forced unless
+    q < 2(α + 2) or α = 0."""
+    if forced and alpha and q >= 2 * (alpha + 2):
+        return structsolve.STRUCTURED
+    return structsolve.DENSE

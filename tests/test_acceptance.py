@@ -34,7 +34,15 @@ from dispmat.generators import (
     reconstruct_dense,
 )
 from dispmat.structmul import mul_unbalanced, mulQ, struct_mul
-from dispmat.structsolve import FAILURE, NO_SOLUTION, OK, SINGULAR, inv, solve
+from dispmat import cli
+from dispmat.structsolve import (
+    FAILURE,
+    NO_SOLUTION,
+    OK,
+    SINGULAR,
+    inv_generator,
+    solve_generator,
+)
 from dispmat.oracle import (
     Singular,
     dense_apply_operator,
@@ -45,7 +53,7 @@ from dispmat.oracle import (
 )
 from dispmat.cli import draw_operator, pade_solve, plant_pade
 
-from conftest import both_routes
+from conftest import both_routes, expected_route
 
 F = get_field(DEFAULT_PRIME)
 
@@ -183,25 +191,40 @@ def test_criterion_3_trilinear_oracle_equivalence():
             f"200 instances, {non_pow2} with non-power-of-two n")
 
 
+# After the drawn sizes, criteria 4 and 5 run a few small and very
+# rectangular shapes, min(m, n) <= 5: dense on both routes.
+SMALL_SQUARE = (1, 2, 3, 5)
+SMALL_PLANTED = (4, 4, 5, 5)  # rank < m for both kinds of planted matrix
+SMALL_TALL = ((40, 1), (25, 2), (11, 5))
+SMALL_WIDE = ((1, 40), (2, 25), (5, 11))
+SMALL_SHAPES = SMALL_TALL + SMALL_WIDE + tuple((m, m) for m in SMALL_SQUARE)
+
+
 def test_criterion_4_inversion(monkeypatch):
     # once at the default crossover, once with the structured route forced
     for forced in both_routes(monkeypatch):
-        _criterion_4("structured route" if forced else "default route")
+        _criterion_4(forced)
 
 
-def _criterion_4(route: str):
+def _check_route(failures: list, res, forced: bool, q: int, alpha: int):
+    if res.route != expected_route(forced, q, alpha):
+        failures.append(f"route {res.route} at min(m, n)={q} alpha={alpha}")
+
+
+def _criterion_4(forced: bool):
     rng = np.random.default_rng(1004)
     t0 = time.perf_counter()
     failures = []
     fail_tags = 0
     done = 0
     eye_cache = {}
-    while done < 100:
-        m = int(rng.integers(1, 65))
+    while done < 100 + len(SMALL_SQUARE):
+        m = int(rng.integers(12, 65)) if done < 100 else SMALL_SQUARE[done - 100]
         alpha = int(rng.integers(1, min(m, 4) + 1))
         gen = _rand_gen(rng, hankel_operator(F, m, m), alpha)
         a = reconstruct_dense(gen)
-        res = inv(F, gen.G, gen.H, rng_seed=done)
+        res = inv_generator(gen, rng_seed=done)
+        _check_route(failures, res, forced, m, alpha)
         if res.status == SINGULAR:
             if dense_rank(F, a) == m:
                 failures.append(f"false singular at m={m}")
@@ -220,8 +243,8 @@ def _criterion_4(route: str):
         failures.append(f"failure rate {fail_tags}/100 not below 0.6")
 
     planted_singular = planted_failures = 0
-    for trial in range(50):
-        m = int(rng.integers(2, 49))
+    for trial in range(50 + len(SMALL_PLANTED)):
+        m = int(rng.integers(16, 49)) if trial < 50 else SMALL_PLANTED[trial - 50]
         if trial % 2 == 0:
             r = int(rng.integers(1, 4))
             u = F.arr(rng.integers(0, F.p, (m, r)))
@@ -240,7 +263,8 @@ def _criterion_4(route: str):
 
         B, C = _column_decompose(F, d)
         gen = Generator(B, F.arr(C.T), hankel_operator(F, m, m))
-        res = inv(F, gen.G, gen.H, rng_seed=1000 + trial)
+        res = inv_generator(gen, rng_seed=1000 + trial)
+        _check_route(failures, res, forced, m, gen.alpha)
         if res.status == OK:
             failures.append(f"false inverse on planted singular m={m}")
         elif res.status == SINGULAR:
@@ -253,31 +277,35 @@ def _criterion_4(route: str):
     elapsed = time.perf_counter() - t0
     if elapsed >= 120:
         failures.append(f"runtime {elapsed:.1f}s over the 120s budget")
+    route = "structured route" if forced else "default route"
     _report(4, f"inversion, {route}", failures,
-            f"100 inversions ({fail_tags} failure tags), "
-            f"{planted_singular}/50 planted singulars, {elapsed:.1f}s")
+            f"{done} inversions ({fail_tags} failure tags), "
+            f"{planted_singular}/{trial + 1} planted singulars, {elapsed:.1f}s")
 
 
 def test_criterion_5_solve(monkeypatch):
     # once at the default crossover, once with the structured route forced
     for forced in both_routes(monkeypatch):
-        _criterion_5("structured route" if forced else "default route")
+        _criterion_5(forced)
 
 
-def _criterion_5(route: str):
+def _criterion_5(forced: bool):
     rng = np.random.default_rng(1005)
     failures = []
 
     consistent_failures = 0
-    for trial in range(100):
-        m = int(rng.integers(1, 49))
-        n = int(rng.integers(1, 49))
+    for trial in range(100 + len(SMALL_SHAPES)):
+        if trial < 100:
+            m, n = int(rng.integers(12, 49)), int(rng.integers(12, 49))
+        else:
+            m, n = SMALL_SHAPES[trial - 100]
         alpha = int(rng.integers(1, min(m, n, 4) + 1))
         gen = _rand_gen(rng, hankel_operator(F, m, n), alpha)
         a = reconstruct_dense(gen)
         x0 = F.arr(rng.integers(0, F.p, n))
         b = F.mat_mul(a, x0.reshape(-1, 1)).ravel()
-        res = solve(F, gen.G, gen.H, b, rng_seed=trial)
+        res = solve_generator(gen, b, rng_seed=trial)
+        _check_route(failures, res, forced, min(m, n), alpha)
         if res.status == FAILURE:
             consistent_failures += 1
             continue
@@ -289,9 +317,12 @@ def _criterion_5(route: str):
 
     inconsistent_failures = 0
     done = 0
-    while done < 50:
-        n = int(rng.integers(1, 25))
-        m = n + int(rng.integers(1, 13))
+    while done < 50 + len(SMALL_TALL):
+        if done < 50:
+            n = int(rng.integers(10, 25))
+            m = n + int(rng.integers(1, 13))
+        else:
+            m, n = SMALL_TALL[done - 50]
         alpha = int(rng.integers(1, min(n, 3) + 1))
         gen = _rand_gen(rng, hankel_operator(F, m, n), alpha)
         a = reconstruct_dense(gen)
@@ -299,7 +330,8 @@ def _criterion_5(route: str):
         if dense_solve(F, a, b) is not None:
             continue
         done += 1
-        res = solve(F, gen.G, gen.H, b, rng_seed=500 + done)
+        res = solve_generator(gen, b, rng_seed=500 + done)
+        _check_route(failures, res, forced, n, alpha)
         if res.status == FAILURE:
             inconsistent_failures += 1
         elif res.status != NO_SOLUTION:
@@ -308,13 +340,17 @@ def _criterion_5(route: str):
         failures.append(f"inconsistent failure rate {inconsistent_failures}/50")
 
     homogeneous_failures = 0
-    for trial in range(50):
-        m = int(rng.integers(2, 25))
-        n = m + int(rng.integers(1, 9))  # wide: kernel guaranteed
+    for trial in range(50 + len(SMALL_WIDE)):
+        if trial < 50:
+            m = int(rng.integers(10, 25))
+            n = m + int(rng.integers(1, 9))  # wide: kernel guaranteed
+        else:
+            m, n = SMALL_WIDE[trial - 50]
         alpha = int(rng.integers(1, min(m, 3) + 1))
         gen = _rand_gen(rng, hankel_operator(F, m, n), alpha)
         a = reconstruct_dense(gen)
-        res = solve(F, gen.G, gen.H, F.zeros(m), rng_seed=900 + trial)
+        res = solve_generator(gen, F.zeros(m), rng_seed=900 + trial)
+        _check_route(failures, res, forced, m, alpha)
         if res.status == FAILURE:
             homogeneous_failures += 1
             continue
@@ -324,8 +360,10 @@ def _criterion_5(route: str):
     if homogeneous_failures / 50 >= 0.6:
         failures.append(f"homogeneous failure rate {homogeneous_failures}/50")
 
+    route = "structured route" if forced else "default route"
     _report(5, f"solve, {route}", failures,
-            f"100 consistent / 50 inconsistent / 50 homogeneous "
+            f"{100 + len(SMALL_SHAPES)} consistent / {done} inconsistent / "
+            f"{trial + 1} homogeneous "
             f"(failure tags {consistent_failures}/{inconsistent_failures}/"
             f"{homogeneous_failures})")
 
@@ -461,13 +499,22 @@ def test_criterion_8_crt_layer_roundtrips():
 
 
 def test_criterion_9_pade_demo(monkeypatch):
-    # once at the default crossover, once with the structured route forced
+    # once at the default crossover, once with the structured route forced;
+    # every solve pade_solve makes is checked for its route
+    real = cli.solve_generator
     for forced in both_routes(monkeypatch):
-        _criterion_9("structured route" if forced else "default route")
+        failures = []
+
+        def routed(gen, *args, **kwargs):
+            res = real(gen, *args, **kwargs)
+            _check_route(failures, res, forced, min(gen.m, gen.n), gen.alpha)
+            return res
+
+        monkeypatch.setattr(cli, "solve_generator", routed)
+        _criterion_9(forced, failures)
 
 
-def _criterion_9(route: str):
-    failures = []
+def _criterion_9(forced: bool, failures: list):
     solved = 0
     for seed in range(20):
         rng = np.random.default_rng(2000 + seed)
@@ -503,5 +550,6 @@ def _criterion_9(route: str):
                 failures.append(f"seed {seed}: residue identity broken at block {i}")
     if solved < 10:
         failures.append(f"only {solved}/20 seeds produced a solution")
+    route = "structured route" if forced else "default route"
     _report(9, f"simultaneous approximation demo, {route}", failures,
             f"{solved}/20 seeds solved, residue identity exact")

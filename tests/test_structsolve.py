@@ -18,6 +18,7 @@ from dispmat.generators import (
     densify,
     gen_compress,
     gen_matvec,
+    gen_transpose,
     hankel_operator,
     reconstruct_dense,
     shift_operator,
@@ -43,22 +44,18 @@ from dispmat.structsolve import (
     SolveResult,
     TriangularToeplitzPreconditioner,
     _base_case,
-    _col_of,
     _gen_block_12,
     _gen_block_21,
-    _row_of,
     _triple,
     densify_from_last_row,
-    inv,
     inv_generator,
     largest_rec,
     lp_inv,
     precond,
-    solve,
     solve_generator,
 )
 
-from conftest import both_routes, rand_generator, rand_operator
+from conftest import both_routes, expected_route, rand_generator, rand_operator
 
 
 def _shift_displacement(f, A):
@@ -112,10 +109,12 @@ def test_densify_and_entry_extraction(any_field):
         A = f.arr(rng.integers(0, f.p, (m, n)))
         G, H, u = _triple_from_dense(f, A)
         assert np.array_equal(densify_from_last_row(f, G, H, u), A)
-        for i in range(m):
-            assert np.array_equal(_row_of(f, G, H, u, i), A[i])
-        for j in range(n):
-            assert np.array_equal(_col_of(f, G, H, u, j), A[:, j])
+        # rows and columns are read off the triple's generator (_triple)
+        t = _triple(f, G, H, u)
+        for i, e in enumerate(f.arr(np.eye(m, dtype=np.int64))):
+            assert np.array_equal(gen_matvec(gen_transpose(t), e), A[i])
+        for j, e in enumerate(f.arr(np.eye(n, dtype=np.int64))):
+            assert np.array_equal(gen_matvec(t, e), A[:, j])
 
 
 def test_triple_is_a_generator_under_the_invertible_shift(any_field):
@@ -472,9 +471,11 @@ def test_precond_with_unit_vectors_is_identity(f):
 # ---------------------------------------------------------------------------
 # inversion on the shift format
 #
+# The shift format is reached through the entry points on hankel_operator.
 # Every test of an entry point runs twice (conftest.both_routes): at the
 # default crossover, where these sizes are solved densely, and with the
-# structured route forced, so the Las Vegas path keeps its coverage.
+# structured route forced, where every call with min(m, n) >= 2(α + 2)
+# must run the Las Vegas search (conftest.expected_route).
 
 
 def test_inv_random_instances(f, monkeypatch):
@@ -482,17 +483,18 @@ def test_inv_random_instances(f, monkeypatch):
         rng = np.random.default_rng(149)
         failures = runs = 0
         for trial in range(30):
-            m = int(rng.integers(1, 20))
+            m = int(rng.integers(1, 24))
             alpha = int(rng.integers(1, min(m, 4) + 1))
             G = f.arr(rng.integers(0, f.p, (m, alpha)))
             H = f.arr(rng.integers(0, f.p, (m, alpha)))
-            A = reconstruct_dense(Generator(G, H, hankel_operator(f, m, m)))
+            gen = Generator(G, H, hankel_operator(f, m, m))
+            A = reconstruct_dense(gen)
             try:
                 expected = dense_inv(f, A)
             except Singular:
                 expected = None
-            res = inv(f, G, H, rng_seed=trial)
-            assert forced or res.route == DENSE
+            res = inv_generator(gen, rng_seed=trial)
+            assert res.route == expected_route(forced, m, alpha)
             runs += 1
             if res.status == FAILURE:
                 failures += 1
@@ -511,7 +513,7 @@ def test_inv_detects_planted_singular(f, monkeypatch):
         rng = np.random.default_rng(151)
         singular_calls = 0
         for trial in range(20):
-            m = int(rng.integers(2, 16))
+            m = int(rng.integers(2, 18))
             if trial % 2 == 0:
                 a = f.arr(rng.integers(0, f.p, m)).reshape(-1, 1)
                 b = f.arr(rng.integers(0, f.p, m)).reshape(1, -1)
@@ -525,7 +527,8 @@ def test_inv_detects_planted_singular(f, monkeypatch):
             B, C = _column_decompose(f, _cyclic_displacement(f, A))
             gen = Generator(B, f.arr(C.T), hankel_operator(f, m, m))
             assert np.array_equal(reconstruct_dense(gen), A)
-            res = inv(f, gen.G, gen.H, rng_seed=trial)
+            res = inv_generator(gen, rng_seed=trial)
+            assert res.route == expected_route(forced, m, gen.alpha)
             assert res.status in (SINGULAR, FAILURE)
             if res.status == SINGULAR:
                 singular_calls += 1
@@ -533,12 +536,13 @@ def test_inv_detects_planted_singular(f, monkeypatch):
 
 
 def test_inv_rejects_bad_shapes(f):
+    # a non-square shift format is refused; a generator longer than m is
+    # accepted and goes dense (here A = 0, so singular)
+    wide = Generator(f.zeros((3, 1)), f.zeros((4, 1)), hankel_operator(f, 3, 4))
     with pytest.raises(DimensionMismatch):
-        inv(f, f.zeros((3, 1)), f.zeros((4, 1)))
-    with pytest.raises(PreconditionViolated):
-        inv(f, f.zeros((2, 3)), f.zeros((2, 3)))
-    with pytest.raises(PreconditionViolated):
-        inv(f, f.zeros((0, 0)), f.zeros((0, 0)))
+        inv_generator(wide)
+    res = inv_generator(Generator(f.zeros((2, 3)), f.zeros((2, 3)), hankel_operator(f, 2, 2)))
+    assert (res.status, res.route) == (SINGULAR, DENSE)
 
 
 def test_solve_rejects_bad_shapes(f, monkeypatch):
@@ -547,13 +551,10 @@ def test_solve_rejects_bad_shapes(f, monkeypatch):
     rng = np.random.default_rng(153)
     op = rand_operator(f, rng, 4, 3)
     gen = rand_generator(f, rng, op, 2)
+    shift = Generator(f.zeros((3, 1)), f.zeros((4, 1)), hankel_operator(f, 3, 4))
     for forced in both_routes(monkeypatch):
         with pytest.raises(DimensionMismatch):
-            solve(f, f.zeros((3, 1)), f.zeros((4, 1)), f.zeros(2))
-        with pytest.raises(PreconditionViolated):
-            solve(f, f.zeros((2, 3)), f.zeros((2, 3)), f.zeros(2))
-        with pytest.raises(PreconditionViolated):
-            solve(f, f.zeros((0, 0)), f.zeros((0, 0)), f.zeros(0))
+            solve_generator(shift, f.zeros(2))
         with pytest.raises(DimensionMismatch):
             solve_generator(gen, f.zeros(3))
         with pytest.raises(DimensionMismatch):
@@ -564,21 +565,31 @@ def test_solve_rejects_bad_shapes(f, monkeypatch):
 # solving on the shift format
 
 
+# After the drawn sizes, the solve tests run a few small and very
+# rectangular shapes, min(m, n) <= 5: dense on both routes.
+SMALL_TALL = ((12, 1), (9, 2), (7, 5))
+SMALL_WIDE = ((1, 12), (2, 9), (5, 7))
+SMALL_SHAPES = SMALL_TALL + SMALL_WIDE + ((1, 1), (3, 3))
+
+
 def test_solve_consistent_systems(f, monkeypatch):
     for forced in both_routes(monkeypatch):
         rng = np.random.default_rng(157)
         failures = 0
-        for trial in range(15):
-            m = int(rng.integers(1, 18))
-            n = int(rng.integers(1, 18))
+        for trial in range(15 + len(SMALL_SHAPES)):
+            if trial < 15:
+                m, n = int(rng.integers(8, 18)), int(rng.integers(8, 18))
+            else:
+                m, n = SMALL_SHAPES[trial - 15]
             alpha = int(rng.integers(1, min(m, n, 4) + 1))
             G = f.arr(rng.integers(0, f.p, (m, alpha)))
             H = f.arr(rng.integers(0, f.p, (n, alpha)))
-            A = reconstruct_dense(Generator(G, H, hankel_operator(f, m, n)))
+            gen = Generator(G, H, hankel_operator(f, m, n))
+            A = reconstruct_dense(gen)
             x0 = f.arr(rng.integers(0, f.p, n))
             b = f.mat_mul(A, x0.reshape(-1, 1)).ravel()
-            res = solve(f, G, H, b, rng_seed=trial)
-            assert forced or res.route == DENSE
+            res = solve_generator(gen, b, rng_seed=trial)
+            assert res.route == expected_route(forced, min(m, n), alpha)
             if res.status == FAILURE:
                 failures += 1
                 continue
@@ -591,14 +602,18 @@ def test_solve_homogeneous_finds_kernel_vectors(f, monkeypatch):
     for forced in both_routes(monkeypatch):
         rng = np.random.default_rng(163)
         failures = 0
-        for trial in range(15):
-            m = int(rng.integers(2, 16))
-            n = int(rng.integers(2, 16))
+        for trial in range(15 + len(SMALL_SHAPES)):
+            if trial < 15:
+                m, n = int(rng.integers(10, 16)), int(rng.integers(10, 16))
+            else:
+                m, n = SMALL_SHAPES[trial - 15]
             alpha = int(rng.integers(1, min(m, n, 3) + 1))
             G = f.arr(rng.integers(0, f.p, (m, alpha)))
             H = f.arr(rng.integers(0, f.p, (n, alpha)))
-            A = reconstruct_dense(Generator(G, H, hankel_operator(f, m, n)))
-            res = solve(f, G, H, f.zeros(m), rng_seed=trial)
+            gen = Generator(G, H, hankel_operator(f, m, n))
+            A = reconstruct_dense(gen)
+            res = solve_generator(gen, f.zeros(m), rng_seed=trial)
+            assert res.route == expected_route(forced, min(m, n), alpha)
             if res.status == FAILURE:
                 failures += 1
                 continue
@@ -613,15 +628,20 @@ def test_solve_flags_inconsistent_systems(f, monkeypatch):
     for forced in both_routes(monkeypatch):
         rng = np.random.default_rng(167)
         failures = no_solution = 0
-        for trial in range(20):
-            m = int(rng.integers(2, 18))
-            n = int(rng.integers(1, m))  # tall systems are usually inconsistent
+        for trial in range(20 + len(SMALL_TALL)):
+            if trial < 20:
+                m = int(rng.integers(12, 18))
+                n = int(rng.integers(10, m))  # tall systems are usually inconsistent
+            else:
+                m, n = SMALL_TALL[trial - 20]
             alpha = int(rng.integers(1, min(m, n, 3) + 1))
             G = f.arr(rng.integers(0, f.p, (m, alpha)))
             H = f.arr(rng.integers(0, f.p, (n, alpha)))
-            A = reconstruct_dense(Generator(G, H, hankel_operator(f, m, n)))
+            gen = Generator(G, H, hankel_operator(f, m, n))
+            A = reconstruct_dense(gen)
             b = f.arr(rng.integers(0, f.p, m))
-            res = solve(f, G, H, b, rng_seed=trial)
+            res = solve_generator(gen, b, rng_seed=trial)
+            assert res.route == expected_route(forced, min(m, n), alpha)
             if res.status == FAILURE:
                 failures += 1
                 continue
@@ -646,7 +666,7 @@ def test_inv_generator_any_operator(f, monkeypatch):
         rng = np.random.default_rng(173)
         inversions = failures = 0
         for trial in range(24):
-            m = int(rng.integers(2, 13))
+            m = int(rng.integers(2, 41))
             op = rand_operator(f, rng, m, m)
             gen = rand_generator(f, rng, op, int(rng.integers(1, 4)))
             A = reconstruct_dense(gen)
@@ -655,7 +675,7 @@ def test_inv_generator_any_operator(f, monkeypatch):
             except Singular:
                 expected = None
             res = inv_generator(gen, rng_seed=trial)
-            assert forced or res.route == DENSE
+            assert res.route == expected_route(forced, m, gen.alpha)
             if res.status == FAILURE:
                 failures += 1
                 continue
@@ -687,7 +707,7 @@ def test_inv_generator_shares_the_inverse_operator(f, monkeypatch):
             for tp in (False, True):
                 for tq in (False, True):
                     for _ in range(20):
-                        op = rand_operator(f, rng, 5, 5, kind=kind)
+                        op = rand_operator(f, rng, 10, 10, kind=kind)
                         op = operators.DisplacementOperator(kind, op.fam_p, op.fam_q, tp, tq)
                         gen = rand_generator(f, rng, op, 2)
                         first = inv_generator(gen, rng_seed=1)
@@ -696,6 +716,7 @@ def test_inv_generator_shares_the_inverse_operator(f, monkeypatch):
                     assert first.ok
                     second = inv_generator(gen, rng_seed=2)
                     assert second.ok
+                    assert first.route == second.route == expected_route(forced, 10, 2)
                     assert first.generator.operator is second.generator.operator
                     assert first.generator.operator is operators.inverse_operator(op)
                     assert np.array_equal(first.Y, second.Y)
@@ -706,8 +727,8 @@ def test_solve_generator_any_operator(f, monkeypatch):
     for forced in both_routes(monkeypatch):
         rng = np.random.default_rng(179)
         solved = failures = 0
-        for trial in range(20):
-            m = int(rng.integers(2, 13))
+        for trial in range(24):
+            m = int(rng.integers(2, 41))
             op = rand_operator(f, rng, m, m)
             gen = rand_generator(f, rng, op, int(rng.integers(1, 4)))
             A = reconstruct_dense(gen)
@@ -716,7 +737,7 @@ def test_solve_generator_any_operator(f, monkeypatch):
             x0 = f.arr(rng.integers(0, f.p, m))
             b = f.mat_mul(A, x0.reshape(-1, 1)).ravel()
             res = solve_generator(gen, b, rng_seed=trial)
-            assert forced or res.route == DENSE
+            assert res.route == expected_route(forced, m, gen.alpha)
             if res.status == FAILURE:
                 failures += 1
                 continue
@@ -729,19 +750,22 @@ def test_solve_generator_any_operator(f, monkeypatch):
 
 def test_repeated_solve_builds_no_binomial_table(f, monkeypatch):
     # the shift operators of the recursion are shared values: a second
-    # solve over the same Toeplitz-like generator reuses every inverse table
+    # solve over the same Toeplitz-like generator reuses every inverse
+    # table; the structured route is forced, so the recursion runs
     rng = np.random.default_rng(183)
     m = 64
     gen = Generator(f.arr(rng.integers(0, f.p, (m, 2))), f.arr(rng.integers(0, f.p, (m, 2))),
                     hankel_operator(f, m, m))
     b = f.arr(rng.integers(0, f.p, m))
+    calls = _schur_down_to_2alpha(monkeypatch)
     first = solve_generator(gen, b, rng_seed=1)
-    calls = []
+    assert first.route == STRUCTURED and len(calls) > 1
+    tables = []
     real = operators._binomial_case
     monkeypatch.setattr(operators, "_binomial_case",
-                        lambda *args: calls.append(args) or real(*args))
+                        lambda *args: tables.append(args) or real(*args))
     second = solve_generator(gen, b, rng_seed=1)
-    assert calls == []
+    assert tables == [] and second.route == STRUCTURED
     assert first.ok and second.ok and np.array_equal(second.x, first.x)
     assert np.array_equal(gen_matvec(gen, second.x), b)
 
@@ -752,8 +776,8 @@ def test_solve_generator_matches_oracle_across_primes(p, monkeypatch):
     for forced in both_routes(monkeypatch):
         rng = np.random.default_rng(181)
         solved = 0
-        for trial in range(10):
-            m = int(rng.integers(2, 7))
+        for trial in range(16):
+            m = int(rng.integers(2, 16))
             op = rand_operator(f, rng, m, m)
             gen = rand_generator(f, rng, op, int(rng.integers(1, 3)))
             A = dense_solve_displacement(op, f.mat_mul(gen.G, gen.H.T))
@@ -761,6 +785,7 @@ def test_solve_generator_matches_oracle_across_primes(p, monkeypatch):
                 continue
             x0 = f.arr(rng.integers(0, 2**62, m))
             res = solve_generator(gen, f.mat_mul(A, x0.reshape(-1, 1)).ravel(), rng_seed=trial)
+            assert res.route == expected_route(forced, m, gen.alpha)
             if res.status == FAILURE:
                 continue
             assert res.ok and np.array_equal(res.x, x0)
@@ -837,19 +862,21 @@ def test_dense_inverse_edge_cases(f, monkeypatch):
             res = inv_generator(Generator(B, f.arr(C.T), op), rng_seed=r)
             assert (res.status, res.route) == (SINGULAR, DENSE)
 
-    # the rule is checked on the generator's α: with the constant at 2,
-    # m = 2α − 1 stays dense and m = 2α takes the shift core, and reports
-    # it although its core of width ≤ α + 2 is then eliminated densely
-    cores = []
-    real_core = structsolve._shift_core
+    # the rule is checked once, on the shift core's width α + 2: with the
+    # constant at 2, m = 2(α + 2) − 1 stays dense and m = 2(α + 2) takes
+    # the shift core and the preconditioned search
+    cores, searches = [], []
+    real_core, real_search = structsolve._shift_core, structsolve._search
     monkeypatch.setattr(structsolve, "_shift_core", lambda g: cores.append(g.m) or real_core(g))
+    monkeypatch.setattr(structsolve, "_search",
+                        lambda f, G, *a: searches.append(len(G)) or real_search(f, G, *a))
     with monkeypatch.context() as mp:
         mp.setattr(structsolve, "DENSE_PER_WIDTH", 2)
-        for m, route in ((5, DENSE), (6, STRUCTURED)):
+        for m, route in ((9, DENSE), (10, STRUCTURED)):
             gen = rand_generator(f, rng, rand_operator(f, rng, m, m), 3)
             assert inv_generator(gen).route == route
             assert solve_generator(gen, f.zeros(m)).route == route
-    assert cores == [6, 6]
+    assert cores == searches == [10, 10]
 
     densified = []
     real = structsolve.densify
@@ -859,6 +886,24 @@ def test_dense_inverse_edge_cases(f, monkeypatch):
         with pytest.raises(DimensionMismatch):
             inv_generator(gen)
     assert densified == []
+
+
+def test_zero_core_runs_the_search(any_field, monkeypatch):
+    # A = 0 carried by a generator of length 1 (G = 0): above the entry
+    # rule its shift core compresses to width 0, and the preconditioned
+    # search still reports singular and finds a nonzero kernel vector
+    f = any_field
+    rng = np.random.default_rng(199)
+    monkeypatch.setattr(structsolve, "DENSE_PER_WIDTH", 2)
+    for op in (hankel_operator(f, 6, 6), rand_operator(f, rng, 8, 8), hankel_operator(f, 7, 9)):
+        gen = Generator(f.zeros((op.m, 1)), f.arr(rng.integers(1, f.p, (op.n, 1))), op)
+        assert structsolve._shift_core(gen)[1].alpha == 0
+        if op.m == op.n:
+            res = inv_generator(gen)
+            assert (res.status, res.route) == (SINGULAR, STRUCTURED)
+        res = solve_generator(gen, f.zeros(op.m))
+        assert (res.status, res.route) == (OK, STRUCTURED)
+        assert np.any(res.x)
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, BENCH_PRIME], ids=["default", "p62"])

@@ -35,17 +35,18 @@ Every case above is below the solver's crossover, so the three lines never
 reach its Las Vegas route (`largest_rec`, `precond`, the Schur step).  The
 fourth line is a digest of its own over that route, with both crossover
 constants of `structsolve` set to 2 while it runs and restored after, so
-that only min(m, n) < 2α stays dense.  On the four primes and the eight
-operator variants in the general, geometric and single-power flavours, at
-24×24 with α = 3, it covers `solve_generator` (planted right-hand side,
+that an entry point stays dense only for min(m, n) < 2(α + 2).  On the
+four primes and the eight operator variants in the general, geometric and
+single-power flavours, at 24×24 with α = 3, it covers `solve_generator` (planted right-hand side,
 rng seeds 0 and 1) and `inv_generator` on a random generator, and
 `solve_generator` with b = 0 (both seeds) and `inv_generator` on a
 singular matrix of rank 23 carried by the canonical generator of its
-displacement.  The shift-format `inv` and `solve` run on generators whose
-last column depends on the others: 24×24 (inverse and planted right-hand
-side, then a singular matrix inverted and solved with b = 0), 40×32
-(planted and random right-hand side) and 32×40 (planted and b = 0).  Every result is hashed
-with its status and route.
+displacement.  The Las Vegas cores on the shift format, `structsolve._inv`
+and `_solve` (which the entry points call on a compressed shift core),
+run on generators whose last column depends on the others: 24×24 (inverse
+and planted right-hand side, then a singular matrix inverted and solved
+with b = 0), 40×32 (planted and random right-hand side) and 32×40
+(planted and b = 0).  Every result is hashed with its status and route.
 
 Products, reconstructions, inverse tables and inverses are unique exact
 values: `inv_generator` returns the canonical generator of A⁻¹, which
@@ -131,7 +132,7 @@ def main(argv: list[str]) -> int:
     from dispmat.poly import NotCoprime, family_build, trim
     from dispmat.polymat import pm_mul
     from dispmat.structmul import struct_mul
-    from dispmat.structsolve import inv, inv_generator, solve, solve_generator
+    from dispmat.structsolve import _inv, _solve, inv_generator, solve_generator
 
     digest, reuse, lv = Digest(), Digest("reused:"), Digest("las-vegas:")
     feed = digest.feed
@@ -267,16 +268,15 @@ def main(argv: list[str]) -> int:
                 b = gen_matvec(gen, rand(f, rng, n))
                 if m == n:
                     low = singular(f, rng, gen)
-                    feed_result(label + "/inv", inv(f, G, H, rng_seed=ci))
-                    feed_result(label + "/solve", solve(f, G, H, b, rng_seed=ci))
-                    feed_result(label + "/inv.singular", inv(f, low.G, low.H, rng_seed=ci))
-                    feed_result(label + "/kernel",
-                                solve(f, low.G, low.H, f.zeros(m), rng_seed=ci))
+                    feed_result(label + "/inv", _inv(f, G, H, ci))
+                    feed_result(label + "/solve", _solve(f, G, H, b, ci))
+                    feed_result(label + "/inv.singular", _inv(f, low.G, low.H, ci))
+                    feed_result(label + "/kernel", _solve(f, low.G, low.H, f.zeros(m), ci))
                     continue
                 for seed in LV_SEEDS:
-                    feed_result(f"{label}/solve{seed}", solve(f, G, H, b, rng_seed=seed))
+                    feed_result(f"{label}/solve{seed}", _solve(f, G, H, b, seed))
                 other = rand(f, rng, m) if m > n else f.zeros(m)
-                feed_result(label + "/other", solve(f, G, H, other, rng_seed=ci))
+                feed_result(label + "/other", _solve(f, G, H, other, ci))
     finally:
         structsolve.DENSE_PER_WIDTH, structsolve.DENSE_PER_WIDTH_OBJECT = saved
     print(lv.line(", Las Vegas route"))

@@ -1,8 +1,9 @@
-"""Time the two routes of product_chain's middle product and the two forms of
-PrimeField.ntt, the measurements behind structmul's route rule and ntt's
-one-slab cut.
+"""Time the two routes of product_chain's middle product, the two forms of
+PrimeField.ntt and the two routes of the solver's entry points, the
+measurements behind structmul's route rule, ntt's one-slab cut and
+structsolve's crossover rule.
 
-    python3 tools/route_sweep.py [--part route|kernel|all] [--reps K] [--seed S]
+    python3 tools/route_sweep.py [--part route|kernel|solver|all] [--reps K] [--seed S]
 
 Run it single-threaded (OPENBLAS_NUM_THREADS=1) on an otherwise idle
 machine; `dispmat` is imported from the `src` directory next to `tools`.
@@ -22,8 +23,24 @@ checked equal: n from 32 to 8192 (one row above 2048) and blocks of up to
 two slabs, both sides of the cut in n and in rows·n.  Each line prints both
 times, their ratio one-slab/slab and the form ntt picks.
 
-Every time is the best of K alternated repetitions (default 7), each the
-mean of enough calls to run about 2 ms.
+solver: solve_generator and inv_generator on a fresh Toeplitz-like
+generator (Sylvester, x^m − φ and x^m − ψ, Q side transposed, random G and
+H of length alpha) on both sides of the entry rule, dense below
+min(m, n) < c·(alpha + 2): the dense route (densify and one elimination)
+against the structured route (shift core and Las Vegas search), at m from
+c·alpha − 8 through c·(alpha + 2) + 16, with c = DENSE_PER_WIDTH = 28 and
+alpha in {2, 4, 6} over 998244353, and c = DENSE_PER_WIDTH_OBJECT = 16
+and alpha in {2, 4} over the 62-bit prime.  The two routes must return
+the planted solution and the same canonical inverse generator, and the
+entry point must take the route its rule names.  Each line prints both
+routes' medians, their ratio dense/structured, the width of the
+compressed shift core and the route the entry point took.  The routes
+alternate, one call each on a new generator object per repetition; the
+median is over K repetitions over 998244353 and K // 2 + 1 over the
+62-bit prime.
+
+Every route and kernel time is the best of K alternated repetitions
+(default 7), each the mean of enough calls to run about 2 ms.
 """
 
 from __future__ import annotations
@@ -37,8 +54,11 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from dispmat.field import _NTT_MERGED_MAX, _NTT_SLAB, get_field  # noqa: E402
-from dispmat.poly import Moduli  # noqa: E402
+from dispmat import structsolve  # noqa: E402
+from dispmat.field import BENCH_PRIME, _NTT_MERGED_MAX, _NTT_SLAB, get_field  # noqa: E402
+from dispmat.generators import Generator, densify, gen_matvec  # noqa: E402
+from dispmat.operators import SYLVESTER, DisplacementOperator  # noqa: E402
+from dispmat.poly import Moduli, family_build  # noqa: E402
 from dispmat.structmul import _DIRECT_PAIRS, _mul_direct, mulQ  # noqa: E402
 
 ROUTE_NS = (64, 128, 256, 512, 1024, 2048)
@@ -108,9 +128,80 @@ def kernel(reps: int, seed: int) -> None:
                   flush=True)
 
 
+def _solver_points(per_width: int, alpha: int) -> list[int]:
+    lo, hi = per_width * alpha, per_width * (alpha + 2)
+    return [lo - 8, *range(lo, hi, per_width // 2), hi - 1, hi, hi + 16]
+
+
+def _toeplitz_like(f, rng, m: int, alpha: int):
+    phi = int(rng.integers(0, f.p))
+    psi = (phi + 1 + int(rng.integers(0, f.p - 1))) % f.p
+    op = DisplacementOperator(SYLVESTER, family_build(f, [[-phi % f.p] + [0] * (m - 1) + [1]]),
+                              family_build(f, [[-psi % f.p] + [0] * (m - 1) + [1]]), False, True)
+    return op, rng.integers(0, f.p, (m, alpha)), rng.integers(0, f.p, (m, alpha))
+
+
+def _median_iqr_ms(times: list[float]) -> tuple[float, float]:
+    q1, q2, q3 = np.percentile(times, [25, 50, 75]) * 1e3
+    return float(q2), float(q3 - q1)
+
+
+def solver(reps: int, seed: int) -> None:
+    cases = ((998244353, structsolve.DENSE_PER_WIDTH, (2, 4, 6), reps),
+             (BENCH_PRIME, structsolve.DENSE_PER_WIDTH_OBJECT, (2, 4), reps // 2 + 1))
+    rng = np.random.default_rng(seed)
+    print("# solver: dense below min(m, n) < c·(alpha + 2); medians and interquartile"
+          " ranges in ms")
+    print("#                  p  alpha     m   op    dense    iqr  structured    iqr"
+          "  dense/structured  core  entry")
+    for p, per_width, widths, k in cases:
+        f = get_field(p)
+        for alpha in widths:
+            for m in _solver_points(per_width, alpha):
+                op, G, H = _toeplitz_like(f, rng, m, alpha)
+                x0 = rng.integers(0, f.p, m)
+                b = gen_matvec(Generator(G, H, op), x0)
+                core = structsolve._shift_core(Generator(G, H, op))[1].alpha
+                lv_seed = next(s for s in range(16) if structsolve._structured_inv_generator(
+                    Generator(G, H, op), s).ok and structsolve._structured_solve_generator(
+                    Generator(G, H, op), b, s).ok)
+                sides = {
+                    "solve": (lambda g: structsolve._dense_solve(f, densify(g), b),
+                              lambda g: structsolve._structured_solve_generator(g, b, lv_seed),
+                              lambda g: structsolve.solve_generator(g, b, lv_seed)),
+                    "inv": (structsolve._dense_inv_generator,
+                            lambda g: structsolve._structured_inv_generator(g, lv_seed),
+                            lambda g: structsolve.inv_generator(g, lv_seed)),
+                }
+                for name, (dense, structured, entry) in sides.items():
+                    res = [fn(Generator(G, H, op)) for fn in (dense, structured, entry)]
+                    if not all(r.ok for r in res):
+                        raise SystemExit(f"a route failed at p={p}, alpha={alpha}, m={m}, {name}")
+                    if name == "solve":
+                        same = all(np.array_equal(r.x, x0) for r in res)
+                    else:
+                        same = all(np.array_equal(r.generator.G, res[0].generator.G) and
+                                   np.array_equal(r.generator.H, res[0].generator.H)
+                                   for r in res)
+                    rule = structsolve.DENSE if structsolve._entry_is_dense(f, m, alpha) \
+                        else structsolve.STRUCTURED
+                    if not same or res[2].route != rule:
+                        raise SystemExit(f"routes differ at p={p}, alpha={alpha}, m={m}, {name}")
+                    times = ([], [])
+                    for rep_i in range(k):
+                        for side in ((0, 1) if rep_i % 2 == 0 else (1, 0)):
+                            gen = Generator(G, H, op)
+                            start = time.perf_counter()
+                            (dense, structured)[side](gen)
+                            times[side].append(time.perf_counter() - start)
+                    (td, qd), (ts, qs) = _median_iqr_ms(times[0]), _median_iqr_ms(times[1])
+                    print(f"{p:20d} {alpha:6d} {m:5d} {name:>5s} {td:8.2f} {qd:6.2f} {ts:11.2f}"
+                          f" {qs:6.2f}  {td / ts:16.2f} {core:5d}  {res[2].route}", flush=True)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--part", choices=("route", "kernel", "all"), default="all")
+    ap.add_argument("--part", choices=("route", "kernel", "solver", "all"), default="all")
     ap.add_argument("--reps", type=int, default=7)
     ap.add_argument("--seed", type=int, default=20)
     args = ap.parse_args(argv)
@@ -118,6 +209,8 @@ def main(argv=None) -> int:
         kernel(args.reps, args.seed)
     if args.part in ("route", "all"):
         route(args.reps, args.seed)
+    if args.part in ("solver", "all"):
+        solver(args.reps, args.seed)
     return 0
 
 
