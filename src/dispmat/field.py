@@ -87,7 +87,7 @@ _NTT_RADIX_BITS = 7
 # ran faster than one call per pass (BENCH_11.json).
 _GEMM_MACS = 1 << 18
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 _LOSSY_FLOAT = "float entries must be integers below 2^53 in absolute value"
@@ -117,7 +117,9 @@ class ZeroInverse(ZeroDivisionError):
 
 
 def _is_probable_prime(n: int) -> bool:
-    # deterministic Miller-Rabin for n < 3.3 * 10^24 with the fixed witness set
+    # Miller-Rabin with the witnesses 2..41 is exact below 3317044064679887385961981,
+    # the least strong pseudoprime to all of them (OEIS A014233); PrimeField
+    # refuses larger moduli
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -166,6 +168,9 @@ class PrimeField:
     """
 
     def __init__(self, p: int):
+        if p >= 3317044064679887385961981:
+            raise ValueError(f"modulus {p} is not below 3317044064679887385961981, "
+                             "the bound up to which primality is decided exactly")
         if p < 2 or not _is_probable_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p

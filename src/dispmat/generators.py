@@ -27,7 +27,6 @@ from .operators import (
     SYLVESTER,
     DisplacementOperator,
     SingularOperator,
-    companion_apply,
     inverse_operator,
     inverse_table,
     op_invertible,
@@ -252,9 +251,8 @@ def densify(gen: Generator) -> np.ndarray:
     The column that starts each block comes from product_chain (all of them
     in one call), and the one equation per block the recurrence leaves
     unused holds because L is invertible.  Step t takes the t-th column of
-    every block longer than t at once; M is applied by _companion_rows,
-    never through modmul_apply.  Raises SingularOperator for an operator
-    that is not invertible."""
+    every block longer than t at once, M applied by _companion_rows.
+    Raises SingularOperator for an operator that is not invertible."""
     from .structmul import product_chain
 
     op = gen.operator
@@ -469,7 +467,7 @@ def to_hankel(gen: Generator) -> tuple[Generator, HankelContext]:
     # Stein: shift the last G column, pre-multiply Aᵗu by M_Q, and conjugate
     # the H side through −Z_{n,1}·J_n
     z0_lar = np.concatenate([f.zeros(1), l_a_r[:-1]])
-    mq_at_u = companion_apply(fam_q, at_u)
+    mq_at_u = _companion_rows(fam_q, False)(at_u[None])[0]
     H = _hstack([(f.p - side_map(fam_q, mq_at_u)) % f.p, rth, s])
     hb = (f.p - np.roll(H[::-1], 1, axis=0)) % f.p
     return Generator._built(_hstack([t, lg, z0_lar]), hb, hop), ctx
@@ -514,7 +512,7 @@ def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
     b_inv_t = core_inv_of_t
     b_invt_js = gen_matvec(inv_t, e0[::-1])
     G = _hstack([rq(np.roll(Y, 1, axis=0)[::-1].T).T,
-                 companion_apply(fam_q, rq(b_inv_t[::-1]), transposed=True),
+                 _companion_rows(fam_q, True)(rq(b_inv_t[::-1])[None])[0],
                  ctx.r])
     z0t_bts = np.concatenate([b_invt_js[1:], f.zeros(1)])
     H = _hstack([lt(Z.T).T, ctx.u, (f.p - lt(z0t_bts)) % f.p])

@@ -3,11 +3,12 @@
 An operator is assembled from two monic, pairwise-coprime polynomial families
 P (row side) and Q (column side).  The Sylvester flavor maps A to M·A − A·N
 and the Stein flavor to A − M·A·N, where M and N are the block-diagonal
-companion matrices of the families (optionally transposed).  Everything a
-structured algorithm needs from these matrices — companion products,
-multiplication-by-F maps, symmetrizer products, invertibility tests and the
-per-block modular inverses of Q — is provided here without ever materializing
-an m×m matrix.
+companion matrices of the families (optionally transposed).  This module
+holds what a structured algorithm needs from an operator beyond its
+companion products (``generators._companion_rows``): the blockwise
+symmetrizer products, the blockwise modular products (``modmul_apply``,
+re-exported from poly), invertibility tests and the per-block modular
+inverses of Q, all without materializing an m×m matrix.
 """
 
 from __future__ import annotations
@@ -20,16 +21,14 @@ from .field import PrimeField
 from .poly import (
     DimensionMismatch,
     PolyFamily,
+    _check_length,
     as_poly,
     family_build,
     frozen,
     modmul_apply,  # re-exported: the modular products live in poly
-    modmul_apply_transposed,
     poly_rev,
     poly_scale,
     red_family,
-    symmetrize_apply,
-    symmetrize_solve,
     trim,
 )
 
@@ -119,24 +118,16 @@ def stein_op(fam_p: PolyFamily, fam_q: PolyFamily,
 
 
 # ---------------------------------------------------------------------------
-# companion and multiplication maps
-
-
-def companion_apply(fam: PolyFamily, v: np.ndarray, transposed: bool = False) -> np.ndarray:
-    """M_P·v (or M_Pᵗ·v) blockwise: M_P multiplies every block by x modulo
-    its modulus, and M_Pᵗ is its conjugate through the symmetrizer."""
-    f = fam.field
-    x = f.zeros((len(fam), 2))
-    x[:, 1] = 1
-    apply = modmul_apply_transposed if transposed else modmul_apply
-    return apply(f, x, fam, v)
+# symmetrizers
 
 
 def y_apply_family(fam: PolyFamily, v: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Blockwise symmetrizer product Y_P·v, or Y_P⁻¹·v, for a whole family,
-    on a vector or a block of rows (…, m)."""
-    apply = symmetrize_solve if inverse else symmetrize_apply
-    return apply(fam.field, fam, v)
+    on a vector or a block of rows (…, m).  Entry (i, j) of a block's Y_P
+    is p_{i+j+1} (0-indexed, zero past the degree); it links the companion
+    matrix to its transpose, Y_P·M_Pᵗ = M_P·Y_P."""
+    _check_length(fam, v)
+    return fam.from_leaves(fam.levels[0].symmetrize(fam.to_leaves(v), inverse))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ The scalar helpers on single polynomials (``poly_add`` … ``poly_divrem``,
 the search for a shared factor when ``family_build`` rejects a family, no
 product, reduction or inverse of the library runs through them.  Every job
 runs on a ``Moduli`` stack, whole: ``rem``, ``modmul``, ``inverse`` and
-``symmetrize``, reached through the blockwise and family maps below.
+``symmetrize``, reached through the family maps below and, for the
+symmetrizer, ``operators.y_apply_family``.
 
 A ``PolyFamily`` bundles monic pairwise-coprime moduli P_1..P_d with their
 subproduct tree, CRT units and a detected structure flavor ("general",
@@ -89,10 +90,7 @@ __all__ = [
     "xgcd",
     "poly_gcd",
     "Moduli",
-    "symmetrize_apply",
-    "symmetrize_solve",
     "modmul_apply",
-    "modmul_apply_transposed",
     "PolyFamily",
     "family_build",
     "red_family",
@@ -491,57 +489,17 @@ class Moduli:
 
 
 # ---------------------------------------------------------------------------
-# blockwise maps of one modulus or of a family's blocks
+# blockwise maps of a family's blocks
 #
-# P is a monic modulus, and v a vector or a block of rows of length deg P;
-# or P is a family, and v a joined residue vector or a block of them (…, m),
-# taken block by block.
+# v is a joined residue vector or a block of them (…, m), taken block by
+# block on the family's leaf stack.
 
 
-def _blocks(f: PrimeField, P, v: np.ndarray):
-    """(moduli, v laid out as their rows, the map back to v's layout)."""
-    if isinstance(P, PolyFamily):
-        _check_length(P, v)
-        return P.levels[0], P.to_leaves(v), P.from_leaves
-    M = Moduli.of(f, P)
-    if v.shape[-1] != M.width:
-        raise DimensionMismatch(f"vector length {v.shape[-1]} != modulus degree {M.width}")
-    return M, v[..., None, :], lambda X: X[..., 0, :]
-
-
-def symmetrize_apply(f: PrimeField, P, v: np.ndarray) -> np.ndarray:
-    """The triangular Hankel symmetrizer Y_P·v: entry (i, j) of Y_P is
-    p_{i+j-1} (1-indexed, p_m = 1, p_t = 0 above m).  It links the
-    multiplication matrices mod P to their transposes."""
-    M, X, back = _blocks(f, P, v)
-    return back(M.symmetrize(X))
-
-
-def symmetrize_solve(f: PrimeField, P, v: np.ndarray) -> np.ndarray:
-    """Y_P⁻¹·v: flip the vector, then multiply by the inverse of the unit
-    lower-triangular Toeplitz matrix whose symbol is rev(P) truncated to m
-    terms."""
-    M, X, back = _blocks(f, P, v)
-    return back(M.symmetrize(X, inverse=True))
-
-
-def modmul_apply(f: PrimeField, F, P, v: np.ndarray) -> np.ndarray:
-    """Coefficients of F·pol(v) mod P, padded to deg P.
-
-    For one modulus, v may have any length: the rectangular map
-    M_{F,P,ℓ} = M_{F,P}·W_{P,ℓ} is realized by reducing pol(v) mod P first.
-    For a family, F holds one multiplier per block, as rows (d, ·).
-    """
-    if isinstance(P, PolyFamily):
-        M, X, back = _blocks(f, P, v)
-        return back(M.modmul(F, X))
-    M = Moduli.of(f, P)
-    return M.modmul(trim(f, F)[None], M.rem(v[..., None, :]))[..., 0, :]
-
-
-def modmul_apply_transposed(f: PrimeField, F, P, v: np.ndarray) -> np.ndarray:
-    """M_{F,P}ᵗ·v via the symmetrizer conjugation Y_P⁻¹·M_{F,P}·Y_P."""
-    return symmetrize_solve(f, P, modmul_apply(f, F, P, symmetrize_apply(f, P, v)))
+def modmul_apply(F: np.ndarray, fam: PolyFamily, v: np.ndarray) -> np.ndarray:
+    """F_i·v_i mod P_i for every block i of the family, joined: F holds one
+    multiplier per block, as rows (d, ·)."""
+    _check_length(fam, v)
+    return fam.from_leaves(fam.levels[0].modmul(F, fam.to_leaves(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +718,7 @@ def comb_family(fam: PolyFamily, parts: np.ndarray) -> np.ndarray:
 
 def comb_family_inv(fam: PolyFamily, a: np.ndarray) -> np.ndarray:
     """Inverse of comb_family on F[x]_m: scale residues by the units F_i."""
-    f = fam.field
-    return modmul_apply(f, fam.crt_units()[1], fam, red_family(fam, a))
+    return modmul_apply(fam.crt_units()[1], fam, red_family(fam, a))
 
 
 def crt_family(fam: PolyFamily, parts: np.ndarray) -> np.ndarray:

@@ -347,7 +347,7 @@ def product_chain(gen: Generator, B: np.ndarray) -> np.ndarray:
         R = mulQ(f, lhs, etas, cols, fam_q.product)
     if stein:
         R = R[:, ::-1]
-    out = modmul_apply(f, table, fam_p, red_family(fam_p, R))
+    out = modmul_apply(table, fam_p, red_family(fam_p, R))
     return tf.p_side(out.T, inverse=True)
 
 

@@ -74,7 +74,7 @@ from .generators import (
 )
 from .operators import STEIN, inverse_operator
 from .poly import DimensionMismatch
-from .structmul import PreconditionViolated, product_chain, struct_mul
+from .structmul import PreconditionViolated, product_chain
 
 OK = "ok"
 SINGULAR = "singular"
@@ -238,13 +238,11 @@ def _gen_block_inv(f: PrimeField, Y: np.ndarray, Z: np.ndarray,
 
 
 def _apply(gen: Generator, X: np.ndarray) -> np.ndarray:
-    """gen · X on the compressed generator (Pan 2001, ch. 4): the bordered
-    blocks carry two extra columns that are often dependent."""
-    if X.ndim == 1:
-        return gen_matvec(gen, X)
-    if X.shape[1] == 0:
-        return gen.field.zeros((gen.m, 0))
-    return struct_mul(gen_compress(gen), X)
+    """gen · X for a block of columns, on the compressed generator (Pan 2001,
+    ch. 4): the bordered blocks carry two extra columns that are often
+    dependent.  Both come from the library, so the product chain takes them
+    as they are."""
+    return product_chain(gen_compress(gen), X)
 
 
 # ---------------------------------------------------------------------------

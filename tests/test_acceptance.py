@@ -250,7 +250,8 @@ def _criterion_4(forced: bool):
             u = F.arr(rng.integers(0, F.p, (m, r)))
             v = F.arr(rng.integers(0, F.p, (r, m)))
             a = dense_mul(F, u, v)
-        else:  # strictly lower triangular Toeplitz: nilpotent
+        else:  # strictly lower triangular Toeplitz: nilpotent; its width
+            # under hankel_operator is m − 1, so both runs take it dense
             a = F.zeros((m, m))
             c = F.arr(rng.integers(0, F.p, m - 1))
             for k in range(1, m):

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispmat.field import BENCH_PRIME, DEFAULT_PRIME, get_field
+from dispmat.operators import y_apply_family
 from dispmat.poly import (
+    Moduli,
     NotCoprime,
     comb_family,
     crt_family,
@@ -20,8 +22,6 @@ from dispmat.poly import (
     poly_mod,
     poly_mul,
     red_family,
-    symmetrize_apply,
-    symmetrize_solve,
     trim,
 )
 
@@ -92,24 +92,22 @@ def test_block_forms_match_rows(p, shape, beta, seed):
     for v, a in zip(V, crt):
         assert np.array_equal(red_family(fam, a), v)
 
-    Y = _rows_agree(lambda X: symmetrize_apply(f, fam, X), V,
-                    lambda v: symmetrize_apply(f, fam, v))
+    Y = _rows_agree(lambda X: y_apply_family(fam, X), V, lambda v: y_apply_family(fam, v))
     for v, y in zip(V, Y):
         for part, P, out in zip(split(v), fam.polys, split(y)):
-            assert np.array_equal(out, symmetrize_apply(f, P, part))
-    back = _rows_agree(lambda X: symmetrize_solve(f, fam, X), Y,
-                       lambda y: symmetrize_solve(f, fam, y))
+            assert np.array_equal(out, Moduli.of(f, P).symmetrize(part[None])[0])
+    back = _rows_agree(lambda X: y_apply_family(fam, X, inverse=True), Y,
+                       lambda y: y_apply_family(fam, y, inverse=True))
     assert np.array_equal(back, V)
 
     table = np.stack([np.append(f.arr(rng.integers(0, f.p, d)),
                                 f.zeros(fam.levels[0].width - d)) for d in fam.degrees])
-    prods = _rows_agree(lambda X: modmul_apply(f, table, fam, X), V,
-                        lambda v: modmul_apply(f, table, fam, v))
+    prods = _rows_agree(lambda X: modmul_apply(table, fam, X), V,
+                        lambda v: modmul_apply(table, fam, v))
     for v, out in zip(V, prods):
         for part, P, F, o in zip(split(v), fam.polys, table, split(out)):
             want = poly_mod(f, poly_mul(f, trim(f, F), trim(f, part)), P)
             assert np.array_equal(trim(f, o), want)
-            assert np.array_equal(o, modmul_apply(f, F, P, part))
 
 
 def _add(f, a, b):

@@ -69,6 +69,9 @@ def test_gen_accepts_full_rank_alpha(tmp_path, capsys):
         ["gen", "--task", "mul", "--m", "0"],
         ["gen", "--task", "mul", "--m", "4", "--prime", "nosuch"],
         ["gen", "--task", "solve", "--m", "4", "--n", "5", "--rhs", "inconsistent"],
+        # strong pseudoprimes to the bases 2..37 and to 2..41
+        ["gen", "--task", "mul", "--m", "4", "--prime", "318665857834031151167461"],
+        ["gen", "--task", "mul", "--m", "4", "--prime", "3317044064679887385961981"],
     ],
 )
 def test_gen_rejects_bad_specs(capsys, argv):

@@ -33,10 +33,20 @@ def test_get_field_keeps_one_instance_per_prime():
         get_field("12")
 
 
-@pytest.mark.parametrize("bad", [0, 1, 4, 15, 2**31 - 2])
+# the last two: 399165290221 · 798330580441, the least strong pseudoprime
+# to the bases 2..37, and the least one to 2..41 (OEIS A014233)
+@pytest.mark.parametrize("bad", [0, 1, 4, 15, 2**31 - 2, 318665857834031151167461,
+                                 3317044064679887385961981])
 def test_rejects_composite_modulus(bad):
     with pytest.raises(ValueError):
         PrimeField(bad)
+    with pytest.raises(ValueError):
+        get_field(bad)
+
+
+def test_get_field_names_the_bound_of_exact_primality():
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        get_field(2**89 - 1)  # a Mersenne prime, beyond the bound
 
 
 def test_dtype_switch():

@@ -4,23 +4,22 @@ import numpy as np
 import pytest
 
 from dispmat.field import BENCH_PRIME, get_field
+from dispmat.cli import draw_family
+from dispmat.generators import _companion_rows
 from dispmat.poly import (
     DimensionMismatch,
+    Moduli,
     as_poly,
     family_build,
     poly_mul,
-    symmetrize_apply,
-    symmetrize_solve,
 )
 from dispmat.operators import (
     STEIN,
     SYLVESTER,
     DisplacementOperator,
-    companion_apply,
     inverse_operator,
     inverse_table,
     modmul_apply,
-    modmul_apply_transposed,
     op_from_dict,
     op_invertible,
     op_to_dict,
@@ -135,24 +134,24 @@ def test_block_companion_is_block_diagonal():
 
 
 @pytest.mark.parametrize("transposed", [False, True])
-def test_companion_apply_matches_dense(any_field, transposed):
-    f = any_field
+@pytest.mark.parametrize("flavor", ["general", "geometric", "single_power"])
+@pytest.mark.parametrize("p", [998244353, 7, "p62"])
+def test_companion_rows_matches_dense(p, flavor, transposed):
+    """_companion_rows, the library's one companion map, is M_P (M_Pᵗ) on
+    every row of a block, for each flavour: geometric families have blocks
+    of degree 1, and a block of degree 40 sums 40 feedback products."""
+    f = get_field(p)
     rng = np.random.default_rng(11 + transposed)
-    # a block of degree >= 22 sums more residue products than an int64 holds
-    for total in [*rng.integers(1, 9, 12), 64]:
-        fam = rand_family(f, rng, int(total))
+    for total in (1, 2, 6, 40):
+        if flavor == "geometric" and total >= f.p:
+            continue
+        fam = draw_family(f, rng, total, flavor)
         M = dense_block_companion(f, fam)
         if transposed:
             M = M.T
-        v = f.arr(rng.integers(0, f.p, fam.total_degree))
-        got = companion_apply(fam, v, transposed=transposed)
-        assert np.array_equal(got, f.mat_mul(M, v.reshape(-1, 1)).ravel())
-
-
-def test_companion_apply_rejects_bad_length(f):
-    fam = family_build(f, [[f.p - 1, 0, 1]])
-    with pytest.raises(DimensionMismatch):
-        companion_apply(fam, f.zeros(3))
+        X = f.arr(rng.integers(0, 2**62, (3, total)))
+        got = _companion_rows(fam, transposed)(X)
+        assert np.array_equal(got, f.mat_mul(M, X.T).T)
 
 
 # ---------------------------------------------------------------------------
@@ -161,26 +160,27 @@ def test_companion_apply_rejects_bad_length(f):
 
 def test_modmul_apply_reduces_long_input():
     f = get_field(7)
-    P = as_poly(f, [6, 0, 1])  # x^2 - 1
-    F = as_poly(f, [0, 1])  # x
+    fam = family_build(f, [[6, 0, 1]])  # x^2 - 1
+    F = f.arr([[1, 1, 1, 1]])  # a multiplier longer than the block
     # x * (1 + x + x^2 + x^3) mod x^2 - 1 = x + x^2 + x^3 + x^4
     #   = x + 1 + x + 1 = 2 + 2x
-    got = modmul_apply(f, F, P, f.arr([1, 1, 1, 1]))
+    got = modmul_apply(F, fam, f.arr([0, 1]))
     assert got.tolist() == [2, 2]
 
 
 def test_modmul_transposed_is_dense_transpose(any_field):
+    """M_{F,P}ᵗ = Y_P⁻¹·M_{F,P}·Y_P on a Moduli stack: the leaf step of the
+    transposed CRT map."""
     f = any_field
     rng = np.random.default_rng(23)
     for _ in range(8):
         k = int(rng.integers(1, 7))
-        P = np.append(f.arr(rng.integers(0, f.p, k)), f.arr([1]))
-        F = f.arr(rng.integers(0, f.p, k))
-        cols = [modmul_apply(f, F, P, col) for col in f.arr(np.eye(k, dtype=int)).T]
-        M = np.stack(cols, axis=1)
-        v = f.arr(rng.integers(0, f.p, k))
-        got = modmul_apply_transposed(f, F, P, v)
-        assert np.array_equal(got, f.mat_mul(M.T, v.reshape(-1, 1)).ravel())
+        stack = Moduli.of(f, np.append(f.arr(rng.integers(0, f.p, k)), f.arr([1])))
+        F = f.arr(rng.integers(0, f.p, (1, k)))
+        M = stack.modmul(F, f.arr(np.eye(k, dtype=int))[:, None, :])[:, 0, :].T
+        v = f.arr(rng.integers(0, f.p, (1, k)))
+        got = stack.symmetrize(stack.modmul(F, stack.symmetrize(v)), inverse=True)
+        assert np.array_equal(got[0], f.mat_mul(M.T, v.reshape(-1, 1)).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +194,11 @@ def test_y_apply_matches_dense_and_inverts(any_field):
         k = int(rng.integers(1, 8))
         P = np.append(f.arr(rng.integers(0, f.p, k)), f.arr([1]))
         Y = _dense_y(f, P)
+        fam = family_build(f, [P])
         v = f.arr(rng.integers(0, f.p, k))
-        got = symmetrize_apply(f, P, v)
+        got = y_apply_family(fam, v)
         assert np.array_equal(got, f.mat_mul(Y, v.reshape(-1, 1)).ravel())
-        assert np.array_equal(symmetrize_solve(f, P, got), v)
+        assert np.array_equal(y_apply_family(fam, got, inverse=True), v)
 
 
 def test_y_apply_family_blockwise(f):
@@ -208,6 +209,8 @@ def test_y_apply_family_blockwise(f):
     got = y_apply_family(fam, v)
     assert np.array_equal(got, f.mat_mul(Y, v.reshape(-1, 1)).ravel())
     assert np.array_equal(y_apply_family(fam, got, inverse=True), v)
+    with pytest.raises(DimensionMismatch):
+        y_apply_family(fam, f.zeros(6))
 
 
 def test_symmetrizer_conjugates_companion_transpose(any_field):

@@ -35,8 +35,6 @@ from dispmat.poly import (
     red_family,
     red_transposed,
     series_inv,
-    symmetrize_apply,
-    symmetrize_solve,
     trim,
     xgcd,
 )
@@ -170,16 +168,17 @@ def test_symmetrizer_dense_agreement():
                 for j in range(m):
                     if i + j + 1 <= m:
                         Y[i, j] = P[i + j + 1]
-            v = f.arr(rng.integers(0, f.p, size=m))
-            assert np.array_equal(symmetrize_apply(f, P, v), f.mat_mul(Y, v.reshape(-1, 1)).reshape(-1))
-            assert np.array_equal(symmetrize_solve(f, P, symmetrize_apply(f, P, v)), v)
+            v = f.arr(rng.integers(0, f.p, size=(1, m)))
+            stack = Moduli.of(f, P)
+            assert np.array_equal(stack.symmetrize(v), f.mat_mul(Y, v.T).T)
+            assert np.array_equal(stack.symmetrize(stack.symmetrize(v), inverse=True), v)
 
 
 def test_symmetrizer_power_is_antidiagonal():
     m = 4
     P = as_poly(F7, [0] * m + [1])  # x^4
-    v = F7.arr([1, 2, 3, 4])
-    assert symmetrize_apply(F7, P, v).tolist() == [4, 3, 2, 1]
+    v = F7.arr([[1, 2, 3, 4]])
+    assert Moduli.of(F7, P).symmetrize(v).tolist() == [[4, 3, 2, 1]]
 
 
 def test_family_build_validation():

@@ -304,8 +304,8 @@ def test_product_chain_routes_a_general_q_by_pair_count(f, kind, monkeypatch):
 def test_struct_mul_never_inverts_the_q_symmetrizer(f, transpose_p, monkeypatch):
     """With an untransposed Q side, A·B = Y_P^{−e1}·Ã·Y_Q⁻¹·B and Ã's chain
     starts with Y_Q, so the product must not apply Y_Q⁻¹ at all."""
-    from dispmat import operators
     from dispmat.operators import sylvester_op
+    from dispmat.poly import Moduli
 
     rng = np.random.default_rng(53)
     fam_p, fam_q = rand_family(f, rng, 9), rand_family(f, rng, 8)
@@ -314,19 +314,21 @@ def test_struct_mul_never_inverts_the_q_symmetrizer(f, transpose_p, monkeypatch)
     B = f.arr(rng.integers(0, f.p, (8, 4)))
     A = dense_solve_displacement(op, f.mat_mul(gen.G, gen.H.T))
 
-    # the symmetrizer of a family runs on all its blocks in one call
-    moduli = []
-    solve = operators.symmetrize_solve
+    # the symmetrizer of a family runs on all its blocks in one call, on
+    # the family's leaf stack
+    inverted = []
+    symmetrize = Moduli.symmetrize
 
-    def recording(field, P, v):
-        moduli.append(P)
-        return solve(field, P, v)
+    def recording(stack, X, inverse=False):
+        if inverse:
+            inverted.append(stack)
+        return symmetrize(stack, X, inverse)
 
-    monkeypatch.setattr(operators, "symmetrize_solve", recording)
+    monkeypatch.setattr(Moduli, "symmetrize", recording)
     got = struct_mul(gen, B)
     assert np.array_equal(got, dense_mul(f, A, B))
-    assert not any(P is fam_q for P in moduli)
-    assert bool(moduli) == transpose_p  # Y_P⁻¹ on the output side only
+    assert not any(stack is fam_q.levels[0] for stack in inverted)
+    assert bool(inverted) == transpose_p  # Y_P⁻¹ on the output side only
 
 
 def test_struct_mul_columns_agree_with_matvec(f):

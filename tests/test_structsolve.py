@@ -518,7 +518,8 @@ def test_inv_detects_planted_singular(f, monkeypatch):
                 a = f.arr(rng.integers(0, f.p, m)).reshape(-1, 1)
                 b = f.arr(rng.integers(0, f.p, m)).reshape(1, -1)
                 A = dense_mul(f, a, b)
-            else:  # strictly lower-triangular Toeplitz: nilpotent
+            else:  # strictly lower-triangular Toeplitz: nilpotent; its width
+                # under hankel_operator is m − 1, so both runs take it dense
                 A = f.zeros((m, m))
                 c = f.arr(rng.integers(0, f.p, m - 1))
                 for k in range(1, m):
@@ -533,6 +534,32 @@ def test_inv_detects_planted_singular(f, monkeypatch):
             if res.status == SINGULAR:
                 singular_calls += 1
         assert singular_calls >= (14 if forced else 20)
+
+
+def test_inv_detects_planted_singular_hankel(f, monkeypatch):
+    """J·T for a strictly lower-triangular Toeplitz T is a singular Hankel
+    matrix of width 2 under hankel_operator, so the forced run takes it
+    through the Las Vegas route."""
+    for forced in both_routes(monkeypatch):
+        rng = np.random.default_rng(157)
+        singular_calls = 0
+        for trial in range(12):
+            m = int(rng.integers(8, 30))
+            c = f.arr(rng.integers(0, f.p, m - 1))
+            A = f.zeros((m, m))
+            for k in range(1, m):
+                for i in range(k, m):
+                    A[m - 1 - i, i - k] = c[k - 1]
+            B, C = _column_decompose(f, _cyclic_displacement(f, A))
+            gen = Generator(B, f.arr(C.T), hankel_operator(f, m, m))
+            assert gen.alpha <= 2
+            assert np.array_equal(reconstruct_dense(gen), A)
+            res = inv_generator(gen, rng_seed=trial)
+            assert res.route == expected_route(forced, m, gen.alpha)
+            assert res.status in (SINGULAR, FAILURE)
+            if res.status == SINGULAR:
+                singular_calls += 1
+        assert singular_calls >= (10 if forced else 12)
 
 
 def test_inv_rejects_bad_shapes(f):
@@ -957,7 +984,7 @@ def test_small_solve_runs_one_dense_elimination(f, monkeypatch):
     b = gen_matvec(gen, x0)
     calls = {}
     for name in ("largest_rec", "precond", "to_hankel", "from_hankel_inverse",
-                 "gen_compress", "compress_pair", "struct_mul", "lp_inv"):
+                 "gen_compress", "compress_pair", "product_chain", "lp_inv"):
         real = getattr(structsolve, name)
         monkeypatch.setattr(structsolve, name,
                             lambda *a, _n=name, _r=real: calls.setdefault(_n, []).append(1) or _r(*a))
