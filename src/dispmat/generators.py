@@ -43,6 +43,10 @@ from .poly import (
 
 RECONSTRUCT_LIMIT = 1 << 20
 
+# steps of densify's column recurrence taken as one running sum and one
+# table product (tools/route_sweep.py --part densify, BENCH_24.json)
+_DENSIFY_BLOCK = 8
+
 
 @dataclass
 class Generator:
@@ -191,13 +195,21 @@ def to_basic(gen: Generator) -> tuple[Generator, BasicTransform]:
 # public operations
 
 
+def _vector(f: PrimeField, v, size: int, what: str) -> np.ndarray:
+    """v as residues of shape (size,); any other shape, a column (size, 1)
+    included, is refused with a DimensionMismatch that names it."""
+    v = f.arr(v)
+    if v.shape != (size,):
+        raise DimensionMismatch(f"{what} has shape {v.shape}, expected ({size},)")
+    return v
+
+
 def gen_matvec(gen: Generator, u: np.ndarray) -> np.ndarray:
     """A·u without materializing A: the product chain on one column."""
     from .structmul import product_chain  # structmul builds on this module
 
-    if len(u) != gen.n:
-        raise DimensionMismatch(f"vector length {len(u)} != {gen.n}")
-    return product_chain(gen, gen.field.arr(u).reshape(-1, 1))[:, 0]
+    u = _vector(gen.field, u, gen.n, "vector")
+    return product_chain(gen, u.reshape(-1, 1))[:, 0]
 
 
 def reconstruct_dense(gen: Generator) -> np.ndarray:
@@ -237,66 +249,134 @@ def _companion_rows(fam: PolyFamily, transposed: bool):
 
 def densify(gen: Generator) -> np.ndarray:
     """The unique dense A with L(A) = G·Hᵗ, for every operator variant, in
-    O(m·n·alpha) array work plus one product-chain column per block of Q.
+    O(m·n·(alpha + _DENSIFY_BLOCK)) array work plus one product-chain
+    column per block of Q.
 
     Column by column inside each companion block of N (N = M_Q, or M_Qᵗ
-    when transpose_q), the displacement is a recurrence.  With M the row
-    side, a_j the block's columns, d_j those of D = G·Hᵗ and q_j the low
-    coefficients of the block's modulus (a_{−1} = 0):
+    when transpose_q), the displacement is a recurrence
+    a_t = M·a_{t−1} + e_t from a start a_0, with M the row side.  With a_j
+    the block's columns, d_j those of D = G·Hᵗ and q_j the low coefficients
+    of the block's modulus:
       Sylvester, N = M_Q:   a_{j+1} = M·a_j − d_j, forward from a_0;
       Sylvester, N = M_Qᵗ:  a_{j−1} = M·a_j + q_j·a_{k−1} − d_j, backward;
       Stein, N = M_Q:       a_j = M·a_{j+1} + d_j, backward from a_{k−1};
       Stein, N = M_Qᵗ:      a_j = M·a_{j−1} − q_j·M·a_{k−1} + d_j, forward
-                            from a_0, with a_{k−1} known first.
+                            from a_{−1} = 0, with a_{k−1} known first.
     The column that starts each block comes from product_chain (all of them
     in one call), and the one equation per block the recurrence leaves
-    unused holds because L is invertible.  Step t takes the t-th column of
-    every block longer than t at once, M applied by _companion_rows.
-    Raises SingularOperator for an operator that is not invertible."""
+    unused holds because L is invertible.
+
+    On each block of P, a residue ring F[x]/(P_i), M_P is the product by x
+    (Kailath, Kung and Morf 1979; Pan 2001, ch. 4), so T = _DENSIFY_BLOCK
+    steps are one sum, a_{s+τ} = x^τ·a_s + Σ_{r≤τ} x^{τ−r}·e_{s+r} mod P:
+    a running sum (one cumsum) down the diagonals of a (T + 1)-row array
+    per leaf of P, the leaves aligned at the top, whose T overflow
+    coefficients one product with the table x^{k_i+j} mod P_i (j < T)
+    folds.  Under M_Pᵗ a vector is the first k_i terms of a linear
+    recurrent sequence with characteristic polynomial P_i, which M_Pᵗ
+    shifts: the same table extends each term of the sum by T terms, and
+    the running sum is read in windows.  The blocks of Q longer than the
+    block's first step go side by side.  Raises SingularOperator for an
+    operator that is not invertible."""
     from .structmul import product_chain
 
     op = gen.operator
     f = op.field
+    p = f.p
     if inverse_table(op) is None:
         raise SingularOperator("operator is not invertible")
-    fam_q = op.fam_q
-    M = _companion_rows(op.fam_p, op.transpose_p)
-    q = np.concatenate([Q[:k] for Q, k in zip(fam_q.polys, fam_q.degrees)])
-    # blocks longest first, so the blocks a step takes are a prefix
+    fam_p, fam_q = op.fam_p, op.fam_q
+    M = _companion_rows(fam_p, op.transpose_p)
+    # blocks of Q longest first, so the blocks a step takes are a prefix
     degs = np.asarray(fam_q.degrees)
     order = np.argsort(-degs, kind="stable")
     degs, offs = degs[order], np.asarray(fam_q.offsets)[order]
     ends = offs + degs - 1
-    live = np.searchsorted(-degs, -np.arange(degs[0]), side="left")
     stein, tq = op.kind == STEIN, op.transpose_q
     seeds = ends if stein or tq else offs
 
-    At = f.zeros((op.n, op.m))  # Aᵗ, one column of A per row
-    Dt = f.mat_mul(gen.H, gen.G.T)
+    At = f.zeros((op.n + 1, op.m))  # Aᵗ, one column of A per row, and a spare row
     E = f.zeros((op.n, len(seeds)))
     E[seeds, np.arange(len(seeds))] = 1
-    # a_{k−1} of every block (the seed, except for Sylvester with M_Q); the
-    # Stein recurrence with M_Qᵗ needs M·a_{k−1}
-    At[seeds] = prev = last = product_chain(gen, E).T
-    if stein and tq:
-        last = M(last)
-    for t in range(1, len(live)):
-        L = live[t]
-        X = prev[:L]
-        if not stein and not tq:
-            j = offs[:L] + t
-            prev = (M(X) - Dt[j - 1]) % f.p
-        elif not stein:
-            j = ends[:L] - t
-            prev = (M(X) + q[j + 1, None] * last[:L] % f.p - Dt[j + 1]) % f.p
-        elif not tq:
-            j = ends[:L] - t
-            prev = (M(X) + Dt[j]) % f.p
-        else:
-            j = offs[:L] + t - 1
-            prev = ((M(X) if t > 1 else 0) - q[j, None] * last[:L] % f.p + Dt[j]) % f.p
-        At[j] = prev
-    return np.ascontiguousarray(At.T)
+    At[seeds] = first = product_chain(gen, E).T
+    T = _DENSIFY_BLOCK
+    steps = -(-(int(degs[0]) - 1) // T) * T
+    if not steps:
+        return np.ascontiguousarray(At[:-1].T)
+
+    # leaf layout (d, …, w): block i of P first in row i, its top at column w
+    d, w = len(fam_p), max(fam_p.degrees)
+    slots = np.concatenate([i * w + w - k + np.arange(k) for i, k in enumerate(fam_p.degrees)])
+
+    def leaves(X):
+        if d * w != op.m:
+            Y = f.zeros(X.shape[:-1] + (d * w,))
+            Y[..., slots] = X
+            X = Y
+        return np.moveaxis(X.reshape(X.shape[:-1] + (d, w)), -2, 0)
+
+    # table (d, T, w): x^{k_i+j} mod P_i for j < T, from x^{k_i} mod P_i by
+    # T − 1 steps of M_P
+    low = np.concatenate([P[:k] for P, k in zip(fam_p.polys, fam_p.degrees)])
+    rows = [(p - low[None]) % p]
+    shift = _companion_rows(fam_p, False)
+    for _ in range(T - 1):
+        rows.append(shift(rows[-1]))
+    table = leaves(np.concatenate(rows))
+
+    def extend(X):  # leaf rows (d, c, w) read as sequences: their next T terms
+        return (X[:, :, None] * table[:, None] % p).sum(-1) % p
+
+    # step t of block i of Q writes column pos[t − 1, i] from its increment
+    # e_t: ±d_src, plus q_src times a_{k−1} (Sylvester) or −M·a_{k−1} (Stein)
+    # when N = M_Qᵗ.  Steps past a block's end are computed, never written.
+    t = np.arange(1, steps + 1)[:, None]
+    forward = stein == tq
+    src = offs + t - 1 if forward else ends - t + 1 - stein
+    pos = src if stein else src + (1 if forward else -1)
+    valid = t < degs
+    src = np.where(valid, src, 0)
+    G = gen.G if stein else (p - gen.G) % p
+    inc = f.mat_mul(gen.H, G.T)[src]
+    if tq:
+        q = np.concatenate([Q[:k] for Q, k in zip(fam_q.polys, fam_q.degrees)])[src][..., None]
+        fed = (p - M(first)) % p if stein else first
+        inc = (inc + q * fed % p) % p
+    inc = leaves(inc)  # (d, steps, blocks of Q, w)
+    if op.transpose_p:  # the increments' next T terms, through those of G and fed
+        terms = f.mat_mul(gen.H[src], extend(leaves(G.T))[:, None])
+        if tq:
+            terms = (terms + q * extend(leaves(fed))[:, None] % p) % p
+        inc = np.concatenate([inc, terms], axis=-1)
+    start = leaves(f.zeros(first.shape) if stein and tq else first)
+    out = np.empty((steps, len(degs), d, w), dtype=f.dtype)
+    # a leaf's segment of a running-sum row: room for T shifts either way
+    W = w + 2 * T + 1
+    for s in range(0, steps, T):
+        L = int(np.count_nonzero(degs > s + 1))
+        row = L * W
+        buf = f.zeros((d, (T + 1) * row + T + 1))
+        if op.transpose_p:  # row r of diag shifted right by r: row t reads windows
+            run = buf[:, :(T + 1) * (row - 1)].reshape(d, T + 1, row - 1)
+            diag = buf[:, :(T + 1) * row].reshape(d, T + 1, L, W)
+            diag[:, 0, :, :w] = start[:, :L]
+            diag[:, 0, :, w:w + T] = extend(start[:, :L])
+            diag[:, 1:, :, :w + T] = inc[:, s:s + T, :L]
+            np.cumsum(run, axis=1, out=run)
+            new = diag[:, 1:, :, :w] % p
+        else:  # row r of diag shifted left by r: row t holds x^t·a_s + …
+            run = buf[:, :(T + 1) * (row + 1)].reshape(d, T + 1, row + 1)
+            diag = buf[:, T:T + (T + 1) * row].reshape(d, T + 1, L, W)
+            diag[:, 0, :, :w] = start[:, :L]
+            diag[:, 1:, :, :w] = inc[:, s:s + T, :L]
+            np.cumsum(run, axis=1, out=run)
+            over = (diag[:, 1:, :, w:w + T] % p).reshape(d, T * L, T)
+            new = (diag[:, 1:, :, :w] + f.mat_mul(over, table).reshape(d, T, L, w)) % p
+        out[s:s + T, :L] = new.transpose(1, 2, 0, 3)
+        start = new[:, -1]
+    out = out.reshape(steps, len(degs), d * w)
+    At[np.where(valid, pos, op.n)] = out if d * w == op.m else out[..., slots]
+    return np.ascontiguousarray(At[:-1].T)
 
 
 def displacement(op: DisplacementOperator, A: np.ndarray) -> np.ndarray:

@@ -71,6 +71,7 @@ from .generators import (
     _column_decompose,
     _hstack,
     _unit,
+    _vector,
 )
 from .operators import STEIN, inverse_operator
 from .poly import DimensionMismatch
@@ -611,7 +612,8 @@ def solve_generator(gen: Generator, b, rng_seed: int = 0) -> SolveResult:
 
     Rank-deficient consistent systems return a solution (a nonzero one
     when b = 0 and A has a kernel); inconsistent ones report no_solution.
-    The right-hand side is checked first; then the route is decided once,
+    The right-hand side is checked first: any shape but (m,) is refused
+    with a DimensionMismatch.  Then the route is decided once,
     on min(m, n) and α + 2 (module docstring).  Dense: A is densified
     (generators.densify) and [A | b] eliminated once, with no shift core
     and no preconditioner; the answer is deterministic, rng_seed is unused
@@ -620,9 +622,7 @@ def solve_generator(gen: Generator, b, rng_seed: int = 0) -> SolveResult:
     """
     op = gen.operator
     f = op.field
-    b = f.arr(b)
-    if len(b) != op.m:
-        raise DimensionMismatch(f"right-hand side length {len(b)} != {op.m}")
+    b = _vector(f, b, op.m, "right-hand side")
     if _entry_is_dense(f, min(op.m, op.n), gen.alpha):
         return _dense_solve(f, densify(gen), b)
     return _structured_solve_generator(gen, b, rng_seed)

@@ -156,6 +156,30 @@ def test_densify_matches_oracle(p):
     assert not np.any(densify(generator_zeros(op, 0)))
 
 
+@pytest.mark.parametrize("p", [998244353, 2**31 - 1, 3037000493, BENCH_PRIME],
+                         ids=["default", "2^31-1", "3037000493", "p62"])
+def test_densify_across_step_blocks(p):
+    # densify takes the recurrence _DENSIFY_BLOCK = 8 columns at a time:
+    # formats that cross one, two and five blocks for every variant and
+    # flavour, and one 64×64 format per variant (flavours in turn).  L is
+    # invertible, so L(A) = G·Hᵗ on residues of the field's dtype certifies A.
+    f = get_field(p)
+    rng = np.random.default_rng(212)
+    flavors = ("general", "single_power", "geometric", "skewed")
+    variants = [(kind, tp, tq) for kind in (SYLVESTER, STEIN)
+                for tp in (False, True) for tq in (False, True)]
+    for i, (kind, tp, tq) in enumerate(variants):
+        cases = [(flavor, m, n) for flavor in flavors
+                 for m, n in ((19, 17), (17, 19), (40, 40))]
+        for flavor, m, n in cases + [(flavors[i % 4], 64, 64)]:
+            op = _drawn_operator(f, rng, m, n, kind, flavor, tp, tq)
+            gen = rand_generator(f, rng, op, int(rng.integers(1, 5)))
+            A = densify(gen)
+            assert A.shape == (m, n) and A.dtype == f.dtype
+            assert np.all((A >= 0) & (A < p))
+            assert np.array_equal(displacement(op, A), f.mat_mul(gen.G, gen.H.T))
+
+
 def test_densify_refuses_a_singular_operator(f):
     fam = family_build(f, [[f.p - 1, 1]])  # x − 1 on both sides
     with pytest.raises(SingularOperator):

@@ -5,6 +5,7 @@ elimination for the regular-leading-block size, explicit inverses for the
 recovered generators, and `dense_solve` for solution/kernel claims."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -586,6 +587,26 @@ def test_solve_rejects_bad_shapes(f, monkeypatch):
             solve_generator(gen, f.zeros(3))
         with pytest.raises(DimensionMismatch):
             inv_generator(gen)
+
+
+def test_solve_and_matvec_refuse_non_vector_shapes(f, monkeypatch):
+    # a right-hand side must have shape (m,) and a vector shape (n,): a
+    # column (m, 1), a block (m, 2), a row or a scalar is refused with its
+    # shape named, on both routes, where the route used to decide what
+    # happened to it
+    rng = np.random.default_rng(154)
+    op = rand_operator(f, rng, 12, 12)
+    gen = rand_generator(f, rng, op, 2)
+    x = f.arr(rng.integers(0, f.p, 12))
+    for forced in both_routes(monkeypatch):
+        for shape in ((12, 1), (12, 2), (1, 12), ()):
+            with pytest.raises(DimensionMismatch, match=re.escape(f"shape {shape}")):
+                solve_generator(gen, f.zeros(shape))
+            with pytest.raises(DimensionMismatch, match=re.escape(f"shape {shape}")):
+                gen_matvec(gen, f.zeros(shape))
+        res = solve_generator(gen, gen_matvec(gen, x))
+        assert res.route == expected_route(forced, 12, 2)
+        assert np.array_equal(gen_matvec(gen, res.x), gen_matvec(gen, x))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Time the two routes of product_chain's middle product, the two forms of
-PrimeField.ntt and the two routes of the solver's entry points, the
-measurements behind structmul's route rule, ntt's one-slab cut and
-structsolve's crossover rule.
+PrimeField.ntt, the two routes of the solver's entry points and densify's
+step block, the measurements behind structmul's route rule, ntt's one-slab
+cut, structsolve's crossover rule and generators._DENSIFY_BLOCK.
 
-    python3 tools/route_sweep.py [--part route|kernel|solver|all] [--reps K] [--seed S]
+    python3 tools/route_sweep.py [--part route|kernel|solver|densify|all] [--reps K] [--seed S]
 
 Run it single-threaded (OPENBLAS_NUM_THREADS=1) on an otherwise idle
 machine; `dispmat` is imported from the `src` directory next to `tools`.
@@ -39,8 +39,19 @@ alternate, one call each on a new generator object per repetition; the
 median is over K repetitions over 998244353 and K // 2 + 1 over the
 62-bit prime.
 
-Every route and kernel time is the best of K alternated repetitions
-(default 7), each the mean of enough calls to run about 2 ms.
+densify: generators.densify with _DENSIFY_BLOCK at its value T, at T // 2
+and at 2T, on fresh generators of length alpha: toeplitz-solve's shape
+(Sylvester, x^64 − φ and x^64 − ψ, Q side transposed, alpha = 6),
+pade-p62's operator (Stein, 8 random monic blocks of degree 3 against
+x^25 − φ over the 62-bit prime, alpha = 3), and m = n in {256, 1024}
+over 998244353 with P random monic in 1 or 16 blocks against one random
+monic Q of degree n (Sylvester, alpha = 6), with M_P (P side untransposed,
+Q side transposed) and with M_Pᵗ (the other way round).  The three arrays
+must be equal.  Each line prints the three times and their ratios to the
+time at T.
+
+Every route, kernel and densify time is the best of K alternated
+repetitions (default 7), each the mean of enough calls to run about 2 ms.
 """
 
 from __future__ import annotations
@@ -54,10 +65,10 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from dispmat import structsolve  # noqa: E402
+from dispmat import generators, structsolve  # noqa: E402
 from dispmat.field import BENCH_PRIME, _NTT_MERGED_MAX, _NTT_SLAB, get_field  # noqa: E402
 from dispmat.generators import Generator, densify, gen_matvec  # noqa: E402
-from dispmat.operators import SYLVESTER, DisplacementOperator  # noqa: E402
+from dispmat.operators import STEIN, SYLVESTER, DisplacementOperator  # noqa: E402
 from dispmat.poly import Moduli, family_build  # noqa: E402
 from dispmat.structmul import _DIRECT_PAIRS, _mul_direct, mulQ  # noqa: E402
 
@@ -199,9 +210,60 @@ def solver(reps: int, seed: int) -> None:
                           f" {qs:6.2f}  {td / ts:16.2f} {core:5d}  {res[2].route}", flush=True)
 
 
+def _monic(f, rng, degree: int) -> list[int]:
+    return [int(c) for c in rng.integers(0, f.p, degree)] + [1]
+
+
+def _densify_cases(rng):
+    """(label, field, kind, P blocks, Q blocks, transpose_p, transpose_q, alpha)."""
+    f, f62 = get_field(998244353), get_field(BENCH_PRIME)
+    phi, psi = f.p - 3, f.p - 5
+    yield ("toeplitz-solve m=64", f, SYLVESTER, [[phi] + [0] * 63 + [1]],
+           [[psi] + [0] * 63 + [1]], False, True, 6)
+    yield ("pade-p62 24x25", f62, STEIN, [_monic(f62, rng, 3) for _ in range(8)],
+           [[f62.p - 7] + [0] * 24 + [1]], False, True, 3)
+    for m in (256, 1024):
+        for blocks in (1, 16):
+            for tp in (False, True):
+                yield (f"m={m} P blocks={blocks} {'M_Pt' if tp else 'M_P '}", f, SYLVESTER,
+                       [_monic(f, rng, m // blocks) for _ in range(blocks)],
+                       [_monic(f, rng, m)], tp, not tp, 6)
+
+
+def densify_block(reps: int, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    block = generators._DENSIFY_BLOCK
+    sizes = (block // 2, block, 2 * block)
+    print(f"# densify: _DENSIFY_BLOCK = {block}; times in ms")
+    print("# shape                       " + "".join(f"  T={t:<5d}" for t in sizes)
+          + "  T/2:T  2T:T")
+    for label, f, kind, ps, qs, tp, tq, alpha in _densify_cases(rng):
+        op = DisplacementOperator(kind, family_build(f, ps), family_build(f, qs), tp, tq)
+        G = f.arr(rng.integers(0, min(f.p, 1 << 62), (op.m, alpha)))
+        H = f.arr(rng.integers(0, min(f.p, 1 << 62), (op.n, alpha)))
+
+        def at(t):
+            def run():
+                generators._DENSIFY_BLOCK = t
+                try:
+                    return densify(Generator(G, H, op))
+                finally:
+                    generators._DENSIFY_BLOCK = block
+            return run
+
+        runs = [at(t) for t in sizes]
+        want = runs[1]()
+        if not all(np.array_equal(run(), want) for run in runs):
+            raise SystemExit(f"densify differs across block sizes at {label}")
+        times = best_of(runs, reps)
+        print(f"{label:30s}" + "".join(f" {t * 1e3:8.2f}" for t in times)
+              + f"  {times[0] / times[1]:5.2f} {times[2] / times[1]:5.2f}", flush=True)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--part", choices=("route", "kernel", "solver", "all"), default="all")
+    ap.add_argument("--part", choices=("route", "kernel", "solver", "densify", "all"),
+                    default="all")
     ap.add_argument("--reps", type=int, default=7)
     ap.add_argument("--seed", type=int, default=20)
     args = ap.parse_args(argv)
@@ -211,6 +273,8 @@ def main(argv=None) -> int:
         route(args.reps, args.seed)
     if args.part in ("solver", "all"):
         solver(args.reps, args.seed)
+    if args.part in ("densify", "all"):
+        densify_block(args.reps, args.seed)
     return 0
 
 
