@@ -98,11 +98,9 @@ class Generator:
             self.G, self.H = _read_only(self.G), _read_only(self.H)
             store = self._store = (self.G, self.H, self.operator, {})
         kept = store[3]
-        v = kept.get(key)
-        if v is None:
-            v = fn()
-            kept[key] = v
-        return v
+        if key not in kept:
+            kept[key] = fn()
+        return kept[key]
 
     def _check_shapes(self) -> None:
         if self.G.shape[1] != self.H.shape[1]:

@@ -89,12 +89,10 @@ class DisplacementOperator:
         """fn(), computed on the first call for key and kept for later ones.
         The keys are a fixed set ("basic", "inverse", "transposed",
         "inverse_table"), so the cache is bounded and freed with the
-        operator."""
-        v = self._cache.get(key)
-        if v is None:
-            v = fn()
-            self._cache[key] = v
-        return v
+        operator.  A stored None counts as computed."""
+        if key not in self._cache:
+            self._cache[key] = fn()
+        return self._cache[key]
 
 
 def inverse_operator(op: DisplacementOperator) -> DisplacementOperator:
@@ -207,18 +205,13 @@ def inverse_table(op: DisplacementOperator):
         fam_p, fam_q = op.fam_p, op.fam_q
         stein = op.kind == STEIN
         if fam_p.flavor == "single_power" and fam_q.flavor == "single_power":
-            return _binomial_case(f, fam_p, fam_q, stein)
-        rhs = fam_q.product
-        if stein:
-            rhs = poly_rev(f, rhs, fam_q.total_degree)
-        return _inverse_mod_leaves(fam_p, rhs)
+            table = _binomial_case(f, fam_p, fam_q, stein)
+        else:
+            rhs = poly_rev(f, fam_q.product, fam_q.total_degree) if stein else fam_q.product
+            table = _inverse_mod_leaves(fam_p, rhs)
+        return None if table is None else frozen(table)
 
-    def frozen_build():
-        table = build()
-        return "singular" if table is None else frozen(table)
-
-    table = op.cached("inverse_table", frozen_build)
-    return None if isinstance(table, str) else table
+    return op.cached("inverse_table", build)
 
 
 def op_invertible(op: DisplacementOperator) -> bool:

@@ -538,11 +538,9 @@ class PolyFamily:
         return self.polys[0] if len(self.polys) == 1 else frozen(self.levels[-1].polys[0])
 
     def cached(self, key, fn: Callable):
-        v = self._cache.get(key)
-        if v is None:
-            v = fn()
-            self._cache[key] = v
-        return v
+        if key not in self._cache:
+            self._cache[key] = fn()
+        return self._cache[key]
 
     def split_vector(self, v: np.ndarray) -> list[np.ndarray]:
         if len(v) != self.total_degree:

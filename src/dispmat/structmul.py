@@ -166,13 +166,22 @@ def mulQ(f: PrimeField, U, V, W, Q) -> np.ndarray:
         raise PreconditionViolated("U and V must have equal length")
     if alpha > n:
         raise PreconditionViolated(f"alpha = {alpha} exceeds deg Q = {n}")
-    m = max(1, U.shape[-1])
-    out_len = m + n - 1
     if alpha == 0 or beta == 0 or not U.shape[-1]:
-        return f.zeros((beta, out_len))
+        return f.zeros((beta, max(1, U.shape[-1]) + n - 1))
     modulus = Moduli.of(f, Q)
     V, W = modulus.rem(V[:, None, :])[:, 0], modulus.rem(W[:, None, :])[:, 0]
+    return _mulQ(f, U, V, W, modulus)
 
+
+def _mulQ(f: PrimeField, U: np.ndarray, V: np.ndarray, W: np.ndarray,
+          modulus: Moduli) -> np.ndarray:
+    """mulQ's sum on the stack of its one modulus Q, which keeps the Newton
+    series for later calls (product_chain passes its family's levels[-1]),
+    for field arrays U (alpha, m), V (alpha, n) and W (beta, n), V and W
+    residues modulo Q, 1 <= alpha <= n and m, beta >= 1."""
+    Q = modulus.polys[0]
+    n, m = len(Q) - 1, U.shape[-1]
+    out_len = m + n - 1
     size = 1 << max(1, (out_len - 1).bit_length())
     if n == 1 or size > f.ntt_capacity():
         return _mul_direct(f, U, V, W, modulus)
@@ -344,7 +353,7 @@ def product_chain(gen: Generator, B: np.ndarray) -> np.ndarray:
     elif beta == 1 or gen.alpha * beta <= _DIRECT_PAIRS or gen.alpha > n or c is not None:
         R = _mul_direct(f, lhs, etas, cols, fam_q.levels[-1])
     else:
-        R = mulQ(f, lhs, etas, cols, fam_q.product)
+        R = _mulQ(f, lhs, etas, cols, fam_q.levels[-1])
     if stein:
         R = R[:, ::-1]
     out = modmul_apply(table, fam_p, red_family(fam_p, R))

@@ -3,19 +3,20 @@
 The entry points are inv_generator and solve_generator, for a generator of
 length α under any invertible displacement operator.  Each decides its
 route once, after its shape checks and before anything else runs
-(_entry_is_dense): dense when below_crossover(f, min(m, n), α + 2), where
-α + 2 is the width to_hankel gives the shift core, or when α = 0 (then
-A = 0).  The dense
-route forms A once (generators.densify) and eliminates once, [A | b] or
-[A | I]: the answer is deterministic, rng_seed is unused and failure
-cannot occur.  inv_generator then forms D′ = L′(A⁻¹) densely under
-L′ = inverse_operator(op) and factors it once.  Otherwise A goes through
-the shift core (_shift_core) to the private Las Vegas cores _inv and
-_solve, which always run the preconditioned search, so a result's route
-STRUCTURED means that search ran.  Inside it the same rule, on the
-preconditioned width, is the base-case rule of largest_rec's recursion.
-inv_generator returns the canonical generator of D′ (see
-generators.compress_pair) on both routes, so its arrays depend on A alone.
+(_entry_is_dense): dense when below_crossover(f, min(m, n), α + 6), or
+when α = 0 (then A = 0).  α + 6 is the widest triple largest_rec can
+receive (to_hankel gives the shift core α + 2 and precond adds 4), and
+largest_rec takes its base case on the same rule, so every structured
+call splits at its first level.  The dense route forms A once
+(generators.densify) and eliminates once, [A | b] or [A | I]: the answer
+is deterministic, rng_seed is unused and failure cannot occur.
+inv_generator then forms D′ = L′(A⁻¹) densely under L′ =
+inverse_operator(op) and factors it once.  Otherwise A goes through the
+shift core (_shift_core) to the private Las Vegas cores _inv and _solve,
+which always run the preconditioned search, so a result's route
+STRUCTURED means that search ran.  inv_generator returns the canonical
+generator of D′ (see generators.compress_pair) on both routes, so its
+arrays depend on A alone.
 
 The structured route works on matrices A carried as (G, H, u): a generator
 under the singular shift operator ∇_{Z_{m,0}, Z_{n,0}ᵗ} together with A's
@@ -88,27 +89,28 @@ STRUCTURED = "structured"
 
 # Below min(m, n) < DENSE_PER_WIDTH·w, w the width of a shift-format
 # generator, dense elimination beats the recursion; object-dtype fields
-# cross over sooner (BENCH_9.json has the sweep).  Both stay at least 2:
-# below min(m, n) = 2w a half is narrower than w.  The tests force the
-# structured route by setting both to 2.
+# cross over sooner (BENCH_9.json and BENCH_25.json have the sweeps).  Both
+# stay at least 1: precond's triples are at least 4 wide, so a block that
+# splits has min(m, n) >= 4, its halves are smaller and the recursion
+# ends.  The tests force the structured route by setting both to 1.
 DENSE_PER_WIDTH = 28
 DENSE_PER_WIDTH_OBJECT = 16
 
 
 def below_crossover(f: PrimeField, q: int, alpha: int) -> bool:
     """The crossover rule for q = min(m, n) and a shift-format generator of
-    length alpha: checked by the entry points on the shift core's width
-    (_entry_is_dense) and by largest_rec on the preconditioned triple's
-    (module docstring)."""
+    length alpha, the one rule of both routes: largest_rec takes its base
+    case on its triple's width, and the entry points stay dense on α + 6,
+    the widest triple the search can receive (_entry_is_dense)."""
     per_width = DENSE_PER_WIDTH_OBJECT if f.dtype is object else DENSE_PER_WIDTH
     return alpha == 0 or q < alpha * per_width
 
 
 def _entry_is_dense(f: PrimeField, q: int, alpha: int) -> bool:
     """The entry points' route rule for q = min(m, n) and a generator of
-    length alpha: below the crossover on α + 2, the width to_hankel gives
-    the shift core, or α = 0 (then A = 0)."""
-    return alpha == 0 or below_crossover(f, q, alpha + 2)
+    length alpha: below the crossover on α + 6, the shift core's α + 2
+    plus precond's 4, or α = 0 (then A = 0)."""
+    return alpha == 0 or below_crossover(f, q, alpha + 6)
 
 
 @dataclass
@@ -593,7 +595,7 @@ def inv_generator(gen: Generator, rng_seed: int = 0) -> InvResult:
     D′'s pivot columns and the nonzero rows of its reduced echelon form,
     of width rank(D′) = rank(L(A)).  It depends on A alone, not on the
     route, rng_seed or the input generator.  The route is decided once,
-    on m and α + 2 (module docstring).  Dense: A is densified and [A | I]
+    on m and α + 6 (module docstring).  Dense: A is densified and [A | I]
     eliminated once, D′ is formed densely and factored once, with no shift
     core and no preconditioner; rng_seed is unused and failure cannot
     occur.  Structured: failure means the random preconditioning missed.
@@ -614,7 +616,7 @@ def solve_generator(gen: Generator, b, rng_seed: int = 0) -> SolveResult:
     when b = 0 and A has a kernel); inconsistent ones report no_solution.
     The right-hand side is checked first: any shape but (m,) is refused
     with a DimensionMismatch.  Then the route is decided once,
-    on min(m, n) and α + 2 (module docstring).  Dense: A is densified
+    on min(m, n) and α + 6 (module docstring).  Dense: A is densified
     (generators.densify) and [A | b] eliminated once, with no shift core
     and no preconditioner; the answer is deterministic, rng_seed is unused
     and failure cannot occur.  Structured: failure means the randomized

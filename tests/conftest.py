@@ -67,17 +67,22 @@ def rand_generator(f, rng, op, alpha):
                      f.arr(rng.integers(0, f.p, size=(op.n, alpha))), op)
 
 
+def force_structured(mp):
+    """Patch both crossover constants to 1 on the monkeypatch mp: an entry
+    point then stays dense only for min(m, n) < α + 6 or α = 0, α the
+    generator's length (α + 6 is the widest triple the Las Vegas search
+    receives), and largest_rec recurses down to min(m, n) < w on its own
+    triple's width w, so every structured call splits at least once."""
+    mp.setattr(structsolve, "DENSE_PER_WIDTH", 1)
+    mp.setattr(structsolve, "DENSE_PER_WIDTH_OBJECT", 1)
+
+
 def both_routes(monkeypatch):
     """Yield False for a run at the default crossover, then True for a run
-    with the structured (Las Vegas) route forced: both crossover constants
-    patched to 2, so that an entry point stays dense only for
-    min(m, n) < 2(α + 2), α the generator's length (α + 2 is the width of
-    the shift core), and largest_rec recurses down to min(m, n) < 2w on
-    its own triple's width w."""
+    with the structured (Las Vegas) route forced (force_structured)."""
     yield False
     with monkeypatch.context() as mp:
-        mp.setattr(structsolve, "DENSE_PER_WIDTH", 2)
-        mp.setattr(structsolve, "DENSE_PER_WIDTH_OBJECT", 2)
+        force_structured(mp)
         yield True
 
 
@@ -85,7 +90,7 @@ def expected_route(forced, q, alpha):
     """The route an entry point must report in a both_routes run, on
     min(m, n) = q and a generator of length alpha at the tests' sizes:
     dense at the default crossover, and structured when forced unless
-    q < 2(α + 2) or α = 0."""
-    if forced and alpha and q >= 2 * (alpha + 2):
+    q < α + 6 or α = 0."""
+    if forced and alpha and q >= alpha + 6:
         return structsolve.STRUCTURED
     return structsolve.DENSE

@@ -95,6 +95,24 @@ def test_operator_cache_memoizes(f):
     assert op.cached("k", build) == "value"
     assert op.cached("k", build) == "value"
     assert len(calls) == 1
+    # None is a value like any other, computed once
+    assert op.cached("none", lambda: calls.append(1)) is None
+    assert op.cached("none", lambda: calls.append(1)) is None
+    assert len(calls) == 2
+
+
+def test_singular_inverse_table_is_built_once(f, monkeypatch):
+    from dispmat import operators
+
+    calls = []
+    build = operators._inverse_mod_leaves
+    monkeypatch.setattr(operators, "_inverse_mod_leaves",
+                        lambda *args: calls.append(1) or build(*args))
+    fam = family_build(f, [[1, 0, 1], [2, 3, 1]])
+    op = sylvester_op(fam, fam)  # P = Q: every gcd is nontrivial
+    assert fam.flavor == "general"
+    assert inverse_table(op) is None and not op_invertible(op)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kind", [SYLVESTER, STEIN])

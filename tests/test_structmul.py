@@ -275,15 +275,16 @@ def test_struct_mul_matches_oracle_across_primes(p, monkeypatch):
 @pytest.mark.parametrize("kind", [SYLVESTER, STEIN])
 def test_product_chain_routes_a_general_q_by_pair_count(f, kind, monkeypatch):
     """A general (non-binomial) Q takes the direct sum up to _DIRECT_PAIRS
-    pair products alpha·beta or for one column, and mulQ above it; both
-    match the dense product on both sides of the rule."""
+    pair products alpha·beta or for one column, and mulQ's core _mulQ, on
+    the family's own modulus stack, above it; both match the dense product
+    on both sides of the rule."""
     rng = np.random.default_rng(31)
     while True:
         op = DisplacementOperator(kind, rand_family(f, rng, 20), rand_family(f, rng, 20))
         if op.fam_q.levels[-1].binomial is None and op_invertible(op):
             break
     routes = []
-    for name in ("mulQ", "_mul_direct"):
+    for name in ("_mulQ", "_mul_direct"):
         real = getattr(structmul, name)
         monkeypatch.setattr(structmul, name,
                             lambda *args, real=real, name=name: routes.append(name) or real(*args))
@@ -297,7 +298,7 @@ def test_product_chain_routes_a_general_q_by_pair_count(f, kind, monkeypatch):
         routes.clear()
         assert np.array_equal(struct_mul(gen, B), want), (alpha, beta)
         direct = beta == 1 or alpha * beta <= rule
-        assert routes == (["_mul_direct"] if direct else ["mulQ"]), (alpha, beta)
+        assert routes == (["_mul_direct"] if direct else ["_mulQ"]), (alpha, beta)
 
 
 @pytest.mark.parametrize("transpose_p", [False, True])

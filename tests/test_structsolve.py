@@ -56,7 +56,8 @@ from dispmat.structsolve import (
     solve_generator,
 )
 
-from conftest import both_routes, expected_route, rand_generator, rand_operator
+from conftest import (both_routes, expected_route, force_structured, rand_generator,
+                      rand_operator)
 
 
 def _shift_displacement(f, A):
@@ -475,7 +476,7 @@ def test_precond_with_unit_vectors_is_identity(f):
 # The shift format is reached through the entry points on hankel_operator.
 # Every test of an entry point runs twice (conftest.both_routes): at the
 # default crossover, where these sizes are solved densely, and with the
-# structured route forced, where every call with min(m, n) >= 2(α + 2)
+# structured route forced, where every call with min(m, n) >= α + 6
 # must run the Las Vegas search (conftest.expected_route).
 
 
@@ -910,21 +911,21 @@ def test_dense_inverse_edge_cases(f, monkeypatch):
             res = inv_generator(Generator(B, f.arr(C.T), op), rng_seed=r)
             assert (res.status, res.route) == (SINGULAR, DENSE)
 
-    # the rule is checked once, on the shift core's width α + 2: with the
-    # constant at 2, m = 2(α + 2) − 1 stays dense and m = 2(α + 2) takes
-    # the shift core and the preconditioned search
+    # the rule is checked once, on the widest triple the search receives,
+    # α + 6: with the structured route forced, m = α + 5 stays dense and
+    # m = α + 6 takes the shift core and the preconditioned search
     cores, searches = [], []
     real_core, real_search = structsolve._shift_core, structsolve._search
     monkeypatch.setattr(structsolve, "_shift_core", lambda g: cores.append(g.m) or real_core(g))
     monkeypatch.setattr(structsolve, "_search",
                         lambda f, G, *a: searches.append(len(G)) or real_search(f, G, *a))
     with monkeypatch.context() as mp:
-        mp.setattr(structsolve, "DENSE_PER_WIDTH", 2)
-        for m, route in ((9, DENSE), (10, STRUCTURED)):
+        force_structured(mp)
+        for m, route in ((8, DENSE), (9, STRUCTURED)):
             gen = rand_generator(f, rng, rand_operator(f, rng, m, m), 3)
             assert inv_generator(gen).route == route
             assert solve_generator(gen, f.zeros(m)).route == route
-    assert cores == searches == [10, 10]
+    assert cores == searches == [9, 9]
 
     densified = []
     real = structsolve.densify
@@ -936,14 +937,50 @@ def test_dense_inverse_edge_cases(f, monkeypatch):
     assert densified == []
 
 
+def test_structured_entry_splits_at_its_first_level(f, monkeypatch):
+    # the entry rule and largest_rec's base-case rule are one check on one
+    # width, α + 6: at the default constants a 256×256 Toeplitz-like
+    # generator with α = 6 (256 < 28·12) is solved and inverted densely,
+    # and on both routes no call that reports the structured route hands
+    # _base_case a block of its full min(m, n)
+    rng = np.random.default_rng(211)
+    m = 256
+    gen = Generator(f.arr(rng.integers(0, f.p, (m, 6))), f.arr(rng.integers(0, f.p, (m, 6))),
+                    hankel_operator(f, m, m))
+    assert solve_generator(gen, f.arr(rng.integers(0, f.p, m))).route == DENSE
+    assert inv_generator(gen).route == DENSE
+    blocks = []
+    real = structsolve._base_case
+    monkeypatch.setattr(structsolve, "_base_case",
+                        lambda f, G, H, u: blocks.append(min(len(G), len(H))) or real(f, G, H, u))
+    for forced in both_routes(monkeypatch):
+        structured = 0
+        for alpha in (1, 2, 4):
+            for q in (alpha + 5, alpha + 6, alpha + 7, 2 * alpha + 11, 2 * alpha + 12):
+                for m, n in ((q, q), (q, q + 3), (q + 3, q)):
+                    gen = rand_generator(f, rng, rand_operator(f, rng, m, n), alpha)
+                    b = f.arr(rng.integers(0, f.p, m))
+                    calls = [lambda: solve_generator(gen, b)]
+                    if m == n:
+                        calls.append(lambda: inv_generator(gen))
+                    for call in calls:
+                        blocks.clear()
+                        res = call()
+                        assert res.route == expected_route(forced, q, alpha)
+                        if res.route == STRUCTURED:
+                            structured += 1
+                            assert blocks and max(blocks) < q
+        assert bool(structured) == forced
+
+
 def test_zero_core_runs_the_search(any_field, monkeypatch):
     # A = 0 carried by a generator of length 1 (G = 0): above the entry
     # rule its shift core compresses to width 0, and the preconditioned
     # search still reports singular and finds a nonzero kernel vector
     f = any_field
     rng = np.random.default_rng(199)
-    monkeypatch.setattr(structsolve, "DENSE_PER_WIDTH", 2)
-    for op in (hankel_operator(f, 6, 6), rand_operator(f, rng, 8, 8), hankel_operator(f, 7, 9)):
+    force_structured(monkeypatch)
+    for op in (hankel_operator(f, 7, 7), rand_operator(f, rng, 8, 8), hankel_operator(f, 7, 9)):
         gen = Generator(f.zeros((op.m, 1)), f.arr(rng.integers(1, f.p, (op.n, 1))), op)
         assert structsolve._shift_core(gen)[1].alpha == 0
         if op.m == op.n:

@@ -35,7 +35,7 @@ Every case above is below the solver's crossover, so the three lines never
 reach its Las Vegas route (`largest_rec`, `precond`, the Schur step).  The
 fourth line is a digest of its own over that route, with both crossover
 constants of `structsolve` set to 2 while it runs and restored after, so
-that an entry point stays dense only for min(m, n) < 2(α + 2).  On the
+that an entry point stays dense only for min(m, n) < 2(α + 6).  On the
 four primes and the eight operator variants in the general, geometric and
 single-power flavours, at 24×24 with α = 3, it covers `solve_generator` (planted right-hand side,
 rng seeds 0 and 1) and `inv_generator` on a random generator, and

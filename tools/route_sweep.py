@@ -10,12 +10,16 @@ machine; `dispmat` is imported from the `src` directory next to `tools`.
 
 route: for a random monic, non-binomial Q of degree n, blocks U (alpha, n),
 V (alpha, n) and W (beta, n) of residues modulo Q, the sum
-R_i = sum_k U_k·(V_k·W_i mod Q) through `mulQ` (the alpha^(ω−1) recursion)
-and through `_mul_direct` (every pair product, reduced, then one pm_mul),
-at n in 64 … 2048 and alpha, beta in {2, 4, 8, 16}.  Both sides build the
-modulus's `Moduli` inside the timing, as a fresh family pays it once.  The
-two results are compared, and each line prints both times and their ratio
-direct/mulQ; structmul's rule is read off where that ratio stays below 1.
+R_i = sum_k U_k·(V_k·W_i mod Q) through mulQ's core `_mulQ` (the
+alpha^(ω−1) recursion) and through `_mul_direct` (every pair product,
+reduced, then one pm_mul), at n in 64 … 2048 and alpha, beta in
+{2, 4, 8, 16}.  These are the two calls product_chain makes, on its
+family's modulus stack.  Each side builds a fresh `Moduli` of Q inside
+the timing and pays the Newton series it needs on it, as the first
+product on a fresh family does; neither copies or reduces its blocks,
+which the chain passes as residues.  The two results are compared, and
+each line prints both times and their ratio direct/mulQ; structmul's rule
+is read off where that ratio stays below 1.
 
 kernel: the transform of a (rows, n) block of residues by ntt's one-slab
 form (`_ntt_merged`) and by its slab form (`_ntt_slabs`), over 998244353,
@@ -26,13 +30,18 @@ times, their ratio one-slab/slab and the form ntt picks.
 solver: solve_generator and inv_generator on a fresh Toeplitz-like
 generator (Sylvester, x^m − φ and x^m − ψ, Q side transposed, random G and
 H of length alpha) on both sides of the entry rule, dense below
-min(m, n) < c·(alpha + 2): the dense route (densify and one elimination)
+min(m, n) < c·(alpha + 6): the dense route (densify and one elimination)
 against the structured route (shift core and Las Vegas search), at m from
-c·alpha − 8 through c·(alpha + 2) + 16, with c = DENSE_PER_WIDTH = 28 and
-alpha in {2, 4, 6} over 998244353, and c = DENSE_PER_WIDTH_OBJECT = 16
-and alpha in {2, 4} over the 62-bit prime.  The two routes must return
-the planted solution and the same canonical inverse generator, and the
-entry point must take the route its rule names.  Each line prints both
+c·(alpha + 2), the crossover on the shift core's width alone (below
+c·(alpha + 6) the structured side hands its whole block to the dense base
+case), through c·(alpha + 6) + 16, with
+c = DENSE_PER_WIDTH = 28 and alpha in {2, 6} over 998244353, and
+c = DENSE_PER_WIDTH_OBJECT = 16 and alpha in {2, 4} over the 62-bit prime.
+The two routes must return the planted solution and the same canonical
+inverse generator, the entry point must take the route its rule names,
+and an entry call that takes the structured route must split its block:
+no `_base_case` call of that entry call may get the full min(m, n).
+Each line prints both
 routes' medians, their ratio dense/structured, the width of the
 compressed shift core and the route the entry point took.  The routes
 alternate, one call each on a new generator object per repetition; the
@@ -70,7 +79,7 @@ from dispmat.field import BENCH_PRIME, _NTT_MERGED_MAX, _NTT_SLAB, get_field  # 
 from dispmat.generators import Generator, densify, gen_matvec  # noqa: E402
 from dispmat.operators import STEIN, SYLVESTER, DisplacementOperator  # noqa: E402
 from dispmat.poly import Moduli, family_build  # noqa: E402
-from dispmat.structmul import _DIRECT_PAIRS, _mul_direct, mulQ  # noqa: E402
+from dispmat.structmul import _DIRECT_PAIRS, _mul_direct, _mulQ, mulQ  # noqa: E402
 
 ROUTE_NS = (64, 128, 256, 512, 1024, 2048)
 ROUTE_WIDTHS = (2, 4, 8, 16)
@@ -106,11 +115,12 @@ def route(reps: int, seed: int) -> None:
             for beta in ROUTE_WIDTHS:
                 U, V = rng.integers(0, f.p, (2, alpha, n))
                 W = rng.integers(0, f.p, (beta, n))
-                via_q = mulQ(f, U, V, W, Q)
+                via_q = _mulQ(f, U, V, W, Moduli.of(f, Q))
                 direct = _mul_direct(f, U, V, W, Moduli.of(f, Q))
-                if not np.array_equal(via_q, direct):
+                if not np.array_equal(via_q, direct) or \
+                        not np.array_equal(via_q, mulQ(f, U, V, W, Q)):
                     raise SystemExit(f"routes differ at n={n}, alpha={alpha}, beta={beta}")
-                tq, td = best_of([lambda: mulQ(f, U, V, W, Q),
+                tq, td = best_of([lambda: _mulQ(f, U, V, W, Moduli.of(f, Q)),
                                   lambda: _mul_direct(f, U, V, W, Moduli.of(f, Q))], reps)
                 rule = "direct" if alpha * beta <= _DIRECT_PAIRS else "mulQ"
                 print(f"{n:7d} {alpha:5d} {beta:5d} {tq * 1e3:7.2f} {td * 1e3:7.2f}"
@@ -140,8 +150,8 @@ def kernel(reps: int, seed: int) -> None:
 
 
 def _solver_points(per_width: int, alpha: int) -> list[int]:
-    lo, hi = per_width * alpha, per_width * (alpha + 2)
-    return [lo - 8, *range(lo, hi, per_width // 2), hi - 1, hi, hi + 16]
+    lo, hi = per_width * (alpha + 2), per_width * (alpha + 6)
+    return [*range(lo, hi, per_width // 2), hi - 1, hi, hi + 16]
 
 
 def _toeplitz_like(f, rng, m: int, alpha: int):
@@ -158,10 +168,17 @@ def _median_iqr_ms(times: list[float]) -> tuple[float, float]:
 
 
 def solver(reps: int, seed: int) -> None:
-    cases = ((998244353, structsolve.DENSE_PER_WIDTH, (2, 4, 6), reps),
+    cases = ((998244353, structsolve.DENSE_PER_WIDTH, (2, 6), reps),
              (BENCH_PRIME, structsolve.DENSE_PER_WIDTH_OBJECT, (2, 4), reps // 2 + 1))
     rng = np.random.default_rng(seed)
-    print("# solver: dense below min(m, n) < c·(alpha + 2); medians and interquartile"
+    blocks, base_case = [], structsolve._base_case
+
+    def counted_base_case(f, G, H, u):
+        blocks.append(min(len(G), len(H)))
+        return base_case(f, G, H, u)
+
+    structsolve._base_case = counted_base_case
+    print("# solver: dense below min(m, n) < c·(alpha + 6); medians and interquartile"
           " ranges in ms")
     print("#                  p  alpha     m   op    dense    iqr  structured    iqr"
           "  dense/structured  core  entry")
@@ -185,7 +202,12 @@ def solver(reps: int, seed: int) -> None:
                             lambda g: structsolve.inv_generator(g, lv_seed)),
                 }
                 for name, (dense, structured, entry) in sides.items():
-                    res = [fn(Generator(G, H, op)) for fn in (dense, structured, entry)]
+                    res = [fn(Generator(G, H, op)) for fn in (dense, structured)]
+                    blocks.clear()
+                    res.append(entry(Generator(G, H, op)))
+                    if res[2].route == structsolve.STRUCTURED and max(blocks) >= m:
+                        raise SystemExit(f"the structured entry did not split at p={p}, "
+                                         f"alpha={alpha}, m={m}, {name}")
                     if not all(r.ok for r in res):
                         raise SystemExit(f"a route failed at p={p}, alpha={alpha}, m={m}, {name}")
                     if name == "solve":
