@@ -217,7 +217,7 @@ class PrimeField:
         a %= self.p
         if a == 0:
             raise ZeroInverse(f"0 is not invertible mod {self.p}")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -302,20 +302,41 @@ class PrimeField:
         of R.  A column's pivot is its first nonzero entry at or below the
         current row, so the lowest row index wins.  A column without a pivot
         ends the elimination when the rows below the last pivot are all zero.
-        Each pivot step updates the whole matrix in one array operation:
-        col·row < p² stays within int64 below _INT64_SAFE_BOUND, and object
-        arrays are exact above it.
+        M holds residues in [0, p).
+
+        Reduction is delayed (Dumas, Giorgi and Pernet 2008).  A pivot step
+        reduces only what the next steps read, its column (the pivot search
+        and the multipliers) and the pivot row, and subtracts col·row from
+        the columns right of it without % p.  Each subtraction takes less
+        than p² off an entry, so after at most max(1, slack − 1) pending
+        steps every entry lies in (−slack·p², p), within int64; the columns
+        they changed are reduced then, before a column without a pivot tests
+        the rows below for zero, and at the end.  Where slack ≤ 2 (object
+        arrays, and int64 primes above about 1.75·10⁹ such as 2^31 − 1,
+        2013265921 and 3037000493) that is after every step.  The pivot
+        column is set exactly, 0 off the pivot and 1 on it, and the update
+        stops at the pivot row's last nonzero entry: on [A | I] it leaves
+        the part of I that no pivot row has reached yet untouched.
         """
+        p = self.p
         R = np.array(M, dtype=self.dtype)
         rows, cols = R.shape
         order = np.arange(rows)
         pivots = []
+        period = max(1, self._slack - 1)
+        # pivot steps since the last reduction, and the end of the columns
+        # they changed; the columns changed start right of the pivot column
+        pending = end = 0
         r = 0
         for c in range(cols):
             if r == rows:
                 break
+            R[:, c] %= p
             nz = np.flatnonzero(R[r:, c])
             if not len(nz):
+                if pending:
+                    R[:, c + 1:end] %= p
+                    pending = end = 0
                 if not R[r:, c + 1:].any():  # rows r.. are zero: no pivot is left
                     break
                 continue
@@ -323,13 +344,25 @@ class PrimeField:
             if src != r:
                 R[[r, src]] = R[[src, r]]
                 order[[r, src]] = order[[src, r]]
-            # rows r.. are zero left of c, so only columns c.. change
-            R[r, c:] = R[r, c:] * self.inv(int(R[r, c])) % self.p
+            # rows r.. are zero left of c, so only columns c.. change, and
+            # only up to the pivot row's last nonzero entry
+            row = R[r, c:] % p * self.inv(int(R[r, c])) % p
+            R[r, c:] = row
+            stop = c + int(row.nonzero()[0][-1]) + 1
             col = R[:, c].copy()
             col[r] = 0
-            R[:, c:] = (R[:, c:] - col[:, None] * R[r, c:]) % self.p
+            R[:, c + 1:stop] -= col[:, None] * row[1:stop - c]
+            R[:, c] = 0
+            R[r, c] = 1
             pivots.append(c)
             r += 1
+            pending += 1
+            end = max(end, stop)
+            if pending == period:
+                R[:, c + 1:end] %= p
+                pending = end = 0
+        if pending:
+            R[:, pivots[-1] + 1:end] %= p
         return R, pivots, order
 
     # -- number-theoretic transform ------------------------------------------

@@ -137,11 +137,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return frozen(a)
 
 
-def generator_zeros(op: DisplacementOperator, alpha: int) -> Generator:
-    f = op.field
-    return Generator._built(f.zeros((op.m, alpha)), f.zeros((op.n, alpha)), op)
-
-
 # ---------------------------------------------------------------------------
 # operator normalization (symmetrizer conjugation)
 

@@ -89,7 +89,10 @@ STRUCTURED = "structured"
 
 # Below min(m, n) < DENSE_PER_WIDTH·w, w the width of a shift-format
 # generator, dense elimination beats the recursion; object-dtype fields
-# cross over sooner (BENCH_9.json and BENCH_25.json have the sweeps).  Both
+# cross over sooner (BENCH_9.json and BENCH_25.json have the sweeps).  28
+# and 16 were measured when row_reduce still reduced mod p after every pivot
+# step; re-deriving them for its delayed reduction, which makes the dense
+# route and the recursion's base cases cheaper, is ROADMAP item 10(b).  Both
 # stay at least 1: precond's triples are at least 4 wide, so a block that
 # splits has min(m, n) >= 4, its halves are smaller and the recursion
 # ends.  The tests force the structured route by setting both to 1.

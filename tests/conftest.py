@@ -67,6 +67,12 @@ def rand_generator(f, rng, op, alpha):
                      f.arr(rng.integers(0, f.p, size=(op.n, alpha))), op)
 
 
+def generator_zeros(op, alpha):
+    """The generator of length alpha whose G and H are zero, so A = 0."""
+    f = op.field
+    return Generator(f.zeros((op.m, alpha)), f.zeros((op.n, alpha)), op)
+
+
 def force_structured(mp):
     """Patch both crossover constants to 1 on the monkeypatch mp: an entry
     point then stays dense only for min(m, n) < α + 6 or α = 0, α the

@@ -460,8 +460,9 @@ def test_field_identity_and_hash():
     assert PrimeField(7) != PrimeField(13)
 
 
-# 3037000493 is the largest prime below _INT64_SAFE_BOUND: the int64 edge
-# of row_reduce's vectorised update
+# 3037000493 is the largest prime below _INT64_SAFE_BOUND, the int64 edge of
+# row_reduce's update: one pending col·row subtraction, below p² < 2^63, is
+# all an int64 entry holds there, so it reduces after every pivot step
 @pytest.mark.parametrize("p", [7, DEFAULT_PRIME, BENCH_PRIME, 3037000493])
 def test_row_reduce_matches_oracle(p):
     from dispmat.oracle import _row_reduce, dense_rank
@@ -480,6 +481,46 @@ def test_row_reduce_matches_oracle(p):
         assert R.tolist() == want_R.tolist()
         assert pivots == want_pivots and len(pivots) <= k
         assert sorted(order.tolist()) == list(range(rows))
+        r = len(pivots)
+        assert dense_rank(f, M[order[:r]]) == r
+
+
+def _elimination_cases(f, rng, m=40):
+    """[A | b] and [A | I] with m pivots or more: random A with a zero leading
+    entry (rows swap), all-(p − 1) A (the largest col·row products), p − 1
+    off a zero diagonal, and a rank-(m − 10) product whose column m/2 has
+    no pivot."""
+    p = f.p
+    full = f.arr(rng.integers(0, p, (m, m)))
+    full[0, 0] = 0
+    worst = f.arr(np.full((m, m), p - 1, dtype=object))
+    off_diagonal = worst.copy()
+    np.fill_diagonal(off_diagonal, 0)
+    low = f.mat_mul(f.arr(rng.integers(0, p, (m, m - 10))), f.arr(rng.integers(0, p, (m - 10, m))))
+    low[:, m // 2] = 0
+    eye = np.eye(m, dtype=f.dtype)
+    for A in (full, worst, off_diagonal, low):
+        yield np.concatenate([A, A[:, -1:]], axis=1)
+        yield np.concatenate([A, f.arr(rng.integers(0, p, (m, 1)))], axis=1)
+        yield np.concatenate([A, eye], axis=1)
+
+
+# delayed reduction: 40 pivot steps span several periods of slack − 1 steps
+# (8 at 998244353), one reduction per step at 2^31 − 1, 2013265921 and
+# 3037000493 (slack ≤ 2) and on object arrays, and no periodic one at p = 7
+@pytest.mark.parametrize("p", [7, DEFAULT_PRIME, 2**31 - 1, 2013265921, 3037000493, BENCH_PRIME])
+def test_row_reduce_across_reduction_periods(p):
+    from dispmat.oracle import _row_reduce, dense_rank
+
+    f = get_field(p)
+    rng = np.random.default_rng(29)
+    for M in _elimination_cases(f, rng):
+        R, pivots, order = f.row_reduce(M)
+        want_R, want_pivots = _row_reduce(f, M)
+        assert R.dtype == f.dtype
+        assert R.tolist() == want_R.tolist()
+        assert pivots == want_pivots
+        assert sorted(order.tolist()) == list(range(M.shape[0]))
         r = len(pivots)
         assert dense_rank(f, M[order[:r]]) == r
 

@@ -29,7 +29,6 @@ from dispmat.generators import (
     gen_matvec,
     gen_to_dict,
     gen_transpose,
-    generator_zeros,
     hankel_inverse_operator,
     hankel_operator,
     reconstruct_dense,
@@ -46,7 +45,7 @@ from dispmat.oracle import (
     dense_solve_displacement,
 )
 
-from conftest import rand_generator, rand_operator
+from conftest import generator_zeros, rand_generator, rand_operator
 
 
 def _dense_y_family(fam):

@@ -1,9 +1,10 @@
 """Time the two routes of product_chain's middle product, the two forms of
 PrimeField.ntt, the two routes of the solver's entry points and densify's
 step block, the measurements behind structmul's route rule, ntt's one-slab
-cut, structsolve's crossover rule and generators._DENSIFY_BLOCK.
+cut, structsolve's crossover rule and generators._DENSIFY_BLOCK, and
+PrimeField.row_reduce on the shapes its callers give it.
 
-    python3 tools/route_sweep.py [--part route|kernel|solver|densify|all] [--reps K] [--seed S]
+    python3 tools/route_sweep.py [--part route|kernel|solver|densify|elim|all] [--reps K] [--seed S]
 
 Run it single-threaded (OPENBLAS_NUM_THREADS=1) on an otherwise idle
 machine; `dispmat` is imported from the `src` directory next to `tools`.
@@ -59,7 +60,17 @@ Q side transposed) and with M_Pᵗ (the other way round).  The three arrays
 must be equal.  Each line prints the three times and their ratios to the
 time at T.
 
-Every route, kernel and densify time is the best of K alternated
+elim: PrimeField.row_reduce on the shapes its callers give it: [A | b]
+(_dense_solve) and [A | I] (_dense_inverse, _base_case) for random A at m
+in {64, 256, 512}, and the rank-6 64×64 D′ that _column_decompose factors
+for an inverse at toeplitz-solve's size, over 998244353 (int64), and
+pade-p62's 24×48 [A | I] base case over the 62-bit prime (object dtype).
+Each result must equal the oracle's (`oracle._row_reduce`, a Python loop
+that takes most of the part's run time at m = 512).  Each line prints the
+time, the pivot count and the pivot steps between reductions,
+max(1, slack − 1).
+
+Every route, kernel, densify and elim time is the best of K alternated
 repetitions (default 7), each the mean of enough calls to run about 2 ms.
 """
 
@@ -78,6 +89,7 @@ from dispmat import generators, structsolve  # noqa: E402
 from dispmat.field import BENCH_PRIME, _NTT_MERGED_MAX, _NTT_SLAB, get_field  # noqa: E402
 from dispmat.generators import Generator, densify, gen_matvec  # noqa: E402
 from dispmat.operators import STEIN, SYLVESTER, DisplacementOperator  # noqa: E402
+from dispmat.oracle import _row_reduce  # noqa: E402
 from dispmat.poly import Moduli, family_build  # noqa: E402
 from dispmat.structmul import _DIRECT_PAIRS, _mul_direct, _mulQ, mulQ  # noqa: E402
 
@@ -85,6 +97,7 @@ ROUTE_NS = (64, 128, 256, 512, 1024, 2048)
 ROUTE_WIDTHS = (2, 4, 8, 16)
 KERNEL_NS = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 KERNEL_ROWS = tuple(1 << k for k in range(11))
+ELIM_SIZES = (64, 256, 512)
 
 
 def best_of(fns, reps: int) -> list[float]:
@@ -282,9 +295,38 @@ def densify_block(reps: int, seed: int) -> None:
               + f"  {times[0] / times[1]:5.2f} {times[2] / times[1]:5.2f}", flush=True)
 
 
+def _elim_cases(rng):
+    """(label, field, matrix) for each shape the elim part times."""
+    f, f62 = get_field(998244353), get_field(BENCH_PRIME)
+    for m in ELIM_SIZES:
+        A = f.arr(rng.integers(0, f.p, (m, m)))
+        yield f"[A | b] {m}x{m + 1}", f, np.concatenate([A, f.arr(rng.integers(0, f.p, (m, 1)))],
+                                                         axis=1)
+        yield f"[A | I] {m}x{2 * m}", f, np.concatenate([A, np.eye(m, dtype=f.dtype)], axis=1)
+    yield "D' rank 6 64x64", f, f.mat_mul(f.arr(rng.integers(0, f.p, (64, 6))),
+                                          f.arr(rng.integers(0, f.p, (6, 64))))
+    A = f62.arr(rng.integers(0, f62.p, (24, 24)))
+    yield "[A | I] 24x48 p62", f62, np.concatenate([A, np.eye(24, dtype=f62.dtype)], axis=1)
+
+
+def elim(reps: int, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    print("# elim: row_reduce on its callers' shapes; times in ms")
+    print("# shape                        dtype       ms  pivots  period")
+    for label, f, M in _elim_cases(rng):
+        R, pivots, _ = f.row_reduce(M)
+        want_R, want_pivots = _row_reduce(f, M)
+        if pivots != want_pivots or R.tolist() != want_R.tolist():
+            raise SystemExit(f"row_reduce differs from the oracle at {label}")
+        (t,) = best_of([lambda: f.row_reduce(M)], reps)
+        dtype = "object" if f.dtype is object else "int64"
+        print(f"{label:30s} {dtype:6s} {t * 1e3:9.2f} {len(pivots):7d} {max(1, f._slack - 1):7d}",
+              flush=True)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--part", choices=("route", "kernel", "solver", "densify", "all"),
+    ap.add_argument("--part", choices=("route", "kernel", "solver", "densify", "elim", "all"),
                     default="all")
     ap.add_argument("--reps", type=int, default=7)
     ap.add_argument("--seed", type=int, default=20)
@@ -297,6 +339,8 @@ def main(argv=None) -> int:
         solver(args.reps, args.seed)
     if args.part in ("densify", "all"):
         densify_block(args.reps, args.seed)
+    if args.part in ("elim", "all"):
+        elim(args.reps, args.seed)
     return 0
 
 
