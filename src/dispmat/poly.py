@@ -31,12 +31,12 @@ the oracle.  A generator the library builds from its own blocks goes
 through ``Generator._built``, which takes them as they are.
 
 The scalar helpers on single polynomials (``poly_add`` … ``poly_divrem``,
-``poly_mod``, ``xgcd``, ``poly_gcd``) are reference arithmetic; apart from
-the search for a shared factor when ``family_build`` rejects a family, no
-product, reduction or inverse of the library runs through them.  Every job
-runs on a ``Moduli`` stack, whole: ``rem``, ``modmul``, ``inverse`` and
-``symmetrize``, reached through the family maps below and, for the
-symmetrizer, ``operators.y_apply_family``.
+``poly_mod``, ``xgcd``, ``poly_gcd``) are reference arithmetic; no
+product, reduction, inverse or gcd of the library runs through them, not
+even the search for a shared factor when ``family_build`` rejects a
+family.  Every job runs on a ``Moduli`` stack, whole: ``rem``, ``modmul``,
+``inverse`` and ``symmetrize``, reached through the family maps below and,
+for the symmetrizer, ``operators.y_apply_family``.
 
 A ``PolyFamily`` bundles monic pairwise-coprime moduli P_1..P_d with their
 subproduct tree, CRT units and a detected structure flavor ("general",
@@ -662,11 +662,13 @@ def _compute_units(fam: PolyFamily):
 
 
 def _find_noncoprime_pair(fam: PolyFamily, i: int):
-    f = fam.field
-    for j in range(len(fam)):
-        if j != i and degree(poly_gcd(f, fam.polys[i], fam.polys[j])) > 0:
-            return (min(i, j), max(i, j))
-    return (i, i)  # shared factor spread across several members
+    """The first member j ≠ i sharing a factor with P_i, when P_i shares one
+    with P/P_i (so with some P_j), as a sorted pair: P_i reduced modulo
+    every leaf and inverted there in one batch."""
+    leaves = fam.levels[0]
+    _, ok = leaves.inverse(leaves.rem(np.tile(fam.polys[i], (len(fam), 1))))
+    j = next(j for j in range(len(fam)) if j != i and not ok[j])
+    return (min(i, j), max(i, j))
 
 
 def _check_length(fam: PolyFamily, v: np.ndarray):

@@ -33,6 +33,16 @@ halving at ⌈m/2⌉, ⌈n/2⌉; nothing is padded.  A block below the crossover
 (on its own, preconditioned width) is not split: one elimination of
 [A_q | I_q] gives ℓ and A_ℓ⁻¹ densely.
 
+A step of the search builds its block's triple generator and the
+transposed one once and reads its border (row m₁−1, row and column ℓ−1)
+off the two.  It compresses A₁₁⁻¹ and the bordered blocks A₂₁ and A₁₂
+once each; the blocks at the Schur complement's split ℓ_S are the leading
+ℓ_S rows of A₂₁ and columns of A₁₂, generated by the leading rows of the
+compressed G (or H) as the shift Z_{k,0} (or Z_{k,0}ᵗ) on that side reads
+only leading rows.  Columns that go through the same generator share one
+product: [Z | A₁₁⁻ᵗu₁] through A₁₂ᵗ for [H_S | u_S], and [Z_S | w]
+through A₂₁ᵗ and then A₁₁⁻ᵗ for the top of Z and v.
+
 The triple contract: G·Hᵗ = ∇_{Z_{m,0},Z_{n,0}ᵗ}(A) in every row, row 0
 included.  Truncation to a leading block needs it: a triple that breaks it
 in row 0 stands for a matrix whose last row is not u, and its truncations
@@ -243,41 +253,32 @@ def _gen_block_inv(f: PrimeField, Y: np.ndarray, Z: np.ndarray,
     return Generator._built(Gb, Hb, hankel_inverse_operator(f, r, r))
 
 
-def _apply(gen: Generator, X: np.ndarray) -> np.ndarray:
-    """gen · X for a block of columns, on the compressed generator (Pan 2001,
-    ch. 4): the bordered blocks carry two extra columns that are often
-    dependent.  Both come from the library, so the product chain takes them
-    as they are."""
-    return product_chain(gen_compress(gen), X)
-
-
 # ---------------------------------------------------------------------------
 # the Schur step
 
 
-def _border(f: PrimeField, G, H, u, ell: int, row_l=None):
+def _border(f: PrimeField, t: Generator, tt: Generator, ell: int):
     """Row and column ℓ−1 of A, which border every block of the partition
-    at ℓ, both read from one _triple.  A caller already holding row ℓ−1
-    passes it as row_l, which saves a product chain."""
-    t = _triple(f, G, H, u)
-    if row_l is None:
-        row_l = gen_matvec(gen_transpose(t), _unit(f, t.m, ell - 1))
-    return row_l, gen_matvec(t, _unit(f, t.n, ell - 1))
+    at ℓ, read off A's triple generator t and its transpose tt."""
+    return gen_matvec(tt, _unit(f, t.m, ell - 1)), gen_matvec(t, _unit(f, t.n, ell - 1))
 
 
 def _schur(f: PrimeField, G, H, u, ell: int, Y, Z, inv11_t, row_l, col_l):
     """(G, H, last row) of the Schur complement S = A₂₂ − A₂₁·A₁₁⁻¹·A₁₂ of
     the leading ℓ×ℓ block, from the search output (Y, Z) for A₁₁ and the
-    transposed generator of A₁₁⁻¹, which the caller builds once:
-    G_S = G₂ − A₂₁·A₁₁⁻¹·G₁, H_S = H₂ − A₁₂ᵗ·A₁₁⁻ᵗ·H₁, and the last row
-    u₂ − A₁₂ᵗ·A₁₁⁻ᵗ·u₁."""
+    transposed generator of A₁₁⁻¹: G_S = G₂ − A₂₁·A₁₁⁻¹·G₁ and
+    [H_S | u_S] = [H₂ | u₂] − A₁₂ᵗ·A₁₁⁻ᵗ·[H₁ | u₁], with A₁₁⁻ᵗ·H₁ = Z.
+    Also returns the compressed generators of A₂₁ and A₁₂, whose leading
+    rows and columns generate the blocks at any later split."""
     m, n = G.shape[0], H.shape[0]
-    g21 = _gen_block_21(f, G, H, ell, m - ell, row_l, col_l)
-    t12 = gen_transpose(_gen_block_12(f, G, H, ell, n - ell, row_l, col_l))
-    GS = (G[ell:] + _apply(g21, Y)) % f.p
-    HS = (H[ell:] - _apply(t12, Z)) % f.p
-    uS = (u[ell:] - gen_matvec(t12, gen_matvec(inv11_t, u[:ell]))) % f.p
-    return GS, HS, uS
+    # the bordered blocks carry two extra columns that are often dependent,
+    # so their products run on the compressed generators (Pan 2001, ch. 4)
+    a21 = gen_compress(_gen_block_21(f, G, H, ell, m - ell, row_l, col_l))
+    a12 = gen_compress(_gen_block_12(f, G, H, ell, n - ell, row_l, col_l))
+    GS = (G[ell:] + product_chain(a21, Y)) % f.p
+    Zu = _hstack([Z, gen_matvec(inv11_t, u[:ell])])
+    HuS = (_hstack([H[ell:], u[ell:]]) - product_chain(gen_transpose(a12), Zu)) % f.p
+    return GS, HuS[:, :-1], HuS[:, -1], a21, a12
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +322,19 @@ def largest_rec(f: PrimeField, G, H, u):
         return _base_case(f, G, H, u)
 
     m1, n1 = (m + 1) // 2, (n + 1) // 2
-    row_m1 = gen_matvec(gen_transpose(_triple(f, G, H, u)), _unit(f, m, m1 - 1))
+    t = _triple(f, G, H, u)
+    tt = gen_transpose(t)
+    row_m1 = gen_matvec(tt, _unit(f, m, m1 - 1))
     sub = largest_rec(f, G[:m1], H[:n1], row_m1[:n1])
-    ell1, Y11, Z11, v11 = sub
-    if ell1 < min(m1, n1):
+    ell, Y11, Z11, v11 = sub
+    if ell < min(m1, n1):
         return sub
 
-    ell = ell1
-    row_l, col_l = _border(f, G, H, u, ell, row_m1 if ell == m1 else None)
-    inv11 = _gen_block_inv(f, Y11, Z11, v11)
+    row_l = row_m1 if ell == m1 else gen_matvec(tt, _unit(f, m, ell - 1))
+    col_l = gen_matvec(t, _unit(f, n, ell - 1))
+    inv11 = gen_compress(_gen_block_inv(f, Y11, Z11, v11))
     inv11_t = gen_transpose(inv11)
-    GS, HS, uS = _schur(f, G, H, u, ell, Y11, Z11, inv11_t, row_l, col_l)
+    GS, HS, uS, a21, a12 = _schur(f, G, H, u, ell, Y11, Z11, inv11_t, row_l, col_l)
 
     m2, n2 = m - ell, n - ell
     if m2 == 1:
@@ -347,20 +350,21 @@ def largest_rec(f: PrimeField, G, H, u):
     if ell_s == 0:
         return sub
 
-    b12 = _gen_block_12(f, G, H, ell, ell_s, row_l, col_l)
-    b21_t = gen_transpose(_gen_block_21(f, G, H, ell, ell_s, row_l, col_l))
-    b12_t = gen_transpose(b12)
-    invS = _gen_block_inv(f, YS, ZS, vS)
-    invS_t = gen_transpose(invS)
+    # A₂₁ and A₁₂ at ℓ_S are leading blocks of those at ℓ: truncate
+    b12 = Generator._built(a12.G, a12.H[:ell_s], shift_operator(f, ell, 1, ell_s, 0))
+    b21_t = gen_transpose(Generator._built(a21.G[:ell_s], a21.H,
+                                           shift_operator(f, ell_s, 0, ell, 1)))
+    invS_t = gen_transpose(_gen_block_inv(f, YS, ZS, vS))
 
-    Ytop = (Y11 - _apply(inv11, _apply(b12, YS))) % f.p
-    Ztop = (Z11 - _apply(inv11_t, _apply(b21_t, ZS))) % f.p
-    w = (f.p - gen_matvec(invS_t, gen_matvec(b12_t, v11))) % f.p
-    vtop = (v11 - gen_matvec(inv11_t, gen_matvec(b21_t, w))) % f.p
+    Ytop = (Y11 - product_chain(inv11, product_chain(b12, YS))) % f.p
+    w = (f.p - gen_matvec(invS_t, gen_matvec(gen_transpose(b12), v11))) % f.p
+    # [Ztop | vtop] = [Z₁₁ | v₁₁] − A₁₁⁻ᵗ·A₂₁ᵗ·[Z_S | w]
+    Zv = (_hstack([Z11, v11])
+          - product_chain(inv11_t, product_chain(b21_t, _hstack([ZS, w])))) % f.p
 
     Y = np.concatenate([Ytop, YS], axis=0)
-    Z = np.concatenate([Ztop, ZS], axis=0)
-    v = np.concatenate([vtop, w])
+    Z = np.concatenate([Zv[:, :-1], ZS], axis=0)
+    v = np.concatenate([Zv[:, -1], w])
     return ell + ell_s, Y, Z, v
 
 
@@ -376,8 +380,10 @@ def lp_inv(f: PrimeField, G, H, u) -> LpInvResult:
     if ell == 0:
         GS, HS, uS = G, H, u
     else:
+        t = _triple(f, G, H, u)
         inv_t = gen_transpose(_gen_block_inv(f, Y, Z, v))
-        GS, HS, uS = _schur(f, G, H, u, ell, Y, Z, inv_t, *_border(f, G, H, u, ell))
+        GS, HS, uS, _, _ = _schur(f, G, H, u, ell, Y, Z, inv_t,
+                                  *_border(f, t, gen_transpose(t), ell))
 
     # the rank is ℓ exactly when the Schur complement vanishes, i.e. when
     # the generator of its triple compresses to width 0
@@ -523,31 +529,20 @@ def _solve(f: PrimeField, G, H, b, rng_seed: int) -> SolveResult:
         return SolveResult(FAILURE, route=STRUCTURED)
     r = res.r
     bt = u1.apply_transpose(b)
-
-    inv_r = _gen_block_inv(f, res.Y, res.Z, res.v) if r else None
-    x1 = gen_matvec(inv_r, bt[:r]) if r else f.zeros(0)
-
-    if r < m:
-        if r == 0:
-            resid = bt % f.p
-        else:
-            a21 = _gen_block_21(f, Gt, Ht, r, m - r, *_border(f, Gt, Ht, ut, r))
-            resid = (gen_matvec(a21, x1) - bt[r:]) % f.p
-        if np.any(resid != 0):
-            return SolveResult(NO_SOLUTION, route=STRUCTURED)
-
-    if r == n:
-        xt = x1
-    else:
-        # a nonzero representative even when b = 0: pivot on the first
-        # free column, which the rank profile makes dependent on A_r
-        colr = gen_matvec(_triple(f, Gt, Ht, ut), _unit(f, n, r))
-        tail = f.zeros(n - r)
-        tail[0] = (f.p - 1) % f.p
-        head = (x1 + gen_matvec(inv_r, colr[:r])) % f.p if r else f.zeros(0)
-        xt = np.concatenate([head, tail])
-    x = u2.apply(xt)
-    return SolveResult(OK, x, STRUCTURED)
+    t = _triple(f, Gt, Ht, ut) if r < max(m, n) else None
+    # x̃ = [A_r⁻¹·c; −1; 0]: below full column rank, a nonzero representative
+    # even when b = 0, pivoting on the first free column Ã·e_r, which the
+    # rank profile makes dependent on A_r, so c = b̃[:r] + (Ã·e_r)[:r]
+    xt = f.zeros(n)
+    if r:
+        c = bt[:r] if r == n else (bt[:r] + gen_matvec(t, _unit(f, n, r))[:r]) % f.p
+        xt[:r] = gen_matvec(_gen_block_inv(f, res.Y, res.Z, res.v), c)
+    if r < n:
+        xt[r] = f.p - 1
+    # below full row rank, b̃ may leave Ã's column space: Ã·x̃ = b̃ decides
+    if r < m and np.any((gen_matvec(t, xt) - bt) % f.p):
+        return SolveResult(NO_SOLUTION, route=STRUCTURED)
+    return SolveResult(OK, u2.apply(xt), STRUCTURED)
 
 
 # ---------------------------------------------------------------------------

@@ -188,10 +188,32 @@ def test_family_build_validation():
         family_build(F7, [[1, 2]])  # 2x + 1 is not monic
     with pytest.raises(NotMonic):
         family_build(F7, [[3]])  # constants not allowed
-    with pytest.raises(NotCoprime):
-        family_build(F7, [[6, 1], [6, 1]])  # x-1 twice
-    with pytest.raises(NotCoprime):
-        family_build(F7, [[6, 0, 1], [6, 1]])  # x^2-1 and x-1
+    # NotCoprime names the first failing member and its first partner
+    for moduli, pair in (([[6, 1], [6, 1]], (0, 1)),                 # x-1 twice
+                         ([[6, 0, 1], [6, 1]], (0, 1)),              # x^2-1 and x-1
+                         ([[6, 1], [5, 1], [6, 0, 1]], (0, 2)),      # x-1, x-2, x^2-1
+                         ([[4, 1], [6, 0, 1], [6, 1], [1, 1]], (1, 2))):  # x^2-1: x-1, x+1
+        with pytest.raises(NotCoprime) as err:
+            family_build(F7, moduli)
+        assert err.value.pair == pair
+
+
+def test_not_coprime_pair_shares_a_factor():
+    """On random families the pair NotCoprime names shares a factor by the
+    reference gcd."""
+    rng = np.random.default_rng(11)
+    rejected = 0
+    for _ in range(60):
+        polys = [[int(c) for c in rng.integers(0, 3, int(rng.integers(1, 4)))] + [1]
+                 for _ in range(int(rng.integers(2, 6)))]
+        try:
+            family_build(F7, polys)
+        except NotCoprime as e:
+            i, j = e.pair
+            rejected += 1
+            assert i < j and degree(poly_gcd(F7, as_poly(F7, polys[i]),
+                                              as_poly(F7, polys[j]))) > 0
+    assert rejected >= 10
 
 
 def test_flavor_detection():

@@ -163,6 +163,17 @@ def test_bordered_block_generators(any_field):
         cols = int(rng.integers(1, n - split + 1))
         g12 = _gen_block_12(f, G, H, split, cols, row_l, col_l)
         assert np.array_equal(reconstruct_dense(g12), A[:split, split : split + cols])
+        # the Schur step compresses the full blocks once and reads every
+        # later block off them: the leading k rows of A₂₁'s compressed G
+        # (k columns of A₁₂'s compressed H) generate the leading block
+        a21 = gen_compress(_gen_block_21(f, G, H, split, m - split, row_l, col_l))
+        a12 = gen_compress(_gen_block_12(f, G, H, split, n - split, row_l, col_l))
+        for k in range(1, m - split + 1):
+            lead = Generator(a21.G[:k], a21.H, shift_operator(f, k, 0, split, 1))
+            assert np.array_equal(reconstruct_dense(lead), A[split : split + k, :split])
+        for k in range(1, n - split + 1):
+            lead = Generator(a12.G, a12.H[:k], shift_operator(f, split, 1, k, 0))
+            assert np.array_equal(reconstruct_dense(lead), A[:split, split : split + k])
 
 
 # ---------------------------------------------------------------------------

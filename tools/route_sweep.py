@@ -44,10 +44,16 @@ and an entry call that takes the structured route must split its block:
 no `_base_case` call of that entry call may get the full min(m, n).
 Each line prints both
 routes' medians, their ratio dense/structured, the width of the
-compressed shift core and the route the entry point took.  The routes
+compressed shift core, the route the entry point took, and the
+`product_chain` and `gen_compress` calls one structured call makes (every
+binding counted: structsolve's own, and structmul's and generators',
+which gen_matvec, densify and from_hankel_inverse reach).  The routes
 alternate, one call each on a new generator object per repetition; the
 median is over K repetitions over 998244353 and K // 2 + 1 over the
-62-bit prime.
+62-bit prime.  Rows at m in {1024, 2048}, alpha = 6, over 998244353 time
+the structured route alone, where the dense side is too slow to sweep:
+the solve must return the planted solution and the inverse must map the
+right-hand side back to it.
 
 densify: generators.densify with _DENSIFY_BLOCK at its value T, at T // 2
 and at 2T, on fresh generators of length alpha: toeplitz-solve's shape
@@ -85,7 +91,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from dispmat import generators, structsolve  # noqa: E402
+from dispmat import generators, structmul, structsolve  # noqa: E402
 from dispmat.field import BENCH_PRIME, _NTT_MERGED_MAX, _NTT_SLAB, get_field  # noqa: E402
 from dispmat.generators import Generator, densify, gen_matvec  # noqa: E402
 from dispmat.operators import STEIN, SYLVESTER, DisplacementOperator  # noqa: E402
@@ -98,6 +104,7 @@ ROUTE_WIDTHS = (2, 4, 8, 16)
 KERNEL_NS = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 KERNEL_ROWS = tuple(1 << k for k in range(11))
 ELIM_SIZES = (64, 256, 512)
+SOLVER_LARGE = (1024, 2048)
 
 
 def best_of(fns, reps: int) -> list[float]:
@@ -180,69 +187,109 @@ def _median_iqr_ms(times: list[float]) -> tuple[float, float]:
     return float(q2), float(q3 - q1)
 
 
+def _count_calls(counts: dict) -> None:
+    """Count product_chain and gen_compress calls into counts, on every
+    binding the solver reaches: structsolve imports both by name, gen_matvec
+    and densify import product_chain from structmul when called, and
+    from_hankel_inverse calls generators' own gen_compress."""
+    for module, name in ((structmul, "product_chain"), (structsolve, "product_chain"),
+                         (generators, "gen_compress"), (structsolve, "gen_compress")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        setattr(module, name, counted)
+
+
 def solver(reps: int, seed: int) -> None:
     cases = ((998244353, structsolve.DENSE_PER_WIDTH, (2, 6), reps),
              (BENCH_PRIME, structsolve.DENSE_PER_WIDTH_OBJECT, (2, 4), reps // 2 + 1))
     rng = np.random.default_rng(seed)
     blocks, base_case = [], structsolve._base_case
+    counts = {"product_chain": 0, "gen_compress": 0}
 
     def counted_base_case(f, G, H, u):
         blocks.append(min(len(G), len(H)))
         return base_case(f, G, H, u)
 
     structsolve._base_case = counted_base_case
+    _count_calls(counts)
     print("# solver: dense below min(m, n) < c·(alpha + 6); medians and interquartile"
-          " ranges in ms")
-    print("#                  p  alpha     m   op    dense    iqr  structured    iqr"
-          "  dense/structured  core  entry")
-    for p, per_width, widths, k in cases:
+          " ranges in ms; chains and compressions: product_chain and gen_compress"
+          " calls in one structured call")
+    print(f"#{'p':>19s} {'alpha':>6s} {'m':>5s} {'op':>5s} {'dense':>8s} {'iqr':>6s}"
+          f" {'structured':>11s} {'iqr':>6s}  {'dense/structured':>16s} {'core':>5s}"
+          f"  {'entry':>10s} {'chains':>7s} {'compressions':>13s}")
+    points = [(p, per_width, alpha, m, k) for p, per_width, widths, k in cases
+              for alpha in widths for m in _solver_points(per_width, alpha)]
+    points += [(998244353, None, 6, m, reps) for m in SOLVER_LARGE]
+    for p, per_width, alpha, m, k in points:
         f = get_field(p)
-        for alpha in widths:
-            for m in _solver_points(per_width, alpha):
-                op, G, H = _toeplitz_like(f, rng, m, alpha)
-                x0 = rng.integers(0, f.p, m)
-                b = gen_matvec(Generator(G, H, op), x0)
-                core = structsolve._shift_core(Generator(G, H, op))[1].alpha
-                lv_seed = next(s for s in range(16) if structsolve._structured_inv_generator(
-                    Generator(G, H, op), s).ok and structsolve._structured_solve_generator(
-                    Generator(G, H, op), b, s).ok)
-                sides = {
-                    "solve": (lambda g: structsolve._dense_solve(f, densify(g), b),
-                              lambda g: structsolve._structured_solve_generator(g, b, lv_seed),
-                              lambda g: structsolve.solve_generator(g, b, lv_seed)),
-                    "inv": (structsolve._dense_inv_generator,
-                            lambda g: structsolve._structured_inv_generator(g, lv_seed),
-                            lambda g: structsolve.inv_generator(g, lv_seed)),
-                }
-                for name, (dense, structured, entry) in sides.items():
-                    res = [fn(Generator(G, H, op)) for fn in (dense, structured)]
-                    blocks.clear()
-                    res.append(entry(Generator(G, H, op)))
-                    if res[2].route == structsolve.STRUCTURED and max(blocks) >= m:
-                        raise SystemExit(f"the structured entry did not split at p={p}, "
-                                         f"alpha={alpha}, m={m}, {name}")
-                    if not all(r.ok for r in res):
-                        raise SystemExit(f"a route failed at p={p}, alpha={alpha}, m={m}, {name}")
-                    if name == "solve":
-                        same = all(np.array_equal(r.x, x0) for r in res)
-                    else:
-                        same = all(np.array_equal(r.generator.G, res[0].generator.G) and
-                                   np.array_equal(r.generator.H, res[0].generator.H)
-                                   for r in res)
-                    rule = structsolve.DENSE if structsolve._entry_is_dense(f, m, alpha) \
-                        else structsolve.STRUCTURED
-                    if not same or res[2].route != rule:
-                        raise SystemExit(f"routes differ at p={p}, alpha={alpha}, m={m}, {name}")
-                    times = ([], [])
-                    for rep_i in range(k):
-                        for side in ((0, 1) if rep_i % 2 == 0 else (1, 0)):
-                            gen = Generator(G, H, op)
-                            start = time.perf_counter()
-                            (dense, structured)[side](gen)
-                            times[side].append(time.perf_counter() - start)
-                    (td, qd), (ts, qs) = _median_iqr_ms(times[0]), _median_iqr_ms(times[1])
-                    print(f"{p:20d} {alpha:6d} {m:5d} {name:>5s} {td:8.2f} {qd:6.2f} {ts:11.2f}"
-                          f" {qs:6.2f}  {td / ts:16.2f} {core:5d}  {res[2].route}", flush=True)
+        op, G, H = _toeplitz_like(f, rng, m, alpha)
+        x0 = rng.integers(0, f.p, m)
+        b = gen_matvec(Generator(G, H, op), x0)
+        core = structsolve._shift_core(Generator(G, H, op))[1].alpha
+        lv_seed = next(s for s in range(16) if structsolve._structured_inv_generator(
+            Generator(G, H, op), s).ok and structsolve._structured_solve_generator(
+            Generator(G, H, op), b, s).ok)
+        sides = {
+            "solve": (lambda g: structsolve._dense_solve(f, densify(g), b),
+                      lambda g: structsolve._structured_solve_generator(g, b, lv_seed),
+                      lambda g: structsolve.solve_generator(g, b, lv_seed)),
+            "inv": (structsolve._dense_inv_generator,
+                    lambda g: structsolve._structured_inv_generator(g, lv_seed),
+                    lambda g: structsolve.inv_generator(g, lv_seed)),
+        }
+        for name, (dense, structured, entry) in sides.items():
+            counts.update(product_chain=0, gen_compress=0)
+            res = structured(Generator(G, H, op))
+            chains, compressions = counts["product_chain"], counts["gen_compress"]
+            if not res.ok:
+                raise SystemExit(f"the structured route failed at p={p}, alpha={alpha}, "
+                                 f"m={m}, {name}")
+            if per_width is None:
+                # structured only: the dense side is too slow here, so the
+                # inverse is checked on the planted system, A⁻¹·b = x0
+                x = res.x if name == "solve" else gen_matvec(res.generator, b)
+                if not np.array_equal(x, x0):
+                    raise SystemExit(f"the structured route is wrong at m={m}, {name}")
+                ts, qs = _median_iqr_ms([_timed(structured, Generator(G, H, op))
+                                         for _ in range(k)])
+                print(f"{p:20d} {alpha:6d} {m:5d} {name:>5s} {'-':>8s} {'-':>6s} {ts:11.2f}"
+                      f" {qs:6.2f}  {'-':>16s} {core:5d}  {'-':>10s} {chains:7d}"
+                      f" {compressions:13d}", flush=True)
+                continue
+            res = [dense(Generator(G, H, op)), res]
+            blocks.clear()
+            res.append(entry(Generator(G, H, op)))
+            if res[2].route == structsolve.STRUCTURED and max(blocks) >= m:
+                raise SystemExit(f"the structured entry did not split at p={p}, "
+                                 f"alpha={alpha}, m={m}, {name}")
+            if not all(r.ok for r in res):
+                raise SystemExit(f"a route failed at p={p}, alpha={alpha}, m={m}, {name}")
+            if name == "solve":
+                same = all(np.array_equal(r.x, x0) for r in res)
+            else:
+                same = all(np.array_equal(r.generator.G, res[0].generator.G) and
+                           np.array_equal(r.generator.H, res[0].generator.H)
+                           for r in res)
+            rule = structsolve.DENSE if structsolve._entry_is_dense(f, m, alpha) \
+                else structsolve.STRUCTURED
+            if not same or res[2].route != rule:
+                raise SystemExit(f"routes differ at p={p}, alpha={alpha}, m={m}, {name}")
+            times = ([], [])
+            for rep_i in range(k):
+                for side in ((0, 1) if rep_i % 2 == 0 else (1, 0)):
+                    times[side].append(_timed((dense, structured)[side], Generator(G, H, op)))
+            (td, qd), (ts, qs) = _median_iqr_ms(times[0]), _median_iqr_ms(times[1])
+            print(f"{p:20d} {alpha:6d} {m:5d} {name:>5s} {td:8.2f} {qd:6.2f} {ts:11.2f}"
+                  f" {qs:6.2f}  {td / ts:16.2f} {core:5d}  {res[2].route:>10s} {chains:7d}"
+                  f" {compressions:13d}", flush=True)
+
+
+def _timed(fn, gen) -> float:
+    start = time.perf_counter()
+    fn(gen)
+    return time.perf_counter() - start
 
 
 def _monic(f, rng, degree: int) -> list[int]:
