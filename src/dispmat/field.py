@@ -10,13 +10,15 @@ The number-theoretic transform (NTT) operates along the last axis of an
 array of any shape, which lets polynomial-matrix code batch thousands of
 transforms into a handful of numpy calls.  On int64 fields it is a
 mixed-radix four-step transform (Bailey 1990): each pass is an exact
-float64 product with a DFT matrix of size at most 128, split into two
-15-bit limbs so that every partial sum is an integer below 2^52, and so
-runs through BLAS dgemm (Dumas, Giorgi and Pernet 2008).  A block of one
-slab of rows, small enough to stay in cache, whose length is at most
-_NTT_MERGED_MAX takes one matrix product per pass, the twiddles folded into
-per-column matrices; any other block runs slab by slab, with twiddles and
-reductions between passes as float64 array operations.
+float64 product with a DFT matrix of size at most 128, stored as two 15-bit
+limbs (the high one times 2^15) so that every partial sum is an integer
+below 2^52, or 2^15 times one, and so runs exactly through BLAS dgemm
+(Dumas, Giorgi and Pernet 2008).  Each length has one plan in one form:
+up to _NTT_MERGED_MAX one matrix product per pass, the twiddles folded
+into per-column matrices; longer lengths with twiddles and reductions
+between passes as float64 array operations.  Both run slab by slab, in
+blocks of rows small enough to stay in cache, and reduce every pass
+through one routine.
 Object-dtype fields run a radix-2 loop.
 
 Convolution has one exact kernel for every prime: residues are cut into
@@ -72,19 +74,18 @@ _WHOLE_CONV_TERMS_OBJECT = 3024
 # work arrays (4 × 8 bytes × slab) stay in a core's L2 cache
 _NTT_SLAB = 1 << 14
 
-# the longest transform length whose blocks of at most one slab take ntt's
-# one-slab form (at most two merged passes, no scratch or slab loop); longer
-# ones, and larger blocks, take the slab form (tools/route_sweep.py,
-# BENCH_20.json)
+# the longest transform length that takes ntt's one-slab form (at most two
+# merged passes), slab by slab in a block of several slabs; longer ones take
+# the slab form (tools/route_sweep.py, BENCH_20.json, BENCH_28.json)
 _NTT_MERGED_MAX = 1024
 
 # log2 of the largest DFT matrix a transform pass multiplies by
 _NTT_RADIX_BITS = 7
 
-# products per BLAS call of a transform pass.  OpenBLAS runs calls this small
-# on the calling thread; larger ones it may spread over threads, and on a
-# busy 2-core machine such a call stalled for 4-12 ms.  Calls this small also
-# ran faster than one call per pass (BENCH_11.json).
+# products per BLAS call of a slab-form pass (_dft).  OpenBLAS runs calls
+# this small on the calling thread; larger ones it may spread over threads,
+# and on a busy 2-core machine such a call stalled for 4-12 ms.  Calls this
+# small also ran faster than one call per pass (BENCH_11.json).
 _GEMM_MACS = 1 << 18
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -104,12 +105,12 @@ def _as_int(v) -> int:
 
 
 class _Plan(NamedTuple):
-    """An int64 field's transform of one length and direction: the passes
-    of the slab form, and the matrices of the one-slab form (None above
-    _NTT_MERGED_MAX or beyond two passes)."""
+    """An int64 field's transform of one length and direction in one of
+    ntt's two forms, one entry of passes per pass: the one-slab form's
+    matrices when merged, else the slab form's (DFT matrix, twiddles)."""
 
+    merged: bool
     passes: tuple
-    merged: tuple | None
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -383,123 +384,129 @@ class PrimeField:
         w = self.pow(self.generator, (self.p - 1) // n)
         return self.inv(w) if invert else w
 
-    def _limb_pair(self, v: np.ndarray) -> np.ndarray:
-        """Residues v as float64 limbs (lo, hi) stacked on a new first axis,
-        with v ≡ lo + 2^15·hi, |lo| ≤ 2^14 and |hi| ≤ ⌊(p-1)/2^16⌋ + 1."""
+    def _limb_stack(self, v: np.ndarray) -> np.ndarray:
+        """Residues v as float64 limbs (lo, 2^15·hi) stacked on a new first
+        axis, read-only, with v ≡ lo + 2^15·hi, |lo| ≤ 2^14 and |hi| ≤
+        ⌊(p-1)/2^16⌋ + 1: the limbs of every transform matrix (see ntt)."""
         c = np.where(v > self.p // 2, v - self.p, v)
         hi = (c + (1 << 14)) >> 15
-        out = np.stack((c - (hi << 15), hi)).astype(np.float64)
+        out = np.stack((c - (hi << 15), hi << 15)).astype(np.float64)
         out.setflags(write=False)
         return out
 
-    def _limb_stack(self, v: np.ndarray) -> np.ndarray:
-        """The limbs of _limb_pair with the high one times 2^15, read-only.
-        The factor is a power of two, so a product with the high limb is
-        exact wherever the unscaled one is."""
-        out = self._limb_pair(v) * np.array([1.0, 32768.0]).reshape((2,) + (1,) * v.ndim)
-        out.setflags(write=False)
-        return out
+    def _ntt_radices(self, n: int) -> list[int]:
+        """The radices of the passes of a length-n transform: powers of two,
+        balanced, largest first, each at most 2^_NTT_RADIX_BITS and at most
+        the largest L with L·p·B ≤ 2^52, B the limb bound of _limb_stack."""
+        p = self.p
+        limb = max(1 << 14, ((p - 1) >> 16) + 1)
+        room = ((1 << 52) // (p * limb)).bit_length() - 1
+        bits = n.bit_length() - 1
+        count = max(1, -(-bits // min(_NTT_RADIX_BITS, room)))
+        return [1 << (bits // count + (i < bits % count)) for i in range(count)]
 
     def _ntt_plan(self, n: int, invert: bool) -> _Plan:
         """The transform plan for length n on an int64 field, cached per
-        (n, invert): the passes of the slab form and, for n ≤
-        _NTT_MERGED_MAX, the one-slab form.
+        (n, invert), in the one form ntt runs at that length: the one-slab
+        form (_ntt_merged_form) when n ≤ _NTT_MERGED_MAX and n takes at most
+        two passes, else the slab form (_ntt_slab_form).  Both hold every
+        matrix and twiddle table as the limbs of _limb_stack.
 
-        Slab form (passes): the radices L_i are powers of two, balanced,
-        largest first, each at most the largest L with L·p·B ≤ 2^52 (B the
-        limb bound of _limb_pair) and at most 2^_NTT_RADIX_BITS.  A pass of
-        radix L over rows of length r = L·m holds the two limbs of the
-        L-point DFT matrix: shape (2, 1, L, L), applied along the leading
-        axis of each row seen as (L, m), with the two limbs of the twiddles
-        w_r^(k·j), shape (2, L, m); the last pass (m = 1) has shape
-        (2, L, L), applied along the last axis, and no twiddles.  n⁻¹ of an
-        inverse transform is folded into the first pass's twiddles, or into
-        the matrix of a one-pass plan.
-
-        One-slab form (merged, _ntt_merged_form), for lengths of one or two
-        passes: a one-pass length keeps its n×n matrix; a two-pass length
-        n = L·m, the smaller radix L first, keeps m first-pass matrices of
-        L×L, one per column j2 of the rows seen as (L, m), with the twiddles
-        w_n^(k1·j2) and n⁻¹ folded in, and the m×m DFT matrix of the last
-        pass.  Each matrix is stored as its limbs (lo, 2^15·hi) on a leading
-        axis (_limb_stack), so the first pass holds 2·m·L² = 2·n·L floats,
-        512 KB at n = 1024 = _NTT_MERGED_MAX.  Longer lengths build no such
-        form: it lost to the slab form on one row of 4096 (a 4 MB first
-        pass) and of 8192, and at 2048, a length toeplitz-mul transforms
-        only in blocks of several slabs, it saved 1-18% for 1 MB per
-        direction.
+        Longer lengths build no one-slab form: it lost to the slab form on
+        one row of 4096 (a 4 MB first pass) and of 8192, and at 2048, a
+        length toeplitz-mul transforms only in blocks of several slabs, it
+        saved 1-18% for 1 MB per direction (BENCH_20.json).
         """
         key = (n, invert)
         plan = self._root_cache.get(key)
         if plan is None:
-            p = self.p
-            limb = max(1 << 14, ((p - 1) >> 16) + 1)
-            room = ((1 << 52) // (p * limb)).bit_length() - 1
-            bits = n.bit_length() - 1
-            count = max(1, -(-bits // min(_NTT_RADIX_BITS, room)))
-            scale = self.inv(n) if invert else 1
-            passes, rest = [], n
-            for i in range(count):
-                L = 1 << (bits // count + (i < bits % count))
-                m = rest // L
-                k = np.arange(L)
-                dft = self.powers(self._root(L, invert), L)[np.outer(k, k) % L]
-                if m == 1:
-                    passes.append((self._limb_pair(dft * scale % p), None))
-                else:
-                    tw = self.powers(self._root(rest, invert), rest)[np.outer(k, np.arange(m))]
-                    passes.append((self._limb_pair(dft)[:, None], self._limb_pair(tw * scale % p)))
-                scale, rest = 1, m
-            merged = self._ntt_merged_form(n, invert, count) if n <= _NTT_MERGED_MAX else None
-            plan = _Plan(tuple(passes), merged)
+            one_slab = n <= _NTT_MERGED_MAX and len(self._ntt_radices(n)) <= 2
+            plan = (self._ntt_merged_form if one_slab else self._ntt_slab_form)(n, invert)
             self._root_cache[key] = plan
         return plan
 
-    def _ntt_merged_form(self, n: int, invert: bool, count: int) -> tuple | None:
-        """The matrices of ntt's one-slab form for a length of count passes
-        (see _ntt_plan), or None beyond two passes."""
-        if count > 2:
-            return None
+    def _ntt_slab_form(self, n: int, invert: bool) -> _Plan:
+        """ntt's slab form for length n, one pass per radix of _ntt_radices.
+        A pass of radix L over rows of length r = L·m holds the L-point DFT
+        matrix, shape (2, 1, L, L), applied along the leading axis of each
+        row seen as (L, m), and the twiddles w_r^(k·j), shape (2, L, m); the
+        last pass (m = 1) holds its matrix, shape (2, L, L), applied along
+        the last axis, and no twiddles.  n⁻¹ goes into the first pass's
+        twiddles, or into the matrix of a one-pass length."""
+        p = self.p
+        scale = self.inv(n) if invert else 1
+        passes, rest = [], n
+        for L in self._ntt_radices(n):
+            m = rest // L
+            k = np.arange(L)
+            dft = self.powers(self._root(L, invert), L)[np.outer(k, k) % L]
+            if m == 1:
+                passes.append((self._limb_stack(dft * scale % p), None))
+            else:
+                tw = self.powers(self._root(rest, invert), rest)[np.outer(k, np.arange(m))]
+                passes.append((self._limb_stack(dft)[:, None], self._limb_stack(tw * scale % p)))
+            scale, rest = 1, m
+        return _Plan(False, tuple(passes))
+
+    def _ntt_merged_form(self, n: int, invert: bool) -> _Plan:
+        """ntt's one-slab form for a length n of one or two passes.  A
+        one-pass length keeps its n×n matrix.  A two-pass length n = L·m,
+        the smaller radix L first, keeps m first-pass matrices of L×L, one
+        per column j2 of the rows seen as (L, m), with the twiddles
+        w_n^(k1·j2) and n⁻¹ folded in, shape (2, m, L, L), and the m×m DFT
+        matrix of the last pass, shape (2, m, m).  The first pass holds
+        2·m·L² = 2·n·L floats, 512 KB at n = 1024 = _NTT_MERGED_MAX."""
         p = self.p
         w = self.powers(self._root(n, invert), n)
         scale = self.inv(n) if invert else 1
-        if count == 1:
+        radices = self._ntt_radices(n)
+        if len(radices) == 1:
             k = np.arange(n)
-            return (self._limb_stack(w[np.outer(k, k) % n] * scale % p),)
-        L = 1 << ((n.bit_length() - 1) // 2)
+            return _Plan(True, (self._limb_stack(w[np.outer(k, k) % n] * scale % p),))
+        L = radices[-1]
         m = n // L
         # entry (j2, j1, k1) of the first pass: w_n^(j·k1) for j = m·j1 + j2
         j = m * np.arange(L)[None, :, None] + np.arange(m)[:, None, None]
         k = np.arange(m)
-        return (self._limb_stack(w[j * np.arange(L) % n] * scale % p),
-                self._limb_stack(w[L * np.outer(k, k) % n]))
+        return _Plan(True, (self._limb_stack(w[j * np.arange(L) % n] * scale % p),
+                            self._limb_stack(w[L * np.outer(k, k) % n])))
 
-    def _reduce(self, v: np.ndarray, t: np.ndarray, rounding=np.rint,
+    def _reduce(self, v: np.ndarray, s: np.ndarray, rounding=np.rint,
                 out: np.ndarray | None = None) -> np.ndarray:
         """v - rounding(v·(1/p))·p into out (default v), for integer-valued
-        float64 v with |v| < 2^52 + 2^47; t is scratch of at least v.size.
+        float64 v with |v| < 2^52 + 2^47; s is scratch of v's shape.
 
         The quotient is the true one to within 2^53·2^-52/p = 2/p, so the
         product with p and the difference are exact integers below 2^53.
         rint leaves |v| ≤ p/2 + 2; from |v| < p, floor leaves [0, p)."""
-        s = t[:v.size].reshape(v.shape)
-        np.multiply(v, 1.0 / self.p, out=s)
-        rounding(s, out=s)
-        np.multiply(s, float(self.p), out=s)
-        return np.subtract(v, s, out=v if out is None else out)
+        np.multiply(v, 1.0 / self.p, s)
+        rounding(s, s)
+        s *= float(self.p)
+        return np.subtract(v, s, v if out is None else out)
 
-    def _fold(self, lo: np.ndarray, hi: np.ndarray, t: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-        """lo + 2^15·hi reduced into (-p, p), into out (default lo), for
-        integer-valued |lo|, |hi| ≤ 2^52; hi is overwritten."""
-        self._reduce(hi, t)
-        np.multiply(hi, 32768.0, out=hi)
-        np.add(lo, hi, out=lo)
-        return self._reduce(lo, t, out=out)
+    def _settle(self, prod: np.ndarray, s: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """lo + hi for prod = (lo, hi) on its first axis, the two halves of
+        a product with the limbs of _limb_stack, reduced into (-p, p) and
+        written into out (default hi); s is scratch of hi's shape, and prod
+        is overwritten.  hi is 2^15 times an integer below 2^52 + 2^47, so
+        it is reduced modulo 2^15·p as _reduce does modulo p: scaling by a
+        power of two keeps that arithmetic exact and leaves it within
+        2^15·(p/2 + 2).  Its sum with lo, below 2^52 + 2^46, is reduced by
+        _reduce."""
+        lo, hi = prod
+        c = 32768.0 * self.p
+        np.multiply(hi, 1.0 / c, s)
+        np.rint(s, s)
+        s *= c
+        hi -= s
+        hi += lo
+        return self._reduce(hi, s, out=out)
 
-    def _dft(self, x: np.ndarray, plan: tuple, out: np.ndarray,
+    def _dft(self, x: np.ndarray, passes: tuple, out: np.ndarray,
              work: np.ndarray, t: np.ndarray) -> None:
-        """Write the transform of each row of x into out, in canonical residues.
+        """Write the transform of each row of x into out by the slab form's
+        passes, in canonical residues.
 
         x is a float64 (rows, n) array with integer entries |x| < p, which
         this overwrites; out has shape lead + (n,) with rows = prod(lead),
@@ -509,69 +516,57 @@ class PrimeField:
         the m-point transform of row k1 is written straight into out's
         entries k1 + L·k2, so the digit reversal costs no pass of its own.
         """
-        dft, tw = plan[0]
+        dft, tw = passes[0]
         rows, n = x.shape
         L = dft.shape[-1]
         step = max(1, _GEMM_MACS // (L * L))
         if tw is None:
             prod = work[:2 * x.size].reshape(2, rows, L)
+            s = t[:x.size].reshape(rows, L)
             for r in range(0, rows, step):
                 np.matmul(x[r:r + step], dft, out=prod[:, r:r + step])
-            res = self._fold(prod[0], prod[1], t)
-            self._reduce(res, t, np.floor)
+            res = self._settle(prod, s)
+            self._reduce(res, s, np.floor)
             np.copyto(out, res.reshape(out.shape), casting="unsafe")
             return
         m = n // L
         prod = work[:2 * x.size].reshape(2, rows, L, m)
+        s = t[:x.size].reshape(rows, L, m)
         y = x.reshape(rows, L, m)
         for c in range(0, m, step):
             np.matmul(dft, y[..., c:c + step], out=prod[..., c:c + step])
         lo, hi = prod
-        self._fold(lo, hi, t)
-        np.multiply(lo, tw[1], out=hi)
-        np.multiply(lo, tw[0], out=lo)
-        self._fold(lo, hi, t, out=y)
+        self._settle(prod, s)
+        np.multiply(hi, tw[0], out=lo)
+        np.multiply(hi, tw[1], out=hi)
+        self._settle(prod, s, out=y)
         inner = out.reshape(out.shape[:-1] + (m, L)).swapaxes(-1, -2)
-        self._dft(y.reshape(rows * L, m), plan[1:], inner, work, t)
+        self._dft(y.reshape(rows * L, m), passes[1:], inner, work, t)
 
-    def _settle(self, prod: np.ndarray, final: bool) -> np.ndarray:
-        """lo + 2^15·hi of a product with the limb matrices of _limb_stack,
-        prod = (lo sums, 2^15·hi sums) on its first axis: reduced into
-        (-p, p), or into [0, p) when final; prod is overwritten.
-
-        The high half is reduced modulo 2^15·p as _reduce does modulo p:
-        scaling by a power of two keeps that arithmetic exact and leaves it
-        within 2^15·(p/2 + 2).  Its sum with the low half, below 2^52 + 2^46,
-        is reduced by _reduce, and once more with floor when final."""
-        lo, hi = prod
-        c = 32768.0 * self.p
-        q = hi * (1.0 / c)
-        np.rint(q, out=q)
-        q *= c
-        hi -= q
-        hi += lo
-        self._reduce(hi, q)
-        if final:
-            self._reduce(hi, q, np.floor)
-        return hi
-
-    def _ntt_merged(self, src: np.ndarray, merged: tuple) -> np.ndarray:
-        """The transform of each row of the int64 (rows, n) residues src by
-        the one-slab form of _ntt_plan: one matrix product per pass and no
-        scratch, recursion or slab loop.  A two-pass length n = L·m takes
-        the rows as (L, m) blocks; the first pass multiplies column j2 of
-        each block by its own L×L matrix, twiddles included, in one stacked
-        product over the m columns; the last pass takes the m-point DFT of
-        every row k1 of the result, which is output k1 + L·k2."""
-        rows, n = src.shape
-        if len(merged) == 1:
-            return self._settle(src.astype(np.float64) @ merged[0], True).astype(np.int64)
-        first, last = merged
+    def _ntt_merged(self, src: np.ndarray, mats: tuple, out: np.ndarray) -> None:
+        """Write the transform of each row of the int64 (rows, n) residues
+        src into out by the one-slab form's matrices: per pass one matrix
+        product and one _settle, whose scratch is the pass's multiplied
+        input.  A two-pass length n = L·m takes the rows as (L, m) blocks;
+        the first pass multiplies column j2 of each block by its own L×L
+        matrix, twiddles included, in one stacked product over the m
+        columns; the last takes the m-point DFT of every row k1 of the
+        result, which is output k1 + L·k2."""
+        if len(mats) == 1:
+            x = src.astype(np.float64)
+            res = self._settle(x @ mats[0], x)
+            self._reduce(res, x, np.floor)
+            np.copyto(out, res, casting="unsafe")
+            return
+        first, last = mats
         m, L = first.shape[1:3]
+        rows = len(src)
         x = src.reshape(rows, L, m).transpose(2, 0, 1).astype(np.float64, order="C")
-        y = self._settle(x @ first, False).reshape(m, rows * L)
-        z = self._settle(last @ y, True).reshape(m, rows, L)
-        return z.transpose(1, 0, 2).astype(np.int64, order="C").reshape(rows, n)
+        y = self._settle(x @ first, x).reshape(m, rows * L)
+        res = self._settle(last @ y, y)
+        self._reduce(res, y, np.floor)
+        np.copyto(out.reshape(rows, m, L), res.reshape(m, rows, L).swapaxes(0, 1),
+                  casting="unsafe")
 
     def ntt(self, a: np.ndarray, invert: bool = False) -> np.ndarray:
         """In-order NTT along the last axis of residues in [0, p), for any
@@ -581,55 +576,57 @@ class PrimeField:
 
         On int64 fields (p < 2^31.5) this is a mixed-radix four-step
         transform (Bailey 1990) whose passes are exact float64 matrix
-        products (Dumas, Giorgi and Pernet 2008), in one of two forms (see
-        _ntt_plan).  A block of at most _NTT_SLAB elements whose length is
-        at most _NTT_MERGED_MAX takes the one-slab form (_ntt_merged): at
-        most two passes, each one matrix product with the twiddles folded
-        into per-column matrices and one reduction (_settle), with no
-        scratch, recursion or slab loop.  On a 2-core Xeon VM it took
-        0.57-0.96 of the slab form's time on every such shape but one (256
-        rows of 64, 1.09), and lost on some blocks of two slabs (up to
-        1.21x) and on one row of 4096 or 8192 (1.7-1.8x)
-        (tools/route_sweep.py, BENCH_20.json).  Every other block takes the
-        slab form: rows run in slabs of _NTT_SLAB elements, and each pass
-        multiplies the slab by the two 15-bit limbs of an L×L DFT matrix
-        (see _dft).  The data stays whole with |x| < p, so a partial sum of
-        a pass is an integer below L·p·B ≤ 2^52 (B ≤ 2^15.5, the limb
-        bound): every one is exact in float64, and the result does not
-        depend on the BLAS summation order or on FMA.  Between passes the limb sums and the
-        twiddle products (limbs times data, below 2^47) are folded as
-        lo + 2^15·hi and reduced by v - rint(v·(1/p))·p, exact for
-        |v| < 2^53 (_reduce); the last pass lands in [0, p) with floor.
-        The one-slab form has the same bound on its sums.
+        products (Dumas, Giorgi and Pernet 2008).  Matrices and twiddles
+        are stored as two 15-bit limbs, lo and 2^15·hi (_limb_stack), and
+        the data stays whole with |x| < p.  So a partial sum of a pass is an
+        integer below L·p·B ≤ 2^52 (L the radix, B ≤ 2^15.5 the limb bound,
+        _ntt_radices), or 2^15 times one: every one is exact in float64,
+        whatever the BLAS summation order or FMA.  Each pass, and each
+        twiddle product (limbs times data below 2^47), reduces its two sums
+        through one routine (_settle): the high one modulo 2^15·p, then
+        lo + hi modulo p (_reduce); the last pass lands in [0, p) with floor.
 
-        Object-dtype fields run a radix-2 loop on Python ints.
+        The length alone picks the form (_ntt_plan): up to _NTT_MERGED_MAX
+        and two passes the one-slab form (_ntt_merged), one matrix product
+        per pass with the twiddles folded into per-column matrices; beyond,
+        the slab form (_dft), with twiddles and reductions between passes
+        as float64 array operations.  Both run in slabs of _NTT_SLAB
+        elements into one preallocated output (_ntt_run).  On a 2-core Xeon
+        VM the one-slab form took 0.57-0.96 of the slab form's time on
+        blocks of one slab at lengths up to 1024 (1.06-1.09 on 256 rows of
+        64), and lost on one row of 4096 or 8192 (1.7-3.0x)
+        (tools/route_sweep.py, BENCH_20.json, BENCH_28.json).
+
+        Object-dtype fields run a radix-2 loop.
         """
         n = a.shape[-1]
         if n < 1 or n & (n - 1) or n > self.ntt_capacity():
             raise ValueError(f"transform length {n} unsupported for p={self.p}")
         if self.dtype is object:
             return self._ntt_object(a, invert)
-        plan = self._ntt_plan(n, invert)
         src = np.asarray(a).reshape(-1, n)
-        if plan.merged is not None and src.size <= _NTT_SLAB:
-            return self._ntt_merged(src, plan.merged).reshape(a.shape)
-        return self._ntt_slabs(src, plan.passes).reshape(a.shape)
+        return self._ntt_run(src, self._ntt_plan(n, invert)).reshape(a.shape)
 
-    def _ntt_slabs(self, src: np.ndarray, passes: tuple) -> np.ndarray:
+    def _ntt_run(self, src: np.ndarray, plan: _Plan) -> np.ndarray:
         """The transform of each row of the int64 (rows, n) residues src by
-        the slab form of _ntt_plan: slabs of _NTT_SLAB elements, one _dft
-        each, through preallocated float64 scratch."""
-        n = src.shape[1]
-        out = np.empty(src.shape, dtype=np.int64)
-        rows = max(1, _NTT_SLAB // n)
-        x = np.empty((min(rows, len(src)), n))
+        plan's form, in slabs of _NTT_SLAB elements (at least one row), each
+        written into one preallocated output; the slab form's float64
+        scratch is allocated once."""
+        rows, n = src.shape
+        out = np.empty(src.shape, np.int64)
+        step = max(1, _NTT_SLAB // n)
+        if plan.merged:
+            for lo in range(0, rows, step):
+                self._ntt_merged(src[lo:lo + step], plan.passes, out[lo:lo + step])
+            return out
+        x = np.empty((min(step, rows), n))
         work = np.empty(2 * x.size)
         t = np.empty(x.size)
-        for lo in range(0, len(src), rows):
-            block = out[lo:lo + rows]
+        for lo in range(0, rows, step):
+            block = out[lo:lo + step]
             xs = x[:len(block)]
-            np.copyto(xs, src[lo:lo + rows], casting="unsafe")
-            self._dft(xs, passes, block, work, t)
+            np.copyto(xs, src[lo:lo + step], casting="unsafe")
+            self._dft(xs, plan.passes, block, work, t)
         return out
 
     def _ntt_object(self, a: np.ndarray, invert: bool) -> np.ndarray:

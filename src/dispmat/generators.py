@@ -88,9 +88,10 @@ class Generator:
 
         The store holds a fixed set of keys ("basic" and "halves", filled
         by structmul.product_chain), and so is bounded; it is keyed on the
-        identity of G, H and the operator, and freed with the generator.  Its values must not refer to the generator, so that a
-        generator never sits in a reference cycle.  On first use G and H are
-        made read-only, or replaced by read-only copies where they view a
+        identity of G, H and the operator, and freed with the generator.
+        Its values must not refer to the generator, so that a generator
+        never sits in a reference cycle.  On first use G and H are made
+        read-only, or replaced by read-only copies where they view a
         writable array."""
         store = self._store
         if store is None or store[0] is not self.G or store[1] is not self.H \
@@ -551,8 +552,8 @@ def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
 
     inv_gen carries (Y, Z) = (−core⁻¹·G_core, core⁻ᵗ·H_core) under
     ∇_{Z_{m,1}ᵗ, Z_{m,0}}; the result lives under inverse_operator of A's
-    operator — Sylvester ∇_{M_Qᵗ,M_P} or its Stein analog — and is
-    compressed to length ≤ the original alpha.
+    operator — Sylvester ∇_{M_Qᵗ,M_P} or its Stein analog — with length
+    inv_gen.alpha + 2, left for the caller to compress.
     """
     gen = ctx.gen
     f = gen.field
@@ -577,7 +578,7 @@ def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
         a_invt_s = gen_matvec(inv_t, e0)
         G = _hstack([ctx.r, rq(Y.T).T, rq(a_inv_t)])
         H = _hstack([lt(a_invt_s), lt(Z.T).T, ctx.u])
-        return gen_compress(Generator._built(G, H, swapped))
+        return Generator._built(G, H, swapped)
 
     # Stein: core is B = A′·J, A′⁻¹ = J·B⁻¹ and A′⁻ᵗ = B⁻ᵗ·J.
     # Δ_{M_Qᵗ,M_P}(A⁻¹) =
@@ -589,7 +590,7 @@ def from_hankel_inverse(ctx: HankelContext, inv_gen: Generator) -> Generator:
                  ctx.r])
     z0t_bts = np.concatenate([b_invt_js[1:], f.zeros(1)])
     H = _hstack([lt(Z.T).T, ctx.u, (f.p - lt(z0t_bts)) % f.p])
-    return gen_compress(Generator._built(G, H, swapped))
+    return Generator._built(G, H, swapped)
 
 
 # ---------------------------------------------------------------------------

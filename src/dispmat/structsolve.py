@@ -560,7 +560,7 @@ def _shift_core(gen: Generator):
 
 def _structured_inv_generator(gen: Generator, rng_seed: int) -> InvResult:
     """inv_generator's structured route: A through the shift core to _inv,
-    back through from_hankel_inverse, and to the canonical form."""
+    back through from_hankel_inverse, and compressed once to canonical form."""
     f = gen.field
     tf, hgen, ctx = _shift_core(gen)
     res = _inv(f, hgen.G, hgen.H, rng_seed)

@@ -179,29 +179,42 @@ def _naive_dft(f, rows, w):
     return f.mat_mul(rows, f.powers(w, n)[np.outer(k, k) % n])
 
 
+def _horner_dft(f, rows, w):
+    """The same by Horner's rule at every w^k, one numpy step per entry of
+    a row, for lengths whose DFT matrix is too large to build."""
+    n = rows.shape[-1]
+    x = f.powers(w, n)
+    acc = f.zeros(rows.shape)
+    for j in range(n - 1, -1, -1):
+        acc = (acc * x + rows[:, j:j + 1]) % f.p
+    return acc
+
+
 # The int64 transform runs in passes of radix at most 128, less near 2^31.5:
 # 128 at 998244353, 64 at 2013265921 and 32 at 2281701377, the int64 NTT
 # prime whose 2^52 bound on a pass's partial sums is the tightest; p62 runs
 # the radix-2 loop on object arrays.  Lengths 512 and 2048 take two or three
-# passes, and one row more than a slab leaves a partial last slab.  A block
-# of at most one slab whose length is at most _NTT_MERGED_MAX (and takes at
-# most two passes) runs the one-slab form, every other block the slab form:
-# the cases cover exactly one slab and one row more at the longest such
-# length, and one row on both sides of the length cut.
+# passes, and one row more than a slab leaves a partial last slab.  A length
+# of at most _NTT_MERGED_MAX that takes at most two passes runs the one-slab
+# form, slab by slab, every other length the slab form: the cases cover
+# blocks of more than one slab at a one-pass length (32) and at two-pass
+# ones, exactly one slab and one row more at the longest such length, and
+# one row on both sides of the length cut.
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 2013265921, 2281701377, BENCH_PRIME])
 def test_ntt_matches_naive_dft(p, monkeypatch):
     f = get_field(p)
     rng = np.random.default_rng(23)
     cases = [(n, lead) for n in (1, 2, 8, 64, 256) for lead in ((), (3,))]
     if f.dtype is not object:
-        cases += [(512, (_NTT_SLAB // 512 + 1,)), (2048, (_NTT_SLAB // 2048 + 1,)),
+        cases += [(32, (_NTT_SLAB // 32 + 1,)),
+                  (512, (_NTT_SLAB // 512 + 1,)), (2048, (_NTT_SLAB // 2048 + 1,)),
                   (_NTT_MERGED_MAX, (_NTT_SLAB // _NTT_MERGED_MAX,)),
                   (_NTT_MERGED_MAX, (_NTT_SLAB // _NTT_MERGED_MAX + 1,)),
                   (2 * _NTT_MERGED_MAX, ())]
     merged = []
     real = PrimeField._ntt_merged
     monkeypatch.setattr(PrimeField, "_ntt_merged",
-                        lambda self, src, form: merged.append(src.shape) or real(self, src, form))
+                        lambda self, src, *rest: merged.append(src.shape) or real(self, src, *rest))
     for n, lead in cases:
         w = f.pow(f.generator, (p - 1) // n)
         size = int(np.prod(lead, dtype=int)) * n
@@ -226,9 +239,10 @@ def test_ntt_matches_naive_dft(p, monkeypatch):
                 assert all(0 <= int(v) < p for v in got.ravel())
                 assert np.array_equal(a, before)
                 if f.dtype is not object:
-                    one_slab = (size <= _NTT_SLAB and n <= _NTT_MERGED_MAX
-                                and len(f._ntt_plan(n, invert).passes) <= 2)
-                    assert merged == ([(size // n, n)] if one_slab else []), (n, lead)
+                    one_slab = n <= _NTT_MERGED_MAX and len(f._ntt_plan(n, invert).passes) <= 2
+                    step = _NTT_SLAB // n
+                    slabs = [(min(step, size // n - lo), n) for lo in range(0, size // n, step)]
+                    assert merged == (slabs if one_slab else []), (n, lead)
 
 
 def _largest_radix(f):
@@ -245,7 +259,9 @@ def test_ntt_of_top_residues_at_the_largest_radix(p):
     transforms to n·c at 0 and zeros, and back to c at 0 and zeros, in one
     pass of the largest radix R and in two (R·R), in blocks of three rows
     and of one row more than a slab, and at the longest length of the
-    one-slab form."""
+    one-slab form.  The tightest hi-limb sums are checked in the one-slab
+    form's one pass of radix R and its first pass at the longest length,
+    and in a slab-form pass of radix R."""
     f = get_field(p)
     R = _largest_radix(f)
     assert R == {DEFAULT_PRIME: 128, 2013265921: 64, 2281701377: 32}[p]
@@ -272,12 +288,26 @@ def test_ntt_of_top_residues_at_the_largest_radix(p):
     # length: p - 1 where the hi limb of output 1's entry in its column's
     # matrix is positive
     n = min(_NTT_MERGED_MAX, R * R)
-    first = f._ntt_plan(n, False).merged[0]
+    plan = f._ntt_plan(n, False)
+    assert plan.merged
+    first = plan.passes[0]
     m, L = first.shape[1:3]
     a = np.where(first[1, :, :, 1].T.reshape(-1) > 0, p - 1, 0)  # entry m·j1 + j2
     w = f.pow(f.generator, (p - 1) // n)
     assert m * L == n
     assert np.array_equal(f.ntt(a), _naive_dft(f, a, w))
+    # and for the slab form's first pass of radix R, at the shortest length
+    # that has one: column j2 of a row seen as (R, m) is p - 1 where the hi
+    # limb of row k1 = j2 mod R of the DFT matrix is positive, so the rows
+    # cover every k1
+    n = 2 * _NTT_MERGED_MAX
+    while f._ntt_plan(n, False).passes[0][0].shape[-1] != R:
+        n *= 2
+    assert not f._ntt_plan(n, False).merged
+    m = n // R
+    k1 = np.arange(-(-R // m) * m).reshape(-1, m) % R
+    a = np.where(hi[k1] > 0, p - 1, 0).swapaxes(1, 2).reshape(-1, n)
+    assert np.array_equal(f.ntt(a), _horner_dft(f, a, f.pow(f.generator, (p - 1) // n)))
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 2013265921, 2281701377])

@@ -23,10 +23,11 @@ each line prints both times and their ratio direct/mulQ; structmul's rule
 is read off where that ratio stays below 1.
 
 kernel: the transform of a (rows, n) block of residues by ntt's one-slab
-form (`_ntt_merged`) and by its slab form (`_ntt_slabs`), over 998244353,
+form and by its slab form, both built for the length (`_ntt_merged_form`,
+`_ntt_slab_form`) and run slab by slab (`_ntt_run`), over 998244353,
 checked equal: n from 32 to 8192 (one row above 2048) and blocks of up to
-two slabs, both sides of the cut in n and in rows·n.  Each line prints both
-times, their ratio one-slab/slab and the form ntt picks.
+two slabs, both sides of the length cut.  Each line prints both times,
+their ratio one-slab/slab and the form ntt's plan for the length holds.
 
 solver: solve_generator and inv_generator on a fresh Toeplitz-like
 generator (Sylvester, x^m − φ and x^m − ψ, Q side transposed, random G and
@@ -150,21 +151,20 @@ def route(reps: int, seed: int) -> None:
 def kernel(reps: int, seed: int) -> None:
     f = get_field(998244353)
     rng = np.random.default_rng(seed)
-    print(f"# kernel: one-slab form for rows·n <= {_NTT_SLAB} and n <= {_NTT_MERGED_MAX};"
-          " times in microseconds")
+    print(f"# kernel: one-slab form for n <= {_NTT_MERGED_MAX} in at most two passes,"
+          f" slab by slab ({_NTT_SLAB} elements); times in microseconds")
     print("#  rows     n      slab  one-slab  one-slab/slab  ntt takes")
     for n in KERNEL_NS:
-        plan = f._ntt_plan(n, False)
-        merged = f._ntt_merged_form(n, False, len(plan.passes))
+        slab, one_slab = f._ntt_slab_form(n, False), f._ntt_merged_form(n, False)
+        takes = "one-slab" if f._ntt_plan(n, False).merged else "slab"
         for rows in KERNEL_ROWS:
             if rows * n > 2 * _NTT_SLAB or (n > 2 * _NTT_MERGED_MAX and rows > 1):
                 continue
             src = rng.integers(0, f.p, (rows, n))
-            if not np.array_equal(f._ntt_merged(src, merged), f._ntt_slabs(src, plan.passes)):
+            if not np.array_equal(f._ntt_run(src, one_slab), f._ntt_run(src, slab)):
                 raise SystemExit(f"forms differ at rows={rows}, n={n}")
-            ts, tm = best_of([lambda: f._ntt_slabs(src, plan.passes),
-                              lambda: f._ntt_merged(src, merged)], reps)
-            takes = "one-slab" if plan.merged is not None and rows * n <= _NTT_SLAB else "slab"
+            ts, tm = best_of([lambda: f._ntt_run(src, slab),
+                              lambda: f._ntt_run(src, one_slab)], reps)
             print(f"{rows:7d} {n:5d} {ts * 1e6:9.1f} {tm * 1e6:9.1f}  {tm / ts:13.2f}  {takes}",
                   flush=True)
 
