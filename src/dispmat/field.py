@@ -543,30 +543,34 @@ class PrimeField:
         inner = out.reshape(out.shape[:-1] + (m, L)).swapaxes(-1, -2)
         self._dft(y.reshape(rows * L, m), passes[1:], inner, work, t)
 
-    def _ntt_merged(self, src: np.ndarray, mats: tuple, out: np.ndarray) -> None:
+    def _ntt_merged(self, src: np.ndarray, mats: tuple, out: np.ndarray,
+                    scratch: np.ndarray) -> None:
         """Write the transform of each row of the int64 (rows, n) residues
         src into out by the one-slab form's matrices: per pass one matrix
-        product and one _settle, whose scratch is the pass's multiplied
-        input.  A two-pass length n = L·m takes the rows as (L, m) blocks;
-        the first pass multiplies column j2 of each block by its own L×L
-        matrix, twiddles included, in one stacked product over the m
-        columns; the last takes the m-point DFT of every row k1 of the
+        product and one _settle, whose scratch is the pass's float64 input,
+        all in scratch[:, :rows] of a (3, ≥ rows, n) array.  A two-pass
+        length n = L·m takes the rows as (L, m) blocks; the first pass
+        multiplies column j2 of each block by its own L×L matrix, twiddles
+        included, in one stacked product over the m columns, settled into
+        its input; the last takes the m-point DFT of every row k1 of the
         result, which is output k1 + L·k2."""
+        rows, n = src.shape
+        x, prod = scratch[0, :rows], scratch[1:, :rows]
         if len(mats) == 1:
-            x = src.astype(np.float64)
-            res = self._settle(x @ mats[0], x)
+            x[...] = src
+            res = self._settle(np.matmul(x, mats[0], prod), x)
             self._reduce(res, x, np.floor)
-            np.copyto(out, res, casting="unsafe")
+            out[...] = res
             return
         first, last = mats
         m, L = first.shape[1:3]
-        rows = len(src)
-        x = src.reshape(rows, L, m).transpose(2, 0, 1).astype(np.float64, order="C")
-        y = self._settle(x @ first, x).reshape(m, rows * L)
-        res = self._settle(last @ y, y)
+        x = x.reshape(m, rows, L)
+        x[...] = src.reshape(rows, L, m).transpose(2, 0, 1)
+        y = self._settle(np.matmul(x, first, prod.reshape(2, m, rows, L)), x, out=x)
+        y = y.reshape(m, rows * L)
+        res = self._settle(np.matmul(last, y, prod.reshape(2, m, rows * L)), y)
         self._reduce(res, y, np.floor)
-        np.copyto(out.reshape(rows, m, L), res.reshape(m, rows, L).swapaxes(0, 1),
-                  casting="unsafe")
+        out.reshape(rows, m, L)[...] = res.reshape(m, rows, L).swapaxes(0, 1)
 
     def ntt(self, a: np.ndarray, invert: bool = False) -> np.ndarray:
         """In-order NTT along the last axis of residues in [0, p), for any
@@ -610,23 +614,21 @@ class PrimeField:
     def _ntt_run(self, src: np.ndarray, plan: _Plan) -> np.ndarray:
         """The transform of each row of the int64 (rows, n) residues src by
         plan's form, in slabs of _NTT_SLAB elements (at least one row), each
-        written into one preallocated output; the slab form's float64
-        scratch is allocated once."""
+        written into one preallocated output with float64 scratch that
+        every slab reuses."""
         rows, n = src.shape
         out = np.empty(src.shape, np.int64)
-        step = max(1, _NTT_SLAB // n)
-        if plan.merged:
-            for lo in range(0, rows, step):
-                self._ntt_merged(src[lo:lo + step], plan.passes, out[lo:lo + step])
-            return out
-        x = np.empty((min(step, rows), n))
-        work = np.empty(2 * x.size)
-        t = np.empty(x.size)
+        step = max(1, min(rows, _NTT_SLAB // n))
+        scratch = np.empty((3, step, n))
+        t = None if plan.merged else np.empty(step * n)
         for lo in range(0, rows, step):
-            block = out[lo:lo + step]
-            xs = x[:len(block)]
-            np.copyto(xs, src[lo:lo + step], casting="unsafe")
-            self._dft(xs, plan.passes, block, work, t)
+            block = src[lo:lo + step]
+            if plan.merged:
+                self._ntt_merged(block, plan.passes, out[lo:lo + step], scratch)
+                continue
+            x = scratch[0, :len(block)]
+            x[...] = block
+            self._dft(x, plan.passes, out[lo:lo + step], scratch[1:].reshape(-1), t)
         return out
 
     def _ntt_object(self, a: np.ndarray, invert: bool) -> np.ndarray:

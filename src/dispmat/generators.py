@@ -86,7 +86,7 @@ class Generator:
     def cached(self, key, fn):
         """fn(), computed on the first call for key and kept for later ones.
 
-        The store holds a fixed set of keys ("basic" and "halves", filled
+        The store holds a fixed set of keys ("basic" and "pieces", filled
         by structmul.product_chain), and so is bounded; it is keyed on the
         identity of G, H and the operator, and freed with the generator.
         Its values must not refer to the generator, so that a generator

@@ -6,66 +6,37 @@ both operands at a geometric progression of points (roots of unity via the
 field's batch NTT) and take one matrix product per point.  A polynomial dot
 product over an object-dtype field, and any product beyond the prime's
 transform length, is instead one broadcast ``conv`` of all pairs at once,
-summed over the inner index.
-
-A right operand that meets many left ones can be evaluated once
-(``evaluate``) and handed to ``pm_mul`` in that form, which then skips its
-forward transform.
+summed over the inner index.  ``points_product`` is the per-point step
+alone, for callers that keep their operands in evaluation form.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from .field import PrimeField
 from .poly import padded
 
-__all__ = ["Evaluated", "evaluate", "pm_mul", "points_product"]
+__all__ = ["pm_mul", "points_product"]
 
 
-class Evaluated(NamedTuple):
-    """A polynomial matrix (k, cols, bound) by its values at the size-th
-    roots of unity: read-only values of shape (k, cols, size)."""
-
-    bound: int
-    values: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.values.shape[:2] + (self.bound,)
-
-
-def evaluate(f: PrimeField, b: np.ndarray, size: int) -> Evaluated:
-    """b (k, cols, bound) evaluated for products of up to size coefficients,
-    size a power of two within the prime's transform length."""
-    values = f.ntt(padded(f, b, size))
-    values.setflags(write=False)
-    return Evaluated(b.shape[2], values)
-
-
-def pm_mul(f: PrimeField, a: np.ndarray, b: np.ndarray | Evaluated,
+def pm_mul(f: PrimeField, a: np.ndarray, b: np.ndarray,
            out_bound: int | None = None) -> np.ndarray:
     """Product of a (rows, k, bound_a) and b (k, cols, bound_b), with entries
     of degree < bound_a + bound_b - 1, optionally cut to out_bound
     coefficients.
 
     A matrix product goes through transforms, which each entry of a and b
-    takes once for all the pairs it meets; an Evaluated b brings its own,
-    at its size, which must hold the product.  A polynomial dot product
+    takes once for all the pairs it meets.  A polynomial dot product
     (rows = cols = 1) on an object-dtype field shares no transform between
     its k pairs, and a product too long for the prime's transforms has none:
     both are one broadcast conv of every pair, summed over k."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions differ: {a.shape[1]} vs {b.shape[0]}")
     need = a.shape[2] + b.shape[2] - 1
-    evaluated = isinstance(b, Evaluated)
-    size = b.values.shape[2] if evaluated else 1 << max(0, (need - 1).bit_length())
-    if evaluated and size < need:
-        raise ValueError(f"operand evaluated at {size} points, the product needs {need}")
+    size = 1 << max(0, (need - 1).bit_length())
     dot = f.dtype is object and a.shape[0] * b.shape[1] == 1
-    if evaluated or (size <= f.ntt_capacity() and not dot):
+    if size <= f.ntt_capacity() and not dot:
         out = _pm_mul_points(f, a, b, size, need)
     else:
         out = _pm_mul_conv(f, a, b)
@@ -78,10 +49,9 @@ def _pm_mul_conv(f: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(f.conv(a[:, :, None], b[None]), axis=1) % f.p
 
 
-def _pm_mul_points(f: PrimeField, a: np.ndarray, b: np.ndarray | Evaluated, size: int,
+def _pm_mul_points(f: PrimeField, a: np.ndarray, b: np.ndarray, size: int,
                    need: int) -> np.ndarray:
-    vb = b.values if isinstance(b, Evaluated) else f.ntt(padded(f, b, size))
-    vals = points_product(f, f.ntt(padded(f, a, size)), vb)
+    vals = points_product(f, f.ntt(padded(f, a, size)), f.ntt(padded(f, b, size)))
     return f.ntt(vals, invert=True)[:, :, :need]
 
 

@@ -16,10 +16,17 @@ gen_matvec or densify.  For a general modulus and several columns the chain
 takes mulQ only above _DIRECT_PAIRS = 16 pair products (alpha·beta); up to
 it the classical sum of every pair product (_mul_direct) ran faster on all
 but one shape from n = 64 to 2048 (tools/route_sweep.py, BENCH_20.json).
+For several columns and a binomial Q = x^n − c it takes _mul_pieces, which
+cuts V and W into pieces of length L ≈ n/alpha: one anti-diagonal of piece
+products straddles x^n and takes a round trip per pair, the rest is one
+matrix product per point with a stack the generator builds once.  From
+n = 256 to 8192 at alpha = beta in {4, 8, 16} that L took 0.27-0.92 of the
+time at L = n/2, the former half-length sum (tools/route_sweep.py, BENCH_29.json).
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -31,12 +38,13 @@ from .poly import (
     Moduli,
     comb_family,
     crt_family,
+    frozen,
     padded,
     red_family,
     stacked,
     trim,
 )
-from .polymat import Evaluated, evaluate, pm_mul, points_product
+from .polymat import pm_mul, points_product
 
 MUL_CUTOFF = 16
 
@@ -232,79 +240,93 @@ def _mul_direct(f: PrimeField, U: np.ndarray, V: np.ndarray, W: np.ndarray,
     return pm_mul(f, T, U[:, None, :])[:, 0, :]
 
 
-class _Halves(NamedTuple):
-    """The generator side of _mul_halves for blocks U (alpha, m), V (alpha,
-    n) and the binomial x^n − c: the halves of V evaluated for the top
-    products, the halves of U evaluated for the tail products (both None
-    when the top is empty, at n = 2), and Z_j = sum_k U_k·v_j at the S
-    points, shape (2, 1, S)."""
-
-    m: int
-    n: int
-    c: int
-    v_top: Evaluated | None
-    u_tail: Evaluated | None
-    z: np.ndarray
-
-
 def _points(need: int) -> int:
     """The transform length of a product of need coefficients."""
     return 1 << max(0, (need - 1).bit_length())
 
 
-def _halves_side(f: PrimeField, U: np.ndarray, V: np.ndarray, n: int, c: int) -> _Halves:
-    """What _mul_halves takes from U and V alone, computed once for all its
-    right-hand blocks."""
-    m = U.shape[1]
-    half, half_u = (n + 1) // 2, (m + 1) // 2
-    top_len = 3 * half - n - 1  # terms of M div x^(n−L)
-    size = _points(m + n - 1)
-    Vh = padded(f, V, 2 * half).reshape(-1, 2, half)
-    v_top = u_tail = None
-    if top_len:
-        v_top = evaluate(f, Vh.transpose(1, 0, 2), _points(2 * half - 1))
-        u_tail = evaluate(f, padded(f, U, 2 * half_u).reshape(-1, 2, half_u),
-                          _points(top_len + half_u - 1))
-    z = points_product(f, f.ntt(padded(f, U, size))[None], f.ntt(padded(f, Vh, size)))
-    z = z.transpose(1, 0, 2)
-    z.setflags(write=False)
-    return _Halves(m, n, c, v_top, u_tail, z)
+def _piece_length(n: int, alpha: int, need: int) -> int:
+    """The power of two nearest n/alpha, which balances _mul_pieces's round
+    trip (∝ alpha·beta·L) against its block product (∝ beta·(n/L + alpha)·
+    (m + n)), at most half the transform length of need = m + n − 1."""
+    return max(1, min(1 << max(0, round(math.log2(n / alpha))), _points(need) // 2))
 
 
-def _mul_halves(f: PrimeField, side: _Halves, W: np.ndarray) -> np.ndarray:
+def _staggered(X: np.ndarray, L: int) -> np.ndarray:
+    """Row r of X (rows, D·L) times x^(rL) modulo x^(DL) − 1."""
+    rows, D = len(X), X.shape[-1] // L
+    lag = (np.arange(D) - np.arange(rows)[:, None]) % D
+    return X.reshape(rows, D, L)[np.arange(rows)[:, None], lag].reshape(rows, -1)
+
+
+def _overlap_add(f: PrimeField, pieces: np.ndarray, L: int, D: int) -> np.ndarray:
+    """sum_j x^(jL)·pieces[:, j] modulo x^(DL) − 1, for rows of at most D
+    products of pieces of length L, each of 2L − 1 terms or padded."""
+    full = f.zeros((len(pieces), D, 2 * L))
+    k = min(2 * L, pieces.shape[-1])
+    full[:, :pieces.shape[1], :k] = pieces[..., :k]
+    return ((full[..., :L] + np.roll(full[..., L:], 1, axis=1)) % f.p).reshape(len(pieces), -1)
+
+
+class _Pieces(NamedTuple):
+    """The generator side of _mul_pieces at piece length L, K = ⌈n/L⌉ and
+    D = ⌈out_len/L⌉, out_len = m + n − 1, at size ≥ 2L − 1 points: v_rev
+    (K, alpha, size) holds piece K − 1 − b of V_k at [b, k], and stack
+    (K + alpha, D, size) the pieces of Y_b over those of −G_k."""
+
+    L: int
+    out_len: int
+    v_rev: np.ndarray
+    stack: np.ndarray
+
+
+def _pieces_side(f: PrimeField, U: np.ndarray, V: np.ndarray, n: int, c: int,
+                 L: int) -> _Pieces:
+    """What _mul_pieces takes from U, V, c and L alone, computed once for
+    all its right-hand blocks."""
+    alpha, m = U.shape
+    K, D, Du = -(-n // L), -(-(m + n - 1) // L), -(-m // L)
+    size, delta, S = _points(2 * L - 1), K * L - n, D * L
+    # aligned to x^n: V_k = sum_a x^(aL − δ)·v_a
+    v = f.ntt(padded(f, stacked(f, V, alpha, K * L, delta).reshape(alpha, K, L), size))
+    u = f.ntt(padded(f, padded(f, U, Du * L).reshape(alpha, Du, L), size))
+    # Z_a = sum_k U_k·v_a mod x^S − 1, from the pieces of U
+    z = f.ntt(points_product(f, u.transpose(1, 0, 2), v), invert=True)
+    z = _overlap_add(f, z.transpose(1, 0, 2), L, D)
+    # row b: sum_a x^(aL − δ)·Z_a over a + b < K, then Y_b with the rest folded
+    P = (np.cumsum(_staggered(np.roll(z, -delta, axis=-1), L), axis=0) % f.p)[::-1]
+    Y = _staggered((P + c * np.roll(P[0] - P, -n, axis=-1)) % f.p, L)
+    G = padded(f, U, S)
+    G = (c * G - np.roll(G, n, axis=-1)) % f.p  # −(x^n − c)·U_k mod x^S − 1
+    stack = f.ntt(padded(f, np.concatenate([Y, G]).reshape(K + alpha, D, L), size))
+    stack.setflags(write=False)
+    return _Pieces(L, m + n - 1, frozen(v[:, ::-1].transpose(1, 0, 2)), stack)
+
+
+def _mul_pieces(f: PrimeField, side: _Pieces, W: np.ndarray) -> np.ndarray:
     """R_i = sum_k U_k·(V_k·W_i mod x^n − c) for the blocks U (alpha, m) and
-    V (alpha, n) of side = _halves_side(f, U, V, n, c) and W (beta, n), as
-    a block (beta, m + n − 1), with every product per pair k, i taken at
-    half length.
+    V (alpha, n) of side = _pieces_side(f, U, V, n, c, L) and W (beta, n),
+    as a block (beta, m + n − 1), every transform of length 2L (L a power
+    of two).
 
-    Cut at L = ⌈n/2⌉, V_k = v0 + x^L·v1 and W_i = w0 + x^L·w1; only the
-    middle term x^L·M of V_k·W_i, M = v0·w1 + v1·w0, reaches past x^n, so
-        V_k·W_i mod (x^n − c) = v0·w0 + c·x^(2L−n)·v1·w1 + x^L·M − (x^n − c)·(M div x^(n−L)),
-    and with Z_j = sum_k U_k·v_j
-        R_i = Z0·W_i + Z1·(x^L·w0 + c·x^(2L−n)·w1) − (x^n − c)·sum_k U_k·(M div x^(n−L)).
-    The first two terms take no product per pair.  All three are summed
-    modulo x^S − 1 with S ≥ m + n − 1, where R_i fits; M and the products
-    of its top with the halves of U take transforms of about n terms.
+    Cut into K = ⌈n/L⌉ pieces of length L, W_i = sum_b x^(bL)·w_b and V_k
+    = sum_a x^(aL − δ)·v_a, δ = KL − n (V aligned to x^n).  Products v_a·w_b
+    with a + b < K − 1 stay below x^n, those with a + b ≥ K lie above it and
+    fold by x^n = c, and only M = sum_(a+b=K−1) v_a·w_b, at x^(n−L),
+    straddles it.  With x^e(s) = x^(sL − δ) folded once when sL − δ ≥ n,
+        V_k·W_i mod (x^n − c) = sum_(a,b) x^e(a+b)·v_a·w_b − (x^n − c)·(M div x^L),
+    so with Z_a = sum_k U_k·v_a and Y_b = sum_a x^e(a+b)·Z_a,
+        R_i = sum_b w_b·Y_b − sum_k (M_ki div x^L)·(x^n − c)·U_k:
+    one matrix product per point of [w | top] by the stack [Y; −G], summed
+    modulo x^(DL) − 1, where R_i fits.  Per call: W's pieces forward, M's
+    round trip (alpha·beta rows) and the output's inverse (beta·D rows).
     """
-    m, n, c = side.m, side.n, side.c
-    half, half_u = (n + 1) // 2, (m + 1) // 2
-    size = side.z.shape[-1]
-    Wh = padded(f, W, 2 * half).reshape(-1, 2, half)
-    tail = f.zeros((len(W), size))
-    if side.v_top is not None:
-        top = pm_mul(f, Wh[:, ::-1], side.v_top)[..., n - half:]
-        parts = pm_mul(f, top, side.u_tail)
-        tail[:, : parts.shape[-1]] = parts[:, 0]
-        tail[:, half_u: half_u + parts.shape[-1]] += parts[:, 1]
-        tail %= f.p
-    tail = (np.roll(tail, n, axis=-1) - c * tail) % f.p
-    shifted = f.zeros((len(W), 2 * half))
-    shifted[:, half:] = Wh[:, 0]
-    shifted[:, 2 * half - n: 3 * half - n] += c * Wh[:, 1] % f.p
-    shifted %= f.p
-    Wb = f.ntt(padded(f, np.stack([padded(f, W, 2 * half), shifted], axis=1), size))
-    R = f.ntt(points_product(f, Wb, side.z), invert=True)[:, 0]
-    return (R - tail)[:, : m + n - 1] % f.p
+    L, K, size = side.L, side.v_rev.shape[0], side.v_rev.shape[-1]
+    w = f.ntt(padded(f, padded(f, W, K * L).reshape(len(W), K, L), size))
+    M = f.ntt(points_product(f, w, side.v_rev), invert=True)
+    top = f.ntt(padded(f, M[..., L:2 * L - 1], size))
+    out = f.ntt(points_product(f, np.concatenate([w, top], axis=1), side.stack), invert=True)
+    return _overlap_add(f, out, L, out.shape[1])[:, : side.out_len]
 
 
 def product_chain(gen: Generator, B: np.ndarray) -> np.ndarray:
@@ -321,16 +343,18 @@ def product_chain(gen: Generator, B: np.ndarray) -> np.ndarray:
     goes through mulQ above _DIRECT_PAIRS = 16 pair products alpha·beta,
     and through the direct sum up to it, for a single column, for
     alpha > n and for a binomial Q: for several columns and a binomial Q
-    the one at half length, when the prime has its transforms.  The rule is read off the sweep of
-    tools/route_sweep.py (BENCH_20.json, a 2-core Xeon VM): up to 16 pair
-    products the direct sum took 0.66-0.99 of mulQ's time on every shape
-    from n = 64 to 2048 but n = 2048, alpha = 2, beta = 8 (1.08), and from
-    32 on it lost on most shapes at n >= 1024.
+    the piecewise sum (_mul_pieces), when the prime has its transforms.
+    The rule is read off the sweep of tools/route_sweep.py (BENCH_20.json,
+    a 2-core Xeon VM): up to 16 pair products the direct sum took
+    0.66-0.99 of mulQ's time on every shape from n = 64 to 2048 but
+    n = 2048, alpha = 2, beta = 8 (1.08), and from 32 on it lost on most
+    shapes at n >= 1024.
 
     What depends on the generator alone is kept in its store
     (Generator.cached) by the first product that needs it: the basic
     operator, the transform, gamma and eta, and the generator side of the
-    half-length sum.  Later products on the generator start from there.
+    piecewise sum ("pieces").  Later products on the generator start from
+    there.
     """
     f = gen.field
     beta = B.shape[1]
@@ -349,7 +373,8 @@ def product_chain(gen: Generator, B: np.ndarray) -> np.ndarray:
     lhs = gammas[:, ::-1] if stein else gammas
     c = fam_q.levels[-1].binomial
     if c is not None and beta > 1 and _points(m + n - 1) <= f.ntt_capacity():
-        R = _mul_halves(f, gen.cached("halves", lambda: _halves_side(f, lhs, etas, n, c)), cols)
+        L = _piece_length(n, gen.alpha, m + n - 1)
+        R = _mul_pieces(f, gen.cached("pieces", lambda: _pieces_side(f, lhs, etas, n, c, L)), cols)
     elif beta == 1 or gen.alpha * beta <= _DIRECT_PAIRS or gen.alpha > n or c is not None:
         R = _mul_direct(f, lhs, etas, cols, fam_q.levels[-1])
     else:

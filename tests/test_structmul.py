@@ -393,18 +393,19 @@ def test_mul_rec_shape_contract(f):
 
 
 @pytest.mark.parametrize("p", [998244353, 2013265921, 2281701377, 4611685941117976577])
-def test_half_length_sum_matches_direct_sum(p):
-    """The middle product modulo a binomial x^n − c, taken with half-length
-    products per pair, equals the direct sum, at odd and even n, for c in
-    {0, 1, −1} and a random c, with an all-zero column: the generator side
-    of U and V first, then the per-call side of W."""
+def test_piecewise_sum_matches_direct_sum(p):
+    """The middle product modulo a binomial x^n − c, taken in pieces, equals
+    the direct sum at every piece length L from 1 to n + 1 (so L ∤ n and
+    L ≥ n occur), for random m and n, c in {0, 1, −1} and a random c, with an
+    all-zero column: the generator side of U and V first, then the
+    per-call side of W."""
     from dispmat.poly import Moduli
-    from dispmat.structmul import _halves_side, _mul_direct, _mul_halves
+    from dispmat.structmul import _mul_direct, _mul_pieces, _pieces_side
 
     f = get_field(p)
     rng = np.random.default_rng(71)
     for trial in range(24):
-        n, m = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        n, m = int(rng.integers(1, 41)), int(rng.integers(1, 41))
         alpha, beta = int(rng.integers(1, 6)), int(rng.integers(2, 6))
         c = [0, 1, f.p - 1, int(rng.integers(0, f.p))][trial % 4]
         Q = f.zeros(n + 1)
@@ -413,6 +414,29 @@ def test_half_length_sum_matches_direct_sum(p):
         V = f.arr(rng.integers(0, f.p, (alpha, n)))
         W = f.arr(rng.integers(0, f.p, (beta, n)))
         W[-1] = 0
-        side = _halves_side(f, U, V, n, c)
-        assert np.array_equal(_mul_halves(f, side, W),
-                              _mul_direct(f, U, V, W, Moduli.of(f, Q)))
+        want = _mul_direct(f, U, V, W, Moduli.of(f, Q))
+        for L in range(1, n + 2):
+            got = _mul_pieces(f, _pieces_side(f, U, V, n, c, L), W)
+            assert np.array_equal(got, want), (n, m, alpha, beta, c, L)
+
+
+@pytest.mark.parametrize("m, n, alpha, L", [
+    (64, 64, 4, 16),    # n/alpha = 16
+    (96, 96, 2, 64),    # 48 is nearer 64 than 32 on the log scale
+    (100, 100, 3, 32),  # 33.3
+    (5, 5, 5, 1),       # n/alpha = 1
+    (1, 64, 1, 32),     # 64, cut to half of the 64-point full product
+])
+def test_product_chain_stores_the_rule_piece_length(f, m, n, alpha, L):
+    """A product with several columns on a binomial Q keeps its generator
+    side under "pieces", cut at the power of two nearest n/alpha."""
+    from dispmat.generators import Generator
+    from dispmat.poly import family_build
+
+    rng = np.random.default_rng(m + n + alpha)
+    op = DisplacementOperator(SYLVESTER, family_build(f, [[f.p - 3] + [0] * (m - 1) + [1]]),
+                              family_build(f, [[f.p - 5] + [0] * (n - 1) + [1]]), False, True)
+    gen = Generator(rng.integers(0, f.p, (m, alpha)), rng.integers(0, f.p, (n, alpha)), op)
+    B = f.arr(rng.integers(0, f.p, (n, 3)))
+    assert np.array_equal(struct_mul(gen, B), dense_mul(f, reconstruct_dense(gen), B))
+    assert gen._store[3]["pieces"].L == L

@@ -1,10 +1,12 @@
-"""Time the two routes of product_chain's middle product, the two forms of
-PrimeField.ntt, the two routes of the solver's entry points and densify's
-step block, the measurements behind structmul's route rule, ntt's one-slab
-cut, structsolve's crossover rule and generators._DENSIFY_BLOCK, and
-PrimeField.row_reduce on the shapes its callers give it.
+"""Time the two routes of product_chain's middle product, its binomial
+product at several piece lengths, the two forms of PrimeField.ntt, the two
+routes of the solver's entry points and densify's step block, the
+measurements behind structmul's route rule and piece length, ntt's
+one-slab cut, structsolve's crossover rule and generators._DENSIFY_BLOCK,
+and PrimeField.row_reduce on the shapes its callers give it.
 
-    python3 tools/route_sweep.py [--part route|kernel|solver|densify|elim|all] [--reps K] [--seed S]
+    python3 tools/route_sweep.py [--part route|pieces|kernel|solver|densify|elim|all]
+                                 [--reps K] [--seed S]
 
 Run it single-threaded (OPENBLAS_NUM_THREADS=1) on an otherwise idle
 machine; `dispmat` is imported from the `src` directory next to `tools`.
@@ -21,6 +23,17 @@ product on a fresh family does; neither copies or reduces its blocks,
 which the chain passes as residues.  The two results are compared, and
 each line prints both times and their ratio direct/mulQ; structmul's rule
 is read off where that ratio stays below 1.
+
+pieces: the sum R_i = sum_k U_k·(V_k·W_i mod x^n − c) that product_chain
+takes for several columns and a binomial Q, by `_mul_pieces` at piece
+lengths L from n/32 to n/2 (L = n/2 is the former half-length sum), for a
+random c and random blocks U (alpha, n), V (alpha, n) and W (beta, n):
+n from 256 to 8192 and alpha = beta in {4, 8, 16} over 998244353, plus
+n = 2048, alpha = 4, beta = 16 over 998244353 and n = 512, alpha = beta = 4
+over the 62-bit prime.  Every result must equal `_mul_direct`'s.  Each
+line prints the generator side's time (`_pieces_side`), the per-call
+time, its ratio to the time at L = n/2, and marks the length
+`_piece_length` picks.
 
 kernel: the transform of a (rows, n) block of residues by ntt's one-slab
 form and by its slab form, both built for the length (`_ntt_merged_form`,
@@ -77,7 +90,7 @@ that takes most of the part's run time at m = 512).  Each line prints the
 time, the pivot count and the pivot steps between reductions,
 max(1, slack − 1).
 
-Every route, kernel, densify and elim time is the best of K alternated
+Every route, pieces, kernel, densify and elim time is the best of K alternated
 repetitions (default 7), each the mean of enough calls to run about 2 ms.
 """
 
@@ -98,10 +111,13 @@ from dispmat.generators import Generator, densify, gen_matvec  # noqa: E402
 from dispmat.operators import STEIN, SYLVESTER, DisplacementOperator  # noqa: E402
 from dispmat.oracle import _row_reduce  # noqa: E402
 from dispmat.poly import Moduli, family_build  # noqa: E402
-from dispmat.structmul import _DIRECT_PAIRS, _mul_direct, _mulQ, mulQ  # noqa: E402
+from dispmat.structmul import (  # noqa: E402
+    _DIRECT_PAIRS, _mul_direct, _mul_pieces, _mulQ, _piece_length, _pieces_side, mulQ)
 
 ROUTE_NS = (64, 128, 256, 512, 1024, 2048)
 ROUTE_WIDTHS = (2, 4, 8, 16)
+PIECES_NS = (256, 512, 1024, 2048, 4096, 8192)
+PIECES_WIDTHS = (4, 8, 16)
 KERNEL_NS = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 KERNEL_ROWS = tuple(1 << k for k in range(11))
 ELIM_SIZES = (64, 256, 512)
@@ -146,6 +162,36 @@ def route(reps: int, seed: int) -> None:
                 rule = "direct" if alpha * beta <= _DIRECT_PAIRS else "mulQ"
                 print(f"{n:7d} {alpha:5d} {beta:5d} {tq * 1e3:7.2f} {td * 1e3:7.2f}"
                       f"  {td / tq:11.2f}  {rule}", flush=True)
+
+
+def pieces(reps: int, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    cases = [(998244353, n, width, width) for n in PIECES_NS for width in PIECES_WIDTHS]
+    cases += [(998244353, 2048, 4, 16), (BENCH_PRIME, 512, 4, 4)]
+    print("# pieces: L = _piece_length(n, alpha, 2n − 1), marked *; times in ms,"
+          " per call against L = n/2")
+    print(f"#{'p':>19s} {'n':>5s} {'alpha':>5s} {'beta':>5s} {'L':>5s} {'side':>8s}"
+          f" {'call':>8s}  {'call/halves':>11s}  rule")
+    for p, n, alpha, beta in cases:
+        f = get_field(p)
+        c = int(rng.integers(0, f.p))
+        Q = f.zeros(n + 1)
+        Q[0], Q[n] = (-c) % f.p, 1
+        U, V = f.arr(rng.integers(0, f.p, (alpha, n))), f.arr(rng.integers(0, f.p, (alpha, n)))
+        W = f.arr(rng.integers(0, f.p, (beta, n)))
+        want = _mul_direct(f, U, V, W, Moduli.of(f, Q))
+        lengths = [n >> k for k in range(5, 0, -1)]
+        sides = [_pieces_side(f, U, V, n, c, L) for L in lengths]
+        for L, side in zip(lengths, sides):
+            if not np.array_equal(_mul_pieces(f, side, W), want):
+                raise SystemExit(f"pieces differ at p={p}, n={n}, alpha={alpha}, "
+                                 f"beta={beta}, L={L}")
+        built = best_of([lambda L=L: _pieces_side(f, U, V, n, c, L) for L in lengths], reps)
+        calls = best_of([lambda s=side: _mul_pieces(f, s, W) for side in sides], reps)
+        rule = _piece_length(n, alpha, 2 * n - 1)
+        for L, tb, tc in zip(lengths, built, calls):
+            print(f"{p:20d} {n:5d} {alpha:5d} {beta:5d} {L:5d} {tb * 1e3:8.2f} {tc * 1e3:8.2f}"
+                  f"  {tc / calls[-1]:11.2f}  {'*' if L == rule else ''}", flush=True)
 
 
 def kernel(reps: int, seed: int) -> None:
@@ -373,8 +419,8 @@ def elim(reps: int, seed: int) -> None:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--part", choices=("route", "kernel", "solver", "densify", "elim", "all"),
-                    default="all")
+    ap.add_argument("--part", choices=("route", "pieces", "kernel", "solver", "densify", "elim",
+                                       "all"), default="all")
     ap.add_argument("--reps", type=int, default=7)
     ap.add_argument("--seed", type=int, default=20)
     args = ap.parse_args(argv)
@@ -382,6 +428,8 @@ def main(argv=None) -> int:
         kernel(args.reps, args.seed)
     if args.part in ("route", "all"):
         route(args.reps, args.seed)
+    if args.part in ("pieces", "all"):
+        pieces(args.reps, args.seed)
     if args.part in ("solver", "all"):
         solver(args.reps, args.seed)
     if args.part in ("densify", "all"):
