@@ -6,20 +6,29 @@ Python-object arrays otherwise, e.g. for the 62-bit benchmark prime).
 An int64 sum holds slack = ⌊2^63/p²⌋ such products (9 at 998244353, 1
 above 2^31): every int64 kernel sizes its unreduced sums by it.
 
-The number-theoretic transform (NTT) operates along the last axis of an
-array of any shape, which lets polynomial-matrix code batch thousands of
-transforms into a handful of numpy calls.  On int64 fields it is a
-mixed-radix four-step transform (Bailey 1990): each pass is an exact
-float64 product with a DFT matrix of size at most 128, stored as two 15-bit
-limbs (the high one times 2^15) so that every partial sum is an integer
-below 2^52, or 2^15 times one, and so runs exactly through BLAS dgemm
-(Dumas, Giorgi and Pernet 2008).  Each length has one plan in one form:
-up to _NTT_MERGED_MAX one matrix product per pass, the twiddles folded
-into per-column matrices; longer lengths with twiddles and reductions
-between passes as float64 array operations.  Both run slab by slab, in
-blocks of rows small enough to stay in cache, and reduce every pass
-through one routine.
-Object-dtype fields run a radix-2 loop.
+The int64 fields' matrix products run exactly through BLAS dgemm in
+float64 (Dumas, Giorgi and Pernet 2008).  One operand is whole residues,
+|x| < p; the other is stored as two 15-bit limbs, lo and 2^15·hi
+(_limb_stack), with |lo| ≤ 2^14 and |hi| ≤ B = ⌊(p-1)/2^16⌋ + 1 ≤ 2^15.5.
+A sum of at most room = ⌊2^52/(p·max(B, 2^14))⌋ such products (275 at
+998244353, 31 at 3037000493) is an integer below 2^52, or 2^15 times one,
+so every partial sum is exact, whatever the BLAS summation order or FMA.
+The two sums are reduced by one routine (_settle): the high one modulo
+2^15·p, then lo + hi modulo p (_reduce).  Two products use this:
+
+- the number-theoretic transform (NTT), along the last axis of an array
+  of any shape, which lets polynomial-matrix code batch thousands of
+  transforms into a handful of numpy calls.  It is a mixed-radix four-step
+  transform (Bailey 1990) whose passes multiply by DFT matrices of size at
+  most min(128, room).  Each length has one plan in one form: up to
+  _NTT_MERGED_MAX one matrix product per pass, the twiddles folded into
+  per-column matrices; longer lengths with twiddles and reductions between
+  passes as float64 array operations.  Both run slab by slab, in blocks of
+  rows small enough to stay in cache.  Object-dtype fields run a radix-2
+  loop.
+- ``points_mat_mul``, one small matrix product per evaluation point, the
+  step between a polynomial-matrix product's transforms: one broadcast
+  matmul over the points per room inner terms.
 
 Convolution has one exact kernel for every prime: residues are cut into
 16-bit int64 limbs, or kept whole when the shorter factor has at most slack
@@ -187,6 +196,9 @@ class PrimeField:
         self._root_cache: dict[tuple[int, bool], _Plan | np.ndarray] = {}
         # products of two residues an int64 sum holds; 1 on object arrays
         self._slack = max(1, (1 << 63) // (p * p))
+        # products of a residue and a limb of _limb_stack a float64 sum holds
+        # below 2^52 (see the module docstring); 0 on object arrays
+        self._room = (1 << 52) // (p * max(1 << 14, ((p - 1) >> 16) + 1))
         # bit offsets of the 16-bit limbs of a residue, one row per limb
         limbs = -(-p.bit_length() // 16)
         self._limb_shifts = np.arange(0, 16 * limbs, 16).reshape(-1, 1)
@@ -295,6 +307,41 @@ class PrimeField:
             acc = (acc + a[..., lo:lo + step] @ b[..., lo:lo + step, :]) % self.p
         return acc
 
+    def points_mat_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """sum_k a[i, k, s]·b[k, j, s] mod p, one matrix product per point s,
+        for int64 residues a (rows, k, points) and b given as the limb
+        stack of its points-major form, _limb_stack(b.transpose(2, 0, 1))
+        of shape (2, points, k, cols).  Returns int64 residues (rows, cols,
+        points).
+
+        The points run in slabs of _NTT_SLAB output entries, as ntt's rows
+        do, so that the float64 work stays in cache.  A slab of a is copied
+        once to float64 as (points, rows, k); every room inner terms
+        (module docstring) take one broadcast matmul with both limbs and
+        one _settle, the settled sum of the slices before added to the low
+        half (|lo| + p < 2^52 + 2^32 stays within _settle's bound); the sum
+        lands in [0, p) with floor.  The work arrays are allocated once per
+        call."""
+        rows, k, points = a.shape
+        cols = b.shape[-1]
+        step = max(1, min(points, _NTT_SLAB // (rows * cols)))
+        x = np.empty((step, rows, k))
+        work = np.empty((3, step, rows, cols))
+        out = np.empty((rows, cols, points), np.int64)
+        room = self._room
+        for s in range(0, points, step):
+            n = min(step, points - s)
+            xs, prod, acc = x[:n], work[:2, :n], work[2, :n]
+            xs[...] = a[:, :, s:s + n].transpose(2, 0, 1)
+            for lo in range(0, k, room):
+                np.matmul(xs[..., lo:lo + room], b[:, s:s + n, lo:lo + room], out=prod)
+                if lo:
+                    prod[0] += acc
+                self._settle(prod, acc, out=acc)
+            self._reduce(acc, prod[0], np.floor)
+            out[:, :, s:s + n] = acc.transpose(1, 2, 0)
+        return out
+
     def row_reduce(self, M: np.ndarray):
         """Gauss–Jordan elimination: (R, pivots, order).
 
@@ -385,24 +432,30 @@ class PrimeField:
         return self.inv(w) if invert else w
 
     def _limb_stack(self, v: np.ndarray) -> np.ndarray:
-        """Residues v as float64 limbs (lo, 2^15·hi) stacked on a new first
-        axis, read-only, with v ≡ lo + 2^15·hi, |lo| ≤ 2^14 and |hi| ≤
-        ⌊(p-1)/2^16⌋ + 1: the limbs of every transform matrix (see ntt)."""
-        c = np.where(v > self.p // 2, v - self.p, v)
-        hi = (c + (1 << 14)) >> 15
-        out = np.stack((c - (hi << 15), hi << 15)).astype(np.float64)
+        """Residues v, an int64 array of any shape and strides, as float64
+        limbs (lo, 2^15·hi) stacked on a new first axis, C-contiguous and
+        read-only, with v ≡ lo + 2^15·hi, |lo| ≤ 2^14 and |hi| ≤
+        ⌊(p-1)/2^16⌋ + 1: the limbed operand of every exact float64
+        product (module docstring).  v is centred by _reduce, |c| ≤ p/2 + 2,
+        and hi = rint(c/2^15), which keeps both bounds; every step is
+        exact."""
+        out = np.empty((2,) + v.shape)
+        lo, hi = out
+        lo[...] = v
+        self._reduce(lo, hi)
+        np.multiply(lo, 1.0 / 32768, hi)
+        np.rint(hi, hi)
+        hi *= 32768.0
+        lo -= hi
         out.setflags(write=False)
         return out
 
     def _ntt_radices(self, n: int) -> list[int]:
         """The radices of the passes of a length-n transform: powers of two,
         balanced, largest first, each at most 2^_NTT_RADIX_BITS and at most
-        the largest L with L·p·B ≤ 2^52, B the limb bound of _limb_stack."""
-        p = self.p
-        limb = max(1 << 14, ((p - 1) >> 16) + 1)
-        room = ((1 << 52) // (p * limb)).bit_length() - 1
+        the room of an exact float64 product (module docstring)."""
         bits = n.bit_length() - 1
-        count = max(1, -(-bits // min(_NTT_RADIX_BITS, room)))
+        count = max(1, -(-bits // min(_NTT_RADIX_BITS, self._room.bit_length() - 1)))
         return [1 << (bits // count + (i < bits % count)) for i in range(count)]
 
     def _ntt_plan(self, n: int, invert: bool) -> _Plan:
@@ -580,15 +633,11 @@ class PrimeField:
 
         On int64 fields (p < 2^31.5) this is a mixed-radix four-step
         transform (Bailey 1990) whose passes are exact float64 matrix
-        products (Dumas, Giorgi and Pernet 2008).  Matrices and twiddles
-        are stored as two 15-bit limbs, lo and 2^15·hi (_limb_stack), and
-        the data stays whole with |x| < p.  So a partial sum of a pass is an
-        integer below L·p·B ≤ 2^52 (L the radix, B ≤ 2^15.5 the limb bound,
-        _ntt_radices), or 2^15 times one: every one is exact in float64,
-        whatever the BLAS summation order or FMA.  Each pass, and each
-        twiddle product (limbs times data below 2^47), reduces its two sums
-        through one routine (_settle): the high one modulo 2^15·p, then
-        lo + hi modulo p (_reduce); the last pass lands in [0, p) with floor.
+        products (module docstring): matrices and twiddles are the limbed
+        operand, the data stays whole with |x| < p, and a pass of radix
+        L ≤ room sums L products.  Each pass, and each twiddle product
+        (limbs times data below 2^47), reduces its two sums through _settle;
+        the last pass lands in [0, p) with floor.
 
         The length alone picks the form (_ntt_plan): up to _NTT_MERGED_MAX
         and two passes the one-slab form (_ntt_merged), one matrix product

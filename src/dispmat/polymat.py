@@ -7,7 +7,12 @@ field's batch NTT) and take one matrix product per point.  A polynomial dot
 product over an object-dtype field, and any product beyond the prime's
 transform length, is instead one broadcast ``conv`` of all pairs at once,
 summed over the inner index.  ``points_product`` is the per-point step
-alone, for callers that keep their operands in evaluation form.
+alone, for callers that keep their operands in evaluation form; its right
+operand is first put in the form it takes (``points_operand``), which a
+caller that reuses the operand keeps.  On int64 fields that is a float64
+limb stack and the step is the field's exact BLAS product
+(``PrimeField.points_mat_mul``); on object-dtype fields it is the residues
+and one Python-int ``einsum``.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from .field import PrimeField
-from .poly import padded
+from .poly import frozen, padded
 
-__all__ = ["pm_mul", "points_product"]
+__all__ = ["pm_mul", "points_operand", "points_product"]
 
 
 def pm_mul(f: PrimeField, a: np.ndarray, b: np.ndarray,
@@ -51,19 +56,24 @@ def _pm_mul_conv(f: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _pm_mul_points(f: PrimeField, a: np.ndarray, b: np.ndarray, size: int,
                    need: int) -> np.ndarray:
-    vals = points_product(f, f.ntt(padded(f, a, size)), f.ntt(padded(f, b, size)))
+    vb = points_operand(f, f.ntt(padded(f, b, size)))
+    vals = points_product(f, f.ntt(padded(f, a, size)), vb)
     return f.ntt(vals, invert=True)[:, :, :need]
+
+
+def points_operand(f: PrimeField, vb: np.ndarray) -> np.ndarray:
+    """The (k, cols, points) residues vb as points_product's right operand,
+    read-only: on int64 fields the float64 limb stack of its points-major
+    form, shape (2, points, k, cols); on object-dtype fields a copy."""
+    if f.dtype is object:
+        return frozen(vb)
+    return f._limb_stack(vb.transpose(2, 0, 1))
 
 
 def points_product(f: PrimeField, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
     """One matrix product per evaluation point: sum_k va[i, k, s]·vb[k, j, s]
-    mod p, for (rows, k, points) and (k, cols, points) arrays of residues.
-
-    The point axis stays last and contiguous, and each unreduced sum holds at
-    most slack - 1 products next to an accumulator below p, as in mat_mul."""
-    step = max(1, f._slack - 1)
-    acc = None
-    for lo in range(0, va.shape[1], step):
-        part = np.einsum("iks,kjs->ijs", va[:, lo:lo + step], vb[lo:lo + step])
-        acc = part % f.p if acc is None else (acc + part) % f.p
-    return acc
+    mod p, for (rows, k, points) residues va and vb = points_operand(f, ·)
+    of (k, cols, points) residues; returns (rows, cols, points) residues."""
+    if f.dtype is object:
+        return np.einsum("iks,kjs->ijs", va, vb) % f.p
+    return f.points_mat_mul(va, vb)

@@ -22,6 +22,9 @@ products straddles x^n and takes a round trip per pair, the rest is one
 matrix product per point with a stack the generator builds once.  From
 n = 256 to 8192 at alpha = beta in {4, 8, 16} that L took 0.27-0.92 of the
 time at L = n/2, the former half-length sum (tools/route_sweep.py, BENCH_29.json).
+The generator keeps V's pieces and the stack as the right operands of
+points_product (points_operand: float64 limb stacks on int64 fields), so
+a call splits neither.
 """
 
 from __future__ import annotations
@@ -38,13 +41,12 @@ from .poly import (
     Moduli,
     comb_family,
     crt_family,
-    frozen,
     padded,
     red_family,
     stacked,
     trim,
 )
-from .polymat import pm_mul, points_product
+from .polymat import pm_mul, points_operand, points_product
 
 MUL_CUTOFF = 16
 
@@ -261,20 +263,30 @@ def _staggered(X: np.ndarray, L: int) -> np.ndarray:
 
 def _overlap_add(f: PrimeField, pieces: np.ndarray, L: int, D: int) -> np.ndarray:
     """sum_j x^(jL)·pieces[:, j] modulo x^(DL) − 1, for rows of at most D
-    products of pieces of length L, each of 2L − 1 terms or padded."""
-    full = f.zeros((len(pieces), D, 2 * L))
-    k = min(2 * L, pieces.shape[-1])
-    full[:, :pieces.shape[1], :k] = pieces[..., :k]
-    return ((full[..., :L] + np.roll(full[..., L:], 1, axis=1)) % f.p).reshape(len(pieces), -1)
+    residue products of pieces of length L, each of 2L − 1 terms or padded:
+    the low half of piece j lands in slot j, its high half in slot j + 1
+    (slot 0 for j = D − 1).  Each slot sums at most two residues, below 2p."""
+    rows, count = pieces.shape[:2]
+    high = min(2 * L, pieces.shape[-1]) - L
+    out = f.zeros((rows, D, L))
+    out[:, :count] = pieces[..., :L]
+    out[:, 1:count + 1, :high] += pieces[:, :D - 1, L:L + high]
+    if count == D:
+        out[:, 0, :high] += pieces[:, D - 1, L:L + high]
+    out -= out // f.p * f.p
+    return out.reshape(rows, -1)
 
 
 class _Pieces(NamedTuple):
     """The generator side of _mul_pieces at piece length L, K = ⌈n/L⌉ and
-    D = ⌈out_len/L⌉, out_len = m + n − 1, at size ≥ 2L − 1 points: v_rev
-    (K, alpha, size) holds piece K − 1 − b of V_k at [b, k], and stack
-    (K + alpha, D, size) the pieces of Y_b over those of −G_k."""
+    D = ⌈out_len/L⌉, out_len = m + n − 1, at size ≥ 2L − 1 points, as the
+    right operands of points_product (float64 limb stacks on int64 fields):
+    v_rev of the (K, alpha, size) values whose [b, k] is piece K − 1 − b of
+    V_k, and stack of the (K + alpha, D, size) values of the pieces of Y_b
+    over those of −G_k."""
 
     L: int
+    K: int
     out_len: int
     v_rev: np.ndarray
     stack: np.ndarray
@@ -291,7 +303,7 @@ def _pieces_side(f: PrimeField, U: np.ndarray, V: np.ndarray, n: int, c: int,
     v = f.ntt(padded(f, stacked(f, V, alpha, K * L, delta).reshape(alpha, K, L), size))
     u = f.ntt(padded(f, padded(f, U, Du * L).reshape(alpha, Du, L), size))
     # Z_a = sum_k U_k·v_a mod x^S − 1, from the pieces of U
-    z = f.ntt(points_product(f, u.transpose(1, 0, 2), v), invert=True)
+    z = f.ntt(points_product(f, u.transpose(1, 0, 2), points_operand(f, v)), invert=True)
     z = _overlap_add(f, z.transpose(1, 0, 2), L, D)
     # row b: sum_a x^(aL − δ)·Z_a over a + b < K, then Y_b with the rest folded
     P = (np.cumsum(_staggered(np.roll(z, -delta, axis=-1), L), axis=0) % f.p)[::-1]
@@ -299,8 +311,8 @@ def _pieces_side(f: PrimeField, U: np.ndarray, V: np.ndarray, n: int, c: int,
     G = padded(f, U, S)
     G = (c * G - np.roll(G, n, axis=-1)) % f.p  # −(x^n − c)·U_k mod x^S − 1
     stack = f.ntt(padded(f, np.concatenate([Y, G]).reshape(K + alpha, D, L), size))
-    stack.setflags(write=False)
-    return _Pieces(L, m + n - 1, frozen(v[:, ::-1].transpose(1, 0, 2)), stack)
+    return _Pieces(L, K, m + n - 1, points_operand(f, v[:, ::-1].transpose(1, 0, 2)),
+                   points_operand(f, stack))
 
 
 def _mul_pieces(f: PrimeField, side: _Pieces, W: np.ndarray) -> np.ndarray:
@@ -319,9 +331,10 @@ def _mul_pieces(f: PrimeField, side: _Pieces, W: np.ndarray) -> np.ndarray:
         R_i = sum_b w_b·Y_b − sum_k (M_ki div x^L)·(x^n − c)·U_k:
     one matrix product per point of [w | top] by the stack [Y; −G], summed
     modulo x^(DL) − 1, where R_i fits.  Per call: W's pieces forward, M's
-    round trip (alpha·beta rows) and the output's inverse (beta·D rows).
+    round trip (alpha·beta rows), the output's inverse (beta·D rows) and
+    two points_product calls on the kept operands of side.
     """
-    L, K, size = side.L, side.v_rev.shape[0], side.v_rev.shape[-1]
+    L, K, size = side.L, side.K, _points(2 * side.L - 1)
     w = f.ntt(padded(f, padded(f, W, K * L).reshape(len(W), K, L), size))
     M = f.ntt(points_product(f, w, side.v_rev), invert=True)
     top = f.ntt(padded(f, M[..., L:2 * L - 1], size))

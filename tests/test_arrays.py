@@ -92,7 +92,7 @@ def test_kept_arrays_are_read_only(f):
     struct_mul(gen, f.arr(rng.integers(0, f.p, (4, 3))))
     gen_matvec(gen, f.arr(rng.integers(0, f.p, 4)))
     stored = list(_arrays(tuple(gen._store[-1].values())))
-    assert len(stored) == 4  # gamma, eta and the two evaluated blocks of the pieces
+    assert len(stored) == 4  # gamma, eta and the pieces' two float64 limb stacks
     kept += [gen.G, gen.H] + stored
     for a in kept:
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from dispmat import field
 from dispmat.field import BENCH_PRIME, get_field
-from dispmat.polymat import _pm_mul_conv, _pm_mul_points, pm_mul
+from dispmat.polymat import _pm_mul_conv, _pm_mul_points, pm_mul, points_operand, points_product
 
 F = get_field(998244353)
 
@@ -80,3 +81,38 @@ def test_mul_conv_and_transform_routes_agree(p):
             size = 1 << (need - 1).bit_length()
             if size <= f.ntt_capacity():
                 assert np.array_equal(_pm_mul_points(f, a, b, size, need), got)
+
+
+@pytest.mark.parametrize("p", [7, 998244353, 2**31 - 1, 2013265921, 2281701377, 3037000493,
+                               BENCH_PRIME])
+def test_points_product_is_exact_on_every_prime(p, monkeypatch):
+    """points_product against a Python-int einsum, with the inner dimension
+    at the room of an exact float64 product (field module docstring), one
+    past it and past two slices of it, on random residues, on all p − 1,
+    and on all p − 1 by a right operand of the widest limbs, (p − 1)/2; the
+    points run in slabs of two, the last one alone.  At 7 the room exceeds
+    any block, and the object-dtype 62-bit prime has none."""
+    f = get_field(p)
+    rows, cols, count = 2, 3, 5
+    monkeypatch.setattr(field, "_NTT_SLAB", 2 * rows * cols)
+    if f.dtype is object:
+        inner = (1, 2, 5)
+    else:
+        # the room is the largest count the docstring's 2^52 bound allows
+        limb = max(1 << 14, ((p - 1) >> 16) + 1)
+        assert f._room * p * limb <= 1 << 52 < (f._room + 1) * p * limb
+        inner = (1, 2, 37) if p == 7 else (f._room, f._room + 1, 2 * f._room + 3)
+    if p == 3037000493:
+        assert f._room == 31
+    rng = np.random.default_rng(p % 1009)
+    for k in inner:
+        top = np.full((rows, k, count), p - 1, dtype=f.dtype)
+        cases = [(f.arr(rng.integers(0, 2**63, size=(rows, k, count), dtype=np.uint64)),
+                  f.arr(rng.integers(0, 2**63, size=(k, cols, count), dtype=np.uint64))),
+                 (top, np.full((k, cols, count), p - 1, dtype=f.dtype)),
+                 (top, np.full((k, cols, count), (p - 1) // 2, dtype=f.dtype))]
+        for va, vb in cases:
+            want = np.einsum("iks,kjs->ijs", va.astype(object), vb.astype(object)) % p
+            got = points_product(f, va, points_operand(f, vb))
+            assert got.dtype == f.dtype and got.shape == (rows, cols, count)
+            assert np.array_equal(got, want), (k, int(vb[0, 0, 0]))

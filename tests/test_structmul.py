@@ -429,7 +429,10 @@ def test_piecewise_sum_matches_direct_sum(p):
 ])
 def test_product_chain_stores_the_rule_piece_length(f, m, n, alpha, L):
     """A product with several columns on a binomial Q keeps its generator
-    side under "pieces", cut at the power of two nearest n/alpha."""
+    side under "pieces", cut at the power of two nearest n/alpha, as the
+    float64 limb stacks points_product takes: K = ⌈n/L⌉ pieces of V and
+    K + alpha rows by D = ⌈(m + n − 1)/L⌉ pieces of the stack, points
+    first, at the 2L points of a piece product."""
     from dispmat.generators import Generator
     from dispmat.poly import family_build
 
@@ -439,4 +442,8 @@ def test_product_chain_stores_the_rule_piece_length(f, m, n, alpha, L):
     gen = Generator(rng.integers(0, f.p, (m, alpha)), rng.integers(0, f.p, (n, alpha)), op)
     B = f.arr(rng.integers(0, f.p, (n, 3)))
     assert np.array_equal(struct_mul(gen, B), dense_mul(f, reconstruct_dense(gen), B))
-    assert gen._store[3]["pieces"].L == L
+    side = gen._store[3]["pieces"]
+    K, D, size = -(-n // L), -(-(m + n - 1) // L), 1 << (2 * L - 2).bit_length()
+    assert side.L == L and side.K == K
+    assert side.v_rev.dtype == side.stack.dtype == np.float64
+    assert side.v_rev.shape == (2, size, K, alpha) and side.stack.shape == (2, size, K + alpha, D)

@@ -3,9 +3,10 @@ product at several piece lengths, the two forms of PrimeField.ntt, the two
 routes of the solver's entry points and densify's step block, the
 measurements behind structmul's route rule and piece length, ntt's
 one-slab cut, structsolve's crossover rule and generators._DENSIFY_BLOCK,
-and PrimeField.row_reduce on the shapes its callers give it.
+and PrimeField.row_reduce and polymat.points_product on the shapes their
+callers give them.
 
-    python3 tools/route_sweep.py [--part route|pieces|kernel|solver|densify|elim|all]
+    python3 tools/route_sweep.py [--part route|pieces|kernel|solver|densify|elim|points|all]
                                  [--reps K] [--seed S]
 
 Run it single-threaded (OPENBLAS_NUM_THREADS=1) on an otherwise idle
@@ -90,8 +91,22 @@ that takes most of the part's run time at m = 512).  Each line prints the
 time, the pivot count and the pivot steps between reductions,
 max(1, slack − 1).
 
-Every route, pieces, kernel, densify and elim time is the best of K alternated
-repetitions (default 7), each the mean of enough calls to run about 2 ms.
+points: polymat.points_product over 998244353, one matrix product per
+evaluation point of (rows, k, points) by (k, cols, points) residues, on the
+shapes the workloads give it: the piecewise product's two per call on
+toeplitz-mul (m = n = 2048, alpha = beta = 8) and on criterion 7's
+m = 8192, and pm_mul's on families-mul and toeplitz-solve.  The former
+kernel, an int64 einsum in slices of slack − 1 inner terms each reduced
+mod p, is kept here as the reference (_einsum_points); the product itself
+is PrimeField.points_mat_mul on a right operand split once into float64
+limbs (points_operand), as the generator store keeps it.  The two results
+are compared, and each line prints the einsum's time, the product's, the
+split's (which pm_mul pays per call) and the ratios product/einsum and
+(product + split)/einsum.
+
+Every route, pieces, kernel, densify, elim and points time is the best of K
+alternated repetitions (default 7), each the mean of enough calls to run
+about 2 ms.
 """
 
 from __future__ import annotations
@@ -111,6 +126,7 @@ from dispmat.generators import Generator, densify, gen_matvec  # noqa: E402
 from dispmat.operators import STEIN, SYLVESTER, DisplacementOperator  # noqa: E402
 from dispmat.oracle import _row_reduce  # noqa: E402
 from dispmat.poly import Moduli, family_build  # noqa: E402
+from dispmat.polymat import points_operand, points_product  # noqa: E402
 from dispmat.structmul import (  # noqa: E402
     _DIRECT_PAIRS, _mul_direct, _mul_pieces, _mulQ, _piece_length, _pieces_side, mulQ)
 
@@ -121,6 +137,11 @@ PIECES_WIDTHS = (4, 8, 16)
 KERNEL_NS = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 KERNEL_ROWS = tuple(1 << k for k in range(11))
 ELIM_SIZES = (64, 256, 512)
+# (workload, rows, k, cols, points) of points_product's calls
+POINTS_SHAPES = (("toeplitz-mul", 8, 8, 8, 512), ("toeplitz-mul", 8, 16, 16, 512),
+                 ("families-mul", 4, 4, 1, 256), ("families-mul", 1, 4, 1, 256),
+                 ("toeplitz-solve", 1, 6, 1, 128),
+                 ("criterion 7 m=8192", 8, 8, 8, 2048), ("criterion 7 m=8192", 8, 16, 16, 2048))
 SOLVER_LARGE = (1024, 2048)
 
 
@@ -417,10 +438,40 @@ def elim(reps: int, seed: int) -> None:
               flush=True)
 
 
+def _einsum_points(f, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """points_product's former int64 kernel: einsum over slices of slack − 1
+    inner terms, each reduced mod p with the sum so far."""
+    step = max(1, f._slack - 1)
+    acc = None
+    for lo in range(0, va.shape[1], step):
+        part = np.einsum("iks,kjs->ijs", va[:, lo:lo + step], vb[lo:lo + step])
+        acc = part % f.p if acc is None else (acc + part) % f.p
+    return acc
+
+
+def points(reps: int, seed: int) -> None:
+    f = get_field(998244353)
+    rng = np.random.default_rng(seed)
+    print("# points: points_product against the former int64 einsum; times in microseconds")
+    print(f"# {'workload':18s} {'rows':>4s} {'k':>3s} {'cols':>4s} {'points':>6s} {'einsum':>8s}"
+          f" {'product':>8s} {'split':>7s}  product/einsum  (product+split)/einsum")
+    for name, rows, k, cols, count in POINTS_SHAPES:
+        va = rng.integers(0, f.p, (rows, k, count))
+        vb = rng.integers(0, f.p, (k, cols, count))
+        kept = points_operand(f, vb)
+        if not np.array_equal(points_product(f, va, kept), _einsum_points(f, va, vb)):
+            raise SystemExit(f"points_product differs at {name} {(rows, k, cols, count)}")
+        te, tp, ts = best_of([lambda: _einsum_points(f, va, vb),
+                              lambda: points_product(f, va, kept),
+                              lambda: points_operand(f, vb)], reps)
+        print(f"  {name:18s} {rows:4d} {k:3d} {cols:4d} {count:6d} {te * 1e6:8.1f} {tp * 1e6:8.1f}"
+              f" {ts * 1e6:7.1f}  {tp / te:14.2f}  {(tp + ts) / te:21.2f}", flush=True)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--part", choices=("route", "pieces", "kernel", "solver", "densify", "elim",
-                                       "all"), default="all")
+                                       "points", "all"), default="all")
     ap.add_argument("--reps", type=int, default=7)
     ap.add_argument("--seed", type=int, default=20)
     args = ap.parse_args(argv)
@@ -436,6 +487,8 @@ def main(argv=None) -> int:
         densify_block(args.reps, args.seed)
     if args.part in ("elim", "all"):
         elim(args.reps, args.seed)
+    if args.part in ("points", "all"):
+        points(args.reps, args.seed)
     return 0
 
 
