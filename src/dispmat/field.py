@@ -14,7 +14,7 @@ A sum of at most room = ⌊2^52/(p·max(B, 2^14))⌋ such products (275 at
 998244353, 31 at 3037000493) is an integer below 2^52, or 2^15 times one,
 so every partial sum is exact, whatever the BLAS summation order or FMA.
 The two sums are reduced by one routine (_settle): the high one modulo
-2^15·p, then lo + hi modulo p (_reduce).  Two products use this:
+2^15·p, then lo + hi modulo p (_reduce).  Three users multiply this way:
 
 - the number-theoretic transform (NTT), along the last axis of an array
   of any shape, which lets polynomial-matrix code batch thousands of
@@ -27,16 +27,28 @@ The two sums are reduced by one routine (_settle): the high one modulo
   rows small enough to stay in cache.  Object-dtype fields run a radix-2
   loop.
 - ``points_mat_mul``, one small matrix product per evaluation point, the
-  step between a polynomial-matrix product's transforms: one broadcast
-  matmul over the points per room inner terms.
+  step between a polynomial-matrix product's transforms, slab by slab
+  through _limb_mat_mul, the one general such product: one broadcast
+  matmul with both limbs per room inner terms.
+- block convolutions (_conv_toeplitz): each row times the Toeplitz matrix
+  of the row it is convolved with, for a whole block in one _limb_mat_mul.
 
-Convolution has one exact kernel for every prime: residues are cut into
-16-bit int64 limbs, or kept whole when the shorter factor has at most slack
-terms, and on object-dtype fields also when the whole product has at most
-_WHOLE_CONV_TERMS_OBJECT term products; each limb product is one
-``np.convolve`` (for a block of rows, one matrix product of sliding
-windows), and the limb weights are recombined mod p.  Long products go to
-the NTT instead when p - 1 has the 2-adic room for their transform length.
+Convolution (``conv``) picks one of three routes by prime and shape:
+
+- the limb kernel, for every prime: residues are cut into 16-bit int64
+  limbs, or kept whole when the shorter factor has at most slack terms,
+  and on object-dtype fields also when the whole product has at most
+  _WHOLE_CONV_TERMS_OBJECT term products; each limb product is one
+  ``np.convolve`` (for a block of rows, one matrix product of sliding
+  windows), and the limb weights are recombined mod p.  It takes a factor
+  of at most slack terms, one row of at most 1024 output terms, and
+  everything else on primes without the transform length;
+- on int64 fields, the Toeplitz route for a block of rows whose matrices
+  hold at most _TOEPLITZ_FLOATS entries, whatever the prime's transform
+  length;
+- the NTT for longer products, when p - 1 has the 2-adic room for their
+  transform length.
+
 Like the NTT, ``conv`` works along the last axis and broadcasts over the
 leading ones.
 """
@@ -78,6 +90,12 @@ _SPLIT_CONV_CUTOFF_OBJECT = 3072
 # up to this many term products (rows × la × lb) an object-dtype product
 # convolves whole residues; above it the 4-limb split wins (BENCH_14.json)
 _WHOLE_CONV_TERMS_OBJECT = 3024
+
+# the most float64 entries of the Toeplitz matrices a block convolution
+# builds (1 MB): up to it the Toeplitz route read 0.32-1.12 of the NTT's time
+# on blocks of 1-64 rows per matrix, beyond it 0.66-8.6, below 1 only with
+# 16-64 rows per matrix (tools/route_sweep.py --part toeplitz, BENCH_31.json)
+_TOEPLITZ_FLOATS = 1 << 17
 
 # elements of a slab of rows that ntt transforms at once, so that its float64
 # work arrays (4 × 8 bytes × slab) stay in a core's L2 cache
@@ -316,31 +334,41 @@ class PrimeField:
 
         The points run in slabs of _NTT_SLAB output entries, as ntt's rows
         do, so that the float64 work stays in cache.  A slab of a is copied
-        once to float64 as (points, rows, k); every room inner terms
-        (module docstring) take one broadcast matmul with both limbs and
-        one _settle, the settled sum of the slices before added to the low
-        half (|lo| + p < 2^52 + 2^32 stays within _settle's bound); the sum
-        lands in [0, p) with floor.  The work arrays are allocated once per
-        call."""
+        once to float64 as (points, rows, k) and multiplied by one
+        _limb_mat_mul.  The work arrays are allocated once per call."""
         rows, k, points = a.shape
         cols = b.shape[-1]
         step = max(1, min(points, _NTT_SLAB // (rows * cols)))
         x = np.empty((step, rows, k))
         work = np.empty((3, step, rows, cols))
         out = np.empty((rows, cols, points), np.int64)
-        room = self._room
         for s in range(0, points, step):
             n = min(step, points - s)
-            xs, prod, acc = x[:n], work[:2, :n], work[2, :n]
+            xs = x[:n]
             xs[...] = a[:, :, s:s + n].transpose(2, 0, 1)
-            for lo in range(0, k, room):
-                np.matmul(xs[..., lo:lo + room], b[:, s:s + n, lo:lo + room], out=prod)
-                if lo:
-                    prod[0] += acc
-                self._settle(prod, acc, out=acc)
-            self._reduce(acc, prod[0], np.floor)
+            acc = self._limb_mat_mul(xs, b[:, s:s + n], work[:2, :n], work[2, :n])
             out[:, :, s:s + n] = acc.transpose(1, 2, 0)
         return out
+
+    def _limb_mat_mul(self, x: np.ndarray, y: np.ndarray, prod: np.ndarray,
+                      acc: np.ndarray) -> np.ndarray:
+        """x @ y mod p, in [0, p), into acc: the exact float64 product of the
+        module docstring, for float64 operands of which one holds whole
+        residues, |x| < p, and the other is a limb stack of _limb_stack (its
+        first axis the two limbs), broadcast over the leading axes; prod is
+        scratch of shape (2,) + acc.shape.
+
+        Every room inner terms take one broadcast matmul with both limbs and
+        one _settle, the settled sum of the slices before added to the low
+        half (|lo| + p < 2^52 + 2^32 stays within _settle's bound); the sum
+        lands in [0, p) with floor."""
+        room = self._room
+        for lo in range(0, x.shape[-1], room):
+            np.matmul(x[..., lo:lo + room], y[..., lo:lo + room, :], out=prod)
+            if lo:
+                prod[0] += acc
+            self._settle(prod, acc, out=acc)
+        return self._reduce(acc, prod[0], np.floor)
 
     def row_reduce(self, M: np.ndarray):
         """Gauss–Jordan elimination: (R, pivots, order).
@@ -785,16 +813,24 @@ class PrimeField:
         ntt, exactly mod p, along the last axis: row by row, broadcast over
         the leading axes, so a 1-D pair is the one-row case.
 
-        Short products take the limb kernel: a factor of at most slack
-        terms, and those with at most 1024 output terms (3072 on object-dtype
-        fields) on one row, or on a block of rows of an object-dtype field.
-        The kernel keeps the residues whole for a factor of at most slack
-        terms, and on object-dtype fields for a product of at most
-        _WHOLE_CONV_TERMS_OBJECT term products in all.  A longer product, or
-        a block of rows with both factors longer than slack over an int64
-        field, runs the NTT, which for a block costs less than its split limb
-        products; products too long for the prime's transforms always take
-        the limb kernel.
+        A factor of at most slack terms takes the limb kernel with whole
+        residues.  On int64 fields a block of rows whose Toeplitz matrices
+        hold at most _TOEPLITZ_FLOATS entries, those of the factor whose
+        matrices are the smaller (rows × length of the other factor ×
+        output length), is one exact float64 product (_conv_toeplitz),
+        built per call: the tree levels' products by their nodes, the
+        reductions by one modulus row, and one-row factors broadcast over
+        blocks.  In tools/route_sweep.py --part toeplitz that took 0.42-0.62
+        of the NTT's time on families-mul's blocks (0.97 on an outer
+        product at the bound), and 0.11-0.59 of the limb kernel's at
+        2^31 - 1, which has no transform; larger blocks read up to 8.6x the
+        NTT's time (BENCH_31.json).  One row of at most
+        1024 output terms (3072 on object-dtype fields), and a block of rows
+        on an object-dtype field, takes the limb kernel, which keeps the
+        residues whole on object-dtype fields for a product of at most
+        _WHOLE_CONV_TERMS_OBJECT term products in all.  The rest runs the
+        NTT, or the limb kernel where the product is too long for the
+        prime's transforms.
         """
         a, b = np.asarray(a), np.asarray(b)
         la, lb = a.shape[-1], b.shape[-1]
@@ -802,19 +838,70 @@ class PrimeField:
         if la == 0 or lb == 0:
             return self.zeros(lead + (0,))
         rows = math.prod(lead)
+        if rows == 0:
+            return self.zeros(lead + (la + lb - 1,))
         if lead and rows == 1:  # one row: the 1-D case, shaped back at the end
-            return self._conv_rows(a.reshape(la), b.reshape(lb), False).reshape(lead + (-1,))
-        return self._conv_rows(a, b, rows != 1)
+            return self._conv_rows(a.reshape(la), b.reshape(lb), ()).reshape(lead + (-1,))
+        return self._conv_rows(a, b, lead)
 
-    def _conv_rows(self, a: np.ndarray, b: np.ndarray, block: bool) -> np.ndarray:
-        """conv of nonempty factors; block is set for any row count but one."""
+    def _conv_rows(self, a: np.ndarray, b: np.ndarray, lead: tuple) -> np.ndarray:
+        """conv of nonempty factors whose leading axes broadcast to lead: ()
+        for one row, else a block of more than one row."""
         la, lb = a.shape[-1], b.shape[-1]
         need = la + lb - 1
         size = 1 << (need - 1).bit_length()
         cutoff = _SPLIT_CONV_CUTOFF_OBJECT if self.dtype is object else _SPLIT_CONV_CUTOFF
-        short = need <= cutoff and (not block or self.dtype is object)
-        if short or min(la, lb) <= self._slack or size > self.ntt_capacity():
+        short = need <= cutoff and (not lead or self.dtype is object)
+        if short or min(la, lb) <= self._slack:
             return self._conv_limbs(a, b)
+        ra, rb = math.prod(a.shape[:-1]), math.prod(b.shape[:-1])
+        if lead and self.dtype is not object and min(ra * lb, rb * la) * need <= _TOEPLITZ_FLOATS:
+            return self._conv_toeplitz(a, b, lead)
+        if size > self.ntt_capacity():
+            return self._conv_limbs(a, b)
+        return self._conv_ntt(a, b)
+
+    def _conv_toeplitz(self, a: np.ndarray, b: np.ndarray, lead: tuple) -> np.ndarray:
+        """conv of int64 residue rows a and b whose leading axes broadcast to
+        lead, as products by Toeplitz matrices.  Of the two factors, c is the
+        one whose matrices hold fewer entries, and x the other: row x_r is
+        multiplied by the lx × (lx + lc − 1) matrix T[i, t] = c[t − i] of
+        the row of c it meets, one exact float64 product (_limb_mat_mul) for
+        the whole block.  The matrices, whole residues, are one strided view
+        of c's zero-padded rows made contiguous, built per call; x's rows,
+        grouped by the row of c they meet, are the limb stack."""
+        la, lb = a.shape[-1], b.shape[-1]
+        x, c = (b, a) if math.prod(a.shape[:-1]) * lb < math.prod(b.shape[:-1]) * la else (a, b)
+        lx, lc = x.shape[-1], c.shape[-1]
+        need = lx + lc - 1
+        n = len(lead)
+        own = (1,) * (n + 1 - c.ndim) + c.shape[:-1]
+        # c's own axes first, then those it is broadcast along
+        perm = sorted(range(n), key=lambda i: own[i] == 1) + [n]
+        nc = math.prod(own)
+        if x.size != math.prod(lead) * lx:  # x is broadcast along some of c's axes
+            x = np.broadcast_to(x, lead + (lx,))
+        xs = self._limb_stack(x.reshape(lead + (lx,)).transpose(perm)).reshape(2, nc, -1, lx)
+        pad = np.zeros((nc, 2 * lx - 2 + lc))
+        pad[:, lx - 1: lx - 1 + lc] = c.reshape(nc, lc)
+        # row i of a matrix is its row of pad from entry lx − 1 − i on
+        step = pad.itemsize
+        view = np.ndarray((nc, lx, need), buffer=pad, offset=step * (lx - 1),
+                          strides=(pad.strides[0], -step, step))
+        toeplitz = np.ascontiguousarray(view)
+        work = np.empty((3,) + xs.shape[1:3] + (need,))
+        acc = self._limb_mat_mul(xs, toeplitz, work[:2], work[2])
+        out = np.empty(lead + (need,), np.int64)
+        grouped = out.transpose(perm)
+        np.copyto(grouped, acc.reshape(grouped.shape), casting="unsafe")
+        return out
+
+    def _conv_ntt(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """conv of residue rows through transforms of the next power of two
+        at or above the output length, which must be within capacity."""
+        la, lb = a.shape[-1], b.shape[-1]
+        need = la + lb - 1
+        size = 1 << (need - 1).bit_length()
         fa = self.zeros(a.shape[:-1] + (size,))
         fb = self.zeros(b.shape[:-1] + (size,))
         fa[..., :la] = a

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from dispmat.field import (
     _NTT_MERGED_MAX,
     _NTT_SLAB,
     _SPLIT_CONV_CUTOFF,
+    _TOEPLITZ_FLOATS,
     _WHOLE_CONV_TERMS_OBJECT,
     BENCH_PRIME,
     DEFAULT_PRIME,
@@ -482,6 +485,95 @@ def test_convolve_windows_match_np_convolve_row_by_row(dtype):
         assert got.shape == lead + (la + lb - 1,)
         for i in np.ndindex(lead):
             assert got[i].tolist() == np.convolve(A[i], B[i]).tolist(), (lead_a, lead_b, la, lb, i)
+
+
+_INT64_PRIMES = [7, DEFAULT_PRIME, 2**31 - 1, 2013265921, 2281701377, 3037000493]
+
+
+def _toeplitz_patterns(n):
+    """(a, b) leading shapes and lengths of the block convolutions the tree
+    and the product chain make, with the limbed factor x of length n: a
+    level's rows by its nodes, (r, nodes, n) by (nodes, n + 1); reductions
+    of (r, q, 1, n) by one modulus row (1, n); a 1-D factor broadcast over
+    a block, (n + 1,) by (r, n); the outer product of equal row counts,
+    (r, n) by (r, 1, n); and a row-by-row pairing, (r, n) by (r, n + 1)."""
+    return [((2, 3), n, (3,), n + 1), ((2, 2, 1), n, (1,), n), ((), n + 1, (2,), n),
+            ((2,), n, (2, 1), n), ((2,), n, (2,), n + 1)]
+
+
+@pytest.mark.parametrize("p", _INT64_PRIMES)
+def test_toeplitz_conv_is_exact_on_every_prime(p):
+    """The Toeplitz route against Python ints: the limbed factor as long as
+    the room of an exact float64 product (field module docstring) and one
+    past it, against a factor at least as long, so one slice sums room
+    products; random residues, all p − 1, and limbed rows of the widest
+    limbs, (p − 1)/2, by matrices of p − 1.  At 7 the room exceeds any
+    block."""
+    f = get_field(p)
+    rng = np.random.default_rng(p % 1013)
+    for n in ((36, 37) if p == 7 else (f._room, f._room + 1)):
+        for lead_a, la, lead_b, lb in _toeplitz_patterns(n):
+            lead = np.broadcast_shapes(lead_a, lead_b)
+            sa, sb = lead_a + (la,), lead_b + (lb,)
+            # the limbed factor, as _conv_toeplitz picks it
+            limbed_a = not math.prod(lead_a) * lb < math.prod(lead_b) * la
+            assert (la if limbed_a else lb) == n
+            wide = (p - 1) // 2
+            cases = [(f.arr(rng.integers(0, 2**63, sa, dtype=np.uint64)),
+                      f.arr(rng.integers(0, 2**63, sb, dtype=np.uint64))),
+                     (np.full(sa, p - 1), np.full(sb, p - 1)),
+                     (np.full(sa, wide if limbed_a else p - 1),
+                      np.full(sb, p - 1 if limbed_a else wide))]
+            for a, b in cases:
+                got = f._conv_toeplitz(a, b, lead)
+                assert got.dtype == np.int64
+                want = _conv_reference(p, a, b)
+                assert got.tolist() == want.tolist(), (n, sa, sb, int(a.flat[0]))
+
+
+def test_conv_routes_by_prime_and_shape(monkeypatch):
+    """Which kernel conv calls: a factor of at most slack terms and one row
+    of at most 1024 output terms take the limb kernel; an int64 block whose
+    Toeplitz matrices (those of the factor that makes the fewer entries)
+    hold at most _TOEPLITZ_FLOATS entries takes the Toeplitz route,
+    whatever the prime's transform length; a larger block takes the NTT,
+    or the limb kernel where the prime has no transform that long; blocks
+    over object-dtype fields never take the Toeplitz route."""
+    taken = []
+    for name in ("_conv_toeplitz", "_conv_ntt", "_conv_limbs"):
+        kernel = getattr(PrimeField, name)
+        monkeypatch.setattr(PrimeField, name, lambda self, *args, _k=kernel, _n=name:
+                            taken.append(_n[6:]) or _k(self, *args))
+    edge = _TOEPLITZ_FLOATS // 512  # (2, 256) by (257,) builds 256 × 512 entries
+    cases = [(DEFAULT_PRIME, (4, 2, 64), (2, 65), "toeplitz"),
+             (DEFAULT_PRIME, (4, 4, 1, 127), (1, 127), "toeplitz"),
+             (DEFAULT_PRIME, (129,), (4, 128), "toeplitz"),
+             (DEFAULT_PRIME, (1, 2, 64), (2, 65), "toeplitz"),
+             (DEFAULT_PRIME, (4, 128), (4, 1, 128), "toeplitz"),
+             (DEFAULT_PRIME, (2, edge), (edge + 1,), "toeplitz"),
+             (DEFAULT_PRIME, (2, edge), (edge + 2,), "ntt"),
+             (DEFAULT_PRIME, (4, 255), (383,), "ntt"),
+             (DEFAULT_PRIME, (4, 16, 8), (16, 9), "limbs"),
+             (DEFAULT_PRIME, (128,), (256,), "limbs"),
+             (DEFAULT_PRIME, (600,), (1500,), "ntt"),
+             (2**31 - 1, (4, 2, 64), (2, 65), "toeplitz"),
+             (2**31 - 1, (4, 255), (383,), "limbs"),
+             (3037000493, (4, 8, 16), (8, 17), "toeplitz"),
+             (7, (4, 2, 64), (2, 65), "limbs"),
+             (BENCH_PRIME, (4, 2, 64), (2, 65), "limbs"),
+             (BENCH_PRIME, (2, 20), (3100,), "ntt")]
+    rng = np.random.default_rng(43)
+    for p, sa, sb, route in cases:
+        f = get_field(p)
+        a, b = f.arr(rng.integers(0, p, sa)), f.arr(rng.integers(0, p, sb))
+        taken.clear()
+        got = f.conv(a, b)
+        assert taken[:1] == [route], (p, sa, sb, taken)
+        if route != "limbs":
+            assert np.array_equal(got, f._conv_limbs(a, b)), (p, sa, sb)
+    # a block of no rows is empty
+    f = get_field(DEFAULT_PRIME)
+    assert f.conv(f.zeros((0, 64)), f.zeros((2, 1, 65))).shape == (2, 0, 128)
 
 
 def test_field_identity_and_hash():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -89,12 +91,12 @@ def test_points_product_is_exact_on_every_prime(p, monkeypatch):
     """points_product against a Python-int einsum, with the inner dimension
     at the room of an exact float64 product (field module docstring), one
     past it and past two slices of it, on random residues, on all p − 1,
-    and on all p − 1 by a right operand of the widest limbs, (p − 1)/2; the
-    points run in slabs of two, the last one alone.  At 7 the room exceeds
-    any block, and the object-dtype 62-bit prime has none."""
+    and on all p − 1 by a right operand of the widest limbs, (p − 1)/2, with
+    three columns and with one, the shape of pm_mul's products by a
+    column; the points run in slabs of two, the last one alone.  At 7 the room
+    exceeds any block, and the object-dtype 62-bit prime has none."""
     f = get_field(p)
-    rows, cols, count = 2, 3, 5
-    monkeypatch.setattr(field, "_NTT_SLAB", 2 * rows * cols)
+    rows, count = 2, 5
     if f.dtype is object:
         inner = (1, 2, 5)
     else:
@@ -105,7 +107,8 @@ def test_points_product_is_exact_on_every_prime(p, monkeypatch):
     if p == 3037000493:
         assert f._room == 31
     rng = np.random.default_rng(p % 1009)
-    for k in inner:
+    for k, cols in itertools.product(inner, (3, 1)):
+        monkeypatch.setattr(field, "_NTT_SLAB", 2 * rows * cols)
         top = np.full((rows, k, count), p - 1, dtype=f.dtype)
         cases = [(f.arr(rng.integers(0, 2**63, size=(rows, k, count), dtype=np.uint64)),
                   f.arr(rng.integers(0, 2**63, size=(k, cols, count), dtype=np.uint64))),
@@ -115,4 +118,4 @@ def test_points_product_is_exact_on_every_prime(p, monkeypatch):
             want = np.einsum("iks,kjs->ijs", va.astype(object), vb.astype(object)) % p
             got = points_product(f, va, points_operand(f, vb))
             assert got.dtype == f.dtype and got.shape == (rows, cols, count)
-            assert np.array_equal(got, want), (k, int(vb[0, 0, 0]))
+            assert np.array_equal(got, want), (k, cols, int(vb[0, 0, 0]))

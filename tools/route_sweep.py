@@ -3,11 +3,12 @@ product at several piece lengths, the two forms of PrimeField.ntt, the two
 routes of the solver's entry points and densify's step block, the
 measurements behind structmul's route rule and piece length, ntt's
 one-slab cut, structsolve's crossover rule and generators._DENSIFY_BLOCK,
-and PrimeField.row_reduce and polymat.points_product on the shapes their
-callers give them.
+PrimeField.row_reduce and polymat.points_product on the shapes their
+callers give them, and the three routes of PrimeField.conv, the
+measurement behind its Toeplitz bound.
 
-    python3 tools/route_sweep.py [--part route|pieces|kernel|solver|densify|elim|points|all]
-                                 [--reps K] [--seed S]
+    python3 tools/route_sweep.py [--part route|pieces|kernel|solver|densify|elim|points|
+                                         toeplitz|all] [--reps K] [--seed S]
 
 Run it single-threaded (OPENBLAS_NUM_THREADS=1) on an otherwise idle
 machine; `dispmat` is imported from the `src` directory next to `tools`.
@@ -104,14 +105,29 @@ are compared, and each line prints the einsum's time, the product's, the
 split's (which pm_mul pays per call) and the ratios product/einsum and
 (product + split)/einsum.
 
-Every route, pieces, kernel, densify, elim and points time is the best of K
-alternated repetitions (default 7), each the mean of enough calls to run
-about 2 ms.
+toeplitz: a block convolution through each of PrimeField.conv's three
+kernels, the Toeplitz route (_conv_toeplitz), the NTT (_conv_ntt) and the
+limb kernel (_conv_limbs): on the block shapes families-mul sent to the
+NTT before the Toeplitz route, over 998244353 and over 2^31 − 1 (no
+transform there), and on a grid of rows × (nodes, L) by (nodes, L + 1)
+over 998244353, L from 16 to 512, 1 to 64 rows per node and 1 to 16 nodes.
+A kernel is left out (-) where the prime has no transform that long, where
+the Toeplitz matrices would hold more than 2^21 entries, or where the limb
+kernel would take more than 2^22 term products.  The results are compared,
+and each line prints the entries of the Toeplitz matrices, the three
+times, the ratio toeplitz/ntt (toeplitz/limb where there is no NTT) and the
+route conv takes; the bound _TOEPLITZ_FLOATS is read off where that ratio
+crosses 1.
+
+Every route, pieces, kernel, densify, elim, points and toeplitz time is the
+best of K alternated repetitions (default 7), each the mean of enough calls
+to run about 2 ms.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -143,6 +159,23 @@ POINTS_SHAPES = (("toeplitz-mul", 8, 8, 8, 512), ("toeplitz-mul", 8, 16, 16, 512
                  ("toeplitz-solve", 1, 6, 1, 128),
                  ("criterion 7 m=8192", 8, 8, 8, 2048), ("criterion 7 m=8192", 8, 16, 16, 2048))
 SOLVER_LARGE = (1024, 2048)
+# the block convolutions families-mul sent to the NTT at 998244353 before the
+# Toeplitz route
+TOEPLITZ_FAMILIES = (((4, 4, 1, 127), (1, 127)), ((4, 4, 1, 127), (1, 129)),
+                     ((4, 2, 64), (2, 65)), ((4, 8, 16), (8, 17)), ((4, 4, 32), (4, 33)),
+                     ((4, 128), (256,)), ((4, 128), (4, 1, 128)), ((4, 255), (383,)),
+                     ((4, 128), (1, 1, 128)), ((129,), (4, 128)), ((1, 4, 1, 127), (1, 127)),
+                     ((1, 4, 1, 127), (1, 129)), ((1, 2, 64), (2, 65)), ((1, 8, 16), (8, 17)),
+                     ((1, 4, 32), (4, 33)), ((4, 1, 127), (1, 127)), ((4, 1, 127), (1, 129)),
+                     ((4, 2, 64), (2, 64)), ((1, 2, 64), (2, 64)), ((4, 4, 32), (4, 32)),
+                     ((4, 8, 16), (8, 16)), ((1, 4, 32), (4, 32)), ((1, 8, 16), (8, 16)))
+TOEPLITZ_LENGTHS = (16, 32, 64, 128, 256, 512)
+TOEPLITZ_ROWS = (1, 4, 16, 64)
+TOEPLITZ_NODES = (1, 2, 4, 8, 16)
+# the largest Toeplitz matrices (entries) and limb-kernel product (term
+# products) the toeplitz part times
+TOEPLITZ_TIMED_FLOATS = 1 << 21
+TOEPLITZ_TIMED_TERMS = 1 << 22
 
 
 def best_of(fns, reps: int) -> list[float]:
@@ -468,10 +501,73 @@ def points(reps: int, seed: int) -> None:
               f" {ts * 1e6:7.1f}  {tp / te:14.2f}  {(tp + ts) / te:21.2f}", flush=True)
 
 
+def _toeplitz_line(f, label: str, a, b, reps: int) -> None:
+    """Time conv's three kernels on the block (a, b) and print one line; a
+    kernel the shape cannot take, or that would run too long or too large,
+    prints -."""
+    la, lb = a.shape[-1], b.shape[-1]
+    ra, rb = math.prod(a.shape[:-1]), math.prod(b.shape[:-1])
+    need = la + lb - 1
+    entries = min(ra * lb, rb * la) * need
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    fns = {}
+    if entries <= TOEPLITZ_TIMED_FLOATS:
+        fns["toeplitz"] = lambda: f._conv_toeplitz(a, b, lead)
+    if 1 << (need - 1).bit_length() <= f.ntt_capacity():
+        fns["ntt"] = lambda: f._conv_ntt(a, b)
+    if math.prod(lead) * la * lb <= TOEPLITZ_TIMED_TERMS:
+        fns["limb"] = lambda: f._conv_limbs(a, b)
+    results = [fn() for fn in fns.values()]
+    if any(not np.array_equal(got, results[0]) for got in results):
+        raise SystemExit(f"kernels differ at p={f.p} {a.shape} x {b.shape}")
+    times = dict(zip(fns, best_of(list(fns.values()), reps)))
+    cells = [f"{times[k] * 1e6:9.1f}" if k in times else f"{'-':>9s}"
+             for k in ("toeplitz", "ntt", "limb")]
+    base = times.get("ntt", times.get("limb"))
+    ratio = f"{times['toeplitz'] / base:6.2f}" if "toeplitz" in times and base else f"{'-':>6s}"
+    print(f"  {label:34s} {entries:8d} {' '.join(cells)}  {ratio}  {_conv_route(f, a, b)}",
+          flush=True)
+
+
+def _conv_route(f, a, b) -> str:
+    """The route conv takes on the block (a, b), read off the kernel it calls."""
+    taken = []
+    kernels = ("_conv_toeplitz", "_conv_ntt", "_conv_limbs")
+    for name in kernels:
+        setattr(f, name, lambda *args, _n=name, _k=getattr(f, name): taken.append(_n) or _k(*args))
+    try:
+        f.conv(a, b)
+    finally:
+        for name in kernels:
+            delattr(f, name)
+    return taken[0][len("_conv_"):]
+
+
+def toeplitz(reps: int, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    print("# toeplitz: conv of a block by the Toeplitz route, the NTT and the limb kernel;"
+          " times in microseconds, ratio toeplitz/(ntt, else limb)")
+    print(f"# {'p, a x b':34s} {'entries':>8s} {'toeplitz':>9s} {'ntt':>9s} {'limb':>9s}"
+          f"  {'ratio':>6s}  route   (entries: of the Toeplitz matrices)")
+    for p in (998244353, 2**31 - 1):
+        f = get_field(p)
+        print(f"# families-mul's block shapes, p = {p}")
+        for sa, sb in TOEPLITZ_FAMILIES:
+            _toeplitz_line(f, f"{sa} x {sb}", rng.integers(0, p, sa), rng.integers(0, p, sb), reps)
+    f = get_field(998244353)
+    print("# rows x (nodes, L) by (nodes, L + 1), p = 998244353")
+    for length in TOEPLITZ_LENGTHS:
+        for rows in TOEPLITZ_ROWS:
+            for nodes in TOEPLITZ_NODES:
+                sa, sb = (rows, nodes, length), (nodes, length + 1)
+                _toeplitz_line(f, f"{sa} x {sb}", rng.integers(0, f.p, sa),
+                               rng.integers(0, f.p, sb), reps)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--part", choices=("route", "pieces", "kernel", "solver", "densify", "elim",
-                                       "points", "all"), default="all")
+                                       "points", "toeplitz", "all"), default="all")
     ap.add_argument("--reps", type=int, default=7)
     ap.add_argument("--seed", type=int, default=20)
     args = ap.parse_args(argv)
@@ -489,6 +585,8 @@ def main(argv=None) -> int:
         elim(args.reps, args.seed)
     if args.part in ("points", "all"):
         points(args.reps, args.seed)
+    if args.part in ("toeplitz", "all"):
+        toeplitz(args.reps, args.seed)
     return 0
 
 
