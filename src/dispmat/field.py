@@ -6,51 +6,46 @@ Python-object arrays otherwise, e.g. for the 62-bit benchmark prime).
 An int64 sum holds slack = ⌊2^63/p²⌋ such products (9 at 998244353, 1
 above 2^31): every int64 kernel sizes its unreduced sums by it.
 
-The int64 fields' matrix products run exactly through BLAS dgemm in
-float64 (Dumas, Giorgi and Pernet 2008).  One operand is whole residues,
-|x| < p; the other is stored as two 15-bit limbs, lo and 2^15·hi
-(_limb_stack), with |lo| ≤ 2^14 and |hi| ≤ B = ⌊(p-1)/2^16⌋ + 1 ≤ 2^15.5.
-A sum of at most room = ⌊2^52/(p·max(B, 2^14))⌋ such products (275 at
-998244353, 31 at 3037000493) is an integer below 2^52, or 2^15 times one,
-so every partial sum is exact, whatever the BLAS summation order or FMA.
-The two sums are reduced by one routine (_settle): the high one modulo
-2^15·p, then lo + hi modulo p (_reduce).  Three users multiply this way:
+An int64 field makes a sum of residue products exact in one of two ways:
+up to max(1, slack − 1) products (mat_mul), or slack per output term
+(conv on whole residues), as one int64 sum; beyond, by the one exact
+product kernel, _limb_mat_mul, through BLAS dgemm in float64 (Dumas,
+Giorgi and Pernet 2008).  One operand is whole residues, |x| < p; the
+other is stored as two 15-bit limbs, lo and 2^15·hi (_limb_stack), with
+|lo| ≤ 2^14 and |hi| ≤ B = ⌊(p-1)/2^16⌋ + 1 ≤ 2^15.5.  A sum of at most
+room = ⌊2^52/(p·max(B, 2^14))⌋ such products (275 at 998244353, 31 at
+3037000493) is an integer below 2^52, or 2^15 times one, so every partial
+sum is exact, whatever the BLAS summation order or FMA.  The two sums are
+reduced by one routine (_settle): the high one modulo 2^15·p, then
+lo + hi modulo p (_reduce).  The limb stack never leaves this module.
 
-- the number-theoretic transform (NTT), along the last axis of an array
-  of any shape, which lets polynomial-matrix code batch thousands of
-  transforms into a handful of numpy calls.  It is a mixed-radix four-step
-  transform (Bailey 1990) whose passes multiply by DFT matrices of size at
-  most min(128, room).  Each length has one plan in one form: up to
-  _NTT_MERGED_MAX one matrix product per pass, the twiddles folded into
-  per-column matrices; longer lengths with twiddles and reductions between
-  passes as float64 array operations.  Both run slab by slab, in blocks of
-  rows small enough to stay in cache.  Object-dtype fields run a radix-2
-  loop.
-- ``points_mat_mul``, one small matrix product per evaluation point, the
-  step between a polynomial-matrix product's transforms, slab by slab
-  through _limb_mat_mul, the one general such product: one broadcast
-  matmul with both limbs per room inner terms.
-- block convolutions (_conv_toeplitz): each row times the Toeplitz matrix
-  of the row it is convolved with, for a whole block in one _limb_mat_mul.
+The kernel's users are ``mat_mul`` (b limbed), ``points_mat_mul`` (one
+small matrix product per evaluation point, on the limbed operand that
+``points_operand`` makes and a caller that reuses it keeps), convolution
+by Toeplitz matrices (_conv_toeplitz) and the passes of the
+number-theoretic transform (NTT).  The NTT runs along the last axis of an
+array of any shape, which lets polynomial-matrix code batch thousands of
+transforms into a handful of numpy calls.  It is a mixed-radix four-step
+transform (Bailey 1990) whose passes multiply by DFT matrices of size at
+most min(128, room).  Each length has one plan in one form: up to
+_NTT_MERGED_MAX one matrix product per pass, the twiddles folded into
+per-column matrices; longer lengths with twiddles and reductions between
+passes as float64 array operations.  Both run slab by slab, in blocks of
+rows small enough to stay in cache.  Object-dtype fields run a radix-2
+loop.
 
-Convolution (``conv``) picks one of three routes by prime and shape:
-
-- the limb kernel, for every prime: residues are cut into 16-bit int64
-  limbs, or kept whole when the shorter factor has at most slack terms,
-  and on object-dtype fields also when the whole product has at most
-  _WHOLE_CONV_TERMS_OBJECT term products; each limb product is one
-  ``np.convolve`` (for a block of rows, one matrix product of sliding
-  windows), and the limb weights are recombined mod p.  It takes a factor
-  of at most slack terms, one row of at most 1024 output terms, and
-  everything else on primes without the transform length;
-- on int64 fields, the Toeplitz route for a block of rows whose matrices
-  hold at most _TOEPLITZ_FLOATS entries, whatever the prime's transform
-  length;
-- the NTT for longer products, when p - 1 has the 2-adic room for their
-  transform length.
-
-Like the NTT, ``conv`` works along the last axis and broadcasts over the
-leading ones.
+Convolution (``conv``) works along the last axis, broadcasts over the
+leading ones, and picks its route by one rule, for one row and a block of
+rows alike: a factor of at most slack terms takes the limb kernel on whole
+residues; on int64 fields a product whose Toeplitz matrices hold at most
+_TOEPLITZ_FLOATS entries takes the Toeplitz route, whatever the prime's
+transform length; a longer one takes the NTT where p − 1 has the 2-adic
+room for its length, else the limb kernel.  On object-dtype fields a
+product of at most _SPLIT_CONV_CUTOFF_OBJECT output terms takes the limb
+kernel, on whole residues up to _WHOLE_CONV_TERMS_OBJECT term products.
+The limb kernel otherwise cuts residues into 16-bit limbs, takes one
+``np.convolve`` per limb product (a matrix product of sliding windows for
+a block of rows) and recombines the limb weights mod p.
 """
 
 from __future__ import annotations
@@ -82,9 +77,8 @@ NAMED_PRIMES = {"default": DEFAULT_PRIME, "p62": BENCH_PRIME}
 # bound switch to exact Python-int (object dtype) arithmetic.
 _INT64_SAFE_BOUND = 3_037_000_499
 
-# up to these output lengths the limb kernel wins over the transform, on int64
-# and on object-dtype fields (the sweep is in BENCH_11.json)
-_SPLIT_CONV_CUTOFF = 1024
+# up to this output length an object-dtype product takes the limb kernel, which
+# wins there over the radix-2 transform (the sweep is in BENCH_11.json)
 _SPLIT_CONV_CUTOFF_OBJECT = 3072
 
 # up to this many term products (rows × la × lb) an object-dtype product
@@ -312,30 +306,47 @@ class PrimeField:
         return res.reshape(np.asarray(a).shape)
 
     def mat_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact (a @ b) % p with overflow-safe accumulation blocks."""
+        """Exact (a @ b) % p of residue arrays, by np.matmul's shape rules.  On
+        int64 fields a sum of at most max(1, slack − 1) products is one
+        int64 matmul; a longer one is _limb_mat_mul of a, whole, by the
+        limb stack of b."""
         if self.dtype is object:
-            return np.mod(np.asarray(a, dtype=object) @ np.asarray(b, dtype=object), self.p)
-        k = a.shape[-1]
-        # an accumulator below p plus slack - 1 products stays below slack·p²
-        step = max(1, self._slack - 1)
-        if k <= step:
+            return np.asarray(a, dtype=object) @ np.asarray(b, dtype=object) % self.p
+        if a.shape[-1] <= max(1, self._slack - 1):
             return (a @ b) % self.p
-        acc = (a[..., :step] @ b[..., :step, :]) % self.p
-        for lo in range(step, k, step):
-            acc = (acc + a[..., lo:lo + step] @ b[..., lo:lo + step, :]) % self.p
-        return acc
+        x = a[None] if a.ndim == 1 else a
+        y = b[:, None] if b.ndim == 1 else b
+        y = y.reshape((1,) * (x.ndim - y.ndim) + y.shape)  # the limb axis leads
+        shape = np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1])
+        work = np.empty((3,) + shape)
+        acc = self._limb_mat_mul(x.astype(np.float64), self._limb_stack(y), work[:2], work[2])
+        acc = acc[..., 0, :] if a.ndim == 1 else acc
+        return (acc[..., 0] if b.ndim == 1 else acc).astype(np.int64)
+
+    def points_operand(self, vb: np.ndarray) -> np.ndarray:
+        """The (k, cols, points) residues vb as points_mat_mul's right
+        operand, read-only: on int64 fields the float64 limb stack of its
+        points-major form, shape (2, points, k, cols); on object-dtype
+        fields a copy.  A caller that reuses the operand keeps it."""
+        if self.dtype is object:
+            out = np.array(vb, dtype=object)
+            out.setflags(write=False)
+            return out
+        return self._limb_stack(vb.transpose(2, 0, 1))
 
     def points_mat_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """sum_k a[i, k, s]·b[k, j, s] mod p, one matrix product per point s,
-        for int64 residues a (rows, k, points) and b given as the limb
-        stack of its points-major form, _limb_stack(b.transpose(2, 0, 1))
-        of shape (2, points, k, cols).  Returns int64 residues (rows, cols,
-        points).
+        for residues a (rows, k, points) and b = points_operand(·) of
+        (k, cols, points) residues.  Returns residues (rows, cols, points).
+        On object-dtype fields that is one Python-int einsum.
 
-        The points run in slabs of _NTT_SLAB output entries, as ntt's rows
-        do, so that the float64 work stays in cache.  A slab of a is copied
-        once to float64 as (points, rows, k) and multiplied by one
-        _limb_mat_mul.  The work arrays are allocated once per call."""
+        On int64 fields the points run in slabs of _NTT_SLAB output entries,
+        as ntt's rows do, so that the float64 work stays in cache.  A slab
+        of a is copied once to float64 as (points, rows, k) and multiplied
+        by one _limb_mat_mul.  The work arrays are allocated once per
+        call."""
+        if self.dtype is object:
+            return np.einsum("iks,kjs->ijs", a, b) % self.p
         rows, k, points = a.shape
         cols = b.shape[-1]
         step = max(1, min(points, _NTT_SLAB // (rows * cols)))
@@ -356,7 +367,8 @@ class PrimeField:
         module docstring, for float64 operands of which one holds whole
         residues, |x| < p, and the other is a limb stack of _limb_stack (its
         first axis the two limbs), broadcast over the leading axes; prod is
-        scratch of shape (2,) + acc.shape.
+        scratch of shape (2,) + acc.shape.  acc may share x's memory when x
+        has at most room columns.
 
         Every room inner terms take one broadcast matmul with both limbs and
         one _settle, the settled sum of the slices before added to the low
@@ -629,29 +641,30 @@ class PrimeField:
         """Write the transform of each row of the int64 (rows, n) residues
         src into out by the one-slab form's matrices: per pass one matrix
         product and one _settle, whose scratch is the pass's float64 input,
-        all in scratch[:, :rows] of a (3, ≥ rows, n) array.  A two-pass
-        length n = L·m takes the rows as (L, m) blocks; the first pass
-        multiplies column j2 of each block by its own L×L matrix, twiddles
-        included, in one stacked product over the m columns, settled into
-        its input; the last takes the m-point DFT of every row k1 of the
-        result, which is output k1 + L·k2."""
+        all in scratch[:, :rows] of a (3, ≥ rows, n) array; the last pass,
+        or the only one, is one _limb_mat_mul.  A two-pass length n = L·m
+        takes the rows as (L, m) blocks; the first pass multiplies column j2
+        of each block by its own L×L matrix, twiddles included, in one
+        stacked product over the m columns, settled into its input; the last
+        takes the m-point DFT of every row k1 of the result, which is output
+        k1 + L·k2, as the product of the transposed result by the symmetric
+        m×m DFT matrix: on blocks of 16-160 rows of 256-1024 points that
+        took 0.91-0.98 of the time of the DFT matrix times the result."""
         rows, n = src.shape
         x, prod = scratch[0, :rows], scratch[1:, :rows]
         if len(mats) == 1:
             x[...] = src
-            res = self._settle(np.matmul(x, mats[0], prod), x)
-            self._reduce(res, x, np.floor)
-            out[...] = res
+            out[...] = self._limb_mat_mul(x, mats[0], prod, x)
             return
         first, last = mats
         m, L = first.shape[1:3]
         x = x.reshape(m, rows, L)
         x[...] = src.reshape(rows, L, m).transpose(2, 0, 1)
         y = self._settle(np.matmul(x, first, prod.reshape(2, m, rows, L)), x, out=x)
-        y = y.reshape(m, rows * L)
-        res = self._settle(np.matmul(last, y, prod.reshape(2, m, rows * L)), y)
-        self._reduce(res, y, np.floor)
-        out.reshape(rows, m, L)[...] = res.reshape(m, rows, L).swapaxes(0, 1)
+        # the DFT matrix is symmetric, so the last pass is yᵗ times it
+        res = self._limb_mat_mul(y.reshape(m, rows * L).T, last, prod.reshape(2, rows * L, m),
+                                 x.reshape(rows * L, m))
+        out.reshape(rows, m, L)[...] = res.reshape(rows, L, m).swapaxes(1, 2)
 
     def ntt(self, a: np.ndarray, invert: bool = False) -> np.ndarray:
         """In-order NTT along the last axis of residues in [0, p), for any
@@ -813,24 +826,19 @@ class PrimeField:
         ntt, exactly mod p, along the last axis: row by row, broadcast over
         the leading axes, so a 1-D pair is the one-row case.
 
-        A factor of at most slack terms takes the limb kernel with whole
-        residues.  On int64 fields a block of rows whose Toeplitz matrices
-        hold at most _TOEPLITZ_FLOATS entries, those of the factor whose
-        matrices are the smaller (rows × length of the other factor ×
-        output length), is one exact float64 product (_conv_toeplitz),
-        built per call: the tree levels' products by their nodes, the
-        reductions by one modulus row, and one-row factors broadcast over
-        blocks.  In tools/route_sweep.py --part toeplitz that took 0.42-0.62
-        of the NTT's time on families-mul's blocks (0.97 on an outer
-        product at the bound), and 0.11-0.59 of the limb kernel's at
-        2^31 - 1, which has no transform; larger blocks read up to 8.6x the
-        NTT's time (BENCH_31.json).  One row of at most
-        1024 output terms (3072 on object-dtype fields), and a block of rows
-        on an object-dtype field, takes the limb kernel, which keeps the
-        residues whole on object-dtype fields for a product of at most
-        _WHOLE_CONV_TERMS_OBJECT term products in all.  The rest runs the
-        NTT, or the limb kernel where the product is too long for the
-        prime's transforms.
+        One rule picks the kernel, for one row and a block of rows alike
+        (module docstring).  The Toeplitz matrices it counts are those of
+        the factor whose matrices are the smaller (rows × length of the
+        other factor × output length), built per call: the tree levels'
+        products by their nodes, the reductions by one modulus row, one-row
+        factors broadcast over blocks, and single rows.  In
+        tools/route_sweep.py --part toeplitz that took 0.42-0.62 of the
+        NTT's time on families-mul's blocks (0.97 on an outer product at
+        the bound), and 0.11-0.59 of the limb kernel's at 2^31 - 1, which
+        has no transform; larger blocks read up to 8.6x the NTT's time
+        (BENCH_31.json).  On single rows of 64-256 terms within the bound it
+        took 0.64-1.09 of the limb kernel's time, their former route, and
+        past it the NTT took 0.12-1.12 (BENCH_32.json).
         """
         a, b = np.asarray(a), np.asarray(b)
         la, lb = a.shape[-1], b.shape[-1]
@@ -846,16 +854,15 @@ class PrimeField:
 
     def _conv_rows(self, a: np.ndarray, b: np.ndarray, lead: tuple) -> np.ndarray:
         """conv of nonempty factors whose leading axes broadcast to lead: ()
-        for one row, else a block of more than one row."""
+        for one row, else a block of more than one row; one rule for both."""
         la, lb = a.shape[-1], b.shape[-1]
         need = la + lb - 1
         size = 1 << (need - 1).bit_length()
-        cutoff = _SPLIT_CONV_CUTOFF_OBJECT if self.dtype is object else _SPLIT_CONV_CUTOFF
-        short = need <= cutoff and (not lead or self.dtype is object)
+        short = self.dtype is object and need <= _SPLIT_CONV_CUTOFF_OBJECT
         if short or min(la, lb) <= self._slack:
             return self._conv_limbs(a, b)
         ra, rb = math.prod(a.shape[:-1]), math.prod(b.shape[:-1])
-        if lead and self.dtype is not object and min(ra * lb, rb * la) * need <= _TOEPLITZ_FLOATS:
+        if self.dtype is not object and min(ra * lb, rb * la) * need <= _TOEPLITZ_FLOATS:
             return self._conv_toeplitz(a, b, lead)
         if size > self.ntt_capacity():
             return self._conv_limbs(a, b)

@@ -23,8 +23,8 @@ matrix product per point with a stack the generator builds once.  From
 n = 256 to 8192 at alpha = beta in {4, 8, 16} that L took 0.27-0.92 of the
 time at L = n/2, the former half-length sum (tools/route_sweep.py, BENCH_29.json).
 The generator keeps V's pieces and the stack as the right operands of
-points_product (points_operand: float64 limb stacks on int64 fields), so
-a call splits neither.
+PrimeField.points_mat_mul (points_operand: float64 limb stacks on int64
+fields), so a call splits neither.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .poly import (
     stacked,
     trim,
 )
-from .polymat import pm_mul, points_operand, points_product
+from .polymat import pm_mul
 
 MUL_CUTOFF = 16
 
@@ -280,7 +280,7 @@ def _overlap_add(f: PrimeField, pieces: np.ndarray, L: int, D: int) -> np.ndarra
 class _Pieces(NamedTuple):
     """The generator side of _mul_pieces at piece length L, K = ⌈n/L⌉ and
     D = ⌈out_len/L⌉, out_len = m + n − 1, at size ≥ 2L − 1 points, as the
-    right operands of points_product (float64 limb stacks on int64 fields):
+    right operands of points_mat_mul (float64 limb stacks on int64 fields):
     v_rev of the (K, alpha, size) values whose [b, k] is piece K − 1 − b of
     V_k, and stack of the (K + alpha, D, size) values of the pieces of Y_b
     over those of −G_k."""
@@ -303,7 +303,7 @@ def _pieces_side(f: PrimeField, U: np.ndarray, V: np.ndarray, n: int, c: int,
     v = f.ntt(padded(f, stacked(f, V, alpha, K * L, delta).reshape(alpha, K, L), size))
     u = f.ntt(padded(f, padded(f, U, Du * L).reshape(alpha, Du, L), size))
     # Z_a = sum_k U_k·v_a mod x^S − 1, from the pieces of U
-    z = f.ntt(points_product(f, u.transpose(1, 0, 2), points_operand(f, v)), invert=True)
+    z = f.ntt(f.points_mat_mul(u.transpose(1, 0, 2), f.points_operand(v)), invert=True)
     z = _overlap_add(f, z.transpose(1, 0, 2), L, D)
     # row b: sum_a x^(aL − δ)·Z_a over a + b < K, then Y_b with the rest folded
     P = (np.cumsum(_staggered(np.roll(z, -delta, axis=-1), L), axis=0) % f.p)[::-1]
@@ -311,8 +311,8 @@ def _pieces_side(f: PrimeField, U: np.ndarray, V: np.ndarray, n: int, c: int,
     G = padded(f, U, S)
     G = (c * G - np.roll(G, n, axis=-1)) % f.p  # −(x^n − c)·U_k mod x^S − 1
     stack = f.ntt(padded(f, np.concatenate([Y, G]).reshape(K + alpha, D, L), size))
-    return _Pieces(L, K, m + n - 1, points_operand(f, v[:, ::-1].transpose(1, 0, 2)),
-                   points_operand(f, stack))
+    return _Pieces(L, K, m + n - 1, f.points_operand(v[:, ::-1].transpose(1, 0, 2)),
+                   f.points_operand(stack))
 
 
 def _mul_pieces(f: PrimeField, side: _Pieces, W: np.ndarray) -> np.ndarray:
@@ -332,13 +332,13 @@ def _mul_pieces(f: PrimeField, side: _Pieces, W: np.ndarray) -> np.ndarray:
     one matrix product per point of [w | top] by the stack [Y; −G], summed
     modulo x^(DL) − 1, where R_i fits.  Per call: W's pieces forward, M's
     round trip (alpha·beta rows), the output's inverse (beta·D rows) and
-    two points_product calls on the kept operands of side.
+    two points_mat_mul calls on the kept operands of side.
     """
     L, K, size = side.L, side.K, _points(2 * side.L - 1)
     w = f.ntt(padded(f, padded(f, W, K * L).reshape(len(W), K, L), size))
-    M = f.ntt(points_product(f, w, side.v_rev), invert=True)
+    M = f.ntt(f.points_mat_mul(w, side.v_rev), invert=True)
     top = f.ntt(padded(f, M[..., L:2 * L - 1], size))
-    out = f.ntt(points_product(f, np.concatenate([w, top], axis=1), side.stack), invert=True)
+    out = f.ntt(f.points_mat_mul(np.concatenate([w, top], axis=1), side.stack), invert=True)
     return _overlap_add(f, out, L, out.shape[1])[:, : side.out_len]
 
 

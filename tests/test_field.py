@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from dispmat.field import (
     _NTT_MERGED_MAX,
     _NTT_SLAB,
-    _SPLIT_CONV_CUTOFF,
     _TOEPLITZ_FLOATS,
     _WHOLE_CONV_TERMS_OBJECT,
     BENCH_PRIME,
@@ -145,15 +145,42 @@ def test_inv_array_matches_scalar():
         assert f.mul(int(x), int(y)) == 1
 
 
+_INT64_PRIMES = [7, DEFAULT_PRIME, 2**31 - 1, 2013265921, 2281701377, 3037000493]
+
+# (a, b) shapes of mat_mul's operands for an inner dimension k: matrices,
+# 1-D operands on either side and on both, and broadcast leading axes
+_MAT_MUL_SHAPES = [lambda k: ((5, k), (k, 6)), lambda k: ((k,), (k, 6)),
+                   lambda k: ((5, k), (k,)), lambda k: ((k,), (k,)),
+                   lambda k: ((2, 5, k), (k, 6)), lambda k: ((3, k), (2, 1, k, 4))]
+
+
 def test_mat_mul_matches_python_ints():
-    for p in (7, DEFAULT_PRIME, BENCH_PRIME):
+    """mat_mul against Python ints, with np.matmul's shapes, on inner
+    dimensions of max(1, slack − 1) (one int64 matmul), slack, and the room
+    of an exact float64 product (field module docstring), one past it and
+    past two slices of it; random residues, all p − 1, and a right operand
+    of the widest limbs, (p − 1)/2, by a left one of p − 1.  At 7 slack and
+    room exceed any matrix, and the 62-bit prime has neither."""
+    for p in _INT64_PRIMES + [BENCH_PRIME]:
         f = get_field(p)
         rng = np.random.default_rng(p % 1000)
-        A = f.arr(rng.integers(0, p, size=(5, 4)))
-        B = f.arr(rng.integers(0, p, size=(4, 6)))
-        want = [[sum(int(A[i, k]) * int(B[k, j]) for k in range(4)) % p
-                 for j in range(6)] for i in range(5)]
-        assert f.mat_mul(A, B).tolist() == want
+        if p == 7 or f.dtype is object:
+            inner = [4]
+        else:
+            step = max(1, f._slack - 1)
+            inner = sorted({step, f._slack, f._room, f._room + 1, 2 * f._room + 3})
+        for k, shapes in itertools.product(inner, _MAT_MUL_SHAPES):
+            sa, sb = shapes(k)
+            cases = [(f.arr(rng.integers(0, p, sa)), f.arr(rng.integers(0, p, sb))),
+                     (np.full(sa, p - 1, f.dtype), np.full(sb, p - 1, f.dtype)),
+                     (np.full(sa, p - 1, f.dtype), np.full(sb, (p - 1) // 2, f.dtype))]
+            for A, B in cases:
+                want = np.asarray(np.matmul(A.astype(object), B.astype(object)) % p)
+                got = f.mat_mul(A, B)
+                # 1-D by 1-D is a scalar, as np.matmul's
+                assert np.ndim(got) == 0 or got.dtype == f.dtype, (p, k, sa, sb)
+                assert np.shape(got) == want.shape, (p, k, sa, sb)
+                assert np.asarray(got).tolist() == want.tolist(), (p, k, sa, sb, int(B.flat[0]))
 
 
 def test_two_adicity_and_capacity():
@@ -314,14 +341,17 @@ def test_ntt_of_top_residues_at_the_largest_radix(p):
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 2013265921, 2281701377])
-def test_ntt_conv_matches_limb_kernel(p):
+def test_ntt_conv_matches_limb_kernel(p, monkeypatch):
     f = get_field(p)
+    taken = _routes_taken(monkeypatch)
     rng = np.random.default_rng(29)
     for la, lb in [(600, 1500), (1025, 1024), (2048, 2049), (5000, 3000), (8192, 8193)]:
-        assert la + lb - 1 > _SPLIT_CONV_CUTOFF  # the transform path
         a = f.arr(rng.integers(0, p, la))
         b = f.arr(rng.integers(0, p, lb))
-        assert np.array_equal(f.conv(a, b), f._conv_limbs(a, b))
+        taken.clear()
+        got = f.conv(a, b)
+        assert taken == ["ntt"], (la, lb, taken)
+        assert np.array_equal(got, f._conv_limbs(a, b))
 
 
 def test_one_ntt_call_is_one_method_call(monkeypatch):
@@ -373,7 +403,8 @@ def _python_int_conv(p, a, b):
 
 # 2^31-1 and 2^62-57 have two-adicity 1, so every product runs the limb
 # kernel; 3037000493 is the int64 edge; 2^64-59 has residues beyond int64.
-# Output lengths straddle the 1024 int64 cutoff and the 3072 object-dtype one.
+# Output lengths straddle the Toeplitz bound on int64 fields and the 3072
+# object-dtype cutoff.
 # A shorter factor of at most floor(2^63/p^2) terms takes one unsplit
 # np.convolve; the lengths in _UNSPLIT_EDGE sit on either side of that bound.
 _UNSPLIT_EDGE = {DEFAULT_PRIME: (9, 10), 2013265921: (2, 3), 2281701377: (1, 2)}
@@ -487,18 +518,16 @@ def test_convolve_windows_match_np_convolve_row_by_row(dtype):
             assert got[i].tolist() == np.convolve(A[i], B[i]).tolist(), (lead_a, lead_b, la, lb, i)
 
 
-_INT64_PRIMES = [7, DEFAULT_PRIME, 2**31 - 1, 2013265921, 2281701377, 3037000493]
-
-
 def _toeplitz_patterns(n):
     """(a, b) leading shapes and lengths of the block convolutions the tree
     and the product chain make, with the limbed factor x of length n: a
     level's rows by its nodes, (r, nodes, n) by (nodes, n + 1); reductions
     of (r, q, 1, n) by one modulus row (1, n); a 1-D factor broadcast over
     a block, (n + 1,) by (r, n); the outer product of equal row counts,
-    (r, n) by (r, 1, n); and a row-by-row pairing, (r, n) by (r, n + 1)."""
+    (r, n) by (r, 1, n); a row-by-row pairing, (r, n) by (r, n + 1); and
+    one row, (n,) by (n + 1,)."""
     return [((2, 3), n, (3,), n + 1), ((2, 2, 1), n, (1,), n), ((), n + 1, (2,), n),
-            ((2,), n, (2, 1), n), ((2,), n, (2,), n + 1)]
+            ((2,), n, (2, 1), n), ((2,), n, (2,), n + 1), ((), n, (), n + 1)]
 
 
 @pytest.mark.parametrize("p", _INT64_PRIMES)
@@ -531,19 +560,26 @@ def test_toeplitz_conv_is_exact_on_every_prime(p):
                 assert got.tolist() == want.tolist(), (n, sa, sb, int(a.flat[0]))
 
 
-def test_conv_routes_by_prime_and_shape(monkeypatch):
-    """Which kernel conv calls: a factor of at most slack terms and one row
-    of at most 1024 output terms take the limb kernel; an int64 block whose
-    Toeplitz matrices (those of the factor that makes the fewer entries)
-    hold at most _TOEPLITZ_FLOATS entries takes the Toeplitz route,
-    whatever the prime's transform length; a larger block takes the NTT,
-    or the limb kernel where the prime has no transform that long; blocks
-    over object-dtype fields never take the Toeplitz route."""
+def _routes_taken(monkeypatch):
+    """The list into which conv's three kernels, wrapped, append their
+    names (toeplitz, ntt, limbs) as they are called."""
     taken = []
     for name in ("_conv_toeplitz", "_conv_ntt", "_conv_limbs"):
         kernel = getattr(PrimeField, name)
         monkeypatch.setattr(PrimeField, name, lambda self, *args, _k=kernel, _n=name:
                             taken.append(_n[6:]) or _k(self, *args))
+    return taken
+
+
+def test_conv_routes_by_prime_and_shape(monkeypatch):
+    """Which kernel conv calls, one row and a block of rows alike: a factor
+    of at most slack terms takes the limb kernel; on int64 fields a product
+    whose Toeplitz matrices (those of the factor that makes the fewer
+    entries) hold at most _TOEPLITZ_FLOATS entries takes the Toeplitz
+    route, whatever the prime's transform length; a larger one takes the
+    NTT, or the limb kernel where the prime has no transform that long;
+    object-dtype fields never take the Toeplitz route."""
+    taken = _routes_taken(monkeypatch)
     edge = _TOEPLITZ_FLOATS // 512  # (2, 256) by (257,) builds 256 × 512 entries
     cases = [(DEFAULT_PRIME, (4, 2, 64), (2, 65), "toeplitz"),
              (DEFAULT_PRIME, (4, 4, 1, 127), (1, 127), "toeplitz"),
@@ -554,9 +590,11 @@ def test_conv_routes_by_prime_and_shape(monkeypatch):
              (DEFAULT_PRIME, (2, edge), (edge + 2,), "ntt"),
              (DEFAULT_PRIME, (4, 255), (383,), "ntt"),
              (DEFAULT_PRIME, (4, 16, 8), (16, 9), "limbs"),
-             (DEFAULT_PRIME, (128,), (256,), "limbs"),
+             (DEFAULT_PRIME, (128,), (256,), "toeplitz"),
+             (DEFAULT_PRIME, (255,), (383,), "ntt"),
              (DEFAULT_PRIME, (600,), (1500,), "ntt"),
              (2**31 - 1, (4, 2, 64), (2, 65), "toeplitz"),
+             (2**31 - 1, (255,), (383,), "limbs"),
              (2**31 - 1, (4, 255), (383,), "limbs"),
              (3037000493, (4, 8, 16), (8, 17), "toeplitz"),
              (7, (4, 2, 64), (2, 65), "limbs"),

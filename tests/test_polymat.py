@@ -5,7 +5,7 @@ import pytest
 
 from dispmat import field
 from dispmat.field import BENCH_PRIME, get_field
-from dispmat.polymat import _pm_mul_conv, _pm_mul_points, pm_mul, points_operand, points_product
+from dispmat.polymat import _pm_mul_conv, _pm_mul_points, pm_mul
 
 F = get_field(998244353)
 
@@ -88,13 +88,14 @@ def test_mul_conv_and_transform_routes_agree(p):
 @pytest.mark.parametrize("p", [7, 998244353, 2**31 - 1, 2013265921, 2281701377, 3037000493,
                                BENCH_PRIME])
 def test_points_product_is_exact_on_every_prime(p, monkeypatch):
-    """points_product against a Python-int einsum, with the inner dimension
-    at the room of an exact float64 product (field module docstring), one
-    past it and past two slices of it, on random residues, on all p − 1,
-    and on all p − 1 by a right operand of the widest limbs, (p − 1)/2, with
-    three columns and with one, the shape of pm_mul's products by a
-    column; the points run in slabs of two, the last one alone.  At 7 the room
-    exceeds any block, and the object-dtype 62-bit prime has none."""
+    """PrimeField.points_mat_mul, on the operand points_operand makes,
+    against a Python-int einsum, with the inner dimension at the room of an
+    exact float64 product (field module docstring), one past it and past
+    two slices of it, on random residues, on all p − 1, and on all p − 1 by
+    a right operand of the widest limbs, (p − 1)/2, with three columns and
+    with one, the shape of pm_mul's products by a column; the points run in
+    slabs of two, the last one alone.  At 7 the room exceeds any block, and
+    the object-dtype 62-bit prime has none."""
     f = get_field(p)
     rows, count = 2, 5
     if f.dtype is object:
@@ -116,6 +117,6 @@ def test_points_product_is_exact_on_every_prime(p, monkeypatch):
                  (top, np.full((k, cols, count), (p - 1) // 2, dtype=f.dtype))]
         for va, vb in cases:
             want = np.einsum("iks,kjs->ijs", va.astype(object), vb.astype(object)) % p
-            got = points_product(f, va, points_operand(f, vb))
+            got = f.points_mat_mul(va, f.points_operand(vb))
             assert got.dtype == f.dtype and got.shape == (rows, cols, count)
             assert np.array_equal(got, want), (k, cols, int(vb[0, 0, 0]))

@@ -430,7 +430,7 @@ def test_piecewise_sum_matches_direct_sum(p):
 def test_product_chain_stores_the_rule_piece_length(f, m, n, alpha, L):
     """A product with several columns on a binomial Q keeps its generator
     side under "pieces", cut at the power of two nearest n/alpha, as the
-    float64 limb stacks points_product takes: K = ⌈n/L⌉ pieces of V and
+    float64 limb stacks points_mat_mul takes: K = ⌈n/L⌉ pieces of V and
     K + alpha rows by D = ⌈(m + n − 1)/L⌉ pieces of the stack, points
     first, at the 2L points of a piece product."""
     from dispmat.generators import Generator

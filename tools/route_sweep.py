@@ -3,12 +3,13 @@ product at several piece lengths, the two forms of PrimeField.ntt, the two
 routes of the solver's entry points and densify's step block, the
 measurements behind structmul's route rule and piece length, ntt's
 one-slab cut, structsolve's crossover rule and generators._DENSIFY_BLOCK,
-PrimeField.row_reduce and polymat.points_product on the shapes their
-callers give them, and the three routes of PrimeField.conv, the
-measurement behind its Toeplitz bound.
+PrimeField.row_reduce and PrimeField.points_mat_mul on the shapes their
+callers give them, the three routes of PrimeField.conv, the measurement
+behind its Toeplitz bound, and PrimeField.mat_mul against its former
+int64 loop.
 
     python3 tools/route_sweep.py [--part route|pieces|kernel|solver|densify|elim|points|
-                                         toeplitz|all] [--reps K] [--seed S]
+                                         toeplitz|matmul|all] [--reps K] [--seed S]
 
 Run it single-threaded (OPENBLAS_NUM_THREADS=1) on an otherwise idle
 machine; `dispmat` is imported from the `src` directory next to `tools`.
@@ -92,15 +93,15 @@ that takes most of the part's run time at m = 512).  Each line prints the
 time, the pivot count and the pivot steps between reductions,
 max(1, slack − 1).
 
-points: polymat.points_product over 998244353, one matrix product per
+points: PrimeField.points_mat_mul over 998244353, one matrix product per
 evaluation point of (rows, k, points) by (k, cols, points) residues, on the
 shapes the workloads give it: the piecewise product's two per call on
 toeplitz-mul (m = n = 2048, alpha = beta = 8) and on criterion 7's
 m = 8192, and pm_mul's on families-mul and toeplitz-solve.  The former
 kernel, an int64 einsum in slices of slack − 1 inner terms each reduced
 mod p, is kept here as the reference (_einsum_points); the product itself
-is PrimeField.points_mat_mul on a right operand split once into float64
-limbs (points_operand), as the generator store keeps it.  The two results
+runs on a right operand split once into float64 limbs
+(PrimeField.points_operand), as the generator store keeps it.  The two results
 are compared, and each line prints the einsum's time, the product's, the
 split's (which pm_mul pays per call) and the ratios product/einsum and
 (product + split)/einsum.
@@ -110,18 +111,30 @@ kernels, the Toeplitz route (_conv_toeplitz), the NTT (_conv_ntt) and the
 limb kernel (_conv_limbs): on the block shapes families-mul sent to the
 NTT before the Toeplitz route, over 998244353 and over 2^31 − 1 (no
 transform there), and on a grid of rows × (nodes, L) by (nodes, L + 1)
-over 998244353, L from 16 to 512, 1 to 64 rows per node and 1 to 16 nodes.
-A kernel is left out (-) where the prime has no transform that long, where
-the Toeplitz matrices would hold more than 2^21 entries, or where the limb
-kernel would take more than 2^22 term products.  The results are compared,
+over 998244353, L from 16 to 512, 1 to 64 rows per node and 1 to 16 nodes;
+and on single rows, 1-D pairs of 64 to 1024 terms on both sides of the
+bound, over 998244353 and 2^31 − 1.  A kernel is left out (-) where the
+prime has no transform that long, where the Toeplitz matrices would hold
+more than 2^21 entries, or where the limb kernel would take more than 2^22
+term products.  The results are compared,
 and each line prints the entries of the Toeplitz matrices, the three
 times, the ratio toeplitz/ntt (toeplitz/limb where there is no NTT) and the
 route conv takes; the bound _TOEPLITZ_FLOATS is read off where that ratio
 crosses 1.
 
-Every route, pieces, kernel, densify, elim, points and toeplitz time is the
-best of K alternated repetitions (default 7), each the mean of enough calls
-to run about 2 ms.
+matmul: PrimeField.mat_mul against its former int64 kernel, kept here as
+the reference (_chunked_mat_mul): matmuls of slack − 1 inner terms, each
+added to the sum so far and reduced mod p.  mat_mul keeps one int64
+matmul up to max(1, slack − 1) inner terms and runs the exact float64
+product beyond; the shapes are toeplitz-solve's, (64, 6) by (6, 64) and
+(1, 8, 8) by (1, 8, 64), and longer ones that no workload makes today,
+over 998244353 and 2^31 − 1.  The two results are compared, and each line
+prints both times, their ratio mat_mul/chunked and the kernel mat_mul
+takes.
+
+Every route, pieces, kernel, densify, elim, points, toeplitz and matmul
+time is the best of K alternated repetitions (default 7), each the mean of
+enough calls to run about 2 ms.
 """
 
 from __future__ import annotations
@@ -142,7 +155,6 @@ from dispmat.generators import Generator, densify, gen_matvec  # noqa: E402
 from dispmat.operators import STEIN, SYLVESTER, DisplacementOperator  # noqa: E402
 from dispmat.oracle import _row_reduce  # noqa: E402
 from dispmat.poly import Moduli, family_build  # noqa: E402
-from dispmat.polymat import points_operand, points_product  # noqa: E402
 from dispmat.structmul import (  # noqa: E402
     _DIRECT_PAIRS, _mul_direct, _mul_pieces, _mulQ, _piece_length, _pieces_side, mulQ)
 
@@ -153,7 +165,7 @@ PIECES_WIDTHS = (4, 8, 16)
 KERNEL_NS = (32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 KERNEL_ROWS = tuple(1 << k for k in range(11))
 ELIM_SIZES = (64, 256, 512)
-# (workload, rows, k, cols, points) of points_product's calls
+# (workload, rows, k, cols, points) of points_mat_mul's calls
 POINTS_SHAPES = (("toeplitz-mul", 8, 8, 8, 512), ("toeplitz-mul", 8, 16, 16, 512),
                  ("families-mul", 4, 4, 1, 256), ("families-mul", 1, 4, 1, 256),
                  ("toeplitz-solve", 1, 6, 1, 128),
@@ -172,6 +184,14 @@ TOEPLITZ_FAMILIES = (((4, 4, 1, 127), (1, 127)), ((4, 4, 1, 127), (1, 129)),
 TOEPLITZ_LENGTHS = (16, 32, 64, 128, 256, 512)
 TOEPLITZ_ROWS = (1, 4, 16, 64)
 TOEPLITZ_NODES = (1, 2, 4, 8, 16)
+# single rows (la, lb); (256, 257) builds 256 × 512 = _TOEPLITZ_FLOATS entries
+TOEPLITZ_SINGLE = ((64, 65), (128, 129), (128, 256), (256, 257), (256, 258), (255, 383),
+                   (512, 513), (1024, 1025))
+# (p, a shape, b shape) that the matmul part times
+MATMUL_SHAPES = ((998244353, (64, 6), (6, 64)), (998244353, (1, 8, 8), (1, 8, 64)),
+                 (998244353, (256, 14), (14, 256)), (998244353, (1024, 14), (14, 1024)),
+                 (998244353, (256, 256), (256, 256)), (2**31 - 1, (64, 6), (6, 64)),
+                 (2**31 - 1, (256, 14), (14, 256)), (2**31 - 1, (256, 256), (256, 256)))
 # the largest Toeplitz matrices (entries) and limb-kernel product (term
 # products) the toeplitz part times
 TOEPLITZ_TIMED_FLOATS = 1 << 21
@@ -472,7 +492,7 @@ def elim(reps: int, seed: int) -> None:
 
 
 def _einsum_points(f, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """points_product's former int64 kernel: einsum over slices of slack − 1
+    """points_mat_mul's former int64 kernel: einsum over slices of slack − 1
     inner terms, each reduced mod p with the sum so far."""
     step = max(1, f._slack - 1)
     acc = None
@@ -485,18 +505,18 @@ def _einsum_points(f, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
 def points(reps: int, seed: int) -> None:
     f = get_field(998244353)
     rng = np.random.default_rng(seed)
-    print("# points: points_product against the former int64 einsum; times in microseconds")
+    print("# points: points_mat_mul against the former int64 einsum; times in microseconds")
     print(f"# {'workload':18s} {'rows':>4s} {'k':>3s} {'cols':>4s} {'points':>6s} {'einsum':>8s}"
           f" {'product':>8s} {'split':>7s}  product/einsum  (product+split)/einsum")
     for name, rows, k, cols, count in POINTS_SHAPES:
         va = rng.integers(0, f.p, (rows, k, count))
         vb = rng.integers(0, f.p, (k, cols, count))
-        kept = points_operand(f, vb)
-        if not np.array_equal(points_product(f, va, kept), _einsum_points(f, va, vb)):
-            raise SystemExit(f"points_product differs at {name} {(rows, k, cols, count)}")
+        kept = f.points_operand(vb)
+        if not np.array_equal(f.points_mat_mul(va, kept), _einsum_points(f, va, vb)):
+            raise SystemExit(f"points_mat_mul differs at {name} {(rows, k, cols, count)}")
         te, tp, ts = best_of([lambda: _einsum_points(f, va, vb),
-                              lambda: points_product(f, va, kept),
-                              lambda: points_operand(f, vb)], reps)
+                              lambda: f.points_mat_mul(va, kept),
+                              lambda: f.points_operand(vb)], reps)
         print(f"  {name:18s} {rows:4d} {k:3d} {cols:4d} {count:6d} {te * 1e6:8.1f} {tp * 1e6:8.1f}"
               f" {ts * 1e6:7.1f}  {tp / te:14.2f}  {(tp + ts) / te:21.2f}", flush=True)
 
@@ -554,6 +574,12 @@ def toeplitz(reps: int, seed: int) -> None:
         print(f"# families-mul's block shapes, p = {p}")
         for sa, sb in TOEPLITZ_FAMILIES:
             _toeplitz_line(f, f"{sa} x {sb}", rng.integers(0, p, sa), rng.integers(0, p, sb), reps)
+    for p in (998244353, 2**31 - 1):
+        f = get_field(p)
+        print(f"# single rows, p = {p}")
+        for la, lb in TOEPLITZ_SINGLE:
+            _toeplitz_line(f, f"({la},) x ({lb},)", rng.integers(0, p, la),
+                           rng.integers(0, p, lb), reps)
     f = get_field(998244353)
     print("# rows x (nodes, L) by (nodes, L + 1), p = 998244353")
     for length in TOEPLITZ_LENGTHS:
@@ -564,10 +590,36 @@ def toeplitz(reps: int, seed: int) -> None:
                                rng.integers(0, f.p, sb), reps)
 
 
+def _chunked_mat_mul(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """mat_mul's former int64 kernel: matmuls of slack − 1 inner terms, each
+    added to the sum so far and reduced mod p."""
+    step = max(1, f._slack - 1)
+    acc = (a[..., :step] @ b[..., :step, :]) % f.p
+    for lo in range(step, a.shape[-1], step):
+        acc = (acc + a[..., lo:lo + step] @ b[..., lo:lo + step, :]) % f.p
+    return acc
+
+
+def matmul(reps: int, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    print("# matmul: mat_mul against the former chunked int64 loop; times in microseconds")
+    print(f"# {'p':>10s} {'a':>12s} {'b':>12s} {'chunked':>9s} {'mat_mul':>9s}"
+          f"  mat_mul/chunked  kernel")
+    for p, sa, sb in MATMUL_SHAPES:
+        f = get_field(p)
+        a, b = rng.integers(0, p, sa), rng.integers(0, p, sb)
+        if not np.array_equal(f.mat_mul(a, b), _chunked_mat_mul(f, a, b)):
+            raise SystemExit(f"mat_mul differs at p={p} {sa} x {sb}")
+        tc, tm = best_of([lambda: _chunked_mat_mul(f, a, b), lambda: f.mat_mul(a, b)], reps)
+        takes = "int64" if sa[-1] <= max(1, f._slack - 1) else "limbs"
+        print(f"  {p:10d} {str(sa):>12s} {str(sb):>12s} {tc * 1e6:9.1f} {tm * 1e6:9.1f}"
+              f"  {tm / tc:15.2f}  {takes}", flush=True)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--part", choices=("route", "pieces", "kernel", "solver", "densify", "elim",
-                                       "points", "toeplitz", "all"), default="all")
+                                       "points", "toeplitz", "matmul", "all"), default="all")
     ap.add_argument("--reps", type=int, default=7)
     ap.add_argument("--seed", type=int, default=20)
     args = ap.parse_args(argv)
@@ -587,6 +639,8 @@ def main(argv=None) -> int:
         points(args.reps, args.seed)
     if args.part in ("toeplitz", "all"):
         toeplitz(args.reps, args.seed)
+    if args.part in ("matmul", "all"):
+        matmul(args.reps, args.seed)
     return 0
 
 
